@@ -297,6 +297,9 @@ pub struct Engine {
     /// Reused per-tick scratch buffers (hot path; avoids reallocating).
     fpc_scratch: FpcOutput,
     seg_scratch: Vec<Segment>,
+    rx_scratch: RxOutput,
+    mm_scratch: MmOutput,
+    timer_scratch: Vec<(FlowId, TimeoutKind)>,
     next_flow: u32,
     /// Flow ids released by closed connections, reused before new ids
     /// are minted. Flow ids are a bounded hardware resource: the
@@ -440,6 +443,9 @@ impl Engine {
             flows: FlowSlab::with_capacity(0),
             fpc_scratch: FpcOutput::default(),
             seg_scratch: Vec::new(),
+            rx_scratch: RxOutput::default(),
+            mm_scratch: MmOutput::default(),
+            timer_scratch: Vec::new(),
             next_flow: 0,
             free_flow_ids: Vec::new(),
             host_events: 0,
@@ -651,12 +657,23 @@ impl Engine {
     /// Copies a flow's TCB wherever it lives (FPC SRAM or DRAM) — the
     /// Fig. 14 congestion-window probe.
     pub fn peek_tcb(&self, flow: FlowId) -> Option<Tcb> {
-        for f in &self.fpcs {
-            if let Some(t) = f.peek_tcb(flow) {
-                return Some(*t);
-            }
-        }
-        self.mm.peek_tcb(flow).copied()
+        // The location LUT names the owning FPC of an SRAM-resident flow.
+        // Otherwise (DRAM, or Moving — the TCB may still sit in the FPC it
+        // is leaving) ask every FPC's CAM, O(1) each, then the DRAM store.
+        let owner = match self.scheduler.location(flow) {
+            Location::Fpc(i) => self.fpcs.get(usize::from(i)).and_then(|f| f.peek_tcb(flow)),
+            _ => None,
+        };
+        owner
+            .or_else(|| self.fpcs.iter().find_map(|f| f.peek_tcb(flow)))
+            .or_else(|| self.mm.peek_tcb(flow))
+            .copied()
+    }
+
+    /// Payload bytes DMAed toward the host so far (the one
+    /// [`EngineStats`] field the host model reads every cycle).
+    pub fn rx_dma_bytes(&self) -> u64 {
+        self.rx_parser.payload_dma_bytes()
     }
 
     /// Flows currently allocated (established, handshaking, or still
@@ -698,7 +715,7 @@ impl Engine {
             segments_in: self.rx_parser.segments_in(),
             segments_out: self.pkt_gen.segments_out(),
             bytes_out: self.pkt_gen.bytes_out(),
-            rx_dma_bytes: self.rx_parser.payload_dma_bytes(),
+            rx_dma_bytes: self.rx_dma_bytes(),
             events_coalesced: s.coalesced,
             migrations: s.migrations,
             retransmissions: self.pkt_gen.retransmissions(),
@@ -1067,7 +1084,9 @@ impl Engine {
         }
 
         // 1. Timers → timeout events.
-        for (flow, kind) in self.timers.expired(now) {
+        let mut fired = std::mem::take(&mut self.timer_scratch);
+        self.timers.expired_into(now, &mut fired);
+        for (flow, kind) in fired.drain(..) {
             let ev = FlowEvent::new(flow, EventKind::Timeout { kind }, now);
             let accepted = self.scheduler.push_event_at(ev, cycle);
             if let Some(j) = self.journal.as_deref_mut() {
@@ -1089,13 +1108,14 @@ impl Engine {
                 self.timers.arm(flow, kind, now + 2_000);
             }
         }
+        self.timer_scratch = fired;
 
         // 2. RX parser → events, gated on intake space so bursts back
         //    up into the parser's (bounded) input buffer instead of
         //    losing protocol events; only genuine NIC-buffer overflow
         //    drops packets.
         if self.scheduler.intake_free() >= 8 {
-            let mut rx_out = RxOutput::default();
+            let mut rx_out = std::mem::take(&mut self.rx_scratch);
             self.rx_parser.tick_flight(
                 now,
                 cycle,
@@ -1103,14 +1123,15 @@ impl Engine {
                 self.flight.as_deref_mut(),
                 self.journal.as_deref_mut(),
             );
-            for ev in rx_out.events {
+            for ev in rx_out.events.drain(..) {
                 self.trace.record(cycle, TraceKind::RxEnqueue, ev.flow.0, 0);
                 let accepted = self.scheduler.push_event_at(ev, cycle);
                 debug_assert!(accepted, "intake_free checked");
             }
-            for syn in rx_out.new_connections {
+            for syn in rx_out.new_connections.drain(..) {
                 self.accept_new_connection(syn);
             }
+            self.rx_scratch = rx_out;
         }
 
         // 3. Scheduler: coalesce + route + migrations + swap-ins.
@@ -1153,8 +1174,8 @@ impl Engine {
         // 4. FPCs (scratch output buffers are reused across ticks: this
         //    is the simulator's hottest loop).
         let gate = self.tx_overflow.is_empty() && self.pkt_gen.free() >= 16;
+        let mut out = std::mem::take(&mut self.fpc_scratch);
         for i in 0..self.fpcs.len() {
-            let mut out = std::mem::take(&mut self.fpc_scratch);
             out.tx.clear();
             out.outcomes.clear();
             out.evicted.clear();
@@ -1243,13 +1264,13 @@ impl Engine {
                     self.flight.as_deref_mut(),
                 );
             }
-            self.fpc_scratch = out;
         }
+        self.fpc_scratch = out;
 
         // 5. Memory manager.
-        let mut mo = MmOutput::default();
+        let mut mo = std::mem::take(&mut self.mm_scratch);
         self.mm.tick_flight(&mut mo, cycle, self.flight.as_deref_mut(), self.journal.as_deref_mut());
-        for flow in mo.swap_in_requests {
+        for flow in mo.swap_in_requests.drain(..) {
             if let Some(j) = self.journal.as_deref_mut() {
                 j.record(
                     cycle,
@@ -1262,7 +1283,7 @@ impl Engine {
             }
             self.scheduler.request_swap_in_at(flow, cycle);
         }
-        for flow in mo.evict_done {
+        for flow in mo.evict_done.drain(..) {
             self.trace.record(cycle, TraceKind::MigrateDone, flow.0, 0);
             if let Some(j) = self.journal.as_deref_mut() {
                 j.record(
@@ -1276,7 +1297,8 @@ impl Engine {
             }
             self.scheduler.on_evict_done(flow, cycle, self.check.as_deref_mut());
         }
-        for ev in mo.bounced {
+        // (An early `break` drops the rest of the drain with it.)
+        for ev in mo.bounced.drain(..) {
             if let Some(j) = self.journal.as_deref_mut() {
                 j.record(
                     cycle,
@@ -1292,6 +1314,7 @@ impl Engine {
                 break;
             }
         }
+        self.mm_scratch = mo;
 
         // 6. Packet generator → MAC buffer (with output backpressure).
         if self.tx_out.len() < TX_OUT_CAP {

@@ -46,16 +46,23 @@ pub enum ScanPolicy {
 
 /// FtTurbo struct-of-arrays slot table: the dual memory's TCB half and
 /// event half plus the scheduling metadata live in parallel arrays
-/// indexed by slot, with the three per-slot flags held as dense bitsets
-/// ([`FlowSet`] keyed by slot index). The dispatch scan, the FtVerify
-/// audit and the watchdog residency pass touch only the word-packed
-/// flags and the one array they need, instead of striding over a
-/// ~200-byte AoS `Slot` per probe.
+/// indexed by slot, with the per-slot flags held as dense bitsets
+/// ([`FlowSet`] keyed by slot index). The dispatch pick, the coldest-flow
+/// answer, the FtVerify audit and the watchdog residency pass touch only
+/// the word-packed flags and the one array they need, instead of striding
+/// over a ~200-byte AoS `Slot` per probe.
 struct SlotTable {
     tcbs: Vec<Tcb>,
     evs: Vec<EventView>,
     occupied: FlowSet,
     in_fpu: FlowSet,
+    /// Column copy of each slot's `Tcb::evict` flag (set by the scheduler,
+    /// honoured by the evict checker), so the coldest-flow scan masks on
+    /// bits instead of loading TCBs.
+    evict: FlowSet,
+    /// Column copy of each slot's `Tcb::last_active_ns`: the coldest-flow
+    /// scan reads this 8 B/slot array, not the TCB table.
+    last_active: Vec<u64>,
     /// Slots whose event-table entry has at least one valid bit set; its
     /// `len()` is the FtScope valid-bit utilization gauge.
     pending: FlowSet,
@@ -76,6 +83,8 @@ impl SlotTable {
             evs: vec![EventView::default(); slots],
             occupied: FlowSet::with_capacity(slots),
             in_fpu: FlowSet::with_capacity(slots),
+            evict: FlowSet::with_capacity(slots),
+            last_active: vec![0; slots],
             pending: FlowSet::with_capacity(slots),
             last_progress: vec![0; slots],
             pending_since: vec![0; slots],
@@ -91,6 +100,41 @@ impl SlotTable {
     fn dispatchable(&self, idx: usize) -> bool {
         let i = idx as u32;
         self.occupied.contains(i) && self.pending.contains(i) && !self.in_fpu.contains(i)
+    }
+
+    /// The TCB manager's round-robin pick: the first dispatchable slot at
+    /// or after `from` in circular slot order — one priority encode over
+    /// `occupied & pending & !in_fpu`, as in the hardware (§4.2.3).
+    #[inline]
+    fn next_dispatchable(&self, from: usize) -> Option<usize> {
+        self.occupied.first_in_and_not(&self.pending, &self.in_fpu, from as u32).map(|i| i as usize)
+    }
+
+    /// Writes a slot's TCB, keeping the evict / last-active columns in
+    /// step with the fields they mirror.
+    #[inline]
+    fn store_tcb(&mut self, idx: usize, tcb: Tcb) {
+        self.tcbs[idx] = tcb;
+        self.last_active[idx] = tcb.last_active_ns;
+        self.set_evict(idx, tcb.evict);
+    }
+
+    /// Sets a slot's evict flag (TCB field and column together).
+    #[inline]
+    fn set_evict(&mut self, idx: usize, evict: bool) {
+        self.tcbs[idx].evict = evict;
+        if evict {
+            self.evict.insert(idx as u32);
+        } else {
+            self.evict.remove(idx as u32);
+        }
+    }
+
+    /// Stamps a slot's last activity (TCB field and column together).
+    #[inline]
+    fn touch(&mut self, idx: usize, now_ns: u64) {
+        self.tcbs[idx].last_active_ns = now_ns;
+        self.last_active[idx] = now_ns;
     }
 
     /// Sets a slot's valid-entry flag, stamping `pending_since` on the
@@ -363,7 +407,7 @@ impl Fpc {
     /// pass. Returns `false` if the flow is not resident.
     pub fn request_evict(&mut self, flow: FlowId) -> bool {
         let Some(slot_idx) = self.cam.lookup(flow) else { return false };
-        self.table.tcbs[slot_idx].evict = true;
+        self.table.set_evict(slot_idx, true);
         let since = self.table.last_progress[slot_idx];
         self.table.set_pending(slot_idx, true, since); // force a prompt FPU pass
         true
@@ -372,22 +416,22 @@ impl Fpc {
     /// The least-recently-active resident flow not already being evicted
     /// (the "coldest" flow the FPC answers the scheduler with, Fig. 6 ②).
     pub fn coldest_flow(&self) -> Option<FlowId> {
-        self.table
-            .occupied
+        let t = &self.table;
+        t.occupied
             .iter()
-            .filter(|&i| !self.table.tcbs[i as usize].evict && !self.table.in_fpu.contains(i))
-            .min_by_key(|&i| self.table.tcbs[i as usize].last_active_ns)
-            .map(|i| self.table.tcbs[i as usize].flow)
+            .filter(|&i| !t.evict.contains(i) && !t.in_fpu.contains(i))
+            // f4tlint: allow(tick_path_scan): the modelled FPC compares its
+            // resident flows' timestamps to answer the scheduler (Fig. 6 ②);
+            // the scan is masked by the flag bitsets and reads only the
+            // 8 B/slot last-active column. Ties go to the lowest slot.
+            .min_by_key(|&i| t.last_active[i as usize])
+            .map(|i| t.tcbs[i as usize].flow)
     }
 
     /// Read-only view of a resident flow's TCB (diagnostics, Fig. 14
     /// congestion-window traces).
     pub fn peek_tcb(&self, flow: FlowId) -> Option<&Tcb> {
-        self.table
-            .occupied
-            .iter()
-            .map(|i| &self.table.tcbs[i as usize])
-            .find(|t| t.flow == flow)
+        self.cam.lookup(flow).map(|slot| &self.table.tcbs[slot])
     }
 
     /// Event-handler write: accumulate `event` into the event table.
@@ -430,7 +474,7 @@ impl Fpc {
             self.rmw_hazard_events += 1;
         }
         self.table.set_pending(slot_idx, true, cycle);
-        self.table.tcbs[slot_idx].last_active_ns = now_ns;
+        self.table.touch(slot_idx, now_ns);
         self.events_handled += 1;
         // SoA split borrow: the event-table row is written against a
         // read-only view of the TCB-table row.
@@ -522,18 +566,13 @@ impl Fpc {
                 self.rr_ptr = (self.rr_ptr + 1) % n;
                 self.try_issue(idx, now_cycle, chk, flight)
             }
-            ScanPolicy::SkipIdle => {
-                let mut issued = false;
-                for off in 0..n {
-                    let idx = (self.rr_ptr + off) % n;
-                    if self.table.dispatchable(idx) {
-                        self.rr_ptr = (idx + 1) % n;
-                        issued = self.try_issue(idx, now_cycle, chk, flight);
-                        break;
-                    }
+            ScanPolicy::SkipIdle => match self.table.next_dispatchable(self.rr_ptr) {
+                Some(idx) => {
+                    self.rr_ptr = (idx + 1) % n;
+                    self.try_issue(idx, now_cycle, chk, flight)
                 }
-                issued
-            }
+                None => false,
+            },
         };
         if !issued {
             // Classify the bubble: was there simply nothing to do, or was
@@ -680,7 +719,7 @@ impl Fpc {
                     // location-LUT state from the Closed notification.
                     self.table.occupied.remove(idx as u32);
                     self.table.evs[idx] = EventView::default();
-                    self.table.tcbs[idx].evict = false;
+                    self.table.set_evict(idx, false);
                     self.table.set_pending(idx, false, cycle);
                     self.cam.remove(flow);
                 } else if evict_requested
@@ -691,11 +730,11 @@ impl Fpc {
                     tcb.evict = false;
                     self.table.occupied.remove(idx as u32);
                     self.table.evs[idx] = EventView::default();
+                    self.table.set_evict(idx, false);
                     self.cam.remove(flow);
                     out.evicted.push(tcb);
                 } else {
-                    self.table.tcbs[idx] = result.tcb;
-                    self.table.tcbs[idx].evict = evict_requested;
+                    self.table.store_tcb(idx, Tcb { evict: evict_requested, ..result.tcb });
                     if evict_requested || result.outcome.more_work {
                         self.table.set_pending(idx, true, cycle);
                     }
@@ -725,7 +764,7 @@ impl Fpc {
                 }
                 if let Some(slot_idx) = self.cam.insert(flow) {
                     let pending = tcb.can_send() || ev.any();
-                    self.table.tcbs[slot_idx] = tcb;
+                    self.table.store_tcb(slot_idx, tcb);
                     self.table.evs[slot_idx] = ev;
                     self.table.set_pending(slot_idx, pending, cycle);
                     self.table.in_fpu.remove(slot_idx as u32);
@@ -761,10 +800,8 @@ impl Fpc {
             return Some(cycle);
         }
         // A pending slot whose TCB is not in flight dispatches on the
-        // next odd cycle; treat it as immediate work. Scanning the
-        // valid-entry bitset alone (instead of every slot) keeps the
-        // fast-forward probe O(pending), the common case being empty.
-        if self.table.pending.iter().any(|i| self.table.dispatchable(i as usize)) {
+        // next odd cycle; treat it as immediate work.
+        if self.table.next_dispatchable(0).is_some() {
             return Some(cycle);
         }
         self.fpu.next_activity().map(|c| c.max(cycle))
@@ -1050,6 +1087,113 @@ mod tests {
         }
         run_cycles(&mut f, 10, 20, &mut out);
         assert_eq!(f.coldest_flow(), Some(FlowId(1)));
+    }
+
+    #[test]
+    fn coldest_flow_ties_go_to_the_lowest_slot() {
+        let mut f = fpc(8);
+        // Slots 0..4 in install order; flows 11, 12 and 13 share the
+        // oldest stamp, flow 10 is younger.
+        for (id, stamp) in [(10u32, 900u64), (11, 500), (12, 500), (13, 500)] {
+            let mut t = established_tcb(id);
+            t.last_active_ns = stamp;
+            f.push_tcb(t, EventView::default());
+        }
+        let mut out = FpcOutput::default();
+        run_cycles(&mut f, 0, 10, &mut out);
+        assert_eq!(f.dispatches(), 0, "idle flows: stamps untouched");
+        assert_eq!(f.coldest_flow(), Some(FlowId(11)), "slot 1 wins the three-way tie");
+        // A flow already marked for eviction is skipped, ...
+        assert!(f.request_evict(FlowId(11)));
+        assert_eq!(f.coldest_flow(), Some(FlowId(12)));
+        // ... and so is one whose TCB is in flight in the FPU.
+        f.table.in_fpu.insert(2);
+        assert_eq!(f.coldest_flow(), Some(FlowId(13)));
+    }
+
+    /// The coldest-flow scan as it read before the evict / last-active
+    /// columns existed: straight off the TCB table.
+    fn coldest_by_tcb_scan(f: &Fpc) -> Option<FlowId> {
+        f.table
+            .occupied
+            .iter()
+            .filter(|&i| !f.table.tcbs[i as usize].evict && !f.table.in_fpu.contains(i))
+            .min_by_key(|&i| f.table.tcbs[i as usize].last_active_ns)
+            .map(|i| f.table.tcbs[i as usize].flow)
+    }
+
+    #[test]
+    fn coldest_flow_columns_track_the_tcb_fields() {
+        use f4t_sim::SimRng;
+        let mut rng = SimRng::new(0xC01D);
+        let mut f = Fpc::new(0, 16, Arc::new(f4t_tcp::NewReno), Some(6), MSS, ScanPolicy::SkipIdle);
+        let mut out = FpcOutput::default();
+        let mut parked: Vec<Tcb> = (0..16).map(established_tcb).collect();
+        let mut req = [0u32; 16];
+        for c in 0..6_000u64 {
+            // Re-install one parked (new or evicted) TCB when the port is free.
+            if let Some(t) = parked.pop() {
+                if !f.push_tcb(t, EventView::default()) {
+                    parked.push(t);
+                }
+            }
+            let id = rng.next_below(16) as usize;
+            match rng.next_below(16) {
+                0..=5 => {
+                    req[id] += 1 + rng.next_below(400) as u32;
+                    f.push_event(FlowEvent::new(
+                        FlowId(id as u32),
+                        EventKind::SendReq { req: SeqNum(1000).add(req[id]) },
+                        c,
+                    ));
+                }
+                6 => {
+                    f.request_evict(FlowId(id as u32));
+                }
+                _ => {}
+            }
+            f.tick(c, c * 4, true, &mut out);
+            parked.append(&mut out.evicted);
+            assert_eq!(f.coldest_flow(), coldest_by_tcb_scan(&f), "cycle {c}");
+        }
+        assert!(f.dispatches() > 500, "FPU passes exercised: {}", f.dispatches());
+    }
+
+    /// The slot-by-slot circular walk the priority encode replaces.
+    fn linear_pick(t: &SlotTable, rr_ptr: usize) -> Option<usize> {
+        let n = t.len();
+        (0..n).map(|off| (rr_ptr + off) % n).find(|&idx| t.dispatchable(idx))
+    }
+
+    #[test]
+    fn ready_mask_pick_matches_linear_scan() {
+        use f4t_sim::SimRng;
+        let mut rng = SimRng::new(0xD15_BA7C);
+        for slots in [1usize, 8, 63, 64, 65, 128, 200] {
+            for round in 0..40u64 {
+                let mut t = SlotTable::new(slots);
+                // Densities sweep from nearly empty to nearly full.
+                let (occ, pend, busy) = (1 + round % 8, 1 + (round / 2) % 8, (round / 3) % 6);
+                for i in 0..slots as u32 {
+                    if rng.next_below(8) < occ {
+                        t.occupied.insert(i);
+                    }
+                    if rng.next_below(8) < pend {
+                        t.pending.insert(i);
+                    }
+                    if rng.next_below(8) < busy {
+                        t.in_fpu.insert(i);
+                    }
+                }
+                for rr_ptr in 0..slots {
+                    assert_eq!(
+                        t.next_dispatchable(rr_ptr),
+                        linear_pick(&t, rr_ptr),
+                        "slots {slots} round {round} rr_ptr {rr_ptr}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! The parser turns each segment into one [`FlowEvent`] carrying the
 //! *post-reassembly* in-order pointer, so the FPU never touches payload.
 
+// f4tlint: allow-file(tick_path_scan): the per-flow reassembly / ACK-watch
+// / parked-FIN maps and the listening-port set are probed once per parsed
+// segment or per connection open/close — work the modelled parser does —
+// never once per cycle. Moving them onto flow-indexed slabs is its own
+// change (it moves `rx_parser.host_ns_per_segment`, not the idle tick).
+
 use crate::event::{EventKind, FlowEvent};
 use f4t_sim::{Fifo, FlightRecorder, FlightStage, Journal, JournalKind, JournalModule};
 use f4t_tcp::reassembly::ReassemblyResult;

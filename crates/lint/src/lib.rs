@@ -34,6 +34,7 @@
 //! | `panic_reachable` | every crate except `core` | no panic-family expression in any function the call graph reaches from `tick`/`tick_checked`/`ParallelRunner` entry points |
 //! | `float_in_digest` | every crate | no f32/f64 arithmetic reachable from `fold_digests`/FNV/digest/merge entry points — float rounding is order-sensitive and breaks byte-identical artifact merging |
 //! | `shared_mut_across_shards` | every crate | no statics, `Rc`, non-`Sync` interior mutability or `unsafe` referenced from `parallel.rs` worker closures or anything they reach |
+//! | `tick_path_scan` | `core`, `mem` | no `.iter().position(` / `.iter().find(` / `.contains(&` / `min_by_key(` and no `HashMap`/`HashSet` field access in functions the call graph reaches from `tick`/`tick_checked`: the hardware answers in one cycle, so the simulator answers from an index (DESIGN.md §12.1) |
 //! | `metric_name` | every crate | FtScope metric / FtFlight stage / FtJournal event names are dotted `snake_case` and unique per file |
 //! | `metrics_catalog` | every crate | every metric/stage/event literal must match an entry of the generated METRICS.md catalog (placeholders match any run) |
 //! | `cargo_deps` | every manifest | every dependency is `path =` / `workspace = true` — the workspace builds fully offline |
@@ -98,6 +99,11 @@ pub const RULES: &[(&str, &str)] = &[
         "shared_mut_across_shards",
         "no statics, Rc, non-Sync interior mutability or unsafe referenced from shard-worker \
          code (parallel.rs closures and everything they reach)",
+    ),
+    (
+        "tick_path_scan",
+        "no linear table scan (.iter().position/.iter().find/.contains(&/min_by_key) or \
+         HashMap/HashSet field access reachable from tick/tick_checked in crates/core|mem",
     ),
     (
         "metric_name",
@@ -183,6 +189,9 @@ pub fn run_passes(ws: &mut Workspace, timings: &mut Vec<(&'static str, f64)>) ->
     });
     timed(timings, "shared_mut_across_shards", || {
         rules::shared_mut_across_shards(ws, &idx, &graph, &mut findings)
+    });
+    timed(timings, "tick_path_scan", || {
+        rules::tick_path_scan(ws, &idx, &graph, &mut findings)
     });
     timed(timings, "metric_name", || rules::metric_name(ws, &idx, &mut findings));
     timed(timings, "metrics_catalog", || rules::metrics_catalog(ws, &idx, &mut findings));
@@ -480,6 +489,25 @@ mod tests {
         assert_eq!(f.len(), 3, "{all:#?}");
         assert!(f.iter().any(|x| x.message.contains("static mut")), "{all:#?}");
         assert!(f.iter().any(|x| x.message.contains("Rc")), "{all:#?}");
+    }
+
+    #[test]
+    fn fixture_tick_path_scan_detected() {
+        let src = fixture("tick_path_scan.rs");
+        let all = scan_source("tick_path_scan.rs", "mem", &src);
+        let f = of(&all, "tick_path_scan");
+        // position() + hashed field in route(), contains(&) in admit(),
+        // the first min_by_key in coldest(); the excused min_by_key,
+        // cold_report() and the test module are exempt.
+        assert_eq!(lines(&f), [24, 25, 30, 34], "{all:#?}");
+        assert!(f[0].message.contains("iter().position("), "{all:#?}");
+        assert!(f[0].message.contains("Table::route <- Table::tick"), "path rendered: {all:#?}");
+        assert!(f[1].message.contains("self.owners"), "{all:#?}");
+        assert!(of(&all, "stale_allow").is_empty(), "{all:#?}");
+        // Only the hardware-model crates are in scope (the excuse then
+        // suppresses nothing, which stale_allow reports).
+        let host = scan_source("tick_path_scan.rs", "host", &src);
+        assert!(of(&host, "tick_path_scan").is_empty(), "{host:#?}");
     }
 
     #[test]

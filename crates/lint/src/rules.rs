@@ -3,8 +3,8 @@
 //! Per-line rules (`wall_clock`, `raw_queue`, `panic_path`,
 //! `metric_name`, `nondeterministic_iter`) consume the shared lexed
 //! files directly; the reachability rules (`panic_reachable`,
-//! `float_in_digest`, `shared_mut_across_shards`) walk the call graph
-//! from semantic entry points; `metrics_catalog` cross-checks
+//! `float_in_digest`, `shared_mut_across_shards`, `tick_path_scan`) walk
+//! the call graph from semantic entry points; `metrics_catalog` cross-checks
 //! registration literals against METRICS.md; `stale_allow` runs last
 //! over the directive use-tracking the other rules populated.
 
@@ -26,6 +26,8 @@ pub fn rule_applies(rule: &str, crate_name: &str) -> bool {
         // crates/core; panic_reachable extends it workspace-wide along
         // the call graph (and therefore skips core to avoid doubling).
         "panic_path" => crate_name == "core",
+        // The hardware-model crates: everything `Engine::tick` executes.
+        "tick_path_scan" => matches!(crate_name, "core" | "mem"),
         _ => true,
     }
 }
@@ -528,6 +530,79 @@ pub fn shared_mut_across_shards(
                     i,
                     "shared_mut_across_shards",
                     format!("`{}` on a shard-worker path ({path}): {why}", pat.trim_end()),
+                    out,
+                );
+            }
+        }
+    }
+}
+
+/// Linear-search expressions that walk a whole table to answer one
+/// question.
+const SCAN_PATTERNS: &[&str] = &[".iter().position(", ".iter().find(", ".contains(&", "min_by_key("];
+
+/// `tick_path_scan`: no linear table scan and no hashed-container field
+/// access in `crates/core|mem` functions the call graph reaches from a
+/// `tick`/`tick_checked` entry. The modelled hardware answers these in
+/// one cycle (comparator arrays, priority encoders); the simulator must
+/// answer them from an index, or the host cost of a tick follows the
+/// table size instead of the work done (DESIGN.md §12.1).
+pub fn tick_path_scan(
+    ws: &mut Workspace,
+    idx: &SymbolIndex,
+    graph: &CallGraph,
+    out: &mut Vec<Finding>,
+) {
+    let in_scope = |files: &[SourceFile], f: FnId| {
+        !idx.fns[f].is_test && rule_applies("tick_path_scan", &files[idx.fns[f].file].crate_name)
+    };
+    let entries: Vec<FnId> = (0..idx.fns.len())
+        .filter(|&id| {
+            in_scope(&ws.files, id) && matches!(idx.fns[id].name.as_str(), "tick" | "tick_checked")
+        })
+        .collect();
+    let pred = graph.reachable_from(&entries);
+    for (id, f) in idx.fns.iter().enumerate() {
+        if pred[id].is_none() || !in_scope(&ws.files, id) {
+            continue;
+        }
+        let Some((start, end)) = f.body else { continue };
+        let fi = f.file;
+        // `self.<field>` spellings of the enclosing type's hashed fields.
+        let hashed: Vec<String> = idx
+            .unordered_fields
+            .iter()
+            .filter(|uf| {
+                Some(&uf.owner) == f.impl_type.as_ref() && uf.crate_name == ws.files[fi].crate_name
+            })
+            .map(|uf| format!("self.{}", uf.name))
+            .collect();
+        let path = graph.path_to_entry(idx, &pred, id);
+        for i in start..=end.min(ws.files[fi].code.len() - 1) {
+            if ws.files[fi].tests[i] {
+                continue;
+            }
+            let code = &ws.files[fi].code[i];
+            let what = SCAN_PATTERNS
+                .iter()
+                .find(|pat| code.contains(*pat))
+                .map(|pat| format!("linear scan `{}…)`", pat.trim_start_matches('.')))
+                .or_else(|| {
+                    hashed
+                        .iter()
+                        .find(|field| word_match(code, field))
+                        .map(|field| format!("hashed container `{field}`"))
+                });
+            if let Some(what) = what {
+                emit(
+                    &mut ws.files[fi],
+                    i,
+                    "tick_path_scan",
+                    format!(
+                        "{what} on a tick-reachable path ({path}); the modelled hardware \
+                         answers in one cycle, so answer from a dense index / bitset, or \
+                         justify with // f4tlint: allow(tick_path_scan): <why bounded>"
+                    ),
                     out,
                 );
             }

@@ -522,11 +522,40 @@ impl FlowSet {
         self.words.get(id as usize / 64).is_some_and(|w| w & (1 << (id as usize % 64)) != 0)
     }
 
-    /// Ascending member iteration.
+    /// Ascending member iteration: one `trailing_zeros` per member, so a
+    /// sparse set costs its population, not its capacity.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter(move |b| w & (1 << b) != 0).map(move |b| (wi * 64 + b) as u32)
+            std::iter::successors((w != 0).then_some(w), |&rest| {
+                let rest = rest & (rest - 1); // clear the lowest set bit
+                (rest != 0).then_some(rest)
+            })
+            .map(move |rest| (wi * 64) as u32 + rest.trailing_zeros())
         })
+    }
+
+    /// Circular priority encode over `self ∩ and ∖ not`: the lowest such
+    /// member at or after `from`, else the lowest one below it. One pass
+    /// over the words — the host-side stand-in for a single-cycle
+    /// hardware priority encoder (the FPC's round-robin slot pick).
+    pub fn first_in_and_not(&self, and: &FlowSet, not: &FlowSet, from: u32) -> Option<u32> {
+        let n = self.words.len();
+        // Lowest member of word `w` among the bits `keep` selects.
+        let lowest = |w: usize, keep: u64| {
+            let m = self.words[w]
+                & and.words.get(w).copied().unwrap_or(0)
+                & !not.words.get(w).copied().unwrap_or(0)
+                & keep;
+            (m != 0).then(|| (w * 64) as u32 + m.trailing_zeros())
+        };
+        let first_word = from as usize / 64;
+        let at_or_after = u64::MAX << (from % 64);
+        (first_word..n)
+            .find_map(|w| lowest(w, if w == first_word { at_or_after } else { u64::MAX }))
+            .or_else(|| {
+                (0..n.min(first_word + 1))
+                    .find_map(|w| lowest(w, if w == first_word { !at_or_after } else { u64::MAX }))
+            })
     }
 }
 
@@ -735,5 +764,57 @@ mod tests {
         let mut want: Vec<u32> = sm.into_iter().collect();
         want.sort_unstable();
         assert_eq!(s.iter().collect::<Vec<_>>(), want);
+    }
+
+    /// A random set over `n` ids with roughly `density`/8 of them present.
+    fn random_set(rng: &mut SimRng, n: u32, density: u64) -> FlowSet {
+        let mut s = FlowSet::with_capacity(n as usize);
+        for id in 0..n {
+            if rng.next_below(8) < density {
+                s.insert(id);
+            }
+        }
+        s
+    }
+
+    /// The word-walking iterator yields exactly the ids a bit-by-bit
+    /// membership probe finds, in ascending order — including empty and
+    /// full words and a last partial word.
+    #[test]
+    fn set_iter_matches_bit_by_bit_probe() {
+        let mut rng = SimRng::new(0x51AB_17E2);
+        for n in [0u32, 1, 63, 64, 65, 128, 200] {
+            for density in [0u64, 1, 4, 8] {
+                let s = random_set(&mut rng, n, density);
+                let want: Vec<u32> = (0..n + 64).filter(|&id| s.contains(id)).collect();
+                assert_eq!(s.iter().collect::<Vec<_>>(), want, "n {n} density {density}");
+                assert_eq!(s.len(), want.len());
+            }
+        }
+    }
+
+    /// The circular priority encode equals the linear walk it replaces,
+    /// for every start position, also when the three sets have grown to
+    /// different word counts.
+    #[test]
+    fn first_in_and_not_matches_linear_circular_scan() {
+        let mut rng = SimRng::new(0x51AB_F1A5);
+        for n in [1u32, 8, 63, 64, 65, 128, 200] {
+            for round in 0..24u64 {
+                let a = random_set(&mut rng, n, 1 + round % 8);
+                let b = random_set(&mut rng, if round % 3 == 0 { n.div_ceil(2) } else { n }, 6);
+                let c = random_set(&mut rng, if round % 5 == 0 { n + 70 } else { n }, round % 4);
+                for from in 0..n {
+                    let want = (0..n)
+                        .map(|off| (from + off) % n)
+                        .find(|&i| a.contains(i) && b.contains(i) && !c.contains(i));
+                    assert_eq!(
+                        a.first_in_and_not(&b, &c, from),
+                        want,
+                        "n {n} round {round} from {from}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -384,7 +384,7 @@ impl Node {
         self.engine.tick();
 
         // 3. RX payload DMA (d2h): charge what the parser accepted.
-        let rx_total = self.engine.stats().rx_dma_bytes;
+        let rx_total = self.engine.rx_dma_bytes();
         if rx_total > self.rx_dma_charged {
             let delta = rx_total - self.rx_dma_charged;
             // Borrow against future budget: the DMA engine streams.

@@ -112,4 +112,10 @@ echo "==> FtFlight perf gate + FtPulse shape gate (committed baselines + self-te
 sh scripts/perf_gate.sh
 sh scripts/perf_gate.sh --self-test
 
+echo "==> FtBench smoke (quick run of all four workloads + its contract tests)"
+# The benchmark is a workspace of its own binding to the public module
+# APIs (Fpc/Scheduler/TimerWheel/Engine signatures): a drift there must
+# fail here, not at the next measured PR.
+sh ftbench/ci.sh
+
 echo "verify: OK"
