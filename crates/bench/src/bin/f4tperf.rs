@@ -12,10 +12,11 @@
 //! ```
 
 use f4t_core::fpc::ScanPolicy;
-use f4t_core::{fold_digests, Engine, EngineConfig, EventKind, ParallelRunner, RENDEZVOUS_QUANTUM};
+use f4t_core::{fold_digests, Engine, EngineConfig};
 use f4t_mem::{DramKind, Location};
 use f4t_netsim::Impairments;
-use f4t_system::F4tSystem;
+use f4t_sim::MetricsRegistry;
+use f4t_system::{F4tSystem, ScaleShard};
 use f4t_tcp::{CcAlgorithm, FlowId};
 use f4t_workloads::{INCAST_EPOCH_NS, SLOWLORIS_DRIP_BYTES};
 
@@ -149,30 +150,142 @@ impl Args {
     }
 }
 
+/// Where a workload's flow count comes from.
+enum Flows {
+    /// `--flows` is honoured; this is the default total.
+    Total(usize),
+    /// `--flows` is honoured; the default is this many per core.
+    PerCore(usize),
+    /// The workload fixes this many per core and ignores `--flows`.
+    FixedPerCore(usize),
+}
+
+/// One `--workload`: a row is all it takes to add one.
+struct Workload {
+    name: &'static str,
+    flows: Flows,
+    /// `--help` description, one line per row of the help column.
+    about: &'static str,
+    /// Builds the two-node testbed from the resolved flow count; `None`
+    /// marks the bare-engine ideal-peer driver ([`run_scale`]).
+    build: Option<fn(&Args, usize, EngineConfig) -> F4tSystem>,
+}
+
+const WORKLOADS: [Workload; 9] = [
+    Workload {
+        name: "bulk",
+        flows: Flows::FixedPerCore(1),
+        about: "each core streams --size byte sends",
+        build: Some(|a, _, cfg| F4tSystem::bulk(a.cores, a.size, cfg)),
+    },
+    Workload {
+        name: "rr",
+        flows: Flows::FixedPerCore(16),
+        about: "each core rotates sends over its flows",
+        build: Some(|a, flows, cfg| F4tSystem::round_robin(a.cores, flows / a.cores, a.size, cfg)),
+    },
+    Workload {
+        name: "echo",
+        flows: Flows::PerCore(64),
+        about: "ping-pong of --size byte messages",
+        build: Some(|a, flows, cfg| F4tSystem::echo(a.cores, flows, a.size, cfg)),
+    },
+    Workload {
+        name: "http",
+        flows: Flows::PerCore(64),
+        about: "Nginx + wrk keep-alive connections",
+        build: Some(|a, flows, cfg| F4tSystem::http((a.cores * 2).max(2), a.cores, flows, cfg)),
+    },
+    Workload {
+        name: "scale",
+        flows: Flows::Total(65_536),
+        about: "N flows vs an ideal peer on a bare\n\
+                engine driven through Engine::run, where\n\
+                fast-forward engages; --duration-ms sets\n\
+                the post-completion idle tail",
+        build: None,
+    },
+    Workload {
+        name: "incast",
+        flows: Flows::Total(32),
+        about: "N senders release synchronized\n\
+                bursts of --size bytes at a shared sink",
+        build: Some(|a, flows, cfg| {
+            F4tSystem::incast(flows, a.cores, a.size, INCAST_EPOCH_NS, cfg)
+        }),
+    },
+    Workload {
+        name: "churnstorm",
+        flows: Flows::PerCore(16),
+        about: "connections opened, used once,\n\
+                and torn down continuously (--flows sets\n\
+                the live target)",
+        build: Some(|a, flows, cfg| F4tSystem::churnstorm(a.cores, flows, cfg)),
+    },
+    Workload {
+        name: "slowloris",
+        flows: Flows::Total(2048),
+        about: "--flows mostly-idle connections\n\
+                trickling a few bytes each",
+        build: Some(|a, flows, cfg| {
+            F4tSystem::slowloris(a.cores, flows, SLOWLORIS_DRIP_BYTES, 2_000, cfg)
+        }),
+    },
+    Workload {
+        name: "httpstorm",
+        flows: Flows::Total(1024),
+        about: "the http workload at storm-scale\n\
+                concurrency",
+        build: Some(|a, flows, cfg| F4tSystem::http((a.cores * 2).max(2), a.cores, flows, cfg)),
+    },
+];
+
+impl Workload {
+    /// The flow count this run uses: `--flows`, or the row's default.
+    fn flows(&self, args: &Args) -> usize {
+        match self.flows {
+            Flows::Total(n) if args.flows == 0 => n,
+            Flows::PerCore(n) if args.flows == 0 => args.cores * n,
+            Flows::FixedPerCore(n) => args.cores * n,
+            Flows::Total(_) | Flows::PerCore(_) => args.flows,
+        }
+    }
+}
+
+/// Every `--workload` name, in table order.
+fn workload_names(sep: &str) -> String {
+    WORKLOADS.iter().map(|w| w.name).collect::<Vec<_>>().join(sep)
+}
+
+/// `--help`: [`HELP`] with the workload list and each row's `--flows`
+/// default generated from [`WORKLOADS`].
+fn help() -> String {
+    let mut rows = String::new();
+    for w in &WORKLOADS {
+        let flows = match w.flows {
+            Flows::Total(n) => format!("--flows defaults to {n}"),
+            Flows::PerCore(n) => format!("--flows defaults to {n}/core"),
+            Flows::FixedPerCore(n) => format!("{n}/core, --flows ignored"),
+        };
+        let about = format!("{}: {}\n({flows})", w.name, w.about);
+        for line in about.lines() {
+            rows.push_str(&format!("{:35}{line}\n", ""));
+        }
+    }
+    HELP.replace("@NAMES@", &workload_names("|")).replace("@WORKLOADS@\n", &rows)
+}
+
 const HELP: &str = "\
 f4tperf — drive the simulated F4T testbed
 
 USAGE: f4tperf [OPTIONS]
 
-  --workload <bulk|rr|echo|http|scale|incast|churnstorm|slowloris|httpstorm>
+  --workload <@NAMES@>
                                    workload pattern        [bulk]
-                                   scale: N flows vs an ideal peer on a bare
-                                   engine driven through Engine::run, where
-                                   fast-forward engages; --duration-ms sets
-                                   the post-completion idle tail
-                                   incast: N senders release synchronized
-                                   bursts of --size bytes at a shared sink
-                                   churnstorm: connections opened, used once,
-                                   and torn down continuously (--flows sets
-                                   the live target)
-                                   slowloris: --flows mostly-idle connections
-                                   trickling a few bytes each
-                                   httpstorm: the http workload at storm-scale
-                                   concurrency (--flows defaults to 1024)
+@WORKLOADS@
   --cores <N>                      application cores/side  [1]
   --size <BYTES>                   request size            [128]
-  --flows <N>                      total flows (echo/http; rr uses 16/core;
-                                   scale defaults to 65536)
+  --flows <N>                      total flows (default: see --workload)
   --threads <N>                    scale workload: shard the flows across N
                                    independent engines on N worker threads
                                    with a deterministic rendezvous barrier;
@@ -260,32 +373,36 @@ EXIT CODES: 0 success / 1 FtVerify violations / 2 usage or I/O error /
             3 perf-gate regression (--gate)
 ";
 
-fn parse() -> Result<Args, String> {
+/// Parses a numeric flag value.
+fn num<T: std::str::FromStr<Err: std::fmt::Display>>(v: String) -> Result<T, String> {
+    v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// Parses and validates the command line into the arguments and the
+/// [`WORKLOADS`] row they select.
+fn parse() -> Result<(Args, &'static Workload), String> {
     let mut args = Args::default();
-    let validate = |args: &Args| -> Result<(), String> {
-        if args.cores == 0 {
-            return Err("--cores must be at least 1".into());
-        }
-        if args.size == 0 {
-            return Err("--size must be at least 1".into());
-        }
-        if args.fpcs == 0 {
-            return Err("--fpcs must be at least 1".into());
-        }
-        if args.duration_ms == 0 {
-            return Err("--duration-ms must be at least 1".into());
-        }
-        if args.flight_sample == 0 {
-            return Err("--flight-sample must be at least 1".into());
-        }
-        if args.journal_sample == 0 {
-            return Err("--journal-sample must be at least 1".into());
-        }
-        if args.threads == 0 {
-            return Err("--threads must be at least 1".into());
-        }
-        if args.pulse_interval == 0 {
-            return Err("--pulse-interval must be at least 1".into());
+    let validate = |args: &Args| -> Result<&'static Workload, String> {
+        let Some(workload) = WORKLOADS.iter().find(|w| w.name == args.workload) else {
+            return Err(format!(
+                "unknown workload {} (expected one of: {})",
+                args.workload,
+                workload_names(", ")
+            ));
+        };
+        for (flag, value) in [
+            ("--cores", args.cores as u64),
+            ("--size", u64::from(args.size)),
+            ("--fpcs", args.fpcs as u64),
+            ("--duration-ms", args.duration_ms),
+            ("--flight-sample", u64::from(args.flight_sample)),
+            ("--journal-sample", u64::from(args.journal_sample)),
+            ("--threads", args.threads as u64),
+            ("--pulse-interval", args.pulse_interval),
+        ] {
+            if value == 0 {
+                return Err(format!("{flag} must be at least 1"));
+            }
         }
         if args.inject_slowdown_after.is_some() && args.inject_slowdown == 0 {
             return Err("--inject-slowdown-after needs --inject-slowdown <CYCLES>".into());
@@ -297,63 +414,53 @@ fn parse() -> Result<Args, String> {
                 Impairments::profile_names().join(", ")
             ));
         }
-        if args.impair != "clean" && args.workload == "scale" {
+        if args.impair != "clean" && workload.build.is_none() {
             return Err(
                 "--impair is not supported with --workload scale (bare engine, no link)".into(),
             );
         }
         if args.threads > 1 {
-            if args.workload != "scale" {
+            if workload.build.is_some() {
                 return Err("--threads is only supported with --workload scale".into());
             }
-            if args.pcap.is_some() {
-                return Err("--pcap is not supported with --threads > 1".into());
-            }
-            if args.inject_fault.is_some() {
-                return Err("--inject-fault is not supported with --threads > 1".into());
-            }
-            if args.gate.is_some() {
-                return Err("--gate baselines are single-engine; not supported with --threads > 1".into());
-            }
-            if args.pulse_gate.is_some() {
-                return Err("--pulse-gate baselines are single-engine; not supported with --threads > 1".into());
-            }
-            if args.inject_slowdown_after.is_some() {
-                return Err("--inject-slowdown-after is not supported with --threads > 1".into());
-            }
-            if args.telemetry_format == TelemetryFormat::Prometheus {
-                return Err("--telemetry-format prometheus is not supported with --threads > 1".into());
+            // Baselines and the deferred bias are single-engine; the
+            // Prometheus export and the capture have no sharded shape.
+            for (set, flag) in [
+                (args.pcap.is_some(), "--pcap"),
+                (args.inject_fault.is_some(), "--inject-fault"),
+                (args.gate.is_some(), "--gate"),
+                (args.pulse_gate.is_some(), "--pulse-gate"),
+                (args.inject_slowdown_after.is_some(), "--inject-slowdown-after"),
+                (args.telemetry_format == TelemetryFormat::Prometheus, "--telemetry-format prometheus"),
+            ] {
+                if set {
+                    return Err(format!("{flag} is not supported with --threads > 1"));
+                }
             }
         }
-        Ok(())
+        Ok(workload)
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+        let mut val = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--workload" => args.workload = val("--workload")?,
-            "--cores" => args.cores = val("--cores")?.parse().map_err(|e| format!("{e}"))?,
-            "--size" => args.size = val("--size")?.parse().map_err(|e| format!("{e}"))?,
-            "--flows" => args.flows = val("--flows")?.parse().map_err(|e| format!("{e}"))?,
-            "--threads" => args.threads = val("--threads")?.parse().map_err(|e| format!("{e}"))?,
-            "--fpcs" => args.fpcs = val("--fpcs")?.parse().map_err(|e| format!("{e}"))?,
-            "--warmup-ms" => {
-                args.warmup_ms = val("--warmup-ms")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--duration-ms" => {
-                args.duration_ms = val("--duration-ms")?.parse().map_err(|e| format!("{e}"))?
-            }
+            "--workload" => args.workload = val()?,
+            "--cores" => args.cores = num(val()?)?,
+            "--size" => args.size = num(val()?)?,
+            "--flows" => args.flows = num(val()?)?,
+            "--threads" => args.threads = num(val()?)?,
+            "--fpcs" => args.fpcs = num(val()?)?,
+            "--warmup-ms" => args.warmup_ms = num(val()?)?,
+            "--duration-ms" => args.duration_ms = num(val()?)?,
             "--dram" => {
-                args.dram = match val("--dram")?.as_str() {
+                args.dram = match val()?.as_str() {
                     "hbm" => DramKind::Hbm,
                     "ddr4" => DramKind::Ddr4,
                     other => return Err(format!("unknown dram {other}")),
                 }
             }
             "--cc" => {
-                args.cc = match val("--cc")?.as_str() {
+                args.cc = match val()?.as_str() {
                     "newreno" => CcAlgorithm::NewReno,
                     "cubic" => CcAlgorithm::Cubic,
                     "vegas" => CcAlgorithm::Vegas,
@@ -361,58 +468,41 @@ fn parse() -> Result<Args, String> {
                 }
             }
             "--scan" => {
-                args.scan = match val("--scan")?.as_str() {
+                args.scan = match val()?.as_str() {
                     "skip-idle" => ScanPolicy::SkipIdle,
                     "full" => ScanPolicy::FullIteration,
                     other => return Err(format!("unknown scan policy {other}")),
                 }
             }
-            "--telemetry" => args.telemetry = Some(val("--telemetry")?),
+            "--telemetry" => args.telemetry = Some(val()?),
             "--telemetry-format" => {
-                args.telemetry_format = match val("--telemetry-format")?.as_str() {
+                args.telemetry_format = match val()?.as_str() {
                     "json" => TelemetryFormat::Json,
                     "prometheus" => TelemetryFormat::Prometheus,
                     other => return Err(format!("unknown telemetry format {other}")),
                 }
             }
             "--flight" => args.flight = true,
-            "--flight-sample" => {
-                args.flight_sample =
-                    val("--flight-sample")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--breakdown-json" => args.breakdown_json = Some(val("--breakdown-json")?),
-            "--gate" => args.gate = Some(val("--gate")?),
-            "--inject-slowdown" => {
-                args.inject_slowdown =
-                    val("--inject-slowdown")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--inject-slowdown-after" => {
-                args.inject_slowdown_after =
-                    Some(val("--inject-slowdown-after")?.parse().map_err(|e| format!("{e}"))?)
-            }
+            "--flight-sample" => args.flight_sample = num(val()?)?,
+            "--breakdown-json" => args.breakdown_json = Some(val()?),
+            "--gate" => args.gate = Some(val()?),
+            "--inject-slowdown" => args.inject_slowdown = num(val()?)?,
+            "--inject-slowdown-after" => args.inject_slowdown_after = Some(num(val()?)?),
             "--pulse" => args.pulse = true,
-            "--pulse-interval" => {
-                args.pulse_interval =
-                    val("--pulse-interval")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--pulse-json" => args.pulse_json = Some(val("--pulse-json")?),
-            "--pulse-gate" => args.pulse_gate = Some(val("--pulse-gate")?),
-            "--pcap" => args.pcap = Some(val("--pcap")?),
+            "--pulse-interval" => args.pulse_interval = num(val()?)?,
+            "--pulse-json" => args.pulse_json = Some(val()?),
+            "--pulse-gate" => args.pulse_gate = Some(val()?),
+            "--pcap" => args.pcap = Some(val()?),
             "--journal" => args.journal = true,
-            "--journal-sample" => {
-                args.journal_sample =
-                    val("--journal-sample")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--impair" => args.impair = val("--impair")?,
+            "--journal-sample" => args.journal_sample = num(val()?)?,
+            "--impair" => args.impair = val()?,
             "--watchdog" => args.watchdog = true,
-            "--dump-on-failure" => args.dump_on_failure = Some(val("--dump-on-failure")?),
-            "--trace-depth" => {
-                args.trace_depth = val("--trace-depth")?.parse().map_err(|e| format!("{e}"))?
-            }
+            "--dump-on-failure" => args.dump_on_failure = Some(val()?),
+            "--trace-depth" => args.trace_depth = num(val()?)?,
             "--no-coalescing" => args.coalescing = false,
             "--no-fast-forward" => args.fast_forward = false,
             "--inject-fault" => {
-                let kind = val("--inject-fault")?;
+                let kind = val()?;
                 match kind.as_str() {
                     "lut-misdirect" | "dram-ghost" => args.inject_fault = Some(kind),
                     other => return Err(format!("unknown fault {other}")),
@@ -421,22 +511,22 @@ fn parse() -> Result<Args, String> {
             "--check" => args.check = true,
             "--compact-commands" => args.compact = true,
             "--help" | "-h" => {
-                print!("{HELP}");
+                print!("{}", help());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
-    validate(&args)?;
-    Ok(args)
+    let workload = validate(&args)?;
+    Ok((args, workload))
 }
 
 fn main() {
-    let args = match parse() {
-        Ok(a) => a,
+    let (args, workload) = match parse() {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
-            eprint!("{HELP}");
+            eprint!("{}", help());
             std::process::exit(EXIT_USAGE);
         }
     };
@@ -459,46 +549,16 @@ fn main() {
         pulse_interval: args.pulse_interval,
         ..EngineConfig::reference()
     };
-
-    if args.workload == "scale" {
-        if args.threads > 1 {
-            run_scale_sharded(&args, engine);
-        }
-        run_scale(&args, engine);
+    let flows = workload.flows(&args);
+    match workload.build {
+        Some(build) => run_system(&args, build(&args, flows, engine)),
+        None => run_scale(&args, flows, engine),
     }
+}
 
-    let mut sys = match args.workload.as_str() {
-        "bulk" => F4tSystem::bulk(args.cores, args.size, engine),
-        "rr" => F4tSystem::round_robin(args.cores, 16, args.size, engine),
-        "echo" => {
-            let flows = if args.flows == 0 { args.cores * 64 } else { args.flows };
-            F4tSystem::echo(args.cores, flows, args.size, engine)
-        }
-        "http" => {
-            let flows = if args.flows == 0 { args.cores * 64 } else { args.flows };
-            F4tSystem::http((args.cores * 2).max(2), args.cores, flows, engine)
-        }
-        "incast" => {
-            let senders = if args.flows == 0 { 32 } else { args.flows };
-            F4tSystem::incast(senders, args.cores, args.size, INCAST_EPOCH_NS, engine)
-        }
-        "churnstorm" => {
-            let target = if args.flows == 0 { args.cores * 16 } else { args.flows };
-            F4tSystem::churnstorm(args.cores, target, engine)
-        }
-        "slowloris" => {
-            let flows = if args.flows == 0 { 2048 } else { args.flows };
-            F4tSystem::slowloris(args.cores, flows, SLOWLORIS_DRIP_BYTES, 2_000, engine)
-        }
-        "httpstorm" => {
-            let flows = if args.flows == 0 { 1024 } else { args.flows };
-            F4tSystem::http((args.cores * 2).max(2), args.cores, flows, engine)
-        }
-        other => {
-            eprintln!("error: unknown workload {other}");
-            std::process::exit(EXIT_USAGE);
-        }
-    };
+/// A system workload: two nodes over the 100G link, warmed up and then
+/// measured for `--duration-ms`.
+fn run_system(args: &Args, mut sys: F4tSystem) {
     let imp = Impairments::profile(&args.impair).expect("validated at parse time");
     if imp.is_active() {
         sys.set_impairments(imp);
@@ -507,30 +567,7 @@ fn main() {
         sys.a.use_compact_commands();
         sys.b.use_compact_commands();
     }
-    if args.telemetry.is_some() {
-        sys.a.engine.set_trace_capacity(args.trace_depth);
-    }
-    if let Some(kind) = &args.inject_fault {
-        inject_fault(&mut sys.a.engine, kind);
-    }
-    if args.inject_slowdown > 0 {
-        match args.inject_slowdown_after {
-            Some(w) => {
-                sys.a.engine.set_flight_bias_after(w, args.inject_slowdown);
-                println!(
-                    "  slowdown armed     {} cycles per flight span after pulse window {w}",
-                    args.inject_slowdown
-                );
-            }
-            None => {
-                sys.a.engine.set_flight_bias(args.inject_slowdown);
-                println!(
-                    "  slowdown injected  {} cycles per flight span",
-                    args.inject_slowdown
-                );
-            }
-        }
-    }
+    arm(args, &mut [&mut sys.a.engine]);
     if args.pcap.is_some() {
         sys.enable_pcap(96);
     }
@@ -538,23 +575,7 @@ fn main() {
     println!("f4tperf: {args:?}");
     let m = sys.measure(args.warmup_ms * 1_000_000, args.duration_ms * 1_000_000);
     let sa = sys.a.engine.stats();
-
-    if let Some(path) = &args.telemetry {
-        let text = match args.telemetry_format {
-            TelemetryFormat::Json => m.telemetry.to_json(),
-            TelemetryFormat::Prometheus => m.telemetry.to_prometheus(),
-        };
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: writing {path}: {e}");
-            std::process::exit(EXIT_USAGE);
-        }
-        let trace_path = format!("{}.trace.json", path.trim_end_matches(".json"));
-        if let Err(e) = std::fs::write(&trace_path, sys.a.engine.export_chrome_trace()) {
-            eprintln!("error: writing {trace_path}: {e}");
-            std::process::exit(EXIT_USAGE);
-        }
-        println!("  telemetry → {path}, trace → {trace_path}");
-    }
+    write_telemetry(args, std::slice::from_ref(&m.telemetry), &[("a", &sys.a.engine)]);
 
     println!();
     println!("  goodput            {:>10.2} Gbps", m.goodput_gbps());
@@ -595,66 +616,265 @@ fn main() {
         m.cpu.lib as f64 * 100.0 / busy.max(1) as f64,
     );
 
-    if let Some(path) = &args.pcap {
-        let packets = sys.pcap_packets();
-        match sys.take_pcap() {
-            Some(bytes) => {
-                if let Err(e) = std::fs::write(path, bytes) {
-                    eprintln!("error: writing {path}: {e}");
-                    std::process::exit(EXIT_USAGE);
-                }
-                println!("  pcap               {packets:>10} segments → {path}");
-            }
-            None => {
-                eprintln!("error: pcap capture failed");
-                std::process::exit(EXIT_USAGE);
-            }
-        }
+    let pcap = sys.pcap_packets();
+    let pcap = sys.take_pcap().map(|bytes| (pcap, bytes));
+    // The client engine carries the journal, flight and dump views; both
+    // engines are checked, watched and pulsed.
+    let both = [("a", &sys.a.engine), ("b", &sys.b.engine)];
+    finish(args, &both[..1], &both, pcap, None);
+}
+
+/// The `scale` workload: `flows` connections against an ideal peer,
+/// sharded across `--threads` independent engines ([`ScaleShard`]) that
+/// advance in lock-step rendezvous rounds ([`ScaleShard::run_all`]) —
+/// one shard runs inline, so `--threads 1` is the plain single-engine
+/// run. Each flow sends `--size` bytes; after every cumulative pointer
+/// reaches its target each engine idles for `--duration-ms` of simulated
+/// time, the regime where fast-forward dominates. Artifacts are folded in
+/// fixed shard order after the run, so the worker-pool size changes
+/// wall-clock only, never output.
+fn run_scale(args: &Args, flows: usize, cfg: EngineConfig) {
+    // More shards than flows would create empty engines; shard count is
+    // part of the workload's identity, so cap it explicitly and say so.
+    let shard_count = args.threads.min(flows).max(1);
+    if shard_count != args.threads {
+        println!("  threads capped     {} → {shard_count} (one shard per flow max)", args.threads);
+    }
+    let started = std::time::Instant::now();
+    // Idle tail at the 250 MHz engine clock (250_000 cycles per millisecond).
+    let idle_cycles = args.duration_ms * 250_000;
+    let Some(mut shards) = ScaleShard::split(&cfg, flows, shard_count, args.size, idle_cycles)
+    else {
+        eprintln!("error: flow table full before {flows} flows");
+        std::process::exit(EXIT_USAGE);
+    };
+    arm(args, &mut shards.iter_mut().map(|s| &mut s.engine).collect::<Vec<_>>());
+    if args.pcap.is_some() {
+        shards[0].enable_pcap(96);
     }
 
-    if let Some(j) = sys.a.engine.journal() {
-        println!(
+    let mut shards = ScaleShard::run_all(shards, args.threads);
+    let wall = started.elapsed();
+
+    // Everything below runs on one thread, walking shards in fixed
+    // order — the merge side of the determinism contract.
+    let sharded = shards.len() > 1;
+    let completed = shards.iter().all(ScaleShard::completed);
+    let sum = |f: fn(&ScaleShard) -> u64| shards.iter().map(f).sum::<u64>();
+    let cycles = sum(|s| s.engine.cycles());
+    let skipped = sum(|s| s.engine.fastforward_skipped_cycles());
+    let executed = cycles - skipped;
+    let active = sum(ScaleShard::active_cycles);
+    let state = if completed { "all completed" } else { "INCOMPLETE" };
+    println!("f4tperf: {args:?}");
+    println!();
+    if sharded {
+        println!("  flows              {flows:>10} in {shard_count} shards ({state})");
+        for (s, sh) in shards.iter().enumerate() {
+            println!(
+                "  shard {s:<12} {:>10} flows / {} cycles / {}",
+                sh.flows(),
+                sh.engine.cycles(),
+                if sh.stuck() {
+                    "STUCK"
+                } else if sh.completed() {
+                    "completed"
+                } else {
+                    "incomplete"
+                }
+            );
+        }
+        println!("  cycles simulated   {cycles:>10} summed ({active} active + idle tails)");
+    } else {
+        println!("  flows              {flows:>10} ({state})");
+        println!("  cycles simulated   {cycles:>10} ({active} active + idle tail)");
+    }
+    println!("  ticks executed     {executed:>10}");
+    println!(
+        "  ff skipped         {skipped:>10} cycles in {} windows",
+        sum(|s| s.engine.fastforward_windows())
+    );
+    println!("  tick reduction     {:>10.1}x", cycles as f64 / executed.max(1) as f64);
+    println!("  wall time          {:>10.0} ms", wall.as_secs_f64() * 1e3);
+    println!("  TCB migrations     {:>10}", sum(|s| s.engine.stats().migrations));
+    println!("  DRAM events        {:>10}", sum(|s| s.engine.stats().dram_events));
+
+    let pcap = shards[0].take_pcap();
+    let labels: Vec<String> = if sharded {
+        (0..shards.len()).map(|s| format!("shard{s}")).collect()
+    } else {
+        vec!["engine".into()]
+    };
+    let engines: Vec<(&str, &Engine)> =
+        labels.iter().map(String::as_str).zip(shards.iter().map(|s| &s.engine)).collect();
+    let snapshots: Vec<MetricsRegistry> = engines.iter().map(|(_, e)| e.telemetry()).collect();
+    write_telemetry(args, &snapshots, &engines);
+    // A planted fault is expected to wedge its flow; FtVerify reports it.
+    let stuck = shards
+        .iter()
+        .find(|s| !s.completed() && args.inject_fault.is_none())
+        .map(|s| &s.engine);
+    finish(args, &engines, &engines, pcap, stuck);
+}
+
+/// Pre-run arming shared by every workload: the trace ring behind
+/// `--telemetry`, `--inject-fault` on the first engine, and the
+/// `--inject-slowdown` flight-span bias.
+fn arm(args: &Args, engines: &mut [&mut Engine]) {
+    if args.telemetry.is_some() {
+        for e in engines.iter_mut() {
+            e.set_trace_capacity(args.trace_depth);
+        }
+    }
+    if let Some(kind) = &args.inject_fault {
+        inject_fault(engines[0], kind);
+    }
+    if args.inject_slowdown > 0 {
+        for e in engines.iter_mut() {
+            match args.inject_slowdown_after {
+                Some(w) => e.set_flight_bias_after(w, args.inject_slowdown),
+                None => e.set_flight_bias(args.inject_slowdown),
+            }
+        }
+        match args.inject_slowdown_after {
+            Some(w) => println!(
+                "  slowdown armed     {} cycles per flight span after pulse window {w}",
+                args.inject_slowdown
+            ),
+            None => println!(
+                "  slowdown injected  {} cycles per flight span",
+                args.inject_slowdown
+            ),
+        }
+    }
+}
+
+/// Writes an output artifact; an I/O error is a usage error (exit 2).
+fn write_or_exit(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("error: writing {path}: {e}");
+        std::process::exit(EXIT_USAGE);
+    }
+}
+
+/// Reads a committed baseline; an I/O error is a usage error (exit 2),
+/// not a regression.
+fn read_or_exit(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("error: reading {path}: {e}");
+        std::process::exit(EXIT_USAGE);
+    })
+}
+
+/// One document for one part, `{"shards": [..]}` in fixed order for
+/// several — the shape every merged artifact shares.
+fn merge_docs(mut parts: Vec<String>) -> String {
+    if parts.len() == 1 {
+        return parts.remove(0);
+    }
+    format!("{{\"shards\": [{}]}}", parts.join(", "))
+}
+
+/// Writes the `--telemetry` FtScope snapshot(s) and, next to it, the
+/// Chrome trace of `traced`.
+fn write_telemetry(args: &Args, snapshots: &[MetricsRegistry], traced: &[(&str, &Engine)]) {
+    let Some(path) = &args.telemetry else { return };
+    let render = match args.telemetry_format {
+        TelemetryFormat::Json => MetricsRegistry::to_json,
+        TelemetryFormat::Prometheus => MetricsRegistry::to_prometheus,
+    };
+    write_or_exit(path, merge_docs(snapshots.iter().map(render).collect()));
+    let trace_path = format!("{}.trace.json", path.trim_end_matches(".json"));
+    let traces = traced.iter().map(|(_, e)| e.export_chrome_trace()).collect();
+    write_or_exit(&trace_path, merge_docs(traces));
+    println!("  telemetry → {path}, trace → {trace_path}");
+}
+
+/// Every post-run reporter and exit path, in precedence order: pcap and
+/// journal lines, FtVerify (exit 1), watchdog (exit 1), stuck flows
+/// (exit 2), then the pulse series, flight breakdown and gates (exit 3)
+/// — so a design-rule failure wins over a perf regression when both
+/// fire. `primary` are the engines whose journal, flight recorder and
+/// black box are reported; `all` adds the peers that are only checked,
+/// watched and pulsed. One engine prints the single-engine shape,
+/// several the per-engine/merged one.
+fn finish(
+    args: &Args,
+    primary: &[(&str, &Engine)],
+    all: &[(&str, &Engine)],
+    pcap: Option<(u64, Vec<u8>)>,
+    stuck: Option<&Engine>,
+) {
+    if let Some(path) = &args.pcap {
+        let Some((packets, bytes)) = pcap else {
+            eprintln!("error: pcap capture failed");
+            std::process::exit(EXIT_USAGE);
+        };
+        write_or_exit(path, bytes);
+        println!("  pcap               {packets:>10} segments → {path}");
+    }
+
+    let journals: Vec<_> = primary.iter().filter_map(|(_, e)| e.journal()).collect();
+    match journals[..] {
+        [] => {}
+        [j] => println!(
             "  journal            {:>10} events recorded / digest {:016x} (1/{} sampling)",
             j.events_recorded(),
             j.digest(),
             j.sample_n()
-        );
+        ),
+        // Merged in fixed shard order, so thread-count independent.
+        [j, ..] => println!(
+            "  journal            {:>10} events recorded / merged digest {:016x} (1/{} sampling, {} shards)",
+            journals.iter().map(|j| j.events_recorded()).sum::<u64>(),
+            fold_digests(journals.iter().map(|j| j.digest())),
+            j.sample_n(),
+            journals.len()
+        ),
     }
+
     if args.check {
-        let violations =
-            sys.a.engine.check_total_violations() + sys.b.engine.check_total_violations();
-        for (side, e) in [("a", &sys.a.engine), ("b", &sys.b.engine)] {
-            if let Some(summary) = e.check_summary() {
-                println!("  ftverify[{side}]        {summary}");
+        for (label, e) in all {
+            let Some(summary) = e.check_summary() else { continue };
+            match all {
+                [_] => println!("  ftverify           {summary}"),
+                // Shards are tagged by their bare index.
+                _ => println!("  ftverify[{}]        {summary}", label.trim_start_matches("shard")),
             }
         }
+        let violations: u64 = all.iter().map(|(_, e)| e.check_total_violations()).sum();
         if violations > 0 {
-            write_dump(&args, &sys.a.engine, "invariant-violation");
+            write_dump(args, culprit(all, |e| e.check_total_violations() > 0), "invariant-violation");
             eprintln!("error: FtVerify found {violations} design-rule violation(s)");
             std::process::exit(EXIT_VIOLATIONS);
         }
     }
-    let alarms = sys.a.engine.watchdog_alarm_count() + sys.b.engine.watchdog_alarm_count();
+    let alarms: u64 = all.iter().map(|(_, e)| e.watchdog_alarm_count()).sum();
     if alarms > 0 {
-        for e in [&sys.a.engine, &sys.b.engine] {
-            if let Some(w) = e.watchdog() {
-                for a in w.alarms() {
-                    eprintln!("  watchdog alarm     {}", a.line());
-                }
-            }
+        for a in all.iter().filter_map(|(_, e)| e.watchdog()).flat_map(|w| w.alarms()) {
+            eprintln!("  watchdog alarm     {}", a.line());
         }
-        write_dump(&args, &sys.a.engine, "watchdog-alarm");
+        write_dump(args, culprit(all, |e| e.watchdog_alarm_count() > 0), "watchdog-alarm");
         eprintln!("error: watchdog raised {alarms} alarm(s)");
         std::process::exit(EXIT_VIOLATIONS);
     }
+    if let Some(e) = stuck {
+        write_dump(args, e, "stuck-flows");
+        eprintln!("error: flows stuck after {} cycles", e.cycles());
+        std::process::exit(EXIT_USAGE);
+    }
 
-    // Pulse series + breakdown + gates run last so an FtVerify failure
-    // (exit 1) wins over a perf regression (exit 3) when both fire. The
-    // pulse document is written before either gate can exit so the
+    // The pulse document is written before either gate can exit so the
     // artifact survives a flight-gate failure.
-    let pulse_doc = finish_pulse(&args, &[("a", &sys.a.engine), ("b", &sys.b.engine)]);
-    finish_flight(&args, &sys.a.engine);
-    run_pulse_gate(&args, pulse_doc.as_deref(), &sys.a.engine);
+    let pulse_doc = finish_pulse(args, all);
+    finish_flight(args, primary);
+    run_pulse_gate(args, pulse_doc.as_deref(), primary[0].1);
+}
+
+/// The engine whose black box explains a failure: the first one
+/// `guilty` picks, else the first engine.
+fn culprit<'a>(engines: &[(&str, &'a Engine)], guilty: impl Fn(&Engine) -> bool) -> &'a Engine {
+    engines.iter().map(|&(_, e)| e).find(|e| guilty(e)).unwrap_or(engines[0].1)
 }
 
 /// Writes the FtJournal black-box dump to the `--dump-on-failure` path
@@ -670,32 +890,45 @@ fn write_dump(args: &Args, e: &Engine, reason: &str) {
 }
 
 /// Prints the FtFlight summary, writes `--breakdown-json` and runs the
-/// `--gate` comparison for a finished engine. Exits 3 on regression.
-fn finish_flight(args: &Args, e: &Engine) {
-    let Some(flight_json) = e.flight_json() else { return };
-    let f = e.flight().expect("flight_json implies a recorder");
-    println!(
-        "  flight spans       {:>10} recorded / {} unsampled ({} flows, 1/{} sampling)",
-        f.spans_recorded(),
-        f.spans_unsampled(),
-        f.flows_tracked(),
-        f.sample_n()
-    );
+/// `--gate` comparison (single-engine: the only shape baselines have).
+/// Exits 3 on regression.
+fn finish_flight(args: &Args, engines: &[(&str, &Engine)]) {
     // The breakdown deliberately carries only simulated-clock facts
     // (cycles + span histograms) so fast-forward and tick-by-tick runs
-    // produce byte-identical files; wall-clock checks live in
-    // scripts/perf_gate.sh where machine variance can be tolerated.
-    let breakdown = format!(
-        "{{\"workload\": \"{}\", \"cycles\": {}, \"flight\": {}}}",
-        args.workload,
-        e.cycles(),
-        flight_json
-    );
-    if let Some(path) = &args.breakdown_json {
-        if let Err(err) = std::fs::write(path, &breakdown) {
-            eprintln!("error: writing {path}: {err}");
-            std::process::exit(EXIT_USAGE);
+    // produce byte-identical files.
+    let parts: Vec<_> = engines
+        .iter()
+        .filter_map(|(_, e)| {
+            let part = format!("\"cycles\": {}, \"flight\": {}", e.cycles(), e.flight_json()?);
+            Some((e.flight()?, part))
+        })
+        .collect();
+    let breakdown = match &parts[..] {
+        [] => return,
+        [(f, part)] => {
+            println!(
+                "  flight spans       {:>10} recorded / {} unsampled ({} flows, 1/{} sampling)",
+                f.spans_recorded(),
+                f.spans_unsampled(),
+                f.flows_tracked(),
+                f.sample_n()
+            );
+            format!("{{\"workload\": \"{}\", {part}}}", args.workload)
         }
+        _ => {
+            let spans: u64 = parts.iter().map(|(f, _)| f.spans_recorded()).sum();
+            println!("  flight spans       {spans:>10} recorded across {} shards", parts.len());
+            let shards: Vec<String> = parts.iter().map(|(_, p)| format!("{{{p}}}")).collect();
+            format!(
+                "{{\"workload\": \"{}\", \"threads\": {}, \"shards\": [{}]}}",
+                args.workload,
+                parts.len(),
+                shards.join(", ")
+            )
+        }
+    };
+    if let Some(path) = &args.breakdown_json {
+        write_or_exit(path, &breakdown);
         println!("  breakdown          → {path}");
     }
     if let Some(baseline) = &args.gate {
@@ -707,7 +940,7 @@ fn finish_flight(args: &Args, e: &Engine) {
             for v in &violations {
                 eprintln!("  - {v}");
             }
-            write_dump(args, e, "gate-failure");
+            write_dump(args, engines[0].1, "gate-failure");
             std::process::exit(EXIT_PERF_REGRESSION);
         }
     }
@@ -747,10 +980,7 @@ fn finish_pulse(args: &Args, engines: &[(&str, &Engine)]) -> Option<String> {
         f4t_sim::PulseRecorder::aggregate_json(&recorders).trim_end()
     );
     if let Some(path) = &args.pulse_json {
-        if let Err(err) = std::fs::write(path, &doc) {
-            eprintln!("error: writing {path}: {err}");
-            std::process::exit(EXIT_USAGE);
-        }
+        write_or_exit(path, &doc);
         println!("  pulse series       → {path}");
     }
     Some(doc)
@@ -762,13 +992,7 @@ fn finish_pulse(args: &Args, engines: &[(&str, &Engine)]) -> Option<String> {
 fn run_pulse_gate(args: &Args, pulse_doc: Option<&str>, e: &Engine) {
     let Some(baseline) = &args.pulse_gate else { return };
     let Some(doc) = pulse_doc else { return };
-    let base_text = match std::fs::read_to_string(baseline) {
-        Ok(t) => t,
-        Err(err) => {
-            eprintln!("error: reading {baseline}: {err}");
-            std::process::exit(EXIT_USAGE);
-        }
-    };
+    let base_text = read_or_exit(baseline);
     match f4t_bench::pulsejson::shape_gate(&args.workload, &base_text, doc) {
         Ok(violations) if violations.is_empty() => {
             println!("  pulse gate         PASS vs {baseline}");
@@ -803,13 +1027,7 @@ const GATE_P99_SLACK_CYCLES: f64 = 16.0;
 /// `workload=… stage=… metric=… observed=… baseline=… allowed…` is
 /// pinned by `crates/bench/tests/cli.rs`.
 fn run_gate(baseline_path: &str, current: &str, workload: &str) -> Vec<String> {
-    let base_text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: reading {baseline_path}: {e}");
-            std::process::exit(EXIT_USAGE);
-        }
-    };
+    let base_text = read_or_exit(baseline_path);
     let base = match f4t_bench::flatjson::flatten(&base_text) {
         Ok(m) => m,
         Err(e) => {
@@ -877,509 +1095,4 @@ fn inject_fault(e: &mut Engine, kind: &str) {
         _ => unreachable!("validated at parse time"),
     }
     println!("  fault injected     {kind} on {flow}");
-}
-
-/// The `scale` workload: `--flows` connections against an ideal peer
-/// (cumulative ACKs synthesized by the harness), driven through
-/// `Engine::run` so the fast-forward core engages. Each flow sends
-/// `--size` bytes; after every cumulative pointer reaches its target the
-/// engine idles for `--duration-ms` of simulated time, the regime where
-/// skipping dominates. This is the figure harness behind
-/// `results/fastforward_baseline.json`.
-fn run_scale(args: &Args, mut cfg: EngineConfig) -> ! {
-    use f4t_tcp::pcap::PcapWriter;
-    use f4t_tcp::{FourTuple, MacAddr, Segment, SeqNum, TCP_BUFFER};
-    use std::collections::HashMap;
-    use std::net::Ipv4Addr;
-
-    /// Capture cap, matching the system-workload pcap path.
-    const PCAP_MAX_PACKETS: u64 = 10_000;
-    /// MAC synthesized for the ideal peer (it has no engine of its own).
-    const PEER_MAC: MacAddr = MacAddr([0x02, 0xf4, 0x74, 0x00, 0x00, 0xee]);
-
-    let total_flows = if args.flows == 0 { 65_536 } else { args.flows };
-    cfg.max_flows = total_flows;
-    let mut e = Engine::new(cfg);
-    if args.telemetry.is_some() {
-        e.set_trace_capacity(args.trace_depth);
-    }
-    let isn = SeqNum(0);
-    let target = isn.add(args.size);
-    let tuple_for = |i: usize| {
-        let ip = Ipv4Addr::new(10, 0, (i / 32_768) as u8, 1);
-        FourTuple::new(ip, 1024 + (i % 32_768) as u16, Ipv4Addr::new(10, 0, 0, 2), 80)
-    };
-
-    let started = std::time::Instant::now();
-    let mut flows = Vec::with_capacity(total_flows);
-    let mut by_tuple = HashMap::with_capacity(total_flows);
-    for i in 0..total_flows {
-        let t = tuple_for(i);
-        let Some(f) = e.open_established(t, isn) else {
-            eprintln!("error: flow table full at {i} flows");
-            std::process::exit(EXIT_USAGE);
-        };
-        by_tuple.insert(t, i);
-        flows.push(f);
-    }
-    if let Some(kind) = &args.inject_fault {
-        inject_fault(&mut e, kind);
-    }
-    if args.inject_slowdown > 0 {
-        match args.inject_slowdown_after {
-            Some(w) => {
-                e.set_flight_bias_after(w, args.inject_slowdown);
-                println!(
-                    "  slowdown armed     {} cycles per flight span after pulse window {w}",
-                    args.inject_slowdown
-                );
-            }
-            None => {
-                e.set_flight_bias(args.inject_slowdown);
-                println!(
-                    "  slowdown injected  {} cycles per flight span",
-                    args.inject_slowdown
-                );
-            }
-        }
-    }
-    let mut pcap: Option<PcapWriter<Vec<u8>>> =
-        if args.pcap.is_some() { PcapWriter::new(Vec::new(), 96).ok() } else { None };
-
-    let mut pending_ack: Vec<Option<SeqNum>> = vec![None; total_flows];
-    let pump = |e: &mut Engine,
-                pending_ack: &mut Vec<Option<SeqNum>>,
-                pcap: &mut Option<PcapWriter<Vec<u8>>>| {
-        e.run(64);
-        while let Some(seg) = e.pop_tx() {
-            if let Some(w) = pcap {
-                if w.packets() < PCAP_MAX_PACKETS {
-                    let _ = w.record(e.now_ns(), &seg, e.mac, PEER_MAC);
-                }
-            }
-            if seg.has_payload() {
-                let i = by_tuple[&seg.tuple];
-                let end = seg.seq_end();
-                pending_ack[i] = Some(match pending_ack[i] {
-                    Some(h) => h.max_seq(end),
-                    None => end,
-                });
-            }
-        }
-        for (i, slot) in pending_ack.iter_mut().enumerate() {
-            let Some(h) = *slot else { continue };
-            if e.push_rx(Segment::pure_ack(tuple_for(i).reversed(), isn, h, TCP_BUFFER)) {
-                *slot = None;
-            }
-        }
-        while e.pop_notification().is_some() {}
-    };
-
-    let budget = total_flows as u64 * 20_000 + 10_000_000;
-    let mut issued = 0;
-    while issued < total_flows && e.cycles() < budget {
-        if e.push_host(flows[issued], EventKind::SendReq { req: target }) {
-            issued += 1;
-        } else {
-            pump(&mut e, &mut pending_ack, &mut pcap);
-        }
-    }
-    let mut completed = false;
-    while e.cycles() < budget && !completed {
-        for _ in 0..256 {
-            pump(&mut e, &mut pending_ack, &mut pcap);
-        }
-        completed = flows.iter().all(|&f| e.peek_tcb(f).is_some_and(|t| t.snd_una == target));
-    }
-    let active_cycles = e.cycles();
-    // Post-completion idle tail: --duration-ms of simulated time at the
-    // 250 MHz engine clock (250_000 cycles per millisecond).
-    e.run(args.duration_ms * 250_000);
-    let wall = started.elapsed();
-
-    let stats = e.stats();
-    let skipped = e.fastforward_skipped_cycles();
-    let executed = e.cycles() - skipped;
-    println!("f4tperf: {args:?}");
-    println!();
-    println!("  flows              {total_flows:>10} ({})", if completed { "all completed" } else { "INCOMPLETE" });
-    println!("  cycles simulated   {:>10} ({} active + idle tail)", e.cycles(), active_cycles);
-    println!("  ticks executed     {executed:>10}");
-    println!("  ff skipped         {skipped:>10} cycles in {} windows", e.fastforward_windows());
-    println!("  tick reduction     {:>10.1}x", e.cycles() as f64 / executed.max(1) as f64);
-    println!("  wall time          {:>10.0} ms", wall.as_secs_f64() * 1e3);
-    println!("  TCB migrations     {:>10}", stats.migrations);
-    println!("  DRAM events        {:>10}", stats.dram_events);
-
-    if let Some(path) = &args.telemetry {
-        let text = match args.telemetry_format {
-            TelemetryFormat::Json => e.telemetry().to_json(),
-            TelemetryFormat::Prometheus => e.telemetry().to_prometheus(),
-        };
-        if let Err(err) = std::fs::write(path, text) {
-            eprintln!("error: writing {path}: {err}");
-            std::process::exit(EXIT_USAGE);
-        }
-        let trace_path = format!("{}.trace.json", path.trim_end_matches(".json"));
-        if let Err(err) = std::fs::write(&trace_path, e.export_chrome_trace()) {
-            eprintln!("error: writing {trace_path}: {err}");
-            std::process::exit(EXIT_USAGE);
-        }
-        println!("  telemetry → {path}, trace → {trace_path}");
-    }
-    if let Some(path) = &args.pcap {
-        let Some(w) = pcap else {
-            eprintln!("error: pcap capture failed");
-            std::process::exit(EXIT_USAGE);
-        };
-        let packets = w.packets();
-        match w.finish() {
-            Ok(bytes) => {
-                if let Err(err) = std::fs::write(path, bytes) {
-                    eprintln!("error: writing {path}: {err}");
-                    std::process::exit(EXIT_USAGE);
-                }
-                println!("  pcap               {packets:>10} segments → {path}");
-            }
-            Err(err) => {
-                eprintln!("error: pcap capture failed: {err}");
-                std::process::exit(EXIT_USAGE);
-            }
-        }
-    }
-    if let Some(j) = e.journal() {
-        println!(
-            "  journal            {:>10} events recorded / digest {:016x} (1/{} sampling)",
-            j.events_recorded(),
-            j.digest(),
-            j.sample_n()
-        );
-    }
-    if args.check {
-        if let Some(summary) = e.check_summary() {
-            println!("  ftverify           {summary}");
-        }
-        if e.check_total_violations() > 0 {
-            write_dump(args, &e, "invariant-violation");
-            eprintln!(
-                "error: FtVerify found {} design-rule violation(s)",
-                e.check_total_violations()
-            );
-            std::process::exit(EXIT_VIOLATIONS);
-        }
-    }
-    if e.watchdog_alarm_count() > 0 {
-        if let Some(w) = e.watchdog() {
-            for a in w.alarms() {
-                eprintln!("  watchdog alarm     {}", a.line());
-            }
-        }
-        write_dump(args, &e, "watchdog-alarm");
-        eprintln!("error: watchdog raised {} alarm(s)", e.watchdog_alarm_count());
-        std::process::exit(EXIT_VIOLATIONS);
-    }
-    if !completed && args.inject_fault.is_none() {
-        write_dump(args, &e, "stuck-flows");
-        eprintln!("error: flows stuck after {} cycles", e.cycles());
-        std::process::exit(EXIT_USAGE);
-    }
-    let pulse_doc = finish_pulse(args, &[("engine", &e)]);
-    finish_flight(args, &e);
-    run_pulse_gate(args, pulse_doc.as_deref(), &e);
-    std::process::exit(0);
-}
-
-/// The `scale` workload sharded across `--threads` independent engines
-/// (FtTurbo). Each shard owns a disjoint slice of the flow range and its
-/// own `Engine`; all shards advance in lock-step rendezvous rounds of
-/// [`RENDEZVOUS_QUANTUM`] cycles through [`ParallelRunner`], and the
-/// merged artifacts (journal digest, telemetry, flight breakdown) are
-/// folded in fixed shard order after the run — so the worker-pool size
-/// changes wall-clock only, never output.
-fn run_scale_sharded(args: &Args, cfg: EngineConfig) -> ! {
-    use f4t_tcp::{FourTuple, Segment, SeqNum, TCP_BUFFER};
-    use std::collections::HashMap;
-    use std::net::Ipv4Addr;
-
-    /// Idle-tail cycles advanced per rendezvous round: a multiple of the
-    /// quantum big enough that fast-forward amortizes the round loop.
-    const IDLE_CHUNK: u64 = RENDEZVOUS_QUANTUM * 4096;
-
-    let total_flows = if args.flows == 0 { 65_536 } else { args.flows };
-    // More shards than flows would create empty engines; shard count is
-    // part of the workload's identity, so cap it explicitly and say so.
-    let shard_count = args.threads.min(total_flows).max(1);
-    if shard_count != args.threads {
-        println!("  threads capped     {} → {shard_count} (one shard per flow max)", args.threads);
-    }
-    let isn = SeqNum(0);
-    let target = isn.add(args.size);
-    let tuple_for = |i: usize| {
-        let ip = Ipv4Addr::new(10, 0, (i / 32_768) as u8, 1);
-        FourTuple::new(ip, 1024 + (i % 32_768) as u16, Ipv4Addr::new(10, 0, 0, 2), 80)
-    };
-
-    struct Shard {
-        engine: Engine,
-        flows: Vec<f4t_tcp::FlowId>,
-        tuples: Vec<FourTuple>,
-        by_tuple: HashMap<FourTuple, usize>,
-        pending_ack: Vec<Option<SeqNum>>,
-        issued: usize,
-        completed: bool,
-        active_cycles: u64,
-        idle_left: u64,
-        budget: u64,
-        stuck: bool,
-    }
-
-    /// One rendezvous quantum of simulated time for one shard: run the
-    /// engine, harvest TX, synthesize the ideal peer's cumulative ACKs.
-    fn pump(sh: &mut Shard, isn: SeqNum) {
-        sh.engine.run(RENDEZVOUS_QUANTUM);
-        while let Some(seg) = sh.engine.pop_tx() {
-            if seg.has_payload() {
-                let i = sh.by_tuple[&seg.tuple];
-                let end = seg.seq_end();
-                sh.pending_ack[i] = Some(match sh.pending_ack[i] {
-                    Some(h) => h.max_seq(end),
-                    None => end,
-                });
-            }
-        }
-        for i in 0..sh.pending_ack.len() {
-            let Some(h) = sh.pending_ack[i] else { continue };
-            if sh.engine.push_rx(Segment::pure_ack(sh.tuples[i].reversed(), isn, h, TCP_BUFFER)) {
-                sh.pending_ack[i] = None;
-            }
-        }
-        while sh.engine.pop_notification().is_some() {}
-    }
-
-    let started = std::time::Instant::now();
-    let mut shards = Vec::with_capacity(shard_count);
-    for s in 0..shard_count {
-        let lo = total_flows * s / shard_count;
-        let hi = total_flows * (s + 1) / shard_count;
-        let n = hi - lo;
-        let mut scfg = cfg.clone();
-        scfg.max_flows = n;
-        let mut engine = Engine::new(scfg);
-        if args.telemetry.is_some() {
-            engine.set_trace_capacity(args.trace_depth);
-        }
-        if args.inject_slowdown > 0 {
-            engine.set_flight_bias(args.inject_slowdown);
-        }
-        let mut flows = Vec::with_capacity(n);
-        let mut tuples = Vec::with_capacity(n);
-        let mut by_tuple = HashMap::with_capacity(n);
-        for i in 0..n {
-            let t = tuple_for(lo + i);
-            let Some(f) = engine.open_established(t, isn) else {
-                eprintln!("error: shard {s} flow table full at {i} flows");
-                std::process::exit(EXIT_USAGE);
-            };
-            by_tuple.insert(t, i);
-            tuples.push(t);
-            flows.push(f);
-        }
-        shards.push(Shard {
-            engine,
-            flows,
-            tuples,
-            by_tuple,
-            pending_ack: vec![None; n],
-            issued: 0,
-            completed: false,
-            active_cycles: 0,
-            idle_left: args.duration_ms * 250_000,
-            budget: n as u64 * 20_000 + 10_000_000,
-            stuck: false,
-        });
-    }
-    if args.inject_slowdown > 0 {
-        println!("  slowdown injected  {} cycles per flight span", args.inject_slowdown);
-    }
-
-    let mut runner = ParallelRunner::new(shards);
-    runner.run_rounds(args.threads, |sh, round| {
-        if sh.stuck {
-            return false;
-        }
-        if sh.issued < sh.flows.len() {
-            while sh.issued < sh.flows.len()
-                && sh.engine.push_host(sh.flows[sh.issued], EventKind::SendReq { req: target })
-            {
-                sh.issued += 1;
-            }
-            pump(sh, isn);
-            if sh.issued < sh.flows.len() && sh.engine.cycles() >= sh.budget {
-                sh.stuck = true;
-                return false;
-            }
-            true
-        } else if !sh.completed {
-            pump(sh, isn);
-            if round % 256 == 255 {
-                sh.completed = sh
-                    .flows
-                    .iter()
-                    .all(|&f| sh.engine.peek_tcb(f).is_some_and(|t| t.snd_una == target));
-                if sh.completed {
-                    sh.active_cycles = sh.engine.cycles();
-                }
-            }
-            if !sh.completed && sh.engine.cycles() >= sh.budget {
-                sh.stuck = true;
-                return false;
-            }
-            true
-        } else if sh.idle_left > 0 {
-            // Post-completion idle tail, where fast-forward dominates.
-            let n = sh.idle_left.min(IDLE_CHUNK);
-            sh.engine.run(n);
-            sh.idle_left -= n;
-            sh.idle_left > 0
-        } else {
-            false
-        }
-    });
-    let wall = started.elapsed();
-
-    // Everything below runs on one thread, walking shards in fixed
-    // order — the merge side of the determinism contract.
-    let shards = runner.into_shards();
-    let completed = shards.iter().all(|s| s.completed);
-    let cycles: u64 = shards.iter().map(|s| s.engine.cycles()).sum();
-    let active: u64 = shards.iter().map(|s| s.active_cycles).sum();
-    let skipped: u64 = shards.iter().map(|s| s.engine.fastforward_skipped_cycles()).sum();
-    let windows: u64 = shards.iter().map(|s| s.engine.fastforward_windows()).sum();
-    let executed = cycles - skipped;
-    let migrations: u64 = shards.iter().map(|s| s.engine.stats().migrations).sum();
-    let dram_events: u64 = shards.iter().map(|s| s.engine.stats().dram_events).sum();
-    println!("f4tperf: {args:?}");
-    println!();
-    println!(
-        "  flows              {total_flows:>10} in {shard_count} shards ({})",
-        if completed { "all completed" } else { "INCOMPLETE" }
-    );
-    for (s, sh) in shards.iter().enumerate() {
-        println!(
-            "  shard {s:<12} {:>10} flows / {} cycles / {}",
-            sh.flows.len(),
-            sh.engine.cycles(),
-            if sh.stuck { "STUCK" } else if sh.completed { "completed" } else { "incomplete" }
-        );
-    }
-    println!("  cycles simulated   {cycles:>10} summed ({active} active + idle tails)");
-    println!("  ticks executed     {executed:>10}");
-    println!("  ff skipped         {skipped:>10} cycles in {windows} windows");
-    println!("  tick reduction     {:>10.1}x", cycles as f64 / executed.max(1) as f64);
-    println!("  wall time          {:>10.0} ms", wall.as_secs_f64() * 1e3);
-    println!("  TCB migrations     {migrations:>10}");
-    println!("  DRAM events        {dram_events:>10}");
-
-    if let Some(path) = &args.telemetry {
-        let parts: Vec<String> = shards.iter().map(|s| s.engine.telemetry().to_json()).collect();
-        let text = format!("{{\"shards\": [{}]}}", parts.join(", "));
-        if let Err(err) = std::fs::write(path, text) {
-            eprintln!("error: writing {path}: {err}");
-            std::process::exit(EXIT_USAGE);
-        }
-        let trace_path = format!("{}.trace.json", path.trim_end_matches(".json"));
-        let traces: Vec<String> =
-            shards.iter().map(|s| s.engine.export_chrome_trace()).collect();
-        let trace = format!("{{\"shards\": [{}]}}", traces.join(", "));
-        if let Err(err) = std::fs::write(&trace_path, trace) {
-            eprintln!("error: writing {trace_path}: {err}");
-            std::process::exit(EXIT_USAGE);
-        }
-        println!("  telemetry → {path}, trace → {trace_path}");
-    }
-    if args.journal_enabled() {
-        let events: u64 =
-            shards.iter().filter_map(|s| s.engine.journal()).map(|j| j.events_recorded()).sum();
-        let digest =
-            fold_digests(shards.iter().filter_map(|s| s.engine.journal()).map(|j| j.digest()));
-        println!(
-            "  journal            {events:>10} events recorded / merged digest {digest:016x} (1/{} sampling, {shard_count} shards)",
-            args.journal_sample
-        );
-    }
-    if args.check {
-        let violations: u64 =
-            shards.iter().map(|s| s.engine.check_total_violations()).sum();
-        for (s, sh) in shards.iter().enumerate() {
-            if let Some(summary) = sh.engine.check_summary() {
-                println!("  ftverify[{s}]        {summary}");
-            }
-        }
-        if violations > 0 {
-            if let Some(bad) = shards.iter().find(|s| s.engine.check_total_violations() > 0) {
-                write_dump(args, &bad.engine, "invariant-violation");
-            }
-            eprintln!("error: FtVerify found {violations} design-rule violation(s)");
-            std::process::exit(EXIT_VIOLATIONS);
-        }
-    }
-    let alarms: u64 = shards.iter().map(|s| s.engine.watchdog_alarm_count()).sum();
-    if alarms > 0 {
-        for sh in &shards {
-            if let Some(w) = sh.engine.watchdog() {
-                for a in w.alarms() {
-                    eprintln!("  watchdog alarm     {}", a.line());
-                }
-            }
-        }
-        if let Some(bad) = shards.iter().find(|s| s.engine.watchdog_alarm_count() > 0) {
-            write_dump(args, &bad.engine, "watchdog-alarm");
-        }
-        eprintln!("error: watchdog raised {alarms} alarm(s)");
-        std::process::exit(EXIT_VIOLATIONS);
-    }
-    if !completed {
-        if let Some(bad) = shards.iter().find(|s| !s.completed) {
-            write_dump(args, &bad.engine, "stuck-flows");
-            eprintln!("error: flows stuck after {} cycles", bad.engine.cycles());
-        }
-        std::process::exit(EXIT_USAGE);
-    }
-    if args.pulse_enabled() {
-        // Merged in fixed shard order — same fold as the journal digest,
-        // so the result is thread-count independent.
-        let labels: Vec<String> = (0..shards.len()).map(|s| format!("shard{s}")).collect();
-        let engines: Vec<(&str, &Engine)> = labels
-            .iter()
-            .map(String::as_str)
-            .zip(shards.iter().map(|s| &s.engine))
-            .collect();
-        finish_pulse(args, &engines);
-    }
-    if args.flight_enabled() {
-        let spans: u64 =
-            shards.iter().filter_map(|s| s.engine.flight()).map(|f| f.spans_recorded()).sum();
-        println!("  flight spans       {spans:>10} recorded across {shard_count} shards");
-        if let Some(path) = &args.breakdown_json {
-            let parts: Vec<String> = shards
-                .iter()
-                .filter_map(|s| {
-                    s.engine.flight_json().map(|fj| {
-                        format!("{{\"cycles\": {}, \"flight\": {fj}}}", s.engine.cycles())
-                    })
-                })
-                .collect();
-            let breakdown = format!(
-                "{{\"workload\": \"{}\", \"threads\": {shard_count}, \"shards\": [{}]}}",
-                args.workload,
-                parts.join(", ")
-            );
-            if let Err(err) = std::fs::write(path, &breakdown) {
-                eprintln!("error: writing {path}: {err}");
-                std::process::exit(EXIT_USAGE);
-            }
-            println!("  breakdown          → {path}");
-        }
-    }
-    std::process::exit(0);
 }

@@ -419,3 +419,59 @@ fn pulse_gate_catches_mid_run_shift_the_flight_gate_misses() {
     std::fs::remove_file(&flight_base).ok();
     std::fs::remove_file(&pulse_base).ok();
 }
+
+/// An unknown workload is rejected where flags are validated, naming the
+/// valid ones — also when another usage error (`--threads` on a
+/// non-scale workload) would otherwise mask it.
+#[test]
+fn unknown_workload_names_the_valid_ones() {
+    for bad in [&["--workload", "nosuch"][..], &["--workload", "nosuch", "--threads", "2"][..]] {
+        let out = f4tperf(bad);
+        assert_eq!(out.status.code(), Some(2), "args {bad:?}:\n{}", stderr(&out));
+        let err = stderr(&out);
+        let first = err.lines().next().unwrap_or_default();
+        assert!(first.contains("unknown workload nosuch"), "args {bad:?}: {first}");
+        for name in ["bulk", "rr", "echo", "http", "scale", "incast", "churnstorm", "slowloris", "httpstorm"] {
+            assert!(first.contains(name), "args {bad:?}: error must list {name}: {first}");
+        }
+    }
+    // --help prints every workload with its --flows default.
+    let help = stdout(&f4tperf(&["--help"]));
+    for row in ["incast: ", "(--flows defaults to 32)", "(--flows defaults to 16/core)", "(--flows defaults to 2048)"] {
+        assert!(help.contains(row), "help must print {row:?}:\n{help}");
+    }
+}
+
+/// The perf gate tolerates ±25 % cycles, so by itself it does not pin the
+/// schedule. This does: the gate's own `SCALE` and `BULK` runs must
+/// reproduce the committed flight and pulse baselines byte for byte — the
+/// one-shard `ScaleShard` schedule is the single-engine run, and the
+/// shared reporters write the single-engine document shape.
+#[test]
+fn gate_runs_reproduce_committed_baselines_byte_for_byte() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let script = std::fs::read_to_string(format!("{root}/scripts/perf_gate.sh")).expect("perf_gate.sh");
+    for (var, workload) in [("SCALE", "scale"), ("BULK", "bulk")] {
+        let prefix = format!("{var}=\"");
+        let line = script
+            .lines()
+            .find_map(|l| l.strip_prefix(&prefix))
+            .unwrap_or_else(|| panic!("perf_gate.sh defines no {var}"));
+        let gate_args: Vec<&str> = line.trim_end_matches('"').split_whitespace().collect();
+        let flight = tmp(&format!("golden-{workload}-flight.json"));
+        let pulse = tmp(&format!("golden-{workload}-pulse.json"));
+        let out = f4tperf(
+            &[&gate_args[..], &["--flight-sample", "64", "--breakdown-json", &flight, "--pulse-json", &pulse]]
+                .concat(),
+        );
+        assert_eq!(out.status.code(), Some(0), "{}\n{}", stdout(&out), stderr(&out));
+        for (got, committed) in [(&flight, "flight"), (&pulse, "pulse")] {
+            let committed = format!("{root}/results/{committed}/{workload}.json");
+            assert!(
+                std::fs::read(got).expect("artifact written") == std::fs::read(&committed).expect("baseline"),
+                "{workload}: {got} differs from {committed}"
+            );
+            std::fs::remove_file(got).ok();
+        }
+    }
+}

@@ -59,13 +59,6 @@ pub struct EngineConfig {
     pub coalescing: bool,
     /// Location-LUT partitions (4 routes 4 events/cycle for 8 FPCs).
     pub lut_groups: usize,
-    /// Override the FPU pipeline latency (Fig. 15's sweep); `None` uses
-    /// the algorithm's natural latency.
-    pub fpu_latency_override: Option<u32>,
-    /// Packet-generator parallelism (segments per 322 MHz cycle).
-    pub tx_parallelism: u32,
-    /// RX-parser parallelism (segments per 322 MHz cycle).
-    pub rx_parallelism: u32,
     /// Maximum segment size.
     pub mss: u32,
     /// Direct-mapped TCB-cache sets in the memory manager.
@@ -103,9 +96,6 @@ pub struct EngineConfig {
     /// keeps overhead within the ≤1.10x budget. Flow-less events
     /// (`flow == u32::MAX`, e.g. cuckoo misses) are always recorded.
     pub journal_sample: u32,
-    /// FtJournal ring capacity in events; older events are overwritten
-    /// but stay folded into the running digest.
-    pub journal_cap: usize,
     /// FtJournal/watchdog: attach the online health watchdog (stuck
     /// flows, retransmit storms, queue SLO breaches, starved LUT
     /// entries). Off by default.
@@ -140,9 +130,6 @@ impl EngineConfig {
             cc: CcAlgorithm::NewReno,
             coalescing: true,
             lut_groups: 4,
-            fpu_latency_override: None,
-            tx_parallelism: 4,
-            rx_parallelism: 4,
             mss: MSS,
             tcb_cache_sets: 512,
             scan_policy: ScanPolicy::SkipIdle,
@@ -152,7 +139,6 @@ impl EngineConfig {
             flight_sample: 64,
             journal: false,
             journal_sample: 64,
-            journal_cap: f4t_sim::journal::JOURNAL_DEFAULT_CAP,
             watchdog: false,
             watchdog_interval: 65_536,
             watchdog_cfg: WatchdogConfig::default(),
@@ -377,10 +363,18 @@ const CYCLE_NS: u64 = 4;
 /// MAC output buffer cap; beyond this the packet generator stalls and
 /// backpressure propagates to FPC dispatch.
 const TX_OUT_CAP: usize = 256;
+/// Segments the packet generator and the RX parser each handle per
+/// 322 MHz MAC cycle.
+const MAC_PARALLELISM: u32 = 4;
 /// FtVerify structural-audit period. Per-cycle rules (ports, parity, RMW)
 /// fire inline; the cross-module residency/LUT/conservation audit walks
 /// every table, so it runs every `AUDIT_INTERVAL` cycles instead.
 pub(crate) const AUDIT_INTERVAL: u64 = 64;
+
+/// The periodic observers in the order a tick runs them: FtVerify
+/// structural audit, watchdog sweep, FtPulse window sample.
+const OBSERVERS: [fn(&mut Engine, u64); 3] =
+    [Engine::run_audit, Engine::run_watchdog, Engine::run_pulse];
 
 /// Minimal JSON string escaping for the black-box dump (quotes,
 /// backslashes and control characters; everything else passes through).
@@ -425,7 +419,7 @@ impl Engine {
                     i as u8,
                     config.flows_per_fpc,
                     Arc::clone(&cc),
-                    config.fpu_latency_override,
+                    None, // the algorithm's natural FPU latency
                     config.mss,
                     config.scan_policy,
                 )
@@ -434,8 +428,8 @@ impl Engine {
         let mut engine = Engine {
             scheduler: Scheduler::new(config.max_flows, config.lut_groups, config.coalescing),
             mm: MemoryManager::new(config.dram, config.tcb_cache_sets),
-            pkt_gen: PacketGenerator::new(config.mss, config.tx_parallelism),
-            rx_parser: RxParser::new(config.max_flows, config.rx_parallelism),
+            pkt_gen: PacketGenerator::new(config.mss, MAC_PARALLELISM),
+            rx_parser: RxParser::new(config.max_flows, MAC_PARALLELISM),
             timers: TimerWheel::new(),
             tx_overflow: VecDeque::new(),
             tx_out: VecDeque::new(),
@@ -453,9 +447,7 @@ impl Engine {
             ff_windows: 0,
             check: config.check.then(|| Box::new(InvariantChecker::new())),
             flight: None,
-            journal: config
-                .journal
-                .then(|| Box::new(Journal::with_capacity(config.journal_sample, config.journal_cap))),
+            journal: config.journal.then(|| Box::new(Journal::new(config.journal_sample))),
             watchdog: config.watchdog.then(|| Box::new(Watchdog::new(config.watchdog_cfg))),
             pulse: config
                 .pulse
@@ -1346,26 +1338,19 @@ impl Engine {
             self.seg_scratch = segs;
         }
 
-        // 7. FtVerify structural audit (residency, LUT consistency, FIFO
-        //    conservation, valid-bit leaks) on a coarse period.
-        if self.check.is_some() && cycle.is_multiple_of(AUDIT_INTERVAL) {
-            self.run_audit(cycle);
-        }
-
-        // 8. Online health watchdog, on its own coarse period (same
-        //    audit-boundary discipline: fast-forward windows stop at
-        //    every sweep cycle, so sweeps observe identical state in
-        //    fast-forwarded and tick-by-tick runs).
-        if self.watchdog.is_some() && cycle.is_multiple_of(self.config.watchdog_interval) {
-            self.run_watchdog(cycle);
-        }
-
-        // 9. FtPulse window sample, on its own fixed period (same
-        //    boundary discipline as the audit and the watchdog: the
-        //    fast-forward path never skips a sample cycle, so the series
-        //    are byte-identical across execution modes).
-        if self.pulse.is_some() && cycle.is_multiple_of(self.config.pulse_interval) {
-            self.run_pulse(cycle);
+        // 7. Periodic observers, each on its own coarse period: the
+        //    FtVerify structural audit (residency, LUT consistency, FIFO
+        //    conservation, valid-bit leaks), the online health watchdog
+        //    and the FtPulse window sample. Fast-forward windows stop at
+        //    the same boundary, so every observer sees identical state at
+        //    identical cycles in fast-forwarded and tick-by-tick runs
+        //    (for FtPulse: byte-identical series, DESIGN.md §15).
+        if self.next_observer_boundary(cycle) == cycle {
+            for (period, observe) in self.observer_periods().into_iter().zip(OBSERVERS) {
+                if period.is_some_and(|iv| cycle.is_multiple_of(iv)) {
+                    observe(self, cycle);
+                }
+            }
         }
 
         self.cycle += 1;
@@ -1703,42 +1688,17 @@ impl Engine {
     ///   the request FIFO's 64 free slots exceed the 16-slot threshold);
     /// * the memory manager accrues DRAM pacer credit up to its burst cap.
     ///
-    /// With the checker attached the window additionally stops at every
-    /// `AUDIT_INTERVAL` boundary so structural audits run at exactly the
-    /// cycles the tick-by-tick run audits.
+    /// The window additionally stops at the next observer boundary, so
+    /// audits, sweeps and samples run at exactly the cycles the
+    /// tick-by-tick run takes them.
     fn try_fast_forward(&mut self, end: u64) -> bool {
         let cycle = self.cycle;
-        let mut target = match self.next_activity() {
+        let horizon = match self.next_activity() {
             Some(h) if h <= cycle => return false,
             Some(h) => h.min(end),
             None => end,
         };
-        if self.check.is_some() {
-            let next_audit = if cycle.is_multiple_of(AUDIT_INTERVAL) {
-                cycle
-            } else {
-                (cycle / AUDIT_INTERVAL + 1) * AUDIT_INTERVAL
-            };
-            target = target.min(next_audit);
-        }
-        // The watchdog sweeps on its own period; stop every window at the
-        // next sweep cycle so fast-forwarded and tick-by-tick runs observe
-        // identical state at identical cycles.
-        if self.watchdog.is_some() {
-            let iv = self.config.watchdog_interval;
-            let next_sweep =
-                if cycle.is_multiple_of(iv) { cycle } else { (cycle / iv + 1) * iv };
-            target = target.min(next_sweep);
-        }
-        // FtPulse samples at fixed cycle boundaries; stop every window at
-        // the next sample cycle so the recorded series are byte-identical
-        // across execution modes (DESIGN.md §15).
-        if self.pulse.is_some() {
-            let iv = self.config.pulse_interval;
-            let next_sample =
-                if cycle.is_multiple_of(iv) { cycle } else { (cycle / iv + 1) * iv };
-            target = target.min(next_sample);
-        }
+        let target = horizon.min(self.next_observer_boundary(cycle));
         if target <= cycle {
             return false;
         }
@@ -1755,6 +1715,25 @@ impl Engine {
         self.ff_skipped_cycles += n;
         self.ff_windows += 1;
         true
+    }
+
+    /// Periods of the attached periodic observers, in [`OBSERVERS`] order.
+    fn observer_periods(&self) -> [Option<u64>; 3] {
+        [
+            self.check.is_some().then_some(AUDIT_INTERVAL),
+            self.watchdog.is_some().then_some(self.config.watchdog_interval),
+            self.pulse.is_some().then_some(self.config.pulse_interval),
+        ]
+    }
+
+    /// The first cycle at or after `cycle` on which some attached
+    /// periodic observer runs (`u64::MAX` with none attached).
+    fn next_observer_boundary(&self, cycle: u64) -> u64 {
+        let mut next = u64::MAX;
+        for iv in self.observer_periods().into_iter().flatten() {
+            next = next.min(cycle.next_multiple_of(iv));
+        }
+        next
     }
 
     /// Cycles elided by fast-forward so far.

@@ -24,12 +24,12 @@ pub mod link;
 pub mod linux_system;
 pub mod metrics;
 pub mod node;
-pub mod parallel;
+pub mod scale;
 pub mod system;
 
 pub use link::DuplexLink;
 pub use linux_system::LinuxSystem;
 pub use metrics::Metrics;
 pub use node::{Driver, Node};
-pub use parallel::SystemFleet;
+pub use scale::ScaleShard;
 pub use system::F4tSystem;

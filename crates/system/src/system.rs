@@ -20,7 +20,7 @@ pub(crate) const CYCLE_NS: u64 = 4;
 
 /// Packet-capture cap: recording stops after this many packets so bulk
 /// runs cannot balloon the in-memory capture (tcpdump `-c` style).
-const PCAP_MAX_PACKETS: u64 = 10_000;
+pub(crate) const PCAP_MAX_PACKETS: u64 = 10_000;
 
 /// Sustains a target population of short-lived connections: every tick
 /// it tops the client node back up to `target_live` in-flight lifecycles

@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
 # FtFlight perf-regression gate (DESIGN.md section 10).
 #
-# Three reference workloads run with the FtFlight recorder at the
+# The reference workloads run with the FtFlight recorder at the
 # default 1/64 sampling and are diffed against committed latency
 # baselines by `f4tperf --gate` (total simulated cycles within +/-25%,
 # every stage p99 within 1.25x + 16 cycles; exit 3 on regression).
-# Simulated-clock checks are exact and machine-independent; wall-clock
-# is checked here instead, against results/latency_breakdown.json with
-# a deliberately loose multiplier because CI machines vary.
+# Every check is on the simulated clock, so the gate is exact and
+# machine-independent; how fast the simulator itself runs is FtBench's
+# record (ftbench/README.md), not a gate.
 #
 # Every workload is also gated on time-series *shape* (DESIGN.md
 # section 15): the run records FtPulse windows and `--pulse-gate` diffs
@@ -16,9 +16,8 @@
 #
 # Usage:
 #   sh scripts/perf_gate.sh              gate the current build
-#   sh scripts/perf_gate.sh --update     regenerate results/flight/*.json,
-#                                        results/pulse/*.json and
-#                                        results/latency_breakdown.json
+#   sh scripts/perf_gate.sh --update     regenerate results/flight/*.json
+#                                        and results/pulse/*.json
 #   sh scripts/perf_gate.sh --self-test  prove both gates trip: a
 #                                        400-cycle span bias must exit 3,
 #                                        and a 12-cycle bias deferred past
@@ -41,11 +40,7 @@ CHURNSTORM="--workload churnstorm --cores 2 --flows 32 --impair lossy --warmup-m
 SLOWLORIS="--workload slowloris --cores 2 --flows 256 --impair jitter --warmup-ms 1 --duration-ms 1"
 HTTPSTORM="--workload httpstorm --cores 2 --flows 256 --impair duplicate --warmup-ms 1 --duration-ms 1"
 WORKLOADS="bulk echo scale incast churnstorm slowloris httpstorm"
-SAMPLE=64            # keep in sync with results/latency_breakdown.json
-OVERHEAD_BUDGET=1.10 # flight-on wall budget at 1/64 sampling (--update)
-WALL_TOLERANCE=5     # x committed wall-clock; absolute slack below
-WALL_SLACK_MS=2000
-REPS=3
+SAMPLE=64            # flight sampling divisor the baselines were taken at
 
 mode="${1:-gate}"
 
@@ -65,26 +60,6 @@ args_for() {
     esac
 }
 
-now_ms() {
-    # GNU date; fine on the Linux dev/CI hosts this script targets.
-    echo $(( $(date +%s%N) / 1000000 ))
-}
-
-# best_ms <args...> : best-of-$REPS wall-clock ms for one f4tperf run.
-best_ms() {
-    best=""
-    i=0
-    while [ "$i" -lt "$REPS" ]; do
-        t0=$(now_ms)
-        $PERF "$@" >/dev/null
-        t1=$(now_ms)
-        dt=$(( t1 - t0 ))
-        if [ -z "$best" ] || [ "$dt" -lt "$best" ]; then best=$dt; fi
-        i=$(( i + 1 ))
-    done
-    echo "$best"
-}
-
 case "$mode" in
 gate)
     # Forensic artifacts land here; CI uploads the directory when a
@@ -97,32 +72,16 @@ gate)
         pulse_base="results/pulse/$w.json"
         [ -s "$base" ] || { echo "FAIL: $base missing (run --update)" >&2; exit 2; }
         [ -s "$pulse_base" ] || { echo "FAIL: $pulse_base missing (run --update)" >&2; exit 2; }
-        t0=$(now_ms)
         if $PERF $(args_for "$w") --flight-sample "$SAMPLE" --gate "$base" \
             --pulse-gate "$pulse_base" --pulse-json "$ARTIFACTS/$w-pulse.json" \
             --breakdown-json "$ARTIFACTS/$w-breakdown.json" \
             --dump-on-failure "$ARTIFACTS/$w-dump.json" >/dev/null; then
-            :
+            echo "  $w: gate PASS"
         else
             rc=$?
             echo "FAIL: $w perf gate regression (f4tperf exit $rc)" >&2
             echo "      observed breakdown: $ARTIFACTS/$w-breakdown.json, pulse: $ARTIFACTS/$w-pulse.json, dump: $ARTIFACTS/$w-dump.json" >&2
             status=$rc
-            continue
-        fi
-        t1=$(now_ms)
-        dt=$(( t1 - t0 ))
-        committed=$(awk -v w="$w" '
-            $0 ~ "\"" w "\":" { f = 1 }
-            f && /"wall_ms_flight_on"/ { gsub(/[^0-9]/, "", $2); print $2; exit }
-        ' results/latency_breakdown.json)
-        [ -n "$committed" ] || { echo "FAIL: no wall baseline for $w" >&2; exit 2; }
-        limit=$(( committed * WALL_TOLERANCE + WALL_SLACK_MS ))
-        if [ "$dt" -gt "$limit" ]; then
-            echo "FAIL: $w wall-clock ${dt}ms exceeds ${limit}ms (committed ${committed}ms x$WALL_TOLERANCE + ${WALL_SLACK_MS}ms)" >&2
-            status=3
-        else
-            echo "  $w: gate PASS, wall ${dt}ms (limit ${limit}ms)"
         fi
     done
     [ "$status" -eq 0 ] && echo "perf gate: OK"
@@ -131,39 +90,15 @@ gate)
 
 --update)
     mkdir -p results/flight results/pulse
-    tmp=$(mktemp)
-    {
-        printf '{\n'
-        printf ' "_note": "FtFlight perf-gate baselines: three reference workloads with the flight recorder at 1/%s sampling. Per-stage latency baselines live in results/flight/<workload>.json (byte-stable, simulated-clock only); this file records run parameters plus measured wall-clock with the recorder off vs on (best-of-%s, budget <= %sx). Regenerate with: sh scripts/perf_gate.sh --update",\n' "$SAMPLE" "$REPS" "$OVERHEAD_BUDGET"
-        printf ' "flight_sample": %s' "$SAMPLE"
-        for w in $WORKLOADS; do
-            args=$(args_for "$w")
-            off=$(best_ms $args)
-            on=$(best_ms $args --flight --flight-sample "$SAMPLE")
-            # The baseline write is a separate (untimed) run so file I/O
-            # never pollutes the overhead measurement. Pulse capping is
-            # semantics-preserving, so recording the pulse baseline in
-            # the same run leaves the flight baseline byte-identical.
-            $PERF $args --flight-sample "$SAMPLE" \
-                --breakdown-json "results/flight/$w.json" \
-                --pulse-json "results/pulse/$w.json" >/dev/null
-            ratio=$(awk "BEGIN { printf \"%.3f\", $on / $off }")
-            echo "  $w: off=${off}ms on=${on}ms ratio=${ratio}x" >&2
-            printf ',\n "%s": {\n' "$w"
-            printf '  "_params": "%s",\n' "$args"
-            printf '  "baseline": "results/flight/%s.json",\n' "$w"
-            printf '  "wall_ms_flight_off": %s,\n' "$off"
-            printf '  "wall_ms_flight_on": %s,\n' "$on"
-            printf '  "overhead_ratio": %s\n' "$ratio"
-            printf ' }'
-        done
-        printf '\n}\n'
-    } > "$tmp"
-    ratio_max=$(awk '/"overhead_ratio"/ { gsub(/[^0-9.]/, "", $2); if ($2 > m) m = $2 } END { print m }' "$tmp")
-    awk "BEGIN { exit !($ratio_max <= $OVERHEAD_BUDGET) }" \
-        || { echo "FAIL: flight overhead ${ratio_max}x exceeds ${OVERHEAD_BUDGET}x budget" >&2; exit 1; }
-    mv "$tmp" results/latency_breakdown.json
-    echo "wrote results/latency_breakdown.json (max flight overhead ${ratio_max}x)"
+    for w in $WORKLOADS; do
+        # Pulse capping is semantics-preserving, so recording the pulse
+        # baseline in the same run leaves the flight baseline
+        # byte-identical.
+        $PERF $(args_for "$w") --flight-sample "$SAMPLE" \
+            --breakdown-json "results/flight/$w.json" \
+            --pulse-json "results/pulse/$w.json" >/dev/null
+        echo "wrote results/flight/$w.json results/pulse/$w.json"
+    done
     ;;
 
 --self-test)

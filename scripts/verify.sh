@@ -10,6 +10,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release (workspace)"
 cargo build --release --workspace
 
+echo "==> cargo build --release (FtBench, against the changed crates)"
+# The benchmark is a workspace of its own binding to the public module
+# APIs (Fpc/Scheduler/TimerWheel/Engine signatures): a drift there must
+# fail in the first minute, not at the FtBench smoke that ends this
+# script.
+cargo build --release --manifest-path ftbench/Cargo.toml
+
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
@@ -80,9 +87,6 @@ cargo run --release -q -p f4t-bench --bin f4tperf -- \
     || { echo "FAIL: healthy journal+watchdog run failed" >&2; exit 1; }
 rm -rf "$out"
 
-echo "==> FtTurbo smoke (slab + threaded scale paths)"
-sh scripts/turbo_baseline.sh --smoke
-
 echo "==> FtStorm hostile-network smoke (scenario x impairment)"
 # The full matrix lives in tests/scenario_matrix.rs (runs under cargo
 # test above); this re-drives one cell end-to-end through the CLI with
@@ -113,9 +117,6 @@ sh scripts/perf_gate.sh
 sh scripts/perf_gate.sh --self-test
 
 echo "==> FtBench smoke (quick run of all four workloads + its contract tests)"
-# The benchmark is a workspace of its own binding to the public module
-# APIs (Fpc/Scheduler/TimerWheel/Engine signatures): a drift there must
-# fail here, not at the next measured PR.
 sh ftbench/ci.sh
 
 echo "verify: OK"

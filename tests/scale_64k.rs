@@ -11,30 +11,21 @@
 //!   * completion within a **cycle** budget, never a wall-clock one, so
 //!     the test is deterministic and f4tlint `wall_clock`-clean.
 //!
-//! The ideal peer lives in the harness: it cumulatively ACKs whatever
-//! the engine emits, one ACK per flow per pump round, retrying across
-//! rounds when the RX intake backpressures.
+//! The ideal peer and the issue → drain schedule are
+//! [`ScaleShard`] — the same driver `f4tperf --workload scale` runs —
+//! here as one shard with no idle tail.
 //!
 //! The 8K variant runs on every push; the full 64K configuration is
 //! `#[ignore]`d (minutes in debug builds) and exercised by the
 //! fast-forward figure harness (`f4tperf --workload scale`).
 
-use f4t::core::{Engine, EngineConfig, EventKind};
-use f4t::tcp::{FourTuple, Segment, SeqNum, TCP_BUFFER};
-use std::collections::HashMap;
-use std::net::Ipv4Addr;
+use f4t::core::EngineConfig;
+use f4t::system::ScaleShard;
 
 /// Bytes each flow sends; below one MSS so each flow is a single data
 /// segment plus its ACK — the workload stresses flow count, not
 /// per-flow throughput.
 const PER_FLOW_BYTES: u32 = 512;
-
-/// 32768 client ports per client IP, so 64K flows fit in two IPs.
-fn tuple_for(i: usize) -> FourTuple {
-    let ip = Ipv4Addr::new(10, 0, (i / 32_768) as u8, 1);
-    let port = 1024 + (i % 32_768) as u16;
-    FourTuple::new(ip, port, Ipv4Addr::new(10, 0, 0, 2), 80)
-}
 
 fn scale_smoke(total_flows: usize, cycle_budget: u64) {
     // Watchdog on at the default production thresholds: a healthy scale
@@ -48,85 +39,20 @@ fn scale_smoke(total_flows: usize, cycle_budget: u64) {
         watchdog: true,
         ..EngineConfig::reference()
     };
-    assert!(total_flows <= cfg.max_flows);
-    let mut e = Engine::new(cfg);
-    let isn = SeqNum(0);
-    let target = isn.add(PER_FLOW_BYTES);
-
-    let mut flows = Vec::with_capacity(total_flows);
-    let mut by_tuple = HashMap::with_capacity(total_flows);
-    for i in 0..total_flows {
-        let t = tuple_for(i);
-        let f = e.open_established(t, isn).expect("flow table full");
-        by_tuple.insert(t, i);
-        flows.push(f);
+    let mut shard =
+        ScaleShard::new(cfg, 0..total_flows, PER_FLOW_BYTES, 0).expect("flow table full");
+    let mut round = 0;
+    while shard.step(round) {
+        round += 1;
     }
-
-    // ACKs owed to the engine, ratcheted to the highest sequence seen
-    // per flow and retried until the RX intake accepts them.
-    let mut pending_ack: Vec<Option<SeqNum>> = vec![None; total_flows];
-    let pump = |e: &mut Engine, pending_ack: &mut Vec<Option<SeqNum>>| {
-        e.run(64);
-        while let Some(seg) = e.pop_tx() {
-            if seg.has_payload() {
-                let i = by_tuple[&seg.tuple];
-                let end = seg.seq_end();
-                pending_ack[i] = Some(match pending_ack[i] {
-                    Some(h) => h.max_seq(end),
-                    None => end,
-                });
-            }
-        }
-        for (i, slot) in pending_ack.iter_mut().enumerate() {
-            let Some(h) = *slot else { continue };
-            if e.push_rx(Segment::pure_ack(tuple_for(i).reversed(), isn, h, TCP_BUFFER)) {
-                *slot = None;
-            }
-        }
-        while e.pop_notification().is_some() {}
-    };
-
-    // Issue one send request per flow, respecting doorbell backpressure.
-    let mut issued = 0;
-    while issued < total_flows {
-        if e.push_host(flows[issued], EventKind::SendReq { req: target }) {
-            issued += 1;
-        } else {
-            pump(&mut e, &mut pending_ack);
-        }
-        assert!(e.cycles() < cycle_budget, "issue phase exceeded cycle budget");
-    }
-
-    // Drive until every cumulative pointer lands on the target, checking
-    // completion only every 256 pump rounds (scanning every TCB is far
-    // more expensive than a pump).
-    let mut completed = false;
-    'outer: while e.cycles() < cycle_budget {
-        for _ in 0..256 {
-            pump(&mut e, &mut pending_ack);
-            if e.cycles() >= cycle_budget {
-                break;
-            }
-        }
-        if flows.iter().all(|&f| e.peek_tcb(f).is_some_and(|t| t.snd_una == target)) {
-            completed = true;
-            break 'outer;
-        }
-    }
+    let e = &shard.engine;
 
     let stats = e.stats();
-    let stuck: Vec<usize> = flows
-        .iter()
-        .enumerate()
-        .filter(|&(_, &f)| e.peek_tcb(f).is_none_or(|t| t.snd_una != target))
-        .map(|(i, _)| i)
-        .collect();
+    assert!(shard.completed(), "{total_flows} flows did not complete in {} cycles", e.cycles());
     assert!(
-        completed,
-        "{} of {total_flows} flows stuck after {} cycles (first: {:?})",
-        stuck.len(),
-        e.cycles(),
-        stuck.first()
+        shard.active_cycles() < cycle_budget,
+        "completion took {} cycles, budget {cycle_budget}",
+        shard.active_cycles()
     );
     assert!(
         stats.migrations > 0 && stats.dram_events > 0,
