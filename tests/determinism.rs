@@ -12,6 +12,12 @@
 //!      an accidental HashMap iteration, a reordered tick phase, a new
 //!      metric — fails with a line-level diff summary against the
 //!      stored golden telemetry.
+//!   3. **Every recorder, absolutely**: the same schedule with checker,
+//!      flight recorder, journal, watchdog and pulse armed at 1/1
+//!      sampling pins the flight breakdown, journal digest and pulse
+//!      series of both engines in `tests/golden/recorders.{digest,txt}`
+//!      (the fast-forward and pool-size tests only pin them relative to
+//!      another run of the same build).
 //!
 //! Intentional behavior changes regenerate the goldens with
 //! `UPDATE_GOLDEN=1 cargo test --test determinism`.
@@ -70,17 +76,21 @@ fn exchange(a: &mut Engine, b: &mut Engine, steps: u64) {
     }
 }
 
-/// The fixed scenario: bulk + echo over tiny FPCs (forcing migration),
-/// one mid-run close, and an idle tail where fast-forward engages. No
-/// RNG — the schedule itself is the seed.
-fn run_once() -> Artifacts {
-    let cfg = EngineConfig {
+/// Tiny FPCs (forcing migration) with the checker armed.
+fn base_config() -> EngineConfig {
+    EngineConfig {
         num_fpcs: 2,
         lut_groups: 2,
         flows_per_fpc: 4,
         check: true,
         ..EngineConfig::reference()
-    };
+    }
+}
+
+/// The fixed scenario: bulk + echo over tiny FPCs, one mid-run close, and
+/// an idle tail where fast-forward engages. No RNG — the schedule itself
+/// is the seed.
+fn run_schedule(cfg: EngineConfig) -> (Engine, Engine) {
     let mut a = Engine::new(cfg.clone());
     let mut b = Engine::new(cfg);
     a.set_trace_capacity(1024);
@@ -127,23 +137,64 @@ fn run_once() -> Artifacts {
     }
     exchange(&mut a, &mut b, 200);
     assert_eq!(a.check_total_violations() + b.check_total_violations(), 0);
+    (a, b)
+}
+
+fn run_once() -> Artifacts {
+    let (a, b) = run_schedule(base_config());
     Artifacts {
         traces: [a.export_chrome_trace(), b.export_chrome_trace()],
         telemetry: [a.telemetry().to_json(), b.telemetry().to_json()],
     }
 }
 
+/// The schedule again with every recorder armed at 1/1 sampling,
+/// rendered as one line-diffable text: per side the telemetry registry
+/// (which carries the flight, journal, watchdog and pulse families), the
+/// flight breakdown, the journal and pulse digests and the pulse series.
+/// Observer periods are short enough that the watchdog sweeps and the
+/// pulse recorder samples several times inside the ~14K-cycle run.
+fn recorder_views() -> String {
+    let cfg = EngineConfig {
+        flight: true,
+        flight_sample: 1,
+        journal: true,
+        journal_sample: 1,
+        watchdog: true,
+        watchdog_interval: 4096,
+        pulse: true,
+        pulse_interval: 512,
+        pulse_flow_sample: 1,
+        ..base_config()
+    };
+    let (a, b) = run_schedule(cfg);
+    let mut out = String::new();
+    for (side, e) in [("a", &a), ("b", &b)] {
+        out.push_str(&format!("=== side {side} telemetry ===\n{}", e.telemetry().to_json()));
+        out.push_str(&format!(
+            "=== side {side} flight ===\n{}",
+            e.flight_json().expect("flight armed")
+        ));
+        out.push_str(&format!("=== side {side} journal digest ===\n{:016x}\n", e.journal_digest()));
+        out.push_str(&format!("=== side {side} pulse digest ===\n{:016x}\n", e.pulse_digest()));
+        out.push_str(&format!(
+            "=== side {side} pulse ===\n{}",
+            e.pulse_json().expect("pulse armed")
+        ));
+    }
+    out
+}
+
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Line-level diff summary: which metrics changed, which are new, which
-/// vanished. Trace drift can't be diffed against a digest, so it is
-/// reported by length.
-fn diff_summary(golden_telem: &str, got: &Artifacts) -> String {
+/// Line-level diff summary: which lines changed, which are new, which
+/// vanished; `if_identical` explains a digest drift the text does not
+/// show (Chrome traces are only in the digest, so they report by length).
+fn diff_summary(golden: &str, current: &str, if_identical: &str) -> String {
     let mut out = String::new();
-    let current = format!("{}\n=== side b ===\n{}", got.telemetry[0], got.telemetry[1]);
-    let golden: Vec<&str> = golden_telem.lines().collect();
+    let golden: Vec<&str> = golden.lines().collect();
     let cur: Vec<&str> = current.lines().collect();
     for l in &cur {
         if !golden.contains(l) {
@@ -156,13 +207,39 @@ fn diff_summary(golden_telem: &str, got: &Artifacts) -> String {
         }
     }
     if out.is_empty() {
-        out.push_str(&format!(
-            "  telemetry identical; drift is in the Chrome traces (lengths {} / {})\n",
-            got.traces[0].len(),
-            got.traces[1].len()
-        ));
+        out.push_str(if_identical);
     }
     out
+}
+
+/// Checks `digest` and `text` against `tests/golden/<name>.digest` and
+/// `tests/golden/<text_file>`, or rewrites both under `UPDATE_GOLDEN=1`.
+fn check_golden(name: &str, text_file: &str, digest: u64, text: &str, if_identical: &str) {
+    let dir = golden_dir();
+    let digest_path = dir.join(format!("{name}.digest"));
+    let text_path = dir.join(text_file);
+    let digest = format!("{digest:016x}");
+
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&digest_path, &digest).unwrap();
+        std::fs::write(&text_path, text).unwrap();
+        eprintln!("golden files regenerated in {}", dir.display());
+        return;
+    }
+
+    let golden_digest = std::fs::read_to_string(&digest_path)
+        .unwrap_or_else(|e| panic!("missing golden {} ({e}); run UPDATE_GOLDEN=1 once", digest_path.display()));
+    let golden_text = std::fs::read_to_string(&text_path)
+        .unwrap_or_else(|e| panic!("missing golden {} ({e}); run UPDATE_GOLDEN=1 once", text_path.display()));
+    assert_eq!(
+        golden_digest.trim(),
+        digest,
+        "{name} digest drifted from the golden.\n\
+         If this change is intentional, regenerate with UPDATE_GOLDEN=1.\n\
+         Diff summary (+ current / - golden):\n{}",
+        diff_summary(&golden_text, text, if_identical)
+    );
 }
 
 #[test]
@@ -181,31 +258,30 @@ fn runs_are_deterministic_and_match_golden_digest() {
         );
     }
 
-    let dir = golden_dir();
-    let digest_path = dir.join("determinism.digest");
-    let telem_path = dir.join("determinism_telemetry.txt");
-    let digest = format!("{:016x}", r1.digest());
     let telem = format!("{}\n=== side b ===\n{}", r1.telemetry[0], r1.telemetry[1]);
+    check_golden(
+        "determinism",
+        "determinism_telemetry.txt",
+        r1.digest(),
+        &telem,
+        &format!(
+            "  telemetry identical; drift is in the Chrome traces (lengths {} / {})\n",
+            r1.traces[0].len(),
+            r1.traces[1].len()
+        ),
+    );
+}
 
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&digest_path, &digest).unwrap();
-        std::fs::write(&telem_path, &telem).unwrap();
-        eprintln!("golden files regenerated in {}", dir.display());
-        return;
-    }
-
-    let golden_digest = std::fs::read_to_string(&digest_path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); run UPDATE_GOLDEN=1 once", digest_path.display()));
-    let golden_telem = std::fs::read_to_string(&telem_path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); run UPDATE_GOLDEN=1 once", telem_path.display()));
-    assert_eq!(
-        golden_digest.trim(),
-        digest,
-        "deterministic-run digest drifted from the golden.\n\
-         If this change is intentional, regenerate with UPDATE_GOLDEN=1.\n\
-         Diff summary (+ current / - golden):\n{}",
-        diff_summary(&golden_telem, &r1)
+#[test]
+fn armed_recorders_match_golden() {
+    let views = recorder_views();
+    assert_eq!(views, recorder_views(), "two armed runs diverged — nondeterminism!");
+    check_golden(
+        "recorders",
+        "recorders.txt",
+        fnv1a(views.as_bytes()),
+        &views,
+        "  text identical: the stored digest is stale\n",
     );
 }
 
