@@ -7,17 +7,16 @@
 //! cargo run --release -p f4t-bench --bin f4tperf -- \
 //!     --workload bulk --cores 2 --size 128 --duration-ms 2
 //! cargo run --release -p f4t-bench --bin f4tperf -- \
-//!     --workload echo --cores 8 --flows 4096 --dram ddr4 --fpcs 8
+//!     --workload echo --cores 8 --flows 4096 --dram ddr4
 //! cargo run --release -p f4t-bench --bin f4tperf -- --help
 //! ```
 
-use f4t_core::fpc::ScanPolicy;
 use f4t_core::{fold_digests, Engine, EngineConfig};
 use f4t_mem::{DramKind, Location};
 use f4t_netsim::Impairments;
 use f4t_sim::MetricsRegistry;
 use f4t_system::{F4tSystem, ScaleShard};
-use f4t_tcp::{CcAlgorithm, FlowId};
+use f4t_tcp::FlowId;
 use f4t_workloads::{INCAST_EPOCH_NS, SLOWLORIS_DRIP_BYTES};
 
 /// Process exit codes (also in `--help`): `0` success, `1` FtVerify
@@ -36,13 +35,8 @@ struct Args {
     flows: usize,
     threads: usize,
     dram: DramKind,
-    cc: CcAlgorithm,
-    fpcs: usize,
-    coalescing: bool,
-    compact: bool,
     warmup_ms: u64,
     duration_ms: u64,
-    scan: ScanPolicy,
     telemetry: Option<String>,
     telemetry_format: TelemetryFormat,
     trace_depth: usize,
@@ -82,13 +76,8 @@ impl Default for Args {
             flows: 0, // workload default
             threads: 1,
             dram: DramKind::Hbm,
-            cc: CcAlgorithm::NewReno,
-            fpcs: 8,
-            coalescing: true,
-            compact: false,
             warmup_ms: 1,
             duration_ms: 2,
-            scan: ScanPolicy::SkipIdle,
             telemetry: None,
             telemetry_format: TelemetryFormat::Json,
             trace_depth: 65_536,
@@ -292,11 +281,6 @@ USAGE: f4tperf [OPTIONS]
                                    merged digests are thread-count
                                    independent                [1]
   --dram <hbm|ddr4>                on-board memory         [hbm]
-  --cc <newreno|cubic|vegas>       congestion control      [newreno]
-  --fpcs <N>                       parallel FPCs           [8]
-  --no-coalescing                  disable event coalescing
-  --compact-commands               8 B commands (§6)
-  --scan <skip-idle|full>          TCB-manager scan policy [skip-idle]
   --warmup-ms <MS>                 warmup                  [1]
   --duration-ms <MS>               measurement window      [2]
   --telemetry <PATH>               write FtScope metrics JSON to PATH and a
@@ -393,7 +377,6 @@ fn parse() -> Result<(Args, &'static Workload), String> {
         for (flag, value) in [
             ("--cores", args.cores as u64),
             ("--size", u64::from(args.size)),
-            ("--fpcs", args.fpcs as u64),
             ("--duration-ms", args.duration_ms),
             ("--flight-sample", u64::from(args.flight_sample)),
             ("--journal-sample", u64::from(args.journal_sample)),
@@ -449,7 +432,6 @@ fn parse() -> Result<(Args, &'static Workload), String> {
             "--size" => args.size = num(val()?)?,
             "--flows" => args.flows = num(val()?)?,
             "--threads" => args.threads = num(val()?)?,
-            "--fpcs" => args.fpcs = num(val()?)?,
             "--warmup-ms" => args.warmup_ms = num(val()?)?,
             "--duration-ms" => args.duration_ms = num(val()?)?,
             "--dram" => {
@@ -457,21 +439,6 @@ fn parse() -> Result<(Args, &'static Workload), String> {
                     "hbm" => DramKind::Hbm,
                     "ddr4" => DramKind::Ddr4,
                     other => return Err(format!("unknown dram {other}")),
-                }
-            }
-            "--cc" => {
-                args.cc = match val()?.as_str() {
-                    "newreno" => CcAlgorithm::NewReno,
-                    "cubic" => CcAlgorithm::Cubic,
-                    "vegas" => CcAlgorithm::Vegas,
-                    other => return Err(format!("unknown cc {other}")),
-                }
-            }
-            "--scan" => {
-                args.scan = match val()?.as_str() {
-                    "skip-idle" => ScanPolicy::SkipIdle,
-                    "full" => ScanPolicy::FullIteration,
-                    other => return Err(format!("unknown scan policy {other}")),
                 }
             }
             "--telemetry" => args.telemetry = Some(val()?),
@@ -499,7 +466,6 @@ fn parse() -> Result<(Args, &'static Workload), String> {
             "--watchdog" => args.watchdog = true,
             "--dump-on-failure" => args.dump_on_failure = Some(val()?),
             "--trace-depth" => args.trace_depth = num(val()?)?,
-            "--no-coalescing" => args.coalescing = false,
             "--no-fast-forward" => args.fast_forward = false,
             "--inject-fault" => {
                 let kind = val()?;
@@ -509,7 +475,6 @@ fn parse() -> Result<(Args, &'static Workload), String> {
                 }
             }
             "--check" => args.check = true,
-            "--compact-commands" => args.compact = true,
             "--help" | "-h" => {
                 print!("{}", help());
                 std::process::exit(0);
@@ -532,12 +497,7 @@ fn main() {
     };
 
     let engine = EngineConfig {
-        num_fpcs: args.fpcs,
-        lut_groups: (args.fpcs / 2).max(1),
         dram: args.dram,
-        cc: args.cc,
-        coalescing: args.coalescing,
-        scan_policy: args.scan,
         check: args.check,
         fast_forward: args.fast_forward,
         flight: args.flight_enabled(),
@@ -562,10 +522,6 @@ fn run_system(args: &Args, mut sys: F4tSystem) {
     let imp = Impairments::profile(&args.impair).expect("validated at parse time");
     if imp.is_active() {
         sys.set_impairments(imp);
-    }
-    if args.compact {
-        sys.a.use_compact_commands();
-        sys.b.use_compact_commands();
     }
     arm(args, &mut [&mut sys.a.engine]);
     if args.pcap.is_some() {

@@ -97,6 +97,32 @@ fn scale_workload_fast_forwards_and_exits_zero() {
     assert!(text.contains("tick reduction"), "{text}");
 }
 
+/// `--no-fast-forward` is the CLI handle on the fast-forward ≡
+/// tick-by-tick contract: the report must not change with it. The
+/// `f4tperf: Args {..}` line echoes the flag itself, and the scale
+/// report's host-side rows (ticks executed, windows skipped, wall time)
+/// describe the execution mode, not the simulation.
+#[test]
+fn no_fast_forward_does_not_change_the_report() {
+    let simulated = |out: &Output| -> Vec<String> {
+        const HOST_ROWS: [&str; 5] =
+            ["f4tperf:", "ticks executed", "ff skipped", "tick reduction", "wall time"];
+        stdout(out)
+            .lines()
+            .filter(|l| !HOST_ROWS.iter().any(|row| l.trim_start().starts_with(row)))
+            .map(str::to_owned)
+            .collect()
+    };
+    for run in [&["--workload", "echo", "--duration-ms", "1"][..], SMALL_SCALE] {
+        let ff = f4tperf(run);
+        let tick = f4tperf(&[run, &["--no-fast-forward"]].concat());
+        assert_eq!(ff.status.code(), Some(0), "{run:?}: {}", stderr(&ff));
+        assert_eq!(tick.status.code(), Some(0), "{run:?}: {}", stderr(&tick));
+        assert!(simulated(&ff).len() >= 4, "{run:?}: report too short to compare");
+        assert_eq!(simulated(&ff), simulated(&tick), "{run:?}");
+    }
+}
+
 /// A scratch path under the system temp dir, unique per test.
 fn tmp(name: &str) -> String {
     let dir = std::env::temp_dir().join(format!("f4tperf-cli-{}-{name}", std::process::id()));

@@ -29,7 +29,7 @@ use f4t_sim::flight::{FlightStage, STAGE_COUNT};
 use f4t_sim::pulse::{PulseSeries, FLOW_SERIES_COUNT, SERIES_COUNT};
 use f4t_sim::{
     FlightRecorder, FlowObservation, FlowSet, FlowSlab, Journal, JournalKind, JournalModule,
-    PulseRecorder, QueueObservation, Watchdog, WatchdogConfig,
+    Probe, PulseRecorder, QueueObservation, Watchdog, WatchdogConfig,
 };
 use f4t_tcp::wire::{ArpMessage, IcmpEcho};
 use f4t_tcp::{
@@ -446,7 +446,7 @@ impl Engine {
             ff_skipped_cycles: 0,
             ff_windows: 0,
             check: config.check.then(|| Box::new(InvariantChecker::new())),
-            flight: None,
+            flight: config.flight.then(|| Box::new(FlightRecorder::new(config.flight_sample))),
             journal: config.journal.then(|| Box::new(Journal::new(config.journal_sample))),
             watchdog: config.watchdog.then(|| Box::new(Watchdog::new(config.watchdog_cfg))),
             pulse: config
@@ -469,24 +469,7 @@ impl Engine {
         if engine.config.pulse_interval == 0 {
             engine.config.pulse_interval = 1;
         }
-        if engine.config.flight {
-            engine.attach_flight();
-        }
         engine
-    }
-
-    /// Attaches the FtFlight recorder and arms the per-module stamp
-    /// mirrors. Must run before any traffic enters (the stamp FIFOs
-    /// mirror their data FIFOs 1:1 from empty).
-    fn attach_flight(&mut self) {
-        self.flight = Some(Box::new(FlightRecorder::new(self.config.flight_sample)));
-        self.rx_parser.enable_flight();
-        self.scheduler.enable_flight();
-        for f in &mut self.fpcs {
-            f.enable_flight();
-        }
-        self.mm.enable_flight();
-        self.pkt_gen.enable_flight();
     }
 
     /// The engine's configuration.
@@ -577,19 +560,18 @@ impl Engine {
     /// full — the library retries, which is exactly the doorbell
     /// backpressure a real queue pair exhibits.
     pub fn push_event(&mut self, ev: FlowEvent) -> bool {
-        if self.scheduler.push_event_at(ev, self.cycle) {
+        let cycle = self.cycle;
+        if self.scheduler.push_event_at(ev, cycle) {
             self.host_events += 1;
-            self.trace.record(self.cycle, TraceKind::HostEnqueue, ev.flow.0, 0);
-            if let Some(j) = self.journal.as_deref_mut() {
-                j.record(
-                    self.cycle,
-                    JournalModule::Host,
-                    JournalKind::HostEvent,
-                    ev.flow.0,
-                    Self::event_kind_code(&ev.kind),
-                    0,
-                );
-            }
+            self.trace.record(cycle, TraceKind::HostEnqueue, ev.flow.0, 0);
+            Probe::new(None, None, self.journal.as_deref_mut()).event(
+                cycle,
+                JournalModule::Host,
+                JournalKind::HostEvent,
+                ev.flow.0,
+                Self::event_kind_code(&ev.kind),
+                0,
+            );
             true
         } else {
             false
@@ -996,7 +978,7 @@ impl Engine {
         self.fpcs.iter().map(Fpc::events_handled).sum()
     }
 
-    fn accept_new_connection(&mut self, syn: Segment) {
+    fn accept_new_connection(&mut self, syn: Segment, probe: &mut Probe) {
         let Some(flow) = self.alloc_flow() else { return };
         let tuple = syn.tuple.reversed();
         let isn = Self::isn_for(flow);
@@ -1011,19 +993,19 @@ impl Engine {
             return;
         }
         self.flows.insert(flow.0, tuple);
-        self.scheduler.place_new_flow(
-            tcb,
-            &mut self.fpcs,
-            &mut self.mm,
-            self.cycle,
-            self.check.as_deref_mut(),
-        );
+        self.scheduler.place_new_flow(tcb, &mut self.fpcs, &mut self.mm, self.cycle, probe.check());
         self.notifications.push_back(HostNotification::NewConnection { flow, tuple });
         // Re-offer the SYN now that the flow exists.
         self.rx_parser.push_segment_at(syn, self.cycle);
     }
 
-    fn process_outcome(&mut self, flow: FlowId, outcome: &FpuOutcome, tcb: &Tcb) {
+    fn process_outcome(
+        &mut self,
+        flow: FlowId,
+        outcome: &FpuOutcome,
+        tcb: &Tcb,
+        probe: &mut Probe,
+    ) {
         if outcome.connected {
             self.notifications.push_back(HostNotification::Connected { flow });
         }
@@ -1044,7 +1026,7 @@ impl Engine {
             if let Some(tuple) = self.flows.remove(flow.0) {
                 self.rx_parser.remove_flow(&tuple, flow);
             }
-            self.scheduler.on_flow_closed(flow, self.cycle, self.check.as_deref_mut());
+            self.scheduler.on_flow_closed(flow, self.cycle, probe);
             self.timers.disarm(flow, TimeoutKind::Rto);
             self.timers.disarm(flow, TimeoutKind::Probe);
             self.free_flow_ids.push(flow.0);
@@ -1064,6 +1046,13 @@ impl Engine {
     pub fn tick(&mut self) {
         let cycle = self.cycle;
         let now = self.now_ns();
+        // The recorders step out of `self` for the pipeline phases, so one
+        // probe rides through the modules and the `&mut self` helpers
+        // alike; they are back before the periodic observers run.
+        let (mut check, mut flight, mut journal) =
+            (self.check.take(), self.flight.take(), self.journal.take());
+        let probe =
+            &mut Probe::new(check.as_deref_mut(), flight.as_deref_mut(), journal.as_deref_mut());
 
         // 0. Drain the TX skid buffer into the packet generator.
         while let Some(&(req, stamp)) = self.tx_overflow.front() {
@@ -1081,20 +1070,18 @@ impl Engine {
         for (flow, kind) in fired.drain(..) {
             let ev = FlowEvent::new(flow, EventKind::Timeout { kind }, now);
             let accepted = self.scheduler.push_event_at(ev, cycle);
-            if let Some(j) = self.journal.as_deref_mut() {
-                let code = match kind {
-                    TimeoutKind::Rto => 0,
-                    TimeoutKind::Probe => 1,
-                };
-                j.record(
-                    cycle,
-                    JournalModule::Timers,
-                    JournalKind::TimerFired,
-                    flow.0,
-                    code,
-                    u64::from(accepted),
-                );
-            }
+            let code = match kind {
+                TimeoutKind::Rto => 0,
+                TimeoutKind::Probe => 1,
+            };
+            probe.event(
+                cycle,
+                JournalModule::Timers,
+                JournalKind::TimerFired,
+                flow.0,
+                code,
+                u64::from(accepted),
+            );
             if !accepted {
                 // Intake full: re-arm slightly later rather than lose it.
                 self.timers.arm(flow, kind, now + 2_000);
@@ -1108,33 +1095,20 @@ impl Engine {
         //    drops packets.
         if self.scheduler.intake_free() >= 8 {
             let mut rx_out = std::mem::take(&mut self.rx_scratch);
-            self.rx_parser.tick_flight(
-                now,
-                cycle,
-                &mut rx_out,
-                self.flight.as_deref_mut(),
-                self.journal.as_deref_mut(),
-            );
+            self.rx_parser.tick_probed(now, cycle, &mut rx_out, probe);
             for ev in rx_out.events.drain(..) {
                 self.trace.record(cycle, TraceKind::RxEnqueue, ev.flow.0, 0);
                 let accepted = self.scheduler.push_event_at(ev, cycle);
                 debug_assert!(accepted, "intake_free checked");
             }
             for syn in rx_out.new_connections.drain(..) {
-                self.accept_new_connection(syn);
+                self.accept_new_connection(syn, probe);
             }
             self.rx_scratch = rx_out;
         }
 
         // 3. Scheduler: coalesce + route + migrations + swap-ins.
-        self.scheduler.tick_checked(
-            cycle,
-            &mut self.fpcs,
-            &mut self.mm,
-            self.check.as_deref_mut(),
-            self.flight.as_deref_mut(),
-            self.journal.as_deref_mut(),
-        );
+        self.scheduler.tick_probed(cycle, &mut self.fpcs, &mut self.mm, probe);
         if self.trace.enabled() {
             // Derive per-cycle trace events from the scheduler's running
             // totals (the scheduler itself stays trace-agnostic).
@@ -1173,26 +1147,17 @@ impl Engine {
             out.evicted.clear();
             out.installed.clear();
             let fpc_id = self.fpcs[i].id();
-            self.fpcs[i].tick_checked(
-                cycle,
-                now,
-                gate,
-                &mut out,
-                self.check.as_deref_mut(),
-                self.flight.as_deref_mut(),
-            );
+            self.fpcs[i].tick_probed(cycle, now, gate, &mut out, probe);
             for req in out.tx.drain(..) {
                 if req.retransmit {
-                    if let Some(j) = self.journal.as_deref_mut() {
-                        j.record(
-                            cycle,
-                            JournalModule::Fpu,
-                            JournalKind::Retransmit,
-                            req.flow.0,
-                            u64::from(req.seq.0),
-                            u64::from(req.len),
-                        );
-                    }
+                    probe.event(
+                        cycle,
+                        JournalModule::Fpu,
+                        JournalKind::Retransmit,
+                        req.flow.0,
+                        u64::from(req.seq.0),
+                        u64::from(req.len),
+                    );
                 }
                 if self.pkt_gen.can_accept() {
                     self.pkt_gen.push_at(req, cycle);
@@ -1202,105 +1167,88 @@ impl Engine {
             }
             for (flow, outcome, tcb) in &out.outcomes {
                 self.trace.record(cycle, TraceKind::Dispatch, flow.0, u64::from(fpc_id));
-                if let Some(j) = self.journal.as_deref_mut() {
-                    j.record(
-                        cycle,
-                        JournalModule::Fpu,
-                        JournalKind::FpuDecision,
-                        flow.0,
-                        u64::from(tcb.snd_una.0),
-                        u64::from(tcb.snd_nxt.0),
-                    );
-                }
-                self.process_outcome(*flow, outcome, tcb);
+                probe.event(
+                    cycle,
+                    JournalModule::Fpu,
+                    JournalKind::FpuDecision,
+                    flow.0,
+                    u64::from(tcb.snd_una.0),
+                    u64::from(tcb.snd_nxt.0),
+                );
+                self.process_outcome(*flow, outcome, tcb, probe);
             }
             for tcb in out.evicted.drain(..) {
                 self.trace.record(cycle, TraceKind::Evict, tcb.flow.0, u64::from(fpc_id));
-                if let Some(j) = self.journal.as_deref_mut() {
-                    j.record(
-                        cycle,
-                        JournalModule::Fpc,
-                        JournalKind::TcbEvict,
-                        tcb.flow.0,
-                        u64::from(fpc_id),
-                        0,
-                    );
-                }
+                probe.event(
+                    cycle,
+                    JournalModule::Fpc,
+                    JournalKind::TcbEvict,
+                    tcb.flow.0,
+                    u64::from(fpc_id),
+                    0,
+                );
                 self.scheduler.on_evicted(tcb, &mut self.fpcs, &mut self.mm);
             }
             for flow in out.installed.drain(..) {
                 self.trace.record(cycle, TraceKind::SwapIn, flow.0, u64::from(fpc_id));
-                if let Some(j) = self.journal.as_deref_mut() {
-                    j.record(
-                        cycle,
-                        JournalModule::Fpc,
-                        JournalKind::TcbInstall,
-                        flow.0,
-                        u64::from(fpc_id),
-                        0,
-                    );
-                    j.record(
-                        cycle,
-                        JournalModule::Scheduler,
-                        JournalKind::TcbMigrateDone,
-                        flow.0,
-                        1,
-                        u64::from(fpc_id),
-                    );
-                }
-                self.scheduler.on_installed(
-                    flow,
-                    fpc_id,
+                probe.event(
                     cycle,
-                    self.check.as_deref_mut(),
-                    self.flight.as_deref_mut(),
+                    JournalModule::Fpc,
+                    JournalKind::TcbInstall,
+                    flow.0,
+                    u64::from(fpc_id),
+                    0,
                 );
+                probe.event(
+                    cycle,
+                    JournalModule::Scheduler,
+                    JournalKind::TcbMigrateDone,
+                    flow.0,
+                    1,
+                    u64::from(fpc_id),
+                );
+                let (chk, flight) = probe.check_and_flight();
+                self.scheduler.on_installed(flow, fpc_id, cycle, chk, flight);
             }
         }
         self.fpc_scratch = out;
 
         // 5. Memory manager.
         let mut mo = std::mem::take(&mut self.mm_scratch);
-        self.mm.tick_flight(&mut mo, cycle, self.flight.as_deref_mut(), self.journal.as_deref_mut());
+        self.mm.tick_probed(&mut mo, cycle, probe);
         for flow in mo.swap_in_requests.drain(..) {
-            if let Some(j) = self.journal.as_deref_mut() {
-                j.record(
-                    cycle,
-                    JournalModule::MemoryManager,
-                    JournalKind::TcbSwapInReq,
-                    flow.0,
-                    0,
-                    0,
-                );
-            }
+            probe.event(
+                cycle,
+                JournalModule::MemoryManager,
+                JournalKind::TcbSwapInReq,
+                flow.0,
+                0,
+                0,
+            );
             self.scheduler.request_swap_in_at(flow, cycle);
         }
         for flow in mo.evict_done.drain(..) {
             self.trace.record(cycle, TraceKind::MigrateDone, flow.0, 0);
-            if let Some(j) = self.journal.as_deref_mut() {
-                j.record(
-                    cycle,
-                    JournalModule::MemoryManager,
-                    JournalKind::TcbMigrateDone,
-                    flow.0,
-                    0,
-                    Journal::DRAM_SLOT,
-                );
-            }
-            self.scheduler.on_evict_done(flow, cycle, self.check.as_deref_mut());
+            probe.event(
+                cycle,
+                JournalModule::MemoryManager,
+                JournalKind::TcbMigrateDone,
+                flow.0,
+                0,
+                Journal::DRAM_SLOT,
+            );
+            self.scheduler.on_evict_done(flow, cycle, probe.check());
         }
         // (An early `break` drops the rest of the drain with it.)
         for ev in mo.bounced.drain(..) {
-            if let Some(j) = self.journal.as_deref_mut() {
-                j.record(
-                    cycle,
-                    JournalModule::MemoryManager,
-                    JournalKind::EventBounced,
-                    ev.flow.0,
-                    0,
-                    0,
-                );
-            }
+            probe.event(
+                cycle,
+                JournalModule::MemoryManager,
+                JournalKind::EventBounced,
+                ev.flow.0,
+                0,
+                0,
+            );
             if !self.scheduler.push_event_at(ev, cycle) {
                 // Intake full: treat like a dropped packet; TCP recovers.
                 break;
@@ -1312,13 +1260,7 @@ impl Engine {
         if self.tx_out.len() < TX_OUT_CAP {
             let mut segs = std::mem::take(&mut self.seg_scratch);
             segs.clear();
-            self.pkt_gen.tick_flight(
-                now,
-                cycle,
-                &mut segs,
-                self.flight.as_deref_mut(),
-                self.journal.as_deref_mut(),
-            );
+            self.pkt_gen.tick_probed(now, cycle, &mut segs, probe);
             if self.trace.enabled() {
                 for seg in &segs {
                     self.trace.record(cycle, TraceKind::TxSegment, 0, u64::from(seg.payload_len));
@@ -1337,6 +1279,7 @@ impl Engine {
             self.tx_out.extend(segs.drain(..));
             self.seg_scratch = segs;
         }
+        (self.check, self.flight, self.journal) = (check, flight, journal);
 
         // 7. Periodic observers, each on its own coarse period: the
         //    FtVerify structural audit (residency, LUT consistency, FIFO
@@ -2294,6 +2237,44 @@ mod tests {
         run_pair(&mut a, &mut b, 100);
         assert_eq!(a.trace().total_recorded(), 0);
         let _ = recorded;
+    }
+
+    #[test]
+    fn skid_buffer_keeps_the_fpc_exit_stamp_through_tx_emit() {
+        // Flow 7 is sampled (7 % 7 == 0), the filler flow 1 is not.
+        let cfg = EngineConfig { flight: true, flight_sample: 7, ..EngineConfig::single_fpc() };
+        let mut e = Engine::new(cfg);
+        e.run(100);
+        let req = |flow: u32| TxRequest {
+            flow: FlowId(flow),
+            tuple: tuple_ab(),
+            seq: SeqNum(flow),
+            len: 1,
+            ack: SeqNum(0),
+            wnd: 0,
+            flags: f4t_tcp::TcpFlags::ACK,
+            retransmit: false,
+            ts_ecr: 0,
+        };
+        // A full request FIFO ahead of one request that left its FPC at
+        // cycle 90 and has sat in the skid buffer since.
+        for _ in 0..PacketGenerator::REQUEST_FIFO_DEPTH {
+            e.pkt_gen.push_at(req(1), 100);
+        }
+        e.tx_overflow.push_back((req(7), 90));
+        let mut emitted_at = None;
+        while emitted_at.is_none() {
+            e.tick();
+            while let Some(seg) = e.pop_tx() {
+                if seg.seq == SeqNum(7) {
+                    emitted_at = Some(e.cycles() - 1);
+                }
+            }
+        }
+        let waited = emitted_at.unwrap() - 90;
+        assert!(waited > 10, "the request really queued behind the full FIFO");
+        let h = e.flight().unwrap().stage_histogram(FlightStage::TxEmit);
+        assert_eq!((h.count(), h.min(), h.max()), (1, waited, waited));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::fpu::{EventView, Fpu, FpuOutcome};
 use f4t_mem::Cam;
 use f4t_sim::check::{InvariantChecker, PortTracker, ViolationKind};
 use f4t_sim::clock::odd_cycles_in;
-use f4t_sim::{Fifo, FlightRecorder, FlightStage, FlowSet};
+use f4t_sim::{Fifo, FlightStage, FlowSet, Probe};
 use f4t_tcp::{CongestionControl, FlowId, Tcb, TcpFlags};
 use std::sync::Arc;
 
@@ -175,13 +175,11 @@ pub struct Fpc {
     rr_ptr: usize,
     scan: ScanPolicy,
     /// Events routed here by the scheduler (paper: events of a flow are
-    /// only routed while the location LUT says this FPC owns it).
-    input_events: Fifo<FlowEvent>,
-    /// FtFlight stamp mirror of `input_events`: the engine cycle the
-    /// scheduler routed each event here (`None` until
-    /// [`enable_flight`](Self::enable_flight)). The wait measures the
-    /// SRAM-resident TCB fetch path (`tcb_fetch_sram`).
-    ev_stamps: Option<Fifo<u64>>,
+    /// only routed while the location LUT says this FPC owns it), each
+    /// with the engine cycle it was routed: the wait from there to the
+    /// event handler is the SRAM-resident TCB fetch path (FtFlight
+    /// `tcb_fetch_sram`).
+    input_events: Fifo<(FlowEvent, u64)>,
     /// Swap-in TCBs with their accumulated event-table half (dedicated
     /// write port: one accept per two cycles).
     input_tcbs: Fifo<(Tcb, EventView)>,
@@ -246,7 +244,6 @@ impl Fpc {
             rr_ptr: 0,
             scan,
             input_events: Fifo::new(Self::INPUT_FIFO_DEPTH),
-            ev_stamps: None,
             input_tcbs: Fifo::new(4),
             events_handled: 0,
             dispatches: 0,
@@ -374,22 +371,7 @@ impl Fpc {
     /// [`push_event`](Self::push_event) carrying the engine cycle of
     /// routing, recorded as the FtFlight `tcb_fetch_sram` span start.
     pub fn push_event_at(&mut self, ev: FlowEvent, cycle: u64) -> bool {
-        let accepted = self.input_events.push(ev).is_ok();
-        if accepted {
-            if let Some(stamps) = &mut self.ev_stamps {
-                let ok = stamps.push(cycle).is_ok();
-                debug_assert!(ok, "flight stamp FIFO out of sync with fpc input");
-            }
-        }
-        accepted
-    }
-
-    /// Turns on FtFlight span stamping. Call before the first
-    /// [`push_event_at`](Self::push_event_at); stamps then mirror the
-    /// event input FIFO 1:1.
-    pub fn enable_flight(&mut self) {
-        debug_assert!(self.input_events.is_empty(), "enable_flight on a non-empty FPC");
-        self.ev_stamps = Some(Fifo::new(Self::INPUT_FIFO_DEPTH));
+        self.input_events.push((ev, cycle)).is_ok()
     }
 
     /// Offers a swap-in TCB with its accumulated event half; returns
@@ -435,14 +417,8 @@ impl Fpc {
     }
 
     /// Event-handler write: accumulate `event` into the event table.
-    fn handle_event(
-        &mut self,
-        event: FlowEvent,
-        now_ns: u64,
-        cycle: u64,
-        chk: Option<&mut InvariantChecker>,
-    ) {
-        if let Some(chk) = chk {
+    fn handle_event(&mut self, event: FlowEvent, now_ns: u64, cycle: u64, probe: &mut Probe) {
+        if let Some(chk) = probe.check() {
             // Event accumulation is the even phase of the two-cycle port
             // schedule (§4.2.3); running it on a dispatch cycle would
             // collide with the TCB manager's event-table ports.
@@ -548,13 +524,7 @@ impl Fpc {
     /// construct the merged TCB, clear valid bits and issue to the FPU.
     /// `gate_open` is false when the downstream TX path is exerting
     /// backpressure (dispatch throttles rather than stalls mid-pipeline).
-    fn dispatch(
-        &mut self,
-        now_cycle: u64,
-        gate_open: bool,
-        chk: Option<&mut InvariantChecker>,
-        flight: Option<&mut FlightRecorder>,
-    ) {
+    fn dispatch(&mut self, now_cycle: u64, gate_open: bool, probe: &mut Probe) {
         if !gate_open {
             self.stall_backpressure += 1;
             return;
@@ -564,12 +534,12 @@ impl Fpc {
             ScanPolicy::FullIteration => {
                 let idx = self.rr_ptr;
                 self.rr_ptr = (self.rr_ptr + 1) % n;
-                self.try_issue(idx, now_cycle, chk, flight)
+                self.try_issue(idx, now_cycle, probe)
             }
             ScanPolicy::SkipIdle => match self.table.next_dispatchable(self.rr_ptr) {
                 Some(idx) => {
                     self.rr_ptr = (idx + 1) % n;
-                    self.try_issue(idx, now_cycle, chk, flight)
+                    self.try_issue(idx, now_cycle, probe)
                 }
                 None => false,
             },
@@ -585,17 +555,11 @@ impl Fpc {
         }
     }
 
-    fn try_issue(
-        &mut self,
-        idx: usize,
-        now_cycle: u64,
-        chk: Option<&mut InvariantChecker>,
-        flight: Option<&mut FlightRecorder>,
-    ) -> bool {
+    fn try_issue(&mut self, idx: usize, now_cycle: u64, probe: &mut Probe) -> bool {
         if !self.table.dispatchable(idx) {
             return false;
         }
-        if let Some(chk) = chk {
+        if let Some(chk) = probe.check() {
             // Dispatch is the odd phase of the two-cycle schedule.
             if now_cycle.is_multiple_of(2) {
                 chk.report(
@@ -624,15 +588,13 @@ impl Fpc {
                 );
             }
         }
-        if let Some(f) = flight {
-            // The accumulation wait: valid bits first set to the merged
-            // view being consumed by this FPU issue.
-            f.record(
-                FlightStage::EventAccum,
-                self.table.tcbs[idx].flow.0,
-                now_cycle.saturating_sub(self.table.pending_since[idx]),
-            );
-        }
+        // The accumulation wait: valid bits first set to the merged view
+        // being consumed by this FPU issue.
+        probe.span(
+            FlightStage::EventAccum,
+            self.table.tcbs[idx].flow.0,
+            now_cycle.saturating_sub(self.table.pending_since[idx]),
+        );
         // Construct the merged TCB: event-table values with valid bits set
         // override; dup-ACK count rides in the EventView (its valid bit is
         // NOT cleared at dispatch — see the event handler above).
@@ -656,22 +618,21 @@ impl Fpc {
     /// mechanism behind the paper's observation that link backpressure
     /// grows the effective request size, §5.1).
     pub fn tick(&mut self, cycle: u64, now_ns: u64, tx_gate_open: bool, out: &mut FpcOutput) {
-        self.tick_checked(cycle, now_ns, tx_gate_open, out, None, None);
+        self.tick_probed(cycle, now_ns, tx_gate_open, out, &mut Probe::detached());
     }
 
-    /// [`Fpc::tick`] with an optional FtVerify checker and FtFlight
-    /// recorder attached; the engine routes its checker here when
-    /// `EngineConfig::check` is set and its recorder when
-    /// `EngineConfig::flight` is. The `None` paths are a single branch per
-    /// call site — production runs pay nothing.
-    pub fn tick_checked(
+    /// [`Fpc::tick`] with the engine's [`Probe`]: the FtVerify checker
+    /// (when `EngineConfig::check` is set) and the FtFlight recorder (when
+    /// `EngineConfig::flight` is) see every port access, dispatch and FPU
+    /// pass. A detached view is a single branch per call site —
+    /// production runs pay nothing.
+    pub fn tick_probed(
         &mut self,
         cycle: u64,
         now_ns: u64,
         tx_gate_open: bool,
         out: &mut FpcOutput,
-        mut chk: Option<&mut InvariantChecker>,
-        mut flight: Option<&mut FlightRecorder>,
+        probe: &mut Probe,
     ) {
         // FtScope occupancy gauges: three u64 adds per cycle.
         self.ticks += 1;
@@ -681,19 +642,13 @@ impl Fpc {
         // FPU advances every cycle; completions write back / evict.
         if let Some(result) = self.fpu.tick(cycle, now_ns) {
             let flow = result.tcb.flow;
-            if let Some(f) = flight.as_deref_mut() {
-                f.record(
-                    FlightStage::FpuProcess,
-                    flow.0,
-                    cycle.saturating_sub(result.issued_cycle),
-                );
-            }
-            if let Some(c) = chk.as_deref_mut() {
+            probe.span(FlightStage::FpuProcess, flow.0, cycle.saturating_sub(result.issued_cycle));
+            if let Some(c) = probe.check() {
                 // FPU write-back port on the TCB table.
                 self.tcb_ports.access(cycle, 1, c);
             }
             if let Some(idx) = self.cam.lookup(flow) {
-                if let Some(c) = chk.as_deref_mut() {
+                if let Some(c) = probe.check() {
                     if !self.table.in_fpu.contains(idx as u32) {
                         // The pipeline returned a TCB the slot bookkeeping
                         // no longer considers in flight: a stale copy was
@@ -748,16 +703,13 @@ impl Fpc {
 
         if cycle.is_multiple_of(2) {
             // Even cycle: event handling + swap-in acceptance.
-            if let Some(ev) = self.input_events.pop() {
-                let stamp = self.ev_stamps.as_mut().and_then(|s| s.pop());
-                if let (Some(f), Some(stamp)) = (flight.as_deref_mut(), stamp) {
-                    f.record(FlightStage::TcbFetchSram, ev.flow.0, cycle.saturating_sub(stamp));
-                }
-                self.handle_event(ev, now_ns, cycle, chk.as_deref_mut());
+            if let Some((ev, routed_at)) = self.input_events.pop() {
+                probe.span(FlightStage::TcbFetchSram, ev.flow.0, cycle.saturating_sub(routed_at));
+                self.handle_event(ev, now_ns, cycle, probe);
             }
             if let Some((tcb, ev)) = self.input_tcbs.pop() {
                 let flow = tcb.flow;
-                if let Some(c) = chk.as_deref_mut() {
+                if let Some(c) = probe.check() {
                     // Swap-in writes both halves of the dual memory.
                     self.tcb_ports.access(cycle, 1, c);
                     self.ev_ports.access(cycle, 1, c);
@@ -772,7 +724,7 @@ impl Fpc {
                     self.table.last_progress[slot_idx] = cycle;
                     out.installed.push(flow);
                 } else {
-                    if let Some(c) = chk.as_deref_mut() {
+                    if let Some(c) = probe.check() {
                         c.report(
                             cycle,
                             ViolationKind::MigrationRace,
@@ -785,7 +737,7 @@ impl Fpc {
             }
         } else {
             // Odd cycle: TCB-manager dispatch (FPU writeback handled above).
-            self.dispatch(cycle, tx_gate_open, chk, flight);
+            self.dispatch(cycle, tx_gate_open, probe);
         }
     }
 
@@ -815,10 +767,6 @@ impl Fpc {
     /// which is exactly what this replays, keeping every counter
     /// bit-identical to the tick-by-tick run.
     pub fn skip_cycles(&mut self, from_cycle: u64, n: u64) {
-        debug_assert!(
-            self.ev_stamps.as_ref().is_none_or(|s| s.len() == self.input_events.len()),
-            "flight stamps out of step with the event input FIFO"
-        );
         self.ticks += n;
         self.occupied_sum += self.cam.len() as u64 * n;
         self.valid_sum += self.table.pending.len() as u64 * n;

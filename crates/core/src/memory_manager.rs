@@ -20,8 +20,7 @@ use crate::fpu::EventView;
 use f4t_mem::{CacheAccess, DramKind, DramModel, TcbCache, TCB_BYTES};
 use f4t_sim::check::InvariantChecker;
 use f4t_sim::{
-    Fifo, FlightRecorder, FlightStage, FlowSet, FlowSlab, Histogram, Journal, JournalKind,
-    JournalModule, SlabQueue,
+    Fifo, FlightStage, FlowSet, FlowSlab, Histogram, JournalKind, JournalModule, Probe, SlabQueue,
 };
 use f4t_tcp::{FlowId, Tcb, TcpFlags};
 
@@ -48,10 +47,9 @@ pub struct MemoryManager {
     store: FlowSlab<(Tcb, EventView)>,
     cache: TcbCache,
     dram: DramModel,
-    input: Fifo<FlowEvent>,
-    /// FtFlight stamp mirror of `input`: the engine cycle each event was
-    /// routed here (`None` until [`enable_flight`](Self::enable_flight)).
-    input_stamps: Option<Fifo<u64>>,
+    /// Events routed to DRAM, each with the engine cycle it was routed
+    /// (the DRAM-side FtFlight `event_accum` span start).
+    input: Fifo<(FlowEvent, u64)>,
     /// Evicted TCBs from FPCs awaiting their DRAM write (bandwidth),
     /// tagged with the cycle they entered the queue. Bounded by the
     /// migration-control window (at most one eviction in flight per FPC
@@ -81,7 +79,6 @@ impl MemoryManager {
             cache: TcbCache::new(cache_sets),
             dram: DramModel::new(dram),
             input: Fifo::new(Self::INPUT_FIFO_DEPTH),
-            input_stamps: None,
             writeback_queue: SlabQueue::with_capacity(16),
             swap_requested: FlowSet::with_capacity(0),
             events_handled: 0,
@@ -109,22 +106,7 @@ impl MemoryManager {
     /// [`push_event`](Self::push_event) carrying the engine cycle of
     /// routing, recorded as the DRAM-side FtFlight `event_accum` start.
     pub fn push_event_at(&mut self, ev: FlowEvent, cycle: u64) -> bool {
-        let accepted = self.input.push(ev).is_ok();
-        if accepted {
-            if let Some(stamps) = &mut self.input_stamps {
-                let ok = stamps.push(cycle).is_ok();
-                debug_assert!(ok, "flight stamp FIFO out of sync with mm input");
-            }
-        }
-        accepted
-    }
-
-    /// Turns on FtFlight span stamping. Call before the first
-    /// [`push_event_at`](Self::push_event_at); stamps then mirror the
-    /// event input FIFO 1:1.
-    pub fn enable_flight(&mut self) {
-        debug_assert!(self.input.is_empty(), "enable_flight on a non-empty memory manager");
-        self.input_stamps = Some(Fifo::new(Self::INPUT_FIFO_DEPTH));
+        self.input.push((ev, cycle)).is_ok()
     }
 
     /// Stores a brand-new flow directly in DRAM (initial placement when
@@ -314,21 +296,15 @@ impl MemoryManager {
 
     /// Advances one engine cycle.
     pub fn tick(&mut self, out: &mut MmOutput) {
-        self.tick_flight(out, 0, None, None);
+        self.tick_probed(out, 0, &mut Probe::detached());
     }
 
-    /// [`tick`](Self::tick) with FtFlight attribution: when a queued event
-    /// is handled in place, the span from its routing stamp to `now_cycle`
-    /// (the engine clock) is recorded as DRAM-side `event_accum`, and an
-    /// FtJournal `dram_event_handled` entry is emitted when a journal is
-    /// attached.
-    pub fn tick_flight(
-        &mut self,
-        out: &mut MmOutput,
-        now_cycle: u64,
-        flight: Option<&mut FlightRecorder>,
-        journal: Option<&mut Journal>,
-    ) {
+    /// [`tick`](Self::tick) with the engine's [`Probe`]: when a queued
+    /// event is handled in place, the span from its routing stamp to
+    /// `now_cycle` (the engine clock) is recorded as DRAM-side FtFlight
+    /// `event_accum`, and an FtJournal `dram_event_handled` entry is
+    /// emitted.
+    pub fn tick_probed(&mut self, out: &mut MmOutput, now_cycle: u64, probe: &mut Probe) {
         self.cycle += 1;
         self.dram.tick();
 
@@ -356,7 +332,7 @@ impl MemoryManager {
         }
 
         // 2. Event handling: one event per cycle when bandwidth allows.
-        if let Some(&event) = self.input.front() {
+        if let Some(&(event, routed_at)) = self.input.front() {
             let flow = event.flow;
             if let Some(entry) = self.store.get(flow.0) {
                 // Charge the memory system: cache hit = SRAM (free);
@@ -370,28 +346,23 @@ impl MemoryManager {
                 };
                 if charge == 0 || self.dram.try_access(charge) {
                     self.input.pop();
-                    let stamp = self.input_stamps.as_mut().and_then(|s| s.pop());
-                    if let (Some(f), Some(stamp)) = (flight, stamp) {
-                        f.record(
-                            FlightStage::EventAccum,
-                            flow.0,
-                            now_cycle.saturating_sub(stamp),
-                        );
-                    }
+                    probe.span(
+                        FlightStage::EventAccum,
+                        flow.0,
+                        now_cycle.saturating_sub(routed_at),
+                    );
                     let (tcb, mut ev) = *entry;
                     Self::accumulate(&tcb, &mut ev, &event);
                     self.events_handled += 1;
                     let can_send = Self::check_can_send(&tcb, &ev);
-                    if let Some(j) = journal {
-                        j.record(
-                            now_cycle,
-                            JournalModule::MemoryManager,
-                            JournalKind::DramEventHandled,
-                            flow.0,
-                            charge,
-                            u64::from(can_send),
-                        );
-                    }
+                    probe.event(
+                        now_cycle,
+                        JournalModule::MemoryManager,
+                        JournalKind::DramEventHandled,
+                        flow.0,
+                        charge,
+                        u64::from(can_send),
+                    );
                     self.store.insert(flow.0, (tcb, ev));
                     if charge > 0 {
                         self.cache.fill(tcb);
@@ -405,14 +376,15 @@ impl MemoryManager {
                     }
                 }
                 // else: head-of-line wait for bandwidth — the Fig. 13 knee.
-            } else if let Some(ev) = self.input.pop() {
+            } else {
                 // The flow left DRAM while this event was in our input
                 // FIFO (an event routed just before the swap-in began):
                 // bounce it back to the scheduler for re-routing, exactly
-                // the in-flight case §3.2 warns about. Its flight span
-                // restarts when the scheduler re-stamps it at intake.
-                self.input_stamps.as_mut().and_then(|s| s.pop());
-                out.bounced.push(ev);
+                // the in-flight case §3.2 warns about. It sheds its stamp
+                // here: the flight span restarts when the scheduler
+                // re-stamps it at intake.
+                self.input.pop();
+                out.bounced.push(event);
             }
         }
     }
@@ -436,10 +408,6 @@ impl MemoryManager {
         debug_assert!(
             self.input.is_empty() && self.writeback_queue.is_empty(),
             "memory-manager fast-forward with queued work"
-        );
-        debug_assert!(
-            self.input_stamps.as_ref().is_none_or(|s| s.is_empty()),
-            "flight stamps queued across a fast-forward window"
         );
         self.cycle += n;
         self.dram.tick_n(n);
@@ -520,6 +488,27 @@ mod tests {
         mm.push_event(send_event(5, 600));
         let out = run(&mut mm, 4);
         assert!(out.swap_in_requests.is_empty(), "request already outstanding");
+    }
+
+    #[test]
+    fn handled_event_spans_from_its_routing_stamp_and_a_bounce_records_nothing() {
+        use f4t_sim::FlightRecorder;
+        let mut mm = MemoryManager::new(DramKind::Hbm, 64);
+        mm.accept_eviction(established(5));
+        run(&mut mm, 4);
+        let mut flight = FlightRecorder::new(1);
+        let mut out = MmOutput::default();
+        // Flow 5 is resident: handled in place, span = now - routing stamp.
+        assert!(mm.push_event_at(send_event(5, 300), 50));
+        mm.tick_probed(&mut out, 57, &mut Probe::new(None, Some(&mut flight), None));
+        let h = flight.stage_histogram(FlightStage::EventAccum);
+        assert_eq!((h.count(), h.min(), h.max()), (1, 7, 7));
+        // Flow 9 never lived here: the event bounces as a bare
+        // `FlowEvent` (stamp shed) and no span is recorded for it.
+        assert!(mm.push_event_at(send_event(9, 300), 60));
+        mm.tick_probed(&mut out, 70, &mut Probe::new(None, Some(&mut flight), None));
+        assert_eq!(out.bounced, vec![send_event(9, 300)]);
+        assert_eq!(flight.spans_recorded(), 1, "the bounce recorded nothing");
     }
 
     #[test]

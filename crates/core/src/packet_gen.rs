@@ -11,18 +11,16 @@
 //! accumulated fractionally.
 
 use crate::event::TxRequest;
-use f4t_sim::{Fifo, FlightRecorder, FlightStage, Journal, JournalKind, JournalModule};
+use f4t_sim::{Fifo, FlightStage, JournalKind, JournalModule, Probe};
 use f4t_tcp::{Segment, TcpFlags};
 
 /// The packet generator.
 #[derive(Debug)]
 pub struct PacketGenerator {
     /// Pending FPC requests (the FPU-facing FIFO whose occupancy gates
-    /// TCB-manager dispatch).
-    requests: Fifo<TxRequest>,
-    /// FtFlight stamp mirror of `requests`: the engine cycle each request
-    /// left its FPC (`None` until [`enable_flight`](Self::enable_flight)).
-    request_stamps: Option<Fifo<u64>>,
+    /// TCB-manager dispatch), each with the engine cycle it left its FPC
+    /// (the FtFlight `tx_emit` span start).
+    requests: Fifo<(TxRequest, u64)>,
     /// Payload bytes of the head request already segmented.
     head_offset: u32,
     mss: u32,
@@ -48,7 +46,6 @@ impl PacketGenerator {
         assert!(parallelism > 0, "parallelism must be non-zero");
         PacketGenerator {
             requests: Fifo::new(Self::REQUEST_FIFO_DEPTH),
-            request_stamps: None,
             head_offset: 0,
             mss,
             parallelism,
@@ -80,47 +77,32 @@ impl PacketGenerator {
     /// [`push`](Self::push) carrying the engine cycle the request left its
     /// FPC, recorded as the FtFlight `tx_emit` span start.
     pub fn push_at(&mut self, req: TxRequest, stamp: u64) {
-        let accepted = self.requests.push(req).is_ok();
+        let accepted = self.requests.push((req, stamp)).is_ok();
         debug_assert!(accepted, "packet generator FIFO overrun: dispatch gate violated");
-        if accepted {
-            if let Some(stamps) = &mut self.request_stamps {
-                let ok = stamps.push(stamp).is_ok();
-                debug_assert!(ok, "flight stamp FIFO out of sync with requests");
-            }
-        }
-    }
-
-    /// Turns on FtFlight span stamping. Call before the first
-    /// [`push_at`](Self::push_at); stamps then mirror the request FIFO 1:1.
-    pub fn enable_flight(&mut self) {
-        debug_assert!(self.requests.is_empty(), "enable_flight on a non-empty generator");
-        self.request_stamps = Some(Fifo::new(Self::REQUEST_FIFO_DEPTH));
     }
 
     /// Advances one engine (250 MHz) cycle, emitting segments into `out`.
     /// `now_ns` stamps the TSval of data segments.
     pub fn tick(&mut self, now_ns: u64, out: &mut Vec<Segment>) {
-        self.tick_flight(now_ns, 0, out, None, None);
+        self.tick_probed(now_ns, 0, out, &mut Probe::detached());
     }
 
-    /// [`tick`](Self::tick) with FtFlight attribution: when the head
+    /// [`tick`](Self::tick) with the engine's [`Probe`]: when the head
     /// request finishes segmenting, the span from its FPC-exit stamp to
-    /// `cycle` is recorded as `tx_emit`. With an FtJournal attached, each
-    /// emitted segment records a `tx_emit` journal event.
-    pub fn tick_flight(
+    /// `cycle` is recorded as FtFlight `tx_emit`, and each emitted segment
+    /// records a `tx_emit` FtJournal event.
+    pub fn tick_probed(
         &mut self,
         now_ns: u64,
         cycle: u64,
         out: &mut Vec<Segment>,
-        mut flight: Option<&mut FlightRecorder>,
-        mut journal: Option<&mut Journal>,
+        probe: &mut Probe,
     ) {
         self.net_cycle_credit += NET_PER_ENGINE_MILLI;
         let mut budget = (self.net_cycle_credit / 1000) * u64::from(self.parallelism);
         self.net_cycle_credit %= 1000;
         while budget > 0 {
-            let Some(req) = self.requests.front() else { break };
-            let req = *req;
+            let Some(&(req, left_fpc_at)) = self.requests.front() else { break };
             let remaining = req.len - self.head_offset;
             let seg_len = remaining.min(self.mss);
             let seg = Segment {
@@ -148,23 +130,18 @@ impl PacketGenerator {
             if req.retransmit {
                 self.retransmissions += 1;
             }
-            if let Some(j) = journal.as_deref_mut() {
-                j.record(
-                    cycle,
-                    JournalModule::PacketGen,
-                    JournalKind::TxEmit,
-                    req.flow.0,
-                    u64::from(seg.payload_len),
-                    u64::from(req.retransmit),
-                );
-            }
+            probe.event(
+                cycle,
+                JournalModule::PacketGen,
+                JournalKind::TxEmit,
+                req.flow.0,
+                u64::from(seg.payload_len),
+                u64::from(req.retransmit),
+            );
             budget -= 1;
             if self.head_offset + seg_len >= req.len {
                 self.requests.pop();
-                let stamp = self.request_stamps.as_mut().and_then(|s| s.pop());
-                if let (Some(f), Some(stamp)) = (flight.as_deref_mut(), stamp) {
-                    f.record(FlightStage::TxEmit, req.flow.0, cycle.saturating_sub(stamp));
-                }
+                probe.span(FlightStage::TxEmit, req.flow.0, cycle.saturating_sub(left_fpc_at));
                 self.head_offset = 0;
             } else {
                 self.head_offset += seg_len;
@@ -191,10 +168,6 @@ impl PacketGenerator {
     /// entirely and the credit must stay frozen.
     pub fn skip_idle_cycles(&mut self, n: u64) {
         debug_assert!(self.requests.is_empty(), "packet-gen fast-forward with queued requests");
-        debug_assert!(
-            self.request_stamps.as_ref().is_none_or(|s| s.is_empty()),
-            "flight stamps queued across a fast-forward window"
-        );
         self.net_cycle_credit = ((u128::from(self.net_cycle_credit)
             + u128::from(NET_PER_ENGINE_MILLI) * u128::from(n))
             % 1000) as u64;

@@ -18,7 +18,7 @@
 // change (it moves `rx_parser.host_ns_per_segment`, not the idle tick).
 
 use crate::event::{EventKind, FlowEvent};
-use f4t_sim::{Fifo, FlightRecorder, FlightStage, Journal, JournalKind, JournalModule};
+use f4t_sim::{Fifo, FlightStage, JournalKind, JournalModule, Probe};
 use f4t_tcp::reassembly::ReassemblyResult;
 use f4t_tcp::{FlowId, FlowTable, ReassemblyTracker, Segment, SeqNum, TcpFlags, TCP_BUFFER};
 use std::collections::HashMap;
@@ -58,10 +58,9 @@ pub struct RxParser {
     /// absorb the phantom byte and the FPU would never see the close.
     pending_fins: HashMap<FlowId, SeqNum>,
     listening: std::collections::HashSet<u16>,
-    input: Fifo<Segment>,
-    /// FtFlight stamp mirror of `input`: the engine cycle each segment was
-    /// offered (`None` until [`enable_flight`](Self::enable_flight)).
-    ingest_stamps: Option<Fifo<u64>>,
+    /// The MAC-side buffer; each segment rides with the engine cycle it
+    /// was offered (the FtFlight `rx_ingest` span start).
+    input: Fifo<(Segment, u64)>,
     parallelism: u32,
     net_cycle_credit: u64,
     segments_in: u64,
@@ -91,7 +90,6 @@ impl RxParser {
             pending_fins: HashMap::new(),
             listening: std::collections::HashSet::new(),
             input: Fifo::new(Self::INPUT_FIFO_DEPTH),
-            ingest_stamps: None,
             parallelism,
             net_cycle_credit: 0,
             segments_in: 0,
@@ -152,22 +150,7 @@ impl RxParser {
     /// [`push_segment`](Self::push_segment) carrying the engine cycle of
     /// arrival, recorded as the FtFlight `rx_ingest` span start.
     pub fn push_segment_at(&mut self, seg: Segment, cycle: u64) -> bool {
-        let accepted = self.input.push(seg).is_ok();
-        if accepted {
-            if let Some(stamps) = &mut self.ingest_stamps {
-                let ok = stamps.push(cycle).is_ok();
-                debug_assert!(ok, "flight stamp FIFO out of sync with rx input");
-            }
-        }
-        accepted
-    }
-
-    /// Turns on FtFlight span stamping. Call before the first
-    /// [`push_segment_at`](Self::push_segment_at); stamps then mirror the
-    /// input FIFO 1:1.
-    pub fn enable_flight(&mut self) {
-        debug_assert!(self.input.is_empty(), "enable_flight on a non-empty parser");
-        self.ingest_stamps = Some(Fifo::new(Self::INPUT_FIFO_DEPTH));
+        self.input.push((seg, cycle)).is_ok()
     }
 
     /// Room in the input FIFO.
@@ -196,26 +179,21 @@ impl RxParser {
     /// budget goes unused), so `n` ticks fold to one modular step.
     pub fn skip_idle_cycles(&mut self, n: u64) {
         debug_assert!(self.input.is_empty(), "rx-parser fast-forward with queued segments");
-        debug_assert!(
-            self.ingest_stamps.as_ref().is_none_or(|s| s.is_empty()),
-            "flight stamps queued across a fast-forward window"
-        );
         self.net_cycle_credit = ((u128::from(self.net_cycle_credit)
             + u128::from(NET_PER_ENGINE_MILLI) * u128::from(n))
             % 1000) as u64;
     }
 
-    /// Parses one segment into an event (the per-packet work). `span` is
-    /// the FtFlight context: the ingest stamp popped alongside the segment
-    /// plus the current engine cycle.
+    /// Parses one segment into an event (the per-packet work).
+    /// `arrived_at` is the ingest stamp popped alongside the segment.
     fn parse_one(
         &mut self,
         seg: Segment,
+        arrived_at: u64,
         now_ns: u64,
         cycle: u64,
         out: &mut RxOutput,
-        span: Option<(&mut FlightRecorder, u64, u64)>,
-        mut journal: Option<&mut Journal>,
+        probe: &mut Probe,
     ) {
         self.segments_in += 1;
         // Lookup by OUR tuple: the segment's source is the peer.
@@ -223,33 +201,17 @@ impl RxParser {
         let (looked_up, probes) = self.flow_table.lookup_probed(&our_tuple);
         self.cuckoo_lookups += 1;
         self.cuckoo_probes += u64::from(probes);
-        if let (Some((f, stamp, cycle)), Some(flow)) = (span, looked_up) {
-            f.record(FlightStage::RxIngest, flow.0, cycle.saturating_sub(stamp));
-            f.record(FlightStage::CuckooLookup, flow.0, u64::from(probes));
-        }
-        if let Some(j) = journal.as_deref_mut() {
-            match looked_up {
-                Some(flow) => j.record(
-                    cycle,
-                    JournalModule::RxParser,
-                    JournalKind::CuckooHit,
-                    flow.0,
-                    u64::from(probes),
-                    0,
-                ),
-                // Unknown tuple: no flow id exists; the sentinel u32::MAX
-                // marks table misses (SYNs to listening ports included).
-                None => j.record(
-                    cycle,
-                    JournalModule::RxParser,
-                    JournalKind::CuckooMiss,
-                    u32::MAX,
-                    u64::from(probes),
-                    u64::from(seg.flags.contains(TcpFlags::SYN)),
-                ),
-            }
-        }
         let Some(flow) = looked_up else {
+            // Unknown tuple: no flow id exists; the sentinel u32::MAX
+            // marks table misses (SYNs to listening ports included).
+            probe.event(
+                cycle,
+                JournalModule::RxParser,
+                JournalKind::CuckooMiss,
+                u32::MAX,
+                u64::from(probes),
+                u64::from(seg.flags.contains(TcpFlags::SYN)),
+            );
             if seg.flags.contains(TcpFlags::SYN) && self.listening.contains(&seg.tuple.dst_port) {
                 out.new_connections.push(seg);
             } else {
@@ -257,6 +219,16 @@ impl RxParser {
             }
             return;
         };
+        probe.span(FlightStage::RxIngest, flow.0, cycle.saturating_sub(arrived_at));
+        probe.span(FlightStage::CuckooLookup, flow.0, u64::from(probes));
+        probe.event(
+            cycle,
+            JournalModule::RxParser,
+            JournalKind::CuckooHit,
+            flow.0,
+            u64::from(probes),
+            0,
+        );
         let tracker = self.trackers.entry(flow).or_insert_with(|| {
             ReassemblyTracker::new(seg.seq, TCP_BUFFER)
         });
@@ -323,16 +295,14 @@ impl RxParser {
             }
         }
 
-        if let Some(j) = journal {
-            j.record(
-                cycle,
-                JournalModule::RxParser,
-                JournalKind::SegAccepted,
-                flow.0,
-                u64::from(seg.payload_len),
-                u64::from(in_order),
-            );
-        }
+        probe.event(
+            cycle,
+            JournalModule::RxParser,
+            JournalKind::SegAccepted,
+            flow.0,
+            u64::from(seg.payload_len),
+            u64::from(in_order),
+        );
         out.events.push(FlowEvent::new(
             flow,
             EventKind::RxPacket {
@@ -353,33 +323,21 @@ impl RxParser {
     /// Advances one engine (250 MHz) cycle, parsing up to the network-rate
     /// budget of segments.
     pub fn tick(&mut self, now_ns: u64, out: &mut RxOutput) {
-        self.tick_flight(now_ns, 0, out, None, None);
+        self.tick_probed(now_ns, 0, out, &mut Probe::detached());
     }
 
-    /// [`tick`](Self::tick) with FtFlight attribution: each parsed segment
-    /// records its input-FIFO residency (`rx_ingest`, arrival stamp to
-    /// `cycle`) and its cuckoo probe count (`cuckoo_lookup`). With an
-    /// FtJournal attached, each segment also emits `cuckoo_hit` /
-    /// `cuckoo_miss` and `seg_accepted` journal events.
-    pub fn tick_flight(
-        &mut self,
-        now_ns: u64,
-        cycle: u64,
-        out: &mut RxOutput,
-        mut flight: Option<&mut FlightRecorder>,
-        mut journal: Option<&mut Journal>,
-    ) {
+    /// [`tick`](Self::tick) with the engine's [`Probe`]: each parsed
+    /// segment records its input-FIFO residency (FtFlight `rx_ingest`,
+    /// arrival stamp to `cycle`) and its cuckoo probe count
+    /// (`cuckoo_lookup`), and emits `cuckoo_hit` / `cuckoo_miss` and
+    /// `seg_accepted` FtJournal events.
+    pub fn tick_probed(&mut self, now_ns: u64, cycle: u64, out: &mut RxOutput, probe: &mut Probe) {
         self.net_cycle_credit += NET_PER_ENGINE_MILLI;
         let mut budget = (self.net_cycle_credit / 1000) * u64::from(self.parallelism);
         self.net_cycle_credit %= 1000;
         while budget > 0 {
-            let Some(seg) = self.input.pop() else { break };
-            let stamp = self.ingest_stamps.as_mut().and_then(|s| s.pop());
-            let span = match (flight.as_deref_mut(), stamp) {
-                (Some(f), Some(stamp)) => Some((f, stamp, cycle)),
-                _ => None,
-            };
-            self.parse_one(seg, now_ns, cycle, out, span, journal.as_deref_mut());
+            let Some((seg, arrived_at)) = self.input.pop() else { break };
+            self.parse_one(seg, arrived_at, now_ns, cycle, out, probe);
             budget -= 1;
         }
     }

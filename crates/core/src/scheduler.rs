@@ -15,7 +15,8 @@ use crate::memory_manager::MemoryManager;
 use f4t_mem::{Location, LocationLut};
 use f4t_sim::check::{InvariantChecker, ViolationKind};
 use f4t_sim::{
-    Fifo, FlightRecorder, FlightStage, FlowSlab, Journal, JournalKind, JournalModule, SlabQueue,
+    Fifo, FlightRecorder, FlightStage, FlowSlab, Journal, JournalKind, JournalModule, Probe,
+    SlabQueue,
 };
 use f4t_tcp::{FlowId, Tcb};
 
@@ -68,20 +69,15 @@ pub struct SchedulerStats {
 /// The scheduler.
 #[derive(Debug)]
 pub struct Scheduler {
-    input: Fifo<FlowEvent>,
-    /// FtFlight stamp mirror of `input`: the engine cycle each event was
-    /// offered (`None` until [`enable_flight`](Self::enable_flight)).
-    input_stamps: Option<Fifo<u64>>,
-    coalesce: Vec<Fifo<FlowEvent>>,
-    /// FtFlight stamp mirrors of the coalesce FIFOs. Each entry carries
-    /// the event's ORIGINAL intake stamp (transferred from
-    /// `input_stamps`), so the `coalesce_fifo` span covers intake plus
-    /// coalesce residency. On a merge the incoming event's stamp is
-    /// dropped with it — the merged entry keeps the earliest stamp.
-    coalesce_stamps: Option<Vec<Fifo<u64>>>,
+    /// Intake FIFO; each event rides with the engine cycle it was offered
+    /// (the FtFlight `coalesce_fifo` span start).
+    input: Fifo<(FlowEvent, u64)>,
+    /// Coalesce FIFOs. An entry keeps its intake stamp, so the
+    /// `coalesce_fifo` span covers intake plus coalesce residency. On a
+    /// merge the incoming event's stamp is dropped with it — the queued
+    /// entry keeps the earliest stamp.
+    coalesce: Vec<Fifo<(FlowEvent, u64)>>,
     coalescing: bool,
-    /// Whether FtFlight stamping is on (gates the migration stamp map).
-    flight_enabled: bool,
     lut: LocationLut,
     /// Pending retry queue for events whose flow is mid-migration;
     /// bounded by intake backpressure (events only enter via the bounded
@@ -101,9 +97,12 @@ pub struct Scheduler {
     /// count so that branch need not walk the slab every action.
     dram_bound: usize,
     /// FtFlight: cycle each in-flight migration / swap-in began, recorded
-    /// as `tcb_fetch_dram` when the flow lands in an FPC. Only populated
-    /// while flight is enabled; entries leave with `migrations`.
-    migration_started: FlowSlab<u64>,
+    /// as `tcb_fetch_dram` when the flow lands in an FPC; indexed by flow
+    /// id, [`NOT_MIGRATING`] otherwise. Written with or without a recorder
+    /// attached (`request_swap_in_at` has no probe to ask), so it is one
+    /// flat word per flow rather than a `FlowSlab`, whose index + slot +
+    /// free-list touches showed up as host time on 64K migrating flows.
+    migration_started: Vec<u64>,
     /// At most one entry per DRAM-resident flow (the memory manager
     /// deduplicates swap-in requests).
     swap_in_queue: SlabQueue<FlowId>,
@@ -119,6 +118,8 @@ const COALESCE_DEPTH: usize = 16;
 pub const PENDING_RETRY_CYCLES: u64 = 12;
 /// Intake bandwidth from the host/RX/timer interfaces, events per cycle.
 const INTAKE_PER_CYCLE: usize = 4;
+/// `Scheduler::migration_started` entry of a flow with no span open.
+const NOT_MIGRATING: u64 = u64::MAX;
 
 impl Scheduler {
     /// Depth of the intake FIFO shared by host, RX parser and timers.
@@ -133,31 +134,18 @@ impl Scheduler {
     pub fn new(max_flows: usize, lut_groups: usize, coalescing: bool) -> Scheduler {
         Scheduler {
             input: Fifo::new(Self::INPUT_FIFO_DEPTH),
-            input_stamps: None,
             coalesce: (0..COALESCE_FIFOS).map(|_| Fifo::new(COALESCE_DEPTH)).collect(),
-            coalesce_stamps: None,
             coalescing,
-            flight_enabled: false,
             lut: LocationLut::new(max_flows, lut_groups),
             pending: SlabQueue::with_capacity(16),
             pending_scratch: Vec::new(),
             pending_high: 0,
             migrations: FlowSlab::with_capacity(0),
             dram_bound: 0,
-            migration_started: FlowSlab::with_capacity(0),
+            migration_started: Vec::new(),
             swap_in_queue: SlabQueue::with_capacity(16),
             stats: SchedulerStats::default(),
         }
-    }
-
-    /// Turns on FtFlight span stamping. Call before the first event;
-    /// stamps then mirror the intake and coalesce FIFOs 1:1.
-    pub fn enable_flight(&mut self) {
-        debug_assert!(self.backlog() == 0, "enable_flight on a non-empty scheduler");
-        self.input_stamps = Some(Fifo::new(Self::INPUT_FIFO_DEPTH));
-        self.coalesce_stamps =
-            Some((0..COALESCE_FIFOS).map(|_| Fifo::new(COALESCE_DEPTH)).collect());
-        self.flight_enabled = true;
     }
 
     /// Offers an event at the intake; `false` under backpressure (the
@@ -169,11 +157,7 @@ impl Scheduler {
     /// [`push_event`](Self::push_event) carrying the engine cycle of
     /// arrival, recorded as the FtFlight `coalesce_fifo` span start.
     pub fn push_event_at(&mut self, ev: FlowEvent, cycle: u64) -> bool {
-        if self.input.push(ev).is_ok() {
-            if let Some(stamps) = &mut self.input_stamps {
-                let ok = stamps.push(cycle).is_ok();
-                debug_assert!(ok, "flight stamp FIFO out of sync with scheduler intake");
-            }
+        if self.input.push((ev, cycle)).is_ok() {
             self.stats.events_in += 1;
             true
         } else {
@@ -224,9 +208,7 @@ impl Scheduler {
     /// cycle, recorded as the FtFlight `tcb_fetch_dram` span start (the
     /// DRAM→FPC migration wait measured to the swap-in install).
     pub fn request_swap_in_at(&mut self, flow: FlowId, cycle: u64) {
-        if self.flight_enabled && !self.migration_started.contains(flow.0) {
-            self.migration_started.insert(flow.0, cycle);
-        }
+        self.stamp_migration(flow, cycle);
         self.swap_in_queue.push_back(flow);
     }
 
@@ -273,17 +255,31 @@ impl Scheduler {
         }
     }
 
+    /// Opens `flow`'s `tcb_fetch_dram` span at `cycle` unless one is
+    /// already open (an eviction followed by a swap-in request keeps the
+    /// earlier start).
+    fn stamp_migration(&mut self, flow: FlowId, cycle: u64) {
+        let i = flow.0 as usize;
+        if self.migration_started.len() <= i {
+            self.migration_started.resize(i + 1, NOT_MIGRATING);
+        }
+        if self.migration_started[i] == NOT_MIGRATING {
+            self.migration_started[i] = cycle;
+        }
+    }
+
+    /// Closes `flow`'s `tcb_fetch_dram` span, returning its start.
+    fn take_migration_stamp(&mut self, flow: FlowId) -> Option<u64> {
+        let slot = self.migration_started.get_mut(flow.0 as usize)?;
+        let start = std::mem::replace(slot, NOT_MIGRATING);
+        (start != NOT_MIGRATING).then_some(start)
+    }
+
     /// Sets `flow`'s LUT entry, validating the migration-protocol edge
     /// when an FtVerify checker is attached. All protocol-path writes go
     /// through here; only the documented fault-injection hook bypasses it.
-    fn set_location(
-        &mut self,
-        flow: FlowId,
-        to: Location,
-        cycle: u64,
-        chk: Option<&mut InvariantChecker>,
-    ) {
-        if let Some(chk) = chk {
+    fn set_location(&mut self, flow: FlowId, to: Location, cycle: u64, probe: &mut Probe) {
+        if let Some(chk) = probe.check() {
             let from = self.lut.peek(flow);
             if !lut_transition_legal(from, to) {
                 chk.report(
@@ -307,6 +303,8 @@ impl Scheduler {
 
     /// Places a brand-new flow: least-loaded FPC with room, else DRAM.
     /// Sets the location LUT through the proper Moving transition.
+    /// (Takes the checker as a bare option, not a [`Probe`]: FtBench binds
+    /// this signature — DESIGN.md §8.2.)
     pub fn place_new_flow(
         &mut self,
         tcb: Tcb,
@@ -315,6 +313,7 @@ impl Scheduler {
         cycle: u64,
         chk: Option<&mut InvariantChecker>,
     ) -> Location {
+        let probe = &mut Probe::new(chk, None, None);
         let flow = tcb.flow;
         let target = fpcs
             .iter()
@@ -328,12 +327,12 @@ impl Scheduler {
             Some(i) => {
                 let accepted = fpcs[i].push_tcb(tcb, EventView::default());
                 debug_assert!(accepted, "can_accept_tcb lied");
-                self.set_location(flow, Location::Moving, cycle, chk);
+                self.set_location(flow, Location::Moving, cycle, probe);
                 Location::Fpc(i as u8)
             }
             None => {
                 mm.insert_new(tcb);
-                self.set_location(flow, Location::Moving, cycle, chk);
+                self.set_location(flow, Location::Moving, cycle, probe);
                 Location::Dram
             }
         }
@@ -346,7 +345,8 @@ impl Scheduler {
 
     /// Engine callback: an FPC's swap-in port installed `flow`. With an
     /// FtFlight recorder attached, closes the `tcb_fetch_dram` span opened
-    /// when the migration / swap-in began.
+    /// when the migration / swap-in began. (Bare options for the same
+    /// reason as [`place_new_flow`](Self::place_new_flow).)
     pub fn on_installed(
         &mut self,
         flow: FlowId,
@@ -355,39 +355,34 @@ impl Scheduler {
         chk: Option<&mut InvariantChecker>,
         flight: Option<&mut FlightRecorder>,
     ) {
-        self.set_location(flow, Location::Fpc(fpc), cycle, chk);
+        let probe = &mut Probe::new(chk, flight, None);
+        self.set_location(flow, Location::Fpc(fpc), cycle, probe);
         self.clear_migration(flow);
-        if let Some(start) = self.migration_started.remove(flow.0) {
-            if let Some(f) = flight {
-                f.record(FlightStage::TcbFetchDram, flow.0, cycle.saturating_sub(start));
-            }
+        if let Some(start) = self.take_migration_stamp(flow) {
+            probe.span(FlightStage::TcbFetchDram, flow.0, cycle.saturating_sub(start));
         }
     }
 
     /// Engine callback: the memory manager finished writing `flow` to
-    /// DRAM (Fig. 6's evict-complete signal).
+    /// DRAM (Fig. 6's evict-complete signal). (Bare option for the same
+    /// reason as [`place_new_flow`](Self::place_new_flow).)
     pub fn on_evict_done(
         &mut self,
         flow: FlowId,
         cycle: u64,
         chk: Option<&mut InvariantChecker>,
     ) {
-        self.set_location(flow, Location::Dram, cycle, chk);
+        self.set_location(flow, Location::Dram, cycle, &mut Probe::new(chk, None, None));
         self.clear_migration(flow);
-        self.migration_started.remove(flow.0);
+        self.take_migration_stamp(flow);
     }
 
     /// Engine callback: the connection fully closed; release routing
     /// state so the flow id slot can be reused by new connections.
-    pub fn on_flow_closed(
-        &mut self,
-        flow: FlowId,
-        cycle: u64,
-        chk: Option<&mut InvariantChecker>,
-    ) {
-        self.set_location(flow, Location::Unallocated, cycle, chk);
+    pub fn on_flow_closed(&mut self, flow: FlowId, cycle: u64, probe: &mut Probe) {
+        self.set_location(flow, Location::Unallocated, cycle, probe);
         self.clear_migration(flow);
-        self.migration_started.remove(flow.0);
+        self.take_migration_stamp(flow);
     }
 
     /// Engine callback: an evict checker diverted `tcb` out of an FPC.
@@ -410,7 +405,6 @@ impl Scheduler {
     }
 
     /// Begins evicting `flow` from `from_fpc` toward `dest`.
-    #[allow(clippy::too_many_arguments)]
     fn start_migration(
         &mut self,
         flow: FlowId,
@@ -418,8 +412,7 @@ impl Scheduler {
         dest: MigrationDest,
         fpcs: &mut [Fpc],
         cycle: u64,
-        chk: Option<&mut InvariantChecker>,
-        journal: Option<&mut Journal>,
+        probe: &mut Probe,
     ) -> bool {
         if self.migrations.contains(flow.0) {
             return false;
@@ -427,27 +420,46 @@ impl Scheduler {
         if !fpcs[from_fpc].request_evict(flow) {
             return false;
         }
-        self.set_location(flow, Location::Moving, cycle, chk);
+        self.set_location(flow, Location::Moving, cycle, probe);
         self.set_migration(flow, dest);
-        if self.flight_enabled && !self.migration_started.contains(flow.0) {
-            self.migration_started.insert(flow.0, cycle);
-        }
-        if let Some(j) = journal {
-            let to = match dest {
-                MigrationDest::Dram => Journal::DRAM_SLOT,
-                MigrationDest::Fpc(j) => u64::from(j),
-            };
-            j.record(
-                cycle,
-                JournalModule::Scheduler,
-                JournalKind::TcbMigrateStart,
-                flow.0,
-                from_fpc as u64,
-                to,
-            );
-        }
+        self.stamp_migration(flow, cycle);
+        let to = match dest {
+            MigrationDest::Dram => Journal::DRAM_SLOT,
+            MigrationDest::Fpc(j) => u64::from(j),
+        };
+        probe.event(
+            cycle,
+            JournalModule::Scheduler,
+            JournalKind::TcbMigrateStart,
+            flow.0,
+            from_fpc as u64,
+            to,
+        );
         self.stats.migrations += 1;
         true
+    }
+
+    /// Parks `ev` in the pending queue for a retry after
+    /// [`PENDING_RETRY_CYCLES`]; `cause` is the journal's park-cause code
+    /// (see [`JournalKind::EventRouted`]).
+    fn park(
+        &mut self,
+        ev: FlowEvent,
+        cycle: u64,
+        parked_at: Option<u64>,
+        cause: u64,
+        probe: &mut Probe,
+    ) {
+        self.pending.push_back((ev, cycle + PENDING_RETRY_CYCLES, parked_at.unwrap_or(cycle)));
+        self.stats.parked += 1;
+        probe.event(
+            cycle,
+            JournalModule::Scheduler,
+            JournalKind::EventRouted,
+            ev.flow.0,
+            Journal::ROUTE_PARKED,
+            cause,
+        );
     }
 
     /// Routes one event; returns `true` when consumed (delivered or
@@ -455,10 +467,6 @@ impl Scheduler {
     /// event first entered the pending queue (`None` when routing straight
     /// out of a coalesce FIFO); a successful delivery closes that FtFlight
     /// `pending_wait` span.
-    // Routing touches every sibling module plus both observability
-    // sinks; bundling them into a context struct would only move the
-    // argument list one call deeper.
-    #[allow(clippy::too_many_arguments)]
     fn route(
         &mut self,
         ev: FlowEvent,
@@ -466,148 +474,84 @@ impl Scheduler {
         parked_at: Option<u64>,
         fpcs: &mut [Fpc],
         mm: &mut MemoryManager,
-        chk: Option<&mut InvariantChecker>,
-        flight: Option<&mut FlightRecorder>,
-        mut journal: Option<&mut Journal>,
+        probe: &mut Probe,
     ) -> bool {
         let Some(loc) = self.lut.lookup(ev.flow) else {
             return false; // LUT partition budget exhausted this cycle
         };
+        let delivered = |probe: &mut Probe, route: u64, fpc: u64| {
+            if let Some(parked) = parked_at {
+                probe.span(FlightStage::PendingWait, ev.flow.0, cycle - parked);
+            }
+            probe.event(
+                cycle,
+                JournalModule::Scheduler,
+                JournalKind::EventRouted,
+                ev.flow.0,
+                route,
+                fpc,
+            );
+        };
         match loc {
             Location::Unallocated => {
                 self.stats.dropped += 1;
-                if let Some(j) = journal {
-                    j.record(
-                        cycle,
-                        JournalModule::Scheduler,
-                        JournalKind::EventDropped,
-                        ev.flow.0,
-                        0,
-                        0,
-                    );
-                }
+                probe.event(
+                    cycle,
+                    JournalModule::Scheduler,
+                    JournalKind::EventDropped,
+                    ev.flow.0,
+                    0,
+                    0,
+                );
                 true
             }
             Location::Moving => {
-                self.pending.push_back((
-                    ev,
-                    cycle + PENDING_RETRY_CYCLES,
-                    parked_at.unwrap_or(cycle),
-                ));
-                self.stats.parked += 1;
-                if let Some(j) = journal {
-                    j.record(
-                        cycle,
-                        JournalModule::Scheduler,
-                        JournalKind::EventRouted,
-                        ev.flow.0,
-                        Journal::ROUTE_PARKED,
-                        0,
-                    );
-                }
+                self.park(ev, cycle, parked_at, 0, probe);
                 true
             }
             Location::Dram => {
                 if mm.push_event_at(ev, cycle) {
                     self.stats.routed_dram += 1;
-                    if let (Some(f), Some(parked)) = (flight, parked_at) {
-                        f.record(FlightStage::PendingWait, ev.flow.0, cycle - parked);
-                    }
-                    if let Some(j) = journal {
-                        j.record(
-                            cycle,
-                            JournalModule::Scheduler,
-                            JournalKind::EventRouted,
-                            ev.flow.0,
-                            Journal::ROUTE_DRAM,
-                            0,
-                        );
-                    }
-                    true
+                    delivered(probe, Journal::ROUTE_DRAM, 0);
                 } else {
                     // Memory-manager backpressure (DRAM bandwidth): park
                     // the event instead of blocking the coalesce FIFO —
                     // otherwise one slow DRAM flow head-of-line blocks
                     // SRAM-resident flows hashed to the same FIFO.
-                    self.pending.push_back((
-                        ev,
-                        cycle + PENDING_RETRY_CYCLES,
-                        parked_at.unwrap_or(cycle),
-                    ));
-                    self.stats.parked += 1;
-                    if let Some(j) = journal {
-                        j.record(
-                            cycle,
-                            JournalModule::Scheduler,
-                            JournalKind::EventRouted,
-                            ev.flow.0,
-                            Journal::ROUTE_PARKED,
-                            1,
-                        );
-                    }
-                    true
+                    self.park(ev, cycle, parked_at, 1, probe);
                 }
+                true
             }
             Location::Fpc(i) => {
                 let i = i as usize;
                 if fpcs[i].push_event_at(ev, cycle) {
                     self.stats.routed_fpc += 1;
-                    if let (Some(f), Some(parked)) = (flight, parked_at) {
-                        f.record(FlightStage::PendingWait, ev.flow.0, cycle - parked);
-                    }
-                    if let Some(j) = journal {
-                        j.record(
-                            cycle,
-                            JournalModule::Scheduler,
-                            JournalKind::EventRouted,
-                            ev.flow.0,
-                            Journal::ROUTE_FPC,
-                            i as u64,
-                        );
-                    }
-                    true
-                } else {
-                    // Backpressure: migrate the congested flow to the
-                    // idlest FPC (§4.4.2), park the event meanwhile.
-                    let idlest = fpcs
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, f)| j != i && f.can_accept_tcb())
-                        // f4tlint: allow(tick_path_scan): one compare tree
-                        // over the (eight) FPCs, not over a flow table.
-                        .min_by_key(|(_, f)| f.input_backlog() * 1024 + f.flow_count())
-                        .map(|(j, _)| j);
-                    if let Some(j) = idlest {
-                        if self.start_migration(
-                            ev.flow,
-                            i,
-                            MigrationDest::Fpc(j as u8),
-                            fpcs,
-                            cycle,
-                            chk,
-                            journal.as_deref_mut(),
-                        ) {
-                            self.pending.push_back((
-                                ev,
-                                cycle + PENDING_RETRY_CYCLES,
-                                parked_at.unwrap_or(cycle),
-                            ));
-                            self.stats.parked += 1;
-                            if let Some(j) = journal {
-                                j.record(
-                                    cycle,
-                                    JournalModule::Scheduler,
-                                    JournalKind::EventRouted,
-                                    ev.flow.0,
-                                    Journal::ROUTE_PARKED,
-                                    2,
-                                );
-                            }
-                            return true;
-                        }
-                    }
-                    false
+                    delivered(probe, Journal::ROUTE_FPC, i as u64);
+                    return true;
                 }
+                // Backpressure: migrate the congested flow to the
+                // idlest FPC (§4.4.2), park the event meanwhile.
+                let idlest = fpcs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, f)| j != i && f.can_accept_tcb())
+                    // f4tlint: allow(tick_path_scan): one compare tree
+                    // over the (eight) FPCs, not over a flow table.
+                    .min_by_key(|(_, f)| f.input_backlog() * 1024 + f.flow_count())
+                    .map(|(j, _)| j);
+                let Some(j) = idlest else { return false };
+                let migrating = self.start_migration(
+                    ev.flow,
+                    i,
+                    MigrationDest::Fpc(j as u8),
+                    fpcs,
+                    cycle,
+                    probe,
+                );
+                if migrating {
+                    self.park(ev, cycle, parked_at, 2, probe);
+                }
+                migrating
             }
         }
     }
@@ -623,8 +567,7 @@ impl Scheduler {
         fpcs: &mut [Fpc],
         mm: &mut MemoryManager,
         cycle: u64,
-        mut chk: Option<&mut InvariantChecker>,
-        mut journal: Option<&mut Journal>,
+        probe: &mut Probe,
     ) {
         for _ in 0..Self::SWAP_ACTIONS_PER_CYCLE {
             let Some(&flow) = self.swap_in_queue.front() else { return };
@@ -652,20 +595,18 @@ impl Scheduler {
             match target {
                 Some(i) => {
                     if let Some((tcb, ev)) = mm.take_for_swap_in(flow) {
-                        self.set_location(flow, Location::Moving, cycle, chk.as_deref_mut());
+                        self.set_location(flow, Location::Moving, cycle, probe);
                         let accepted = fpcs[i].push_tcb(tcb, ev);
                         debug_assert!(accepted, "can_accept_tcb lied on swap-in");
                         self.stats.migrations += 1;
-                        if let Some(j) = journal.as_deref_mut() {
-                            j.record(
-                                cycle,
-                                JournalModule::Scheduler,
-                                JournalKind::TcbMigrateStart,
-                                flow.0,
-                                Journal::DRAM_SLOT,
-                                i as u64,
-                            );
-                        }
+                        probe.event(
+                            cycle,
+                            JournalModule::Scheduler,
+                            JournalKind::TcbMigrateStart,
+                            flow.0,
+                            Journal::DRAM_SLOT,
+                            i as u64,
+                        );
                         self.swap_in_queue.pop_front();
                     } else {
                         // DRAM bandwidth exhausted: retry next cycle.
@@ -687,15 +628,7 @@ impl Scheduler {
                         .map(|(i, _)| i)
                         .unwrap_or(0);
                     if let Some(cold) = fpcs[t].coldest_flow() {
-                        self.start_migration(
-                            cold,
-                            t,
-                            MigrationDest::Dram,
-                            fpcs,
-                            cycle,
-                            chk.as_deref_mut(),
-                            journal.as_deref_mut(),
-                        );
+                        self.start_migration(cold, t, MigrationDest::Dram, fpcs, cycle, probe);
                     } else {
                         return;
                     }
@@ -706,82 +639,65 @@ impl Scheduler {
 
     /// Advances one engine cycle.
     pub fn tick(&mut self, cycle: u64, fpcs: &mut [Fpc], mm: &mut MemoryManager) {
-        self.tick_checked(cycle, fpcs, mm, None, None, None);
+        self.tick_probed(cycle, fpcs, mm, &mut Probe::detached());
     }
 
-    /// [`Scheduler::tick`] with an optional FtVerify checker validating
-    /// every location-LUT transition against the migration protocol, an
-    /// optional FtFlight recorder attributing coalesce-FIFO residency and
-    /// pending-queue wait per flow, and an optional FtJournal receiving
-    /// enqueue / merge / route / migrate events.
-    pub fn tick_checked(
+    /// [`Scheduler::tick`] with the engine's [`Probe`]: an attached
+    /// FtVerify checker validates every location-LUT transition against
+    /// the migration protocol, an FtFlight recorder attributes
+    /// coalesce-FIFO residency and pending-queue wait per flow, and an
+    /// FtJournal receives enqueue / merge / route / migrate events.
+    pub fn tick_probed(
         &mut self,
         cycle: u64,
         fpcs: &mut [Fpc],
         mm: &mut MemoryManager,
-        mut chk: Option<&mut InvariantChecker>,
-        mut flight: Option<&mut FlightRecorder>,
-        mut journal: Option<&mut Journal>,
+        probe: &mut Probe,
     ) {
         self.lut.begin_cycle();
 
         // 1. Intake into the coalesce FIFOs.
         for _ in 0..INTAKE_PER_CYCLE {
-            let Some(&ev) = self.input.front() else { break };
+            let Some(&(ev, _)) = self.input.front() else { break };
             let q = ev.flow.0 as usize % self.coalesce.len();
             if self.coalescing {
                 let mut merged = false;
-                for queued in self.coalesce[q].iter_mut() {
+                for (queued, _) in self.coalesce[q].iter_mut() {
                     if queued.flow == ev.flow && queued.try_merge(&ev) {
                         merged = true;
                         break;
                     }
                 }
                 if merged {
-                    self.input.pop();
                     // The merged event's span folds into the queued event it
-                    // coalesced with; its own intake stamp is dropped.
-                    if let Some(stamps) = &mut self.input_stamps {
-                        stamps.pop();
-                    }
+                    // coalesced with; its own intake stamp goes with it.
+                    self.input.pop();
                     self.stats.coalesced += 1;
-                    if let Some(j) = journal.as_deref_mut() {
-                        j.record(
-                            cycle,
-                            JournalModule::Scheduler,
-                            JournalKind::EventMerged,
-                            ev.flow.0,
-                            q as u64,
-                            0,
-                        );
-                    }
+                    probe.event(
+                        cycle,
+                        JournalModule::Scheduler,
+                        JournalKind::EventMerged,
+                        ev.flow.0,
+                        q as u64,
+                        0,
+                    );
                     continue;
                 }
             }
             if self.coalesce[q].is_full() {
                 break; // backpressure to the intake
             }
-            if let Some(ev) = self.input.pop() {
-                let accepted = self.coalesce[q].push(ev).is_ok();
+            if let Some(stamped) = self.input.pop() {
+                let accepted = self.coalesce[q].push(stamped).is_ok();
                 debug_assert!(accepted, "coalesce FIFO checked not full above");
-                if let (Some(stamps), Some(cq)) =
-                    (&mut self.input_stamps, self.coalesce_stamps.as_mut())
-                {
-                    if let Some(stamp) = stamps.pop() {
-                        let ok = cq[q].push(stamp).is_ok();
-                        debug_assert!(ok, "coalesce stamp FIFO out of sync");
-                    }
-                }
-                if let Some(j) = journal.as_deref_mut() {
-                    j.record(
-                        cycle,
-                        JournalModule::Scheduler,
-                        JournalKind::EventEnqueued,
-                        ev.flow.0,
-                        q as u64,
-                        0,
-                    );
-                }
+                probe.event(
+                    cycle,
+                    JournalModule::Scheduler,
+                    JournalKind::EventEnqueued,
+                    ev.flow.0,
+                    q as u64,
+                    0,
+                );
             }
         }
 
@@ -803,16 +719,7 @@ impl Scheduler {
             batch.extend(self.pending.drain_front(due));
             let mut failed_at = None;
             for (i, &(ev, _, parked_at)) in batch.iter().enumerate() {
-                if !self.route(
-                    ev,
-                    cycle,
-                    Some(parked_at),
-                    fpcs,
-                    mm,
-                    chk.as_deref_mut(),
-                    flight.as_deref_mut(),
-                    journal.as_deref_mut(),
-                ) {
+                if !self.route(ev, cycle, Some(parked_at), fpcs, mm, probe) {
                     failed_at = Some(i);
                     break;
                 }
@@ -833,34 +740,15 @@ impl Scheduler {
         // 3. Route one event per coalesce FIFO (up to 4/cycle with 4 LUT
         //    partitions, §4.4.2).
         for q in 0..self.coalesce.len() {
-            let Some(&ev) = self.coalesce[q].front() else { continue };
-            if self.route(
-                ev,
-                cycle,
-                None,
-                fpcs,
-                mm,
-                chk.as_deref_mut(),
-                flight.as_deref_mut(),
-                journal.as_deref_mut(),
-            ) {
+            let Some(&(ev, stamp)) = self.coalesce[q].front() else { continue };
+            if self.route(ev, cycle, None, fpcs, mm, probe) {
                 self.coalesce[q].pop();
-                if let Some(cq) = self.coalesce_stamps.as_mut() {
-                    if let Some(stamp) = cq[q].pop() {
-                        if let Some(f) = flight.as_deref_mut() {
-                            f.record(
-                                FlightStage::CoalesceFifo,
-                                ev.flow.0,
-                                cycle.saturating_sub(stamp),
-                            );
-                        }
-                    }
-                }
+                probe.span(FlightStage::CoalesceFifo, ev.flow.0, cycle.saturating_sub(stamp));
             }
         }
 
         // 4. Swap-in progress.
-        self.progress_swap_in(fpcs, mm, cycle, chk, journal);
+        self.progress_swap_in(fpcs, mm, cycle, probe);
 
         self.pending_high = self.pending_high.max(self.pending.len());
     }
@@ -1029,6 +917,48 @@ mod tests {
     }
 
     #[test]
+    fn coalesce_merge_keeps_the_earliest_intake_stamp() {
+        let mut sched = Scheduler::new(1024, 4, true);
+        let mut fpcs = make_fpcs(1, 8);
+        let mut mm = MemoryManager::new(DramKind::Hbm, 16);
+        sched.place_new_flow(established(1), &mut fpcs, &mut mm, 0, None);
+        run(&mut sched, &mut fpcs, &mut mm, 0, 10);
+        assert!(sched.push_event_at(send_event(1, 100), 100));
+        assert!(sched.push_event_at(send_event(1, 200), 103));
+        let mut flight = FlightRecorder::new(1);
+        sched.tick_probed(110, &mut fpcs, &mut mm, &mut Probe::new(None, Some(&mut flight), None));
+        assert_eq!(sched.stats().coalesced, 1, "second event merged into the first");
+        assert_eq!(sched.stats().routed_fpc, 1);
+        // One span, from the FIRST event's intake stamp: the merged
+        // event's stamp (103) left with it.
+        let h = flight.stage_histogram(FlightStage::CoalesceFifo);
+        assert_eq!((h.count(), h.min(), h.max()), (1, 10, 10));
+    }
+
+    #[test]
+    fn bounced_event_is_restamped_at_intake() {
+        let mut sched = Scheduler::new(1024, 4, true);
+        let mut fpcs = make_fpcs(1, 8);
+        let mut mm = MemoryManager::new(DramKind::Hbm, 16);
+        sched.place_new_flow(established(1), &mut fpcs, &mut mm, 0, None);
+        run(&mut sched, &mut fpcs, &mut mm, 0, 10);
+        // An event routed to DRAM at cycle 50 for a flow that lives in an
+        // FPC: the memory manager bounces it, the engine re-offers it.
+        let mut flight = FlightRecorder::new(1);
+        assert!(mm.push_event_at(send_event(1, 100), 50));
+        let mut mo = crate::memory_manager::MmOutput::default();
+        mm.tick_probed(&mut mo, 60, &mut Probe::new(None, Some(&mut flight), None));
+        assert_eq!(mo.bounced.len(), 1);
+        assert!(sched.push_event_at(mo.bounced[0], 60));
+        sched.tick_probed(64, &mut fpcs, &mut mm, &mut Probe::new(None, Some(&mut flight), None));
+        // The only span is coalesce_fifo from the re-offer (64 - 60): the
+        // cycle-50 stamp was shed with the bounce.
+        assert_eq!(flight.spans_recorded(), 1);
+        let h = flight.stage_histogram(FlightStage::CoalesceFifo);
+        assert_eq!((h.count(), h.min(), h.max()), (1, 4, 4));
+    }
+
+    #[test]
     fn coalescing_disabled_routes_each_event() {
         let mut sched = Scheduler::new(1024, 4, false);
         let mut fpcs = make_fpcs(1, 8);
@@ -1072,7 +1002,14 @@ mod tests {
         sched.place_new_flow(established(1), &mut fpcs, &mut mm, 0, None);
         run(&mut sched, &mut fpcs, &mut mm, 0, 10);
         // Force the flow into Moving state via an explicit migration.
-        sched.start_migration(FlowId(1), 0, MigrationDest::Dram, &mut fpcs, 10, None, None);
+        sched.start_migration(
+            FlowId(1),
+            0,
+            MigrationDest::Dram,
+            &mut fpcs,
+            10,
+            &mut Probe::detached(),
+        );
         assert_eq!(sched.location(FlowId(1)), Location::Moving);
         sched.push_event(send_event(1, 300));
         let (tx, _) = run(&mut sched, &mut fpcs, &mut mm, 10, 600);

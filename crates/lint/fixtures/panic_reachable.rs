@@ -1,7 +1,8 @@
 // Fixture for the `panic_reachable` rule: panic-family expressions in
 // functions the call graph reaches from a tick entry point. Expected
-// findings: the unwrap in pump() and the expect in drain_one(); the
-// panic in cold_init() (never called from tick) and the test-module
+// findings: the unwrap in pump(), the expect in drain_one() and the
+// unwrap in probe_tail() (reached only from tick_probed); the panic in
+// cold_init() (never called from a tick entry) and the test-module
 // unwrap are exempt.
 struct Pump {
     q: Vec<u32>,
@@ -15,6 +16,14 @@ impl Pump {
     fn pump(&mut self) {
         let head = self.q.pop().unwrap();
         drain_one(head);
+    }
+
+    fn tick_probed(&mut self) {
+        self.probe_tail();
+    }
+
+    fn probe_tail(&mut self) {
+        let _ = self.q.last().unwrap();
     }
 }
 

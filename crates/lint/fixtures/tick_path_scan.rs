@@ -1,10 +1,10 @@
 // Fixture for the `tick_path_scan` rule: linear table scans and hashed
 // container fields in functions the call graph reaches from a tick
 // entry. Expected findings: the position() walk and the hashed-field
-// probe in route(), the contains(&..) in admit(), and the un-excused
-// min_by_key in coldest(); the excused min_by_key, the scan in
-// cold_report() (never called from tick) and the test-module scan are
-// exempt.
+// probe in route(), the contains(&..) in admit(), the un-excused
+// min_by_key in coldest() and the find() in lookup() (reached only from
+// tick_probed); the excused min_by_key, the scan in cold_report() (never
+// called from a tick entry) and the test-module scan are exempt.
 use std::collections::HashMap;
 
 struct Table {
@@ -40,6 +40,14 @@ impl Table {
 
     fn cold_report(&self) -> Option<usize> {
         self.entries.iter().position(Option::is_none)
+    }
+
+    fn tick_probed(&mut self, flow: u32) {
+        let _ = self.lookup(flow);
+    }
+
+    fn lookup(&self, flow: u32) -> Option<&Option<u32>> {
+        self.entries.iter().find(|&&e| e == Some(flow))
     }
 }
 

@@ -292,17 +292,22 @@ fn body_mentions(files: &[SourceFile], idx: &SymbolIndex, f: FnId, word: &str) -
     files[r.file].code[start..=end].iter().any(|l| word_match(l, word))
 }
 
-/// Entry points for the tick-path rules: every `tick`/`tick_checked`,
-/// every `ParallelRunner` method, and every function that lexically
-/// hosts a worker closure (calls `run_rounds`).
+/// The two names a module's per-cycle entry goes by: the plain `tick`
+/// wrapper and the `tick_probed` it forwards to (DESIGN.md §8.2).
+fn is_tick_entry(name: &str) -> bool {
+    matches!(name, "tick" | "tick_probed")
+}
+
+/// Entry points for `panic_reachable`: every tick entry, every
+/// `ParallelRunner` method, and every function that lexically hosts a
+/// worker closure (calls `run_rounds`).
 fn tick_entries(files: &[SourceFile], idx: &SymbolIndex) -> Vec<FnId> {
     let mut entries = Vec::new();
     for (id, f) in idx.fns.iter().enumerate() {
         if f.is_test {
             continue;
         }
-        if f.name == "tick"
-            || f.name == "tick_checked"
+        if is_tick_entry(&f.name)
             || f.impl_type.as_deref() == Some("ParallelRunner")
             || body_mentions(files, idx, id, "run_rounds")
         {
@@ -543,7 +548,7 @@ const SCAN_PATTERNS: &[&str] = &[".iter().position(", ".iter().find(", ".contain
 
 /// `tick_path_scan`: no linear table scan and no hashed-container field
 /// access in `crates/core|mem` functions the call graph reaches from a
-/// `tick`/`tick_checked` entry. The modelled hardware answers these in
+/// `tick`/`tick_probed` entry. The modelled hardware answers these in
 /// one cycle (comparator arrays, priority encoders); the simulator must
 /// answer them from an index, or the host cost of a tick follows the
 /// table size instead of the work done (DESIGN.md §12.1).
@@ -557,9 +562,7 @@ pub fn tick_path_scan(
         !idx.fns[f].is_test && rule_applies("tick_path_scan", &files[idx.fns[f].file].crate_name)
     };
     let entries: Vec<FnId> = (0..idx.fns.len())
-        .filter(|&id| {
-            in_scope(&ws.files, id) && matches!(idx.fns[id].name.as_str(), "tick" | "tick_checked")
-        })
+        .filter(|&id| in_scope(&ws.files, id) && is_tick_entry(&idx.fns[id].name))
         .collect();
     let pred = graph.reachable_from(&entries);
     for (id, f) in idx.fns.iter().enumerate() {

@@ -21,8 +21,8 @@
 //! * **FIFO conservation** — for every [`Fifo`], `pushed == popped +
 //!   occupancy` (rejected pushes never enter the queue).
 //!
-//! The checker is *optional at runtime*: modules take
-//! `Option<&mut InvariantChecker>` and the disabled path is a single
+//! The checker is *optional at runtime*: modules reach it through
+//! [`Probe::check`](crate::Probe::check) and the disabled path is a single
 //! null-check per call site, so production runs pay nothing. It is enabled
 //! via `EngineConfig::check` / `f4tperf --check` and in integration tests.
 
@@ -144,8 +144,8 @@ impl PortTracker {
 /// Collects violations reported by the simulated modules.
 ///
 /// Owned by the engine when `EngineConfig::check` is set; modules receive
-/// it as `Option<&mut InvariantChecker>` so the disabled configuration
-/// costs one branch per call site.
+/// it through [`Probe::check`](crate::Probe::check) so the disabled
+/// configuration costs one branch per call site.
 #[derive(Debug, Default)]
 pub struct InvariantChecker {
     violations: Vec<Violation>,

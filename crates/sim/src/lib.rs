@@ -22,6 +22,9 @@
 //! * [`check`] — FtVerify: the optional cycle-level hazard checker
 //!   ([`InvariantChecker`], [`PortTracker`]) that simulated memories and
 //!   queues register accesses against.
+//! * [`probe`] — the [`Probe`] handle through which module ticks reach
+//!   the checker, flight recorder and journal: one parameter per tick, one
+//!   branch per emission site when a view is detached.
 //! * [`pulse`] — FtPulse: windowed time-series telemetry
 //!   ([`PulseRecorder`], [`PulseSeries`]) — bounded per-series rings
 //!   sampled at fixed cycle intervals, byte-identical across execution
@@ -56,6 +59,7 @@ pub mod des;
 pub mod fifo;
 pub mod flight;
 pub mod journal;
+pub mod probe;
 pub mod pulse;
 pub mod rng;
 pub mod slab;
@@ -69,6 +73,7 @@ pub use des::EventQueue;
 pub use fifo::Fifo;
 pub use flight::{FlightRecorder, FlightStage};
 pub use journal::{Journal, JournalEvent, JournalKind, JournalModule};
+pub use probe::Probe;
 pub use pulse::{PulseRecorder, PulseSeries};
 pub use rng::SimRng;
 pub use slab::{FlowSet, FlowSlab, Slab, SlabCursor, SlabHandle, SlabQueue};
