@@ -400,12 +400,12 @@ impl Fpc {
     pub fn coldest_flow(&self) -> Option<FlowId> {
         let t = &self.table;
         t.occupied
-            .iter()
-            .filter(|&i| !t.evict.contains(i) && !t.in_fpu.contains(i))
+            .iter_without(&t.evict, &t.in_fpu)
             // f4tlint: allow(tick_path_scan): the modelled FPC compares its
             // resident flows' timestamps to answer the scheduler (Fig. 6 ②);
-            // the scan is masked by the flag bitsets and reads only the
-            // 8 B/slot last-active column. Ties go to the lowest slot.
+            // the candidate mask is combined a word at a time (no candidate:
+            // two ANDs per word) and only real candidates read the 8 B/slot
+            // last-active column. Ties go to the lowest slot.
             .min_by_key(|&i| t.last_active[i as usize])
             .map(|i| t.tcbs[i as usize].flow)
     }
@@ -1105,6 +1105,53 @@ mod tests {
             assert_eq!(f.coldest_flow(), coldest_by_tcb_scan(&f), "cycle {c}");
         }
         assert!(f.dispatches() > 500, "FPU passes exercised: {}", f.dispatches());
+    }
+
+    /// The masked-out corners of the candidate set, on a table spanning
+    /// three bitset words: every flow evict-marked or every TCB in flight
+    /// → `None`; one survivor → that flow however warm; equal stamps →
+    /// the lowest slot.
+    #[test]
+    fn coldest_flow_masked_out_and_single_survivor() {
+        let slots = 130u32;
+        let mut f = fpc(slots as usize);
+        let mut out = FpcOutput::default();
+        let mut c = 0;
+        for id in 0..slots {
+            let mut t = established_tcb(1000 + id);
+            t.last_active_ns = 500;
+            while !f.push_tcb(t, EventView::default()) {
+                run_cycles(&mut f, c, 1, &mut out);
+                c += 1;
+            }
+        }
+        run_cycles(&mut f, c, 10, &mut out);
+        assert_eq!(f.flow_count(), slots as usize);
+        assert_eq!(f.coldest_flow(), Some(FlowId(1000)), "all tied: slot 0");
+        assert_eq!(f.coldest_flow(), coldest_by_tcb_scan(&f));
+
+        for slot in 0..slots {
+            f.table.in_fpu.insert(slot);
+        }
+        assert_eq!(f.coldest_flow(), None, "every TCB in flight");
+        f.table.in_fpu.remove(129);
+        f.table.touch(129, 9_000);
+        assert_eq!(f.coldest_flow(), Some(FlowId(1129)), "single survivor, last word");
+        for slot in 0..slots {
+            f.table.in_fpu.remove(slot);
+        }
+
+        for slot in 0..slots as usize {
+            f.table.set_evict(slot, true);
+        }
+        assert_eq!(f.coldest_flow(), None, "every flow already marked");
+        assert_eq!(f.coldest_flow(), coldest_by_tcb_scan(&f));
+        f.table.set_evict(64, false);
+        f.table.set_evict(70, false);
+        assert_eq!(f.coldest_flow(), Some(FlowId(1064)), "two survivors tie: lower slot");
+        assert_eq!(f.coldest_flow(), coldest_by_tcb_scan(&f));
+        f.table.in_fpu.insert(64);
+        assert_eq!(f.coldest_flow(), Some(FlowId(1070)));
     }
 
     /// The slot-by-slot circular walk the priority encode replaces.

@@ -292,12 +292,25 @@ mod tests {
         assert!(!pg.can_accept());
     }
 
-    #[test]
-    #[should_panic(expected = "dispatch gate violated")]
-    fn overrun_panics() {
+    fn overrun() -> PacketGenerator {
         let mut pg = PacketGenerator::new(MSS, 1);
         for _ in 0..=PacketGenerator::REQUEST_FIFO_DEPTH {
             pg.push(req(1));
         }
+        pg
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "dispatch gate violated")]
+    fn overrun_panics() {
+        overrun();
+    }
+
+    /// Release builds compile the assertion out: the request is refused.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn overrun_is_refused() {
+        assert_eq!(overrun().requests.len(), PacketGenerator::REQUEST_FIFO_DEPTH);
     }
 }

@@ -11,25 +11,37 @@
 //! The parser turns each segment into one [`FlowEvent`] carrying the
 //! *post-reassembly* in-order pointer, so the FPU never touches payload.
 
-// f4tlint: allow-file(tick_path_scan): the per-flow reassembly / ACK-watch
-// / parked-FIN maps and the listening-port set are probed once per parsed
-// segment or per connection open/close — work the modelled parser does —
-// never once per cycle. Moving them onto flow-indexed slabs is its own
-// change (it moves `rx_parser.host_ns_per_segment`, not the idle tick).
-
 use crate::event::{EventKind, FlowEvent};
-use f4t_sim::{Fifo, FlightStage, JournalKind, JournalModule, Probe};
+use f4t_sim::{Fifo, FlightStage, FlowSet, FlowSlab, JournalKind, JournalModule, Probe};
 use f4t_tcp::reassembly::ReassemblyResult;
 use f4t_tcp::{FlowId, FlowTable, ReassemblyTracker, Segment, SeqNum, TcpFlags, TCP_BUFFER};
-use std::collections::HashMap;
 
-/// Per-flow receive-side bookkeeping beyond reassembly: the highest ACK
-/// seen, used to tag potential duplicate ACKs as non-mergeable so the
-/// scheduler's coalescing never destroys loss evidence (§4.4.1).
-#[derive(Debug, Clone, Copy, Default)]
-struct AckWatch {
-    high: SeqNum,
-    seen: bool,
+/// Everything the parser keeps per flow, in one flow-indexed record: after
+/// the cuckoo lookup a segment costs one index, and teardown forgets the
+/// three parts together so a recycled id inherits none of them.
+#[derive(Debug, Clone)]
+struct RxFlow {
+    tracker: ReassemblyTracker,
+    /// The highest ACK seen (`None` before the first), used to tag
+    /// potential duplicate ACKs as non-mergeable so the scheduler's
+    /// coalescing never destroys loss evidence (§4.4.1).
+    ack_high: Option<SeqNum>,
+    /// Sequence end of a FIN whose flag was withheld because the segment
+    /// arrived out of order. The flag is re-delivered on the first event
+    /// after reassembly passes this point — without this, a gap filled by
+    /// a retransmission that does not itself carry FIN would silently
+    /// absorb the phantom byte and the FPU would never see the close.
+    pending_fin: Option<SeqNum>,
+}
+
+impl RxFlow {
+    fn new(init_rcv: SeqNum) -> RxFlow {
+        RxFlow {
+            tracker: ReassemblyTracker::new(init_rcv, TCP_BUFFER),
+            ack_high: None,
+            pending_fin: None,
+        }
+    }
 }
 
 /// 322 MHz network cycles per 1000 engine (250 MHz) cycles.
@@ -49,15 +61,9 @@ pub struct RxOutput {
 #[derive(Debug)]
 pub struct RxParser {
     flow_table: FlowTable,
-    trackers: HashMap<FlowId, ReassemblyTracker>,
-    ack_watch: HashMap<FlowId, AckWatch>,
-    /// Sequence end of a FIN whose flag was withheld because the segment
-    /// arrived out of order. The flag is re-delivered on the first event
-    /// after reassembly passes this point — without this, a gap filled by
-    /// a retransmission that does not itself carry FIN would silently
-    /// absorb the phantom byte and the FPU would never see the close.
-    pending_fins: HashMap<FlowId, SeqNum>,
-    listening: std::collections::HashSet<u16>,
+    flows: FlowSlab<RxFlow>,
+    /// Listening ports (a bitset keyed by port number).
+    listening: FlowSet,
     /// The MAC-side buffer; each segment rides with the engine cycle it
     /// was offered (the FtFlight `rx_ingest` span start).
     input: Fifo<(Segment, u64)>,
@@ -85,10 +91,8 @@ impl RxParser {
         assert!(parallelism > 0, "parallelism must be non-zero");
         RxParser {
             flow_table: FlowTable::with_capacity(max_flows),
-            trackers: HashMap::new(),
-            ack_watch: HashMap::new(),
-            pending_fins: HashMap::new(),
-            listening: std::collections::HashSet::new(),
+            flows: FlowSlab::with_capacity(0),
+            listening: FlowSet::with_capacity(0),
             input: Fifo::new(Self::INPUT_FIFO_DEPTH),
             parallelism,
             net_cycle_credit: 0,
@@ -107,12 +111,12 @@ impl RxParser {
     /// Opens a listening port (SO_REUSEPORT-style: all SYNs to this port
     /// become new connections).
     pub fn listen(&mut self, port: u16) {
-        self.listening.insert(port);
+        self.listening.insert(u32::from(port));
     }
 
     /// Stops listening on `port`.
     pub fn unlisten(&mut self, port: u16) {
-        self.listening.remove(&port);
+        self.listening.remove(u32::from(port));
     }
 
     /// Registers a flow: `tuple` is OUR 4-tuple (src = this host).
@@ -129,16 +133,14 @@ impl RxParser {
         init_rcv: SeqNum,
     ) -> Result<(), f4t_tcp::flow_table::InsertError> {
         self.flow_table.insert(tuple, flow)?;
-        self.trackers.insert(flow, ReassemblyTracker::new(init_rcv, TCP_BUFFER));
+        self.flows.insert(flow.0, RxFlow::new(init_rcv));
         Ok(())
     }
 
     /// Removes a flow (connection teardown).
     pub fn remove_flow(&mut self, tuple: &f4t_tcp::FourTuple, flow: FlowId) {
         self.flow_table.remove(tuple);
-        self.trackers.remove(&flow);
-        self.ack_watch.remove(&flow);
-        self.pending_fins.remove(&flow);
+        self.flows.remove(flow.0);
     }
 
     /// Offers a segment from the network; returns `false` when the input
@@ -212,7 +214,8 @@ impl RxParser {
                 u64::from(probes),
                 u64::from(seg.flags.contains(TcpFlags::SYN)),
             );
-            if seg.flags.contains(TcpFlags::SYN) && self.listening.contains(&seg.tuple.dst_port) {
+            let port = u32::from(seg.tuple.dst_port);
+            if seg.flags.contains(TcpFlags::SYN) && self.listening.contains(port) {
                 out.new_connections.push(seg);
             } else {
                 self.dropped_unknown += 1;
@@ -229,19 +232,19 @@ impl RxParser {
             u64::from(probes),
             0,
         );
-        let tracker = self.trackers.entry(flow).or_insert_with(|| {
-            ReassemblyTracker::new(seg.seq, TCP_BUFFER)
-        });
+        let rx = self.flows.get_or_insert_with(flow.0, || RxFlow::new(seg.seq));
+        let tracker = &mut rx.tracker;
         if seg.flags.contains(TcpFlags::SYN) {
             // (Re)anchor reassembly at the peer's ISN + 1.
             *tracker = ReassemblyTracker::new(seg.seq.add(1), TCP_BUFFER);
-            self.pending_fins.remove(&flow);
+            rx.pending_fin = None;
         }
 
         // FIN occupies one phantom byte of sequence space so it is only
         // delivered in order.
         let fin_phantom = u32::from(seg.flags.contains(TcpFlags::FIN));
         let body = seg.payload_len + fin_phantom;
+        let ack_advances = rx.ack_high.is_none_or(|high| seg.ack.gt(high));
         let (in_order, needs_ack, accepted_payload) = if body > 0 {
             let r = tracker.on_segment(seg.seq, body);
             self.ooo_depth_max = self.ooo_depth_max.max(tracker.chunk_count());
@@ -267,16 +270,10 @@ impl RxParser {
             // Pure ACK. It is mergeable only if the ACK advances — a
             // non-advancing pure ACK is a potential duplicate ACK whose
             // count must survive coalescing.
-            let watch = self.ack_watch.entry(flow).or_default();
-            let advances = !watch.seen || seg.ack.gt(watch.high);
-            (advances, false, 0)
+            (ack_advances, false, 0)
         };
-        {
-            let watch = self.ack_watch.entry(flow).or_default();
-            if !watch.seen || seg.ack.gt(watch.high) {
-                watch.high = seg.ack;
-                watch.seen = true;
-            }
+        if ack_advances {
+            rx.ack_high = Some(seg.ack);
         }
         self.payload_dma_bytes += u64::from(accepted_payload);
 
@@ -287,12 +284,10 @@ impl RxParser {
         let mut flags = seg.flags;
         if fin_phantom == 1 && tracker.rcv_nxt().lt(seg.seq_end()) {
             flags.remove(TcpFlags::FIN);
-            self.pending_fins.insert(flow, seg.seq_end());
-        } else if let Some(&fin_end) = self.pending_fins.get(&flow) {
-            if tracker.rcv_nxt().ge(fin_end) {
-                flags.insert(TcpFlags::FIN);
-                self.pending_fins.remove(&flow);
-            }
+            rx.pending_fin = Some(seg.seq_end());
+        } else if rx.pending_fin.is_some_and(|fin_end| tracker.rcv_nxt().ge(fin_end)) {
+            flags.insert(TcpFlags::FIN);
+            rx.pending_fin = None;
         }
 
         probe.event(
@@ -359,7 +354,7 @@ impl RxParser {
 
     /// The reassembly tracker of `flow` (diagnostics).
     pub fn tracker(&self, flow: FlowId) -> Option<&ReassemblyTracker> {
-        self.trackers.get(&flow)
+        self.flows.get(flow.0).map(|rx| &rx.tracker)
     }
 
     /// Reports RX-parser telemetry into `reg` under `prefix`: cuckoo
@@ -382,7 +377,8 @@ impl RxParser {
         reg.counter(&format!("{prefix}.reassembly.dup_segments"), self.dup_segments);
         reg.counter(&format!("{prefix}.reassembly.window_drops"), self.window_drops);
         reg.counter(&format!("{prefix}.reassembly.ooo_depth_max"), self.ooo_depth_max as u64);
-        let cur_depth: usize = self.trackers.values().map(ReassemblyTracker::chunk_count).sum();
+        // An order-free sum, so the storage-order walk gives the same value.
+        let cur_depth: usize = self.flows.iter_dense().map(|rx| rx.tracker.chunk_count()).sum();
         reg.gauge(&format!("{prefix}.reassembly.ooo_chunks"), cur_depth as f64);
         self.input.collect(&format!("{prefix}.input_fifo"), reg);
     }
@@ -514,6 +510,43 @@ mod tests {
         let out = drain(&mut p, 4);
         let EventKind::RxPacket { flags, .. } = out.events[0].kind else { panic!() };
         assert!(!flags.contains(TcpFlags::FIN), "stale pending FIN must not resurface");
+    }
+
+    /// Tracker, ACK watch and parked FIN live in one record, so teardown
+    /// forgets them together: a recycled id starts from nothing.
+    #[test]
+    fn recycled_id_inherits_no_receive_state() {
+        let mut p = parser_with_flow();
+        // First incarnation: an out-of-order chunk, ACK high-water 9000
+        // and a parked FIN.
+        let mut seg = peer_data(500, 100);
+        seg.ack = SeqNum(9_000);
+        seg.flags = TcpFlags::FIN | TcpFlags::ACK;
+        p.push_segment(seg);
+        drain(&mut p, 4);
+        let rx = p.flows.get(1).unwrap();
+        assert_eq!(rx.tracker.chunk_count(), 1);
+        assert_eq!(rx.ack_high, Some(SeqNum(9_000)));
+        assert_eq!(rx.pending_fin, Some(SeqNum(601)));
+
+        p.remove_flow(&our_tuple(), FlowId(1));
+        assert!(p.flows.get(1).is_none() && p.tracker(FlowId(1)).is_none());
+        p.register_flow(our_tuple(), FlowId(1), SeqNum(40)).unwrap();
+        let rx = p.flows.get(1).unwrap();
+        assert_eq!((rx.ack_high, rx.pending_fin), (None, None));
+        assert_eq!(rx.tracker.rcv_nxt(), SeqNum(40));
+        assert_eq!(rx.tracker.chunk_count(), 0);
+
+        // A pure ACK far below the dead incarnation's high-water mark is
+        // this connection's first: it advances, so it stays mergeable.
+        p.push_segment(Segment::pure_ack(our_tuple().reversed(), SeqNum(40), SeqNum(100), 2048));
+        let out = drain(&mut p, 4);
+        let EventKind::RxPacket { in_order, flags, rcv_nxt, .. } = out.events[0].kind else {
+            panic!()
+        };
+        assert!(in_order, "stale ACK watch would have tagged this a duplicate ACK");
+        assert!(!flags.contains(TcpFlags::FIN));
+        assert_eq!(rcv_nxt, SeqNum(40));
     }
 
     #[test]

@@ -100,8 +100,8 @@ pub struct Scheduler {
     /// as `tcb_fetch_dram` when the flow lands in an FPC; indexed by flow
     /// id, [`NOT_MIGRATING`] otherwise. Written with or without a recorder
     /// attached (`request_swap_in_at` has no probe to ask), so it is one
-    /// flat word per flow rather than a `FlowSlab`, whose index + slot +
-    /// free-list touches showed up as host time on 64K migrating flows.
+    /// flat word per flow rather than a `FlowSlab`, whose insert / remove
+    /// per migration showed up as host time on 64K migrating flows.
     migration_started: Vec<u64>,
     /// At most one entry per DRAM-resident flow (the memory manager
     /// deduplicates swap-in requests).

@@ -17,8 +17,8 @@
 
 use crate::command::{Command, Completion};
 use crate::queues::{CommandQueue, Doorbell};
+use f4t_sim::FlowSlab;
 use f4t_tcp::{FlowId, SeqNum, TCP_BUFFER};
-use std::collections::HashMap;
 
 /// Why a `send()` could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +93,9 @@ impl SocketState {
 /// One application thread's view of the F4T library.
 #[derive(Debug)]
 pub struct F4tLib {
-    sockets: HashMap<FlowId, SocketState>,
+    /// Socket metadata indexed by flow id (this thread's share of the id
+    /// space: 4 B per foreign id, a full record only per owned socket).
+    sockets: FlowSlab<SocketState>,
     /// Software→hardware command ring.
     pub commands: CommandQueue,
     /// The MMIO doorbell (batched).
@@ -116,7 +118,7 @@ impl F4tLib {
 
     fn with_queue(commands: CommandQueue) -> F4tLib {
         F4tLib {
-            sockets: HashMap::new(),
+            sockets: FlowSlab::with_capacity(0),
             commands,
             doorbell: Doorbell::new(),
             sends: 0,
@@ -141,12 +143,12 @@ impl F4tLib {
     /// true when the handshake is already complete (pre-established test
     /// flows).
     pub fn register(&mut self, flow: FlowId, isn: SeqNum, connected: bool) {
-        self.sockets.insert(flow, SocketState::new(isn, connected));
+        self.sockets.insert(flow.0, SocketState::new(isn, connected));
     }
 
     /// The socket state, if any.
     pub fn socket(&self, flow: FlowId) -> Option<&SocketState> {
-        self.sockets.get(&flow)
+        self.sockets.get(flow.0)
     }
 
     /// `connect()`: enqueue the handshake command.
@@ -155,7 +157,7 @@ impl F4tLib {
     ///
     /// [`SendError::UnknownFlow`] or [`SendError::QueueFull`].
     pub fn connect(&mut self, flow: FlowId) -> Result<(), SendError> {
-        if !self.sockets.contains_key(&flow) {
+        if !self.sockets.contains(flow.0) {
             return Err(SendError::UnknownFlow);
         }
         if !self.commands.push(Command::Connect { flow }) {
@@ -171,7 +173,7 @@ impl F4tLib {
     ///
     /// [`SendError::UnknownFlow`] or [`SendError::QueueFull`].
     pub fn close(&mut self, flow: FlowId) -> Result<(), SendError> {
-        if !self.sockets.contains_key(&flow) {
+        if !self.sockets.contains(flow.0) {
             return Err(SendError::UnknownFlow);
         }
         if !self.commands.push(Command::Close { flow }) {
@@ -188,7 +190,7 @@ impl F4tLib {
     ///
     /// Any [`SendError`]; on error no state changes.
     pub fn send(&mut self, flow: FlowId, len: u32) -> Result<SeqNum, SendError> {
-        let sock = self.sockets.get_mut(&flow).ok_or(SendError::UnknownFlow)?;
+        let sock = self.sockets.get_mut(flow.0).ok_or(SendError::UnknownFlow)?;
         if !sock.connected || sock.closed {
             return Err(SendError::NotConnected);
         }
@@ -211,7 +213,7 @@ impl F4tLib {
     /// number consumed; enqueues the window-opening pointer update when
     /// data was taken.
     pub fn recv(&mut self, flow: FlowId, len: u32) -> u32 {
-        let Some(sock) = self.sockets.get_mut(&flow) else { return 0 };
+        let Some(sock) = self.sockets.get_mut(flow.0) else { return 0 };
         let take = sock.readable().min(len);
         if take == 0 {
             return 0;
@@ -231,27 +233,27 @@ impl F4tLib {
         self.completions += 1;
         match c {
             Completion::Connected { flow } => {
-                if let Some(s) = self.sockets.get_mut(&flow) {
+                if let Some(s) = self.sockets.get_mut(flow.0) {
                     s.connected = true;
                 }
             }
             Completion::Acked { flow, upto } => {
-                if let Some(s) = self.sockets.get_mut(&flow) {
+                if let Some(s) = self.sockets.get_mut(flow.0) {
                     s.acked = s.acked.max_seq(upto);
                 }
             }
             Completion::Received { flow, upto } => {
-                if let Some(s) = self.sockets.get_mut(&flow) {
+                if let Some(s) = self.sockets.get_mut(flow.0) {
                     s.received = s.received.max_seq(upto);
                 }
             }
             Completion::Eof { flow } => {
-                if let Some(s) = self.sockets.get_mut(&flow) {
+                if let Some(s) = self.sockets.get_mut(flow.0) {
                     s.eof = true;
                 }
             }
             Completion::Closed { flow } => {
-                if let Some(s) = self.sockets.get_mut(&flow) {
+                if let Some(s) = self.sockets.get_mut(flow.0) {
                     s.closed = true;
                     s.connected = false;
                 }
@@ -259,7 +261,7 @@ impl F4tLib {
             Completion::Accepted { flow } => {
                 // A new server-side socket: ISN pointers arrive with the
                 // first Received/Acked completions; register lazily.
-                self.sockets.entry(flow).or_insert_with(|| SocketState::new(SeqNum::ZERO, false));
+                self.sockets.get_or_insert_with(flow.0, || SocketState::new(SeqNum::ZERO, false));
             }
         }
     }
@@ -268,7 +270,7 @@ impl F4tLib {
     /// connection's sequence base (used by `accept()` paths in the system
     /// layer).
     pub fn seed_pointers(&mut self, flow: FlowId, isn: SeqNum) {
-        if let Some(s) = self.sockets.get_mut(&flow) {
+        if let Some(s) = self.sockets.get_mut(flow.0) {
             *s = SocketState { connected: s.connected, ..SocketState::new(isn, s.connected) };
         }
     }
@@ -279,7 +281,7 @@ impl F4tLib {
     /// [`Self::register`] cannot represent an accepted flow).
     pub fn register_accepted(&mut self, flow: FlowId, snd_isn: SeqNum, rcv_isn: SeqNum) {
         self.sockets.insert(
-            flow,
+            flow.0,
             SocketState {
                 acked: snd_isn,
                 req: snd_isn,
@@ -295,7 +297,7 @@ impl F4tLib {
     /// Forgets a socket entirely (post-close reclamation, so flow-id
     /// reuse under churn cannot alias stale pointers).
     pub fn deregister(&mut self, flow: FlowId) {
-        self.sockets.remove(&flow);
+        self.sockets.remove(flow.0);
     }
 
     /// Re-seeds both directions once the engine reports the handshake
@@ -305,7 +307,7 @@ impl F4tLib {
     /// with in-flight progress is left alone — re-basing would orphan
     /// the outstanding transfer.
     pub fn seed_handshake(&mut self, flow: FlowId, snd: SeqNum, rcv: SeqNum) {
-        if let Some(s) = self.sockets.get_mut(&flow) {
+        if let Some(s) = self.sockets.get_mut(flow.0) {
             if s.req == s.acked {
                 s.req = snd;
                 s.acked = snd;

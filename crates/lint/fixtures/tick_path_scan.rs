@@ -3,8 +3,10 @@
 // entry. Expected findings: the position() walk and the hashed-field
 // probe in route(), the contains(&..) in admit(), the un-excused
 // min_by_key in coldest() and the find() in lookup() (reached only from
-// tick_probed); the excused min_by_key, the scan in cold_report() (never
-// called from a tick entry) and the test-module scan are exempt.
+// tick_probed), and — the host-model shape — the hashed socket map a
+// node tick reaches through a driver step in Lib::send(); the excused
+// min_by_key, the scan in cold_report() (never called from a tick entry)
+// and the test-module scan are exempt.
 use std::collections::HashMap;
 
 struct Table {
@@ -48,6 +50,30 @@ impl Table {
 
     fn lookup(&self, flow: u32) -> Option<&Option<u32>> {
         self.entries.iter().find(|&&e| e == Some(flow))
+    }
+}
+
+struct Lib {
+    sockets: HashMap<u32, u64>,
+}
+
+impl Lib {
+    fn send(&mut self, flow: u32) -> Option<u64> {
+        self.sockets.get(&flow).copied()
+    }
+}
+
+struct Node {
+    lib: Lib,
+}
+
+impl Node {
+    fn tick(&mut self) {
+        self.step_flow(3);
+    }
+
+    fn step_flow(&mut self, flow: u32) {
+        let _ = self.lib.send(flow);
     }
 }
 

@@ -26,8 +26,11 @@ pub fn rule_applies(rule: &str, crate_name: &str) -> bool {
         // crates/core; panic_reachable extends it workspace-wide along
         // the call graph (and therefore skips core to avoid doubling).
         "panic_path" => crate_name == "core",
-        // The hardware-model crates: everything `Engine::tick` executes.
-        "tick_path_scan" => matches!(crate_name, "core" | "mem"),
+        // Everything `Node::tick` executes: the hardware-model crates and
+        // the host model, drivers and node around them.
+        "tick_path_scan" => {
+            matches!(crate_name, "core" | "mem" | "host" | "system" | "workloads")
+        }
         _ => true,
     }
 }
@@ -547,8 +550,8 @@ pub fn shared_mut_across_shards(
 const SCAN_PATTERNS: &[&str] = &[".iter().position(", ".iter().find(", ".contains(&", "min_by_key("];
 
 /// `tick_path_scan`: no linear table scan and no hashed-container field
-/// access in `crates/core|mem` functions the call graph reaches from a
-/// `tick`/`tick_probed` entry. The modelled hardware answers these in
+/// access in `crates/{core,mem,host,system,workloads}` functions the call
+/// graph reaches from a `tick`/`tick_probed` entry. The modelled hardware answers these in
 /// one cycle (comparator arrays, priority encoders); the simulator must
 /// answer them from an index, or the host cost of a tick follows the
 /// table size instead of the work done (DESIGN.md §12.1).

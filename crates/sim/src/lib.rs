@@ -33,8 +33,8 @@
 //!   ([`Journal`], [`JournalEvent`]) behind post-mortem black-box dumps.
 //! * [`watchdog`] — FtJournal's online health watchdog ([`Watchdog`]):
 //!   stuck flows, retransmit storms, queue SLOs, starved LUT entries.
-//! * [`slab`] — FtTurbo struct-of-arrays slab allocators ([`Slab`],
-//!   [`FlowSlab`], [`SlabQueue`], [`FlowSet`]): the dense, hash-free,
+//! * [`slab`] — FtTurbo struct-of-arrays flow tables ([`FlowSlab`],
+//!   [`SlabQueue`], [`FlowSet`]): the dense, hash-free,
 //!   deterministically-iterable stores behind every tick-path per-flow
 //!   structure.
 //!
@@ -76,7 +76,7 @@ pub use journal::{Journal, JournalEvent, JournalKind, JournalModule};
 pub use probe::Probe;
 pub use pulse::{PulseRecorder, PulseSeries};
 pub use rng::SimRng;
-pub use slab::{FlowSet, FlowSlab, Slab, SlabCursor, SlabHandle, SlabQueue};
+pub use slab::{FlowSet, FlowSlab, SlabQueue};
 pub use stats::{Counter, Histogram, MeanVar};
 pub use watchdog::{
     Alarm, AlarmKind, FlowObservation, QueueObservation, Watchdog, WatchdogConfig,

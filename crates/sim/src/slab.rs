@@ -1,222 +1,40 @@
-//! FtTurbo struct-of-arrays slab allocators (DESIGN.md §12).
+//! FtTurbo struct-of-arrays flow tables (DESIGN.md §12).
 //!
 //! Hot per-flow state used to live in `HashMap`/`VecDeque`s: every event
 //! paid a SipHash plus a pointer chase, and iteration order depended on
-//! the hasher seed — poison for the determinism contract. This module
-//! provides the dense replacements every tick-path structure now builds
-//! on:
+//! the hasher seed — poison for the determinism contract. A flow id is an
+//! index, not a hash key; this module provides the dense replacements
+//! every tick-path structure builds on:
 //!
-//! * [`Slab`] — a generation-checked slot arena: O(1) insert/remove/get,
-//!   stable [`SlabHandle`]s, LIFO free-list reuse, and deterministic
-//!   slot-order iteration (a function of the operation history only,
-//!   never of a hasher seed or allocation addresses).
-//! * [`FlowSlab`] — a `FlowId -> slot` dense indirection over a [`Slab`]:
-//!   per-flow lookups are two array indexes, and iteration is ascending
-//!   flow id, which is what the audit/watchdog/telemetry paths need.
+//! * [`FlowSlab`] — a `FlowId -> entry` table: a 4 B-per-id position
+//!   column over compact value storage. Per-flow lookups are two array
+//!   reads, and iteration is ascending flow id, which is what the
+//!   audit/watchdog/telemetry paths need.
 //! * [`SlabQueue`] — a growable ring deque with batch drain, replacing
 //!   the writeback / pending / swap-in `VecDeque`s.
-//! * [`FlowSet`] — a dense flow-id bitset with ascending iteration,
-//!   replacing `HashSet<FlowId>` membership tests.
-//! * [`SlabCursor`] — an index-based iteration cursor that stays valid
-//!   across insert/remove/grow, for scans that mutate as they walk.
+//! * [`FlowSet`] — a dense flow-id bitset with ascending iteration and
+//!   word-combining masked walks, replacing `HashSet<FlowId>` membership
+//!   tests and per-bit filters.
 //!
-//! Everything here is index-based: no handle ever dangles (generation
-//! checks turn use-after-free into `None`), and no structure allocates
-//! per-entry.
+//! Everything here is index-based: no structure allocates per entry, and
+//! every order is a function of the operation history only, never of a
+//! hasher seed or allocation addresses.
 
-/// A generation-checked reference to a [`Slab`] slot.
+/// "No entry" in [`FlowSlab`]'s id → position column. It is past the end
+/// of any value vector, so a vacant id fails the same bounds check that
+/// resolves a live one.
+const VACANT: u32 = u32::MAX;
+
+/// Dense flow-keyed table: the `HashMap<FlowId, T>` replacement.
 ///
-/// Handles are `Copy` and remain cheap to store in queues or secondary
-/// tables. A handle whose slot has since been freed (and possibly
-/// reused) no longer resolves: the generation check fails and accessors
-/// return `None` instead of aliasing the new occupant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SlabHandle {
-    index: u32,
-    gen: u32,
-}
-
-impl SlabHandle {
-    /// The slot index this handle points at (stable for the handle's
-    /// lifetime; meaningful for dense secondary arrays).
-    pub fn index(&self) -> usize {
-        self.index as usize
-    }
-
-    /// The generation the slot had when this handle was issued.
-    pub fn generation(&self) -> u32 {
-        self.gen
-    }
-}
-
-/// One slab slot: the payload plus the slot's current generation. Even
-/// generations are vacant, odd are occupied, so a stale handle can never
-/// match a vacant slot.
-#[derive(Debug, Clone)]
-struct Slot<T> {
-    gen: u32,
-    value: Option<T>,
-}
-
-/// A dense, generation-checked slot arena with deterministic iteration.
-///
-/// # Examples
-///
-/// ```
-/// use f4t_sim::slab::Slab;
-///
-/// let mut slab: Slab<&str> = Slab::with_capacity(0); // 0-capacity grows
-/// let a = slab.insert("a");
-/// let b = slab.insert("b");
-/// assert_eq!(slab.get(a), Some(&"a"));
-/// assert_eq!(slab.remove(a), Some("a"));
-/// assert_eq!(slab.get(a), None, "stale handle no longer resolves");
-/// let c = slab.insert("c"); // reuses a's slot with a new generation
-/// assert_eq!(c.index(), a.index());
-/// assert_eq!(slab.get(a), None, "generation check still trips");
-/// assert_eq!(slab.len(), 2);
-/// let order: Vec<&str> = slab.iter().map(|(_, v)| *v).collect();
-/// assert_eq!(order, ["c", "b"], "slot order: deterministic, reuse-first");
-/// # let _ = b;
-/// ```
-#[derive(Debug, Clone)]
-pub struct Slab<T> {
-    slots: Vec<Slot<T>>,
-    free: Vec<u32>,
-    len: usize,
-}
-
-impl<T> Default for Slab<T> {
-    fn default() -> Slab<T> {
-        Slab::with_capacity(0)
-    }
-}
-
-impl<T> Slab<T> {
-    /// A slab pre-sized for `capacity` entries. `0` is valid: the slab
-    /// starts empty and grows on first insert.
-    pub fn with_capacity(capacity: usize) -> Slab<T> {
-        Slab { slots: Vec::with_capacity(capacity), free: Vec::new(), len: 0 }
-    }
-
-    /// Occupied entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the slab holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Slots ever allocated (the dense-array extent secondary SoA
-    /// columns must match).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Inserts a value, reusing the most recently freed slot if any
-    /// (LIFO keeps the hot end of the arena dense and cache-warm).
-    pub fn insert(&mut self, value: T) -> SlabHandle {
-        self.len += 1;
-        if let Some(index) = self.free.pop() {
-            let slot = &mut self.slots[index as usize];
-            slot.gen = slot.gen.wrapping_add(1); // even -> odd: occupied
-            slot.value = Some(value);
-            return SlabHandle { index, gen: slot.gen };
-        }
-        let index = self.slots.len() as u32;
-        self.slots.push(Slot { gen: 1, value: Some(value) });
-        SlabHandle { index, gen: 1 }
-    }
-
-    fn live(&self, h: SlabHandle) -> bool {
-        self.slots.get(h.index()).is_some_and(|s| s.gen == h.gen && s.value.is_some())
-    }
-
-    /// Whether `h` still refers to a live entry.
-    pub fn contains(&self, h: SlabHandle) -> bool {
-        self.live(h)
-    }
-
-    /// The entry behind `h`, or `None` if it was freed (generation
-    /// mismatch) — a use-after-free reads as absence, never as aliasing.
-    pub fn get(&self, h: SlabHandle) -> Option<&T> {
-        if self.live(h) { self.slots[h.index()].value.as_ref() } else { None }
-    }
-
-    /// Mutable access behind `h` under the same generation check.
-    pub fn get_mut(&mut self, h: SlabHandle) -> Option<&mut T> {
-        if self.live(h) { self.slots[h.index()].value.as_mut() } else { None }
-    }
-
-    /// Frees the entry behind `h`, returning it. A stale handle is a
-    /// no-op `None`.
-    pub fn remove(&mut self, h: SlabHandle) -> Option<T> {
-        if !self.live(h) {
-            return None;
-        }
-        let slot = &mut self.slots[h.index()];
-        slot.gen = slot.gen.wrapping_add(1); // odd -> even: vacant
-        self.len -= 1;
-        self.free.push(h.index);
-        slot.value.take()
-    }
-
-    /// Iterates live entries in ascending slot order. The order is a
-    /// pure function of the insert/remove history — two runs replaying
-    /// the same operations iterate identically.
-    pub fn iter(&self) -> impl Iterator<Item = (SlabHandle, &T)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
-            s.value.as_ref().map(|v| (SlabHandle { index: i as u32, gen: s.gen }, v))
-        })
-    }
-
-    /// Mutable slot-order iteration.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (SlabHandle, &mut T)> {
-        self.slots.iter_mut().enumerate().filter_map(|(i, s)| {
-            let gen = s.gen;
-            s.value.as_mut().map(move |v| (SlabHandle { index: i as u32, gen }, v))
-        })
-    }
-
-    /// An index-based cursor for scans that insert/remove/grow while
-    /// walking (see [`SlabCursor`]).
-    pub fn cursor(&self) -> SlabCursor {
-        SlabCursor { next: 0 }
-    }
-}
-
-/// An iteration cursor over a [`Slab`] that stays valid across
-/// mutation: it remembers only the next slot index, so growth during
-/// the walk extends the walk, and removal behind the cursor is skipped
-/// naturally. Entries inserted into freed slots *before* the cursor are
-/// not revisited.
-#[derive(Debug, Clone, Copy)]
-pub struct SlabCursor {
-    next: u32,
-}
-
-impl SlabCursor {
-    /// Advances to the next live entry at or past the cursor position.
-    pub fn next<T>(&mut self, slab: &Slab<T>) -> Option<SlabHandle> {
-        while (self.next as usize) < slab.slots.len() {
-            let i = self.next as usize;
-            self.next += 1;
-            if slab.slots[i].value.is_some() {
-                return Some(SlabHandle { index: i as u32, gen: slab.slots[i].gen });
-            }
-        }
-        None
-    }
-}
-
-/// Dense `FlowId -> slot` indirection over a [`Slab`].
-///
-/// The index side is a flat `Vec` keyed by the raw flow id, so a lookup
-/// is two bounds-checked array reads and zero hashing. Iteration is
-/// ascending flow id — the deterministic order the audit, watchdog and
-/// telemetry paths require.
+/// A 4 B-per-id position column, sized by the largest id ever inserted,
+/// indexes two compact parallel vectors holding only the live entries
+/// (`ids[p]` owns `values[p]`). A lookup is two array reads and no
+/// hashing; a table that owns a sparse subset of the id space (one RSS
+/// core's share, say) pays 4 B for each id it does not own, not a whole
+/// vacant value. Removal moves the last entry into the hole. Iteration
+/// is ascending flow id — the deterministic order the audit, watchdog
+/// and telemetry paths require.
 ///
 /// # Examples
 ///
@@ -231,81 +49,124 @@ impl SlabCursor {
 /// assert_eq!(ids, [2, 5], "ascending flow id, not insertion order");
 /// assert_eq!(m.remove(5), Some(500));
 /// assert_eq!(m.get(5), None);
+/// *m.get_or_insert_with(5, || 1) += 1;
+/// assert_eq!(m.get(5), Some(&2));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FlowSlab<T> {
-    index: Vec<Option<SlabHandle>>,
-    slab: Slab<T>,
+    pos: Vec<u32>,
+    ids: Vec<u32>,
+    values: Vec<T>,
+}
+
+impl<T> Default for FlowSlab<T> {
+    fn default() -> FlowSlab<T> {
+        FlowSlab::with_capacity(0)
+    }
 }
 
 impl<T> FlowSlab<T> {
-    /// A map pre-sized for flow ids below `capacity` (grows on demand;
+    /// A table pre-sized for flow ids below `capacity` (grows on demand;
     /// `0` is valid).
     pub fn with_capacity(capacity: usize) -> FlowSlab<T> {
-        FlowSlab { index: Vec::with_capacity(capacity), slab: Slab::with_capacity(capacity) }
+        FlowSlab {
+            pos: Vec::with_capacity(capacity),
+            ids: Vec::with_capacity(capacity),
+            values: Vec::with_capacity(capacity),
+        }
     }
 
     /// Live entries.
     pub fn len(&self) -> usize {
-        self.slab.len()
+        self.values.len()
     }
 
     /// Whether no flow has an entry.
     pub fn is_empty(&self) -> bool {
-        self.slab.is_empty()
+        self.values.is_empty()
     }
 
-    fn handle(&self, id: u32) -> Option<SlabHandle> {
-        self.index.get(id as usize).copied().flatten()
+    /// Position of `id`'s entry; [`VACANT`] (out of range) when it has
+    /// none.
+    #[inline]
+    fn position(&self, id: u32) -> usize {
+        self.pos.get(id as usize).copied().unwrap_or(VACANT) as usize
     }
 
     /// Whether `id` has an entry.
     pub fn contains(&self, id: u32) -> bool {
-        self.handle(id).is_some_and(|h| self.slab.contains(h))
+        self.position(id) < self.values.len()
     }
 
     /// The entry for `id`.
+    #[inline]
     pub fn get(&self, id: u32) -> Option<&T> {
-        self.handle(id).and_then(|h| self.slab.get(h))
+        self.values.get(self.position(id))
     }
 
     /// Mutable entry for `id`.
+    #[inline]
     pub fn get_mut(&mut self, id: u32) -> Option<&mut T> {
-        let h = self.handle(id)?;
-        self.slab.get_mut(h)
+        let p = self.position(id);
+        self.values.get_mut(p)
+    }
+
+    /// Appends a fresh entry for an `id` known to have none.
+    fn push(&mut self, id: u32, value: T) -> &mut T {
+        if self.pos.len() <= id as usize {
+            self.pos.resize(id as usize + 1, VACANT);
+        }
+        self.pos[id as usize] = self.values.len() as u32;
+        self.ids.push(id);
+        self.values.push(value);
+        let last = self.values.len() - 1;
+        &mut self.values[last]
     }
 
     /// Inserts or replaces the entry for `id`, returning the previous
     /// value if any (the `HashMap::insert` contract).
     pub fn insert(&mut self, id: u32, value: T) -> Option<T> {
-        if let Some(h) = self.handle(id) {
-            if let Some(v) = self.slab.get_mut(h) {
-                return Some(std::mem::replace(v, value));
+        match self.get_mut(id) {
+            Some(v) => Some(std::mem::replace(v, value)),
+            None => {
+                self.push(id, value);
+                None
             }
         }
-        if self.index.len() <= id as usize {
-            self.index.resize(id as usize + 1, None);
+    }
+
+    /// The entry for `id`, created from `make` first when there is none
+    /// (the `HashMap::entry(..).or_insert_with(..)` contract).
+    pub fn get_or_insert_with(&mut self, id: u32, make: impl FnOnce() -> T) -> &mut T {
+        let p = self.position(id);
+        if p < self.values.len() {
+            &mut self.values[p]
+        } else {
+            self.push(id, make())
         }
-        let h = self.slab.insert(value);
-        self.index[id as usize] = Some(h);
-        None
     }
 
     /// Removes and returns the entry for `id`.
     pub fn remove(&mut self, id: u32) -> Option<T> {
-        let h = self.handle(id)?;
-        let v = self.slab.remove(h);
-        if v.is_some() {
-            self.index[id as usize] = None;
+        let p = self.position(id);
+        if p >= self.values.len() {
+            return None;
         }
-        v
+        self.pos[id as usize] = VACANT;
+        self.ids.swap_remove(p);
+        let value = self.values.swap_remove(p);
+        if let Some(&moved) = self.ids.get(p) {
+            self.pos[moved as usize] = p as u32;
+        }
+        Some(value)
     }
 
     /// Iterates `(flow id, entry)` in ascending flow id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
-        self.index.iter().enumerate().filter_map(|(id, h)| {
-            h.and_then(|h| self.slab.get(h)).map(|v| (id as u32, v))
-        })
+        self.pos
+            .iter()
+            .enumerate()
+            .filter_map(|(id, &p)| self.values.get(p as usize).map(|v| (id as u32, v)))
     }
 
     /// Ascending flow ids with live entries.
@@ -313,11 +174,12 @@ impl<T> FlowSlab<T> {
         self.iter().map(|(id, _)| id)
     }
 
-    /// Iterates entries in slab slot order (insertion/reuse order) —
-    /// the cache-friendly walk for hot loops where flow-id order is not
-    /// part of the observable contract.
+    /// Iterates entries in storage order (insertion order, except that a
+    /// removal moves the last entry into the hole) — the cache-friendly
+    /// walk for order-free folds; a pure function of the operation
+    /// history, never of a hasher seed.
     pub fn iter_dense(&self) -> impl Iterator<Item = &T> {
-        self.slab.iter().map(|(_, v)| v)
+        self.values.iter()
     }
 }
 
@@ -525,13 +387,30 @@ impl FlowSet {
     /// Ascending member iteration: one `trailing_zeros` per member, so a
     /// sparse set costs its population, not its capacity.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            std::iter::successors((w != 0).then_some(w), |&rest| {
-                let rest = rest & (rest - 1); // clear the lowest set bit
-                (rest != 0).then_some(rest)
-            })
-            .map(move |rest| (wi * 64) as u32 + rest.trailing_zeros())
-        })
+        self.words.iter().enumerate().flat_map(|(wi, &w)| word_members(wi, w))
+    }
+
+    /// Ascending iteration over `self ∖ a ∖ b`, combining one word of each
+    /// set at a time: an empty difference costs two ANDs per word and
+    /// yields nothing, a non-empty one visits only its members. The
+    /// host-side stand-in for a masked compare tree (the FPC's eviction
+    /// candidates: occupied, not evict-marked, not in the FPU) and the
+    /// sibling of [`first_in_and_not`](Self::first_in_and_not).
+    pub fn iter_without<'a>(
+        &'a self,
+        a: &'a FlowSet,
+        b: &'a FlowSet,
+    ) -> impl Iterator<Item = u32> + 'a {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(move |(wi, &w)| word_members(wi, w & !a.word(wi) & !b.word(wi)))
+    }
+
+    /// Word `wi` of the bitset; words past the end read as empty.
+    #[inline]
+    fn word(&self, wi: usize) -> u64 {
+        self.words.get(wi).copied().unwrap_or(0)
     }
 
     /// Circular priority encode over `self ∩ and ∖ not`: the lowest such
@@ -542,10 +421,7 @@ impl FlowSet {
         let n = self.words.len();
         // Lowest member of word `w` among the bits `keep` selects.
         let lowest = |w: usize, keep: u64| {
-            let m = self.words[w]
-                & and.words.get(w).copied().unwrap_or(0)
-                & !not.words.get(w).copied().unwrap_or(0)
-                & keep;
+            let m = self.words[w] & and.word(w) & !not.word(w) & keep;
             (m != 0).then(|| (w * 64) as u32 + m.trailing_zeros())
         };
         let first_word = from as usize / 64;
@@ -559,6 +435,15 @@ impl FlowSet {
     }
 }
 
+/// The set bits of word `wi`'s value `w` as ascending member ids.
+fn word_members(wi: usize, w: u64) -> impl Iterator<Item = u32> {
+    std::iter::successors((w != 0).then_some(w), |&rest| {
+        let rest = rest & (rest - 1); // clear the lowest set bit
+        (rest != 0).then_some(rest)
+    })
+    .map(move |rest| (wi * 64) as u32 + rest.trailing_zeros())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,68 +451,7 @@ mod tests {
     use std::collections::HashMap;
 
     #[test]
-    fn slot_reuse_after_free_trips_generation_check() {
-        let mut slab = Slab::with_capacity(2);
-        let a = slab.insert("a");
-        assert_eq!(slab.remove(a), Some("a"));
-        // Reuse: same slot index, new generation.
-        let b = slab.insert("b");
-        assert_eq!(b.index(), a.index());
-        assert_ne!(b.generation(), a.generation());
-        // The stale handle must not alias the new occupant.
-        assert!(!slab.contains(a));
-        assert_eq!(slab.get(a), None);
-        assert_eq!(slab.get_mut(a), None);
-        assert_eq!(slab.remove(a), None, "stale remove is a no-op");
-        assert_eq!(slab.get(b), Some(&"b"), "stale remove did not free the reused slot");
-        // Double free of the fresh handle is also inert.
-        assert_eq!(slab.remove(b), Some("b"));
-        assert_eq!(slab.remove(b), None);
-        assert!(slab.is_empty());
-    }
-
-    #[test]
-    fn grow_under_iteration_keeps_cursor_and_handles_valid() {
-        let mut slab = Slab::with_capacity(2);
-        let first: Vec<_> = (0..4).map(|i| slab.insert(i)).collect();
-        let mut cursor = slab.cursor();
-        let mut seen = Vec::new();
-        // Walk two entries, then grow the slab mid-iteration.
-        for _ in 0..2 {
-            let h = cursor.next(&slab).unwrap();
-            seen.push(*slab.get(h).unwrap());
-        }
-        let late: Vec<_> = (100..140).map(|i| slab.insert(i)).collect();
-        // Old handles survive the growth reallocation.
-        for (i, h) in first.iter().enumerate() {
-            assert_eq!(slab.get(*h), Some(&(i as i32)));
-        }
-        // The cursor keeps walking: remaining originals, then the
-        // entries appended during iteration, in slot order.
-        while let Some(h) = cursor.next(&slab) {
-            seen.push(*slab.get(h).unwrap());
-        }
-        let expected: Vec<i32> = (0..4).chain(100..140).collect();
-        assert_eq!(seen, expected);
-        // Removal mid-walk is also safe: a fresh cursor skips the hole.
-        slab.remove(first[1]);
-        let mut cursor = slab.cursor();
-        let mut ids = Vec::new();
-        while let Some(h) = cursor.next(&slab) {
-            ids.push(*slab.get(h).unwrap());
-        }
-        assert!(!ids.contains(&1));
-        assert_eq!(ids.len(), first.len() + late.len() - 1);
-    }
-
-    #[test]
     fn zero_capacity_structures_grow_on_demand() {
-        let mut slab: Slab<u32> = Slab::with_capacity(0);
-        assert!(slab.is_empty());
-        assert_eq!(slab.slot_count(), 0);
-        let h = slab.insert(9);
-        assert_eq!(slab.get(h), Some(&9));
-
         let mut q: SlabQueue<u32> = SlabQueue::with_capacity(0);
         assert_eq!(q.pop_front(), None);
         assert_eq!(q.drain_front(8).count(), 0);
@@ -688,23 +512,41 @@ mod tests {
     }
 
     /// Randomized model equivalence: a [`FlowSlab`] driven by an
-    /// arbitrary insert/remove/get schedule behaves exactly like
-    /// `HashMap`, and its iteration equals the model's sorted items.
+    /// arbitrary insert / replace / entry / remove / get schedule behaves
+    /// exactly like `HashMap`, and its iteration equals the model's
+    /// sorted items. Ids are recycled constantly (a small pool), and the
+    /// odd seeds own only the ids ≡ c (mod 8) of a wide range — one RSS
+    /// core's share — so the position column is mostly vacant.
     #[test]
     fn flow_slab_matches_hashmap_model_under_random_ops() {
-        for seed in 0..4u64 {
+        for seed in 0..6u64 {
             let mut rng = SimRng::new(0x51AB_0000 + seed);
             let mut slab: FlowSlab<u64> = FlowSlab::with_capacity(0);
             let mut model: HashMap<u32, u64> = HashMap::new();
+            let sparse = seed % 2 == 1;
             for op in 0..4_000u64 {
-                let id = rng.next_below(96) as u32;
-                match rng.next_below(4) {
+                let id = if sparse {
+                    rng.next_below(64) as u32 * 8 + seed as u32
+                } else {
+                    rng.next_below(96) as u32
+                };
+                match rng.next_below(6) {
                     0 | 1 => {
                         let v = op;
                         assert_eq!(slab.insert(id, v), model.insert(id, v), "seed {seed} op {op}");
                     }
                     2 => {
+                        let got = slab.get_or_insert_with(id, || op);
+                        let want = model.entry(id).or_insert(op);
+                        assert_eq!(got, want, "seed {seed} op {op}");
+                        *got += 1;
+                        *want += 1;
+                    }
+                    3 => {
                         assert_eq!(slab.remove(id), model.remove(&id), "seed {seed} op {op}");
+                    }
+                    4 => {
+                        assert_eq!(slab.get_mut(id), model.get_mut(&id), "seed {seed} op {op}");
                     }
                     _ => {
                         assert_eq!(slab.get(id), model.get(&id), "seed {seed} op {op}");
@@ -717,6 +559,11 @@ mod tests {
             expected.sort_unstable();
             let got: Vec<(u32, u64)> = slab.iter().map(|(k, &v)| (k, v)).collect();
             assert_eq!(got, expected, "seed {seed}: iteration must be ascending flow id");
+            let mut dense: Vec<u64> = slab.iter_dense().copied().collect();
+            dense.sort_unstable();
+            let mut values: Vec<u64> = expected.iter().map(|&(_, v)| v).collect();
+            values.sort_unstable();
+            assert_eq!(dense, values, "seed {seed}: dense walk visits each entry once");
         }
     }
 
@@ -790,6 +637,32 @@ mod tests {
                 assert_eq!(s.iter().collect::<Vec<_>>(), want, "n {n} density {density}");
                 assert_eq!(s.len(), want.len());
             }
+        }
+    }
+
+    /// The word-combining difference walk yields exactly what a per-bit
+    /// `filter` over the first set finds, also when the three sets have
+    /// grown to different word counts.
+    #[test]
+    fn iter_without_matches_per_bit_filter() {
+        let mut rng = SimRng::new(0x51AB_D1FF);
+        for n in [1u32, 63, 64, 65, 128, 200] {
+            for round in 0..32u64 {
+                let s = random_set(&mut rng, n, 1 + round % 8);
+                // The masks are sometimes shorter, sometimes longer than `s`.
+                let na = if round % 3 == 0 { n.div_ceil(2) } else { n };
+                let nb = if round % 2 == 0 { n + 70 } else { n };
+                let a = random_set(&mut rng, na, round % 9);
+                let b = random_set(&mut rng, nb, (round / 2) % 9);
+                let want: Vec<u32> =
+                    s.iter().filter(|&i| !a.contains(i) && !b.contains(i)).collect();
+                let got: Vec<u32> = s.iter_without(&a, &b).collect();
+                assert_eq!(got, want, "n {n} round {round}");
+            }
+            // Everything masked out: nothing is yielded.
+            let full = random_set(&mut rng, n, 8);
+            assert_eq!(full.iter_without(&full, &FlowSet::default()).count(), 0, "n {n}");
+            assert_eq!(full.iter_without(&FlowSet::default(), &full).count(), 0, "n {n}");
         }
     }
 

@@ -157,6 +157,10 @@ impl ScaleShard {
                 }
             }
             if seg.has_payload() {
+                // f4tlint: allow(tick_path_scan): the ideal peer's own
+                // 4-tuple → flow lookup, once per data segment it ACKs (it
+                // has no flow id to index by); no node tick runs this — the
+                // call graph reaches `step` by name only.
                 let slot = &mut self.pending_ack[self.by_tuple[&seg.tuple]];
                 let end = seg.seq_end();
                 *slot = Some(slot.map_or(end, |h| h.max_seq(end)));

@@ -7,9 +7,8 @@
 //! DRAM."
 
 use f4t_host::{F4tLib, SendError};
-use f4t_sim::Histogram;
+use f4t_sim::{FlowSlab, Histogram};
 use f4t_tcp::{FlowId, SeqNum};
-use std::collections::HashMap;
 
 /// Per-flow client state.
 #[derive(Debug, Clone, Copy)]
@@ -26,7 +25,7 @@ struct PingState {
 #[derive(Debug)]
 pub struct EchoClient {
     msg_bytes: u32,
-    states: HashMap<FlowId, PingState>,
+    states: FlowSlab<PingState>,
     /// Minimum gap between a flow's consecutive pings (0 = closed loop).
     pace_ns: u64,
     /// Round-trip latency per message, in nanoseconds.
@@ -49,13 +48,11 @@ impl EchoClient {
         lib: &F4tLib,
         pace_ns: u64,
     ) -> EchoClient {
-        let states = flows
-            .iter()
-            .map(|&f| {
-                let isn = lib.socket(f).map(|s| s.consumed).unwrap_or(SeqNum::ZERO);
-                (f, PingState { expect: isn, sent_ns: 0, next_send_ns: 0 })
-            })
-            .collect();
+        let mut states = FlowSlab::with_capacity(0);
+        for &f in flows {
+            let isn = lib.socket(f).map(|s| s.consumed).unwrap_or(SeqNum::ZERO);
+            states.insert(f.0, PingState { expect: isn, sent_ns: 0, next_send_ns: 0 });
+        }
         EchoClient { msg_bytes, states, pace_ns, latency: Histogram::new(), completed: 0 }
     }
 
@@ -63,7 +60,7 @@ impl EchoClient {
     /// latency and send the next ping; if idle, send the first ping.
     /// Returns `true` when a send was issued (library-call cost).
     pub fn step_flow(&mut self, flow: FlowId, lib: &mut F4tLib, now_ns: u64) -> bool {
-        let Some(st) = self.states.get_mut(&flow) else { return false };
+        let Some(st) = self.states.get_mut(flow.0) else { return false };
         if st.sent_ns != 0 {
             // Waiting: has the echo come back?
             let Some(sock) = lib.socket(flow) else { return false };
@@ -77,17 +74,15 @@ impl EchoClient {
             }
         }
         // Pacing gate (open-loop mode).
-        if self.states.get(&flow).is_some_and(|st| now_ns < st.next_send_ns) {
+        if now_ns < st.next_send_ns {
             return false;
         }
         // Send the next ping.
         match lib.send(flow, self.msg_bytes) {
             Ok(_) => {
-                if let Some(st) = self.states.get_mut(&flow) {
-                    st.expect = st.expect.add(self.msg_bytes);
-                    st.sent_ns = now_ns.max(1);
-                    st.next_send_ns = now_ns + self.pace_ns;
-                }
+                st.expect = st.expect.add(self.msg_bytes);
+                st.sent_ns = now_ns.max(1);
+                st.next_send_ns = now_ns + self.pace_ns;
                 true
             }
             Err(SendError::BufferFull | SendError::QueueFull) => false,
@@ -104,7 +99,7 @@ impl EchoClient {
     /// sleeping thread must arm before blocking), if any.
     pub fn earliest_deadline(&self) -> Option<u64> {
         self.states
-            .values()
+            .iter_dense()
             .filter(|st| st.sent_ns == 0 && st.next_send_ns > 0)
             .map(|st| st.next_send_ns)
             .min()

@@ -8,9 +8,8 @@
 //! under F4T (Fig. 11's `vfs_read` note).
 
 use f4t_host::{F4tLib, SendError};
-use f4t_sim::Histogram;
+use f4t_sim::{FlowSlab, Histogram};
 use f4t_tcp::{FlowId, SeqNum};
-use std::collections::HashMap;
 
 /// wrk's request size (a minimal GET).
 pub const WRK_REQUEST_BYTES: u32 = 128;
@@ -27,7 +26,7 @@ struct ConnState {
 /// The wrk-style load generator: one outstanding request per connection.
 #[derive(Debug)]
 pub struct HttpClient {
-    states: HashMap<FlowId, ConnState>,
+    states: FlowSlab<ConnState>,
     /// End-to-end request latency in nanoseconds.
     pub latency: Histogram,
     completed: u64,
@@ -36,19 +35,17 @@ pub struct HttpClient {
 impl HttpClient {
     /// Creates a client over established connections.
     pub fn new(flows: &[FlowId], lib: &F4tLib) -> HttpClient {
-        let states = flows
-            .iter()
-            .map(|&f| {
-                let isn = lib.socket(f).map(|s| s.consumed).unwrap_or(SeqNum::ZERO);
-                (f, ConnState { expect: isn, sent_ns: 0 })
-            })
-            .collect();
+        let mut states = FlowSlab::with_capacity(0);
+        for &f in flows {
+            let isn = lib.socket(f).map(|s| s.consumed).unwrap_or(SeqNum::ZERO);
+            states.insert(f.0, ConnState { expect: isn, sent_ns: 0 });
+        }
         HttpClient { states, latency: Histogram::new(), completed: 0 }
     }
 
     /// Drives one connection. Returns `true` when a request was issued.
     pub fn step_flow(&mut self, flow: FlowId, lib: &mut F4tLib, now_ns: u64) -> bool {
-        let Some(st) = self.states.get_mut(&flow) else { return false };
+        let Some(st) = self.states.get_mut(flow.0) else { return false };
         if st.sent_ns != 0 {
             let Some(sock) = lib.socket(flow) else { return false };
             if sock.received.ge(st.expect) {
@@ -62,10 +59,8 @@ impl HttpClient {
         }
         match lib.send(flow, WRK_REQUEST_BYTES) {
             Ok(_) => {
-                if let Some(st) = self.states.get_mut(&flow) {
-                    st.expect = st.expect.add(NGINX_RESPONSE_BYTES);
-                    st.sent_ns = now_ns.max(1);
-                }
+                st.expect = st.expect.add(NGINX_RESPONSE_BYTES);
+                st.sent_ns = now_ns.max(1);
                 true
             }
             Err(SendError::BufferFull | SendError::QueueFull) => false,

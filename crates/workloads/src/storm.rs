@@ -22,8 +22,8 @@
 //! pointers; cycle costs stay with the per-core loop in `f4t-system`.
 
 use f4t_host::{F4tLib, SendError};
+use f4t_sim::FlowSlab;
 use f4t_tcp::FlowId;
-use std::collections::HashMap;
 
 /// Default incast burst payload per sender per epoch.
 pub const INCAST_BURST_BYTES: u32 = 2_048;
@@ -154,7 +154,7 @@ enum ChurnPhase {
 #[derive(Debug)]
 pub struct ChurnClient {
     req_bytes: u32,
-    states: HashMap<FlowId, ChurnPhase>,
+    states: FlowSlab<ChurnPhase>,
     opened: u64,
     completed: u64,
 }
@@ -162,25 +162,25 @@ pub struct ChurnClient {
 impl ChurnClient {
     /// Creates a client whose connections each send `req_bytes`.
     pub fn new(req_bytes: u32) -> ChurnClient {
-        ChurnClient { req_bytes, states: HashMap::new(), opened: 0, completed: 0 }
+        ChurnClient { req_bytes, states: FlowSlab::with_capacity(0), opened: 0, completed: 0 }
     }
 
     /// A new connection attempt was issued for `flow`.
     pub fn on_open(&mut self, flow: FlowId) {
-        self.states.insert(flow, ChurnPhase::AwaitConnect);
+        self.states.insert(flow.0, ChurnPhase::AwaitConnect);
         self.opened += 1;
     }
 
     /// The engine tore `flow` down; its lifecycle is complete.
     pub fn on_closed(&mut self, flow: FlowId) {
-        if self.states.remove(&flow).is_some() {
+        if self.states.remove(flow.0).is_some() {
             self.completed += 1;
         }
     }
 
     /// Advances one connection. Returns `true` when a command was issued.
     pub fn step_flow(&mut self, flow: FlowId, lib: &mut F4tLib) -> bool {
-        let Some(phase) = self.states.get_mut(&flow) else { return false };
+        let Some(phase) = self.states.get_mut(flow.0) else { return false };
         if *phase == ChurnPhase::AwaitConnect {
             if !lib.socket(flow).is_some_and(|s| s.connected) {
                 return false;
@@ -232,7 +232,7 @@ struct ChurnServerConn {
 /// by [`Self::on_accept`] / [`Self::on_closed`] from the node.
 #[derive(Debug, Default)]
 pub struct ChurnServer {
-    conns: HashMap<FlowId, ChurnServerConn>,
+    conns: FlowSlab<ChurnServerConn>,
     consumed: u64,
     served: u64,
 }
@@ -245,19 +245,19 @@ impl ChurnServer {
 
     /// The engine accepted a new connection on this core.
     pub fn on_accept(&mut self, flow: FlowId) {
-        self.conns.insert(flow, ChurnServerConn { close_sent: false });
+        self.conns.insert(flow.0, ChurnServerConn { close_sent: false });
     }
 
     /// The engine tore `flow` down.
     pub fn on_closed(&mut self, flow: FlowId) {
-        if self.conns.remove(&flow).is_some() {
+        if self.conns.remove(flow.0).is_some() {
             self.served += 1;
         }
     }
 
     /// Drains readable data and answers the peer's FIN with a close.
     pub fn step_flow(&mut self, flow: FlowId, lib: &mut F4tLib) -> bool {
-        let Some(conn) = self.conns.get_mut(&flow) else { return false };
+        let Some(conn) = self.conns.get_mut(flow.0) else { return false };
         let Some(sock) = lib.socket(flow).copied() else { return false };
         let mut did_work = false;
         if sock.readable() > 0 {

@@ -37,6 +37,11 @@ cargo test -q --workspace
 echo "==> fast-forward equivalence (bit-identical, FtVerify attached)"
 cargo test -q --release -p f4t --test fastforward_equiv
 
+echo "==> cargo test -q --release --lib (unit tests with debug assertions compiled out)"
+# A test that leans on a debug_assert! (or on overflow checks) passes in
+# the debug run above and fails only here.
+cargo test -q --release --workspace --lib
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
