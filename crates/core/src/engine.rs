@@ -2277,6 +2277,149 @@ mod tests {
         assert_eq!((h.count(), h.min(), h.max()), (1, waited, waited));
     }
 
+    /// What [`bounce_into_a_full_intake`] leaves behind.
+    struct BounceRun {
+        e: Engine,
+        /// Events the host offered and the intake accepted.
+        offered: u64,
+        /// Whether the scheduler parked the planted event in the tick in
+        /// which it met the full intake.
+        parked: bool,
+    }
+
+    /// A single-FPC engine under sustained doorbell backpressure — the
+    /// host tops the 512-entry intake up before every tick with window
+    /// updates for 120 SRAM-resident flows, and one FPC drains them at an
+    /// event every other cycle — into which `kind` arrives for the idle
+    /// flow 0 *through the memory manager's input*: an event routed to
+    /// DRAM just before its flow swapped in (§3.2), which the memory
+    /// manager can only bounce. `plant_after` picks the tick; `None` when
+    /// the scheduler freed an intake slot in that very tick, so the bounce
+    /// found room and the case was not reached. Nothing else parks in this
+    /// run (every flow is SRAM-resident and a lone FPC has nowhere to
+    /// migrate to). Afterwards the flood stops and the engine drains.
+    fn bounce_into_a_full_intake(kind: EventKind, plant_after: u64, ff: bool) -> Option<BounceRun> {
+        const FLOOD_FLOWS: u32 = 120;
+        let cfg = EngineConfig {
+            fast_forward: ff,
+            check: true,
+            journal: true,
+            journal_sample: 1024, // flow 0 only
+            ..EngineConfig::single_fpc()
+        };
+        let mut e = Engine::new(cfg);
+        let isn = SeqNum(1000);
+        for i in 0..=FLOOD_FLOWS {
+            let t = FourTuple::new(
+                Ipv4Addr::new(10, 0, 0, 1),
+                10_000 + i as u16,
+                Ipv4Addr::new(10, 0, 0, 2),
+                80,
+            );
+            e.open_established(t, isn).unwrap();
+            e.run(4);
+        }
+        e.run(100);
+        // (next flood flow, events the intake accepted from the host)
+        let mut host = (0u32, 0u64);
+        let step = |e: &mut Engine, flood: Option<&mut (u32, u64)>| {
+            if let Some((next, offered)) = flood {
+                let update = EventKind::RecvConsumed { consumed: isn };
+                while e.push_host(FlowId(1 + *next % FLOOD_FLOWS), update) {
+                    *next += 1;
+                    *offered += 1;
+                }
+            }
+            e.run(1);
+            while e.pop_tx().is_some() {}
+            while e.pop_notification().is_some() {}
+        };
+        for _ in 0..400 + plant_after {
+            step(&mut e, Some(&mut host));
+        }
+        assert_eq!(e.scheduler.stats().events_in, host.1, "only the host feeds the intake");
+        let planted = FlowEvent::new(FlowId(0), kind, e.now_ns());
+        assert!(e.mm.push_event_at(planted, e.cycles()));
+        step(&mut e, Some(&mut host));
+        if e.scheduler.stats().events_in != host.1 || e.scheduler.can_accept() {
+            return None; // the bounce found room in its own tick
+        }
+        let offered = host.1;
+        let parked = e.scheduler.stats().parked == 1;
+        for _ in 0..4_000 {
+            step(&mut e, None);
+        }
+        Some(BounceRun { e, offered, parked })
+    }
+
+    /// Runs [`bounce_into_a_full_intake`] on the first tick (of a few
+    /// consecutive ones) whose scheduler pass frees no intake slot.
+    fn bounce_run(kind: EventKind, ff: bool) -> BounceRun {
+        (0..8)
+            .find_map(|k| bounce_into_a_full_intake(kind, k, ff))
+            .expect("no tick in eight kept the intake full through the scheduler pass")
+    }
+
+    #[test]
+    fn bounce_into_a_full_intake_is_parked_and_delivered_exactly_once() {
+        let isn = SeqNum(1000);
+        let kinds = [
+            EventKind::Close,
+            EventKind::Timeout { kind: TimeoutKind::Rto },
+            EventKind::SendReq { req: isn.add(700) },
+        ];
+        for kind in kinds {
+            let run = bounce_run(kind, true);
+            let e = &run.e;
+            assert!(run.parked, "{kind:?}: the bounced event must wait in the pending queue");
+            let s = e.scheduler.stats();
+            assert_eq!((s.events_in, s.parked), (run.offered, 1), "{kind:?}: taken back once");
+            assert_eq!(s.dropped, 0);
+            assert_eq!(e.check_total_violations(), 0, "{:?}", e.check_violations());
+            let of_flow0 = |k: JournalKind| {
+                e.journal().unwrap().events().filter(|ev| ev.flow == 0 && ev.kind == k).count()
+            };
+            assert_eq!(of_flow0(JournalKind::EventBounced), 1, "{kind:?}: one bounce");
+            let routes: Vec<u64> = e
+                .journal()
+                .unwrap()
+                .events()
+                .filter(|ev| ev.flow == 0 && ev.kind == JournalKind::EventRouted)
+                .map(|ev| ev.a)
+                .collect();
+            assert_eq!(routes, [Journal::ROUTE_PARKED, Journal::ROUTE_FPC], "{kind:?}: one delivery");
+            let tcb = e.peek_tcb(FlowId(0)).unwrap();
+            match kind {
+                EventKind::Close => {
+                    assert_eq!(tcb.state, TcpState::FinWait, "the FIN went out")
+                }
+                EventKind::SendReq { req } => {
+                    assert_eq!(tcb.req, req, "the request pointer moved");
+                    assert_eq!(tcb.snd_nxt, req, "and its 700 bytes were sent");
+                }
+                // A timeout with nothing in flight changes no TCB field;
+                // the journal's single delivery is its evidence.
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn fast_forward_matches_tick_by_tick_with_a_parked_bounce() {
+        let kind = EventKind::Close;
+        let (ff, tk) = (bounce_run(kind, true), bounce_run(kind, false));
+        assert!(ff.parked && tk.parked);
+        assert_eq!(ff.offered, tk.offered);
+        assert_eq!(telemetry_without_ff(&ff.e), telemetry_without_ff(&tk.e), "telemetry diverges");
+        assert_eq!(ff.e.journal_digest(), tk.e.journal_digest(), "journal diverges");
+        assert_eq!(
+            format!("{:?}", ff.e.peek_tcb(FlowId(0))),
+            format!("{:?}", tk.e.peek_tcb(FlowId(0))),
+        );
+        assert!(ff.e.fastforward_skipped_cycles() > 0, "the drained tail was skipped");
+        assert_eq!(tk.e.fastforward_skipped_cycles(), 0);
+    }
+
     #[test]
     fn backpressured_link_grows_packet_size() {
         // §5.1: when the network bottlenecks, events accumulate and the

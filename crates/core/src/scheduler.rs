@@ -1045,6 +1045,87 @@ mod tests {
         assert!(peak >= 1 && sched.stats().migrations > 100, "migrations exercised");
     }
 
+    /// Eight 2-slot FPCs, all full and all with an empty input FIFO (so a
+    /// backlog tie goes to FPC 0), plus four DRAM-resident flows (16..20)
+    /// queued for swap-in. Returns the cycle the set-up ran to.
+    fn all_full_with_swap_ins_queued(
+        sched: &mut Scheduler,
+        fpcs: &mut [Fpc],
+        mm: &mut MemoryManager,
+    ) -> u64 {
+        for id in 0..20 {
+            sched.place_new_flow(established(id), fpcs, mm, 0, None);
+            run(sched, fpcs, mm, id as u64 * 10, 10);
+        }
+        assert!(fpcs.iter().all(|f| f.free_slots() == 0 && f.input_backlog() == 0));
+        for id in 16..20 {
+            assert_eq!(sched.location(FlowId(id)), Location::Dram);
+            sched.request_swap_in(FlowId(id));
+        }
+        200
+    }
+
+    fn resident_flows_of(fpc: &Fpc) -> Vec<FlowId> {
+        fpc.resident_flows().collect()
+    }
+
+    #[test]
+    fn victim_search_moves_past_an_fpc_with_nothing_left_to_evict() {
+        let mut sched = Scheduler::new(1024, 4, true);
+        let mut fpcs = make_fpcs(8, 2);
+        let mut mm = MemoryManager::new(DramKind::Hbm, 16);
+        let c = all_full_with_swap_ins_queued(&mut sched, &mut fpcs, &mut mm);
+        // FPC 0 — the one the backlog pick lands on — is already giving up
+        // both of its flows, so it has no victim to offer.
+        for flow in resident_flows_of(&fpcs[0]) {
+            let started = sched.start_migration(
+                flow,
+                0,
+                MigrationDest::Dram,
+                &mut fpcs,
+                c,
+                &mut Probe::detached(),
+            );
+            assert!(started);
+        }
+        assert!(fpcs[0].coldest_flow().is_none());
+        assert!(fpcs[1..].iter().all(|f| f.coldest_flow().is_some()), "seven FPCs hold cold flows");
+        let before = sched.stats().migrations;
+
+        sched.tick(c, &mut fpcs, &mut mm);
+
+        // Demand is four swap-ins and two evictions were in flight: the
+        // same tick starts the other two, on the next FPC in the order.
+        assert_eq!(sched.stats().migrations - before, 2, "evictions started in the same tick");
+        for flow in resident_flows_of(&fpcs[1]) {
+            assert_eq!(sched.location(flow), Location::Moving, "{flow} of FPC 1 is the victim");
+        }
+        assert!(fpcs[1].coldest_flow().is_none());
+    }
+
+    #[test]
+    fn victim_search_tries_the_next_fpc_when_a_victim_is_refused() {
+        let mut sched = Scheduler::new(1024, 4, true);
+        let mut fpcs = make_fpcs(8, 2);
+        let mut mm = MemoryManager::new(DramKind::Hbm, 16);
+        let c = all_full_with_swap_ins_queued(&mut sched, &mut fpcs, &mut mm);
+        // FPC 0 offers its coldest flow, but that flow already has a
+        // migration on the books (it has landed, its install callback has
+        // not run yet): `start_migration` refuses it.
+        let refused = fpcs[0].coldest_flow().expect("FPC 0 holds cold flows");
+        sched.set_migration(refused, MigrationDest::Fpc(0));
+        let before = sched.stats().migrations;
+
+        sched.tick(c, &mut fpcs, &mut mm);
+
+        assert!(sched.stats().migrations > before, "the ask moved on to another FPC");
+        assert_eq!(sched.location(refused), Location::Fpc(0), "the refused victim stays put");
+        let victim = resident_flows_of(&fpcs[1])
+            .into_iter()
+            .find(|&f| sched.location(f) == Location::Moving);
+        assert!(victim.is_some(), "FPC 1 gave up a flow instead");
+    }
+
     #[test]
     fn intake_backpressure_reported() {
         let mut sched = Scheduler::new(64, 4, true);
