@@ -343,7 +343,8 @@ USAGE: f4tperf [OPTIONS]
   --journal-sample <N>             journal 1-in-N flows         [64]
   --watchdog                       attach the online health watchdog (stuck
                                    flows, retransmit storms, queue SLO,
-                                   starved LUT entries); any alarm exits 1
+                                   starved LUT entries / swap-in queue);
+                                   any alarm exits 1
   --dump-on-failure <PATH>         write the FtJournal black-box dump
                                    (journal tail, watchdog alarms, FtVerify
                                    violations, implicated TCBs, config,

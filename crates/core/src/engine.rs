@@ -98,7 +98,7 @@ pub struct EngineConfig {
     pub journal_sample: u32,
     /// FtJournal/watchdog: attach the online health watchdog (stuck
     /// flows, retransmit storms, queue SLO breaches, starved LUT
-    /// entries). Off by default.
+    /// entries, a starved swap-in queue). Off by default.
     pub watchdog: bool,
     /// Cycles between watchdog sweeps. A sweep walks every resident TCB,
     /// so it runs on a coarse period (default 65 536 cycles ≈ 262 µs).
@@ -293,6 +293,10 @@ pub struct Engine {
     /// without reuse would alias live flows after enough churn.
     free_flow_ids: Vec<u32>,
     host_events: u64,
+    /// Bounced events (`MmOutput::bounced`) handed back to the scheduler:
+    /// the "left the DRAM path alive" term of the audit's
+    /// event-conservation clause.
+    bounces_returned: u64,
     /// Cycles elided by fast-forward (the `engine.fastforward.*`
     /// telemetry family; excluded from the equivalence contract since the
     /// tick-by-tick run by definition skips nothing).
@@ -443,6 +447,7 @@ impl Engine {
             next_flow: 0,
             free_flow_ids: Vec::new(),
             host_events: 0,
+            bounces_returned: 0,
             ff_skipped_cycles: 0,
             ff_windows: 0,
             check: config.check.then(|| Box::new(InvariantChecker::new())),
@@ -1239,7 +1244,6 @@ impl Engine {
             );
             self.scheduler.on_evict_done(flow, cycle, probe.check());
         }
-        // (An early `break` drops the rest of the drain with it.)
         for ev in mo.bounced.drain(..) {
             probe.event(
                 cycle,
@@ -1249,10 +1253,8 @@ impl Engine {
                 0,
                 0,
             );
-            if !self.scheduler.push_event_at(ev, cycle) {
-                // Intake full: treat like a dropped packet; TCP recovers.
-                break;
-            }
+            self.scheduler.push_bounced(ev, cycle, probe);
+            self.bounces_returned += 1;
         }
         self.mm_scratch = mo;
 
@@ -1351,6 +1353,13 @@ impl Engine {
             QueueObservation { name: "engine.tx_out", depth: self.tx_out.len(), cap: TX_OUT_CAP },
         ];
         wd.observe(cycle, &flow_obs, &queues, self.pkt_gen.retransmissions());
+        // Swap-ins wait on full FPCs, nothing is moving, and still some
+        // FPC has a flow it could give up: the victim search is stuck.
+        let starved = self.scheduler.swap_in_backlog() > 0
+            && self.scheduler.migrations_in_flight() == 0
+            && self.fpcs.iter().all(|f| !f.can_accept_tcb())
+            && self.fpcs.iter().any(|f| f.coldest_flow().is_some());
+        wd.observe_swap_in(cycle, starved);
         self.watchdog = Some(wd);
     }
 
@@ -1463,7 +1472,8 @@ impl Engine {
     /// modules; this pass checks the *structural* invariants that need a
     /// global view: a TCB is valid in exactly the place its location-LUT
     /// entry claims (§3.2's race-free migration), never in two memories
-    /// at once, and every FIFO's push/pop accounting balances.
+    /// at once, every FIFO's push/pop accounting balances, and no event
+    /// routed to DRAM went missing.
     fn run_audit(&mut self, cycle: u64) {
         let Some(mut chk) = self.check.take() else { return };
         for f in &self.fpcs {
@@ -1472,6 +1482,24 @@ impl Engine {
         self.scheduler.audit(cycle, &mut chk);
         self.mm.audit(cycle, &mut chk);
         self.rx_parser.audit(cycle, &mut chk);
+
+        // Event conservation on the DRAM path: what the scheduler routed
+        // there was handled in place, bounced and taken back by the
+        // scheduler, or still waits in the memory manager's input.
+        let routed = self.scheduler.stats().routed_dram;
+        let (handled, returned, queued) =
+            (self.mm.events_handled(), self.bounces_returned, self.mm.events_queued() as u64);
+        if routed != handled + returned + queued {
+            chk.report(
+                cycle,
+                ViolationKind::EventConservation,
+                "engine.audit",
+                format!(
+                    "{routed} events routed to DRAM != {handled} handled + {returned} bounced \
+                     back to the scheduler + {queued} queued"
+                ),
+            );
+        }
 
         // Residency map: which memory actually holds each flow right now.
         // Slab/bitset-backed so audit reports come out in deterministic
@@ -1712,6 +1740,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f4t_sim::watchdog::AlarmKind;
     use std::net::Ipv4Addr;
 
     fn tuple_ab() -> FourTuple {
@@ -2375,16 +2404,22 @@ mod tests {
             let s = e.scheduler.stats();
             assert_eq!((s.events_in, s.parked), (run.offered, 1), "{kind:?}: taken back once");
             assert_eq!(s.dropped, 0);
-            assert_eq!(e.check_total_violations(), 0, "{:?}", e.check_violations());
-            let of_flow0 = |k: JournalKind| {
-                e.journal().unwrap().events().filter(|ev| ev.flow == 0 && ev.kind == k).count()
-            };
-            assert_eq!(of_flow0(JournalKind::EventBounced), 1, "{kind:?}: one bounce");
-            let routes: Vec<u64> = e
-                .journal()
-                .unwrap()
-                .events()
-                .filter(|ev| ev.flow == 0 && ev.kind == JournalKind::EventRouted)
+            // The plant skipped the scheduler's routed-to-DRAM count, so
+            // the audit's event-conservation clause — and no other rule —
+            // reports one more event leaving the DRAM path than entered it.
+            let violations = e.check_violations();
+            assert!(
+                !violations.is_empty()
+                    && violations.iter().all(|v| v.kind == ViolationKind::EventConservation),
+                "{violations:?}"
+            );
+            let journal: Vec<_> =
+                e.journal().unwrap().events().filter(|ev| ev.flow == 0).collect();
+            let bounces = journal.iter().filter(|ev| ev.kind == JournalKind::EventBounced).count();
+            assert_eq!(bounces, 1, "{kind:?}: one bounce");
+            let routes: Vec<u64> = journal
+                .iter()
+                .filter(|ev| ev.kind == JournalKind::EventRouted)
                 .map(|ev| ev.a)
                 .collect();
             assert_eq!(routes, [Journal::ROUTE_PARKED, Journal::ROUTE_FPC], "{kind:?}: one delivery");
@@ -2418,6 +2453,51 @@ mod tests {
         );
         assert!(ff.e.fastforward_skipped_cycles() > 0, "the drained tail was skipped");
         assert_eq!(tk.e.fastforward_skipped_cycles(), 0);
+    }
+
+    #[test]
+    fn watchdog_flags_a_swap_in_queue_the_scheduler_leaves_starved() {
+        let horizon = 1_000;
+        let mut cfg = EngineConfig::single_fpc();
+        cfg.flows_per_fpc = 4;
+        cfg.check = true;
+        cfg.watchdog = true;
+        cfg.watchdog_interval = 1 << 40; // sweeps are driven by hand below
+        cfg.watchdog_cfg.moving_horizon_cycles = horizon;
+        let mut e = Engine::new(cfg);
+        let isn = SeqNum(0);
+        for i in 0..6u16 {
+            let t = FourTuple::new(Ipv4Addr::new(10, 0, 0, 1), 10_000 + i, Ipv4Addr::new(10, 0, 0, 2), 80);
+            e.open_established(t, isn).unwrap();
+            e.run(10);
+        }
+        e.run(100);
+        // The fault: a swap-in is queued on a full FPC and the scheduler
+        // is withheld (no tick), so no eviction ever starts although all
+        // four resident flows are evictable.
+        let c = e.cycles();
+        e.scheduler.request_swap_in_at(FlowId(5), c);
+        e.run_watchdog(c);
+        e.run_watchdog(c + horizon - 1);
+        assert_eq!(e.watchdog_alarm_count(), 0, "inside the horizon");
+        e.run_watchdog(c + horizon);
+        let alarms = e.watchdog().unwrap().alarms();
+        assert_eq!(alarms.len(), 1, "{alarms:?}");
+        assert_eq!((alarms[0].kind, alarms[0].flow), (AlarmKind::SwapInStarved, None));
+
+        // Released, the scheduler makes room in its next tick, the flow
+        // comes in and its data goes out — and a DRAM path that was only
+        // ever fed by the scheduler keeps the conservation clause quiet.
+        assert!(e.push_host(FlowId(5), EventKind::SendReq { req: isn.add(300) }));
+        e.run(2_000);
+        assert!(matches!(e.scheduler.location(FlowId(5)), Location::Fpc(0)));
+        assert_eq!(e.peek_tcb(FlowId(5)).unwrap().snd_nxt, isn.add(300));
+        assert!(e.scheduler.stats().routed_dram >= 1);
+        assert_eq!(e.check_total_violations(), 0, "{:?}", e.check_violations());
+        e.watchdog = Some(Box::new(Watchdog::new(e.config().watchdog_cfg)));
+        e.run_watchdog(e.cycles());
+        e.run_watchdog(e.cycles() + horizon);
+        assert_eq!(e.watchdog_alarm_count(), 0, "a working victim search never starves");
     }
 
     #[test]

@@ -156,6 +156,11 @@ impl MemoryManager {
         self.events_handled
     }
 
+    /// Events waiting in the input FIFO.
+    pub fn events_queued(&self) -> usize {
+        self.input.len()
+    }
+
     /// The DRAM channel (diagnostics: bytes served, refusals).
     pub fn dram(&self) -> &DramModel {
         &self.dram

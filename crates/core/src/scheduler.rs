@@ -165,6 +165,21 @@ impl Scheduler {
         }
     }
 
+    /// Takes back an event the memory manager bounced (its flow left DRAM
+    /// while the event waited there): through the intake like any new
+    /// event, or — when the intake is full — straight into the pending
+    /// queue, which re-routes it after the usual
+    /// [`PENDING_RETRY_CYCLES`]. Never refuses: a `SendReq`, `Close` or
+    /// `Timeout` has no peer to resend it. (Holding the event in the
+    /// memory manager until the intake has room would close a cycle —
+    /// intake ← coalesce FIFO ← LUT port ← pending retries ← memory-manager
+    /// input ← the held event — that wedges a DDR4 engine above 1 K flows.)
+    pub fn push_bounced(&mut self, ev: FlowEvent, cycle: u64, probe: &mut Probe) {
+        if !self.push_event_at(ev, cycle) {
+            self.park(ev, cycle, None, 3, probe);
+        }
+    }
+
     /// Whether the intake FIFO has room.
     pub fn can_accept(&self) -> bool {
         !self.input.is_full()
@@ -616,22 +631,40 @@ impl Scheduler {
                 None => {
                     // Every FPC is full: evict cold flows to make room
                     // (Fig. 6), concurrency bounded by demand.
-                    if self.dram_bound >= self.swap_in_queue.len().min(256) {
+                    if self.dram_bound >= self.swap_in_queue.len().min(256)
+                        || !self.evict_coldest(fpcs, cycle, probe)
+                    {
                         return;
                     }
-                    let t = fpcs
-                        .iter()
-                        .enumerate()
-                        // f4tlint: allow(tick_path_scan): one compare tree
-                        // over the (eight) FPCs, not over a flow table.
-                        .min_by_key(|(_, f)| f.input_backlog())
-                        .map(|(i, _)| i)
-                        .unwrap_or(0);
-                    if let Some(cold) = fpcs[t].coldest_flow() {
-                        self.start_migration(cold, t, MigrationDest::Dram, fpcs, cycle, probe);
-                    } else {
-                        return;
-                    }
+                }
+            }
+        }
+    }
+
+    /// Fig. 6 ①–③ with every FPC full: asks the FPCs for their coldest
+    /// flow, shortest input FIFO first (ties to the lowest id), and starts
+    /// evicting the first victim offered. An FPC with nothing to offer —
+    /// every slot already evict-marked or in flight in its FPU — or whose
+    /// victim `start_migration` refuses passes the ask on to the next one;
+    /// `false` only when no FPC can give up a flow this cycle. The modelled
+    /// hardware is a priority pick over the FPCs' "have a victim" lines,
+    /// not a walk over any flow table.
+    fn evict_coldest(&mut self, fpcs: &mut [Fpc], cycle: u64, probe: &mut Probe) -> bool {
+        // (backlog, id) of the FPC asked last: the order is strictly
+        // ascending in that key, so it needs no sort and no visited set.
+        let mut asked = None;
+        loop {
+            let next = fpcs
+                .iter()
+                .enumerate()
+                .map(|(i, f)| (f.input_backlog(), i))
+                .filter(|&key| asked.is_none_or(|last| key > last))
+                .min();
+            let Some((_, t)) = next else { return false };
+            asked = next;
+            if let Some(cold) = fpcs[t].coldest_flow() {
+                if self.start_migration(cold, t, MigrationDest::Dram, fpcs, cycle, probe) {
+                    return true;
                 }
             }
         }

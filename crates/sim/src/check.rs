@@ -19,7 +19,10 @@
 //! * **valid-bit leaks** — an event accumulated against a resident TCB but
 //!   never dispatched within a bound;
 //! * **FIFO conservation** — for every [`Fifo`], `pushed == popped +
-//!   occupancy` (rejected pushes never enter the queue).
+//!   occupancy` (rejected pushes never enter the queue);
+//! * **event conservation** — every event the scheduler routed to DRAM
+//!   was handled there, bounced and taken back by the scheduler, or is
+//!   still queued: no non-retransmittable event is ever discarded.
 //!
 //! The checker is *optional at runtime*: modules reach it through
 //! [`Probe::check`](crate::Probe::check) and the disabled path is a single
@@ -55,6 +58,9 @@ pub enum ViolationKind {
     ValidBitLeak,
     /// A FIFO's push/pop/occupancy accounting stopped balancing.
     FifoConservation,
+    /// An event left the DRAM path without being handled or handed back
+    /// to the scheduler (or one appeared there that was never routed).
+    EventConservation,
 }
 
 impl fmt::Display for ViolationKind {
@@ -66,6 +72,7 @@ impl fmt::Display for ViolationKind {
             ViolationKind::MigrationRace => "migration_race",
             ViolationKind::ValidBitLeak => "valid_bit_leak",
             ViolationKind::FifoConservation => "fifo_conservation",
+            ViolationKind::EventConservation => "event_conservation",
         };
         f.write_str(s)
     }

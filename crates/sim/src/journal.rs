@@ -126,7 +126,7 @@ pub enum JournalKind {
     /// Scheduler routed an event (`a` = [`Journal::ROUTE_FPC`] → FPC `b`,
     /// [`Journal::ROUTE_DRAM`], or [`Journal::ROUTE_PARKED`] with `b` the
     /// park cause: 0 mid-migration, 1 DRAM backpressure, 2 FPC
-    /// backpressure).
+    /// backpressure, 3 bounced into a full intake).
     EventRouted,
     /// Scheduler dropped an event for an unallocated flow.
     EventDropped,
@@ -305,7 +305,7 @@ impl Journal {
     pub const ROUTE_DRAM: u64 = 1;
     /// [`JournalKind::EventRouted`] payload: parked in the pending queue
     /// (`b` = cause: 0 mid-migration, 1 DRAM backpressure, 2 FPC
-    /// backpressure).
+    /// backpressure, 3 bounced into a full intake).
     pub const ROUTE_PARKED: u64 = 2;
     /// [`JournalKind::TcbMigrateStart`] endpoint code for DRAM (FPC ids
     /// are 0..=254).

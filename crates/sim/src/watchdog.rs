@@ -13,7 +13,10 @@
 //! * **queue-depth SLO breaches** — a queue observed at capacity for N
 //!   consecutive observations;
 //! * **starved LUT entries** — a flow stuck in the location LUT's
-//!   `Moving` state past a horizon (a migration that never completed).
+//!   `Moving` state past a horizon (a migration that never completed);
+//! * **a starved swap-in queue** — flows waiting to enter a full set of
+//!   FPCs while no eviction is in flight although a victim exists, past
+//!   the same horizon (a migration that never started).
 //!
 //! The watchdog is engine-agnostic: it sees plain observation structs,
 //! never engine types, so `f4t-sim` stays dependency-free. Each
@@ -35,7 +38,7 @@
 use crate::telemetry::MetricsRegistry;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Number of alarm kinds.
+/// Number of per-kind alarm counters (telemetry rows).
 pub const ALARM_KIND_COUNT: usize = 4;
 
 /// Watchdog thresholds. Defaults are conservative (no false positives on
@@ -53,7 +56,8 @@ pub struct WatchdogConfig {
     /// breaches its SLO.
     pub queue_slo_consecutive: u32,
     /// A flow observed in the location LUT's `Moving` state for this
-    /// many cycles is starved (its migration never completed).
+    /// many cycles is starved (its migration never completed); so is a
+    /// swap-in queue observed starved for as long.
     pub moving_horizon_cycles: u64,
 }
 
@@ -105,10 +109,13 @@ pub enum AlarmKind {
     QueueSlo,
     /// A location-LUT entry stuck in `Moving` past the horizon.
     StarvedLut,
+    /// The swap-in queue waited past the horizon on FPCs that were all
+    /// full while nothing was being evicted and a victim was on offer.
+    SwapInStarved,
 }
 
 impl AlarmKind {
-    /// Every kind, in catalog order.
+    /// Every kind with a telemetry row of its own, in catalog order.
     pub const ALL: [AlarmKind; ALARM_KIND_COUNT] = [
         AlarmKind::StuckFlow,
         AlarmKind::RetxStorm,
@@ -123,15 +130,19 @@ impl AlarmKind {
             AlarmKind::RetxStorm => "retx_storm",
             AlarmKind::QueueSlo => "queue_slo",
             AlarmKind::StarvedLut => "starved_lut",
+            AlarmKind::SwapInStarved => "swap_in_starved",
         }
     }
 
+    /// Telemetry row the kind counts under. Both starved-migration kinds
+    /// share `alarm.starved_lut`: the catalogue (METRICS.md) has one row
+    /// for "a migration starved", and the alarm line tells them apart.
     fn index(self) -> usize {
         match self {
             AlarmKind::StuckFlow => 0,
             AlarmKind::RetxStorm => 1,
             AlarmKind::QueueSlo => 2,
-            AlarmKind::StarvedLut => 3,
+            AlarmKind::StarvedLut | AlarmKind::SwapInStarved => 3,
         }
     }
 }
@@ -181,6 +192,9 @@ pub struct Watchdog {
     per_kind: [u64; ALARM_KIND_COUNT],
     observations: u64,
     last_retx_total: u64,
+    /// Cycle the swap-in queue was first observed starved (`None` while
+    /// it is not).
+    swap_in_starved_since: Option<u64>,
 }
 
 impl Watchdog {
@@ -195,6 +209,7 @@ impl Watchdog {
             per_kind: [0; ALARM_KIND_COUNT],
             observations: 0,
             last_retx_total: 0,
+            swap_in_starved_since: None,
         }
     }
 
@@ -299,6 +314,34 @@ impl Watchdog {
             );
         }
 
+        self.alarms.len() - before
+    }
+
+    /// Ingests the swap-in path's health at an observation boundary.
+    /// `starved` means: flows wait for swap-in, every FPC is full, no
+    /// migration is in flight, and yet some FPC holds an evictable flow —
+    /// the scheduler could make room and is not doing so. Alarms once the
+    /// condition has held across observations for
+    /// [`WatchdogConfig::moving_horizon_cycles`]. Returns the number of
+    /// alarms raised.
+    pub fn observe_swap_in(&mut self, cycle: u64, starved: bool) -> usize {
+        let before = self.alarms.len();
+        self.swap_in_starved_since =
+            if starved { self.swap_in_starved_since.or(Some(cycle)) } else { None };
+        if let Some(since) = self.swap_in_starved_since {
+            if cycle - since >= self.cfg.moving_horizon_cycles {
+                self.raise(
+                    cycle,
+                    AlarmKind::SwapInStarved,
+                    None,
+                    format!(
+                        "swap-in queue starved for {} cycles with a victim on offer (horizon {})",
+                        cycle - since,
+                        self.cfg.moving_horizon_cycles
+                    ),
+                );
+            }
+        }
         self.alarms.len() - before
     }
 
@@ -416,6 +459,25 @@ mod tests {
         w.observe(0, &[moving], &[], 0);
         w.observe(50, &[flow(3, 0, false)], &[], 0);
         assert_eq!(w.observe(500, &[moving], &[], 0), 0, "fresh Moving episode");
+    }
+
+    #[test]
+    fn starved_swap_in_queue_detected_once_past_the_horizon() {
+        let mut w = Watchdog::new(tight());
+        assert_eq!(w.observe_swap_in(0, true), 0);
+        assert_eq!(w.observe_swap_in(60, false), 0, "an eviction started: clock cleared");
+        assert_eq!(w.observe_swap_in(120, true), 0);
+        assert_eq!(w.observe_swap_in(200, true), 0, "80 cycles into the second episode");
+        assert_eq!(w.observe_swap_in(220, true), 1);
+        assert_eq!(w.observe_swap_in(400, true), 0, "alarms once");
+        let a = &w.alarms()[0];
+        assert_eq!((a.kind, a.flow), (AlarmKind::SwapInStarved, None));
+        assert!(a.line().starts_with("220 swap_in_starved "), "{}", a.line());
+        // Counted on the starved-migration row, next to starved_lut.
+        let mut reg = MetricsRegistry::new();
+        w.collect("watchdog", &mut reg);
+        assert_eq!(reg.counter_value("watchdog.alarm.starved_lut"), 1);
+        assert_eq!(reg.counter_value("watchdog.alarms_total"), 1);
     }
 
     #[test]
