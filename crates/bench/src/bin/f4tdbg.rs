@@ -13,6 +13,7 @@
 //! f4tdbg diff a.json b.json      # first divergence between two dumps
 //! ```
 
+use f4t_sim::json::{self, Value};
 use std::collections::HashMap;
 
 /// Exit codes: `0` success / digests match / dumps identical, `1`
@@ -84,8 +85,8 @@ fn read(path: &str) -> String {
     }
 }
 
-/// A parsed dump: the top-level fields f4tdbg consumes. Unknown fields
-/// (config, implicated TCBs, flight) pass through untouched via `raw`.
+/// A parsed dump: the top-level fields f4tdbg consumes. The rest
+/// (config, implicated TCBs, flight) is not read.
 struct Dump {
     reason: String,
     cycle: u64,
@@ -98,14 +99,18 @@ struct Dump {
 
 impl Dump {
     fn parse(path: &str, text: &str) -> Dump {
-        let top = match top_level_fields(text) {
-            Some(m) => m,
-            None => die(&format!("{path}: not a JSON object")),
-        };
-        let str_field = |k: &str| top.get(k).and_then(|v| parse_json_string(v));
-        let num_field = |k: &str| top.get(k).and_then(|v| v.trim().parse::<u64>().ok());
-        let arr_field = |k: &str| -> Vec<String> {
-            top.get(k).map(|v| parse_string_array(v)).unwrap_or_default()
+        let doc = json::parse(text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+        if doc.entries().is_none() {
+            die(&format!("{path}: not a JSON object"));
+        }
+        let str_field = |k: &str| doc.get(k).and_then(Value::as_str).map(str::to_string);
+        let num_field = |k: &str| doc.get(k).and_then(Value::as_u64);
+        // The turbofish keeps f4tlint's name-resolved call graph from
+        // linking every module's `collect` (metrics export) under the
+        // `cmd_digest` path.
+        let arr_field = |k: &str| {
+            let items = doc.get(k).and_then(Value::as_array).unwrap_or_default();
+            items.iter().filter_map(Value::as_str).map(str::to_string).collect::<Vec<_>>()
         };
         Dump {
             reason: str_field("reason").unwrap_or_else(|| "unknown".into()),
@@ -118,130 +123,6 @@ impl Dump {
             violations: arr_field("violations"),
         }
     }
-}
-
-/// Splits a JSON object's top level into `key -> raw value slice`,
-/// tracking string escapes and brace/bracket depth so embedded objects
-/// (config, flight) don't confuse the scan. Returns `None` unless the
-/// document is a single object.
-fn top_level_fields(text: &str) -> Option<HashMap<String, String>> {
-    let bytes = text.as_bytes();
-    let open = text.find('{')?;
-    let mut fields = HashMap::new();
-    let mut i = open + 1;
-    loop {
-        // Next key string.
-        while i < bytes.len() && bytes[i] != b'"' && bytes[i] != b'}' {
-            i += 1;
-        }
-        if i >= bytes.len() || bytes[i] == b'}' {
-            return Some(fields);
-        }
-        let (key, after_key) = scan_string(text, i)?;
-        let colon = text[after_key..].find(':')? + after_key;
-        let mut j = colon + 1;
-        // Value: scan to the matching top-level ',' or '}'.
-        let start = j;
-        let mut depth = 0i32;
-        loop {
-            if j >= bytes.len() {
-                return None;
-            }
-            match bytes[j] {
-                b'"' => {
-                    let (_, after) = scan_string(text, j)?;
-                    j = after;
-                    continue;
-                }
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' if depth > 0 => depth -= 1,
-                b'}' if depth == 0 => {
-                    fields.insert(key, text[start..j].trim().to_string());
-                    return Some(fields);
-                }
-                b',' if depth == 0 => {
-                    fields.insert(key, text[start..j].trim().to_string());
-                    i = j + 1;
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-}
-
-/// Scans the JSON string starting at `text[at]` (which must be `"`);
-/// returns its unescaped contents and the index just past the closing
-/// quote.
-fn scan_string(text: &str, at: usize) -> Option<(String, usize)> {
-    let bytes = text.as_bytes();
-    debug_assert_eq!(bytes[at], b'"');
-    let mut out = String::new();
-    let mut i = at + 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => return Some((out, i + 1)),
-            b'\\' => {
-                i += 1;
-                match bytes.get(i)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let code = u32::from_str_radix(text.get(i + 1..i + 5)?, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        i += 4;
-                    }
-                    &c => out.push(c as char),
-                }
-            }
-            _ => {
-                // Multi-byte UTF-8: copy the whole scalar.
-                let c = text[i..].chars().next()?;
-                out.push(c);
-                i += c.len_utf8() - 1;
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Parses a raw JSON value slice as a string literal.
-fn parse_json_string(raw: &str) -> Option<String> {
-    let t = raw.trim();
-    if !t.starts_with('"') {
-        return None;
-    }
-    scan_string(t, 0).map(|(s, _)| s)
-}
-
-/// Parses a raw JSON value slice as an array of string literals.
-fn parse_string_array(raw: &str) -> Vec<String> {
-    let t = raw.trim();
-    let mut out = Vec::new();
-    if !t.starts_with('[') {
-        return out;
-    }
-    let mut i = 1;
-    let bytes = t.as_bytes();
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => match scan_string(t, i) {
-                Some((s, after)) => {
-                    out.push(s);
-                    i = after;
-                }
-                None => return out,
-            },
-            b']' => return out,
-            _ => i += 1,
-        }
-    }
-    out
 }
 
 /// One parsed journal line (`cycle module kind flow a b`, space-joined —
@@ -490,7 +371,8 @@ fn cmd_pulse_show(path: &str, filter: Option<&str>) {
         Err(e) => die(&format!("{path}: {e}")),
     };
     println!("pulse       {path}");
-    if let Some(d) = f4t_bench::pulsejson::field_u64(&text, "merged_digest") {
+    let merged = json::parse(&text).ok().and_then(|d| d.get("merged_digest")?.as_u64());
+    if let Some(d) = merged {
         println!("merged      {d:016x}");
     }
     for sec in &secs {

@@ -14,7 +14,7 @@
 use f4t_core::{fold_digests, Engine, EngineConfig};
 use f4t_mem::{DramKind, Location};
 use f4t_netsim::Impairments;
-use f4t_sim::MetricsRegistry;
+use f4t_sim::{json, MetricsRegistry};
 use f4t_system::{F4tSystem, ScaleShard};
 use f4t_tcp::FlowId;
 use f4t_workloads::{INCAST_EPOCH_NS, SLOWLORIS_DRIP_BYTES};
@@ -365,7 +365,7 @@ fn num<T: std::str::FromStr<Err: std::fmt::Display>>(v: String) -> Result<T, Str
 
 /// Parses and validates the command line into the arguments and the
 /// [`WORKLOADS`] row they select.
-fn parse() -> Result<(Args, &'static Workload), String> {
+fn parse_args() -> Result<(Args, &'static Workload), String> {
     let mut args = Args::default();
     let validate = |args: &Args| -> Result<&'static Workload, String> {
         let Some(workload) = WORKLOADS.iter().find(|w| w.name == args.workload) else {
@@ -488,7 +488,7 @@ fn parse() -> Result<(Args, &'static Workload), String> {
 }
 
 fn main() {
-    let (args, workload) = match parse() {
+    let (args, workload) = match parse_args() {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
@@ -839,8 +839,7 @@ fn culprit<'a>(engines: &[(&str, &'a Engine)], guilty: impl Fn(&Engine) -> bool)
 /// forensic record exists before the process dies.
 fn write_dump(args: &Args, e: &Engine, reason: &str) {
     let Some(path) = &args.dump_on_failure else { return };
-    let extra = [("workload", format!("\"{}\"", args.workload))];
-    match std::fs::write(path, e.blackbox_json(reason, &extra)) {
+    match std::fs::write(path, e.blackbox_json(reason, &[("workload", args.workload.as_str())])) {
         Ok(()) => eprintln!("  black-box dump     → {path} ({reason})"),
         Err(err) => eprintln!("error: writing {path}: {err}"),
     }
@@ -969,72 +968,19 @@ fn run_pulse_gate(args: &Args, pulse_doc: Option<&str>, e: &Engine) {
     }
 }
 
-/// Tolerances for the perf gate. Total simulated cycles are two-sided
-/// (a big drop is as suspicious as a big rise — it usually means the
-/// workload silently stopped doing work); stage p99s are one-sided with
-/// an additive floor so near-zero baselines don't gate on ±1 cycle.
-const GATE_CYCLES_RATIO: f64 = 1.25;
-const GATE_P99_RATIO: f64 = 1.25;
-const GATE_P99_SLACK_CYCLES: f64 = 16.0;
-
-/// Compares the current breakdown against a committed baseline and
-/// returns one formatted violation per out-of-tolerance metric (empty =
-/// gate passes). Every line names the workload, stage and metric with
-/// the baseline, observed value and allowed bound — the format
-/// `workload=… stage=… metric=… observed=… baseline=… allowed…` is
-/// pinned by `crates/bench/tests/cli.rs`.
+/// Runs the `--gate` comparison of the current breakdown against a
+/// committed baseline ([`f4t_bench::flight_gate`]); an unreadable or
+/// malformed baseline is a usage error (exit 2), not a regression.
 fn run_gate(baseline_path: &str, current: &str, workload: &str) -> Vec<String> {
-    let base_text = read_or_exit(baseline_path);
-    let base = match f4t_bench::flatjson::flatten(&base_text) {
-        Ok(m) => m,
+    let base = match json::parse(&read_or_exit(baseline_path)) {
+        Ok(v) => v,
         Err(e) => {
             eprintln!("error: baseline {baseline_path}: {e}");
             std::process::exit(EXIT_USAGE);
         }
     };
-    let cur = f4t_bench::flatjson::flatten(current).expect("breakdown is well-formed");
-    let mut violations = Vec::new();
-    match (base.get("cycles"), cur.get("cycles")) {
-        (Some(&b), Some(&c)) => {
-            let lo = b / GATE_CYCLES_RATIO;
-            let hi = b * GATE_CYCLES_RATIO;
-            if c > hi || c < lo {
-                violations.push(format!(
-                    "workload={workload} stage=total metric=cycles observed={c:.0} baseline={b:.0} allowed=[{lo:.0}..{hi:.0}]"
-                ));
-            }
-        }
-        _ => violations.push(format!(
-            "workload={workload} stage=total metric=cycles observed=missing baseline=missing allowed=present"
-        )),
-    }
-    for (key, &b) in &base {
-        if !(key.starts_with("flight.stages.") && key.ends_with(".p99_cycles")) {
-            continue;
-        }
-        let stage = key
-            .trim_start_matches("flight.stages.")
-            .trim_end_matches(".p99_cycles");
-        let allowed = b * GATE_P99_RATIO + GATE_P99_SLACK_CYCLES;
-        match cur.get(key) {
-            Some(&c) if c <= allowed => {}
-            Some(&c) => violations.push(format!(
-                "workload={workload} stage={stage} metric=p99_cycles observed={c:.0} baseline={b:.0} allowed<={allowed:.0}"
-            )),
-            None => violations.push(format!(
-                "workload={workload} stage={stage} metric=p99_cycles observed=missing baseline={b:.0} allowed<={allowed:.0}"
-            )),
-        }
-    }
-    if let (Some(&b), Some(&c)) = (base.get("flight.spans_recorded"), cur.get("flight.spans_recorded"))
-    {
-        if b > 0.0 && c == 0.0 {
-            violations.push(format!(
-                "workload={workload} stage=total metric=spans_recorded observed=0 baseline={b:.0} allowed>0"
-            ));
-        }
-    }
-    violations
+    let cur = json::parse(current).expect("breakdown is well-formed");
+    f4t_bench::flight_gate(workload, &base, &cur)
 }
 
 /// Corrupts flow 0's location state so FtVerify has something real to

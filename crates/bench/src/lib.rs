@@ -7,6 +7,7 @@
 //!
 //! Set `F4T_QUICK=1` to cut simulation windows ~10× for smoke runs.
 
+use f4t_sim::json::Value;
 use std::fmt::Display;
 
 pub mod micro {
@@ -51,209 +52,72 @@ pub mod micro {
 
 pub mod pulsejson;
 
-pub mod flatjson {
-    //! A minimal JSON flattener for the perf gate (the build has no
-    //! serde). Parses a JSON document and returns every numeric leaf as
-    //! a dotted-path key (`flight.stages.fpu_process.p99_cycles`), which
-    //! is all `f4tperf --gate` needs to diff a run against a committed
-    //! baseline. Strings/booleans/nulls are skipped; array elements are
-    //! keyed by index.
+/// Tolerances for the FtFlight perf gate. Total simulated cycles are
+/// two-sided (a big drop is as suspicious as a big rise — it usually
+/// means the workload silently stopped doing work); stage p99s are
+/// one-sided with an additive floor so near-zero baselines don't gate on
+/// ±1 cycle.
+const GATE_CYCLES_RATIO: f64 = 1.25;
+const GATE_P99_RATIO: f64 = 1.25;
+const GATE_P99_SLACK_CYCLES: f64 = 16.0;
 
-    use std::collections::BTreeMap;
-
-    /// Flattens `text` into dotted-path → numeric-value pairs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first syntax error.
-    pub fn flatten(text: &str) -> Result<BTreeMap<String, f64>, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
-        let mut out = BTreeMap::new();
-        p.skip_ws();
-        p.value(&mut String::new(), &mut out)?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing bytes at offset {}", p.i));
+/// The FtFlight perf gate (DESIGN.md §10.4): compares a `--breakdown-json`
+/// document against a committed baseline and returns one formatted
+/// violation per out-of-tolerance metric (empty = gate passes). It reads
+/// top-level `cycles`, every `flight.stages.<stage>.p99_cycles` (stage
+/// lines in ascending stage name) and `flight.spans_recorded`. Every line
+/// names the workload, stage and metric with the observed value, the
+/// baseline and the allowed bound — the format
+/// `workload=… stage=… metric=… observed=… baseline=… allowed…` is pinned
+/// by `crates/bench/tests/cli.rs`.
+pub fn flight_gate(workload: &str, base: &Value, cur: &Value) -> Vec<String> {
+    let cycles = |doc: &Value| doc.get("cycles").and_then(Value::as_f64);
+    let flight = |doc: &Value, key: &str| doc.get("flight")?.get(key)?.as_f64();
+    let p99 = |doc: &Value, stage: &str| {
+        doc.get("flight")?.get("stages")?.get(stage)?.get("p99_cycles")?.as_f64()
+    };
+    let mut violations = Vec::new();
+    match (cycles(base), cycles(cur)) {
+        (Some(b), Some(c)) => {
+            let lo = b / GATE_CYCLES_RATIO;
+            let hi = b * GATE_CYCLES_RATIO;
+            if c > hi || c < lo {
+                violations.push(format!(
+                    "workload={workload} stage=total metric=cycles observed={c:.0} baseline={b:.0} allowed=[{lo:.0}..{hi:.0}]"
+                ));
+            }
         }
-        Ok(out)
+        _ => violations.push(format!(
+            "workload={workload} stage=total metric=cycles observed=missing baseline=missing allowed=present"
+        )),
     }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.b.get(self.i).copied()
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at offset {}", c as char, self.i))
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut s = String::new();
-            loop {
-                match self.peek().ok_or("unterminated string")? {
-                    b'"' => {
-                        self.i += 1;
-                        return Ok(s);
-                    }
-                    b'\\' => {
-                        self.i += 1;
-                        let e = self.peek().ok_or("unterminated escape")?;
-                        self.i += 1;
-                        match e {
-                            b'n' => s.push('\n'),
-                            b't' => s.push('\t'),
-                            b'u' => {
-                                // \uXXXX: decode the hex, keep BMP scalars.
-                                let hex = self
-                                    .b
-                                    .get(self.i..self.i + 4)
-                                    .ok_or("short \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                self.i += 4;
-                                s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            }
-                            c => s.push(c as char),
-                        }
-                    }
-                    c => {
-                        // Multi-byte UTF-8 passes through byte-wise.
-                        s.push(c as char);
-                        self.i += 1;
-                    }
-                }
-            }
-        }
-
-        fn value(
-            &mut self,
-            path: &mut String,
-            out: &mut BTreeMap<String, f64>,
-        ) -> Result<(), String> {
-            self.skip_ws();
-            match self.peek().ok_or("unexpected end of input")? {
-                b'{' => self.object(path, out),
-                b'[' => self.array(path, out),
-                b'"' => self.string().map(|_| ()),
-                b't' => self.literal("true"),
-                b'f' => self.literal("false"),
-                b'n' => self.literal("null"),
-                _ => {
-                    let start = self.i;
-                    while self
-                        .peek()
-                        .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-                    {
-                        self.i += 1;
-                    }
-                    let text = std::str::from_utf8(&self.b[start..self.i])
-                        .map_err(|e| e.to_string())?;
-                    let v: f64 = text
-                        .parse()
-                        .map_err(|_| format!("bad number {text:?} at offset {start}"))?;
-                    out.insert(path.clone(), v);
-                    Ok(())
-                }
-            }
-        }
-
-        fn literal(&mut self, word: &str) -> Result<(), String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(())
-            } else {
-                Err(format!("bad literal at offset {}", self.i))
-            }
-        }
-
-        fn object(
-            &mut self,
-            path: &mut String,
-            out: &mut BTreeMap<String, f64>,
-        ) -> Result<(), String> {
-            self.expect(b'{')?;
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                let saved = path.len();
-                if !path.is_empty() {
-                    path.push('.');
-                }
-                path.push_str(&key);
-                self.value(path, out)?;
-                path.truncate(saved);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {}", self.i)),
-                }
-            }
-        }
-
-        fn array(
-            &mut self,
-            path: &mut String,
-            out: &mut BTreeMap<String, f64>,
-        ) -> Result<(), String> {
-            self.expect(b'[')?;
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.i += 1;
-                return Ok(());
-            }
-            let mut idx = 0usize;
-            loop {
-                let saved = path.len();
-                if !path.is_empty() {
-                    path.push('.');
-                }
-                path.push_str(&idx.to_string());
-                self.value(path, out)?;
-                path.truncate(saved);
-                idx += 1;
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b']') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {}", self.i)),
-                }
-            }
+    let stages = base.get("flight").and_then(|f| f.get("stages")).and_then(Value::entries);
+    let mut stages: Vec<(&str, f64)> = stages
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|(name, _)| Some((name.as_str(), p99(base, name)?)))
+        .collect();
+    stages.sort_by(|x, y| x.0.cmp(y.0));
+    for (stage, b) in stages {
+        let allowed = b * GATE_P99_RATIO + GATE_P99_SLACK_CYCLES;
+        match p99(cur, stage) {
+            Some(c) if c <= allowed => {}
+            Some(c) => violations.push(format!(
+                "workload={workload} stage={stage} metric=p99_cycles observed={c:.0} baseline={b:.0} allowed<={allowed:.0}"
+            )),
+            None => violations.push(format!(
+                "workload={workload} stage={stage} metric=p99_cycles observed=missing baseline={b:.0} allowed<={allowed:.0}"
+            )),
         }
     }
+    if let (Some(b), Some(c)) = (flight(base, "spans_recorded"), flight(cur, "spans_recorded")) {
+        if b > 0.0 && c == 0.0 {
+            violations.push(format!(
+                "workload={workload} stage=total metric=spans_recorded observed=0 baseline={b:.0} allowed>0"
+            ));
+        }
+    }
+    violations
 }
 
 /// Whether quick mode is on (`F4T_QUICK=1`).
@@ -341,6 +205,7 @@ pub fn banner(id: &str, title: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f4t_sim::json;
 
     #[test]
     fn table_alignment() {
@@ -366,35 +231,64 @@ mod tests {
         assert_eq!(f(1.23456, 2), "1.23");
     }
 
+    /// Every committed gate baseline and perf record parses with the
+    /// workspace codec, and every flight/pulse baseline passes its gate
+    /// against itself.
     #[test]
-    fn flatjson_nested_objects_and_arrays() {
-        let m = flatjson::flatten(
-            r#"{"cycles": 12, "flight": {"stages": {"tx_emit": {"p99_cycles": 7}}},
-                "list": [1, {"x": 2}], "name": "bulk", "ok": true, "none": null,
-                "neg": -1.5e2}"#,
+    fn committed_results_parse_and_gate_clean_against_themselves() {
+        let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let read = |dir: &str, prefix: &str| -> Vec<(String, String)> {
+            let mut names: Vec<String> = std::fs::read_dir(format!("{results}/{dir}"))
+                .expect("results directory")
+                .map(|e| e.expect("dir entry").file_name().into_string().expect("UTF-8 name"))
+                .filter(|n| n.starts_with(prefix) && n.ends_with(".json"))
+                .collect();
+            names.sort();
+            let text = |n: &str| std::fs::read_to_string(format!("{results}/{dir}/{n}")).expect("read");
+            names.into_iter().map(|n| (format!("{dir}/{n}"), text(&n))).collect()
+        };
+        let (flight, pulse) = (read("flight", ""), read("pulse", ""));
+        assert_eq!(flight.len(), pulse.len(), "one flight and one pulse baseline per workload");
+        assert!(!flight.is_empty());
+        for (name, text) in &flight {
+            let doc = json::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(doc.get("flight").and_then(|f| f.get("stages")).is_some(), "{name}");
+            assert!(flight_gate("self", &doc, &doc).is_empty(), "{name}");
+        }
+        for (name, text) in &pulse {
+            assert_eq!(pulsejson::shape_gate("self", text, text), Ok(vec![]), "{name}");
+        }
+        let records = read("", "tick_cost_pr");
+        assert!(!records.is_empty());
+        for (name, text) in &records {
+            assert!(json::parse(text).is_ok(), "{name}");
+        }
+    }
+
+    #[test]
+    fn flight_gate_orders_stage_lines_by_name_and_flags_missing_ones() {
+        let base = json::parse(
+            r#"{"cycles": 1000, "flight": {"spans_recorded": 5, "stages": {
+                "tx_emit": {"p99_cycles": 10}, "fpu_process": {"p99_cycles": 10},
+                "rx_ingest": {"p99_cycles": 10}}}}"#,
         )
         .unwrap();
-        assert_eq!(m["cycles"], 12.0);
-        assert_eq!(m["flight.stages.tx_emit.p99_cycles"], 7.0);
-        assert_eq!(m["list.0"], 1.0);
-        assert_eq!(m["list.1.x"], 2.0);
-        assert_eq!(m["neg"], -150.0);
-        assert!(!m.contains_key("name"), "strings are not numeric leaves");
-        assert_eq!(m.len(), 5);
-    }
-
-    #[test]
-    fn flatjson_rejects_garbage() {
-        assert!(flatjson::flatten("{").is_err());
-        assert!(flatjson::flatten("{\"a\": }").is_err());
-        assert!(flatjson::flatten("{} trailing").is_err());
-        assert!(flatjson::flatten("{\"a\": 1,}").is_err());
-    }
-
-    #[test]
-    fn flatjson_handles_escaped_keys() {
-        let m = flatjson::flatten(r#"{"a\"b": 3, "u": {"A": 4}}"#).unwrap();
-        assert_eq!(m["a\"b"], 3.0);
-        assert_eq!(m["u.A"], 4.0);
+        let cur = json::parse(
+            r#"{"cycles": 2000, "flight": {"spans_recorded": 0, "stages": {
+                "tx_emit": {"p99_cycles": 50}, "fpu_process": {"p99_cycles": 29}}}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            flight_gate("w", &base, &cur),
+            [
+                "workload=w stage=total metric=cycles observed=2000 baseline=1000 allowed=[800..1250]",
+                "workload=w stage=fpu_process metric=p99_cycles observed=29 baseline=10 allowed<=28",
+                "workload=w stage=rx_ingest metric=p99_cycles observed=missing baseline=10 allowed<=28",
+                "workload=w stage=tx_emit metric=p99_cycles observed=50 baseline=10 allowed<=28",
+                "workload=w stage=total metric=spans_recorded observed=0 baseline=5 allowed>0",
+            ]
+        );
+        let not_a_breakdown = json::parse("{}").unwrap();
+        assert_eq!(flight_gate("w", &not_a_breakdown, &not_a_breakdown).len(), 1);
     }
 }

@@ -26,6 +26,7 @@ use f4t_sim::check::{InvariantChecker, Violation, ViolationKind};
 use f4t_sim::clock::merge_horizon;
 use f4t_sim::telemetry::{MetricsRegistry, TraceKind, TraceRing};
 use f4t_sim::flight::{FlightStage, STAGE_COUNT};
+use f4t_sim::json::{push_quoted, quote};
 use f4t_sim::pulse::{PulseSeries, FLOW_SERIES_COUNT, SERIES_COUNT};
 use f4t_sim::{
     FlightRecorder, FlowObservation, FlowSet, FlowSlab, Journal, JournalKind, JournalModule,
@@ -379,26 +380,6 @@ pub(crate) const AUDIT_INTERVAL: u64 = 64;
 /// structural audit, watchdog sweep, FtPulse window sample.
 const OBSERVERS: [fn(&mut Engine, u64); 3] =
     [Engine::run_audit, Engine::run_watchdog, Engine::run_pulse];
-
-/// Minimal JSON string escaping for the black-box dump (quotes,
-/// backslashes and control characters; everything else passes through).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 impl Engine {
     /// Builds an engine from `config` with the configured built-in
@@ -851,16 +832,15 @@ impl Engine {
     /// FtVerify violations, the TCBs implicated by alarms, the engine
     /// config and the FtFlight breakdown. `reason` names the trigger
     /// (e.g. `invariant-violation`, `watchdog-alarm`, `gate-failure`);
-    /// `extra` is a list of pre-rendered top-level JSON fields
-    /// (`(key, rendered-value)`) the caller adds — workload name, RNG
-    /// seed — without this layer needing a JSON writer.
-    pub fn blackbox_json(&self, reason: &str, extra: &[(&str, String)]) -> String {
+    /// `extra` holds plain `(key, value)` pairs the caller adds as
+    /// top-level string fields (workload name, RNG seed), escaped here.
+    pub fn blackbox_json(&self, reason: &str, extra: &[(&str, &str)]) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
-        s.push_str(&format!("  \"reason\": {},\n", json_str(reason)));
+        s.push_str(&format!("  \"reason\": {},\n", quote(reason)));
         s.push_str(&format!("  \"cycle\": {},\n", self.cycle));
         for (k, v) in extra {
-            s.push_str(&format!("  {}: {},\n", json_str(k), v));
+            s.push_str(&format!("  {}: {},\n", quote(k), quote(v)));
         }
         s.push_str(&format!(
             "  \"config\": {{\"num_fpcs\": {}, \"flows_per_fpc\": {}, \"max_flows\": {}, \"lut_groups\": {}, \"coalescing\": {}, \"fast_forward\": {}, \"journal_sample\": {}, \"watchdog_interval\": {}}},\n",
@@ -883,7 +863,7 @@ impl Engine {
                     s.push_str(", ");
                 }
                 first = false;
-                s.push_str(&json_str(&line));
+                push_quoted(&mut s, &line);
             }
         }
         s.push_str("],\n");
@@ -895,7 +875,7 @@ impl Engine {
                 if i > 0 {
                     s.push_str(", ");
                 }
-                s.push_str(&json_str(&a.line()));
+                push_quoted(&mut s, &a.line());
                 if let Some(f) = a.flow {
                     implicated.push(FlowId(f));
                 }
@@ -908,7 +888,7 @@ impl Engine {
             if i > 0 {
                 s.push_str(", ");
             }
-            s.push_str(&json_str(&v.to_string()));
+            push_quoted(&mut s, &v.to_string());
         }
         s.push_str("],\n");
         // TCBs implicated by per-flow alarms (Debug-rendered; capped so a
@@ -924,7 +904,7 @@ impl Engine {
                     s.push_str(", ");
                 }
                 first = false;
-                s.push_str(&json_str(&format!("{tcb:?}")));
+                push_quoted(&mut s, &format!("{tcb:?}"));
             }
         }
         s.push_str("],\n");
@@ -2266,6 +2246,50 @@ mod tests {
         run_pair(&mut a, &mut b, 100);
         assert_eq!(a.trace().total_recorded(), 0);
         let _ = recorded;
+    }
+
+    /// Both documents the engine assembles from recorder parts parse:
+    /// the Chrome trace with FtPulse counters spliced into its event
+    /// array, and the black-box dump with a caller value that needs
+    /// escaping.
+    #[test]
+    fn chrome_trace_and_blackbox_dump_parse_as_json() {
+        use f4t_sim::json::{self, Value};
+        let cfg = EngineConfig {
+            flight: true,
+            journal: true,
+            journal_sample: 1,
+            pulse: true,
+            pulse_interval: 256,
+            ..EngineConfig::single_fpc()
+        };
+        let mut a = Engine::new(cfg.clone());
+        let mut b = Engine::new(cfg);
+        a.set_trace_capacity(4096);
+        let (t, isn) = (tuple_ab(), SeqNum(0));
+        let fa = a.open_established(t, isn).unwrap();
+        let _fb = b.open_established(t.reversed(), isn).unwrap();
+        a.push_host(fa, EventKind::SendReq { req: isn.add(10_000) });
+        run_pair(&mut a, &mut b, 3_000);
+
+        let trace = json::parse(&a.export_chrome_trace()).expect("trace parses");
+        let events = trace.get("traceEvents").and_then(Value::as_array).unwrap();
+        let phase = |ph: &str| {
+            events.iter().filter(|e| e.get("ph").and_then(Value::as_str) == Some(ph)).count()
+        };
+        assert!(phase("i") > 0, "pipeline instants");
+        assert!(phase("C") > 0, "pulse counters in the same array");
+
+        let odd = "w\"o\\r\nk\u{1}é";
+        let dump = a.blackbox_json("gate-failure", &[("workload", odd)]);
+        let dump = json::parse(&dump).expect("dump parses");
+        assert_eq!(dump.get("reason").and_then(Value::as_str), Some("gate-failure"));
+        assert_eq!(dump.get("workload").and_then(Value::as_str), Some(odd));
+        assert_eq!(dump.get("cycle").and_then(Value::as_u64), Some(a.cycles()));
+        assert_eq!(dump.get("journal_digest").and_then(Value::as_u64), Some(a.journal_digest()));
+        let journal = dump.get("journal").and_then(Value::as_array).unwrap();
+        assert!(!journal.is_empty() && journal.iter().all(|l| l.as_str().is_some()));
+        assert!(dump.get("flight").and_then(|f| f.get("stages")).is_some());
     }
 
     #[test]

@@ -315,6 +315,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     #[test]
     fn stage_names_unique_and_snake_case() {
@@ -382,11 +383,16 @@ mod tests {
         assert!(a.contains("\"p50_ns\": 68"));
         // 17 cycles at the 322 MHz clock: 17 * 3106 / 1000 = 52 ns.
         assert!(a.contains("\"p50_ns_net\": 52"));
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
-        // Every stage appears exactly once in the stages object.
-        for stage in FlightStage::ALL {
-            assert_eq!(a.matches(&format!("    \"{}\":", stage.name())).count(), 1);
-        }
+        // Every stage appears exactly once, in FlightStage order.
+        let doc = crate::json::parse(&a).expect("breakdown parses");
+        let stages = doc.get("stages").and_then(Value::entries).unwrap();
+        let names: Vec<&str> = stages.iter().map(|(k, _)| k.as_str()).collect();
+        let want: Vec<&str> = FlightStage::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(names, want);
+        let fpu = doc.get("stages").and_then(|s| s.get("fpu_process")).unwrap();
+        assert_eq!(fpu.get("p99_cycles").and_then(Value::as_u64), Some(17));
+        let flows = doc.get("flows").and_then(Value::entries).unwrap();
+        assert_eq!(flows.len(), 3);
     }
 
     /// A histogram holding exactly one span must report that span's value
@@ -424,7 +430,8 @@ mod tests {
         assert!(a.contains("\"spans_recorded\": 0"), "{a}");
         assert!(a.contains("\"flows_tracked\": 0"), "{a}");
         assert!(a.contains("\"count\": 0"), "{a}");
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
+        let doc = crate::json::parse(&a).expect("empty breakdown parses");
+        assert_eq!(doc.get("flows").and_then(Value::entries), Some(&[][..]));
         assert!(a.ends_with("}\n"), "serialization must stay well-terminated");
     }
 

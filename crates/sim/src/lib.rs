@@ -29,6 +29,9 @@
 //!   ([`PulseRecorder`], [`PulseSeries`]) — bounded per-series rings
 //!   sampled at fixed cycle intervals, byte-identical across execution
 //!   modes, with per-shard aggregation and Chrome counter export.
+//! * [`json`] — the one JSON codec: the shared string escaper and float
+//!   formatter, and the strict reader ([`json::parse`] → [`json::Value`])
+//!   that the perf gate, the shape gate and `f4tdbg` read documents with.
 //! * [`journal`] — FtJournal: the bounded per-flow causal event journal
 //!   ([`Journal`], [`JournalEvent`]) behind post-mortem black-box dumps.
 //! * [`watchdog`] — FtJournal's online health watchdog ([`Watchdog`]):
@@ -59,6 +62,7 @@ pub mod des;
 pub mod fifo;
 pub mod flight;
 pub mod journal;
+pub mod json;
 pub mod probe;
 pub mod pulse;
 pub mod rng;

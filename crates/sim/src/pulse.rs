@@ -571,6 +571,7 @@ fn json_u64_array(vals: &[u64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     fn scalars(base: u64) -> [u64; SERIES_COUNT] {
         std::array::from_fn(|i| base + i as u64)
@@ -667,6 +668,12 @@ mod tests {
         ] {
             assert!(j.contains(needle), "missing {needle} in:\n{j}");
         }
+        let doc = crate::json::parse(&j).expect("pulse JSON parses");
+        let series = doc.get("series").and_then(Value::entries).unwrap();
+        assert_eq!(series.len(), SERIES_COUNT + STAGE_COUNT);
+        let flow = &doc.get("flows").and_then(Value::as_array).unwrap()[0];
+        assert_eq!(flow.get("flow").and_then(Value::as_u64), Some(2));
+        assert_eq!(flow.get("cwnd").and_then(Value::as_array).map(<[Value]>::len), Some(3));
     }
 
     #[test]
@@ -674,8 +681,9 @@ mod tests {
         let p = PulseRecorder::new(64, 2);
         let j = p.to_json(4);
         assert_eq!(j, p.to_json(4));
-        assert!(j.contains("\"windows_recorded\": 0"));
-        assert!(j.contains("\"flows\": []"));
+        let doc = crate::json::parse(&j).expect("empty pulse JSON parses");
+        assert_eq!(doc.get("windows_recorded").and_then(Value::as_u64), Some(0));
+        assert_eq!(doc.get("flows").and_then(Value::as_array), Some(&[][..]));
     }
 
     #[test]
@@ -689,7 +697,9 @@ mod tests {
         assert!(ev.contains("\"name\": \"pulse.goodput_bytes\""));
         // Window 1 is cycle 64 -> 256 ns -> 0.256 us.
         assert!(ev.contains("\"ts\": 0.256"), "integer-us timestamps:\n{ev}");
-        assert!(!ev.ends_with(",\n"));
+        // A comma-joined event list: splices into an array, no stray comma.
+        let events = crate::json::parse(&format!("[{ev}]")).expect("events parse");
+        assert_eq!(events.as_array().map(<[Value]>::len), Some(2 * PulseSeries::CHROME.len()));
     }
 
     #[test]
@@ -716,12 +726,14 @@ mod tests {
         // goodput: (0+10), (1+11); stage p99 takes the max (30..).
         assert!(j.contains("\"goodput_bytes\": [10, 12]"), "{j}");
         assert!(j.contains("\"stage.rx_ingest.p99_cycles\": [30, 30]"), "{j}");
+        let merged = |j: &str| {
+            let doc = crate::json::parse(j).expect("aggregate JSON parses");
+            assert_eq!(doc.get("shards").and_then(Value::as_u64), Some(2));
+            doc.get("merged_digest").and_then(Value::as_u64).expect("full-width digest")
+        };
         let swapped = PulseRecorder::aggregate_json(&[&b, &a]);
-        assert_ne!(
-            extract(&j, "merged_digest"),
-            extract(&swapped, "merged_digest"),
-            "merge order is fixed, not commutative"
-        );
+        assert_eq!(merged(&j), fold_shard_digests([a.digest(), b.digest()]));
+        assert_ne!(merged(&j), merged(&swapped), "merge order is fixed, not commutative");
     }
 
     #[test]
@@ -729,11 +741,5 @@ mod tests {
         assert_eq!(fold_shard_digests([]), FNV_OFFSET);
         assert_ne!(fold_shard_digests([1, 2]), fold_shard_digests([2, 1]));
         assert_eq!(fold_shard_digests([7, 9]), fold_shard_digests([7, 9]));
-    }
-
-    fn extract(json: &str, key: &str) -> String {
-        let pat = format!("\"{key}\": ");
-        let start = json.find(&pat).map(|i| i + pat.len()).unwrap_or(0);
-        json[start..].chars().take_while(|c| c.is_ascii_digit()).collect()
     }
 }

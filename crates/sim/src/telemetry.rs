@@ -16,6 +16,7 @@
 //! Chrome trace event format, loadable in `chrome://tracing` or
 //! [Perfetto](https://ui.perfetto.dev).
 
+use crate::json::{fmt_f64, push_quoted};
 use crate::stats::Histogram;
 use std::collections::BTreeMap;
 
@@ -185,7 +186,7 @@ impl MetricsRegistry {
                     out.push_str(&format!("# TYPE {pname} counter\n{pname} {v}\n"));
                 }
                 MetricValue::Gauge(v) => {
-                    out.push_str(&format!("# TYPE {pname} gauge\n{pname} {}\n", json_f64(*v)));
+                    out.push_str(&format!("# TYPE {pname} gauge\n{pname} {}\n", fmt_f64(*v)));
                 }
                 MetricValue::Histogram(h) => {
                     // Approximate sum from the stored mean (the registry
@@ -217,15 +218,15 @@ impl MetricsRegistry {
                 out.push_str(",\n");
             }
             out.push_str("  ");
-            json_string(name, &mut out);
+            push_quoted(&mut out, name);
             out.push_str(": ");
             match value {
                 MetricValue::Counter(v) => out.push_str(&v.to_string()),
-                MetricValue::Gauge(v) => out.push_str(&json_f64(*v)),
+                MetricValue::Gauge(v) => out.push_str(&fmt_f64(*v)),
                 MetricValue::Histogram(h) => {
                     out.push_str(&format!(
                         "{{\"count\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"p50\": {}, \"p99\": {}}}",
-                        h.count, h.min, h.max, json_f64(h.mean), h.p50, h.p99
+                        h.count, h.min, h.max, fmt_f64(h.mean), h.p50, h.p99
                     ));
                 }
             }
@@ -251,35 +252,6 @@ fn prometheus_name(name: &str) -> String {
         }
     }
     out
-}
-
-/// Writes `s` as a JSON string literal into `out`.
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Formats a float as JSON (finite; NaN/inf degrade to 0).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
-            format!("{:.1}", v)
-        } else {
-            format!("{}", v)
-        }
-    } else {
-        "0.0".into()
-    }
 }
 
 /// The kind of a pipeline trace event.
@@ -507,6 +479,14 @@ impl TraceRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
+
+    /// Parses a Chrome-trace export and returns its `traceEvents` array.
+    fn trace_events(j: &str) -> Vec<Value> {
+        let doc = crate::json::parse(j).expect("trace JSON parses");
+        assert_eq!(doc.get("displayTimeUnit").and_then(Value::as_str), Some("ns"));
+        doc.get("traceEvents").and_then(Value::as_array).expect("traceEvents array").to_vec()
+    }
 
     #[test]
     fn registry_round_trip() {
@@ -565,13 +545,12 @@ mod tests {
         let mut h = Histogram::new();
         h.record(42);
         r.histogram("h", &h);
-        let j = r.to_json();
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert!(j.contains("\"c\": 1"));
-        assert!(j.contains("\"g\": 1.5"));
-        assert!(j.contains("\"p99\": 42"));
-        // Balanced braces (proxy for structural validity without a parser).
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        let j = crate::json::parse(&r.to_json()).expect("registry JSON parses");
+        let keys: Vec<&str> = j.entries().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["c", "g", "h"], "name order");
+        assert_eq!(j.get("c").and_then(Value::as_u64), Some(1));
+        assert_eq!(j.get("g").and_then(Value::as_f64), Some(1.5));
+        assert_eq!(j.get("h").and_then(|h| h.get("p99")).and_then(Value::as_u64), Some(42));
     }
 
     #[test]
@@ -642,20 +621,14 @@ mod tests {
         let mut ring = TraceRing::new(8);
         ring.record(100, TraceKind::MigrateDone, 5, 12);
         ring.record(101, TraceKind::TxSegment, 5, 1460);
-        let j = ring.to_chrome_json(4);
-        assert!(j.contains("\"traceEvents\""));
-        assert!(j.contains("\"migrate_done\""));
+        let events = trace_events(&ring.to_chrome_json(4));
+        assert_eq!(events.len(), 6 + 2, "six track names, two data events");
+        let done = &events[6];
+        assert_eq!(done.get("name").and_then(Value::as_str), Some("migrate_done"));
+        assert_eq!(done.get("cat").and_then(Value::as_str), Some("memory"));
         // cycle 100 at 4 ns/cycle = 400 ns = 0.4 µs.
-        assert!(j.contains("\"ts\": 0.4"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn json_escaping() {
-        let mut s = String::new();
-        json_string("a\"b\\c\nd", &mut s);
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(done.get("ts").and_then(Value::as_f64), Some(0.4));
+        assert_eq!(done.get("args").and_then(|a| a.get("arg")).and_then(Value::as_u64), Some(12));
     }
 
     #[test]
@@ -671,11 +644,10 @@ mod tests {
         assert_eq!(ring.total_recorded(), 0);
         assert_eq!(ring.overwritten(), 0, "no events were ever stored, none lost");
         assert_eq!(ring.iter().count(), 0);
-        // Export still produces structurally valid JSON (metadata only).
-        let j = ring.to_chrome_json(4);
-        assert!(j.contains("\"traceEvents\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(!j.contains("\"cat\""), "no data events in an empty export");
+        // Export still produces valid JSON: the six track names, no data.
+        let events = trace_events(&ring.to_chrome_json(4));
+        assert_eq!(events.len(), 6);
+        assert!(events.iter().all(|e| e.get("ph").and_then(Value::as_str) == Some("M")));
     }
 
     #[test]
@@ -708,20 +680,14 @@ mod tests {
         for c in 0..7u64 {
             ring.record(c, TraceKind::TxSegment, c as u32, c * 10);
         }
-        let j = ring.to_chrome_json(4);
         // Events must export oldest-first even though the backing buffer
-        // is physically rotated: cycles 3,4,5,6 in that order.
-        let positions: Vec<usize> = (3..7u64)
-            .map(|c| j.find(&format!("\"cycle\": {c}}}")).expect("event present"))
+        // is physically rotated: exactly cycles 3,4,5,6 in that order,
+        // the overwritten ones absent.
+        let events = trace_events(&ring.to_chrome_json(4));
+        let cycles: Vec<u64> = events[6..]
+            .iter()
+            .map(|e| e.get("args").and_then(|a| a.get("cycle")).and_then(Value::as_u64).unwrap())
             .collect();
-        assert!(positions.windows(2).all(|w| w[0] < w[1]), "oldest-first export order");
-        assert!(!j.contains("\"cycle\": 2}"), "overwritten event absent");
-        // Structural validity: balanced delimiters, every event line
-        // comma-separated (valid JSON array), quotes escaped nowhere
-        // (all names are static snake_case).
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        let events = j.matches("\"ph\": \"i\"").count();
-        assert_eq!(events, 4, "exactly capacity data events");
+        assert_eq!(cycles, [3, 4, 5, 6]);
     }
 }

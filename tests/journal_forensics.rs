@@ -124,7 +124,7 @@ fn lut_misdirect_flagged_by_watchdog_and_explained_by_journal() {
     assert_eq!(delivered, 0, "a Moving-frozen flow must not receive deliveries");
 
     // The dump carries the whole story: reason, alarm line, journal tail.
-    let dump = e.blackbox_json("watchdog-alarm", &[("workload", "\"forensics\"".to_string())]);
+    let dump = e.blackbox_json("watchdog-alarm", &[("workload", "forensics")]);
     assert!(dump.contains("\"reason\": \"watchdog-alarm\""), "{dump}");
     assert!(dump.contains("starved_lut"), "dump must carry the alarm:\n{dump}");
     assert!(dump.contains("event_routed"), "dump must carry the journal tail:\n{dump}");
