@@ -18,12 +18,10 @@
 pub mod endpoint;
 pub mod impair;
 pub mod link;
-pub mod multiflow;
 pub mod refcc;
 pub mod sim;
 
 pub use impair::{GeParams, ImpairDecision, ImpairState, Impairments};
 pub use link::{DropPolicy, LinkConfig, Offer};
 pub use refcc::{RefAlgo, RefCc};
-pub use multiflow::{run_multiflow, MultiFlowResult};
 pub use sim::{CwndSample, Simulation, SimulationConfig, TraceResult};
