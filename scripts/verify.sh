@@ -31,6 +31,15 @@ if grep -rnE '_stamps|enable_flight|tick_checked|tick_flight' crates/core/src; t
     exit 1
 fi
 
+echo "==> JSON codec regrowth gate (DESIGN.md section 7)"
+# Every writer escapes and every gate/tool reads through f4t_sim::json.
+# The one exception is f4t-lint's json_escape: that crate keeps an empty
+# [dependencies] by design.
+if grep -rnE 'fn (json_str|json_string|json_f64|scan_string|balanced|find_key|top_level_fields|parse_json_string|parse_string_array)\b|mod flatjson' crates src tests; then
+    echo "FAIL: a hand-rolled JSON escaper or reader is back: use f4t_sim::json, DESIGN.md section 7" >&2
+    exit 1
+fi
+
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
