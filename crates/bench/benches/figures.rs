@@ -6,7 +6,7 @@
 use f4t_baseline::StallingEngine;
 use f4t_bench::micro::bench;
 use f4t_core::EngineConfig;
-use f4t_netsim::{DropPolicy, LinkConfig, RefAlgo, Simulation, SimulationConfig};
+use f4t_netsim::{EveryNth, Impairments, LinkConfig, RefAlgo, Simulation, SimulationConfig};
 use f4t_system::F4tSystem;
 use std::hint::black_box;
 
@@ -40,7 +40,10 @@ fn bench_fig14_netsim() {
             let sim = Simulation::new(SimulationConfig {
                 algo,
                 link: LinkConfig {
-                    drops: DropPolicy::EveryNth { n: 1_000, start: 500 },
+                    impair: Impairments {
+                        every_nth: Some(EveryNth { n: 1_000, start: 500 }),
+                        ..Impairments::none()
+                    },
                     ..LinkConfig::default()
                 },
                 duration_ns: 50_000_000,

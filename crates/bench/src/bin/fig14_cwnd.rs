@@ -8,12 +8,10 @@
 //! matching reduction points.
 
 use f4t_bench::{banner, f, scale_ns, Table};
-use f4t_core::{Engine, EngineConfig, EventKind, HostNotification};
-use f4t_netsim::{DropPolicy, LinkConfig, RefAlgo, Simulation, SimulationConfig};
-use f4t_sim::clock::BytePacer;
-use f4t_sim::ClockDomain;
+use f4t_core::{EngineConfig, EventKind, HostNotification};
+use f4t_netsim::{Impairments, LinkConfig, RefAlgo, Simulation, SimulationConfig};
+use f4t_system::{DuplexLink, EnginePair};
 use f4t_tcp::{CcAlgorithm, FourTuple, SeqNum, MSS};
-use std::collections::VecDeque;
 
 /// Samples per trace.
 const SAMPLES: usize = 40;
@@ -22,21 +20,14 @@ const SAMPLES: usize = 40;
 /// delayed, lossy link; returns cwnd samples in MSS units.
 fn engine_trace(algo: CcAlgorithm, duration_ns: u64, drop_every: u64) -> Vec<(u64, f64)> {
     let cfg = EngineConfig { cc: algo, num_fpcs: 1, lut_groups: 1, ..EngineConfig::reference() };
-    let mut a = Engine::new(cfg.clone());
-    let mut b = Engine::new(cfg);
+    // 10 Gbps + 50 µs propagation each way, every Nth data packet lost.
+    let mut pair = EnginePair::new(cfg, DuplexLink::new(10, 50_000));
+    pair.link.set_impairments(Impairments::every_nth(drop_every));
     let tuple = FourTuple::default();
     let isn = SeqNum(0);
-    let fa = a.open_established(tuple, isn).unwrap();
-    let _fb = b.open_established(tuple.reversed(), isn).unwrap();
+    let fa = pair.a.open_established(tuple, isn).unwrap();
+    let _fb = pair.b.open_established(tuple.reversed(), isn).unwrap();
 
-    // 10 Gbps pacers + 50 µs propagation each way.
-    let mut pace_ab = BytePacer::for_link(10, ClockDomain::ENGINE_CORE, 2 * 1538);
-    let mut pace_ba = BytePacer::for_link(10, ClockDomain::ENGINE_CORE, 2 * 1538);
-    let delay_ns = 50_000u64;
-    let mut wire_ab: VecDeque<(u64, f4t_tcp::Segment)> = VecDeque::new();
-    let mut wire_ba: VecDeque<(u64, f4t_tcp::Segment)> = VecDeque::new();
-
-    let mut data_pkts = 0u64;
     let mut req = isn;
     let mut samples = Vec::new();
     let sample_every = duration_ns / SAMPLES as u64;
@@ -45,57 +36,23 @@ fn engine_trace(algo: CcAlgorithm, duration_ns: u64, drop_every: u64) -> Vec<(u6
     let cycles = duration_ns / 4;
     for c in 0..cycles {
         let now = c * 4;
-        pace_ab.tick();
-        pace_ba.tick();
         // Application: keep the send buffer topped up.
         if req.since(isn) < (c as u32 / 63) * MSS + 512 * 1024 {
             req = req.add(64 * 1024);
-            a.push_host(fa, EventKind::SendReq { req });
+            pair.a.push_host(fa, EventKind::SendReq { req });
         }
-        a.tick();
-        b.tick();
+        pair.step(1);
         // B's application consumes everything (iperf server), keeping the
         // advertised window open.
-        while let Some(n) = b.pop_notification() {
+        while let Some(n) = pair.b.pop_notification() {
             if let HostNotification::DataReceived { flow, upto } = n {
-                b.push_host(flow, EventKind::RecvConsumed { consumed: upto });
+                pair.b.push_host(flow, EventKind::RecvConsumed { consumed: upto });
             }
         }
-        while a.pop_notification().is_some() {}
-        // A -> B with injected loss.
-        while let Some(seg) = a.peek_tx() {
-            if pace_ab.try_consume(u64::from(seg.wire_len())) {
-                let seg = a.pop_tx().expect("peeked");
-                if seg.has_payload() {
-                    data_pkts += 1;
-                    if data_pkts.is_multiple_of(drop_every) {
-                        continue; // dropped on the wire
-                    }
-                }
-                wire_ab.push_back((now + delay_ns, seg));
-            } else {
-                break;
-            }
-        }
-        while let Some(seg) = b.peek_tx() {
-            if pace_ba.try_consume(u64::from(seg.wire_len())) {
-                let seg = b.pop_tx().expect("peeked");
-                wire_ba.push_back((now + delay_ns, seg));
-            } else {
-                break;
-            }
-        }
-        while wire_ab.front().is_some_and(|&(at, _)| at <= now) {
-            let (_, seg) = wire_ab.pop_front().expect("non-empty");
-            b.push_rx(seg);
-        }
-        while wire_ba.front().is_some_and(|&(at, _)| at <= now) {
-            let (_, seg) = wire_ba.pop_front().expect("non-empty");
-            a.push_rx(seg);
-        }
+        while pair.a.pop_notification().is_some() {}
         if now >= next_sample {
             next_sample += sample_every;
-            if let Some(t) = a.peek_tcb(fa) {
+            if let Some(t) = pair.a.peek_tcb(fa) {
                 samples.push((now, f64::from(t.cwnd) / f64::from(MSS)));
             }
         }
@@ -111,8 +68,7 @@ fn reference_trace(algo: RefAlgo, duration_ns: u64, drop_every: u64) -> Vec<(u64
             bandwidth_gbps: 10.0,
             delay_ns: 50_000,
             queue_pkts: 2_000,
-            drops: DropPolicy::EveryNth { n: drop_every, start: drop_every },
-            ..LinkConfig::default()
+            impair: Impairments::every_nth(drop_every),
         },
         mss: MSS,
         duration_ns,

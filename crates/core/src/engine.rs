@@ -1727,7 +1727,9 @@ mod tests {
         FourTuple::new(Ipv4Addr::new(10, 0, 0, 1), 40_000, Ipv4Addr::new(10, 0, 0, 2), 80)
     }
 
-    /// Two engines wired back-to-back with an ideal (infinite) link.
+    /// Two engines wired back-to-back with an ideal (infinite) link. The
+    /// shared wire is `f4t_system::EnginePair`, but `f4t-core`'s unit
+    /// tests cannot depend on `f4t-system`, so they keep this copy.
     fn run_pair(a: &mut Engine, b: &mut Engine, cycles: u64) {
         for _ in 0..cycles {
             a.tick();

@@ -3,7 +3,8 @@
 //! Hostile-network scenarios need more than Bernoulli loss: real links
 //! reorder (parallel paths, LAG hashing), duplicate (retransmitting
 //! middleboxes), lose in bursts (interference, buffer overruns) and
-//! jitter. [`Impairments`] describes those mechanisms; [`ImpairState`]
+//! jitter; trace comparisons (Fig. 14) want scripted every-Nth loss.
+//! [`Impairments`] describes those mechanisms; [`ImpairState`]
 //! turns the description into a per-packet decision stream that is a
 //! pure function of `(seed, packet index)` — each mechanism draws from
 //! its own forked [`SimRng`] on **every** data packet, so enabling or
@@ -39,13 +40,25 @@ impl GeParams {
     }
 }
 
+/// Scripted loss: drop data packets `start`, `start + n`, `start + 2n`, …
+/// (1-based) — deterministic without a seed, good for trace comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EveryNth {
+    /// Period in data packets.
+    pub n: u64,
+    /// Index (1-based) of the first dropped data packet.
+    pub start: u64,
+}
+
 /// Impairment configuration for one link direction. All mechanisms
-/// apply to data packets only — ACKs are never impaired, matching the
-/// existing `DropPolicy` contract.
+/// apply to data packets only — ACKs are never impaired.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Impairments {
     /// Independent (memoryless) Bernoulli loss probability.
     pub loss_p: f64,
+    /// Scripted every-Nth loss; composes with the random mechanisms
+    /// (either one can drop a packet).
+    pub every_nth: Option<EveryNth>,
     /// Burst loss (Gilbert–Elliott); `None` disables the chain.
     pub ge: Option<GeParams>,
     /// Probability a data packet is reordered (held back behind
@@ -68,6 +81,7 @@ impl Impairments {
     pub fn none() -> Impairments {
         Impairments {
             loss_p: 0.0,
+            every_nth: None,
             ge: None,
             reorder_p: 0.0,
             reorder_depth: 0,
@@ -77,9 +91,16 @@ impl Impairments {
         }
     }
 
+    /// A link that drops data packets `n`, `2n`, `3n`, … and nothing else
+    /// (the Fig. 14 loss pattern).
+    pub fn every_nth(n: u64) -> Impairments {
+        Impairments { every_nth: Some(EveryNth { n, start: n }), ..Impairments::none() }
+    }
+
     /// Whether any mechanism is enabled.
     pub fn is_active(&self) -> bool {
         self.loss_p > 0.0
+            || self.every_nth.is_some()
             || self.ge.is_some()
             || self.reorder_p > 0.0
             || self.dup_p > 0.0
@@ -183,12 +204,18 @@ impl ImpairState {
     /// Draws the verdict for the next data packet. Every enabled
     /// mechanism draws exactly once per call (the GE chain draws its
     /// transition plus, in a lossy state, its loss), so decision `i` of
-    /// mechanism `m` depends only on `(seed, i)`.
+    /// mechanism `m` depends only on `(seed, i)`; every-Nth loss draws
+    /// nothing and reads `i` itself.
     pub fn decide(&mut self) -> ImpairDecision {
         self.decisions += 1;
         let mut d = ImpairDecision::default();
         if self.cfg.loss_p > 0.0 && self.loss.chance(self.cfg.loss_p) {
             d.drop = true;
+        }
+        if let Some(EveryNth { n, start }) = self.cfg.every_nth {
+            if self.decisions >= start && (self.decisions - start).is_multiple_of(n) {
+                d.drop = true;
+            }
         }
         if let Some(ge) = self.cfg.ge {
             self.in_bad = if self.in_bad {
@@ -222,6 +249,7 @@ mod tests {
     fn decision_stream_is_deterministic() {
         let cfg = Impairments {
             loss_p: 0.1,
+            every_nth: Some(EveryNth { n: 7, start: 3 }),
             ge: Some(GeParams::mild()),
             reorder_p: 0.2,
             reorder_depth: 4,
@@ -246,6 +274,36 @@ mod tests {
         for _ in 0..5_000 {
             assert_eq!(a.decide().drop, b.decide().drop);
         }
+    }
+
+    /// Data packets (1-based) the machine drops among the first `count`.
+    fn dropped(cfg: Impairments, count: u64) -> Vec<u64> {
+        let mut st = ImpairState::new(cfg);
+        (1..=count).filter(|_| st.decide().drop).collect()
+    }
+
+    #[test]
+    fn every_nth_drops_exactly_its_schedule() {
+        let cfg = Impairments {
+            every_nth: Some(EveryNth { n: 3, start: 2 }),
+            ..Impairments::none()
+        };
+        assert!(cfg.is_active());
+        assert_eq!(dropped(cfg, 12), [2, 5, 8, 11]);
+        assert_eq!(dropped(Impairments::every_nth(4), 12), [4, 8, 12]);
+    }
+
+    #[test]
+    fn every_nth_composes_with_random_loss() {
+        // Either mechanism drops; neither shifts the other's schedule.
+        let random = Impairments { loss_p: 0.2, seed: 5, ..Impairments::none() };
+        let both = Impairments { every_nth: Some(EveryNth { n: 3, start: 2 }), ..random };
+        let (r, b) = (dropped(random, 3_000), dropped(both, 3_000));
+        let mut union: Vec<u64> = r.iter().copied().chain((2..=3_000).step_by(3)).collect();
+        union.sort_unstable();
+        union.dedup();
+        assert_eq!(b, union);
+        assert!(r.len() > 400, "random loss engaged: {}", r.len());
     }
 
     #[test]

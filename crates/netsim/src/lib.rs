@@ -13,7 +13,8 @@
 //!
 //! The simulator is deliberately classic: a sender node, a receiver node,
 //! and a full-duplex link with serialization delay, propagation delay, a
-//! drop-tail queue and scripted or random loss ([`link`]).
+//! drop-tail queue ([`link`]) and scripted or random loss ([`impair`],
+//! the loss decision `f4t-system`'s engine-pair link shares).
 
 pub mod endpoint;
 pub mod impair;
@@ -21,7 +22,7 @@ pub mod link;
 pub mod refcc;
 pub mod sim;
 
-pub use impair::{GeParams, ImpairDecision, ImpairState, Impairments};
-pub use link::{DropPolicy, LinkConfig, Offer};
+pub use impair::{EveryNth, GeParams, ImpairDecision, ImpairState, Impairments};
+pub use link::{LinkConfig, Offer};
 pub use refcc::{RefAlgo, RefCc};
 pub use sim::{CwndSample, Simulation, SimulationConfig, TraceResult};

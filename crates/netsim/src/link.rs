@@ -1,31 +1,9 @@
-//! The simulated link: serialization, propagation, queueing, loss — and,
-//! via [`Impairments`], reordering, duplication, burst loss and jitter.
+//! The simulated link: serialization, propagation, queueing — and, via
+//! [`Impairments`], scripted or random loss, reordering, duplication,
+//! burst loss and jitter (the same loss decision the system-level
+//! `DuplexLink` draws).
 
 use crate::impair::{ImpairDecision, ImpairState, Impairments};
-use f4t_sim::SimRng;
-
-/// How the link loses packets (applied to data packets only, matching the
-/// paper's "inject occasional packet drops").
-#[derive(Debug, Clone, Copy)]
-pub enum DropPolicy {
-    /// Lossless.
-    None,
-    /// Drop every `n`-th data packet, starting with packet `start`
-    /// (deterministic — good for trace comparison).
-    EveryNth {
-        /// Period in packets.
-        n: u64,
-        /// Index (1-based) of the first dropped packet.
-        start: u64,
-    },
-    /// Bernoulli loss with probability `p` (seeded).
-    Random {
-        /// Per-packet drop probability.
-        p: f64,
-        /// RNG seed.
-        seed: u64,
-    },
-}
 
 /// Link parameters.
 #[derive(Debug, Clone, Copy)]
@@ -36,10 +14,8 @@ pub struct LinkConfig {
     pub delay_ns: u64,
     /// Drop-tail queue capacity in packets.
     pub queue_pkts: usize,
-    /// Loss injection.
-    pub drops: DropPolicy,
-    /// Full impairment model (reorder/duplicate/burst-loss/jitter);
-    /// composes with `drops` (either mechanism can drop a packet).
+    /// Impairments of data packets (scripted or random loss, reorder,
+    /// duplicate, burst loss, jitter).
     pub impair: Impairments,
 }
 
@@ -49,7 +25,6 @@ impl Default for LinkConfig {
             bandwidth_gbps: 10.0,
             delay_ns: 50_000, // 50 µs one way
             queue_pkts: 100,
-            drops: DropPolicy::None,
             impair: Impairments::none(),
         }
     }
@@ -77,17 +52,12 @@ pub struct Link {
     dropped_queue: u64,
     duplicated: u64,
     reordered: u64,
-    rng: Option<SimRng>,
     impair: Option<ImpairState>,
 }
 
 impl Link {
     /// Creates a link direction.
     pub fn new(config: LinkConfig) -> Link {
-        let rng = match config.drops {
-            DropPolicy::Random { seed, .. } => Some(SimRng::new(seed)),
-            _ => None,
-        };
         let impair = config.impair.is_active().then(|| ImpairState::new(config.impair));
         Link {
             config,
@@ -97,7 +67,6 @@ impl Link {
             dropped_queue: 0,
             duplicated: 0,
             reordered: 0,
-            rng,
             impair,
         }
     }
@@ -108,7 +77,7 @@ impl Link {
 
     /// Offers a packet at `now`; returns its arrival time at the far end,
     /// or `None` if it was dropped (queue overflow or injected loss).
-    /// `is_data` selects whether the drop policy applies. Duplicates
+    /// `is_data` selects whether impairments apply. Duplicates
     /// injected by the impairment model are not visible through this
     /// legacy entry point — callers that honour duplication use
     /// [`Link::offer`].
@@ -126,22 +95,10 @@ impl Link {
         let mut decision = ImpairDecision::default();
         if is_data {
             self.data_pkts += 1;
-            let injected = match self.config.drops {
-                DropPolicy::None => false,
-                DropPolicy::EveryNth { n, start } => {
-                    self.data_pkts >= start && (self.data_pkts - start).is_multiple_of(n)
-                }
-                DropPolicy::Random { p, .. } => {
-                    self.rng.as_mut().map(|r| r.chance(p)).unwrap_or(false)
-                }
-            };
-            // The decision is drawn for every offered data packet, even
-            // one the legacy policy already doomed, so the streams stay
-            // indexed by the offer sequence alone.
             if let Some(st) = self.impair.as_mut() {
                 decision = st.decide();
             }
-            if injected || decision.drop {
+            if decision.drop {
                 self.dropped_loss += 1;
                 return NO;
             }
@@ -172,8 +129,8 @@ impl Link {
         self.dropped_loss + self.dropped_queue
     }
 
-    /// Packets dropped by injected loss (`DropPolicy` or the impairment
-    /// model's Bernoulli/burst mechanisms).
+    /// Packets dropped by injected loss (the impairment model's
+    /// every-Nth, Bernoulli or burst mechanisms).
     pub fn dropped_loss(&self) -> u64 {
         self.dropped_loss
     }
@@ -202,6 +159,7 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::impair::EveryNth;
 
     #[test]
     fn serialization_and_delay() {
@@ -221,7 +179,11 @@ mod tests {
 
     #[test]
     fn every_nth_drop_deterministic() {
-        let cfg = LinkConfig { drops: DropPolicy::EveryNth { n: 3, start: 2 }, ..Default::default() };
+        let every_nth = Some(EveryNth { n: 3, start: 2 });
+        let cfg = LinkConfig {
+            impair: Impairments { every_nth, ..Impairments::none() },
+            ..Default::default()
+        };
         let mut l = Link::new(cfg);
         let results: Vec<bool> =
             (0..7).map(|_| l.transmit(0, 100, true).is_some()).collect();
@@ -235,7 +197,7 @@ mod tests {
     #[test]
     fn random_drop_rate_close_to_p() {
         let cfg = LinkConfig {
-            drops: DropPolicy::Random { p: 0.1, seed: 42 },
+            impair: Impairments { loss_p: 0.1, seed: 42, ..Impairments::none() },
             queue_pkts: 1_000_000,
             ..Default::default()
         };
@@ -269,8 +231,8 @@ mod tests {
     }
 
     #[test]
-    fn acks_bypass_drop_policy() {
-        let cfg = LinkConfig { drops: DropPolicy::EveryNth { n: 1, start: 1 }, ..Default::default() };
+    fn acks_bypass_every_nth_loss() {
+        let cfg = LinkConfig { impair: Impairments::every_nth(1), ..Default::default() };
         let mut l = Link::new(cfg);
         assert!(l.transmit(0, 78, false).is_some(), "ACK survives 100% data loss");
         assert!(l.transmit(0, 100, true).is_none());
@@ -317,7 +279,6 @@ mod tests {
                 seed: 3,
                 ..Impairments::none()
             },
-            ..LinkConfig::default()
         };
         let mut l = Link::new(cfg);
         let base = Link::new(LinkConfig {

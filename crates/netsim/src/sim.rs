@@ -20,8 +20,9 @@ pub struct CwndSample {
 pub struct SimulationConfig {
     /// Congestion-control algorithm.
     pub algo: RefAlgo,
-    /// Link in the data direction (ACK direction is lossless, same
-    /// bandwidth/delay).
+    /// Link in the data direction. The ACK direction shares its
+    /// bandwidth, delay and queue; impairments never touch ACKs, so it
+    /// is lossless.
     pub link: LinkConfig,
     /// Segment size.
     pub mss: u32,
@@ -102,7 +103,7 @@ impl Simulation {
         let mut sender = RefSender::new(cfg.algo, cfg.mss, u64::MAX);
         let mut receiver = RefReceiver::new();
         let mut data_link = Link::new(cfg.link);
-        let mut ack_link = Link::new(LinkConfig { drops: crate::DropPolicy::None, ..cfg.link });
+        let mut ack_link = Link::new(cfg.link);
         let mut q: EventQueue<Event> = EventQueue::new();
         let mut samples = Vec::new();
 
@@ -181,12 +182,12 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::DropPolicy;
+    use crate::impair::{EveryNth, Impairments};
 
-    fn run(algo: RefAlgo, drops: DropPolicy, duration_ms: u64) -> TraceResult {
+    fn run(algo: RefAlgo, impair: Impairments, duration_ms: u64) -> TraceResult {
         Simulation::new(SimulationConfig {
             algo,
-            link: LinkConfig { drops, ..LinkConfig::default() },
+            link: LinkConfig { impair, ..LinkConfig::default() },
             duration_ns: duration_ms * 1_000_000,
             sample_ns: 1_000_000,
             ..SimulationConfig::default()
@@ -194,9 +195,14 @@ mod tests {
         .run()
     }
 
+    /// Scripted loss of data packets `start`, `start + n`, ….
+    fn every_nth(n: u64, start: u64) -> Impairments {
+        Impairments { every_nth: Some(EveryNth { n, start }), ..Impairments::none() }
+    }
+
     #[test]
     fn lossless_run_delivers_at_line_rate() {
-        // Over-buffered link: no policy drops AND no queue overflow.
+        // Over-buffered link: no injected loss AND no queue overflow.
         let r = Simulation::new(SimulationConfig {
             algo: RefAlgo::NewReno,
             link: LinkConfig { queue_pkts: 10_000, ..LinkConfig::default() },
@@ -213,7 +219,7 @@ mod tests {
 
     #[test]
     fn newreno_sawtooth_under_periodic_loss() {
-        let r = run(RefAlgo::NewReno, DropPolicy::EveryNth { n: 2000, start: 1500 }, 1000);
+        let r = run(RefAlgo::NewReno, every_nth(2000, 1500), 1000);
         assert!(r.retransmissions > 0, "losses were repaired");
         // A sawtooth: the max cwnd is well above the mean, and the window
         // repeatedly dips (count descents).
@@ -228,7 +234,7 @@ mod tests {
 
     #[test]
     fn cubic_recovers_faster_than_newreno() {
-        let drops = DropPolicy::EveryNth { n: 3000, start: 2000 };
+        let drops = every_nth(3000, 2000);
         let reno = run(RefAlgo::NewReno, drops, 1500);
         let cubic = run(RefAlgo::Cubic, drops, 1500);
         assert!(cubic.retransmissions > 0 && reno.retransmissions > 0);
@@ -277,7 +283,7 @@ mod tests {
             algo: RefAlgo::NewReno,
             link: LinkConfig {
                 queue_pkts: 10_000,
-                impair: crate::Impairments::profile("burst-loss").unwrap(),
+                impair: Impairments::profile("burst-loss").unwrap(),
                 ..LinkConfig::default()
             },
             duration_ns: 500_000_000,
@@ -302,7 +308,7 @@ mod tests {
         let clean = Simulation::new(base).run();
         let duped = Simulation::new(SimulationConfig {
             link: LinkConfig {
-                impair: crate::Impairments::profile("duplicate").unwrap(),
+                impair: Impairments::profile("duplicate").unwrap(),
                 ..base.link
             },
             ..base
@@ -329,7 +335,7 @@ mod tests {
             algo: RefAlgo::NewReno,
             link: LinkConfig {
                 queue_pkts: 10_000,
-                impair: crate::Impairments::profile("reorder").unwrap(),
+                impair: Impairments::profile("reorder").unwrap(),
                 ..LinkConfig::default()
             },
             duration_ns: 500_000_000,
@@ -349,7 +355,7 @@ mod tests {
 
     #[test]
     fn trace_sampling_covers_duration() {
-        let r = run(RefAlgo::NewReno, DropPolicy::None, 100);
+        let r = run(RefAlgo::NewReno, Impairments::none(), 100);
         assert!(r.samples.len() >= 95, "got {} samples", r.samples.len());
         assert!(r.samples.windows(2).all(|w| w[1].t_ns > w[0].t_ns));
     }

@@ -27,7 +27,7 @@ pub mod node;
 pub mod scale;
 pub mod system;
 
-pub use link::DuplexLink;
+pub use link::{DuplexLink, EnginePair};
 pub use linux_system::LinuxSystem;
 pub use metrics::Metrics;
 pub use node::{Driver, Node};

@@ -1,20 +1,31 @@
-//! The 100 Gbps direct-attach link between two engines.
+//! The one wire between two engines.
 //!
 //! The evaluation connects nodes back-to-back (§5: "we set up the network
 //! by directly connecting ... two FtEngines"). Each direction serializes
 //! segments at line rate (observed from the 250 MHz engine domain) and
 //! delivers them after a fixed propagation + MAC/PHY delay. The pristine
 //! link does not drop; hostile-network scenarios attach an
-//! [`Impairments`] profile (FtStorm, DESIGN.md §14) that can lose,
-//! duplicate, reorder and jitter **data** segments — ACKs are never
-//! impaired, and decisions are drawn from per-direction deterministic
-//! streams so every run replays bit-identically from its seed.
+//! [`Impairments`] profile (FtStorm, DESIGN.md §14) that can lose
+//! (randomly, in bursts or every Nth), duplicate, reorder and jitter
+//! **data** segments — ACKs are never impaired, and decisions are drawn
+//! from per-direction deterministic streams so every run replays
+//! bit-identically from its seed.
+//!
+//! [`DuplexLink::carry`] moves segments between two engines; `F4tSystem`
+//! calls it once per system tick, and [`EnginePair`] drives it between
+//! two bare engines for tests and figure harnesses.
 
+use f4t_core::{Engine, EngineConfig};
 use f4t_netsim::{ImpairState, Impairments};
 use f4t_sim::clock::BytePacer;
 use f4t_sim::ClockDomain;
-use f4t_tcp::Segment;
+use f4t_tcp::pcap::PcapWriter;
+use f4t_tcp::{MacAddr, Segment};
 use std::collections::VecDeque;
+
+/// Packet-capture cap: recording stops after this many packets so bulk
+/// runs cannot balloon the in-memory capture (tcpdump `-c` style).
+pub(crate) const PCAP_MAX_PACKETS: u64 = 10_000;
 
 /// A reordered segment held aside: it re-enters the delivery queue after
 /// `countdown` further data segments pass it, or at `deadline_ns` if the
@@ -87,6 +98,9 @@ impl LinkDir {
 pub struct DuplexLink {
     dirs: [LinkDir; 2],
     delay_ns: u64,
+    /// Optional capture of every sent segment (both directions, capped
+    /// at [`PCAP_MAX_PACKETS`]); see [`DuplexLink::enable_pcap`].
+    pcap: Option<PcapWriter<Vec<u8>>>,
 }
 
 /// Direction index: node A → node B.
@@ -98,8 +112,24 @@ impl DuplexLink {
     /// Creates a link of `gbps` with one-way latency `delay_ns`
     /// (direct-attach 100G ≈ 1 µs including MAC/PHY and cabling).
     pub fn new(gbps: u64, delay_ns: u64) -> DuplexLink {
+        let pacer = BytePacer::for_link(gbps, ClockDomain::ENGINE_CORE, 2 * 1538);
+        DuplexLink::with_pacer(pacer, delay_ns)
+    }
+
+    /// A link that neither paces nor delays: every segment is delivered
+    /// by the carry that sent it. Its pacer is an ordinary one whose
+    /// credit no pair of engines can exhaust, so the paced path pays no
+    /// extra branch for it.
+    pub fn ideal() -> DuplexLink {
+        const UNLIMITED: u64 = u64::MAX / 4;
+        let mut pacer = BytePacer::new(UNLIMITED, 1, UNLIMITED);
+        pacer.tick(); // start full: nothing is refused even before a tick
+        DuplexLink::with_pacer(pacer, 0)
+    }
+
+    fn with_pacer(pacer: BytePacer, delay_ns: u64) -> DuplexLink {
         let mk = || LinkDir {
-            pacer: BytePacer::for_link(gbps, ClockDomain::ENGINE_CORE, 2 * 1538),
+            pacer: pacer.clone(),
             in_flight: VecDeque::new(),
             held: Vec::new(),
             bytes: 0,
@@ -109,7 +139,7 @@ impl DuplexLink {
             duplicated: 0,
             reordered: 0,
         };
-        DuplexLink { dirs: [mk(), mk()], delay_ns }
+        DuplexLink { dirs: [mk(), mk()], delay_ns, pcap: None }
     }
 
     /// The paper's testbed link.
@@ -133,11 +163,79 @@ impl DuplexLink {
         8 * self.delay_ns.max(1_000)
     }
 
+    /// Starts capturing every sent segment (both directions) as a
+    /// libpcap stream in memory, truncating payloads at `payload_cap`
+    /// bytes (snaplen). Recording stops after [`PCAP_MAX_PACKETS`]
+    /// packets.
+    pub fn enable_pcap(&mut self, payload_cap: u32) {
+        // Writing into a Vec cannot fail.
+        self.pcap = PcapWriter::new(Vec::new(), payload_cap).ok();
+    }
+
+    /// Packets captured so far (0 when capture is off).
+    pub fn pcap_packets(&self) -> u64 {
+        self.pcap.as_ref().map_or(0, PcapWriter::packets)
+    }
+
+    /// Finishes the capture and returns the pcap bytes, ready to write
+    /// to disk and open in Wireshark. `None` when capture was never
+    /// enabled.
+    pub fn take_pcap(&mut self) -> Option<Vec<u8>> {
+        self.pcap.take().and_then(|w| w.finish().ok())
+    }
+
     /// Accrues one engine cycle of serialization budget.
     pub fn tick(&mut self) {
         for d in &mut self.dirs {
             d.pacer.tick();
         }
+    }
+
+    /// Accrues `n` engine cycles of serialization budget at once
+    /// (identical to `n` calls of [`Self::tick`]).
+    pub fn tick_n(&mut self, n: u64) {
+        for d in &mut self.dirs {
+            d.pacer.tick_n(n);
+        }
+    }
+
+    /// Moves segments between engine `a` (direction [`A_TO_B`]) and
+    /// engine `b` at `now_ns`: drains each TX queue while its direction
+    /// has serialization credit (the MAC-side backpressure gate), A
+    /// first, then hands every due segment to its receiver, A→B first.
+    /// Returns whether any segment left either TX queue.
+    #[inline]
+    pub fn carry(&mut self, a: &mut Engine, b: &mut Engine, now_ns: u64) -> bool {
+        let a_sent = self.drain_tx(A_TO_B, a, b.mac, now_ns);
+        let b_sent = self.drain_tx(B_TO_A, b, a.mac, now_ns);
+        while let Some(seg) = self.deliver(A_TO_B, now_ns) {
+            b.push_rx(seg);
+        }
+        while let Some(seg) = self.deliver(B_TO_A, now_ns) {
+            a.push_rx(seg);
+        }
+        a_sent || b_sent
+    }
+
+    /// Sends from `from`'s TX queue into `dir` until it empties or the
+    /// direction runs out of credit; whether anything was sent.
+    #[inline]
+    fn drain_tx(&mut self, dir: usize, from: &mut Engine, to_mac: MacAddr, now_ns: u64) -> bool {
+        let mut sent = false;
+        while let Some(seg) = from.peek_tx() {
+            if !self.can_send(dir, seg.wire_len()) {
+                break;
+            }
+            let Some(seg) = from.pop_tx() else { break };
+            if let Some(w) = &mut self.pcap {
+                if w.packets() < PCAP_MAX_PACKETS {
+                    let _ = w.record(now_ns, &seg, from.mac, to_mac);
+                }
+            }
+            self.send(dir, seg, now_ns);
+            sent = true;
+        }
+        sent
     }
 
     /// Whether direction `dir` can serialize a segment of `wire_len`
@@ -240,10 +338,44 @@ impl DuplexLink {
     }
 }
 
+/// Two bare engines joined by one [`DuplexLink`] (`a` sends on
+/// [`A_TO_B`]). The pair moves segments only: host commands and
+/// notifications stay with the caller.
+#[derive(Debug)]
+pub struct EnginePair {
+    /// The engine on the link's A side.
+    pub a: Engine,
+    /// The engine on the link's B side.
+    pub b: Engine,
+    /// The wire between them.
+    pub link: DuplexLink,
+}
+
+impl EnginePair {
+    /// Two fresh engines of `cfg` on `link`.
+    pub fn new(cfg: EngineConfig, link: DuplexLink) -> EnginePair {
+        EnginePair { a: Engine::new(cfg.clone()), b: Engine::new(cfg), link }
+    }
+
+    /// Advances `cycles` engine cycles: the link accrues that much
+    /// serialization credit, `a` runs, then `b`, and the link carries at
+    /// their post-step clock — so the link clock advances with the
+    /// engines'. Returns whether any segment left either TX queue.
+    pub fn step(&mut self, cycles: u64) -> bool {
+        self.link.tick_n(cycles);
+        self.a.run(cycles);
+        self.b.run(cycles);
+        let now = self.a.now_ns();
+        self.link.carry(&mut self.a, &mut self.b, now)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f4t_tcp::{FourTuple, SeqNum};
+    use f4t_core::{EventKind, HostNotification};
+    use f4t_netsim::EveryNth;
+    use f4t_tcp::{FlowId, FourTuple, SeqNum, TCP_BUFFER};
 
     fn seg(len: u32) -> Segment {
         Segment::data(FourTuple::default(), SeqNum(0), SeqNum(0), len)
@@ -464,5 +596,131 @@ mod tests {
             count += 1;
         }
         assert!(count > 400, "delivered {count}");
+    }
+
+    #[test]
+    fn every_nth_loss_counts_data_segments_only() {
+        let mut l = ticked(DuplexLink::hundred_gig(), 100);
+        let every_nth = Some(EveryNth { n: 3, start: 2 });
+        l.set_impairments(Impairments { every_nth, ..Impairments::none() });
+        for i in 1..=9u32 {
+            // ACKs pass clean and do not advance the data-packet index.
+            l.send(A_TO_B, ack(), 0);
+            l.send(A_TO_B, data_at(i, 100), 0);
+        }
+        let (mut data, mut acks) = (Vec::new(), 0);
+        while let Some(s) = l.deliver(A_TO_B, 10_000) {
+            if s.has_payload() {
+                data.push(s.seq.0);
+            } else {
+                acks += 1;
+            }
+        }
+        assert_eq!(acks, 9);
+        assert_eq!(data, [1, 3, 4, 6, 7, 9], "data segments 2, 5, 8 lost");
+        assert_eq!(l.dropped_loss(A_TO_B), 3);
+    }
+
+    #[test]
+    fn every_nth_composes_with_random_loss_on_the_wire() {
+        let delivered = |imp: Impairments| {
+            let mut l = DuplexLink::hundred_gig();
+            l.set_impairments(imp);
+            let mut got = Vec::new();
+            for i in 1..=300u32 {
+                l.tick_n(10);
+                l.send(A_TO_B, data_at(i, 100), 0);
+                while let Some(s) = l.deliver(A_TO_B, 10_000) {
+                    got.push(s.seq.0);
+                }
+            }
+            got
+        };
+        let random = Impairments { loss_p: 0.2, seed: 5, ..Impairments::none() };
+        let lossy = delivered(random);
+        let every_nth = Some(EveryNth { n: 3, start: 2 });
+        let both = delivered(Impairments { every_nth, ..random });
+        // Either mechanism drops; neither shifts the other's schedule.
+        let expect: Vec<u32> = lossy.iter().copied().filter(|i| i % 3 != 2).collect();
+        assert_eq!(both, expect);
+        assert!(lossy.len() < 270, "random loss engaged: {} of 300 delivered", lossy.len());
+    }
+
+    /// `a` and `b` on `link` with one established flow from `a`.
+    fn flow_pair(link: DuplexLink) -> (EnginePair, FlowId) {
+        let cfg = EngineConfig { num_fpcs: 1, lut_groups: 1, ..EngineConfig::reference() };
+        let mut pair = EnginePair::new(cfg, link);
+        let fa = pair.a.open_established(FourTuple::default(), SeqNum(0)).expect("flow");
+        pair.b.open_established(FourTuple::default().reversed(), SeqNum(0)).expect("flow");
+        (pair, fa)
+    }
+
+    /// `b`'s application consumes everything delivered.
+    fn consume(e: &mut Engine) {
+        while let Some(n) = e.pop_notification() {
+            if let HostNotification::DataReceived { flow, upto } = n {
+                e.push_host(flow, EventKind::RecvConsumed { consumed: upto });
+            }
+        }
+    }
+
+    fn carried(l: &DuplexLink) -> u64 {
+        l.segments(A_TO_B) + l.segments(B_TO_A)
+    }
+
+    #[test]
+    fn ideal_pair_delivers_within_the_sending_step() {
+        let (mut pair, fa) = flow_pair(DuplexLink::ideal());
+        pair.a.push_host(fa, EventKind::SendReq { req: SeqNum(64 * 1024) });
+        let mut moving_steps = 0;
+        for _ in 0..2_000 {
+            let before = carried(&pair.link);
+            let moved = pair.step(16);
+            // An ideal link drains both TX queues and delivers everything
+            // it was handed within the step ...
+            assert!(pair.a.peek_tx().is_none() && pair.b.peek_tx().is_none());
+            assert!(pair.link.dirs.iter().all(|d| d.in_flight.is_empty()));
+            // ... so `step` is false exactly when both queues were empty.
+            assert_eq!(moved, carried(&pair.link) > before);
+            moving_steps += u64::from(moved);
+            consume(&mut pair.b);
+        }
+        assert_eq!(pair.a.peek_tcb(fa).expect("flow").snd_una, SeqNum(64 * 1024));
+        assert!(moving_steps > 10, "only {moving_steps} steps carried traffic");
+        assert!(!pair.step(16), "an idle pair carries nothing");
+    }
+
+    #[test]
+    fn paced_pair_holds_line_rate() {
+        // A window-unlimited bulk flow on a 10 Gbps, 1 µs pair: the wire,
+        // not the engines, is the bottleneck.
+        let (mut pair, fa) = flow_pair(DuplexLink::new(10, 1_000));
+        let steps = 250_000 / 16; // 1 ms
+        for _ in 0..steps {
+            // Keep the whole send buffer requested.
+            if let Some(t) = pair.a.peek_tcb(fa) {
+                pair.a.push_host(fa, EventKind::SendReq { req: t.snd_una.add(TCP_BUFFER) });
+            }
+            pair.step(16);
+            consume(&mut pair.b);
+        }
+        let gbps = f4t_sim::gbps(pair.link.bytes(A_TO_B), steps * 16 * 4);
+        assert!((9.5..=10.05).contains(&gbps), "got {gbps:.2} Gbps");
+    }
+
+    #[test]
+    fn pair_capture_records_every_carried_segment() {
+        let (mut pair, fa) = flow_pair(DuplexLink::ideal());
+        pair.link.enable_pcap(64);
+        pair.a.push_host(fa, EventKind::SendReq { req: SeqNum(64 * 1024) });
+        for _ in 0..2_000 {
+            pair.step(16);
+            consume(&mut pair.b);
+        }
+        let packets = pair.link.pcap_packets();
+        assert!(packets > 40, "captured {packets}");
+        assert_eq!(packets, carried(&pair.link));
+        let bytes = pair.link.take_pcap().expect("capture enabled");
+        assert_eq!(bytes[..4], 0xA1B2_C3D4u32.to_le_bytes(), "pcap magic");
     }
 }

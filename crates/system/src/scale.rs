@@ -12,7 +12,7 @@
 //! shard set: one shard is the single-engine run, N shards on any pool
 //! size produce the same per-shard state.
 
-use crate::system::PCAP_MAX_PACKETS;
+use crate::link::PCAP_MAX_PACKETS;
 use f4t_core::{Engine, EngineConfig, EventKind, ParallelRunner, RENDEZVOUS_QUANTUM};
 use f4t_tcp::pcap::PcapWriter;
 use f4t_tcp::{FlowId, FourTuple, MacAddr, Segment, SeqNum, TCP_BUFFER};

@@ -1,12 +1,11 @@
 //! The two-node F4T testbed.
 
-use crate::link::{DuplexLink, A_TO_B, B_TO_A};
+use crate::link::DuplexLink;
 use crate::metrics::Metrics;
 use crate::node::{Driver, Node};
 use f4t_core::EngineConfig;
 use f4t_host::CpuAccounting;
 use f4t_sim::{Histogram, MetricsRegistry};
-use f4t_tcp::pcap::PcapWriter;
 use f4t_tcp::{FlowId, FourTuple, SeqNum};
 use f4t_netsim::Impairments;
 use f4t_workloads::{
@@ -17,10 +16,6 @@ use std::net::Ipv4Addr;
 
 /// Engine-core period in nanoseconds.
 pub(crate) const CYCLE_NS: u64 = 4;
-
-/// Packet-capture cap: recording stops after this many packets so bulk
-/// runs cannot balloon the in-memory capture (tcpdump `-c` style).
-pub(crate) const PCAP_MAX_PACKETS: u64 = 10_000;
 
 /// Sustains a target population of short-lived connections: every tick
 /// it tops the client node back up to `target_live` in-flight lifecycles
@@ -64,9 +59,6 @@ pub struct F4tSystem {
     cycle: u64,
     /// Connection churn generator (churnstorm workload only).
     churn: Option<ChurnManager>,
-    /// Optional packet capture of link traffic (both directions, capped
-    /// at [`PCAP_MAX_PACKETS`]); see [`F4tSystem::enable_pcap`].
-    pcap: Option<PcapWriter<Vec<u8>>>,
 }
 
 fn tuple(i: u32) -> FourTuple {
@@ -82,7 +74,7 @@ fn tuple(i: u32) -> FourTuple {
 impl F4tSystem {
     /// Wires two freshly configured nodes together.
     pub fn new(a: Node, b: Node) -> F4tSystem {
-        F4tSystem { a, b, link: DuplexLink::hundred_gig(), cycle: 0, churn: None, pcap: None }
+        F4tSystem { a, b, link: DuplexLink::hundred_gig(), cycle: 0, churn: None }
     }
 
     /// Attaches a hostile-network impairment profile to the link (both
@@ -99,23 +91,22 @@ impl F4tSystem {
     }
 
     /// Starts capturing link traffic (both directions) as a libpcap
-    /// stream in memory, truncating payloads at `payload_cap` bytes
-    /// (snaplen). Recording stops after [`PCAP_MAX_PACKETS`] packets.
+    /// stream in memory; see [`DuplexLink::enable_pcap`]. Call after
+    /// [`F4tSystem::set_link`] if both are used.
     pub fn enable_pcap(&mut self, payload_cap: u32) {
-        // Writing into a Vec cannot fail.
-        self.pcap = PcapWriter::new(Vec::new(), payload_cap).ok();
+        self.link.enable_pcap(payload_cap);
     }
 
     /// Packets captured so far (0 when capture is off).
     pub fn pcap_packets(&self) -> u64 {
-        self.pcap.as_ref().map_or(0, PcapWriter::packets)
+        self.link.pcap_packets()
     }
 
     /// Finishes the capture and returns the pcap bytes, ready to write
     /// to disk and open in Wireshark. `None` when capture was never
     /// enabled.
     pub fn take_pcap(&mut self) -> Option<Vec<u8>> {
-        self.pcap.take().and_then(|w| w.finish().ok())
+        self.link.take_pcap()
     }
 
     /// Current simulation time in nanoseconds.
@@ -125,6 +116,9 @@ impl F4tSystem {
 
     /// Replaces the link (e.g. an effectively infinite one for the §6
     /// header-processing experiment, which removes the link bottleneck).
+    /// Capture and impairments live on the link, so enable them after
+    /// this call: [`F4tSystem::enable_pcap`],
+    /// [`F4tSystem::set_impairments`].
     pub fn set_link(&mut self, link: DuplexLink) {
         self.link = link;
     }
@@ -151,40 +145,9 @@ impl F4tSystem {
         if let Some(m) = &mut self.churn {
             m.step(&mut self.a);
         }
-        // Drain TX at line rate (MAC backpressure otherwise).
-        while let Some(seg) = self.a.engine.peek_tx() {
-            if self.link.can_send(A_TO_B, seg.wire_len()) {
-                let Some(seg) = self.a.engine.pop_tx() else { break };
-                if let Some(w) = &mut self.pcap {
-                    if w.packets() < PCAP_MAX_PACKETS {
-                        let _ = w.record(now, &seg, self.a.engine.mac, self.b.engine.mac);
-                    }
-                }
-                self.link.send(A_TO_B, seg, now);
-            } else {
-                break;
-            }
-        }
-        while let Some(seg) = self.b.engine.peek_tx() {
-            if self.link.can_send(B_TO_A, seg.wire_len()) {
-                let Some(seg) = self.b.engine.pop_tx() else { break };
-                if let Some(w) = &mut self.pcap {
-                    if w.packets() < PCAP_MAX_PACKETS {
-                        let _ = w.record(now, &seg, self.b.engine.mac, self.a.engine.mac);
-                    }
-                }
-                self.link.send(B_TO_A, seg, now);
-            } else {
-                break;
-            }
-        }
-        // Deliver due segments.
-        while let Some(seg) = self.link.deliver(A_TO_B, now) {
-            self.b.engine.push_rx(seg);
-        }
-        while let Some(seg) = self.link.deliver(B_TO_A, now) {
-            self.a.engine.push_rx(seg);
-        }
+        // Drain TX at line rate (MAC backpressure otherwise), then
+        // deliver due segments.
+        self.link.carry(&mut self.a.engine, &mut self.b.engine, now);
         self.cycle += 1;
     }
 

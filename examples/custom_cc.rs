@@ -16,6 +16,7 @@
 //! ```
 
 use f4t::core::{Engine, EngineConfig, EventKind, HostNotification};
+use f4t::system::{DuplexLink, EnginePair};
 use f4t::tcp::{CcState, CongestionControl, FourTuple, SeqNum, Tcb, MSS};
 use std::sync::Arc;
 
@@ -71,35 +72,31 @@ fn main() {
     let cap = 64 * MSS;
     let cc = Arc::new(MimdCapped { cap, num: 5, den: 4 });
     let cfg = EngineConfig { num_fpcs: 1, lut_groups: 1, ..EngineConfig::reference() };
-    let mut a = Engine::with_cc(cfg.clone(), cc);
-    let mut b = Engine::new(cfg); // the peer runs stock New Reno
+    let mut pair = EnginePair {
+        a: Engine::with_cc(cfg.clone(), cc),
+        b: Engine::new(cfg), // the peer runs stock New Reno
+        link: DuplexLink::ideal(),
+    };
 
     let tuple = FourTuple::default();
     let isn = SeqNum(0);
-    let fa = a.open_established(tuple, isn).unwrap();
-    let fb = b.open_established(tuple.reversed(), isn).unwrap();
+    let fa = pair.a.open_established(tuple, isn).unwrap();
+    pair.b.open_established(tuple.reversed(), isn).unwrap();
 
     // Bulk transfer with an ideal link; sample the window as it probes.
     let mut req = isn;
     let mut samples = Vec::new();
     for c in 0..150_000u64 {
         req = req.add(1024);
-        a.push_host(fa, EventKind::SendReq { req });
-        a.tick();
-        b.tick();
-        while let Some(n) = b.pop_notification() {
+        pair.a.push_host(fa, EventKind::SendReq { req });
+        pair.step(1);
+        while let Some(n) = pair.b.pop_notification() {
             if let HostNotification::DataReceived { flow, upto } = n {
-                b.push_host(flow, EventKind::RecvConsumed { consumed: upto });
+                pair.b.push_host(flow, EventKind::RecvConsumed { consumed: upto });
             }
         }
-        while let Some(seg) = a.pop_tx() {
-            b.push_rx(seg);
-        }
-        while let Some(seg) = b.pop_tx() {
-            a.push_rx(seg);
-        }
         if c % 15_000 == 0 {
-            let t = a.peek_tcb(fa).unwrap();
+            let t = pair.a.peek_tcb(fa).unwrap();
             samples.push((c * 4 / 1000, t.cwnd / MSS));
         }
     }
@@ -109,13 +106,12 @@ fn main() {
         println!("  {t:>5}   {w:>3}  {}", "#".repeat(*w as usize / 2));
     }
 
-    let final_cwnd = a.peek_tcb(fa).unwrap().cwnd;
+    let final_cwnd = pair.a.peek_tcb(fa).unwrap().cwnd;
     assert_eq!(final_cwnd, cap, "the ceiling held: {final_cwnd} == {cap}");
-    let acked = a.peek_tcb(fa).unwrap().snd_una.since(isn);
+    let acked = pair.a.peek_tcb(fa).unwrap().snd_una.since(isn);
     println!("\n  delivered {} KB; window capped at exactly {} segments", acked / 1024, cap / MSS);
     println!(
         "\nThe engine ran an algorithm it had never seen, with a 93-cycle\n\
          FPU latency, at full throughput — §4.5's versatility claim."
     );
-    let _ = fb;
 }

@@ -79,41 +79,31 @@ fn main() {
     let pong = system.a.engine.handle_ping(&ping).expect("engine answers ping");
     println!("\nping {} -> pong {} (answered in hardware)", ping.seq, pong.seq);
 
-    // --- 4. Capture the engine's traffic for Wireshark.
-    use f4t::core::{Engine, EventKind};
-    use f4t::tcp::pcap::PcapWriter;
+    // --- 4. Wire two bare engines back to back and capture their
+    // traffic for Wireshark.
+    use f4t::core::EventKind;
+    use f4t::system::{DuplexLink, EnginePair};
     let cfg = EngineConfig { num_fpcs: 1, lut_groups: 1, ..EngineConfig::reference() };
-    let mut a = Engine::new(cfg.clone());
-    let mut b = Engine::new(cfg);
+    let mut pair = EnginePair::new(cfg, DuplexLink::ideal());
+    pair.link.enable_pcap(96);
     let tuple = f4t::tcp::FourTuple::new(
         Ipv4Addr::new(10, 0, 0, 1),
         40_000,
         Ipv4Addr::new(10, 0, 0, 2),
         80,
     );
-    let fa = a.open_established(tuple, SeqNum(0)).unwrap();
-    let _fb = b.open_established(tuple.reversed(), SeqNum(0)).unwrap();
-    a.run(20);
-    a.push_host(fa, EventKind::SendReq { req: SeqNum(20_000) });
-    let path = std::env::temp_dir().join("f4t_quickstart.pcap");
-    let file = std::fs::File::create(&path).expect("create pcap");
-    let mut pcap = PcapWriter::new(std::io::BufWriter::new(file), 96).expect("pcap header");
+    let fa = pair.a.open_established(tuple, SeqNum(0)).unwrap();
+    let _fb = pair.b.open_established(tuple.reversed(), SeqNum(0)).unwrap();
+    pair.a.run(20);
+    pair.a.push_host(fa, EventKind::SendReq { req: SeqNum(20_000) });
     for _ in 0..20_000u64 {
-        a.tick();
-        b.tick();
-        while let Some(seg) = a.pop_tx() {
-            pcap.record(a.now_ns(), &seg, a.mac, b.mac).expect("record");
-            b.push_rx(seg);
-        }
-        while let Some(seg) = b.pop_tx() {
-            pcap.record(b.now_ns(), &seg, b.mac, a.mac).expect("record");
-            a.push_rx(seg);
-        }
+        pair.step(1);
     }
+    let packets = pair.link.pcap_packets();
+    let path = std::env::temp_dir().join("f4t_quickstart.pcap");
+    std::fs::write(&path, pair.link.take_pcap().expect("capture enabled")).expect("write pcap");
     println!(
-        "\ncaptured {} packets of a 20 KB transfer to {} (open it in Wireshark)",
-        pcap.packets(),
+        "\ncaptured {packets} packets of a 20 KB transfer to {} (open it in Wireshark)",
         path.display()
     );
-    pcap.finish().expect("flush");
 }

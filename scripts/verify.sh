@@ -40,6 +40,32 @@ if grep -rnE 'fn (json_str|json_string|json_f64|scan_string|balanced|find_key|to
     exit 1
 fi
 
+echo "==> one-wire regrowth gate (DESIGN.md section 14.1)"
+# Two engines talk through f4t_system::DuplexLink: F4tSystem calls
+# DuplexLink::carry, tests and figure harnesses step an EnginePair, and
+# every-Nth loss is an Impairments field. The named exceptions keep their
+# own segment loops: cycle-windowed fault closures (failure_injection),
+# frame-by-frame parsing (wire_interop), a pinned reorder schedule
+# (end_to_end) and single-engine ideal peers (engine_props,
+# journal_forensics).
+hits=$(grep -rl 'BytePacer::for_link' --include=*.rs crates src tests examples \
+    | grep -vx 'crates/system/src/link.rs' || true)
+[ -z "$hits" ] || {
+    echo "FAIL: a hand-rolled link pacer is back in $hits: use DuplexLink, DESIGN.md section 14.1" >&2
+    exit 1
+}
+if grep -rn 'DropPolicy\|struct Ferry' --include=*.rs crates src tests examples; then
+    echo "FAIL: a second loss model is back: use Impairments on DuplexLink, DESIGN.md section 14.1" >&2
+    exit 1
+fi
+hits=$(grep -rlE '\.pop_tx\(\)' tests examples crates/bench/src \
+    | grep -vxE 'tests/(failure_injection|wire_interop|end_to_end|engine_props|journal_forensics)\.rs' \
+    || true)
+[ -z "$hits" ] || {
+    echo "FAIL: a hand-rolled engine-pair loop is back in $hits: step an EnginePair, DESIGN.md section 14.1" >&2
+    exit 1
+}
+
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 

@@ -4,74 +4,37 @@
 //! deterministic loss, the windows must agree closely — two codebases,
 //! one RFC.
 
-use f4t::core::{Engine, EngineConfig, EventKind, HostNotification};
-use f4t::netsim::{DropPolicy, LinkConfig, RefAlgo, Simulation, SimulationConfig};
-use f4t::sim::clock::BytePacer;
-use f4t::sim::ClockDomain;
+use f4t::core::{EngineConfig, EventKind, HostNotification};
+use f4t::netsim::{Impairments, LinkConfig, RefAlgo, Simulation, SimulationConfig};
+use f4t::system::{DuplexLink, EnginePair};
 use f4t::tcp::{CcAlgorithm, FourTuple, SeqNum, MSS};
-use std::collections::VecDeque;
 
 fn engine_cwnd_trace(algo: CcAlgorithm, duration_ns: u64, drop_every: u64) -> Vec<f64> {
     let cfg = EngineConfig { cc: algo, num_fpcs: 1, lut_groups: 1, ..EngineConfig::reference() };
-    let mut a = Engine::new(cfg.clone());
-    let mut b = Engine::new(cfg);
+    let mut pair = EnginePair::new(cfg, DuplexLink::new(10, 50_000));
+    pair.link.set_impairments(Impairments::every_nth(drop_every));
     let t = FourTuple::default();
-    let fa = a.open_established(t, SeqNum(0)).unwrap();
-    let _fb = b.open_established(t.reversed(), SeqNum(0)).unwrap();
-    let mut pab = BytePacer::for_link(10, ClockDomain::ENGINE_CORE, 2 * 1538);
-    let mut pba = BytePacer::for_link(10, ClockDomain::ENGINE_CORE, 2 * 1538);
-    let mut wab: VecDeque<(u64, f4t::tcp::Segment)> = VecDeque::new();
-    let mut wba: VecDeque<(u64, f4t::tcp::Segment)> = VecDeque::new();
-    let mut data = 0u64;
+    let fa = pair.a.open_established(t, SeqNum(0)).unwrap();
+    let _fb = pair.b.open_established(t.reversed(), SeqNum(0)).unwrap();
     let mut req = SeqNum(0);
     let mut out = Vec::new();
     let sample = duration_ns / 20;
     let mut next = sample;
     for c in 0..duration_ns / 4 {
         let now = c * 4;
-        pab.tick();
-        pba.tick();
         if req.since(SeqNum(0)) < (c as u32 / 63) * MSS + 512 * 1024 {
             req = req.add(64 * 1024);
-            a.push_host(fa, EventKind::SendReq { req });
+            pair.a.push_host(fa, EventKind::SendReq { req });
         }
-        a.tick();
-        b.tick();
-        while let Some(n) = b.pop_notification() {
+        pair.step(1);
+        while let Some(n) = pair.b.pop_notification() {
             if let HostNotification::DataReceived { flow, upto } = n {
-                b.push_host(flow, EventKind::RecvConsumed { consumed: upto });
+                pair.b.push_host(flow, EventKind::RecvConsumed { consumed: upto });
             }
-        }
-        while let Some(seg) = a.peek_tx() {
-            if pab.try_consume(u64::from(seg.wire_len())) {
-                let seg = a.pop_tx().unwrap();
-                if seg.has_payload() {
-                    data += 1;
-                    if data.is_multiple_of(drop_every) {
-                        continue;
-                    }
-                }
-                wab.push_back((now + 50_000, seg));
-            } else {
-                break;
-            }
-        }
-        while let Some(seg) = b.peek_tx() {
-            if pba.try_consume(u64::from(seg.wire_len())) {
-                wba.push_back((now + 50_000, b.pop_tx().unwrap()));
-            } else {
-                break;
-            }
-        }
-        while wab.front().is_some_and(|&(at, _)| at <= now) {
-            b.push_rx(wab.pop_front().unwrap().1);
-        }
-        while wba.front().is_some_and(|&(at, _)| at <= now) {
-            a.push_rx(wba.pop_front().unwrap().1);
         }
         if now >= next {
             next += sample;
-            out.push(f64::from(a.peek_tcb(fa).unwrap().cwnd) / f64::from(MSS));
+            out.push(f64::from(pair.a.peek_tcb(fa).unwrap().cwnd) / f64::from(MSS));
         }
     }
     out
@@ -84,8 +47,7 @@ fn reference_cwnd_trace(algo: RefAlgo, duration_ns: u64, drop_every: u64) -> Vec
             bandwidth_gbps: 10.0,
             delay_ns: 50_000,
             queue_pkts: 2_000,
-            drops: DropPolicy::EveryNth { n: drop_every, start: drop_every },
-            ..LinkConfig::default()
+            impair: Impairments::every_nth(drop_every),
         },
         mss: MSS,
         duration_ns,

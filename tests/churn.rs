@@ -4,37 +4,25 @@
 //! transfer / orderly-close lifecycle and checks that every piece of
 //! per-flow state is reclaimed.
 
-use f4t::core::{Engine, EngineConfig, EventKind, HostNotification};
+use f4t::core::{EngineConfig, EventKind, HostNotification};
+use f4t::netsim::Impairments;
+use f4t::system::link::A_TO_B;
+use f4t::system::{DuplexLink, EnginePair};
 use f4t::tcp::FourTuple;
 use std::net::Ipv4Addr;
 
-fn pump(client: &mut Engine, server: &mut Engine) {
-    client.tick();
-    server.tick();
-    loop {
-        let mut moved = false;
-        while let Some(seg) = client.pop_tx() {
-            server.push_rx(seg);
-            moved = true;
-        }
-        while let Some(seg) = server.pop_tx() {
-            client.push_rx(seg);
-            moved = true;
-        }
-        if !moved {
-            break;
-        }
-        client.tick();
-        server.tick();
-    }
+/// Steps one cycle at a time until a step moves no segment, so every
+/// exchange the first step set off has crossed the (ideal) wire.
+fn pump(pair: &mut EnginePair) {
+    while pair.step(1) {}
 }
 
 #[test]
 fn short_connections_churn_and_reclaim() {
     let cfg = EngineConfig { num_fpcs: 2, flows_per_fpc: 16, lut_groups: 2, ..EngineConfig::reference() };
-    let mut client = Engine::new(cfg.clone());
-    let mut server = Engine::new(cfg);
-    server.listen(80);
+    // Client `a`, server `b`.
+    let mut pair = EnginePair::new(cfg, DuplexLink::ideal());
+    pair.b.listen(80);
 
     let rounds = 60; // 60 sequential short connections through 32 slots
     let mut completed = 0;
@@ -45,31 +33,31 @@ fn short_connections_churn_and_reclaim() {
             Ipv4Addr::new(10, 0, 0, 2),
             80,
         );
-        let fc = client.open_active(t).expect("capacity reclaimed each round");
-        client.push_host(fc, EventKind::Connect);
+        let fc = pair.a.open_active(t).expect("capacity reclaimed each round");
+        pair.a.push_host(fc, EventKind::Connect);
 
         let mut connected = false;
         let mut closed = false;
         let mut sent = false;
         for _ in 0..120_000u64 {
-            pump(&mut client, &mut server);
-            while let Some(n) = client.pop_notification() {
+            pump(&mut pair);
+            while let Some(n) = pair.a.pop_notification() {
                 match n {
                     HostNotification::Connected { flow } if flow == fc => connected = true,
                     HostNotification::Closed { flow } if flow == fc => closed = true,
                     _ => {}
                 }
             }
-            while let Some(n) = server.pop_notification() {
+            while let Some(n) = pair.b.pop_notification() {
                 if let HostNotification::PeerFin { flow } = n {
                     // Server closes its side in response (passive close).
-                    server.push_host(flow, EventKind::Close);
+                    pair.b.push_host(flow, EventKind::Close);
                 }
             }
             if connected && !sent {
-                let tcb = client.peek_tcb(fc).expect("live connection");
-                client.push_host(fc, EventKind::SendReq { req: tcb.snd_nxt.add(256) });
-                client.push_host(fc, EventKind::Close);
+                let tcb = pair.a.peek_tcb(fc).expect("live connection");
+                pair.a.push_host(fc, EventKind::SendReq { req: tcb.snd_nxt.add(256) });
+                pair.a.push_host(fc, EventKind::Close);
                 sent = true;
             }
             if closed {
@@ -78,45 +66,15 @@ fn short_connections_churn_and_reclaim() {
         }
         assert!(connected, "round {i}: handshake completed");
         assert!(closed, "round {i}: client reached Closed");
-        assert!(client.peek_tcb(fc).is_none(), "round {i}: client state reclaimed");
+        assert!(pair.a.peek_tcb(fc).is_none(), "round {i}: client state reclaimed");
         completed += 1;
         // Let the server drain its own close.
         for _ in 0..5_000 {
-            pump(&mut client, &mut server);
-            while server.pop_notification().is_some() {}
+            pump(&mut pair);
+            while pair.b.pop_notification().is_some() {}
         }
     }
     assert_eq!(completed, rounds);
-}
-
-/// Like [`pump`] but eats every `drop_nth`-th *data* segment once per
-/// crossing (deterministic loss). ACKs and control segments pass, so
-/// dup-ACK fast retransmit — not just the RTO — gets exercised.
-fn pump_lossy(client: &mut Engine, server: &mut Engine, seen: &mut u64, drop_nth: u64) {
-    client.tick();
-    server.tick();
-    loop {
-        let mut moved = false;
-        while let Some(seg) = client.pop_tx() {
-            moved = true;
-            if seg.has_payload() {
-                *seen += 1;
-                if (*seen).is_multiple_of(drop_nth) {
-                    continue;
-                }
-            }
-            server.push_rx(seg);
-        }
-        while let Some(seg) = server.pop_tx() {
-            client.push_rx(seg);
-            moved = true;
-        }
-        if !moved {
-            break;
-        }
-        client.tick();
-        server.tick();
-    }
 }
 
 /// Churn where every connection's payload takes losses on the way: the
@@ -125,7 +83,9 @@ fn pump_lossy(client: &mut Engine, server: &mut Engine, seen: &mut u64, drop_nth
 /// empty — zero live flows and a zero LUT census. Loss recovery keeps
 /// per-flow state (retransmit queues, reassembly chunks, LUT entries)
 /// alive longer than the clean path, which is exactly when reclamation
-/// bugs leak.
+/// bugs leak. The wire eats every 5th data segment (deterministic loss);
+/// ACKs and control segments pass, so dup-ACK fast retransmit — not just
+/// the RTO — gets exercised.
 #[test]
 fn churn_under_loss_reclaims_all_state() {
     let cfg = EngineConfig {
@@ -135,12 +95,13 @@ fn churn_under_loss_reclaims_all_state() {
         check: true,
         ..EngineConfig::reference()
     };
-    let mut client = Engine::new(cfg.clone());
-    let mut server = Engine::new(cfg);
-    server.listen(80);
+    let mut pair = EnginePair::new(cfg, DuplexLink::ideal());
+    pair.b.listen(80);
+    // With ~6 segments per 8 KB payload, every connection loses at least
+    // one.
+    pair.link.set_impairments(Impairments::every_nth(5));
 
     let rounds = 12;
-    let mut data_seen = 0u64;
     for i in 0..rounds {
         let t = FourTuple::new(
             Ipv4Addr::new(10, 0, 0, 1),
@@ -148,40 +109,38 @@ fn churn_under_loss_reclaims_all_state() {
             Ipv4Addr::new(10, 0, 0, 2),
             80,
         );
-        let fc = client.open_active(t).expect("capacity reclaimed each round");
-        client.push_host(fc, EventKind::Connect);
+        let fc = pair.a.open_active(t).expect("capacity reclaimed each round");
+        pair.a.push_host(fc, EventKind::Connect);
 
         let mut connected = false;
         let mut closed = false;
         let mut sent = false;
         for _ in 0..3_000_000u64 {
-            // Drop every 5th data segment: with ~6 segments per 8 KB
-            // payload, every connection loses at least one.
-            pump_lossy(&mut client, &mut server, &mut data_seen, 5);
-            while let Some(n) = client.pop_notification() {
+            pump(&mut pair);
+            while let Some(n) = pair.a.pop_notification() {
                 match n {
                     HostNotification::Connected { flow } if flow == fc => connected = true,
                     HostNotification::Closed { flow } if flow == fc => closed = true,
                     _ => {}
                 }
             }
-            while let Some(n) = server.pop_notification() {
+            while let Some(n) = pair.b.pop_notification() {
                 match n {
                     HostNotification::PeerFin { flow } => {
-                        server.push_host(flow, EventKind::Close);
+                        pair.b.push_host(flow, EventKind::Close);
                     }
                     HostNotification::DataReceived { flow, upto } => {
-                        server.push_host(flow, EventKind::RecvConsumed { consumed: upto });
+                        pair.b.push_host(flow, EventKind::RecvConsumed { consumed: upto });
                     }
                     _ => {}
                 }
             }
             if connected && !sent {
-                let tcb = client.peek_tcb(fc).expect("live connection");
+                let tcb = pair.a.peek_tcb(fc).expect("live connection");
                 // 8 KB so the transfer spans several segments: enough
                 // traffic behind a lost one to trigger fast retransmit.
-                client.push_host(fc, EventKind::SendReq { req: tcb.snd_nxt.add(8_192) });
-                client.push_host(fc, EventKind::Close);
+                pair.a.push_host(fc, EventKind::SendReq { req: tcb.snd_nxt.add(8_192) });
+                pair.a.push_host(fc, EventKind::Close);
                 sent = true;
             }
             if closed {
@@ -190,17 +149,17 @@ fn churn_under_loss_reclaims_all_state() {
         }
         assert!(connected, "round {i}: handshake completed under loss");
         assert!(closed, "round {i}: lifecycle completed under loss");
-        assert!(client.peek_tcb(fc).is_none(), "round {i}: client state reclaimed");
+        assert!(pair.a.peek_tcb(fc).is_none(), "round {i}: client state reclaimed");
         for _ in 0..20_000 {
-            pump_lossy(&mut client, &mut server, &mut data_seen, 5);
-            while server.pop_notification().is_some() {}
-            while client.pop_notification().is_some() {}
+            pump(&mut pair);
+            while pair.b.pop_notification().is_some() {}
+            while pair.a.pop_notification().is_some() {}
         }
     }
-    assert!(data_seen / 5 > 0, "the loss schedule actually dropped segments");
+    assert!(pair.link.dropped_loss(A_TO_B) > 0, "the loss schedule actually dropped segments");
 
     // Structural audit: nothing may survive the last teardown.
-    for (side, e) in [("client", &client), ("server", &server)] {
+    for (side, e) in [("client", &pair.a), ("server", &pair.b)] {
         assert_eq!(e.live_flows(), 0, "{side}: flow table entries leaked");
         let (in_fpc, in_dram, moving) = e.lut_census();
         assert_eq!(
@@ -210,7 +169,7 @@ fn churn_under_loss_reclaims_all_state() {
         );
     }
     assert_eq!(
-        client.check_total_violations() + server.check_total_violations(),
+        pair.a.check_total_violations() + pair.b.check_total_violations(),
         0,
         "invariant checker fired during lossy churn"
     );

@@ -23,6 +23,7 @@
 //! `UPDATE_GOLDEN=1 cargo test --test determinism`.
 
 use f4t::core::{Engine, EngineConfig, EventKind, HostNotification};
+use f4t::system::{DuplexLink, EnginePair};
 use f4t::tcp::{FourTuple, SeqNum};
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
@@ -56,17 +57,11 @@ impl Artifacts {
     }
 }
 
-fn exchange(a: &mut Engine, b: &mut Engine, steps: u64) {
+/// `steps` 48-cycle steps, both applications consuming what arrives.
+fn exchange(pair: &mut EnginePair, steps: u64) {
     for _ in 0..steps {
-        a.run(48);
-        b.run(48);
-        while let Some(seg) = a.pop_tx() {
-            b.push_rx(seg);
-        }
-        while let Some(seg) = b.pop_tx() {
-            a.push_rx(seg);
-        }
-        for e in [&mut *a, &mut *b] {
+        pair.step(48);
+        for e in [&mut pair.a, &mut pair.b] {
             while let Some(n) = e.pop_notification() {
                 if let HostNotification::DataReceived { flow, upto } = n {
                     e.push_host(flow, EventKind::RecvConsumed { consumed: upto });
@@ -91,11 +86,10 @@ fn base_config() -> EngineConfig {
 /// an idle tail where fast-forward engages. No RNG — the schedule itself
 /// is the seed.
 fn run_schedule(cfg: EngineConfig) -> (Engine, Engine) {
-    let mut a = Engine::new(cfg.clone());
-    let mut b = Engine::new(cfg);
-    a.set_trace_capacity(1024);
-    b.set_trace_capacity(1024);
-    let mut pairs = Vec::new();
+    let mut pair = EnginePair::new(cfg, DuplexLink::ideal());
+    pair.a.set_trace_capacity(1024);
+    pair.b.set_trace_capacity(1024);
+    let mut flows = Vec::new();
     for p in 0..12u16 {
         let t = FourTuple::new(
             Ipv4Addr::new(10, 0, 0, 1),
@@ -103,41 +97,41 @@ fn run_schedule(cfg: EngineConfig) -> (Engine, Engine) {
             Ipv4Addr::new(10, 0, 0, 2),
             80,
         );
-        let fa = a.open_established(t, SeqNum(0)).unwrap();
-        let fb = b.open_established(t.reversed(), SeqNum(0)).unwrap();
-        pairs.push((fa, fb, SeqNum(0), SeqNum(0), true));
+        let fa = pair.a.open_established(t, SeqNum(0)).unwrap();
+        let fb = pair.b.open_established(t.reversed(), SeqNum(0)).unwrap();
+        flows.push((fa, fb, SeqNum(0), SeqNum(0), true));
     }
-    exchange(&mut a, &mut b, 4);
+    exchange(&mut pair, 4);
     for round in 0..40u32 {
-        let i = (round as usize) % pairs.len();
-        let (fa, fb, req_a, req_b, open) = &mut pairs[i];
+        let i = (round as usize) % flows.len();
+        let (fa, fb, req_a, req_b, open) = &mut flows[i];
         if *open {
-            let acked = a.peek_tcb(*fa).map(|t| t.snd_una).unwrap_or(*req_a);
+            let acked = pair.a.peek_tcb(*fa).map(|t| t.snd_una).unwrap_or(*req_a);
             let add = 1024 + (round * 97) % 2048;
             if req_a.since(acked).saturating_add(add) <= f4t::tcp::TCP_BUFFER {
                 *req_a = req_a.add(add);
-                a.push_host(*fa, EventKind::SendReq { req: *req_a });
+                pair.a.push_host(*fa, EventKind::SendReq { req: *req_a });
             }
             if round % 3 == 0 {
-                let acked = b.peek_tcb(*fb).map(|t| t.snd_una).unwrap_or(*req_b);
+                let acked = pair.b.peek_tcb(*fb).map(|t| t.snd_una).unwrap_or(*req_b);
                 let add = 128 + (round * 31) % 256;
                 if req_b.since(acked).saturating_add(add) <= f4t::tcp::TCP_BUFFER {
                     *req_b = req_b.add(add);
-                    b.push_host(*fb, EventKind::SendReq { req: *req_b });
+                    pair.b.push_host(*fb, EventKind::SendReq { req: *req_b });
                 }
             }
         }
         if round == 25 {
-            let (fa, fb, _, _, open) = &mut pairs[5];
+            let (fa, fb, _, _, open) = &mut flows[5];
             *open = false;
-            a.push_host(*fa, EventKind::Close);
-            b.push_host(*fb, EventKind::Close);
+            pair.a.push_host(*fa, EventKind::Close);
+            pair.b.push_host(*fb, EventKind::Close);
         }
-        exchange(&mut a, &mut b, 1 + u64::from(round % 3));
+        exchange(&mut pair, 1 + u64::from(round % 3));
     }
-    exchange(&mut a, &mut b, 200);
-    assert_eq!(a.check_total_violations() + b.check_total_violations(), 0);
-    (a, b)
+    exchange(&mut pair, 200);
+    assert_eq!(pair.a.check_total_violations() + pair.b.check_total_violations(), 0);
+    (pair.a, pair.b)
 }
 
 fn run_once() -> Artifacts {
@@ -298,9 +292,8 @@ fn parallel_pool_size_does_not_change_artifacts() {
     use f4t::tcp::FlowId;
 
     struct Shard {
-        a: Engine,
-        b: Engine,
-        pairs: Vec<(FlowId, FlowId, SeqNum)>,
+        pair: EnginePair,
+        flows: Vec<(FlowId, SeqNum)>,
         tail: u64,
     }
 
@@ -321,11 +314,10 @@ fn parallel_pool_size_does_not_change_artifacts() {
                     pulse_flow_sample: 1,
                     ..EngineConfig::reference()
                 };
-                let mut a = Engine::new(cfg.clone());
-                let mut b = Engine::new(cfg);
-                a.set_trace_capacity(512);
-                b.set_trace_capacity(512);
-                let mut pairs = Vec::new();
+                let mut pair = EnginePair::new(cfg, DuplexLink::ideal());
+                pair.a.set_trace_capacity(512);
+                pair.b.set_trace_capacity(512);
+                let mut flows = Vec::new();
                 for p in 0..(6 + s % 3) {
                     let t = FourTuple::new(
                         Ipv4Addr::new(10, 0, 1 + s as u8, 1),
@@ -333,29 +325,29 @@ fn parallel_pool_size_does_not_change_artifacts() {
                         Ipv4Addr::new(10, 0, 0, 2),
                         80,
                     );
-                    let fa = a.open_established(t, SeqNum(0)).unwrap();
-                    let fb = b.open_established(t.reversed(), SeqNum(0)).unwrap();
-                    pairs.push((fa, fb, SeqNum(0)));
+                    let fa = pair.a.open_established(t, SeqNum(0)).unwrap();
+                    pair.b.open_established(t.reversed(), SeqNum(0)).unwrap();
+                    flows.push((fa, SeqNum(0)));
                 }
-                Shard { a, b, pairs, tail: 20 + u64::from(s) * 9 }
+                Shard { pair, flows, tail: 20 + u64::from(s) * 9 }
             })
             .collect()
     }
 
     fn step(sh: &mut Shard, round: u64) -> bool {
         if round < ACTIVE_ROUNDS {
-            let i = (round as usize) % sh.pairs.len();
-            let (fa, _, req_a) = &mut sh.pairs[i];
-            let acked = sh.a.peek_tcb(*fa).map(|t| t.snd_una).unwrap_or(*req_a);
+            let i = (round as usize) % sh.flows.len();
+            let (fa, req_a) = &mut sh.flows[i];
+            let acked = sh.pair.a.peek_tcb(*fa).map(|t| t.snd_una).unwrap_or(*req_a);
             let add = 512 + (round as u32 * 73) % 1024;
             if req_a.since(acked).saturating_add(add) <= f4t::tcp::TCP_BUFFER {
                 *req_a = req_a.add(add);
-                sh.a.push_host(*fa, EventKind::SendReq { req: *req_a });
+                sh.pair.a.push_host(*fa, EventKind::SendReq { req: *req_a });
             }
-            exchange(&mut sh.a, &mut sh.b, 1 + round % 3);
+            exchange(&mut sh.pair, 1 + round % 3);
             true
         } else if round < ACTIVE_ROUNDS + sh.tail {
-            exchange(&mut sh.a, &mut sh.b, 2);
+            exchange(&mut sh.pair, 2);
             round + 1 < ACTIVE_ROUNDS + sh.tail
         } else {
             false
@@ -372,24 +364,24 @@ fn parallel_pool_size_does_not_change_artifacts() {
         let arts: Vec<_> = r
             .shards()
             .iter()
-            .map(|sh| {
+            .map(|Shard { pair: EnginePair { a, b, .. }, .. }| {
                 assert_eq!(
-                    sh.a.check_total_violations() + sh.b.check_total_violations(),
+                    a.check_total_violations() + b.check_total_violations(),
                     0,
                     "checker fired inside a shard"
                 );
                 (
-                    format!("{}{}", sh.a.telemetry().to_json(), sh.b.telemetry().to_json()),
-                    format!("{}{}", sh.a.export_chrome_trace(), sh.b.export_chrome_trace()),
-                    sh.a.journal_digest(),
-                    sh.b.journal_digest(),
+                    format!("{}{}", a.telemetry().to_json(), b.telemetry().to_json()),
+                    format!("{}{}", a.export_chrome_trace(), b.export_chrome_trace()),
+                    a.journal_digest(),
+                    b.journal_digest(),
                     format!(
                         "{}{}",
-                        sh.a.pulse_json().unwrap_or_default(),
-                        sh.b.pulse_json().unwrap_or_default()
+                        a.pulse_json().unwrap_or_default(),
+                        b.pulse_json().unwrap_or_default()
                     ),
-                    sh.a.pulse_digest(),
-                    sh.b.pulse_digest(),
+                    a.pulse_digest(),
+                    b.pulse_digest(),
                 )
             })
             .collect();

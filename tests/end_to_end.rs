@@ -4,7 +4,7 @@
 
 use f4t::core::{Engine, EngineConfig, EventKind, HostNotification};
 use f4t::mem::DramKind;
-use f4t::system::F4tSystem;
+use f4t::system::{DuplexLink, EnginePair, F4tSystem};
 use f4t::tcp::{FourTuple, SeqNum};
 use std::net::Ipv4Addr;
 
@@ -59,31 +59,23 @@ fn echo_hbm_beats_or_matches_ddr4() {
 
 #[test]
 fn handshake_then_data_between_engines() {
-    let mut client = Engine::new(small_engine());
-    let mut server = Engine::new(small_engine());
-    server.listen(80);
+    let mut pair = EnginePair::new(small_engine(), DuplexLink::ideal());
+    pair.b.listen(80);
     let t = FourTuple::new(Ipv4Addr::new(10, 0, 0, 1), 40_000, Ipv4Addr::new(10, 0, 0, 2), 80);
-    let fc = client.open_active(t).unwrap();
-    client.push_host(fc, EventKind::Connect);
+    let fc = pair.a.open_active(t).unwrap();
+    pair.a.push_host(fc, EventKind::Connect);
 
     let mut server_flow = None;
     let mut delivered = SeqNum::ZERO;
     for _ in 0..200_000u64 {
-        client.tick();
-        server.tick();
-        while let Some(seg) = client.pop_tx() {
-            server.push_rx(seg);
-        }
-        while let Some(seg) = server.pop_tx() {
-            client.push_rx(seg);
-        }
-        while let Some(n) = client.pop_notification() {
+        pair.step(1);
+        while let Some(n) = pair.a.pop_notification() {
             if matches!(n, HostNotification::Connected { .. }) {
-                let tcb = client.peek_tcb(fc).unwrap();
-                client.push_host(fc, EventKind::SendReq { req: tcb.snd_nxt.add(10_000) });
+                let tcb = pair.a.peek_tcb(fc).unwrap();
+                pair.a.push_host(fc, EventKind::SendReq { req: tcb.snd_nxt.add(10_000) });
             }
         }
-        while let Some(n) = server.pop_notification() {
+        while let Some(n) = pair.b.pop_notification() {
             match n {
                 HostNotification::NewConnection { flow, .. } => server_flow = Some(flow),
                 HostNotification::DataReceived { upto, .. } => delivered = upto,
@@ -91,7 +83,7 @@ fn handshake_then_data_between_engines() {
             }
         }
         if let Some(sf) = server_flow {
-            if let Some(tcb) = server.peek_tcb(sf) {
+            if let Some(tcb) = pair.b.peek_tcb(sf) {
                 if tcb.rcv_nxt.since(tcb.rcv_consumed) >= 10_000 {
                     break;
                 }
@@ -99,7 +91,7 @@ fn handshake_then_data_between_engines() {
         }
     }
     let sf = server_flow.expect("server accepted the connection");
-    let tcb = server.peek_tcb(sf).unwrap();
+    let tcb = pair.b.peek_tcb(sf).unwrap();
     assert_eq!(tcb.rcv_nxt.since(tcb.rcv_consumed), 10_000, "payload delivered after handshake");
     assert_ne!(delivered, SeqNum::ZERO);
 }
@@ -110,6 +102,11 @@ fn handshake_then_data_between_engines() {
 /// retransmit nor (with delivery this prompt) the RTO may fire. A
 /// spurious-retransmit storm under mild reorder is exactly the failure
 /// mode FlexTOE-class offloads are criticised for.
+///
+/// The two engines are wired by hand, not through `EnginePair`: the
+/// exact displacement schedule (every 7th data segment, held behind
+/// exactly two later ones) is the property under test, and the link's
+/// randomized reordering cannot pin it.
 #[test]
 fn bounded_reorder_causes_no_spurious_retransmits() {
     let mut client = Engine::new(small_engine());

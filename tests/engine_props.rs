@@ -9,6 +9,7 @@
 
 use f4t::core::{Engine, EngineConfig, EventKind, HostNotification};
 use f4t::sim::SimRng;
+use f4t::system::{DuplexLink, EnginePair};
 use f4t::tcp::{FourTuple, Segment, SeqNum, TcpFlags, MSS};
 use std::net::Ipv4Addr;
 
@@ -176,97 +177,86 @@ fn checker_stays_clean_under_random_bulk_echo_churn() {
             check: true,
             ..EngineConfig::reference()
         };
-        let mut a = Engine::new(cfg.clone());
-        let mut b = Engine::new(cfg);
+        let mut pair = EnginePair::new(cfg, DuplexLink::ideal());
         let tuple_for = |port: u16| {
             FourTuple::new(Ipv4Addr::new(10, 0, 0, 1), port, Ipv4Addr::new(10, 0, 0, 2), 80)
         };
         let mut next_port = 20_000u16;
-        let mut pairs = Vec::new();
+        let mut flows = Vec::new();
         for _ in 0..12 {
             let t = tuple_for(next_port);
             next_port += 1;
-            let fa = a.open_established(t, SeqNum(0)).unwrap();
-            let fb = b.open_established(t.reversed(), SeqNum(0)).unwrap();
-            pairs.push((fa, fb, SeqNum(0), SeqNum(0)));
+            let fa = pair.a.open_established(t, SeqNum(0)).unwrap();
+            let fb = pair.b.open_established(t.reversed(), SeqNum(0)).unwrap();
+            flows.push((fa, fb, SeqNum(0), SeqNum(0)));
         }
-        let exchange = |a: &mut Engine, b: &mut Engine, cycles: u64| {
+        let exchange = |pair: &mut EnginePair, cycles: u64| {
             for _ in 0..cycles {
-                a.tick();
-                b.tick();
-                while let Some(seg) = a.pop_tx() {
-                    b.push_rx(seg);
-                }
-                while let Some(seg) = b.pop_tx() {
-                    a.push_rx(seg);
-                }
+                pair.step(1);
                 // Both apps consume what arrives, keeping windows open.
-                while let Some(n) = a.pop_notification() {
-                    if let HostNotification::DataReceived { flow, upto } = n {
-                        a.push_host(flow, EventKind::RecvConsumed { consumed: upto });
-                    }
-                }
-                while let Some(n) = b.pop_notification() {
-                    if let HostNotification::DataReceived { flow, upto } = n {
-                        b.push_host(flow, EventKind::RecvConsumed { consumed: upto });
+                for e in [&mut pair.a, &mut pair.b] {
+                    while let Some(n) = e.pop_notification() {
+                        if let HostNotification::DataReceived { flow, upto } = n {
+                            e.push_host(flow, EventKind::RecvConsumed { consumed: upto });
+                        }
                     }
                 }
             }
         };
-        exchange(&mut a, &mut b, 100);
+        exchange(&mut pair, 100);
         for _ in 0..250 {
             match rng.next_below(8) {
                 // Bulk: push more request pointer on a random a-side flow.
                 0..=3 => {
-                    let i = rng.next_below(pairs.len() as u64) as usize;
-                    let (fa, _, req_a, _) = &mut pairs[i];
-                    let acked = a.peek_tcb(*fa).map(|t| t.snd_una).unwrap_or(*req_a);
+                    let i = rng.next_below(flows.len() as u64) as usize;
+                    let (fa, _, req_a, _) = &mut flows[i];
+                    let acked = pair.a.peek_tcb(*fa).map(|t| t.snd_una).unwrap_or(*req_a);
                     let add = 256 + rng.next_below(4096) as u32;
                     if req_a.since(acked).saturating_add(add) <= f4t::tcp::TCP_BUFFER {
                         *req_a = req_a.add(add);
-                        a.push_host(*fa, EventKind::SendReq { req: *req_a });
+                        pair.a.push_host(*fa, EventKind::SendReq { req: *req_a });
                     }
                 }
                 // Echo: the b side answers with its own small send.
                 4..=5 => {
-                    let i = rng.next_below(pairs.len() as u64) as usize;
-                    let (_, fb, _, req_b) = &mut pairs[i];
-                    let acked = b.peek_tcb(*fb).map(|t| t.snd_una).unwrap_or(*req_b);
+                    let i = rng.next_below(flows.len() as u64) as usize;
+                    let (_, fb, _, req_b) = &mut flows[i];
+                    let acked = pair.b.peek_tcb(*fb).map(|t| t.snd_una).unwrap_or(*req_b);
                     let add = 64 + rng.next_below(512) as u32;
                     if req_b.since(acked).saturating_add(add) <= f4t::tcp::TCP_BUFFER {
                         *req_b = req_b.add(add);
-                        b.push_host(*fb, EventKind::SendReq { req: *req_b });
+                        pair.b.push_host(*fb, EventKind::SendReq { req: *req_b });
                     }
                 }
                 // Churn: close one pair, open a fresh one on a new port.
-                6 if pairs.len() > 4 => {
-                    let i = rng.next_below(pairs.len() as u64) as usize;
-                    let (fa, fb, _, _) = pairs.swap_remove(i);
-                    a.push_host(fa, EventKind::Close);
-                    b.push_host(fb, EventKind::Close);
-                    exchange(&mut a, &mut b, 200);
+                6 if flows.len() > 4 => {
+                    let i = rng.next_below(flows.len() as u64) as usize;
+                    let (fa, fb, _, _) = flows.swap_remove(i);
+                    pair.a.push_host(fa, EventKind::Close);
+                    pair.b.push_host(fb, EventKind::Close);
+                    exchange(&mut pair, 200);
                     let t = tuple_for(next_port);
                     next_port += 1;
                     if let (Some(fa), Some(fb)) = (
-                        a.open_established(t, SeqNum(0)),
-                        b.open_established(t.reversed(), SeqNum(0)),
+                        pair.a.open_established(t, SeqNum(0)),
+                        pair.b.open_established(t.reversed(), SeqNum(0)),
                     ) {
-                        pairs.push((fa, fb, SeqNum(0), SeqNum(0)));
+                        flows.push((fa, fb, SeqNum(0), SeqNum(0)));
                     }
                 }
                 // Time passes.
                 _ => {}
             }
-            exchange(&mut a, &mut b, 20 + rng.next_below(200));
+            exchange(&mut pair, 20 + rng.next_below(200));
         }
-        exchange(&mut a, &mut b, 2_000);
+        exchange(&mut pair, 2_000);
         // The run must actually have exercised the audited machinery.
-        let stats = a.stats();
+        let stats = pair.a.stats();
         assert!(
             stats.dram_events + stats.migrations > 0,
             "case {case}: workload never left SRAM — checker had nothing to audit"
         );
-        for (side, e) in [("a", &a), ("b", &b)] {
+        for (side, e) in [("a", &pair.a), ("b", &pair.b)] {
             assert!(e.check_enabled());
             assert_eq!(
                 e.check_total_violations(),

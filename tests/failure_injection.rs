@@ -20,7 +20,9 @@ fn engines() -> (Engine, Engine, f4t::tcp::FlowId, f4t::tcp::FlowId) {
 
 /// Runs a 100 KB transfer with a wire mutator applied to A→B segments
 /// (the mutator also sees the current cycle, for time-based faults);
-/// returns (cycles used, retransmissions).
+/// returns (cycles used, retransmissions). This wire is hand-rolled on
+/// purpose: cycle-windowed blackouts and per-segment closures are faults
+/// `DuplexLink`'s sequence-indexed impairments cannot express.
 fn transfer_with(
     mut mutate: impl FnMut(u64, Segment, &mut VecDeque<Segment>),
     max_cycles: u64,

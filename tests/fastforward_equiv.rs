@@ -10,23 +10,27 @@
 //! Randomized via the deterministic in-tree PRNG ([`f4t::sim::SimRng`]);
 //! the op schedule mixes bulk transfer, echo traffic and connection
 //! churn over deliberately tiny FPCs so flows overflow to DRAM and
-//! migrate mid-run. Failures print the case seed and the first point of
-//! divergence.
+//! migrate mid-run. The two engines are an [`EnginePair`] on an ideal
+//! link — the same `DuplexLink` the system drives — and the impaired
+//! cases attach a profile to that link. Failures print the case seed and
+//! the first point of divergence.
 
 use f4t::core::{Engine, EngineConfig, EventKind, HostNotification};
-use f4t::netsim::{ImpairState, Impairments};
+use f4t::netsim::Impairments;
 use f4t::sim::SimRng;
-use f4t::tcp::{FourTuple, Segment, SeqNum};
+use f4t::system::{DuplexLink, EnginePair};
+use f4t::tcp::{FourTuple, SeqNum};
 use std::net::Ipv4Addr;
 
-/// Cycles per `Engine::run` call between segment ferries. Large enough
-/// for quiescent gaps to open inside a chunk (so fast-forward engages),
-/// small enough that the workload stays chatty.
+/// Cycles per pair step. Large enough for quiescent gaps to open inside
+/// a step (so fast-forward engages), small enough that the workload
+/// stays chatty.
 const CHUNK: u64 = 48;
 
 /// Everything observable about a finished run.
 struct Snapshot {
-    wire: Vec<String>,
+    /// The pair's capture of every segment sent, both directions.
+    wire: Vec<u8>,
     tcbs: Vec<String>,
     telemetry: [String; 2],
     traces: [String; 2],
@@ -56,118 +60,20 @@ fn filtered_telemetry(e: &Engine) -> String {
         .join("\n")
 }
 
-/// A hostile ferry direction: applies an impairment decision stream to
-/// the segment sequence itself. Decisions are indexed by data-segment
-/// count — never by cycle or wall time — so the fast-forwarded and
-/// tick-by-tick runs draw identical verdicts for identical traffic,
-/// which is exactly the equivalence property under test.
-struct Ferry {
-    st: ImpairState,
-    /// Reordered segments awaiting their displacement countdown.
-    held: Vec<(u64, Segment)>,
-}
-
-impl Ferry {
-    fn new(imp: &Impairments, salt: u64) -> Ferry {
-        Ferry { st: ImpairState::new(imp.reseeded(salt)), held: Vec::new() }
-    }
-
-    /// Transforms one offered segment into zero or more delivered ones.
-    /// ACKs pass clean (same contract as the system link: impairments
-    /// shape the data path, the reverse path stays reliable).
-    fn offer(&mut self, seg: Segment, out: &mut Vec<Segment>) {
-        if !seg.has_payload() {
-            out.push(seg);
-            return;
-        }
-        let d = self.st.decide();
-        if d.drop {
-            return;
-        }
-        if d.reorder > 0 {
-            self.held.push((d.reorder, seg));
-            return;
-        }
-        out.push(seg);
-        if d.duplicate {
-            out.push(seg);
-        }
-        // A data segment went past: count down the held ones and release
-        // any that have served their displacement, behind it.
-        let mut i = 0;
-        while i < self.held.len() {
-            self.held[i].0 -= 1;
-            if self.held[i].0 == 0 {
-                let (_, held) = self.held.remove(i);
-                out.push(held);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Releases everything still held (end-of-schedule flush).
-    fn flush(&mut self, out: &mut Vec<Segment>) {
-        for (_, seg) in self.held.drain(..) {
-            out.push(seg);
-        }
-    }
-}
-
-/// Runs both sides `steps` chunks, ferrying segments at chunk
-/// boundaries and keeping receive windows open. The ferry points are a
-/// function of the chunk schedule only, so they land on the same cycle
-/// in the fast-forwarded and tick-by-tick runs.
-fn exchange(a: &mut Engine, b: &mut Engine, wire: &mut Vec<String>, steps: u64) {
-    exchange_via(a, b, wire, steps, &mut None)
-}
-
-/// [`exchange`] with an optional impaired ferry per direction
-/// (`ferries[0]` carries a→b, `ferries[1]` b→a). The wire log records
-/// *delivered* segments — what survives the impairment — so comparing
-/// logs across runs checks both the engine traffic and the transformed
-/// stream.
-fn exchange_via(
-    a: &mut Engine,
-    b: &mut Engine,
-    wire: &mut Vec<String>,
-    steps: u64,
-    ferries: &mut Option<[Ferry; 2]>,
-) {
-    let mut delivered = Vec::new();
+/// Runs the pair `steps` chunks, keeping receive windows open. The link
+/// carries at chunk boundaries only, so segments cross on the same cycle
+/// in the fast-forwarded and tick-by-tick runs, and impairment verdicts
+/// are indexed by data-segment count — never by cycle or wall time — so
+/// both runs draw identical verdicts for identical traffic, which is
+/// exactly the equivalence property under test.
+fn exchange(pair: &mut EnginePair, steps: u64) {
     for _ in 0..steps {
-        a.run(CHUNK);
-        b.run(CHUNK);
-        while let Some(seg) = a.pop_tx() {
-            delivered.clear();
-            match ferries {
-                Some(f) => f[0].offer(seg, &mut delivered),
-                None => delivered.push(seg),
-            }
-            for seg in delivered.drain(..) {
-                wire.push(format!("{} a->b {seg:?}", a.cycles()));
-                b.push_rx(seg);
-            }
-        }
-        while let Some(seg) = b.pop_tx() {
-            delivered.clear();
-            match ferries {
-                Some(f) => f[1].offer(seg, &mut delivered),
-                None => delivered.push(seg),
-            }
-            for seg in delivered.drain(..) {
-                wire.push(format!("{} b->a {seg:?}", b.cycles()));
-                a.push_rx(seg);
-            }
-        }
-        while let Some(n) = a.pop_notification() {
-            if let HostNotification::DataReceived { flow, upto } = n {
-                a.push_host(flow, EventKind::RecvConsumed { consumed: upto });
-            }
-        }
-        while let Some(n) = b.pop_notification() {
-            if let HostNotification::DataReceived { flow, upto } = n {
-                b.push_host(flow, EventKind::RecvConsumed { consumed: upto });
+        pair.step(CHUNK);
+        for e in [&mut pair.a, &mut pair.b] {
+            while let Some(n) = e.pop_notification() {
+                if let HostNotification::DataReceived { flow, upto } = n {
+                    e.push_host(flow, EventKind::RecvConsumed { consumed: upto });
+                }
             }
         }
     }
@@ -178,10 +84,6 @@ fn run_scenario(case: u64, fast_forward: bool) -> Snapshot {
 }
 
 fn run_scenario_impaired(case: u64, fast_forward: bool, profile: Option<&str>) -> Snapshot {
-    let mut ferries = profile.map(|p| {
-        let imp = Impairments::profile(p).expect("known profile");
-        [Ferry::new(&imp, 0), Ferry::new(&imp, 1)]
-    });
     let mut rng = SimRng::new(0xFF1A_0000 + case);
     // 2 FPCs x 4 slots vs 10 flows: DRAM residency and migration are
     // guaranteed, so the skip logic is audited under the hard cases.
@@ -213,97 +115,85 @@ fn run_scenario_impaired(case: u64, fast_forward: bool, profile: Option<&str>) -
         fast_forward,
         ..EngineConfig::reference()
     };
-    let mut a = Engine::new(cfg.clone());
-    let mut b = Engine::new(cfg);
-    a.set_trace_capacity(2048);
-    b.set_trace_capacity(2048);
+    let mut pair = EnginePair::new(cfg, DuplexLink::ideal());
+    // Headers only: the capture is compared across runs, not read.
+    pair.link.enable_pcap(0);
+    if let Some(p) = profile {
+        pair.link.set_impairments(Impairments::profile(p).expect("known profile"));
+    }
+    pair.a.set_trace_capacity(2048);
+    pair.b.set_trace_capacity(2048);
     let tuple_for = |port: u16| {
         FourTuple::new(Ipv4Addr::new(10, 0, 0, 1), port, Ipv4Addr::new(10, 0, 0, 2), 80)
     };
     let mut next_port = 30_000u16;
-    let mut pairs = Vec::new();
+    let mut flows = Vec::new();
     for _ in 0..10 {
         let t = tuple_for(next_port);
         next_port += 1;
-        let fa = a.open_established(t, SeqNum(0)).unwrap();
-        let fb = b.open_established(t.reversed(), SeqNum(0)).unwrap();
-        pairs.push((fa, fb, SeqNum(0), SeqNum(0)));
+        let fa = pair.a.open_established(t, SeqNum(0)).unwrap();
+        let fb = pair.b.open_established(t.reversed(), SeqNum(0)).unwrap();
+        flows.push((fa, fb, SeqNum(0), SeqNum(0)));
     }
-    let mut wire = Vec::new();
-    exchange_via(&mut a, &mut b, &mut wire, 4, &mut ferries);
+    exchange(&mut pair, 4);
     for _ in 0..120 {
         match rng.next_below(8) {
             // Bulk: push more request pointer on a random a-side flow.
             0..=3 => {
-                let i = rng.next_below(pairs.len() as u64) as usize;
-                let (fa, _, req_a, _) = &mut pairs[i];
-                let acked = a.peek_tcb(*fa).map(|t| t.snd_una).unwrap_or(*req_a);
+                let i = rng.next_below(flows.len() as u64) as usize;
+                let (fa, _, req_a, _) = &mut flows[i];
+                let acked = pair.a.peek_tcb(*fa).map(|t| t.snd_una).unwrap_or(*req_a);
                 let add = 256 + rng.next_below(4096) as u32;
                 if req_a.since(acked).saturating_add(add) <= f4t::tcp::TCP_BUFFER {
                     *req_a = req_a.add(add);
-                    a.push_host(*fa, EventKind::SendReq { req: *req_a });
+                    pair.a.push_host(*fa, EventKind::SendReq { req: *req_a });
                 }
             }
             // Echo: the b side answers with its own small send.
             4..=5 => {
-                let i = rng.next_below(pairs.len() as u64) as usize;
-                let (_, fb, _, req_b) = &mut pairs[i];
-                let acked = b.peek_tcb(*fb).map(|t| t.snd_una).unwrap_or(*req_b);
+                let i = rng.next_below(flows.len() as u64) as usize;
+                let (_, fb, _, req_b) = &mut flows[i];
+                let acked = pair.b.peek_tcb(*fb).map(|t| t.snd_una).unwrap_or(*req_b);
                 let add = 64 + rng.next_below(512) as u32;
                 if req_b.since(acked).saturating_add(add) <= f4t::tcp::TCP_BUFFER {
                     *req_b = req_b.add(add);
-                    b.push_host(*fb, EventKind::SendReq { req: *req_b });
+                    pair.b.push_host(*fb, EventKind::SendReq { req: *req_b });
                 }
             }
             // Churn: close one pair, open a fresh one on a new port.
-            6 if pairs.len() > 4 => {
-                let i = rng.next_below(pairs.len() as u64) as usize;
-                let (fa, fb, _, _) = pairs.swap_remove(i);
-                wire.push(format!("churn close pair {i}"));
-                a.push_host(fa, EventKind::Close);
-                b.push_host(fb, EventKind::Close);
-                exchange_via(&mut a, &mut b, &mut wire, 6, &mut ferries);
+            6 if flows.len() > 4 => {
+                let i = rng.next_below(flows.len() as u64) as usize;
+                let (fa, fb, _, _) = flows.swap_remove(i);
+                pair.a.push_host(fa, EventKind::Close);
+                pair.b.push_host(fb, EventKind::Close);
+                exchange(&mut pair, 6);
                 let t = tuple_for(next_port);
                 next_port += 1;
                 if let (Some(fa), Some(fb)) = (
-                    a.open_established(t, SeqNum(0)),
-                    b.open_established(t.reversed(), SeqNum(0)),
+                    pair.a.open_established(t, SeqNum(0)),
+                    pair.b.open_established(t.reversed(), SeqNum(0)),
                 ) {
-                    pairs.push((fa, fb, SeqNum(0), SeqNum(0)));
+                    flows.push((fa, fb, SeqNum(0), SeqNum(0)));
                 }
             }
             // Time passes.
             _ => {}
         }
-        exchange_via(&mut a, &mut b, &mut wire, 1 + rng.next_below(4), &mut ferries);
-    }
-    // Schedule over: release anything the ferries still hold (a fixed
-    // point in the op schedule, so both runs flush identically), then
-    // drain clean so both sides converge before the snapshot.
-    if let Some(f) = &mut ferries {
-        let mut out = Vec::new();
-        f[0].flush(&mut out);
-        for seg in out.drain(..) {
-            wire.push(format!("flush a->b {seg:?}"));
-            b.push_rx(seg);
-        }
-        f[1].flush(&mut out);
-        for seg in out.drain(..) {
-            wire.push(format!("flush b->a {seg:?}"));
-            a.push_rx(seg);
-        }
+        exchange(&mut pair, 1 + rng.next_below(4));
     }
     // Mostly-idle tail: retransmission timers and drain, where skipping
     // pays off and any horizon bug would desynchronize the RTO clock.
-    exchange(&mut a, &mut b, &mut wire, 400);
-    let tcbs = pairs
+    exchange(&mut pair, 400);
+    let tcbs = flows
         .iter()
-        .map(|&(fa, fb, _, _)| format!("{:?} | {:?}", a.peek_tcb(fa), b.peek_tcb(fb)))
+        .map(|&(fa, fb, _, _)| format!("{:?} | {:?}", pair.a.peek_tcb(fa), pair.b.peek_tcb(fb)))
         .collect();
+    let wire = pair.link.take_pcap().expect("capture enabled");
+    let EnginePair { a, b, .. } = &pair;
     Snapshot {
         wire,
         tcbs,
-        telemetry: [filtered_telemetry(&a), filtered_telemetry(&b)],
+        telemetry: [filtered_telemetry(a), filtered_telemetry(b)],
         traces: [a.export_chrome_trace(), b.export_chrome_trace()],
         flights: [a.flight_json().unwrap(), b.flight_json().unwrap()],
         flight_spans: a.flight().unwrap().spans_recorded()
@@ -328,6 +218,14 @@ fn run_scenario_impaired(case: u64, fast_forward: bool, profile: Option<&str>) -
     }
 }
 
+/// Panics at the first differing byte of two captures.
+fn assert_same_bytes(case: u64, what: &str, ff: &[u8], tbt: &[u8]) {
+    if let Some(i) = ff.iter().zip(tbt).position(|(l, r)| l != r) {
+        panic!("case {case}: {what} diverges at byte {i}");
+    }
+    assert_eq!(ff.len(), tbt.len(), "case {case}: {what} length mismatch");
+}
+
 /// Panics with the first point of divergence instead of dumping two
 /// multi-thousand-line vectors.
 fn assert_same_lines(case: u64, what: &str, ff: &[String], tbt: &[String]) {
@@ -345,7 +243,7 @@ fn fast_forward_is_bit_identical_under_bulk_echo_churn() {
     for case in 0..3u64 {
         let ff = run_scenario(case, true);
         let tbt = run_scenario(case, false);
-        assert_same_lines(case, "wire trace", &ff.wire, &tbt.wire);
+        assert_same_bytes(case, "wire capture", &ff.wire, &tbt.wire);
         assert_same_lines(case, "final TCBs", &ff.tcbs, &tbt.tcbs);
         for side in 0..2 {
             let (l, r): (Vec<_>, Vec<_>) = (
@@ -440,7 +338,7 @@ fn fast_forward_is_bit_identical_under_impairments() {
         let case = i as u64;
         let ff = run_scenario_impaired(case, true, Some(profile));
         let tbt = run_scenario_impaired(case, false, Some(profile));
-        assert_same_lines(case, &format!("wire trace ({profile})"), &ff.wire, &tbt.wire);
+        assert_same_bytes(case, &format!("wire capture ({profile})"), &ff.wire, &tbt.wire);
         assert_same_lines(case, &format!("final TCBs ({profile})"), &ff.tcbs, &tbt.tcbs);
         for side in 0..2 {
             let (l, r): (Vec<_>, Vec<_>) = (
@@ -511,7 +409,7 @@ fn parallel_shards_reproduce_inline_runs() {
     });
     for ((case, got), want) in runner.into_shards().into_iter().zip(&inline) {
         let got = got.expect("shard executed its scenario");
-        assert_same_lines(case, "wire trace (threaded)", &got.wire, &want.wire);
+        assert_same_bytes(case, "wire capture (threaded)", &got.wire, &want.wire);
         assert_same_lines(case, "final TCBs (threaded)", &got.tcbs, &want.tcbs);
         for side in 0..2 {
             assert_eq!(

@@ -9,8 +9,9 @@
 //!
 //! Regenerate with: `UPDATE_METRICS=1 cargo test --test metrics_catalog`
 
-use f4t::core::{Engine, EngineConfig, EventKind, HostNotification};
+use f4t::core::{EngineConfig, EventKind, HostNotification};
 use f4t::sim::{MetricValue, MetricsRegistry};
+use f4t::system::{DuplexLink, EnginePair};
 use f4t::tcp::{FourTuple, SeqNum};
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
@@ -38,11 +39,10 @@ fn reference_registry() -> MetricsRegistry {
         pulse_flow_sample: 1,
         ..EngineConfig::reference()
     };
-    let mut a = Engine::new(cfg.clone());
-    let mut b = Engine::new(cfg);
-    a.set_trace_capacity(1024);
-    b.set_trace_capacity(1024);
-    let mut pairs = Vec::new();
+    let mut pair = EnginePair::new(cfg, DuplexLink::ideal());
+    pair.a.set_trace_capacity(1024);
+    pair.b.set_trace_capacity(1024);
+    let mut flows = Vec::new();
     for i in 0..10u16 {
         let t = FourTuple::new(
             Ipv4Addr::new(10, 0, 0, 1),
@@ -50,30 +50,22 @@ fn reference_registry() -> MetricsRegistry {
             Ipv4Addr::new(10, 0, 0, 2),
             80,
         );
-        let fa = a.open_established(t, SeqNum(0)).unwrap();
-        let fb = b.open_established(t.reversed(), SeqNum(0)).unwrap();
-        pairs.push((fa, fb));
+        flows.push(pair.a.open_established(t, SeqNum(0)).unwrap());
+        pair.b.open_established(t.reversed(), SeqNum(0)).unwrap();
     }
-    for &(fa, _) in &pairs {
-        assert!(a.push_host(fa, EventKind::SendReq { req: SeqNum(0).add(4096) }));
+    for &fa in &flows {
+        assert!(pair.a.push_host(fa, EventKind::SendReq { req: SeqNum(0).add(4096) }));
     }
     for _ in 0..400 {
-        a.run(64);
-        b.run(64);
-        while let Some(seg) = a.pop_tx() {
-            b.push_rx(seg);
-        }
-        while let Some(seg) = b.pop_tx() {
-            a.push_rx(seg);
-        }
-        while let Some(n) = b.pop_notification() {
+        pair.step(64);
+        while let Some(n) = pair.b.pop_notification() {
             if let HostNotification::DataReceived { flow, upto } = n {
-                b.push_host(flow, EventKind::RecvConsumed { consumed: upto });
+                pair.b.push_host(flow, EventKind::RecvConsumed { consumed: upto });
             }
         }
-        while a.pop_notification().is_some() {}
+        while pair.a.pop_notification().is_some() {}
     }
-    a.telemetry()
+    pair.a.telemetry()
 }
 
 /// Collapses instance indices so the catalog is geometry-independent:

@@ -85,7 +85,9 @@ fn handshake_segments_round_trip_through_bytes() {
     let fc = client.open_active(tuple).unwrap();
     client.push_host(fc, EventKind::Connect);
 
-    // Every handshake segment crosses the wire as real bytes.
+    // Every handshake segment crosses the wire as real bytes, so this
+    // loop renders and parses each frame itself instead of stepping an
+    // `EnginePair`.
     let mut syn_seen = false;
     let mut syn_ack_seen = false;
     for _ in 0..50_000u64 {
