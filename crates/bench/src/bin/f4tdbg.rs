@@ -13,6 +13,7 @@
 //! f4tdbg diff a.json b.json      # first divergence between two dumps
 //! ```
 
+use f4t_sim::digest::{fnv1a, FNV_OFFSET};
 use f4t_sim::json::{self, Value};
 use std::collections::HashMap;
 
@@ -59,19 +60,6 @@ NOTE: the stream digest covers every recorded event, including ones the
 bounded ring has since overwritten; a recomputed digest only matches when
 nothing was overwritten (journal.events_overwritten == 0 at dump time).
 ";
-
-/// FNV-1a offset basis (matches `f4t_sim::journal`).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (matches `f4t_sim::journal`).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");

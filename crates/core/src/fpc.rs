@@ -1230,38 +1230,6 @@ mod tests {
     }
 
     #[test]
-    fn two_cycle_schedule_fits_dual_port_budget() {
-        // §4.2.3's port schedule, replayed against the BRAM primitive:
-        // even cycle — TCB table accepts an input TCB (write) + construct
-        // read; event table stores a handled event (write) + construct
-        // read. Odd cycle — TCB table takes the FPU write-back + read;
-        // event table clears valid bits (write) + read. Each memory does
-        // exactly two port-ops per cycle, so the structural schedule the
-        // FPC tick implements is realizable in dual-port BRAM.
-        use f4t_mem::DualPortRam;
-        let mut tcb_table: DualPortRam<u64> = DualPortRam::new(8, 0);
-        let mut event_table: DualPortRam<u64> = DualPortRam::new(8, 0);
-        for cycle in 0..64u64 {
-            tcb_table.begin_cycle();
-            event_table.begin_cycle();
-            let slot = (cycle % 8) as usize;
-            if cycle % 2 == 0 {
-                tcb_table.write(slot, cycle); // accept input TCB
-                event_table.write(slot, cycle); // store handled event
-            } else {
-                tcb_table.write(slot, cycle); // FPU write-back
-                event_table.write(slot, 0); // clear valid bits
-            }
-            // Construction read happens every cycle on both memories.
-            let _ = *tcb_table.read(slot);
-            let _ = *event_table.read(slot);
-            assert_eq!(tcb_table.ports_used(), 2);
-            assert_eq!(event_table.ports_used(), 2);
-        }
-        assert!((tcb_table.utilization() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn input_fifo_backpressure_reported() {
         let mut f = fpc(4);
         f.push_tcb(established_tcb(1), EventView::default());

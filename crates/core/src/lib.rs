@@ -47,13 +47,14 @@ pub mod rx_parser;
 pub mod scheduler;
 pub mod timers;
 
+pub use f4t_sim::digest::fold_digests;
 pub use engine::{Engine, EngineConfig, EngineStats, HostNotification};
 pub use event::{EventKind, FlowEvent, TimeoutKind, TxRequest};
 pub use fpc::Fpc;
 pub use fpu::Fpu;
 pub use memory_manager::MemoryManager;
 pub use packet_gen::PacketGenerator;
-pub use parallel::{fold_digests, ParallelRunner, RENDEZVOUS_QUANTUM};
+pub use parallel::{ParallelRunner, RENDEZVOUS_QUANTUM};
 pub use resources::{resource_report, ResourceRow};
 pub use rx_parser::RxParser;
 pub use scheduler::Scheduler;

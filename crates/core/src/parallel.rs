@@ -14,7 +14,8 @@
 //! * the only cross-shard communication is the round-continuation vote,
 //!   a boolean OR, which is order-insensitive;
 //! * merged artifacts (telemetry, journals, digests) are folded in
-//!   fixed shard order *after* the run, never concurrently.
+//!   fixed shard order *after* the run, never concurrently (digests with
+//!   [`f4t_sim::digest::fold_digests`]).
 //!
 //! So a pool of 1 and a pool of N execute the identical per-shard
 //! instruction stream and produce byte-identical output — the property
@@ -171,20 +172,6 @@ impl<S: Send> ParallelRunner<S> {
     }
 }
 
-/// Folds per-shard digests into one merged digest in fixed shard order
-/// (FNV-1a over the little-endian digest bytes). Used so "one digest for
-/// the whole run" is well-defined and thread-count independent.
-pub fn fold_digests(parts: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for part in parts {
-        for b in part.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,14 +229,6 @@ mod tests {
         });
         assert_eq!(rounds, 5);
         assert_eq!(one.shards()[0], (0..=4u64).sum());
-    }
-
-    #[test]
-    fn fold_digests_is_order_sensitive_and_stable() {
-        let a = fold_digests([1, 2, 3]);
-        assert_eq!(a, fold_digests([1, 2, 3]), "stable");
-        assert_ne!(a, fold_digests([3, 2, 1]), "fixed shard order matters");
-        assert_ne!(fold_digests([]), fold_digests([0]), "empty differs from zero");
     }
 
     #[test]

@@ -4,13 +4,6 @@
 //! The memory structures FtEngine is built from, modelled at the level
 //! that matters for the paper's claims:
 //!
-//! * [`DualPortRam`] — FPGA block RAM with **two ports per cycle** and
-//!   per-cycle port accounting. The FPC's two-cycle access schedule
-//!   (§4.2.3: "the two memories allow four reads and four writes in two
-//!   cycles") is enforced *structurally* in `f4t-core` (its tick state
-//!   machine performs exactly the scheduled accesses per parity); the
-//!   conformance test in `f4t-core::fpc` replays that schedule against
-//!   this primitive to prove it fits the hardware's port budget.
 //! * [`Cam`] — the content-addressable memory each FPC uses to map a
 //!   global flow id to its local TCB-table index (§4.4.2, "a comparator
 //!   array and a binary log module").
@@ -22,14 +15,18 @@
 //!   ceiling behind Fig. 13's knee at >1024 flows.
 //! * [`TcbCache`] — the memory manager's direct-mapped TCB cache
 //!   (§4.3.1).
+//!
+//! The FPC's dual-port block RAMs need no model of their own here: the
+//! two-cycle access schedule (§4.2.3: "the two memories allow four reads
+//! and four writes in two cycles") is enforced structurally by the FPC
+//! tick in `f4t-core`, and FtVerify's `PortTracker` (`f4t-sim::check`)
+//! flags any cycle that exceeds the two-port budget.
 
-pub mod bram;
 pub mod cam;
 pub mod dram;
 pub mod lut;
 pub mod tcb_cache;
 
-pub use bram::DualPortRam;
 pub use cam::Cam;
 pub use dram::{DramKind, DramModel};
 pub use lut::{Location, LocationLut};

@@ -34,6 +34,8 @@
 //! assert!(j.lines().next().unwrap().contains("seg_accepted"));
 //! ```
 
+use crate::digest::{fnv1a, FNV_OFFSET};
+use crate::ring::Ring;
 use crate::stats::Counter;
 use crate::telemetry::MetricsRegistry;
 
@@ -205,28 +207,10 @@ impl JournalKind {
         }
     }
 
+    /// Dense index into per-kind arrays: the discriminant, which is the
+    /// position in [`JournalKind::ALL`].
     fn index(self) -> usize {
-        match self {
-            JournalKind::SegAccepted => 0,
-            JournalKind::CuckooHit => 1,
-            JournalKind::CuckooMiss => 2,
-            JournalKind::HostEvent => 3,
-            JournalKind::TimerFired => 4,
-            JournalKind::EventEnqueued => 5,
-            JournalKind::EventMerged => 6,
-            JournalKind::EventRouted => 7,
-            JournalKind::EventDropped => 8,
-            JournalKind::EventBounced => 9,
-            JournalKind::TcbInstall => 10,
-            JournalKind::TcbEvict => 11,
-            JournalKind::TcbMigrateStart => 12,
-            JournalKind::TcbMigrateDone => 13,
-            JournalKind::TcbSwapInReq => 14,
-            JournalKind::DramEventHandled => 15,
-            JournalKind::FpuDecision => 16,
-            JournalKind::Retransmit => 17,
-            JournalKind::TxEmit => 18,
-        }
+        self as usize
     }
 }
 
@@ -264,37 +248,19 @@ impl JournalEvent {
     }
 }
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into an FNV-1a accumulator.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// The journal: a bounded event ring plus a running digest and per-kind
 /// counters, fed by sampled emissions.
 #[derive(Debug)]
 pub struct Journal {
     /// Track flows whose id is `0 (mod sample)`; 1 tracks everything.
     sample: u32,
-    cap: usize,
-    /// The ring; `next` is the overwrite cursor once `buf` reaches `cap`.
-    buf: Vec<JournalEvent>,
-    next: usize,
+    /// Retained events; its lifetime push count is `events_recorded`.
+    ring: Ring<JournalEvent>,
     /// Running FNV-1a digest over the line rendering of every recorded
     /// event, including ones the ring has since overwritten.
     digest: u64,
     per_kind: [u64; KIND_COUNT],
-    recorded: Counter,
     suppressed: Counter,
-    overwritten: Counter,
 }
 
 impl Journal {
@@ -321,14 +287,10 @@ impl Journal {
     pub fn with_capacity(sample: u32, cap: usize) -> Journal {
         Journal {
             sample: sample.max(1),
-            cap: cap.max(1),
-            buf: Vec::new(),
-            next: 0,
+            ring: Ring::new(cap.max(1)),
             digest: FNV_OFFSET,
             per_kind: [0; KIND_COUNT],
-            recorded: Counter::new(),
             suppressed: Counter::new(),
-            overwritten: Counter::new(),
         }
     }
 
@@ -362,19 +324,12 @@ impl Journal {
         let ev = JournalEvent { cycle, module, kind, flow, a, b };
         self.digest = fnv1a(self.digest, ev.line().as_bytes());
         self.per_kind[kind.index()] += 1;
-        self.recorded.incr();
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.next] = ev;
-            self.next = (self.next + 1) % self.cap;
-            self.overwritten.incr();
-        }
+        self.ring.push(ev);
     }
 
     /// Events recorded (sampled flows only), including overwritten ones.
     pub fn events_recorded(&self) -> u64 {
-        self.recorded.get()
+        self.ring.total()
     }
 
     /// Emissions skipped by sampling.
@@ -384,17 +339,17 @@ impl Journal {
 
     /// Recorded events the bounded ring has since overwritten.
     pub fn events_overwritten(&self) -> u64 {
-        self.overwritten.get()
+        self.ring.overwritten()
     }
 
     /// Events currently retained in the ring.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.ring.len()
     }
 
     /// Whether the ring holds no events.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.ring.is_empty()
     }
 
     /// Running FNV-1a digest over every recorded event's line rendering —
@@ -405,12 +360,7 @@ impl Journal {
 
     /// Retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &JournalEvent> {
-        let (older, newer) = self.buf.split_at(if self.buf.len() < self.cap {
-            0
-        } else {
-            self.next
-        });
-        newer.iter().chain(older.iter())
+        self.ring.iter()
     }
 
     /// Retained events rendered as canonical lines, oldest first.
@@ -421,10 +371,10 @@ impl Journal {
     /// Reports journal telemetry into `reg` under `prefix`: stream
     /// counters plus one counter per event kind.
     pub fn collect(&self, prefix: &str, reg: &mut MetricsRegistry) {
-        reg.counter(&format!("{prefix}.events_recorded"), self.recorded.get());
+        reg.counter(&format!("{prefix}.events_recorded"), self.events_recorded());
         reg.counter(&format!("{prefix}.events_suppressed"), self.suppressed.get());
-        reg.counter(&format!("{prefix}.events_overwritten"), self.overwritten.get());
-        reg.gauge(&format!("{prefix}.retained"), self.buf.len() as f64);
+        reg.counter(&format!("{prefix}.events_overwritten"), self.events_overwritten());
+        reg.gauge(&format!("{prefix}.retained"), self.ring.len() as f64);
         for kind in JournalKind::ALL {
             reg.counter(
                 &format!("{prefix}.kind.{}", kind.name()),
@@ -443,7 +393,14 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_unique_snake_case_and_indexed() {
+    fn kind_index_is_the_position_in_all() {
+        for (i, kind) in JournalKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn kind_names_unique_and_snake_case() {
         let mut seen = std::collections::HashSet::new();
         for kind in JournalKind::ALL {
             let n = kind.name();
@@ -452,7 +409,6 @@ mod tests {
                 n.chars().all(|c| c.is_ascii_lowercase() || c == '_'),
                 "event name {n} is not snake_case"
             );
-            assert_eq!(JournalKind::ALL[kind.index()], kind, "index round-trip");
         }
         assert_eq!(seen.len(), KIND_COUNT);
         let mut seen = std::collections::HashSet::new();

@@ -10,10 +10,14 @@
 //! * [`SimRng`] — a tiny deterministic PRNG (SplitMix64/xorshift) so every
 //!   experiment is reproducible from a seed without external crates in the
 //!   hot path.
-//! * [`Counter`], [`Histogram`], [`MeanVar`] — statistics used by the
-//!   benchmark harnesses (throughput counters, latency percentiles).
+//! * [`Counter`], [`Histogram`] — statistics used by the benchmark
+//!   harnesses (throughput counters, latency percentiles).
 //! * [`EventQueue`] — a discrete-event scheduler used by the NS3-equivalent
 //!   reference simulator in `f4t-netsim`.
+//! * [`Ring`] — the bounded overwrite-oldest ring every recorder stores
+//!   its entries in (trace events, journal events, pulse windows).
+//! * [`digest`] — FNV-1a, the one fingerprint every recorder digest, the
+//!   merged per-shard digest and the golden checks fold with.
 //! * [`telemetry`] — FtScope: the metrics registry (snapshot/delta), the
 //!   bounded pipeline trace ring, and Chrome-trace JSON export.
 //! * [`flight`] — FtFlight: span-based per-flow latency attribution
@@ -59,12 +63,14 @@
 pub mod check;
 pub mod clock;
 pub mod des;
+pub mod digest;
 pub mod fifo;
 pub mod flight;
 pub mod journal;
 pub mod json;
 pub mod probe;
 pub mod pulse;
+pub mod ring;
 pub mod rng;
 pub mod slab;
 pub mod stats;
@@ -79,9 +85,10 @@ pub use flight::{FlightRecorder, FlightStage};
 pub use journal::{Journal, JournalEvent, JournalKind, JournalModule};
 pub use probe::Probe;
 pub use pulse::{PulseRecorder, PulseSeries};
+pub use ring::Ring;
 pub use rng::SimRng;
 pub use slab::{FlowSet, FlowSlab, SlabQueue};
-pub use stats::{Counter, Histogram, MeanVar};
+pub use stats::{Counter, Histogram};
 pub use watchdog::{
     Alarm, AlarmKind, FlowObservation, QueueObservation, Watchdog, WatchdogConfig,
 };

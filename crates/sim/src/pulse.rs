@@ -15,8 +15,10 @@
 //!   fast-forward, tick-by-tick, and every worker-pool size produce
 //!   **byte-identical** series and an identical running digest.
 //! * Everything recorded is an integer. Rates are deltas of cumulative
-//!   counters between consecutive windows; gauges are instantaneous
-//!   values at the boundary. No floats ever enter the digest.
+//!   counters between consecutive windows, taken by the recorder itself
+//!   (the engine hands over running totals and keeps no shadow copy);
+//!   gauges are instantaneous values at the boundary. No floats ever
+//!   enter the digest.
 //! * A running FNV-1a digest folds every sample *as it is recorded*, so
 //!   the digest covers windows later overwritten by the bounded ring —
 //!   same scheme as the FtJournal event digest.
@@ -27,7 +29,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::digest::{fnv1a_u64, fold_digests, FNV_OFFSET};
 use crate::flight::{FlightStage, STAGE_COUNT};
+use crate::ring::Ring;
 use crate::telemetry::MetricsRegistry;
 
 /// Default sampling interval in engine cycles (32.768 µs at 250 MHz) —
@@ -158,106 +162,62 @@ impl PulseSeries {
         }
     }
 
-    /// Dense index into per-series arrays (recording order).
+    /// Dense index into per-series arrays: the discriminant, which is the
+    /// position in [`PulseSeries::ALL`] (recording order).
     pub fn index(self) -> usize {
-        Self::ALL.iter().position(|s| *s == self).unwrap_or(0)
+        self as usize
+    }
+
+    /// Whether the series is a per-window rate (the recorder differences
+    /// a cumulative total) rather than a gauge (recorded as read).
+    pub fn is_rate(self) -> bool {
+        !matches!(
+            self,
+            PulseSeries::EventTableValid
+                | PulseSeries::FpuOccupancy
+                | PulseSeries::LutInFpc
+                | PulseSeries::LutInDram
+                | PulseSeries::LutMoving
+                | PulseSeries::FlowsOpen
+        )
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// FNV-1a over raw bytes — integer-only by construction (f4tlint's
-/// `float_in_digest` rule watches everything reachable from here).
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// Retained samples of one series, oldest first.
+fn values(ring: &Ring<u64>) -> Vec<u64> {
+    ring.iter().copied().collect()
 }
 
-fn fnv1a_u64(h: u64, v: u64) -> u64 {
-    fnv1a(h, &v.to_le_bytes())
-}
-
-/// Folds per-shard pulse digests into one merged digest in fixed shard
-/// order — byte-compatible with `f4t_core::parallel::fold_digests` so the
-/// merged value is the same whichever layer computes it.
-pub fn fold_shard_digests(parts: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for part in parts {
-        h = fnv1a_u64(h, part);
-    }
-    h
-}
-
-/// A bounded ring of window samples with overwrite accounting.
-#[derive(Clone, Debug)]
-struct Ring {
-    buf: Vec<u64>,
-    next: usize,
-    cap: usize,
-    total: u64,
-}
-
-impl Ring {
-    fn new(cap: usize) -> Ring {
-        Ring { buf: Vec::new(), next: 0, cap: cap.max(1), total: 0 }
-    }
-
-    fn push(&mut self, v: u64) {
-        if self.buf.len() < self.cap {
-            self.buf.push(v);
-        } else {
-            self.buf[self.next] = v;
-            self.next = (self.next + 1) % self.cap;
-        }
-        self.total += 1;
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Retained samples, oldest first.
-    fn values(&self) -> Vec<u64> {
-        let (tail, head) = self.buf.split_at(self.next);
-        head.iter().chain(tail.iter()).copied().collect()
-    }
-
-    fn last(&self) -> u64 {
-        if self.buf.is_empty() {
-            0
-        } else if self.next == 0 {
-            self.buf[self.buf.len() - 1]
-        } else {
-            self.buf[self.next - 1]
-        }
-    }
+/// Newest sample of one series (0 before the first window).
+fn newest(ring: &Ring<u64>) -> u64 {
+    ring.last().copied().unwrap_or(0)
 }
 
 /// Per-flow series for one sampled flow.
 #[derive(Clone, Debug)]
 struct FlowTrack {
     first_window: u64,
-    series: [Ring; FLOW_SERIES_COUNT],
+    series: [Ring<u64>; FLOW_SERIES_COUNT],
 }
 
 /// Windowed time-series recorder (see module docs for the contract).
 ///
 /// The engine calls [`PulseRecorder::record_window`] at every cycle that
 /// is a multiple of the interval; the recorder owns the rings, the
-/// running digest, the per-flow tracks, and all serialization.
+/// rate derivation, the running digest, the per-flow tracks, and all
+/// serialization.
 #[derive(Clone, Debug)]
 pub struct PulseRecorder {
     interval: u64,
     flow_sample: u32,
     cap: usize,
-    windows: u64,
     digest: u64,
-    scalars: [Ring; SERIES_COUNT],
-    stages: [Ring; STAGE_COUNT],
+    /// Cumulative totals read at the previous window, per rate series.
+    prev_totals: [u64; SERIES_COUNT],
+    /// One ring per scalar series; their common push count is the number
+    /// of windows recorded.
+    scalars: [Ring<u64>; SERIES_COUNT],
+    stages: [Ring<u64>; STAGE_COUNT],
     flows: BTreeMap<u32, FlowTrack>,
     flow_samples_omitted: u64,
 }
@@ -276,8 +236,8 @@ impl PulseRecorder {
             interval: interval.max(1),
             flow_sample: flow_sample.max(1),
             cap,
-            windows: 0,
             digest: FNV_OFFSET,
+            prev_totals: [0; SERIES_COUNT],
             scalars: std::array::from_fn(|_| Ring::new(cap)),
             stages: std::array::from_fn(|_| Ring::new(cap)),
             flows: BTreeMap::new(),
@@ -302,7 +262,7 @@ impl PulseRecorder {
 
     /// Total windows recorded (including overwritten ones).
     pub fn windows_recorded(&self) -> u64 {
-        self.windows
+        self.scalars[0].total()
     }
 
     /// Windows currently retained in the rings.
@@ -342,22 +302,30 @@ impl PulseRecorder {
         PULSE_FLOW_CAP.saturating_sub(self.flows.len())
     }
 
-    /// Records one window. `scalars` and `stage_p99` are in
-    /// [`PulseSeries::ALL`] / [`FlightStage::ALL`] order; `flow_samples`
-    /// holds `(flow, [cwnd, ssthresh, srtt_ns, flightsize])` in ascending
-    /// flow-id order. Every value is folded into the digest before the
-    /// ring insert, so the digest covers overwritten windows.
+    /// Records one window. `readings` and `stage_p99` are in
+    /// [`PulseSeries::ALL`] / [`FlightStage::ALL`] order; a rate series
+    /// ([`PulseSeries::is_rate`]) reads its cumulative total, which the
+    /// recorder differences against the previous window, and a gauge reads
+    /// its instantaneous value. `flow_samples` holds `(flow, [cwnd,
+    /// ssthresh, srtt_ns, flightsize])` in ascending flow-id order. Every
+    /// recorded value is folded into the digest before the ring insert, so
+    /// the digest covers overwritten windows.
     pub fn record_window(
         &mut self,
         cycle: u64,
-        scalars: &[u64; SERIES_COUNT],
+        readings: &[u64; SERIES_COUNT],
         stage_p99: &[u64; STAGE_COUNT],
         flow_samples: &[(u32, [u64; FLOW_SERIES_COUNT])],
     ) {
-        let w = self.windows;
+        let mut scalars = *readings;
+        for i in PulseSeries::ALL.into_iter().filter(|s| s.is_rate()).map(PulseSeries::index) {
+            scalars[i] = readings[i].wrapping_sub(self.prev_totals[i]);
+            self.prev_totals[i] = readings[i];
+        }
+        let w = self.windows_recorded();
         let mut h = self.digest;
         h = fnv1a_u64(h, cycle);
-        for &v in scalars {
+        for &v in &scalars {
             h = fnv1a_u64(h, v);
         }
         for &v in stage_p99 {
@@ -395,29 +363,28 @@ impl PulseRecorder {
                 self.flow_samples_omitted += 1;
             }
         }
-        self.windows = w + 1;
     }
 
     /// Retained samples for one scalar series, oldest first.
     pub fn series(&self, s: PulseSeries) -> Vec<u64> {
-        self.scalars[s.index()].values()
+        values(&self.scalars[s.index()])
     }
 
     /// Retained samples for one stage-p99 series, oldest first.
     pub fn stage_series(&self, stage: FlightStage) -> Vec<u64> {
-        self.stages[stage.index()].values()
+        values(&self.stages[stage.index()])
     }
 
     /// Most recent sample of a scalar series (0 before the first window).
     pub fn last(&self, s: PulseSeries) -> u64 {
-        self.scalars[s.index()].last()
+        newest(&self.scalars[s.index()])
     }
 
     /// Registers pulse telemetry under `prefix` (e.g. `engine.pulse`):
     /// window accounting plus a `last.*` gauge per series so plain
     /// FtScope snapshots carry the newest window.
     pub fn collect(&self, prefix: &str, reg: &mut MetricsRegistry) {
-        reg.counter(&format!("{prefix}.windows_recorded"), self.windows);
+        reg.counter(&format!("{prefix}.windows_recorded"), self.windows_recorded());
         reg.gauge(&format!("{prefix}.windows_retained"), self.windows_retained() as f64);
         reg.gauge(&format!("{prefix}.flows_tracked"), self.flows.len() as f64);
         reg.counter(&format!("{prefix}.flow_samples_omitted"), self.flow_samples_omitted);
@@ -430,7 +397,7 @@ impl PulseRecorder {
         for stage in FlightStage::ALL {
             reg.gauge(
                 &format!("{prefix}.last.stage.{}.tail_cycles", stage.name()),
-                self.stages[stage.index()].last() as f64,
+                newest(&self.stages[stage.index()]) as f64,
             );
         }
     }
@@ -444,7 +411,7 @@ impl PulseRecorder {
         let _ = writeln!(out, " \"cycle_ns\": {cycle_ns},");
         let _ = writeln!(out, " \"flow_sample\": {},", self.flow_sample);
         let _ = writeln!(out, " \"ring_capacity\": {},", self.cap);
-        let _ = writeln!(out, " \"windows_recorded\": {},", self.windows);
+        let _ = writeln!(out, " \"windows_recorded\": {},", self.windows_recorded());
         let _ = writeln!(out, " \"windows_retained\": {},", self.windows_retained());
         let _ = writeln!(out, " \"digest\": {},", self.digest);
         out.push_str(" \"series\": {\n");
@@ -456,7 +423,7 @@ impl PulseRecorder {
                 out,
                 "  \"stage.{}.p99_cycles\": {}",
                 stage.name(),
-                json_u64_array(&self.stages[stage.index()].values())
+                json_u64_array(&self.stage_series(*stage))
             );
             out.push_str(if i + 1 == STAGE_COUNT { "\n" } else { ",\n" });
         }
@@ -472,7 +439,7 @@ impl PulseRecorder {
                 track.first_window
             );
             for (name, ring) in FLOW_SERIES_NAMES.iter().zip(track.series.iter()) {
-                let _ = write!(out, ", \"{name}\": {}", json_u64_array(&ring.values()));
+                let _ = write!(out, ", \"{name}\": {}", json_u64_array(&values(ring)));
             }
             out.push('}');
         }
@@ -492,7 +459,7 @@ impl PulseRecorder {
         if retained == 0 {
             return String::new();
         }
-        let first_window = self.windows - retained;
+        let first_window = self.windows_recorded() - retained;
         let mut out = String::new();
         let mut first = true;
         for s in PulseSeries::CHROME {
@@ -519,12 +486,12 @@ impl PulseRecorder {
     /// Fleet-aggregate view over shard recorders, walked in the given
     /// (fixed) order. Scalar series are summed element-wise, stage-p99
     /// series take the element-wise maximum, and the merged digest folds
-    /// the per-shard digests in order ([`fold_shard_digests`]). Shards
+    /// the per-shard digests in order ([`fold_digests`]). Shards
     /// are aligned on their most recent common windows (rings may have
     /// overwritten different amounts). Integer-only and byte-stable.
     pub fn aggregate_json(shards: &[&PulseRecorder]) -> String {
         let n = shards.iter().map(|p| p.windows_retained()).min().unwrap_or(0);
-        let merged = fold_shard_digests(shards.iter().map(|p| p.digest));
+        let merged = fold_digests(shards.iter().map(|p| p.digest));
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, " \"shards\": {},", shards.len());
@@ -573,12 +540,37 @@ mod tests {
     use super::*;
     use crate::json::Value;
 
-    fn scalars(base: u64) -> [u64; SERIES_COUNT] {
-        std::array::from_fn(|i| base + i as u64)
+    /// Readings under which every scalar series of `p` records `base +
+    /// i`: a rate series reads the running total `p` differences back.
+    fn scalars(p: &PulseRecorder, base: u64) -> [u64; SERIES_COUNT] {
+        std::array::from_fn(|i| {
+            let v = base + i as u64;
+            if PulseSeries::ALL[i].is_rate() { p.prev_totals[i] + v } else { v }
+        })
     }
 
     fn stages(base: u64) -> [u64; STAGE_COUNT] {
         std::array::from_fn(|i| base * 10 + i as u64)
+    }
+
+    #[test]
+    fn series_index_is_the_position_in_all() {
+        for (i, s) in PulseSeries::ALL.into_iter().enumerate() {
+            assert_eq!(s.index(), i, "{}", s.name());
+        }
+    }
+
+    #[test]
+    fn rates_are_derived_from_cumulative_totals() {
+        let mut p = PulseRecorder::new(64, 1);
+        let mut readings = [0u64; SERIES_COUNT];
+        for (w, total) in [100u64, 250, 250].into_iter().enumerate() {
+            readings[PulseSeries::GoodputBytes.index()] = total;
+            readings[PulseSeries::FlowsOpen.index()] = total;
+            p.record_window(w as u64 * 64, &readings, &stages(0), &[]);
+        }
+        assert_eq!(p.series(PulseSeries::GoodputBytes), [100, 150, 0], "rate: per-window delta");
+        assert_eq!(p.series(PulseSeries::FlowsOpen), [100, 250, 250], "gauge: as read");
     }
 
     #[test]
@@ -590,7 +582,6 @@ mod tests {
                 "series name {n:?} not snake_case"
             );
             assert!(!names[i + 1..].contains(n), "duplicate series name {n:?}");
-            assert_eq!(PulseSeries::ALL[i].index(), i, "index order mismatch for {n:?}");
         }
         for n in FLOW_SERIES_NAMES {
             assert!(n.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
@@ -601,7 +592,7 @@ mod tests {
     fn ring_overwrites_oldest_and_keeps_order() {
         let mut p = PulseRecorder::with_capacity(64, 1, 3);
         for w in 0..5u64 {
-            p.record_window(w * 64, &scalars(w), &stages(w), &[]);
+            p.record_window(w * 64, &scalars(&p, w), &stages(w), &[]);
         }
         assert_eq!(p.windows_recorded(), 5);
         assert_eq!(p.windows_retained(), 3);
@@ -615,10 +606,10 @@ mod tests {
         let mut a = PulseRecorder::with_capacity(64, 1, 2);
         let mut b = PulseRecorder::with_capacity(64, 1, 2);
         for w in 0..4u64 {
-            a.record_window(w * 64, &scalars(w), &stages(w), &[]);
+            a.record_window(w * 64, &scalars(&a, w), &stages(w), &[]);
             // b diverges only in the first (overwritten) window.
             let base = if w == 0 { 99 } else { w };
-            b.record_window(w * 64, &scalars(base), &stages(w), &[]);
+            b.record_window(w * 64, &scalars(&b, base), &stages(w), &[]);
         }
         assert_eq!(a.series(PulseSeries::GoodputBytes), b.series(PulseSeries::GoodputBytes));
         assert_ne!(a.digest(), b.digest(), "digest must cover overwritten windows");
@@ -629,7 +620,7 @@ mod tests {
         let mut p = PulseRecorder::new(64, 1);
         let samples: Vec<_> =
             (0..(PULSE_FLOW_CAP as u32 + 3)).map(|f| (f, [1, 2, 3, 4])).collect();
-        p.record_window(0, &scalars(0), &stages(0), &samples);
+        p.record_window(0, &scalars(&p, 0), &stages(0), &samples);
         assert_eq!(p.flows_tracked(), PULSE_FLOW_CAP);
         assert_eq!(p.flow_samples_omitted(), 3);
         assert_eq!(p.track_budget(), 0);
@@ -652,7 +643,7 @@ mod tests {
         let build = || {
             let mut p = PulseRecorder::new(64, 2);
             for w in 0..3u64 {
-                p.record_window(w * 64, &scalars(w), &stages(w), &[(2, [10, 20, 30, 40])]);
+                p.record_window(w * 64, &scalars(&p, w), &stages(w), &[(2, [10, 20, 30, 40])]);
             }
             p.to_json(4)
         };
@@ -690,8 +681,8 @@ mod tests {
     fn chrome_counter_events_are_counter_phase() {
         let mut p = PulseRecorder::new(64, 1);
         assert!(p.chrome_counter_events(4).is_empty());
-        p.record_window(0, &scalars(5), &stages(1), &[]);
-        p.record_window(64, &scalars(6), &stages(1), &[]);
+        p.record_window(0, &scalars(&p, 5), &stages(1), &[]);
+        p.record_window(64, &scalars(&p, 6), &stages(1), &[]);
         let ev = p.chrome_counter_events(4);
         assert!(ev.contains("\"ph\": \"C\""));
         assert!(ev.contains("\"name\": \"pulse.goodput_bytes\""));
@@ -705,7 +696,7 @@ mod tests {
     #[test]
     fn collect_reports_registry_metrics() {
         let mut p = PulseRecorder::new(64, 1);
-        p.record_window(0, &scalars(7), &stages(2), &[]);
+        p.record_window(0, &scalars(&p, 7), &stages(2), &[]);
         let mut reg = MetricsRegistry::new();
         p.collect("engine.pulse", &mut reg);
         assert_eq!(reg.counter_value("engine.pulse.windows_recorded"), 1);
@@ -718,8 +709,8 @@ mod tests {
         let mut a = PulseRecorder::new(64, 1);
         let mut b = PulseRecorder::new(64, 1);
         for w in 0..2u64 {
-            a.record_window(w * 64, &scalars(w), &stages(1), &[]);
-            b.record_window(w * 64, &scalars(w + 10), &stages(3), &[]);
+            a.record_window(w * 64, &scalars(&a, w), &stages(1), &[]);
+            b.record_window(w * 64, &scalars(&b, w + 10), &stages(3), &[]);
         }
         let j = PulseRecorder::aggregate_json(&[&a, &b]);
         assert_eq!(j, PulseRecorder::aggregate_json(&[&a, &b]), "byte-stable");
@@ -732,14 +723,7 @@ mod tests {
             doc.get("merged_digest").and_then(Value::as_u64).expect("full-width digest")
         };
         let swapped = PulseRecorder::aggregate_json(&[&b, &a]);
-        assert_eq!(merged(&j), fold_shard_digests([a.digest(), b.digest()]));
+        assert_eq!(merged(&j), fold_digests([a.digest(), b.digest()]));
         assert_ne!(merged(&j), merged(&swapped), "merge order is fixed, not commutative");
-    }
-
-    #[test]
-    fn fold_matches_core_fold_digests_shape() {
-        assert_eq!(fold_shard_digests([]), FNV_OFFSET);
-        assert_ne!(fold_shard_digests([1, 2]), fold_shard_digests([2, 1]));
-        assert_eq!(fold_shard_digests([7, 9]), fold_shard_digests([7, 9]));
     }
 }

@@ -1,5 +1,5 @@
-//! Statistics primitives: counters, running mean/variance and a log-linear
-//! histogram for latency percentiles (Fig. 12's median/99th-tail numbers).
+//! Statistics primitives: counters and a log-linear histogram for latency
+//! percentiles (Fig. 12's median/99th-tail numbers).
 
 use std::fmt;
 
@@ -44,64 +44,6 @@ impl Counter {
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// Running mean and variance (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use f4t_sim::MeanVar;
-/// let mut m = MeanVar::new();
-/// for x in [2.0, 4.0, 6.0] {
-///     m.record(x);
-/// }
-/// assert!((m.mean() - 4.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MeanVar {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl MeanVar {
-    /// Creates an empty accumulator.
-    pub fn new() -> MeanVar {
-        MeanVar::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (zero when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (zero with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 }
 
@@ -258,27 +200,6 @@ mod tests {
         c.add(9);
         assert_eq!(c.get(), 10);
         assert_eq!(c.to_string(), "10");
-    }
-
-    #[test]
-    fn meanvar_known_values() {
-        let mut m = MeanVar::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            m.record(x);
-        }
-        assert_eq!(m.count(), 4);
-        assert!((m.mean() - 2.5).abs() < 1e-12);
-        assert!((m.variance() - 1.25).abs() < 1e-12);
-        assert!((m.std_dev() - 1.25f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn meanvar_empty_and_single() {
-        let mut m = MeanVar::new();
-        assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.variance(), 0.0);
-        m.record(5.0);
-        assert_eq!(m.variance(), 0.0);
     }
 
     #[test]

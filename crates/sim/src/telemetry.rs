@@ -17,6 +17,7 @@
 //! [Perfetto](https://ui.perfetto.dev).
 
 use crate::json::{fmt_f64, push_quoted};
+use crate::ring::Ring;
 use crate::stats::Histogram;
 use std::collections::BTreeMap;
 
@@ -341,7 +342,7 @@ pub struct TraceEvent {
     pub arg: u64,
 }
 
-/// A bounded ring buffer of [`TraceEvent`]s.
+/// A bounded [`Ring`] of [`TraceEvent`]s.
 ///
 /// Capacity zero (the default) disables recording entirely — `record`
 /// is one predictable branch. When full, the oldest events are
@@ -360,18 +361,13 @@ pub struct TraceEvent {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TraceRing {
-    buf: Vec<TraceEvent>,
-    /// Next write position.
-    head: usize,
-    capacity: usize,
-    /// Lifetime number of record() calls that stored an event.
-    total: u64,
+    ring: Ring<TraceEvent>,
 }
 
 impl TraceRing {
     /// Creates a ring holding up to `capacity` events (zero disables).
     pub fn new(capacity: usize) -> TraceRing {
-        TraceRing { buf: Vec::with_capacity(capacity.min(1 << 20)), head: 0, capacity, total: 0 }
+        TraceRing { ring: Ring::new(capacity) }
     }
 
     /// A disabled ring (capacity zero); `record` is a no-op branch.
@@ -382,54 +378,43 @@ impl TraceRing {
     /// Whether events are being recorded.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.capacity > 0
+        self.ring.capacity() > 0
     }
 
     /// Records one event (no-op when disabled).
     #[inline]
     pub fn record(&mut self, cycle: u64, kind: TraceKind, flow: u32, arg: u64) {
-        if self.capacity == 0 {
-            return;
-        }
-        let ev = TraceEvent { cycle, kind, flow, arg };
-        if self.buf.len() < self.capacity {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.head] = ev;
-        }
-        self.head = (self.head + 1) % self.capacity;
-        self.total += 1;
+        self.ring.push(TraceEvent { cycle, kind, flow, arg });
     }
 
     /// Number of events currently held.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.ring.len()
     }
 
     /// Whether the ring holds no events.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.ring.is_empty()
     }
 
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// Lifetime events recorded (including since-overwritten ones).
     pub fn total_recorded(&self) -> u64 {
-        self.total
+        self.ring.total()
     }
 
     /// Events lost to wraparound.
     pub fn overwritten(&self) -> u64 {
-        self.total - self.buf.len() as u64
+        self.ring.overwritten()
     }
 
     /// Iterates events oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        let split = if self.buf.len() < self.capacity { 0 } else { self.head };
-        self.buf[split..].iter().chain(self.buf[..split].iter())
+        self.ring.iter()
     }
 
     /// Exports the ring as Chrome trace event format JSON (open in
@@ -648,29 +633,6 @@ mod tests {
         let events = trace_events(&ring.to_chrome_json(4));
         assert_eq!(events.len(), 6);
         assert!(events.iter().all(|e| e.get("ph").and_then(Value::as_str) == Some("M")));
-    }
-
-    #[test]
-    fn overwrite_accounting_at_capacity_boundary() {
-        let mut ring = TraceRing::new(3);
-        ring.record(0, TraceKind::Route, 0, 0);
-        ring.record(1, TraceKind::Route, 0, 0);
-        assert_eq!((ring.total_recorded(), ring.overwritten()), (2, 0), "under capacity");
-        ring.record(2, TraceKind::Route, 0, 0);
-        assert_eq!((ring.total_recorded(), ring.overwritten()), (3, 0), "exactly full");
-        ring.record(3, TraceKind::Route, 0, 0);
-        assert_eq!((ring.total_recorded(), ring.overwritten()), (4, 1), "first wrap");
-        for c in 4..10u64 {
-            ring.record(c, TraceKind::Route, 0, 0);
-        }
-        assert_eq!(ring.total_recorded(), 10);
-        assert_eq!(ring.overwritten(), 7);
-        assert_eq!(ring.len(), 3, "len is pinned at capacity after wrap");
-        assert_eq!(
-            ring.overwritten(),
-            ring.total_recorded() - ring.len() as u64,
-            "conservation: stored = total - overwritten"
-        );
     }
 
     #[test]

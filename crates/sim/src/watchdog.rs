@@ -30,8 +30,8 @@
 //! let cfg = WatchdogConfig { stall_horizon_cycles: 100, ..WatchdogConfig::default() };
 //! let mut w = Watchdog::new(cfg);
 //! let stuck = [FlowObservation { flow: 7, progress: 42, outstanding: true, moving: false }];
-//! w.observe(0, &stuck, &[], 0);
-//! w.observe(200, &stuck, &[], 0);
+//! w.observe(0, &stuck, &[], 0, false);
+//! w.observe(200, &stuck, &[], 0, false);
 //! assert_eq!(w.alarms().len(), 1);
 //! ```
 
@@ -186,8 +186,9 @@ pub struct Watchdog {
     flows: BTreeMap<u32, FlowState>,
     /// Consecutive at-capacity observations per queue.
     queue_full_streak: BTreeMap<&'static str, u32>,
-    /// (kind, subject) pairs already alarmed — alarms fire once.
-    alerted: BTreeSet<(usize, String)>,
+    /// (kind row, flow, queue) subjects already alarmed — alarms fire
+    /// once per flow, once per queue, once for a global anomaly.
+    alerted: BTreeSet<(usize, Option<u32>, &'static str)>,
     alarms: Vec<Alarm>,
     per_kind: [u64; ALARM_KIND_COUNT],
     observations: u64,
@@ -220,14 +221,20 @@ impl Watchdog {
 
     /// Ingests one observation boundary: per-flow snapshots (the full
     /// live-flow scan, any order — state is keyed by flow id), queue
-    /// occupancies and the engine's cumulative retransmission counter.
-    /// Returns the number of alarms raised by this observation.
+    /// occupancies, the engine's cumulative retransmission counter and the
+    /// swap-in path's health. `swap_in_starved` means: flows wait for
+    /// swap-in, every FPC is full, no migration is in flight, and yet some
+    /// FPC holds an evictable flow — the scheduler could make room and is
+    /// not doing so; it alarms once the condition has held across
+    /// observations for [`WatchdogConfig::moving_horizon_cycles`]. Returns
+    /// the number of alarms raised by this observation.
     pub fn observe(
         &mut self,
         cycle: u64,
         flows: &[FlowObservation],
         queues: &[QueueObservation],
         retx_total: u64,
+        swap_in_starved: bool,
     ) -> usize {
         self.observations += 1;
         let before = self.alarms.len();
@@ -251,6 +258,7 @@ impl Watchdog {
                     cycle,
                     AlarmKind::StuckFlow,
                     Some(ob.flow),
+                    "",
                     format!(
                         "no progress past {} for {} cycles (horizon {})",
                         st.progress,
@@ -265,6 +273,7 @@ impl Watchdog {
                         cycle,
                         AlarmKind::StarvedLut,
                         Some(ob.flow),
+                        "",
                         format!(
                             "LUT entry Moving for {} cycles (horizon {})",
                             cycle - since,
@@ -291,6 +300,7 @@ impl Watchdog {
                     cycle,
                     AlarmKind::QueueSlo,
                     None,
+                    q.name,
                     format!(
                         "queue {} at capacity {} for {} consecutive observations",
                         q.name, q.cap, streak
@@ -307,6 +317,7 @@ impl Watchdog {
                 cycle,
                 AlarmKind::RetxStorm,
                 None,
+                "",
                 format!(
                     "{delta} retransmissions in one observation window (threshold {})",
                     self.cfg.retx_storm_threshold
@@ -314,26 +325,16 @@ impl Watchdog {
             );
         }
 
-        self.alarms.len() - before
-    }
-
-    /// Ingests the swap-in path's health at an observation boundary.
-    /// `starved` means: flows wait for swap-in, every FPC is full, no
-    /// migration is in flight, and yet some FPC holds an evictable flow —
-    /// the scheduler could make room and is not doing so. Alarms once the
-    /// condition has held across observations for
-    /// [`WatchdogConfig::moving_horizon_cycles`]. Returns the number of
-    /// alarms raised.
-    pub fn observe_swap_in(&mut self, cycle: u64, starved: bool) -> usize {
-        let before = self.alarms.len();
+        // Swap-in starvation: how long the condition has held.
         self.swap_in_starved_since =
-            if starved { self.swap_in_starved_since.or(Some(cycle)) } else { None };
+            if swap_in_starved { self.swap_in_starved_since.or(Some(cycle)) } else { None };
         if let Some(since) = self.swap_in_starved_since {
             if cycle - since >= self.cfg.moving_horizon_cycles {
                 self.raise(
                     cycle,
                     AlarmKind::SwapInStarved,
                     None,
+                    "",
                     format!(
                         "swap-in queue starved for {} cycles with a victim on offer (horizon {})",
                         cycle - since,
@@ -345,17 +346,17 @@ impl Watchdog {
         self.alarms.len() - before
     }
 
-    fn raise(&mut self, cycle: u64, kind: AlarmKind, flow: Option<u32>, detail: String) {
-        let subject = match (kind, flow) {
-            (AlarmKind::QueueSlo | AlarmKind::RetxStorm, _) => {
-                // Queue alarms key on the queue name inside the detail;
-                // storm alarms are global.
-                detail.split_whitespace().nth(1).unwrap_or("").to_string()
-            }
-            (_, Some(f)) => f.to_string(),
-            (_, None) => String::new(),
-        };
-        if !self.alerted.insert((kind.index(), subject)) {
+    /// Records an alarm about `flow` (per-flow kinds) or `queue` (queue
+    /// SLOs; empty otherwise) unless that subject already alarmed.
+    fn raise(
+        &mut self,
+        cycle: u64,
+        kind: AlarmKind,
+        flow: Option<u32>,
+        queue: &'static str,
+        detail: String,
+    ) {
+        if !self.alerted.insert((kind.index(), flow, queue)) {
             return;
         }
         self.per_kind[kind.index()] += 1;
@@ -411,10 +412,10 @@ mod tests {
     #[test]
     fn stuck_flow_fires_once_past_horizon() {
         let mut w = Watchdog::new(tight());
-        assert_eq!(w.observe(0, &[flow(7, 42, true)], &[], 0), 0);
-        assert_eq!(w.observe(50, &[flow(7, 42, true)], &[], 0), 0, "inside horizon");
-        assert_eq!(w.observe(150, &[flow(7, 42, true)], &[], 0), 1);
-        assert_eq!(w.observe(300, &[flow(7, 42, true)], &[], 0), 0, "alarms once");
+        assert_eq!(w.observe(0, &[flow(7, 42, true)], &[], 0, false), 0);
+        assert_eq!(w.observe(50, &[flow(7, 42, true)], &[], 0, false), 0, "inside horizon");
+        assert_eq!(w.observe(150, &[flow(7, 42, true)], &[], 0, false), 1);
+        assert_eq!(w.observe(300, &[flow(7, 42, true)], &[], 0, false), 0, "alarms once");
         let a = &w.alarms()[0];
         assert_eq!(a.kind, AlarmKind::StuckFlow);
         assert_eq!(a.flow, Some(7));
@@ -424,26 +425,26 @@ mod tests {
     #[test]
     fn progress_resets_the_stall_clock() {
         let mut w = Watchdog::new(tight());
-        w.observe(0, &[flow(7, 42, true)], &[], 0);
-        w.observe(90, &[flow(7, 43, true)], &[], 0);
-        assert_eq!(w.observe(150, &[flow(7, 43, true)], &[], 0), 0, "clock restarted at 90");
-        assert_eq!(w.observe(200, &[flow(7, 43, true)], &[], 0), 1);
+        w.observe(0, &[flow(7, 42, true)], &[], 0, false);
+        w.observe(90, &[flow(7, 43, true)], &[], 0, false);
+        assert_eq!(w.observe(150, &[flow(7, 43, true)], &[], 0, false), 0, "clock restarted at 90");
+        assert_eq!(w.observe(200, &[flow(7, 43, true)], &[], 0, false), 1);
     }
 
     #[test]
     fn idle_flows_never_stall() {
         let mut w = Watchdog::new(tight());
-        w.observe(0, &[flow(7, 42, false)], &[], 0);
-        w.observe(10_000, &[flow(7, 42, false)], &[], 0);
+        w.observe(0, &[flow(7, 42, false)], &[], 0, false);
+        w.observe(10_000, &[flow(7, 42, false)], &[], 0, false);
         assert!(w.alarms().is_empty());
     }
 
     #[test]
     fn closed_flows_are_pruned() {
         let mut w = Watchdog::new(tight());
-        w.observe(0, &[flow(7, 42, true)], &[], 0);
-        w.observe(50, &[], &[], 0); // flow closed
-        w.observe(500, &[flow(7, 42, true)], &[], 0); // reopened id: fresh clock
+        w.observe(0, &[flow(7, 42, true)], &[], 0, false);
+        w.observe(50, &[], &[], 0, false); // flow closed
+        w.observe(500, &[flow(7, 42, true)], &[], 0, false); // reopened id: fresh clock
         assert!(w.alarms().is_empty());
     }
 
@@ -451,25 +452,25 @@ mod tests {
     fn starved_lut_entry_detected() {
         let mut w = Watchdog::new(tight());
         let moving = FlowObservation { flow: 3, progress: 0, outstanding: false, moving: true };
-        w.observe(0, &[moving], &[], 0);
-        assert_eq!(w.observe(150, &[moving], &[], 0), 1);
+        w.observe(0, &[moving], &[], 0, false);
+        assert_eq!(w.observe(150, &[moving], &[], 0, false), 1);
         assert_eq!(w.alarms()[0].kind, AlarmKind::StarvedLut);
         // Movement completing clears the clock.
         let mut w = Watchdog::new(tight());
-        w.observe(0, &[moving], &[], 0);
-        w.observe(50, &[flow(3, 0, false)], &[], 0);
-        assert_eq!(w.observe(500, &[moving], &[], 0), 0, "fresh Moving episode");
+        w.observe(0, &[moving], &[], 0, false);
+        w.observe(50, &[flow(3, 0, false)], &[], 0, false);
+        assert_eq!(w.observe(500, &[moving], &[], 0, false), 0, "fresh Moving episode");
     }
 
     #[test]
     fn starved_swap_in_queue_detected_once_past_the_horizon() {
         let mut w = Watchdog::new(tight());
-        assert_eq!(w.observe_swap_in(0, true), 0);
-        assert_eq!(w.observe_swap_in(60, false), 0, "an eviction started: clock cleared");
-        assert_eq!(w.observe_swap_in(120, true), 0);
-        assert_eq!(w.observe_swap_in(200, true), 0, "80 cycles into the second episode");
-        assert_eq!(w.observe_swap_in(220, true), 1);
-        assert_eq!(w.observe_swap_in(400, true), 0, "alarms once");
+        assert_eq!(w.observe(0, &[], &[], 0, true), 0);
+        assert_eq!(w.observe(60, &[], &[], 0, false), 0, "an eviction started: clock cleared");
+        assert_eq!(w.observe(120, &[], &[], 0, true), 0);
+        assert_eq!(w.observe(200, &[], &[], 0, true), 0, "80 cycles into the second episode");
+        assert_eq!(w.observe(220, &[], &[], 0, true), 1);
+        assert_eq!(w.observe(400, &[], &[], 0, true), 0, "alarms once");
         let a = &w.alarms()[0];
         assert_eq!((a.kind, a.flow), (AlarmKind::SwapInStarved, None));
         assert!(a.line().starts_with("220 swap_in_starved "), "{}", a.line());
@@ -485,12 +486,12 @@ mod tests {
         let mut w = Watchdog::new(tight());
         let full = QueueObservation { name: "scheduler.input_fifo", depth: 8, cap: 8 };
         let ok = QueueObservation { name: "scheduler.input_fifo", depth: 2, cap: 8 };
-        w.observe(0, &[], &[full], 0);
-        w.observe(1, &[], &[ok], 0); // streak broken
-        w.observe(2, &[], &[full], 0);
-        w.observe(3, &[], &[full], 0);
+        w.observe(0, &[], &[full], 0, false);
+        w.observe(1, &[], &[ok], 0, false); // streak broken
+        w.observe(2, &[], &[full], 0, false);
+        w.observe(3, &[], &[full], 0, false);
         assert!(w.alarms().is_empty());
-        assert_eq!(w.observe(4, &[], &[full], 0), 1);
+        assert_eq!(w.observe(4, &[], &[full], 0, false), 1);
         assert_eq!(w.alarms()[0].kind, AlarmKind::QueueSlo);
         assert!(w.alarms()[0].detail.contains("scheduler.input_fifo"));
     }
@@ -498,19 +499,19 @@ mod tests {
     #[test]
     fn retx_storm_uses_window_delta() {
         let mut w = Watchdog::new(tight());
-        w.observe(0, &[], &[], 5);
+        w.observe(0, &[], &[], 5, false);
         assert!(w.alarms().is_empty(), "5 in the first window is below threshold");
-        w.observe(1, &[], &[], 9);
+        w.observe(1, &[], &[], 9, false);
         assert!(w.alarms().is_empty(), "delta 4");
-        assert_eq!(w.observe(2, &[], &[], 30), 1, "delta 21 >= 10");
+        assert_eq!(w.observe(2, &[], &[], 30, false), 1, "delta 21 >= 10");
         assert_eq!(w.alarms()[0].kind, AlarmKind::RetxStorm);
     }
 
     #[test]
     fn collect_reports_registry_metrics() {
         let mut w = Watchdog::new(tight());
-        w.observe(0, &[flow(1, 0, true)], &[], 0);
-        w.observe(200, &[flow(1, 0, true)], &[], 0);
+        w.observe(0, &[flow(1, 0, true)], &[], 0, false);
+        w.observe(200, &[flow(1, 0, true)], &[], 0, false);
         let mut reg = MetricsRegistry::new();
         w.collect("watchdog", &mut reg);
         assert_eq!(reg.counter_value("watchdog.observations"), 2);

@@ -66,6 +66,27 @@ hits=$(grep -rlE '\.pop_tx\(\)' tests examples crates/bench/src \
     exit 1
 }
 
+echo "==> instrument-substrate regrowth gate (DESIGN.md section 7)"
+# Every recorder stores entries in f4t_sim::Ring and fingerprints them
+# with f4t_sim::digest; each derives its own deltas, so the engine keeps
+# no shadow copy of a module's running totals. The f4tlint fixture keeps
+# its own FNV basis: it is a lint input, not workspace code.
+if grep -rnE 'TraceCounters|trace_prev|PulseCounters|pulse_prev|DualPortRam|fold_shard_digests' crates src tests; then
+    echo "FAIL: a shadow counter, a second port model or a second digest fold is back: recorders derive their own deltas, DESIGN.md section 7" >&2
+    exit 1
+fi
+hits=$(grep -rln 'cbf2_9ce4' --include=*.rs crates src tests \
+    | grep -vxE 'crates/sim/src/digest.rs|crates/lint/fixtures/float_digest.rs' || true)
+[ -z "$hits" ] || {
+    echo "FAIL: a hand-written FNV-1a is back in $hits: use f4t_sim::digest, DESIGN.md section 7" >&2
+    exit 1
+}
+hits=$(grep -rn 'struct Ring\b' crates | grep -v '^crates/sim/src/ring.rs:' || true)
+[ -z "$hits" ] || {
+    echo "FAIL: a second ring type is back ($hits): use f4t_sim::Ring, DESIGN.md section 7" >&2
+    exit 1
+}
+
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 

@@ -23,6 +23,7 @@
 //! `UPDATE_GOLDEN=1 cargo test --test determinism`.
 
 use f4t::core::{Engine, EngineConfig, EventKind, HostNotification};
+use f4t::sim::digest::{fnv1a, FNV_OFFSET};
 use f4t::system::{DuplexLink, EnginePair};
 use f4t::tcp::{FourTuple, SeqNum};
 use std::net::Ipv4Addr;
@@ -35,25 +36,16 @@ struct Artifacts {
     telemetry: [String; 2],
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// FNV-1a of one artifact.
+fn fnv1a_of(text: &str) -> u64 {
+    fnv1a(FNV_OFFSET, text.as_bytes())
 }
 
 impl Artifacts {
+    /// One FNV-1a stream over every trace, then every telemetry snapshot.
     fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for s in self.traces.iter().chain(self.telemetry.iter()) {
-            for &b in s.as_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        h
+        let texts = self.traces.iter().chain(self.telemetry.iter());
+        texts.fold(FNV_OFFSET, |h, text| fnv1a(h, text.as_bytes()))
     }
 }
 
@@ -246,8 +238,8 @@ fn runs_are_deterministic_and_match_golden_digest() {
             "two fresh engines diverged on telemetry (side {side}) — nondeterminism!"
         );
         assert_eq!(
-            fnv1a(r1.traces[side].as_bytes()),
-            fnv1a(r2.traces[side].as_bytes()),
+            fnv1a_of(&r1.traces[side]),
+            fnv1a_of(&r2.traces[side]),
             "two fresh engines diverged on the Chrome trace (side {side}) — nondeterminism!"
         );
     }
@@ -273,7 +265,7 @@ fn armed_recorders_match_golden() {
     check_golden(
         "recorders",
         "recorders.txt",
-        fnv1a(views.as_bytes()),
+        fnv1a_of(&views),
         &views,
         "  text identical: the stored digest is stale\n",
     );
