@@ -15,14 +15,14 @@
 //! [`f4t_mem::DramModel`]'s byte budget — which is exactly the bottleneck
 //! behind Fig. 13's DDR4 knee.
 
-use crate::event::{EventKind, FlowEvent, TimeoutKind};
+use crate::event::FlowEvent;
 use crate::fpu::EventView;
 use f4t_mem::{CacheAccess, DramKind, DramModel, TcbCache, TCB_BYTES};
 use f4t_sim::check::InvariantChecker;
 use f4t_sim::{
     Fifo, FlightStage, FlowSet, FlowSlab, Histogram, JournalKind, JournalModule, Probe, SlabQueue,
 };
-use f4t_tcp::{FlowId, Tcb, TcpFlags};
+use f4t_tcp::{FlowId, Tcb};
 
 /// Per-cycle outputs of the memory manager.
 #[derive(Debug, Default)]
@@ -200,94 +200,18 @@ impl MemoryManager {
         self.input.collect(&format!("{prefix}.input_fifo"), reg);
     }
 
-    /// Event-handler-style accumulation into the stored event half; the
-    /// same merge rules as `Fpc::handle_event`.
-    fn accumulate(tcb: &Tcb, ev: &mut EventView, event: &FlowEvent) {
-        match event.kind {
-            EventKind::Connect => ev.connect = true,
-            EventKind::Close => ev.close = true,
-            EventKind::SendReq { req } => {
-                let merged = ev.req.unwrap_or(tcb.req).max_seq(req);
-                ev.req = Some(merged);
-            }
-            EventKind::RecvConsumed { consumed } => {
-                let merged = ev.consumed.unwrap_or(tcb.rcv_consumed).max_seq(consumed);
-                ev.consumed = Some(merged);
-            }
-            EventKind::Timeout { kind } => match kind {
-                TimeoutKind::Rto => ev.rto_fired = true,
-                TimeoutKind::Probe => ev.probe_fired = true,
-            },
-            EventKind::RxPacket {
-                ack,
-                rcv_nxt,
-                wnd,
-                flags,
-                had_payload,
-                needs_ack,
-                in_order,
-                ts_val,
-                ts_ecr,
-            } => {
-                let cur_ack = ev.ack.unwrap_or(tcb.snd_una);
-                let cur_wnd = ev.wnd.unwrap_or(tcb.snd_wnd);
-                let in_flight = tcb.snd_nxt.gt(cur_ack);
-                if ack.gt(cur_ack) {
-                    ev.ack = Some(ack);
-                    ev.dup_acks = Some(0);
-                } else if ack == cur_ack && !had_payload && wnd == cur_wnd && in_flight {
-                    let cur_dup = ev.dup_acks.unwrap_or(tcb.dup_acks);
-                    ev.dup_acks = Some(cur_dup.saturating_add(1));
-                }
-                if flags.contains(TcpFlags::SYN) {
-                    // A SYN (re)anchors the receive sequence space at the
-                    // peer's ISN; circular max-merging against the
-                    // pre-handshake placeholder would pick the wrong side
-                    // when the ISN is more than 2^31 away.
-                    ev.rcv_nxt = Some(rcv_nxt);
-                } else {
-                    let merged_rcv =
-                        ev.rcv_nxt.unwrap_or(tcb.rcv_nxt).max_seq(rcv_nxt);
-                    ev.rcv_nxt = Some(merged_rcv);
-                }
-                ev.wnd = Some(wnd);
-                ev.flags.insert(flags);
-                ev.needs_ack |= needs_ack;
-                if needs_ack && !in_order {
-                    ev.dup_ack_gen = ev.dup_ack_gen.saturating_add(1);
-                }
-                if ts_val != 0 {
-                    ev.ts_val = ts_val;
-                }
-                if ts_ecr != 0 {
-                    ev.ts_ecr = ts_ecr;
-                }
-            }
-        }
-    }
-
     /// The check logic: would this flow transmit if it were in an FPC?
     /// Evaluated on the merged view "directly to TCBs in the memory"
     /// without writing back (§4.3.1).
     fn check_can_send(tcb: &Tcb, ev: &EventView) -> bool {
-        // Apply the cumulative pointers to a scratch copy (TCBs are Copy).
+        // Apply the pointers to a scratch copy (TCBs are Copy). The ACK
+        // bound is `snd_nxt`, tighter than the FPU's `snd_max`.
         let mut t = *tcb;
-        if let Some(req) = ev.req {
-            t.req = t.req.max_seq(req);
-        }
-        if let Some(c) = ev.consumed {
-            t.rcv_consumed = t.rcv_consumed.max_seq(c);
-        }
-        if let Some(w) = ev.wnd {
-            t.snd_wnd = w;
-        }
+        ev.absorb(&mut t);
         if let Some(a) = ev.ack {
             if a.gt(t.snd_una) && a.le(t.snd_nxt) {
                 t.snd_una = a;
             }
-        }
-        if let Some(d) = ev.dup_acks {
-            t.dup_acks = d;
         }
         t.ack_pending = ev.needs_ack;
         t.can_send()
@@ -357,7 +281,7 @@ impl MemoryManager {
                         now_cycle.saturating_sub(routed_at),
                     );
                     let (tcb, mut ev) = *entry;
-                    Self::accumulate(&tcb, &mut ev, &event);
+                    ev.accumulate(&tcb, event.kind);
                     self.events_handled += 1;
                     let can_send = Self::check_can_send(&tcb, &ev);
                     probe.event(
@@ -452,6 +376,7 @@ impl MemoryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
     use f4t_tcp::{FourTuple, SeqNum};
 
     fn established(id: u32) -> Tcb {
