@@ -87,6 +87,25 @@ hits=$(grep -rn 'struct Ring\b' crates | grep -v '^crates/sim/src/ring.rs:' || t
     exit 1
 }
 
+echo "==> one-event-handler / one-segment-builder regrowth gate (DESIGN.md section 3.1)"
+# The event-table merge is EventView::accumulate, shared by the FPC and the
+# memory manager, and every FPU segment comes from fpu::segment (whose
+# signature line also reads `TxRequest {`, so it is left out of the count).
+if grep -n 'fn accumulate' crates/core/src/memory_manager.rs; then
+    echo "FAIL: the memory manager has its own event merge again: call EventView::accumulate, DESIGN.md section 3.1" >&2
+    exit 1
+fi
+n=$(grep -rn 'dup_ack_gen.saturating_add' crates/core/src | wc -l)
+[ "$n" -eq 1 ] || {
+    echo "FAIL: $n copies of the event-table merge in crates/core/src (want 1, EventView::accumulate), DESIGN.md section 3.1" >&2
+    exit 1
+}
+n=$(grep 'TxRequest {' crates/core/src/fpu.rs | grep -vc '^fn segment(' || true)
+[ "$n" -eq 1 ] || {
+    echo "FAIL: $n TxRequest literals in crates/core/src/fpu.rs (want 1, in fpu::segment), DESIGN.md section 3.1" >&2
+    exit 1
+}
+
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
