@@ -18,6 +18,13 @@
 //!      series of both engines in `tests/golden/recorders.{digest,txt}`
 //!      (the fast-forward and pool-size tests only pin them relative to
 //!      another run of the same build).
+//!   4. **A closed dispatch gate**: the same schedule over a paced 1 Gbit/s
+//!      link with a 128 B MSS turns side A's sends into more segments than
+//!      the MAC buffer holds, so the packet generator stops and the FPCs'
+//!      TX gate closes. Its artifacts are pinned in
+//!      `tests/golden/backpressure.digest` and
+//!      `tests/golden/backpressure_telemetry.txt`; the ideal-link goldens
+//!      never count an `evict_backpressure` cycle.
 //!
 //! Intentional behavior changes regenerate the goldens with
 //! `UPDATE_GOLDEN=1 cargo test --test determinism`.
@@ -78,7 +85,12 @@ fn base_config() -> EngineConfig {
 /// an idle tail where fast-forward engages. No RNG — the schedule itself
 /// is the seed.
 fn run_schedule(cfg: EngineConfig) -> (Engine, Engine) {
-    let mut pair = EnginePair::new(cfg, DuplexLink::ideal());
+    run_schedule_on(cfg, DuplexLink::ideal())
+}
+
+/// [`run_schedule`] over `link`.
+fn run_schedule_on(cfg: EngineConfig, link: DuplexLink) -> (Engine, Engine) {
+    let mut pair = EnginePair::new(cfg, link);
     pair.a.set_trace_capacity(1024);
     pair.b.set_trace_capacity(1024);
     let mut flows = Vec::new();
@@ -127,7 +139,10 @@ fn run_schedule(cfg: EngineConfig) -> (Engine, Engine) {
 }
 
 fn run_once() -> Artifacts {
-    let (a, b) = run_schedule(base_config());
+    artifacts(run_schedule(base_config()))
+}
+
+fn artifacts((a, b): (Engine, Engine)) -> Artifacts {
     Artifacts {
         traces: [a.export_chrome_trace(), b.export_chrome_trace()],
         telemetry: [a.telemetry().to_json(), b.telemetry().to_json()],
@@ -268,6 +283,38 @@ fn armed_recorders_match_golden() {
         fnv1a_of(&views),
         &views,
         "  text identical: the stored digest is stale\n",
+    );
+}
+
+/// The schedule over a link too slow for it: 1 Gbit/s, and a 128 B MSS
+/// that turns side A's ~80 KB into ~640 segments against a 256-segment MAC
+/// buffer. The buffer fills, the packet generator stops, its request FIFO
+/// fills and the FPC dispatch gate closes — the only golden that counts
+/// `stall.evict_backpressure` cycles.
+#[test]
+fn closed_tx_gate_matches_golden() {
+    let run = || {
+        let cfg = EngineConfig { mss: 128, ..base_config() };
+        run_schedule_on(cfg, DuplexLink::new(1, 1_000))
+    };
+    let (a, b) = run();
+    let gated = (0..2).any(|i| {
+        a.telemetry().counter_value(&format!("engine.fpc{i}.stall.evict_backpressure")) > 0
+    });
+    assert!(gated, "the slow link never closed side A's dispatch gate");
+    let r1 = artifacts((a, b));
+    assert!(r1 == artifacts(run()), "two gated runs diverged — nondeterminism!");
+    let telem = format!("{}\n=== side b ===\n{}", r1.telemetry[0], r1.telemetry[1]);
+    check_golden(
+        "backpressure",
+        "backpressure_telemetry.txt",
+        r1.digest(),
+        &telem,
+        &format!(
+            "  telemetry identical; drift is in the Chrome traces (lengths {} / {})\n",
+            r1.traces[0].len(),
+            r1.traces[1].len()
+        ),
     );
 }
 
