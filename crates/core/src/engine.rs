@@ -1076,16 +1076,16 @@ impl Engine {
         }
 
         // 4. FPCs (scratch output buffers are reused across ticks: this
-        //    is the simulator's hottest loop).
+        //    is the simulator's hottest loop). A quiet FPC moves only its
+        //    counters and leaves the buffers alone; after a full tick every
+        //    buffer is drained, so each FPC finds them empty.
         let gate = self.tx_overflow.is_empty() && self.pkt_gen.free() >= 16;
         let mut out = std::mem::take(&mut self.fpc_scratch);
         for i in 0..self.fpcs.len() {
-            out.tx.clear();
-            out.outcomes.clear();
-            out.evicted.clear();
-            out.installed.clear();
+            if !self.fpcs[i].tick_probed(cycle, now, gate, &mut out, probe) {
+                continue;
+            }
             let fpc_id = self.fpcs[i].id();
-            self.fpcs[i].tick_probed(cycle, now, gate, &mut out, probe);
             for req in out.tx.drain(..) {
                 if req.retransmit {
                     probe.event(
@@ -1103,7 +1103,7 @@ impl Engine {
                     self.tx_overflow.push_back((req, cycle));
                 }
             }
-            for (flow, outcome, tcb) in &out.outcomes {
+            for (flow, outcome, tcb) in out.outcomes.drain(..) {
                 self.trace.record(cycle, TraceKind::Dispatch, flow.0, u64::from(fpc_id));
                 probe.event(
                     cycle,
@@ -1113,7 +1113,7 @@ impl Engine {
                     u64::from(tcb.snd_una.0),
                     u64::from(tcb.snd_nxt.0),
                 );
-                self.process_outcome(*flow, outcome, tcb, probe);
+                self.process_outcome(flow, &outcome, &tcb, probe);
             }
             for tcb in out.evicted.drain(..) {
                 self.trace.record(cycle, TraceKind::Evict, tcb.flow.0, u64::from(fpc_id));
@@ -1579,7 +1579,7 @@ impl Engine {
         }
         let n = target - cycle;
         for f in &mut self.fpcs {
-            f.skip_cycles(cycle, n);
+            f.skip_cycles(cycle, n, true);
         }
         self.mm.skip_idle_cycles(n);
         self.rx_parser.skip_idle_cycles(n);
@@ -1765,6 +1765,33 @@ mod tests {
         assert_eq!(trace_ff, trace_tk, "pipeline trace diverges");
         assert!(eng_ff.fastforward_skipped_cycles() > 50_000, "fast-forward barely engaged");
         assert_eq!(eng_tk.fastforward_skipped_cycles(), 0, "tick-by-tick must skip nothing");
+    }
+
+    /// Work-proportional FPC ticks: with one busy flow per side on 8-FPC
+    /// engines, only the FPC owning the flow runs the full tick; the other
+    /// seven take the quiet path every cycle.
+    #[test]
+    fn only_the_owning_fpc_runs_the_full_tick() {
+        let mut a = Engine::new(EngineConfig::reference());
+        let mut b = Engine::new(EngineConfig::reference());
+        let t = tuple_ab();
+        let isn = SeqNum(1000);
+        let fa = a.open_established(t, isn).unwrap();
+        let fb = b.open_established(t.reversed(), isn).unwrap();
+        assert!(a.push_host(fa, EventKind::SendReq { req: isn.add(200_000) }));
+        run_pair(&mut a, &mut b, 20_000);
+        assert!(a.peek_tcb(fa).is_some_and(|t| t.snd_una == isn.add(200_000)), "all data ACKed");
+        for (e, flow) in [(&a, fa), (&b, fb)] {
+            let owner = e.fpcs.iter().position(|f| f.peek_tcb(flow).is_some()).expect("resident");
+            for (i, f) in e.fpcs.iter().enumerate() {
+                if i == owner {
+                    assert!(f.full_ticks > 0, "owner fpc{i} never ran the full tick");
+                    assert!(f.full_ticks < 20_000, "owner fpc{i} never quiet");
+                } else {
+                    assert_eq!(f.full_ticks, 0, "fpc{i} holds no flow yet ran the full tick");
+                }
+            }
+        }
     }
 
     #[test]

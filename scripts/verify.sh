@@ -106,6 +106,16 @@ n=$(grep 'TxRequest {' crates/core/src/fpu.rs | grep -vc '^fn segment(' || true)
     exit 1
 }
 
+echo "==> one-idle-routine regrowth gate (DESIGN.md section 9.1)"
+# An FPC cycle with nothing to dispatch is accounted by Fpc::skip_cycles,
+# which fast-forward runs for a window and tick_probed's quiet path for one
+# cycle. The only other fifo_empty count is dispatch's bubble on a full tick.
+n=$(grep -c 'stall_fifo_empty +=' crates/core/src/fpc.rs || true)
+[ "$n" -eq 2 ] || {
+    echo "FAIL: $n stall_fifo_empty increments in crates/core/src/fpc.rs (want 2: dispatch's bubble and Fpc::skip_cycles), DESIGN.md section 9.1" >&2
+    exit 1
+}
+
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
