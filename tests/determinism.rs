@@ -26,13 +26,22 @@
 //!      `tests/golden/backpressure_telemetry.txt`; the ideal-link goldens
 //!      never count an `evict_backpressure` cycle.
 //!
+//!   5. **One stream, two views**: the schedule over a lossy link with a
+//!      1/1 journal and a trace ring that never wraps. Every Chrome-trace
+//!      event equals its projection of the journal's emissions (DESIGN.md
+//!      §7 has the table), so the trace adds no fact the journal lacks.
+//!
 //! Intentional behavior changes regenerate the goldens with
 //! `UPDATE_GOLDEN=1 cargo test --test determinism`.
 
 use f4t::core::{Engine, EngineConfig, EventKind, HostNotification};
+use f4t::netsim::Impairments;
 use f4t::sim::digest::{fnv1a, FNV_OFFSET};
+use f4t::sim::json::{self, Value};
+use f4t::sim::{Journal, JournalKind};
 use f4t::system::{DuplexLink, EnginePair};
-use f4t::tcp::{FourTuple, SeqNum};
+use std::collections::BTreeMap;
+use f4t::tcp::{FlowId, FourTuple, SeqNum};
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
@@ -85,14 +94,15 @@ fn base_config() -> EngineConfig {
 /// an idle tail where fast-forward engages. No RNG — the schedule itself
 /// is the seed.
 fn run_schedule(cfg: EngineConfig) -> (Engine, Engine) {
-    run_schedule_on(cfg, DuplexLink::ideal())
+    run_schedule_on(cfg, DuplexLink::ideal(), 1024)
 }
 
-/// [`run_schedule`] over `link`.
-fn run_schedule_on(cfg: EngineConfig, link: DuplexLink) -> (Engine, Engine) {
+/// [`run_schedule`] over `link`, keeping the last `trace_depth` trace
+/// events.
+fn run_schedule_on(cfg: EngineConfig, link: DuplexLink, trace_depth: usize) -> (Engine, Engine) {
     let mut pair = EnginePair::new(cfg, link);
-    pair.a.set_trace_capacity(1024);
-    pair.b.set_trace_capacity(1024);
+    pair.a.set_trace_capacity(trace_depth);
+    pair.b.set_trace_capacity(trace_depth);
     let mut flows = Vec::new();
     for p in 0..12u16 {
         let t = FourTuple::new(
@@ -295,7 +305,7 @@ fn armed_recorders_match_golden() {
 fn closed_tx_gate_matches_golden() {
     let run = || {
         let cfg = EngineConfig { mss: 128, ..base_config() };
-        run_schedule_on(cfg, DuplexLink::new(1, 1_000))
+        run_schedule_on(cfg, DuplexLink::new(1, 1_000), 1024)
     };
     let (a, b) = run();
     let gated = (0..2).any(|i| {
@@ -318,6 +328,119 @@ fn closed_tx_gate_matches_golden() {
     );
 }
 
+/// `(name, cycle, flow, arg)` of every Chrome-trace instant, sorted.
+fn trace_rows(e: &Engine) -> Vec<(String, u64, u64, u64)> {
+    let doc = json::parse(&e.export_chrome_trace()).expect("trace parses");
+    let events = doc.get("traceEvents").and_then(Value::as_array).expect("traceEvents");
+    let mut rows: Vec<_> = events
+        .iter()
+        .filter(|ev| ev.get("ph").and_then(Value::as_str) == Some("i"))
+        .map(|ev| {
+            let args = ev.get("args").expect("args");
+            let num = |k: &str| args.get(k).and_then(Value::as_u64).expect("integer arg");
+            let name = ev.get("name").and_then(Value::as_str).expect("name");
+            (name.to_string(), num("cycle"), num("flow"), num("arg"))
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// The trace rows the journal's emissions imply, sorted: one row per
+/// host event, accepted segment, dispatch, evict, swap-in, DRAM
+/// write-back and emitted segment, plus one row per cycle with a nonzero
+/// count of merges, FPC/DRAM routes, drops, migration starts or
+/// retransmitted segments. `None` leaves the row's `arg` unchecked.
+fn journal_projection(e: &Engine) -> Vec<(String, u64, u64, Option<u64>)> {
+    let journal = e.journal().expect("journal armed");
+    let mut rows = Vec::new();
+    let mut counts: BTreeMap<(&str, u64), u64> = BTreeMap::new();
+    for ev in journal.events() {
+        let row = |name: &str, flow: u32, arg: Option<u64>| {
+            Some((name.to_string(), ev.cycle, u64::from(flow), arg))
+        };
+        let counted = match ev.kind {
+            JournalKind::EventMerged => Some("coalesce"),
+            JournalKind::EventRouted if ev.a != Journal::ROUTE_PARKED => Some("route"),
+            JournalKind::EventDropped => Some("drop"),
+            JournalKind::TcbMigrateStart => Some("migrate_start"),
+            JournalKind::TxEmit if ev.b == 1 => Some("retransmit"),
+            _ => None,
+        };
+        if let Some(name) = counted {
+            *counts.entry((name, ev.cycle)).or_default() += 1;
+        }
+        rows.extend(match ev.kind {
+            JournalKind::HostEvent => row("host_enqueue", ev.flow, Some(0)),
+            JournalKind::SegAccepted => row("rx_enqueue", ev.flow, Some(0)),
+            JournalKind::FpuDecision => row("dispatch", ev.flow, None),
+            JournalKind::TcbEvict => row("evict", ev.flow, Some(ev.a)),
+            JournalKind::TcbInstall => row("swap_in", ev.flow, Some(ev.a)),
+            JournalKind::TcbMigrateDone if ev.a == 0 => row("migrate_done", ev.flow, Some(0)),
+            JournalKind::TxEmit => row("tx_segment", 0, Some(ev.a)),
+            _ => None,
+        });
+    }
+    for ((name, cycle), n) in counts {
+        rows.push((name.to_string(), cycle, 0, Some(n)));
+    }
+    rows.sort();
+    rows
+}
+
+/// The Chrome trace is a view of the journal's stream: over a lossy run
+/// with tiny FPCs, a mid-run close and an event for an unopened flow,
+/// each side's trace rows equal the journal's projection row for row,
+/// and every row kind occurs.
+#[test]
+fn chrome_trace_is_a_projection_of_the_journal() {
+    let cfg = EngineConfig { journal: true, journal_sample: 1, ..base_config() };
+    let mut link = DuplexLink::ideal();
+    link.set_impairments(Impairments::every_nth(16));
+    let (mut a, b) = run_schedule_on(cfg, link, 1 << 20);
+    // A host event for a flow id the schedule never opened is dropped.
+    let stray = FlowId(12);
+    assert!(a.peek_tcb(stray).is_none(), "flow 12 was never opened");
+    assert!(a.push_host(stray, EventKind::Close));
+    a.run(64);
+    let mut seen: BTreeMap<String, u64> = BTreeMap::new();
+    for e in [&a, &b] {
+        let journal = e.journal().expect("journal armed");
+        assert_eq!(journal.events_overwritten(), 0, "the journal kept the whole run");
+        let trace = trace_rows(e);
+        assert_eq!(
+            trace.len() as u64,
+            e.telemetry().counter_value("engine.trace.recorded"),
+            "the trace ring kept the whole run"
+        );
+        let projection = journal_projection(e);
+        assert_eq!(trace.len(), projection.len(), "one trace row per projected row");
+        for (t, p) in trace.iter().zip(&projection) {
+            assert_eq!((&t.0, t.1, t.2), (&p.0, p.1, p.2), "trace row vs journal projection");
+            if let Some(arg) = p.3 {
+                assert_eq!(t.3, arg, "arg of {t:?}");
+            }
+            *seen.entry(t.0.clone()).or_default() += 1;
+        }
+    }
+    for name in [
+        "dispatch",
+        "route",
+        "coalesce",
+        "migrate_start",
+        "migrate_done",
+        "evict",
+        "swap_in",
+        "tx_segment",
+        "retransmit",
+        "host_enqueue",
+        "rx_enqueue",
+        "drop",
+    ] {
+        assert!(seen.get(name).is_some_and(|&n| n > 0), "no {name} row in {seen:?}");
+    }
+}
+
 /// FtTurbo pool-size invariance: the same fixed shard set driven
 /// through [`ParallelRunner`] in rendezvous rounds must produce
 /// byte-identical artifacts — telemetry, Chrome traces and journal
@@ -328,7 +451,6 @@ fn closed_tx_gate_matches_golden() {
 #[test]
 fn parallel_pool_size_does_not_change_artifacts() {
     use f4t::core::{fold_digests, ParallelRunner};
-    use f4t::tcp::FlowId;
 
     struct Shard {
         pair: EnginePair,
