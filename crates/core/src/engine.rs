@@ -1110,8 +1110,8 @@ impl Engine {
                     JournalModule::Fpu,
                     JournalKind::FpuDecision,
                     flow.0,
-                    u64::from(tcb.snd_una.0),
-                    u64::from(tcb.snd_nxt.0),
+                    u64::from(fpc_id),
+                    u64::from(tcb.snd_una.0) << 32 | u64::from(tcb.snd_nxt.0),
                 );
                 self.process_outcome(flow, &outcome, &tcb, probe);
             }

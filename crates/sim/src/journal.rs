@@ -148,7 +148,8 @@ pub enum JournalKind {
     TcbSwapInReq,
     /// Memory manager handled an event in place on a DRAM TCB.
     DramEventHandled,
-    /// FPU pass completed (`a` = new `snd_una`, `b` = new `snd_nxt`).
+    /// FPU pass completed (`a` = FPC id, `b` = new `snd_una << 32 |
+    /// snd_nxt`).
     FpuDecision,
     /// FPU requested a retransmission (`a` = sequence number, `b` =
     /// bytes).

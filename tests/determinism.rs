@@ -350,13 +350,13 @@ fn trace_rows(e: &Engine) -> Vec<(String, u64, u64, u64)> {
 /// host event, accepted segment, dispatch, evict, swap-in, DRAM
 /// write-back and emitted segment, plus one row per cycle with a nonzero
 /// count of merges, FPC/DRAM routes, drops, migration starts or
-/// retransmitted segments. `None` leaves the row's `arg` unchecked.
-fn journal_projection(e: &Engine) -> Vec<(String, u64, u64, Option<u64>)> {
+/// retransmitted segments.
+fn journal_projection(e: &Engine) -> Vec<(String, u64, u64, u64)> {
     let journal = e.journal().expect("journal armed");
     let mut rows = Vec::new();
     let mut counts: BTreeMap<(&str, u64), u64> = BTreeMap::new();
     for ev in journal.events() {
-        let row = |name: &str, flow: u32, arg: Option<u64>| {
+        let row = |name: &str, flow: u32, arg: u64| {
             Some((name.to_string(), ev.cycle, u64::from(flow), arg))
         };
         let counted = match ev.kind {
@@ -371,18 +371,18 @@ fn journal_projection(e: &Engine) -> Vec<(String, u64, u64, Option<u64>)> {
             *counts.entry((name, ev.cycle)).or_default() += 1;
         }
         rows.extend(match ev.kind {
-            JournalKind::HostEvent => row("host_enqueue", ev.flow, Some(0)),
-            JournalKind::SegAccepted => row("rx_enqueue", ev.flow, Some(0)),
-            JournalKind::FpuDecision => row("dispatch", ev.flow, None),
-            JournalKind::TcbEvict => row("evict", ev.flow, Some(ev.a)),
-            JournalKind::TcbInstall => row("swap_in", ev.flow, Some(ev.a)),
-            JournalKind::TcbMigrateDone if ev.a == 0 => row("migrate_done", ev.flow, Some(0)),
-            JournalKind::TxEmit => row("tx_segment", 0, Some(ev.a)),
+            JournalKind::HostEvent => row("host_enqueue", ev.flow, 0),
+            JournalKind::SegAccepted => row("rx_enqueue", ev.flow, 0),
+            JournalKind::FpuDecision => row("dispatch", ev.flow, ev.a),
+            JournalKind::TcbEvict => row("evict", ev.flow, ev.a),
+            JournalKind::TcbInstall => row("swap_in", ev.flow, ev.a),
+            JournalKind::TcbMigrateDone if ev.a == 0 => row("migrate_done", ev.flow, 0),
+            JournalKind::TxEmit => row("tx_segment", 0, ev.a),
             _ => None,
         });
     }
     for ((name, cycle), n) in counts {
-        rows.push((name.to_string(), cycle, 0, Some(n)));
+        rows.push((name.to_string(), cycle, 0, n));
     }
     rows.sort();
     rows
@@ -414,13 +414,12 @@ fn chrome_trace_is_a_projection_of_the_journal() {
             "the trace ring kept the whole run"
         );
         let projection = journal_projection(e);
-        assert_eq!(trace.len(), projection.len(), "one trace row per projected row");
-        for (t, p) in trace.iter().zip(&projection) {
-            assert_eq!((&t.0, t.1, t.2), (&p.0, p.1, p.2), "trace row vs journal projection");
-            if let Some(arg) = p.3 {
-                assert_eq!(t.3, arg, "arg of {t:?}");
-            }
-            *seen.entry(t.0.clone()).or_default() += 1;
+        if let Some((t, p)) = trace.iter().zip(&projection).find(|(t, p)| t != p) {
+            panic!("trace row {t:?} vs journal projection {p:?}");
+        }
+        assert_eq!(trace.len(), projection.len(), "trace rows vs journal projection rows");
+        for row in trace {
+            *seen.entry(row.0).or_default() += 1;
         }
     }
     for name in [
