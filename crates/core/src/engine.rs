@@ -24,7 +24,7 @@ use crate::timers::TimerWheel;
 use f4t_mem::{DramKind, Location};
 use f4t_sim::check::{InvariantChecker, Violation, ViolationKind};
 use f4t_sim::clock::merge_horizon;
-use f4t_sim::telemetry::{MetricsRegistry, TraceKind, TraceRing};
+use f4t_sim::telemetry::{MetricsRegistry, TraceRing};
 use f4t_sim::flight::{FlightStage, STAGE_COUNT};
 use f4t_sim::json::{push_quoted, quote};
 use f4t_sim::pulse::{PulseSeries, FLOW_SERIES_COUNT, SERIES_COUNT};
@@ -323,8 +323,9 @@ pub struct Engine {
     /// `set_flight_bias_after`, applied by `run_pulse` once that many
     /// windows have been recorded (shape-gate self-testing).
     pulse_bias_pending: Option<(u64, u64)>,
-    /// FtScope pipeline trace (disabled — capacity 0 — by default).
-    trace: TraceRing,
+    /// FtScope pipeline trace, a fourth `Probe` view; attached by
+    /// `set_trace_capacity`. Boxed like the checker.
+    trace: Option<Box<TraceRing>>,
     /// Our MAC address (for ARP answers).
     pub mac: MacAddr,
 }
@@ -405,7 +406,7 @@ impl Engine {
                 .pulse
                 .then(|| Box::new(PulseRecorder::new(config.pulse_interval, config.pulse_flow_sample))),
             pulse_bias_pending: None,
-            trace: TraceRing::disabled(),
+            trace: None,
             mac: MacAddr([0x02, 0xf4, 0x70, 0, 0, 1]),
             fpcs,
             cycle: 0,
@@ -513,8 +514,7 @@ impl Engine {
         let cycle = self.cycle;
         if self.scheduler.push_event_at(ev, cycle) {
             self.host_events += 1;
-            self.trace.record(cycle, TraceKind::HostEnqueue, ev.flow.0, 0);
-            Probe::new(None, None, self.journal.as_deref_mut()).event(
+            Probe::new(None, None, self.journal.as_deref_mut(), self.trace.as_deref_mut()).event(
                 cycle,
                 JournalModule::Host,
                 JournalKind::HostEvent,
@@ -698,7 +698,8 @@ impl Engine {
         reg.counter(&format!("{prefix}.tx.segments_out"), self.pkt_gen.segments_out());
         reg.counter(&format!("{prefix}.tx.bytes_out"), self.pkt_gen.bytes_out());
         reg.counter(&format!("{prefix}.tx.retransmissions"), self.pkt_gen.retransmissions());
-        reg.counter(&format!("{prefix}.trace.recorded"), self.trace.total_recorded());
+        let traced = self.trace.as_ref().map_or(0, |t| t.total_recorded());
+        reg.counter(&format!("{prefix}.trace.recorded"), traced);
         if let Some(f) = &self.flight {
             f.collect(&format!("{prefix}.flight"), reg);
         }
@@ -884,18 +885,19 @@ impl Engine {
     /// Enables (capacity > 0) or disables (capacity 0) the pipeline
     /// trace ring. The ring keeps the most recent `capacity` events.
     pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.trace = TraceRing::new(capacity);
+        self.trace = (capacity > 0).then(|| Box::new(TraceRing::new(capacity)));
     }
 
-    /// The pipeline trace ring (read side).
-    pub fn trace(&self) -> &TraceRing {
-        &self.trace
+    /// The pipeline trace ring (read side), when enabled.
+    pub fn trace(&self) -> Option<&TraceRing> {
+        self.trace.as_deref()
     }
 
     /// Exports the trace ring as Chrome-trace JSON (load in Perfetto or
     /// `chrome://tracing`).
     pub fn export_chrome_trace(&self) -> String {
-        let mut out = self.trace.to_chrome_json(CYCLE_NS);
+        let empty = TraceRing::default();
+        let mut out = self.trace.as_deref().unwrap_or(&empty).to_chrome_json(CYCLE_NS);
         // Splice FtPulse counter events ("ph": "C") into the event array
         // so the series render as counter tracks alongside the pipeline
         // instants in the same trace viewer.
@@ -997,10 +999,14 @@ impl Engine {
         // The recorders step out of `self` for the pipeline phases, so one
         // probe rides through the modules and the `&mut self` helpers
         // alike; they are back before the periodic observers run.
-        let (mut check, mut flight, mut journal) =
-            (self.check.take(), self.flight.take(), self.journal.take());
-        let probe =
-            &mut Probe::new(check.as_deref_mut(), flight.as_deref_mut(), journal.as_deref_mut());
+        let (mut check, mut flight, mut journal, mut trace) =
+            (self.check.take(), self.flight.take(), self.journal.take(), self.trace.take());
+        let probe = &mut Probe::new(
+            check.as_deref_mut(),
+            flight.as_deref_mut(),
+            journal.as_deref_mut(),
+            trace.as_deref_mut(),
+        );
 
         // 0. Drain the TX skid buffer into the packet generator.
         while let Some(&(req, stamp)) = self.tx_overflow.front() {
@@ -1045,7 +1051,6 @@ impl Engine {
             let mut rx_out = std::mem::take(&mut self.rx_scratch);
             self.rx_parser.tick_probed(now, cycle, &mut rx_out, probe);
             for ev in rx_out.events.drain(..) {
-                self.trace.record(cycle, TraceKind::RxEnqueue, ev.flow.0, 0);
                 let accepted = self.scheduler.push_event_at(ev, cycle);
                 debug_assert!(accepted, "intake_free checked");
             }
@@ -1056,24 +1061,9 @@ impl Engine {
         }
 
         // 3. Scheduler: coalesce + route + migrations + swap-ins. The
-        //    scheduler stays trace-agnostic: its coalesce/route/drop/
-        //    migration counters move only inside `tick_probed`, so this
-        //    cycle's counts are the difference across the call.
-        let before = self.trace.enabled().then(|| self.scheduler.stats());
+        //    trace view's merge/route/drop/migration counts close here.
         self.scheduler.tick_probed(cycle, &mut self.fpcs, &mut self.mm, probe);
-        if let Some(b) = before {
-            let s = self.scheduler.stats();
-            for (kind, n) in [
-                (TraceKind::Coalesce, s.coalesced - b.coalesced),
-                (TraceKind::Route, s.routed_fpc + s.routed_dram - b.routed_fpc - b.routed_dram),
-                (TraceKind::Drop, s.dropped - b.dropped),
-                (TraceKind::MigrateStart, s.migrations - b.migrations),
-            ] {
-                if n > 0 {
-                    self.trace.record(cycle, kind, 0, n);
-                }
-            }
-        }
+        probe.flush_counts(cycle);
 
         // 4. FPCs (scratch output buffers are reused across ticks: this
         //    is the simulator's hottest loop). A quiet FPC moves only its
@@ -1104,7 +1094,6 @@ impl Engine {
                 }
             }
             for (flow, outcome, tcb) in out.outcomes.drain(..) {
-                self.trace.record(cycle, TraceKind::Dispatch, flow.0, u64::from(fpc_id));
                 probe.event(
                     cycle,
                     JournalModule::Fpu,
@@ -1116,7 +1105,6 @@ impl Engine {
                 self.process_outcome(flow, &outcome, &tcb, probe);
             }
             for tcb in out.evicted.drain(..) {
-                self.trace.record(cycle, TraceKind::Evict, tcb.flow.0, u64::from(fpc_id));
                 probe.event(
                     cycle,
                     JournalModule::Fpc,
@@ -1128,7 +1116,6 @@ impl Engine {
                 self.scheduler.on_evicted(tcb, &mut self.fpcs, &mut self.mm);
             }
             for flow in out.installed.drain(..) {
-                self.trace.record(cycle, TraceKind::SwapIn, flow.0, u64::from(fpc_id));
                 probe.event(
                     cycle,
                     JournalModule::Fpc,
@@ -1166,7 +1153,6 @@ impl Engine {
             self.scheduler.request_swap_in_at(flow, cycle);
         }
         for flow in mo.evict_done.drain(..) {
-            self.trace.record(cycle, TraceKind::MigrateDone, flow.0, 0);
             probe.event(
                 cycle,
                 JournalModule::MemoryManager,
@@ -1196,19 +1182,12 @@ impl Engine {
             let mut segs = std::mem::take(&mut self.seg_scratch);
             segs.clear();
             self.pkt_gen.tick_probed(now, cycle, &mut segs, probe);
-            if self.trace.enabled() {
-                for seg in &segs {
-                    self.trace.record(cycle, TraceKind::TxSegment, 0, u64::from(seg.payload_len));
-                }
-                let rtx = segs.iter().filter(|s| s.is_retransmit).count() as u64;
-                if rtx > 0 {
-                    self.trace.record(cycle, TraceKind::Retransmit, 0, rtx);
-                }
-            }
             self.tx_out.extend(segs.drain(..));
             self.seg_scratch = segs;
         }
-        (self.check, self.flight, self.journal) = (check, flight, journal);
+        // The trace view's retransmitted-segment count closes here.
+        probe.flush_counts(cycle);
+        (self.check, self.flight, self.journal, self.trace) = (check, flight, journal, trace);
 
         // 7. Periodic observers, each on its own coarse period: the
         //    FtVerify structural audit (residency, LUT consistency, FIFO
@@ -2194,20 +2173,21 @@ mod tests {
         a.set_trace_capacity(4096);
         a.push_host(fa, EventKind::SendReq { req: isn.add(20_000) });
         run_pair(&mut a, &mut b, 3_000);
-        assert!(a.trace().total_recorded() > 0, "pipeline activity traced");
-        assert_eq!(a.trace().overwritten(), 0, "the whole window is retained");
+        let ring = a.trace().expect("trace armed");
+        assert!(ring.total_recorded() > 0, "pipeline activity traced");
+        assert_eq!(ring.overwritten(), 0, "the whole window is retained");
         let window = a.telemetry().delta(&before);
-        let traced = |kind: TraceKind| -> u64 {
-            a.trace().iter().filter(|e| e.kind == kind).map(|e| e.arg).sum()
+        let traced = |kind: JournalKind| -> u64 {
+            ring.iter().filter(|e| e.kind == kind).map(|e| e.arg).sum()
         };
         assert_eq!(
-            traced(TraceKind::Route),
+            traced(JournalKind::EventRouted),
             window.counter_value("engine.scheduler.routed_fpc")
                 + window.counter_value("engine.scheduler.routed_dram"),
             "route args sum to the traced window's routes"
         );
         assert_eq!(
-            traced(TraceKind::Coalesce),
+            traced(JournalKind::EventMerged),
             window.counter_value("engine.scheduler.coalesced"),
             "coalesce args sum to the traced window's merges"
         );
@@ -2216,12 +2196,11 @@ mod tests {
         assert!(json.contains("host_enqueue"));
         assert!(json.contains("dispatch"));
         assert!(json.contains("tx_segment"));
-        // Disabling stops recording.
-        let recorded = a.trace().total_recorded();
+        // Disabling detaches the view.
         a.set_trace_capacity(0);
         run_pair(&mut a, &mut b, 100);
-        assert_eq!(a.trace().total_recorded(), 0);
-        let _ = recorded;
+        assert!(a.trace().is_none());
+        assert_eq!(a.telemetry().counter_value("engine.trace.recorded"), 0);
     }
 
     /// Both documents the engine assembles from recorder parts parse:

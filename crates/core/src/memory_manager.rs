@@ -430,13 +430,13 @@ mod tests {
         let mut out = MmOutput::default();
         // Flow 5 is resident: handled in place, span = now - routing stamp.
         assert!(mm.push_event_at(send_event(5, 300), 50));
-        mm.tick_probed(&mut out, 57, &mut Probe::new(None, Some(&mut flight), None));
+        mm.tick_probed(&mut out, 57, &mut Probe::new(None, Some(&mut flight), None, None));
         let h = flight.stage_histogram(FlightStage::EventAccum);
         assert_eq!((h.count(), h.min(), h.max()), (1, 7, 7));
         // Flow 9 never lived here: the event bounces as a bare
         // `FlowEvent` (stamp shed) and no span is recorded for it.
         assert!(mm.push_event_at(send_event(9, 300), 60));
-        mm.tick_probed(&mut out, 70, &mut Probe::new(None, Some(&mut flight), None));
+        mm.tick_probed(&mut out, 70, &mut Probe::new(None, Some(&mut flight), None, None));
         assert_eq!(out.bounced, vec![send_event(9, 300)]);
         assert_eq!(flight.spans_recorded(), 1, "the bounce recorded nothing");
     }

@@ -328,7 +328,7 @@ impl Scheduler {
         cycle: u64,
         chk: Option<&mut InvariantChecker>,
     ) -> Location {
-        let probe = &mut Probe::new(chk, None, None);
+        let probe = &mut Probe::new(chk, None, None, None);
         let flow = tcb.flow;
         let target = fpcs
             .iter()
@@ -370,7 +370,7 @@ impl Scheduler {
         chk: Option<&mut InvariantChecker>,
         flight: Option<&mut FlightRecorder>,
     ) {
-        let probe = &mut Probe::new(chk, flight, None);
+        let probe = &mut Probe::new(chk, flight, None, None);
         self.set_location(flow, Location::Fpc(fpc), cycle, probe);
         self.clear_migration(flow);
         if let Some(start) = self.take_migration_stamp(flow) {
@@ -387,7 +387,7 @@ impl Scheduler {
         cycle: u64,
         chk: Option<&mut InvariantChecker>,
     ) {
-        self.set_location(flow, Location::Dram, cycle, &mut Probe::new(chk, None, None));
+        self.set_location(flow, Location::Dram, cycle, &mut Probe::new(chk, None, None, None));
         self.clear_migration(flow);
         self.take_migration_stamp(flow);
     }
@@ -959,7 +959,12 @@ mod tests {
         assert!(sched.push_event_at(send_event(1, 100), 100));
         assert!(sched.push_event_at(send_event(1, 200), 103));
         let mut flight = FlightRecorder::new(1);
-        sched.tick_probed(110, &mut fpcs, &mut mm, &mut Probe::new(None, Some(&mut flight), None));
+        sched.tick_probed(
+            110,
+            &mut fpcs,
+            &mut mm,
+            &mut Probe::new(None, Some(&mut flight), None, None),
+        );
         assert_eq!(sched.stats().coalesced, 1, "second event merged into the first");
         assert_eq!(sched.stats().routed_fpc, 1);
         // One span, from the FIRST event's intake stamp: the merged
@@ -980,10 +985,15 @@ mod tests {
         let mut flight = FlightRecorder::new(1);
         assert!(mm.push_event_at(send_event(1, 100), 50));
         let mut mo = crate::memory_manager::MmOutput::default();
-        mm.tick_probed(&mut mo, 60, &mut Probe::new(None, Some(&mut flight), None));
+        mm.tick_probed(&mut mo, 60, &mut Probe::new(None, Some(&mut flight), None, None));
         assert_eq!(mo.bounced.len(), 1);
         assert!(sched.push_event_at(mo.bounced[0], 60));
-        sched.tick_probed(64, &mut fpcs, &mut mm, &mut Probe::new(None, Some(&mut flight), None));
+        sched.tick_probed(
+            64,
+            &mut fpcs,
+            &mut mm,
+            &mut Probe::new(None, Some(&mut flight), None, None),
+        );
         // The only span is coalesce_fifo from the re-offer (64 - 60): the
         // cycle-50 stamp was shed with the bounce.
         assert_eq!(flight.spans_recorded(), 1);

@@ -19,7 +19,8 @@
 //! * [`digest`] — FNV-1a, the one fingerprint every recorder digest, the
 //!   merged per-shard digest and the golden checks fold with.
 //! * [`telemetry`] — FtScope: the metrics registry (snapshot/delta), the
-//!   bounded pipeline trace ring, and Chrome-trace JSON export.
+//!   bounded pipeline trace ring (a [`Probe`] view of the journal's
+//!   emissions), and Chrome-trace JSON export.
 //! * [`flight`] — FtFlight: span-based per-flow latency attribution
 //!   ([`FlightRecorder`], [`FlightStage`]) with per-stage histograms and
 //!   deterministic breakdown JSON.
@@ -27,8 +28,8 @@
 //!   ([`InvariantChecker`], [`PortTracker`]) that simulated memories and
 //!   queues register accesses against.
 //! * [`probe`] — the [`Probe`] handle through which module ticks reach
-//!   the checker, flight recorder and journal: one parameter per tick, one
-//!   branch per emission site when a view is detached.
+//!   the checker, flight recorder, journal and trace ring: one parameter
+//!   per tick, one branch per detached view at each emission site.
 //! * [`pulse`] — FtPulse: windowed time-series telemetry
 //!   ([`PulseRecorder`], [`PulseSeries`]) — bounded per-series rings
 //!   sampled at fixed cycle intervals, byte-identical across execution
@@ -92,7 +93,7 @@ pub use stats::{Counter, Histogram};
 pub use watchdog::{
     Alarm, AlarmKind, FlowObservation, QueueObservation, Watchdog, WatchdogConfig,
 };
-pub use telemetry::{MetricsRegistry, MetricValue, TraceEvent, TraceKind, TraceRing};
+pub use telemetry::{MetricsRegistry, MetricValue, TraceEvent, TraceRing};
 
 /// Converts a byte count over a duration in nanoseconds to gigabits/second.
 ///

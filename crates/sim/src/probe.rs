@@ -1,21 +1,23 @@
 //! The probe handle — the one parameter through which the data path
 //! reaches its recorders.
 //!
-//! The engine owns an optional [`InvariantChecker`], [`FlightRecorder`]
-//! and [`Journal`]; once per tick it lends them out as a single
-//! [`Probe`], every module takes `&mut Probe` in its `tick_probed`, and
-//! every helper below that takes the same handle. A site emits through
-//! [`Probe::span`] / [`Probe::event`] (one branch when that view is
-//! detached) or asks for the checker with [`Probe::check`] where the
-//! rule needs module state inline. A new view is one more field here,
-//! not a new parameter on every stage (DESIGN.md §8.2).
+//! The engine owns an optional [`InvariantChecker`], [`FlightRecorder`],
+//! [`Journal`] and [`TraceRing`]; once per tick it lends them out as a
+//! single [`Probe`], every module takes `&mut Probe` in its
+//! `tick_probed`, and every helper below that takes the same handle. A
+//! site emits through [`Probe::span`] / [`Probe::event`] (one branch per
+//! detached view) or asks for the checker with [`Probe::check`] where
+//! the rule needs module state inline. One event feeds two views: the
+//! journal samples it by flow, the trace ring maps it to its Chrome row.
+//! A new view is one more field here, not a new parameter on every stage
+//! (DESIGN.md §8.2).
 //!
 //! # Examples
 //!
 //! ```
 //! use f4t_sim::{FlightRecorder, FlightStage, Probe};
 //! let mut flight = FlightRecorder::new(1);
-//! let mut probe = Probe::new(None, Some(&mut flight), None);
+//! let mut probe = Probe::new(None, Some(&mut flight), None, None);
 //! probe.span(FlightStage::FpuProcess, 7, 14);
 //! assert!(probe.check().is_none(), "no checker attached");
 //! assert_eq!(flight.spans_recorded(), 1);
@@ -24,6 +26,7 @@
 use crate::check::InvariantChecker;
 use crate::flight::{FlightRecorder, FlightStage};
 use crate::journal::{Journal, JournalKind, JournalModule};
+use crate::telemetry::TraceRing;
 
 /// Borrowed view of whichever recorders are attached for this tick.
 #[derive(Debug)]
@@ -31,6 +34,7 @@ pub struct Probe<'a> {
     check: Option<&'a mut InvariantChecker>,
     flight: Option<&'a mut FlightRecorder>,
     journal: Option<&'a mut Journal>,
+    trace: Option<&'a mut TraceRing>,
 }
 
 impl<'a> Probe<'a> {
@@ -39,14 +43,15 @@ impl<'a> Probe<'a> {
         check: Option<&'a mut InvariantChecker>,
         flight: Option<&'a mut FlightRecorder>,
         journal: Option<&'a mut Journal>,
+        trace: Option<&'a mut TraceRing>,
     ) -> Probe<'a> {
-        Probe { check, flight, journal }
+        Probe { check, flight, journal, trace }
     }
 
     /// A probe with every view detached (what the plain `tick` wrappers
     /// pass).
     pub const fn detached() -> Probe<'static> {
-        Probe { check: None, flight: None, journal: None }
+        Probe { check: None, flight: None, journal: None, trace: None }
     }
 
     /// The FtVerify checker, for rules evaluated inline against module
@@ -73,7 +78,8 @@ impl<'a> Probe<'a> {
         }
     }
 
-    /// Emits an FtJournal event ([`Journal::record`]).
+    /// Emits one event to the journal ([`Journal::record`], sampled by
+    /// flow) and to the trace ring ([`TraceRing::observe`], unsampled).
     #[inline]
     pub fn event(
         &mut self,
@@ -86,6 +92,19 @@ impl<'a> Probe<'a> {
     ) {
         if let Some(j) = &mut self.journal {
             j.record(cycle, module, kind, flow, a, b);
+        }
+        if let Some(t) = &mut self.trace {
+            t.observe(cycle, kind, flow, a, b);
+        }
+    }
+
+    /// Closes the trace ring's per-tick counts at `cycle`
+    /// ([`TraceRing::flush_counts`]). The engine calls it after the
+    /// scheduler and after the packet generator.
+    #[inline]
+    pub fn flush_counts(&mut self, cycle: u64) {
+        if let Some(t) = &mut self.trace {
+            t.flush_counts(cycle);
         }
     }
 }
@@ -111,23 +130,29 @@ mod tests {
     }
 
     /// A detached view's recorder is untouched — not even the sampling
-    /// test runs, so `unsampled`/`suppressed` do not move.
+    /// test runs, so `unsampled`/`suppressed` do not move. The trace view
+    /// does not sample: it keeps all ten events the journal thins to three.
     #[test]
     fn each_view_detaches_independently() {
-        let (mut flight, mut journal) = (FlightRecorder::new(4), Journal::new(4));
-        spans_and_events(&mut Probe::new(None, Some(&mut flight), None));
+        let (mut flight, mut journal, mut trace) =
+            (FlightRecorder::new(4), Journal::new(4), TraceRing::new(16));
+        spans_and_events(&mut Probe::new(None, Some(&mut flight), None, None));
         assert_eq!((flight.spans_recorded(), flight.spans_unsampled()), (3, 7));
         assert_eq!((journal.events_recorded(), journal.events_suppressed()), (0, 0));
-        spans_and_events(&mut Probe::new(None, None, Some(&mut journal)));
+        spans_and_events(&mut Probe::new(None, None, Some(&mut journal), None));
         assert_eq!((flight.spans_recorded(), flight.spans_unsampled()), (3, 7));
         assert_eq!((journal.events_recorded(), journal.events_suppressed()), (3, 7));
+        assert_eq!(trace.total_recorded(), 0);
+        spans_and_events(&mut Probe::new(None, None, None, Some(&mut trace)));
+        assert_eq!(trace.total_recorded(), 10);
+        assert_eq!(journal.events_recorded() + journal.events_suppressed(), 10);
     }
 
     #[test]
     fn attached_probe_matches_direct_record_calls() {
         let (mut chk, mut flight, mut journal) =
             (InvariantChecker::new(), FlightRecorder::new(4), Journal::new(3));
-        let mut p = Probe::new(Some(&mut chk), Some(&mut flight), Some(&mut journal));
+        let mut p = Probe::new(Some(&mut chk), Some(&mut flight), Some(&mut journal), None);
         spans_and_events(&mut p);
         assert!(p.check().is_some());
         let (mut direct_f, mut direct_j) = (FlightRecorder::new(4), Journal::new(3));

@@ -9,13 +9,15 @@
 //! submodule), and two registries taken at different times can be
 //! subtracted with [`MetricsRegistry::delta`] for windowed sampling.
 //!
-//! Tracing is separate and off by default: a [`TraceRing`] of capacity
-//! zero makes every [`TraceRing::record`] a single branch, so leaving the
-//! call sites compiled in costs nothing measurable. With a capacity, the
-//! newest events win (ring wraparound) and the buffer exports as the
-//! Chrome trace event format, loadable in `chrome://tracing` or
+//! Tracing is off by default. Armed, a [`TraceRing`] is one more view on
+//! the [`Probe`](crate::Probe): it sees every journal emission, unsampled,
+//! and maps each kind to its Chrome event itself, so no module knows the
+//! trace exists; detached, it costs one branch per emission. The newest
+//! events win (ring wraparound) and the buffer exports as the Chrome
+//! trace event format, loadable in `chrome://tracing` or
 //! [Perfetto](https://ui.perfetto.dev).
 
+use crate::journal::{Journal, JournalKind};
 use crate::json::{fmt_f64, push_quoted};
 use crate::ring::Ring;
 use crate::stats::Histogram;
@@ -255,136 +257,126 @@ fn prometheus_name(name: &str) -> String {
     out
 }
 
-/// The kind of a pipeline trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// Host command entered the engine (scheduler intake).
-    HostEnqueue,
-    /// Parsed network segment became a flow event.
-    RxEnqueue,
-    /// Scheduler routed an event into an FPC input FIFO.
-    Route,
-    /// Event merged into an already-queued event (coalescing).
-    Coalesce,
-    /// FPC dispatched an accumulated event into the FPU pipeline.
-    Dispatch,
-    /// TCB migration started (FPC -> DRAM or DRAM -> FPC).
-    MigrateStart,
-    /// TCB migration completed; `arg` is the latency in cycles.
-    MigrateDone,
-    /// A segment was retransmitted.
-    Retransmit,
-    /// Evict checker pushed a TCB out of an FPC.
-    Evict,
-    /// A TCB swapped into an FPC slot.
-    SwapIn,
-    /// A TX segment left the engine; `arg` is the payload length.
-    TxSegment,
-    /// An event was dropped (overload).
-    Drop,
+/// The trace viewer's tracks, in `tid` order (`tid` = index + 1).
+const TRACKS: [&str; 6] = ["intake", "scheduler", "fpc", "memory", "tx", "overload"];
+
+/// The Chrome event a journal kind shows as: its name and its index in
+/// [`TRACKS`]; `None` for kinds the trace leaves to the journal.
+fn chrome_event(kind: JournalKind) -> Option<(&'static str, usize)> {
+    Some(match kind {
+        JournalKind::HostEvent => ("host_enqueue", 0),
+        JournalKind::SegAccepted => ("rx_enqueue", 0),
+        JournalKind::EventRouted => ("route", 1),
+        JournalKind::EventMerged => ("coalesce", 1),
+        JournalKind::FpuDecision => ("dispatch", 2),
+        JournalKind::TcbMigrateStart => ("migrate_start", 3),
+        JournalKind::TcbMigrateDone => ("migrate_done", 3),
+        JournalKind::TcbEvict => ("evict", 3),
+        JournalKind::TcbInstall => ("swap_in", 3),
+        JournalKind::Retransmit => ("retransmit", 4),
+        JournalKind::TxEmit => ("tx_segment", 4),
+        JournalKind::EventDropped => ("drop", 5),
+        _ => return None,
+    })
 }
 
-impl TraceKind {
-    /// Short event name for the trace viewer.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceKind::HostEnqueue => "host_enqueue",
-            TraceKind::RxEnqueue => "rx_enqueue",
-            TraceKind::Route => "route",
-            TraceKind::Coalesce => "coalesce",
-            TraceKind::Dispatch => "dispatch",
-            TraceKind::MigrateStart => "migrate_start",
-            TraceKind::MigrateDone => "migrate_done",
-            TraceKind::Retransmit => "retransmit",
-            TraceKind::Evict => "evict",
-            TraceKind::SwapIn => "swap_in",
-            TraceKind::TxSegment => "tx_segment",
-            TraceKind::Drop => "drop",
-        }
-    }
-
-    /// Pipeline stage the event belongs to (trace-viewer track).
-    pub fn category(self) -> &'static str {
-        match self {
-            TraceKind::HostEnqueue | TraceKind::RxEnqueue => "intake",
-            TraceKind::Route | TraceKind::Coalesce => "scheduler",
-            TraceKind::Dispatch => "fpc",
-            TraceKind::MigrateStart | TraceKind::MigrateDone | TraceKind::Evict
-            | TraceKind::SwapIn => "memory",
-            TraceKind::Retransmit | TraceKind::TxSegment => "tx",
-            TraceKind::Drop => "overload",
-        }
-    }
-
-    /// Stable per-category track id for the trace viewer.
-    fn tid(self) -> u32 {
-        match self.category() {
-            "intake" => 1,
-            "scheduler" => 2,
-            "fpc" => 3,
-            "memory" => 4,
-            "tx" => 5,
-            _ => 6,
-        }
-    }
-}
+/// The kinds the ring keeps as one per-tick count rather than one event
+/// per emission, in the order [`TraceRing::flush_counts`] records them.
+/// `Retransmit` counts `TxEmit`s with `b = 1` (retransmitted segments),
+/// not the FPU's own `Retransmit` requests.
+const COUNTED: [JournalKind; 5] = [
+    JournalKind::EventMerged,
+    JournalKind::EventRouted,
+    JournalKind::EventDropped,
+    JournalKind::TcbMigrateStart,
+    JournalKind::Retransmit,
+];
 
 /// One structured pipeline event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Engine cycle at which the event occurred.
     pub cycle: u64,
-    /// What happened.
-    pub kind: TraceKind,
-    /// Flow the event belongs to (`u32::MAX` when not flow-specific).
+    /// The journal kind the event shows.
+    pub kind: JournalKind,
+    /// Flow the event belongs to (0 for counts and TX segments).
     pub flow: u32,
-    /// Kind-specific argument (bytes, cycles, FPC id…).
+    /// Kind-specific argument: FPC id, payload bytes or a count.
     pub arg: u64,
 }
 
-/// A bounded [`Ring`] of [`TraceEvent`]s.
+/// FtScope's pipeline trace: a view of the journal's emission stream
+/// kept in a bounded [`Ring`] of [`TraceEvent`]s.
 ///
-/// Capacity zero (the default) disables recording entirely — `record`
-/// is one predictable branch. When full, the oldest events are
-/// overwritten so the buffer always holds the newest window.
+/// [`Probe::event`](crate::Probe::event) hands every emission to
+/// [`observe`](Self::observe), unsampled. Host events, accepted
+/// segments, FPU decisions, evictions, installs, DRAM write-backs
+/// (`TcbMigrateDone` with `a = 0`) and emitted segments each become one
+/// event. Merges, FPC/DRAM routes, drops, migration starts and
+/// retransmitted segments are counted instead, and
+/// [`flush_counts`](Self::flush_counts) records each nonzero count as one
+/// event. When full, the oldest events are overwritten so the buffer
+/// always holds the newest window.
 ///
 /// # Examples
 ///
 /// ```
-/// use f4t_sim::telemetry::{TraceKind, TraceRing};
+/// use f4t_sim::telemetry::TraceRing;
+/// use f4t_sim::JournalKind;
 /// let mut ring = TraceRing::new(2);
-/// ring.record(1, TraceKind::Dispatch, 7, 0);
-/// ring.record(2, TraceKind::Dispatch, 7, 0);
-/// ring.record(3, TraceKind::Dispatch, 7, 0); // overwrites cycle 1
-/// let cycles: Vec<u64> = ring.iter().map(|e| e.cycle).collect();
-/// assert_eq!(cycles, [2, 3]);
+/// ring.observe(1, JournalKind::FpuDecision, 7, 0, 0);
+/// ring.observe(2, JournalKind::EventMerged, 7, 0, 0);
+/// ring.observe(2, JournalKind::EventMerged, 9, 1, 0);
+/// ring.flush_counts(2); // one `coalesce` event, arg 2
+/// ring.observe(3, JournalKind::FpuDecision, 7, 1, 0); // overwrites cycle 1
+/// let kept: Vec<(u64, u64)> = ring.iter().map(|e| (e.cycle, e.arg)).collect();
+/// assert_eq!(kept, [(2, 2), (3, 1)]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TraceRing {
     ring: Ring<TraceEvent>,
+    /// Emissions of each [`COUNTED`] kind since the last flush.
+    counts: [u64; COUNTED.len()],
 }
 
 impl TraceRing {
-    /// Creates a ring holding up to `capacity` events (zero disables).
+    /// Creates a ring holding up to `capacity` events (zero keeps none).
     pub fn new(capacity: usize) -> TraceRing {
-        TraceRing { ring: Ring::new(capacity) }
+        TraceRing { ring: Ring::new(capacity), counts: [0; COUNTED.len()] }
     }
 
-    /// A disabled ring (capacity zero); `record` is a no-op branch.
-    pub fn disabled() -> TraceRing {
-        TraceRing::default()
-    }
-
-    /// Whether events are being recorded.
+    /// Takes one journal emission: counts it, records it, or ignores it.
     #[inline]
-    pub fn enabled(&self) -> bool {
-        self.ring.capacity() > 0
-    }
-
-    /// Records one event (no-op when disabled).
-    #[inline]
-    pub fn record(&mut self, cycle: u64, kind: TraceKind, flow: u32, arg: u64) {
+    pub fn observe(&mut self, cycle: u64, kind: JournalKind, flow: u32, a: u64, b: u64) {
+        let counted = match kind {
+            JournalKind::EventMerged => Some(0),
+            JournalKind::EventRouted if a != Journal::ROUTE_PARKED => Some(1),
+            JournalKind::EventDropped => Some(2),
+            JournalKind::TcbMigrateStart => Some(3),
+            JournalKind::TxEmit if b == 1 => Some(4),
+            _ => None,
+        };
+        if let Some(i) = counted {
+            self.counts[i] += 1;
+        }
+        let (flow, arg) = match kind {
+            JournalKind::HostEvent | JournalKind::SegAccepted => (flow, 0),
+            JournalKind::FpuDecision | JournalKind::TcbEvict | JournalKind::TcbInstall => (flow, a),
+            JournalKind::TcbMigrateDone if a == 0 => (flow, 0),
+            JournalKind::TxEmit => (0, a),
+            _ => return,
+        };
         self.ring.push(TraceEvent { cycle, kind, flow, arg });
+    }
+
+    /// Records each nonzero count since the last flush as one event at
+    /// `cycle`, in [`COUNTED`] order, and resets the counts.
+    pub fn flush_counts(&mut self, cycle: u64) {
+        for (kind, n) in COUNTED.into_iter().zip(&mut self.counts) {
+            if *n > 0 {
+                self.ring.push(TraceEvent { cycle, kind, flow: 0, arg: std::mem::take(n) });
+            }
+        }
     }
 
     /// Number of events currently held.
@@ -425,32 +417,31 @@ impl TraceRing {
         let mut out = String::from("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n");
         let mut first = true;
         // Name the tracks once via metadata events.
-        for (tid, name) in
-            [(1, "intake"), (2, "scheduler"), (3, "fpc"), (4, "memory"), (5, "tx"), (6, "overload")]
-        {
+        for (i, name) in TRACKS.iter().enumerate() {
             if !first {
                 out.push_str(",\n");
             }
             first = false;
             out.push_str(&format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {tid}, \
-                 \"args\": {{\"name\": \"{name}\"}}}}"
+                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {}, \
+                 \"args\": {{\"name\": \"{name}\"}}}}",
+                i + 1
             ));
         }
         for ev in self.iter() {
+            let Some((name, track)) = chrome_event(ev.kind) else { continue };
             if !first {
                 out.push_str(",\n");
             }
             first = false;
             let ts_us = ev.cycle as f64 * cycle_ns as f64 / 1000.0;
             out.push_str(&format!(
-                "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \
+                "{{\"name\": \"{name}\", \"cat\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \
                  \"ts\": {}, \"pid\": 0, \"tid\": {}, \
                  \"args\": {{\"flow\": {}, \"arg\": {}, \"cycle\": {}}}}}",
-                ev.kind.name(),
-                ev.kind.category(),
+                TRACKS[track],
                 ts_us,
-                ev.kind.tid(),
+                track + 1,
                 ev.flow,
                 ev.arg,
                 ev.cycle
@@ -583,7 +574,7 @@ mod tests {
     fn trace_ring_wraparound() {
         let mut ring = TraceRing::new(4);
         for c in 0..10u64 {
-            ring.record(c, TraceKind::Dispatch, c as u32, 0);
+            ring.observe(c, JournalKind::FpuDecision, c as u32, 0, 0);
         }
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.total_recorded(), 10);
@@ -592,20 +583,64 @@ mod tests {
         assert_eq!(cycles, [6, 7, 8, 9], "newest window survives, oldest-first order");
     }
 
+    /// Each emission maps to its row: `flow`/`arg` per the DESIGN.md §7
+    /// table, parked routes, FPC-side installs and unmapped kinds ignored,
+    /// and the counts flushed in `COUNTED` order, zero counts skipped.
     #[test]
-    fn disabled_ring_records_nothing() {
-        let mut ring = TraceRing::disabled();
-        assert!(!ring.enabled());
-        ring.record(1, TraceKind::Drop, 0, 0);
-        assert!(ring.is_empty());
-        assert_eq!(ring.total_recorded(), 0);
+    fn observe_maps_each_kind_and_flush_orders_the_counts() {
+        use JournalKind::*;
+        let mut ring = TraceRing::new(64);
+        for (kind, a, b) in [
+            (HostEvent, 2, 0),
+            (SegAccepted, 1448, 1),
+            (FpuDecision, 1, 77),
+            (TcbEvict, 1, 0),
+            (TcbInstall, 0, 0),
+            (TcbMigrateDone, 0, Journal::DRAM_SLOT),
+            (TcbMigrateDone, 1, 0),
+            (TxEmit, 1448, 1),
+            (TxEmit, 512, 0),
+            (TcbMigrateStart, 0, 1),
+            (EventRouted, Journal::ROUTE_FPC, 0),
+            (EventRouted, Journal::ROUTE_DRAM, 0),
+            (EventRouted, Journal::ROUTE_PARKED, 2),
+            (EventMerged, 3, 0),
+            (Retransmit, 100, 1448),
+            (CuckooHit, 1, 0),
+        ] {
+            ring.observe(9, kind, 5, a, b);
+        }
+        ring.flush_counts(9);
+        let rows: Vec<(&str, u32, u64)> = ring
+            .iter()
+            .map(|e| (chrome_event(e.kind).expect("only traced kinds are kept").0, e.flow, e.arg))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("host_enqueue", 5, 0),
+                ("rx_enqueue", 5, 0),
+                ("dispatch", 5, 1),
+                ("evict", 5, 1),
+                ("swap_in", 5, 0),
+                ("migrate_done", 5, 0),
+                ("tx_segment", 0, 1448),
+                ("tx_segment", 0, 512),
+                ("coalesce", 0, 1),
+                ("route", 0, 2),
+                ("migrate_start", 0, 1),
+                ("retransmit", 0, 1),
+            ]
+        );
+        ring.flush_counts(10);
+        assert_eq!(ring.len(), rows.len(), "a flush resets the counts");
     }
 
     #[test]
     fn chrome_json_shape() {
         let mut ring = TraceRing::new(8);
-        ring.record(100, TraceKind::MigrateDone, 5, 12);
-        ring.record(101, TraceKind::TxSegment, 5, 1460);
+        ring.observe(100, JournalKind::TcbMigrateDone, 5, 0, 255);
+        ring.observe(101, JournalKind::TxEmit, 5, 1460, 0);
         let events = trace_events(&ring.to_chrome_json(4));
         assert_eq!(events.len(), 6 + 2, "six track names, two data events");
         let done = &events[6];
@@ -613,16 +648,18 @@ mod tests {
         assert_eq!(done.get("cat").and_then(Value::as_str), Some("memory"));
         // cycle 100 at 4 ns/cycle = 400 ns = 0.4 µs.
         assert_eq!(done.get("ts").and_then(Value::as_f64), Some(0.4));
-        assert_eq!(done.get("args").and_then(|a| a.get("arg")).and_then(Value::as_u64), Some(12));
+        let tx = &events[7];
+        assert_eq!(tx.get("tid").and_then(Value::as_u64), Some(5));
+        assert_eq!(tx.get("args").and_then(|a| a.get("arg")).and_then(Value::as_u64), Some(1460));
     }
 
     #[test]
     fn capacity_zero_ring_is_inert() {
         let mut ring = TraceRing::new(0);
-        assert!(!ring.enabled());
         assert_eq!(ring.capacity(), 0);
         for c in 0..100u64 {
-            ring.record(c, TraceKind::Route, 1, 2);
+            ring.observe(c, JournalKind::EventRouted, 1, Journal::ROUTE_FPC, 2);
+            ring.flush_counts(c);
         }
         assert!(ring.is_empty());
         assert_eq!(ring.len(), 0);
@@ -640,7 +677,7 @@ mod tests {
         let mut ring = TraceRing::new(4);
         // Fill, then wrap past the boundary so head sits mid-buffer.
         for c in 0..7u64 {
-            ring.record(c, TraceKind::TxSegment, c as u32, c * 10);
+            ring.observe(c, JournalKind::TxEmit, c as u32, c * 10, 0);
         }
         // Events must export oldest-first even though the backing buffer
         // is physically rotated: exactly cycles 3,4,5,6 in that order,
