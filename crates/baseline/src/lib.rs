@@ -212,11 +212,6 @@ impl TonicModel {
         sent
     }
 
-    /// An idle cycle.
-    pub fn tick_idle(&mut self) {
-        self.cycle += 1;
-    }
-
     /// Total payload bytes transferred.
     pub fn payload_bytes(&self) -> u64 {
         self.payload_bytes

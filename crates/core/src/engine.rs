@@ -566,11 +566,6 @@ impl Engine {
         self.tx_out.front()
     }
 
-    /// Outbound segments waiting for the link.
-    pub fn tx_backlog(&self) -> usize {
-        self.tx_out.len()
-    }
-
     /// Takes the next host notification, if any. The host side must
     /// drain this every tick (as `f4t-system`'s nodes do): the queue
     /// models the DMA completion ring and is not bounded here.
@@ -910,22 +905,6 @@ impl Engine {
             }
         }
         out
-    }
-
-    /// Scheduler queue diagnostics: `(intake backlog, swap-in backlog,
-    /// migrations in flight)`.
-    pub fn scheduler_backlogs(&self) -> (usize, usize, usize) {
-        (
-            self.scheduler.backlog(),
-            self.scheduler.swap_in_backlog(),
-            self.scheduler.migrations_in_flight(),
-        )
-    }
-
-    /// Total events handled by all FPC event handlers (the Fig. 15/16
-    /// event-rate metric).
-    pub fn fpc_events_handled(&self) -> u64 {
-        self.fpcs.iter().map(Fpc::events_handled).sum()
     }
 
     fn accept_new_connection(&mut self, syn: Segment, probe: &mut Probe) {
@@ -1470,12 +1449,6 @@ impl Engine {
     /// FtVerify report, when the checker is attached.
     pub fn check_summary(&self) -> Option<String> {
         self.check.as_ref().map(|c| c.summary())
-    }
-
-    /// Mutable access to the attached checker (tests tighten the
-    /// valid-bit leak bound through this).
-    pub fn checker_mut(&mut self) -> Option<&mut InvariantChecker> {
-        self.check.as_deref_mut()
     }
 
     /// FtVerify fault injection: corrupts `flow`'s location-LUT entry

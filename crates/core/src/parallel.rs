@@ -85,11 +85,6 @@ impl<S: Send> ParallelRunner<S> {
         &self.shards
     }
 
-    /// Mutable access to the shards (setup between runs).
-    pub fn shards_mut(&mut self) -> &mut [S] {
-        &mut self.shards
-    }
-
     /// Unwraps the shards, in fixed order.
     pub fn into_shards(self) -> Vec<S> {
         self.shards

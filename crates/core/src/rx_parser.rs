@@ -114,11 +114,6 @@ impl RxParser {
         self.listening.insert(u32::from(port));
     }
 
-    /// Stops listening on `port`.
-    pub fn unlisten(&mut self, port: u16) {
-        self.listening.remove(u32::from(port));
-    }
-
     /// Registers a flow: `tuple` is OUR 4-tuple (src = this host).
     /// `init_rcv` seeds the reassembly tracker (peer ISN + 1 when known,
     /// or a placeholder replaced at the first SYN).
@@ -153,11 +148,6 @@ impl RxParser {
     /// arrival, recorded as the FtFlight `rx_ingest` span start.
     pub fn push_segment_at(&mut self, seg: Segment, cycle: u64) -> bool {
         self.input.push((seg, cycle)).is_ok()
-    }
-
-    /// Room in the input FIFO.
-    pub fn input_free(&self) -> usize {
-        self.input.free()
     }
 
     /// FtVerify periodic audit: conservation on the segment input FIFO.

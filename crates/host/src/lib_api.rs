@@ -106,20 +106,13 @@ pub struct F4tLib {
 }
 
 impl F4tLib {
-    /// Creates a library instance with 16 B commands.
+    /// Creates a library instance with 16 B commands
+    /// ([`switch_to_compact`](Self::switch_to_compact) selects the 8 B
+    /// format).
     pub fn new() -> F4tLib {
-        F4tLib::with_queue(CommandQueue::new16())
-    }
-
-    /// Creates a library instance with the compact 8 B commands (§6).
-    pub fn new_compact() -> F4tLib {
-        F4tLib::with_queue(CommandQueue::new8())
-    }
-
-    fn with_queue(commands: CommandQueue) -> F4tLib {
         F4tLib {
             sockets: FlowSlab::with_capacity(0),
-            commands,
+            commands: CommandQueue::new16(),
             doorbell: Doorbell::new(),
             sends: 0,
             completions: 0,
@@ -263,15 +256,6 @@ impl F4tLib {
                 // first Received/Acked completions; register lazily.
                 self.sockets.get_or_insert_with(flow.0, || SocketState::new(SeqNum::ZERO, false));
             }
-        }
-    }
-
-    /// Seeds the server-side socket pointers once the engine reports the
-    /// connection's sequence base (used by `accept()` paths in the system
-    /// layer).
-    pub fn seed_pointers(&mut self, flow: FlowId, isn: SeqNum) {
-        if let Some(s) = self.sockets.get_mut(flow.0) {
-            *s = SocketState { connected: s.connected, ..SocketState::new(isn, s.connected) };
         }
     }
 

@@ -8,8 +8,6 @@
 //! literal contents blanked to spaces, `comments[i]` is the comment
 //! text seen on line `i`.
 
-use std::collections::BTreeSet;
-
 /// Per-file lexer output.
 pub struct Stripped {
     /// Source lines with comments and literal contents blanked.
@@ -328,11 +326,6 @@ impl Directives {
             return true;
         }
         false
-    }
-
-    /// Rules with a file-wide allow (peek only; does not mark used).
-    pub fn file_wide_rules(&self) -> BTreeSet<&str> {
-        self.file_wide.iter().map(|&id| self.list[id].rule.as_str()).collect()
     }
 }
 

@@ -79,11 +79,6 @@ impl ReassemblyTracker {
         self.rcv_nxt
     }
 
-    /// Updates the receive window (when the application consumes data).
-    pub fn set_window(&mut self, window: u32) {
-        self.window = window;
-    }
-
     /// Number of disjoint out-of-order chunks currently tracked.
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()

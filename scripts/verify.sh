@@ -19,11 +19,11 @@ cargo build --release --manifest-path ftbench/Cargo.toml
 
 echo "==> recorder-plumbing regrowth gate (DESIGN.md section 8.2 / 10.2)"
 # Recorders reach the data path through one `Probe` handle and FtFlight
-# stamps ride inside the queue element they describe. Five bare options
-# survive: the four FtBench binds plus `Engine::checker_mut`'s return type.
+# stamps ride inside the queue element they describe. Four bare options
+# survive, all in the Scheduler signatures FtBench binds.
 n=$(grep -E 'Option<&mut (InvariantChecker|FlightRecorder|Journal)>' crates/core/src/*.rs | wc -l)
-[ "$n" -le 5 ] || {
-    echo "FAIL: $n recorder-typed Option<&mut _> in crates/core/src (max 5): pass the Probe handle instead, DESIGN.md section 8.2" >&2
+[ "$n" -le 4 ] || {
+    echo "FAIL: $n recorder-typed Option<&mut _> in crates/core/src (max 4): pass the Probe handle instead, DESIGN.md section 8.2" >&2
     exit 1
 }
 if grep -rnE '_stamps|enable_flight|tick_checked|tick_flight' crates/core/src; then
