@@ -87,6 +87,23 @@ hits=$(grep -rn 'struct Ring\b' crates | grep -v '^crates/sim/src/ring.rs:' || t
     exit 1
 }
 
+echo "==> one-event-stream regrowth gate (DESIGN.md section 7)"
+# The Chrome trace is a Probe view of the journal's emissions: nothing in
+# crates/core records into the trace ring or names a trace kind, and
+# Engine::tick computes nothing for the trace (no Scheduler::stats()
+# difference, no second pass over the emitted segments). Engine::stats and
+# the DRAM conservation audit still read Scheduler::stats(), outside tick.
+tick=$(sed -n '/^    pub fn tick(&mut self) {$/,/^    }$/p' crates/core/src/engine.rs)
+[ -n "$tick" ] || {
+    echo "FAIL: Engine::tick not found in crates/core/src/engine.rs: update this gate" >&2
+    exit 1
+}
+if grep -rnE 'trace\.record\b|TraceKind' crates/core/src \
+    || printf '%s\n' "$tick" | grep -nE 'scheduler\.stats\(\)|trace\.enabled|for seg in|segs\.iter\(\)'; then
+    echo "FAIL: a second trace emission is back: emit once through probe.event and let the TraceRing view map it, DESIGN.md section 7" >&2
+    exit 1
+fi
+
 echo "==> one-event-handler / one-segment-builder regrowth gate (DESIGN.md section 3.1)"
 # The event-table merge is EventView::accumulate, shared by the FPC and the
 # memory manager, and every FPU segment comes from fpu::segment (whose
