@@ -346,8 +346,11 @@ impl TraceRing {
     }
 
     /// Takes one journal emission: counts it, records it, or ignores it.
-    #[inline]
+    /// Kept out of line so each `Probe::event` site inlines only the
+    /// attached-view branch.
+    #[inline(never)]
     pub fn observe(&mut self, cycle: u64, kind: JournalKind, flow: u32, a: u64, b: u64) {
+        // Position in `COUNTED`.
         let counted = match kind {
             JournalKind::EventMerged => Some(0),
             JournalKind::EventRouted if a != Journal::ROUTE_PARKED => Some(1),
@@ -370,7 +373,8 @@ impl TraceRing {
     }
 
     /// Records each nonzero count since the last flush as one event at
-    /// `cycle`, in [`COUNTED`] order, and resets the counts.
+    /// `cycle` (coalesce, route, drop, migrate_start, retransmit, in that
+    /// order) and resets the counts.
     pub fn flush_counts(&mut self, cycle: u64) {
         for (kind, n) in COUNTED.into_iter().zip(&mut self.counts) {
             if *n > 0 {
