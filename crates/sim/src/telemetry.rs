@@ -297,7 +297,8 @@ const COUNTED: [JournalKind; 5] = [
 pub struct TraceEvent {
     /// Engine cycle at which the event occurred.
     pub cycle: u64,
-    /// The journal kind the event shows.
+    /// The journal kind the event shows; `Retransmit` marks the per-tick
+    /// count of retransmitted segments (`TxEmit` with `b = 1`).
     pub kind: JournalKind,
     /// Flow the event belongs to (0 for counts and TX segments).
     pub flow: u32,
