@@ -31,6 +31,12 @@
 //!      event equals its projection of the journal's emissions (DESIGN.md
 //!      §7 has the table), so the trace adds no fact the journal lacks.
 //!
+//!   6. **The host application model**: every `F4tSystem` workload
+//!      constructor runs a fixed number of cycles; per node the request
+//!      and consumed-byte counters, CPU accounting and PCIe bytes, plus
+//!      both engines' telemetry, are pinned in
+//!      `tests/golden/host.{digest,txt}`.
+//!
 //! Intentional behavior changes regenerate the goldens with
 //! `UPDATE_GOLDEN=1 cargo test --test determinism`.
 
@@ -325,6 +331,77 @@ fn closed_tx_gate_matches_golden() {
             r1.traces[0].len(),
             r1.traces[1].len()
         ),
+    );
+}
+
+/// One fixed-length run of every host workload, rendered per node: the
+/// driver-level counters (`requests`, `consumed_bytes`), the five CPU
+/// accounting categories, the PCIe byte counts and both engines'
+/// telemetry. Paced echo runs with sleep-after-poll on both nodes, so the
+/// sleeping thread's wake timer is pinned too.
+fn host_views() -> String {
+    use f4t::system::{F4tSystem, Node};
+    const CYCLES: u64 = 100_000;
+    let cfg = || EngineConfig {
+        num_fpcs: 2,
+        flows_per_fpc: 32,
+        lut_groups: 2,
+        ..EngineConfig::reference()
+    };
+    let paced = || {
+        let mut sys = F4tSystem::echo_paced(1, 1, 128, 20_000, cfg());
+        sys.a.set_sleep_after_poll(true);
+        sys.b.set_sleep_after_poll(true);
+        sys
+    };
+    let runs: [(&str, F4tSystem); 8] = [
+        ("bulk(2,128)", F4tSystem::bulk(2, 128, cfg())),
+        ("round_robin(2,4,128)", F4tSystem::round_robin(2, 4, 128, cfg())),
+        ("echo(2,16,128)", F4tSystem::echo(2, 16, 128, cfg())),
+        ("echo_paced(1,1,128,20000)+sleep", paced()),
+        ("http(2,2,16)", F4tSystem::http(2, 2, 16, cfg())),
+        ("incast(8,2,2048,100000)", F4tSystem::incast(8, 2, 2_048, 100_000, cfg())),
+        ("churnstorm(2,32)", F4tSystem::churnstorm(2, 32, cfg())),
+        ("slowloris(2,64,8,50000)", F4tSystem::slowloris(2, 64, 8, 50_000, cfg())),
+    ];
+    let node = |side: &str, n: &Node| {
+        let cpu = n.total_accounting();
+        format!(
+            "{side}: requests={} consumed={} app={} tcp={} kernel={} lib={} idle={} h2d={} d2h={}\n",
+            n.requests(),
+            n.consumed_bytes(),
+            cpu.app,
+            cpu.tcp,
+            cpu.kernel,
+            cpu.lib,
+            cpu.idle,
+            n.pcie().h2d_bytes(),
+            n.pcie().d2h_bytes(),
+        )
+    };
+    let mut out = String::new();
+    for (name, mut sys) in runs {
+        sys.run_cycles(CYCLES);
+        out.push_str(&format!("=== {name} ===\n"));
+        out.push_str(&node("a", &sys.a));
+        out.push_str(&node("b", &sys.b));
+        out.push_str(&sys.telemetry().to_json());
+    }
+    out
+}
+
+/// The host application model over every workload constructor: driver
+/// steps, flow rotation, CPU accounting and PCIe traffic, pinned in
+/// `tests/golden/host.{digest,txt}`.
+#[test]
+fn host_workloads_match_golden() {
+    let views = host_views();
+    check_golden(
+        "host",
+        "host.txt",
+        fnv1a_of(&views),
+        &views,
+        "  text identical: the stored digest is stale\n",
     );
 }
 
