@@ -77,6 +77,19 @@ fn clean_checked_run_exits_zero() {
     assert!(stdout(&out).contains("0 violation"), "{}", stdout(&out));
 }
 
+/// More cores than flows: a core whose rotation is empty polls and
+/// yields instead of panicking.
+#[test]
+fn more_cores_than_flows_exits_zero() {
+    for workload in ["echo", "http"] {
+        let out = f4tperf(&[
+            "--workload", workload, "--cores", "4", "--flows", "2", "--warmup-ms", "1",
+            "--duration-ms", "1",
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{workload}: {}", stderr(&out));
+    }
+}
+
 #[test]
 fn injected_fault_is_caught_and_exits_one() {
     let out = f4tperf(&[

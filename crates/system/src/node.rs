@@ -5,12 +5,11 @@ use f4t_host::{
     Command, Completion, CoreBudget, CpuAccounting, CpuCategory, F4tLib, PcieDir, PcieModel,
     Runtime, LIB_CMD_CYCLES, LIB_COMPLETION_CYCLES, LIB_POLL_CYCLES,
 };
-use f4t_sim::FlowSlab;
+use f4t_sim::{FlowSlab, Histogram};
 use f4t_tcp::{FlowId, FourTuple, SeqNum};
-use f4t_workloads::http::{NGINX_APP_CYCLES, NGINX_VFS_CYCLES};
 use f4t_workloads::{
-    BulkReceiver, BulkSender, ChurnClient, ChurnServer, EchoClient, EchoServer, HttpClient,
-    HttpServer, IncastSender, RoundRobinSender, SinkServer, SlowlorisClient,
+    BulkReceiver, BulkSender, ChurnClient, ChurnServer, IncastSender, RequestClient,
+    RequestServer, SinkServer, SlowlorisClient,
 };
 use std::collections::VecDeque;
 
@@ -19,47 +18,24 @@ use std::collections::VecDeque;
 pub enum Driver {
     /// No application (core services completions only).
     Idle,
-    /// iperf-style bulk sender.
+    /// iperf-style sender rotating over its flows (bulk: one flow;
+    /// round-robin: several).
     BulkSender(BulkSender),
     /// Bulk receiving side (drains data, opens the window).
     BulkReceiver(BulkReceiver),
-    /// Round-robin multi-flow sender.
-    RoundRobin(RoundRobinSender),
-    /// Echo client over a flow set.
-    EchoClient {
+    /// Closed-loop request/response client (echo, wrk).
+    RequestClient {
         /// The driver.
-        client: EchoClient,
+        client: RequestClient,
         /// Flow rotation.
-        flows: Vec<FlowId>,
-        /// Next flow index.
-        next: usize,
+        flows: Rotation,
     },
-    /// Echo server over a flow set.
-    EchoServer {
+    /// Request/response server (echo, Nginx).
+    RequestServer {
         /// The driver.
-        server: EchoServer,
+        server: RequestServer,
         /// Flow rotation.
-        flows: Vec<FlowId>,
-        /// Next flow index.
-        next: usize,
-    },
-    /// wrk-style HTTP client.
-    HttpClient {
-        /// The driver.
-        client: HttpClient,
-        /// Flow rotation.
-        flows: Vec<FlowId>,
-        /// Next flow index.
-        next: usize,
-    },
-    /// Nginx-style HTTP server.
-    HttpServer {
-        /// The driver.
-        server: HttpServer,
-        /// Flow rotation.
-        flows: Vec<FlowId>,
-        /// Next flow index.
-        next: usize,
+        flows: Rotation,
     },
     /// Synchronized N-to-1 incast sender (FtStorm).
     Incast(IncastSender),
@@ -68,9 +44,7 @@ pub enum Driver {
         /// The driver.
         server: SinkServer,
         /// Flow rotation.
-        flows: Vec<FlowId>,
-        /// Next flow index.
-        next: usize,
+        flows: Rotation,
     },
     /// Connect/close cycling client; flow membership is dynamic
     /// (FtStorm churnstorm).
@@ -78,21 +52,170 @@ pub enum Driver {
         /// The driver.
         client: ChurnClient,
         /// Live flow rotation (node-maintained).
-        flows: Vec<FlowId>,
-        /// Next flow index.
-        next: usize,
+        flows: Rotation,
     },
     /// Accept/drain/passive-close server for churning peers.
     ChurnServer {
         /// The driver.
         server: ChurnServer,
         /// Live flow rotation (node-maintained).
-        flows: Vec<FlowId>,
-        /// Next flow index.
-        next: usize,
+        flows: Rotation,
     },
     /// Near-idle residency stressor dripping bytes at a long interval.
     Slowloris(SlowlorisClient),
+}
+
+impl Driver {
+    /// `(application, kernel, library)` cycles of one step that did
+    /// work; `None` for a core without an application.
+    fn costs(&self) -> Option<(u64, u64, u64)> {
+        Some(match self {
+            Driver::Idle => return None,
+            Driver::BulkSender(_)
+            | Driver::BulkReceiver(_)
+            | Driver::Incast(_)
+            | Driver::Sink { .. }
+            | Driver::Slowloris(_) => (0, 0, LIB_CMD_CYCLES),
+            Driver::RequestClient { client, .. } => (client.app_cycles(), 0, 2 * LIB_CMD_CYCLES),
+            Driver::RequestServer { server, .. } => {
+                let (app, kernel) = server.cycles();
+                (app, kernel, 2 * LIB_CMD_CYCLES)
+            }
+            Driver::ChurnClient { .. } | Driver::ChurnServer { .. } => (100, 0, 2 * LIB_CMD_CYCLES),
+        })
+    }
+
+    /// Whether the driver steps the flows its completions make
+    /// actionable (epoll-style readiness) — the per-flow drivers, which
+    /// own a [`Rotation`]. Only these queue ready flows.
+    fn readiness_driven(&self) -> bool {
+        matches!(
+            self,
+            Driver::RequestClient { .. }
+                | Driver::RequestServer { .. }
+                | Driver::Sink { .. }
+                | Driver::ChurnClient { .. }
+                | Driver::ChurnServer { .. }
+        )
+    }
+
+    /// One application step: `ready` is the flow a completion made
+    /// actionable, if any (readiness-driven drivers only). Returns
+    /// whether the step did work.
+    fn step(&mut self, lib: &mut F4tLib, ready: Option<FlowId>, now_ns: u64) -> bool {
+        match self {
+            Driver::Idle => false,
+            Driver::BulkSender(s) => s.step(lib),
+            Driver::BulkReceiver(r) => r.step(lib) > 0,
+            Driver::Incast(s) => s.step(lib, now_ns),
+            Driver::Slowloris(s) => s.step(lib, now_ns),
+            Driver::RequestClient { client, flows } => {
+                flows.pick(ready).is_some_and(|f| client.step_flow(f, lib, now_ns))
+            }
+            Driver::RequestServer { server, flows } => {
+                flows.pick(ready).is_some_and(|f| server.step_flow(f, lib))
+            }
+            Driver::Sink { server, flows } => {
+                flows.pick(ready).is_some_and(|f| server.step_flow(f, lib))
+            }
+            Driver::ChurnClient { client, flows } => {
+                flows.pick(ready).is_some_and(|f| client.step_flow(f, lib))
+            }
+            Driver::ChurnServer { server, flows } => {
+                flows.pick(ready).is_some_and(|f| server.step_flow(f, lib))
+            }
+        }
+    }
+
+    /// Requests issued, round trips completed or replies served.
+    fn requests(&self) -> u64 {
+        match self {
+            Driver::BulkSender(s) => s.requests(),
+            Driver::RequestClient { client, .. } => client.completed(),
+            Driver::RequestServer { server, .. } => server.served(),
+            Driver::Incast(s) => s.requests(),
+            Driver::Slowloris(s) => s.requests(),
+            Driver::ChurnClient { client, .. } => client.completed(),
+            Driver::ChurnServer { server, .. } => server.served(),
+            Driver::Idle | Driver::BulkReceiver(_) | Driver::Sink { .. } => 0,
+        }
+    }
+
+    /// Bytes drained by a receiving driver.
+    fn consumed(&self) -> u64 {
+        match self {
+            Driver::BulkReceiver(r) => r.consumed(),
+            Driver::Sink { server, .. } => server.consumed(),
+            Driver::ChurnServer { server, .. } => server.consumed(),
+            _ => 0,
+        }
+    }
+
+    /// Churn connections somewhere in their lifecycle.
+    fn live(&self) -> usize {
+        match self {
+            Driver::ChurnClient { client, .. } => client.live(),
+            Driver::ChurnServer { server, .. } => server.live(),
+            _ => 0,
+        }
+    }
+
+    /// Client-side round-trip latency, for drivers that measure it.
+    pub(crate) fn latency(&self) -> Option<&Histogram> {
+        match self {
+            Driver::RequestClient { client, .. } => Some(&client.latency),
+            _ => None,
+        }
+    }
+
+    /// The timer a sleeping thread arms for its driver's future work.
+    fn wake_deadline(&self) -> Option<u64> {
+        match self {
+            Driver::RequestClient { client, .. } => client.earliest_deadline(),
+            _ => None,
+        }
+    }
+}
+
+/// The flows a per-flow driver steps, and the next one in rotation.
+#[derive(Debug, Default)]
+pub struct Rotation {
+    flows: Vec<FlowId>,
+    next: usize,
+}
+
+impl Rotation {
+    /// A rotation over `flows`, starting at the first.
+    pub fn new(flows: Vec<FlowId>) -> Rotation {
+        Rotation { flows, next: 0 }
+    }
+
+    /// The flow to step: `ready` when a completion made one actionable,
+    /// else the next in rotation (initial kick / spurious wakeups);
+    /// `None` on an empty rotation.
+    fn pick(&mut self, ready: Option<FlowId>) -> Option<FlowId> {
+        if ready.is_some() || self.flows.is_empty() {
+            return ready;
+        }
+        let f = self.flows[self.next % self.flows.len()];
+        self.next += 1;
+        Some(f)
+    }
+
+    /// Adds a newly opened or accepted flow (dynamic membership).
+    fn push(&mut self, flow: FlowId) {
+        self.flows.push(flow);
+    }
+
+    /// Drops a torn-down flow (dynamic membership).
+    fn remove(&mut self, flow: FlowId) {
+        // f4tlint: allow(tick_path_scan): once per connection close, over
+        // one core's live rotation; the position feeds `swap_remove`, so
+        // the rotation order is simulated behaviour.
+        if let Some(p) = self.flows.iter().position(|&f| f == flow) {
+            self.flows.swap_remove(p);
+        }
+    }
 }
 
 /// One application thread's core.
@@ -244,7 +367,7 @@ impl Node {
         let connected = c.lib.connect(flow);
         debug_assert!(connected.is_ok(), "ring fullness checked above");
         self.routes.insert(flow.0, FlowRoute { core, last_req: Some(isn) });
-        if let Driver::ChurnClient { client, flows, .. } = &mut c.driver {
+        if let Driver::ChurnClient { client, flows } = &mut c.driver {
             client.on_open(flow);
             flows.push(flow);
         }
@@ -282,48 +405,18 @@ impl Node {
 
     /// Total requests issued by all drivers.
     pub fn requests(&self) -> u64 {
-        self.cores
-            .iter()
-            .map(|c| match &c.driver {
-                Driver::BulkSender(s) => s.requests(),
-                Driver::RoundRobin(s) => s.requests(),
-                Driver::EchoClient { client, .. } => client.completed(),
-                Driver::HttpClient { client, .. } => client.completed(),
-                Driver::HttpServer { server, .. } => server.served(),
-                Driver::EchoServer { server, .. } => server.replies(),
-                Driver::Incast(s) => s.requests(),
-                Driver::Slowloris(s) => s.requests(),
-                Driver::ChurnClient { client, .. } => client.completed(),
-                Driver::ChurnServer { server, .. } => server.served(),
-                _ => 0,
-            })
-            .sum()
+        self.cores.iter().map(|c| c.driver.requests()).sum()
     }
 
     /// Connections currently somewhere in their lifecycle across all
     /// churn drivers (0 when every opened flow has fully closed).
     pub fn churn_live(&self) -> usize {
-        self.cores
-            .iter()
-            .map(|c| match &c.driver {
-                Driver::ChurnClient { client, .. } => client.live(),
-                Driver::ChurnServer { server, .. } => server.live(),
-                _ => 0,
-            })
-            .sum()
+        self.cores.iter().map(|c| c.driver.live()).sum()
     }
 
     /// Bytes consumed by receiving drivers (goodput measurement point).
     pub fn consumed_bytes(&self) -> u64 {
-        self.cores
-            .iter()
-            .map(|c| match &c.driver {
-                Driver::BulkReceiver(r) => r.consumed(),
-                Driver::Sink { server, .. } => server.consumed(),
-                Driver::ChurnServer { server, .. } => server.consumed(),
-                _ => 0,
-            })
-            .sum()
+        self.cores.iter().map(|c| c.driver.consumed()).sum()
     }
 
     /// PCIe diagnostics.
@@ -428,8 +521,7 @@ impl Node {
                         self.cores[core].lib.register_accepted(flow, t.snd_nxt, t.rcv_nxt);
                         self.route_mut(flow).last_req = Some(t.snd_nxt);
                     }
-                    if let Driver::ChurnServer { server, flows, .. } = &mut self.cores[core].driver
-                    {
+                    if let Driver::ChurnServer { server, flows } = &mut self.cores[core].driver {
                         server.on_accept(flow);
                         flows.push(flow);
                     }
@@ -438,23 +530,14 @@ impl Node {
                 HostNotification::Closed { flow } => {
                     let core = self.core_of(flow);
                     let churned = match &mut self.cores[core].driver {
-                        Driver::ChurnClient { client, flows, .. } => {
+                        Driver::ChurnClient { client, flows } => {
                             client.on_closed(flow);
-                            // f4tlint: allow(tick_path_scan): once per
-                            // connection close, over one core's live
-                            // rotation; the position feeds `swap_remove`,
-                            // so the rotation order is simulated behaviour.
-                            if let Some(p) = flows.iter().position(|&f| f == flow) {
-                                flows.swap_remove(p);
-                            }
+                            flows.remove(flow);
                             true
                         }
-                        Driver::ChurnServer { server, flows, .. } => {
+                        Driver::ChurnServer { server, flows } => {
                             server.on_closed(flow);
-                            // f4tlint: allow(tick_path_scan): as above.
-                            if let Some(p) = flows.iter().position(|&f| f == flow) {
-                                flows.swap_remove(p);
-                            }
+                            flows.remove(flow);
                             true
                         }
                         _ => false,
@@ -523,6 +606,7 @@ impl Node {
                 core.empty_polls = 0;
             }
             // Completions first (the poll loop of §4.6).
+            let readiness = core.driver.readiness_driven();
             while let Some(&c) = core.completions.front() {
                 if !core.budget.try_spend(LIB_COMPLETION_CYCLES) {
                     break;
@@ -535,7 +619,11 @@ impl Node {
                     Completion::Received { flow, .. }
                     | Completion::Accepted { flow }
                     | Completion::Connected { flow }
-                    | Completion::Eof { flow } => core.ready.push_back(flow),
+                    | Completion::Eof { flow }
+                        if readiness =>
+                    {
+                        core.ready.push_back(flow)
+                    }
                     _ => {}
                 }
                 core.completions.pop_front();
@@ -543,129 +631,28 @@ impl Node {
             // Application steps until the budget runs dry or the driver
             // has nothing to do.
             let mut did_anything = false;
-            loop {
-                let (cost_app, cost_lib) = match &core.driver {
-                    Driver::Idle => break,
-                    Driver::BulkSender(_) | Driver::RoundRobin(_) => (0, LIB_CMD_CYCLES),
-                    Driver::BulkReceiver(_) => (0, LIB_CMD_CYCLES),
-                    Driver::EchoClient { .. } => (100, 2 * LIB_CMD_CYCLES),
-                    Driver::EchoServer { .. } => (100, 2 * LIB_CMD_CYCLES),
-                    Driver::HttpClient { .. } => (300, 2 * LIB_CMD_CYCLES),
-                    Driver::HttpServer { .. } => {
-                        (NGINX_APP_CYCLES + NGINX_VFS_CYCLES, 2 * LIB_CMD_CYCLES)
-                    }
-                    Driver::Incast(_) | Driver::Sink { .. } | Driver::Slowloris(_) => {
-                        (0, LIB_CMD_CYCLES)
-                    }
-                    Driver::ChurnClient { .. } | Driver::ChurnServer { .. } => {
-                        (100, 2 * LIB_CMD_CYCLES)
-                    }
-                };
-                if core.budget.available() < cost_app + cost_lib {
-                    break;
-                }
-                // Readiness-driven flow choice for closed-loop drivers:
-                // prefer a flow whose completion just arrived; fall back
-                // to rotation (initial kick / spurious wakeups).
-                let ready_flow = match &core.driver {
-                    Driver::EchoClient { .. }
-                    | Driver::EchoServer { .. }
-                    | Driver::HttpClient { .. }
-                    | Driver::HttpServer { .. }
-                    | Driver::Sink { .. }
-                    | Driver::ChurnClient { .. }
-                    | Driver::ChurnServer { .. } => core.ready.pop_front(),
-                    _ => None,
-                };
-                let from_ready = ready_flow.is_some();
-                let pick = |flows: &[FlowId], next: &mut usize| -> FlowId {
-                    if let Some(f) = ready_flow {
-                        f
-                    } else {
-                        let f = flows[*next % flows.len()];
-                        *next += 1;
-                        f
-                    }
-                };
-                let did_work = match &mut core.driver {
-                    Driver::Idle => false,
-                    Driver::BulkSender(s) => s.step(&mut core.lib),
-                    Driver::BulkReceiver(r) => r.step(&mut core.lib) > 0,
-                    Driver::RoundRobin(s) => s.step(&mut core.lib),
-                    Driver::EchoClient { client, flows, next } => {
-                        let f = pick(flows, next);
-                        client.step_flow(f, &mut core.lib, now_ns)
-                    }
-                    Driver::EchoServer { server, flows, next } => {
-                        let f = pick(flows, next);
-                        server.step_flow(f, &mut core.lib)
-                    }
-                    Driver::HttpClient { client, flows, next } => {
-                        let f = pick(flows, next);
-                        client.step_flow(f, &mut core.lib, now_ns)
-                    }
-                    Driver::HttpServer { server, flows, next } => {
-                        let f = pick(flows, next);
-                        server.step_flow(f, &mut core.lib)
-                    }
-                    Driver::Incast(s) => s.step(&mut core.lib, now_ns),
-                    Driver::Slowloris(s) => s.step(&mut core.lib, now_ns),
-                    // Dynamic-membership drivers can have an empty
-                    // rotation (all flows torn down); pick would panic.
-                    Driver::Sink { server, flows, next } => {
-                        if ready_flow.is_none() && flows.is_empty() {
-                            false
-                        } else {
-                            let f = pick(flows, next);
-                            server.step_flow(f, &mut core.lib)
-                        }
-                    }
-                    Driver::ChurnClient { client, flows, next } => {
-                        if ready_flow.is_none() && flows.is_empty() {
-                            false
-                        } else {
-                            let f = pick(flows, next);
-                            client.step_flow(f, &mut core.lib)
-                        }
-                    }
-                    Driver::ChurnServer { server, flows, next } => {
-                        if ready_flow.is_none() && flows.is_empty() {
-                            false
-                        } else {
-                            let f = pick(flows, next);
-                            server.step_flow(f, &mut core.lib)
-                        }
-                    }
-                };
-                if !did_work && from_ready {
-                    // A spurious wakeup (e.g. a partial message): pay a
-                    // poll and keep draining the ready queue.
-                    if core.budget.try_spend(LIB_POLL_CYCLES) {
-                        core.acct.charge(CpuCategory::F4tLib, LIB_POLL_CYCLES);
+            if let Some((app, kernel, lib)) = core.driver.costs() {
+                while core.budget.available() >= app + kernel + lib {
+                    let ready = if readiness { core.ready.pop_front() } else { None };
+                    if core.driver.step(&mut core.lib, ready, now_ns) {
+                        did_anything = true;
+                        let spent = core.budget.try_spend(app + kernel + lib);
+                        debug_assert!(spent, "checked available");
+                        core.acct.charge(CpuCategory::App, app);
+                        core.acct.charge(CpuCategory::Kernel, kernel);
+                        core.acct.charge(CpuCategory::F4tLib, lib);
                         continue;
                     }
-                    break;
-                }
-                if did_work {
-                    did_anything = true;
-                    let spent = core.budget.try_spend(cost_app + cost_lib);
-                    debug_assert!(spent, "checked available");
-                    if cost_app > 0 {
-                        core.acct.charge(CpuCategory::App, cost_app);
-                        // The VFS share of the HTTP server is kernel time.
-                        if matches!(core.driver, Driver::HttpServer { .. }) {
-                            core.acct.charge(CpuCategory::Kernel, NGINX_VFS_CYCLES);
-                            // Re-attribute: app charge included vfs above.
-                            core.acct.app -= NGINX_VFS_CYCLES;
-                        }
+                    // Nothing actionable: pay one poll. A spurious wakeup
+                    // (e.g. a partial message) keeps draining the ready
+                    // queue; otherwise the core yields.
+                    if !core.budget.try_spend(LIB_POLL_CYCLES) {
+                        break;
                     }
-                    core.acct.charge(CpuCategory::F4tLib, cost_lib);
-                } else {
-                    // Nothing actionable: pay one poll and yield.
-                    if core.budget.try_spend(LIB_POLL_CYCLES) {
-                        core.acct.charge(CpuCategory::F4tLib, LIB_POLL_CYCLES);
+                    core.acct.charge(CpuCategory::F4tLib, LIB_POLL_CYCLES);
+                    if ready.is_none() {
+                        break;
                     }
-                    break;
                 }
             }
             if did_anything || !core.completions.is_empty() {
@@ -675,10 +662,7 @@ impl Node {
                 if self.sleep_after_poll && core.empty_polls >= SLEEP_AFTER_EMPTY_TICKS {
                     core.sleeping = true;
                     // Arm the wake timer for drivers with future work.
-                    core.wake_at_ns = match &core.driver {
-                        Driver::EchoClient { client, .. } => client.earliest_deadline(),
-                        _ => None,
-                    };
+                    core.wake_at_ns = core.driver.wake_deadline();
                 }
             }
         }
@@ -698,7 +682,7 @@ mod tests {
     fn command_dma_reaches_engine() {
         let mut node = Node::new(1, EngineConfig::single_fpc());
         let flow = node.add_established_flow(tuple(0), SeqNum(0), 0).unwrap();
-        node.set_driver(0, Driver::BulkSender(BulkSender::new(flow, 128)));
+        node.set_driver(0, Driver::BulkSender(BulkSender::new(vec![flow], 128)));
         for c in 0..2_000u64 {
             node.tick(c * 4);
         }
@@ -713,7 +697,7 @@ mod tests {
         // should issue tens of requests per microsecond (≈44 Mrps).
         let mut node = Node::new(1, EngineConfig::reference());
         let flow = node.add_established_flow(tuple(0), SeqNum(0), 0).unwrap();
-        node.set_driver(0, Driver::BulkSender(BulkSender::new(flow, 128)));
+        node.set_driver(0, Driver::BulkSender(BulkSender::new(vec![flow], 128)));
         // Drain TX so buffer never fills (ideal peer ACK immediately).
         let mut issued_at_10us = 0;
         for c in 0..25_000u64 {
@@ -753,8 +737,8 @@ mod tests {
         let mut node = Node::new(2, EngineConfig::single_fpc());
         let f0 = node.add_established_flow(tuple(0), SeqNum(0), 0).unwrap();
         let f1 = node.add_established_flow(tuple(1), SeqNum(0), 1).unwrap();
-        node.set_driver(0, Driver::BulkSender(BulkSender::new(f0, 1000)));
-        node.set_driver(1, Driver::BulkSender(BulkSender::new(f1, 1000)));
+        node.set_driver(0, Driver::BulkSender(BulkSender::new(vec![f0], 1000)));
+        node.set_driver(1, Driver::BulkSender(BulkSender::new(vec![f1], 1000)));
         for c in 0..4_000u64 {
             node.tick(c * 4);
             while let Some(seg) = node.engine.pop_tx() {
@@ -770,5 +754,29 @@ mod tests {
         // Both cores saw their own flow's pointers advance.
         assert!(node.lib(0).socket(f0).unwrap().acked.since(SeqNum(0)) > 0);
         assert!(node.lib(1).socket(f1).unwrap().acked.since(SeqNum(0)) > 0);
+    }
+
+    /// Only readiness-driven drivers queue ready flows: the bulk
+    /// receivers and senders never pop one, so after a run no core holds
+    /// more entries than it owns flows.
+    #[test]
+    fn ready_queues_stay_bounded_by_the_flow_count() {
+        use crate::F4tSystem;
+        let cfg = EngineConfig {
+            num_fpcs: 2,
+            flows_per_fpc: 32,
+            lut_groups: 2,
+            ..EngineConfig::reference()
+        };
+        for mut sys in [F4tSystem::bulk(2, 128, cfg.clone()), F4tSystem::round_robin(2, 4, 128, cfg)] {
+            sys.run_ns(200_000);
+            assert!(sys.b.consumed_bytes() > 0, "data flowed");
+            for node in [&sys.a, &sys.b] {
+                for (i, core) in node.cores.iter().enumerate() {
+                    let flows = node.routes.iter().filter(|(_, r)| r.core == i).count();
+                    assert!(core.ready.len() <= flows, "core {i}: {} ready", core.ready.len());
+                }
+            }
+        }
     }
 }

@@ -2,15 +2,18 @@
 
 use crate::link::DuplexLink;
 use crate::metrics::Metrics;
-use crate::node::{Driver, Node};
+use crate::node::{Driver, Node, Rotation};
 use f4t_core::EngineConfig;
-use f4t_host::CpuAccounting;
+use f4t_host::{CpuAccounting, F4tLib};
 use f4t_sim::{Histogram, MetricsRegistry};
 use f4t_tcp::{FlowId, FourTuple, SeqNum};
 use f4t_netsim::Impairments;
+use f4t_workloads::http::{
+    NGINX_APP_CYCLES, NGINX_RESPONSE_BYTES, NGINX_VFS_CYCLES, WRK_APP_CYCLES, WRK_REQUEST_BYTES,
+};
 use f4t_workloads::{
-    BulkReceiver, BulkSender, ChurnClient, ChurnServer, EchoClient, EchoServer, HttpClient,
-    HttpServer, IncastSender, RoundRobinSender, SinkServer, SlowlorisClient, CHURN_REQUEST_BYTES,
+    BulkReceiver, BulkSender, ChurnClient, ChurnServer, IncastSender, RequestClient,
+    RequestServer, SinkServer, SlowlorisClient, CHURN_REQUEST_BYTES, ECHO_APP_CYCLES,
 };
 use std::net::Ipv4Addr;
 
@@ -133,6 +136,25 @@ impl F4tSystem {
         (fa, fb)
     }
 
+    /// Opens pairs `0..n` in index order, pair `i` owned by core
+    /// `cores(i) = (a_core, b_core)`, and returns each node's flows per
+    /// core.
+    fn open_spread(
+        &mut self,
+        n: usize,
+        cores: impl Fn(usize) -> (usize, usize),
+    ) -> (Vec<Vec<FlowId>>, Vec<Vec<FlowId>>) {
+        let mut a = vec![Vec::new(); self.a.core_count()];
+        let mut b = vec![Vec::new(); self.b.core_count()];
+        for i in 0..n {
+            let (ca, cb) = cores(i);
+            let (fa, fb) = self.open_pair(i as u32, ca, cb);
+            a[ca].push(fa);
+            b[cb].push(fb);
+        }
+        (a, b)
+    }
+
     /// Advances one engine cycle across both nodes and the link.
     pub fn tick(&mut self) {
         let now = self.now_ns();
@@ -166,10 +188,8 @@ impl F4tSystem {
     fn client_latency(&self) -> Histogram {
         let mut h = Histogram::new();
         for core in 0..self.a.core_count() {
-            match self.a.driver(core) {
-                Driver::EchoClient { client, .. } => h.merge(&client.latency),
-                Driver::HttpClient { client, .. } => h.merge(&client.latency),
-                _ => {}
+            if let Some(latency) = self.a.driver(core).latency() {
+                h.merge(latency);
             }
         }
         h
@@ -229,15 +249,7 @@ impl F4tSystem {
     /// `request_bytes` per send; the peer runs one receiver core per
     /// sender core.
     pub fn bulk(cores: usize, request_bytes: u32, engine: EngineConfig) -> F4tSystem {
-        let a = Node::new(cores, engine.clone());
-        let b = Node::new(cores, engine);
-        let mut sys = F4tSystem::new(a, b);
-        for core in 0..cores {
-            let (fa, fb) = sys.open_pair(core as u32, core, core);
-            sys.a.set_driver(core, Driver::BulkSender(BulkSender::new(fa, request_bytes)));
-            sys.b.set_driver(core, Driver::BulkReceiver(BulkReceiver::new(vec![fb])));
-        }
-        sys
+        F4tSystem::round_robin(cores, 1, request_bytes, engine)
     }
 
     /// §5.1 round-robin: `cores` sender cores × `flows_per_core` flows
@@ -248,24 +260,13 @@ impl F4tSystem {
         request_bytes: u32,
         engine: EngineConfig,
     ) -> F4tSystem {
-        let a = Node::new(cores, engine.clone());
-        let b = Node::new(cores, engine);
-        let mut sys = F4tSystem::new(a, b);
-        let mut idx = 0u32;
-        for core in 0..cores {
-            let mut a_flows = Vec::new();
-            let mut b_flows = Vec::new();
-            for _ in 0..flows_per_core {
-                let (fa, fb) = sys.open_pair(idx, core, core);
-                idx += 1;
-                a_flows.push(fa);
-                b_flows.push(fb);
-            }
-            sys.a.set_driver(
-                core,
-                Driver::RoundRobin(RoundRobinSender::new(a_flows, request_bytes)),
-            );
-            sys.b.set_driver(core, Driver::BulkReceiver(BulkReceiver::new(b_flows)));
+        let mut sys = F4tSystem::new(Node::new(cores, engine.clone()), Node::new(cores, engine));
+        let (a, b) = sys.open_spread(cores * flows_per_core, |i| {
+            (i / flows_per_core, i / flows_per_core)
+        });
+        for (core, (fa, fb)) in a.into_iter().zip(b).enumerate() {
+            sys.a.set_driver(core, Driver::BulkSender(BulkSender::new(fa, request_bytes)));
+            sys.b.set_driver(core, Driver::BulkReceiver(BulkReceiver::new(fb)));
         }
         sys
     }
@@ -286,34 +287,14 @@ impl F4tSystem {
         pace_ns: u64,
         engine: EngineConfig,
     ) -> F4tSystem {
-        let a = Node::new(cores, engine.clone());
-        let b = Node::new(cores, engine);
-        let mut sys = F4tSystem::new(a, b);
-        let mut per_core_a: Vec<Vec<FlowId>> = vec![Vec::new(); cores];
-        let mut per_core_b: Vec<Vec<FlowId>> = vec![Vec::new(); cores];
-        for i in 0..total_flows {
-            let core = i % cores;
-            let (fa, fb) = sys.open_pair(i as u32, core, core);
-            per_core_a[core].push(fa);
-            per_core_b[core].push(fb);
-        }
-        for core in 0..cores {
-            let client =
-                EchoClient::with_pace(&per_core_a[core], msg_bytes, sys.a.lib(core), pace_ns);
-            sys.a.set_driver(
-                core,
-                Driver::EchoClient { client, flows: per_core_a[core].clone(), next: 0 },
-            );
-            sys.b.set_driver(
-                core,
-                Driver::EchoServer {
-                    server: EchoServer::new(msg_bytes),
-                    flows: per_core_b[core].clone(),
-                    next: 0,
-                },
-            );
-        }
-        sys
+        F4tSystem::request_response(
+            (cores, cores, total_flows),
+            engine,
+            |flows, lib| {
+                RequestClient::new(flows, lib, msg_bytes, msg_bytes, pace_ns, ECHO_APP_CYCLES)
+            },
+            || RequestServer::new(msg_bytes, msg_bytes, ECHO_APP_CYCLES, 0),
+        )
     }
 
     /// §5.2 Nginx + wrk: `server_cores` Nginx cores serving `connections`
@@ -324,34 +305,34 @@ impl F4tSystem {
         connections: usize,
         engine: EngineConfig,
     ) -> F4tSystem {
+        let (req, resp) = (WRK_REQUEST_BYTES, NGINX_RESPONSE_BYTES);
+        F4tSystem::request_response(
+            (client_cores, server_cores, connections),
+            engine,
+            |flows, lib| RequestClient::new(flows, lib, req, resp, 0, WRK_APP_CYCLES),
+            || RequestServer::new(req, resp, NGINX_APP_CYCLES, NGINX_VFS_CYCLES),
+        )
+    }
+
+    /// `connections` request/response pairs, pair `i` on client core
+    /// `i % client_cores` and server core `i % server_cores`; each core
+    /// runs the driver `client` or `server` builds for its flows.
+    fn request_response(
+        (client_cores, server_cores, connections): (usize, usize, usize),
+        engine: EngineConfig,
+        client: impl Fn(&[FlowId], &F4tLib) -> RequestClient,
+        server: impl Fn() -> RequestServer,
+    ) -> F4tSystem {
         let a = Node::new(client_cores, engine.clone());
-        let b = Node::new(server_cores, engine);
-        let mut sys = F4tSystem::new(a, b);
-        let mut per_core_a: Vec<Vec<FlowId>> = vec![Vec::new(); client_cores];
-        let mut per_core_b: Vec<Vec<FlowId>> = vec![Vec::new(); server_cores];
-        for i in 0..connections {
-            let ca = i % client_cores;
-            let cb = i % server_cores;
-            let (fa, fb) = sys.open_pair(i as u32, ca, cb);
-            per_core_a[ca].push(fa);
-            per_core_b[cb].push(fb);
+        let mut sys = F4tSystem::new(a, Node::new(server_cores, engine));
+        let (a, b) = sys.open_spread(connections, |i| (i % client_cores, i % server_cores));
+        for (core, fa) in a.into_iter().enumerate() {
+            let client = client(&fa, sys.a.lib(core));
+            sys.a.set_driver(core, Driver::RequestClient { client, flows: Rotation::new(fa) });
         }
-        for (core, flows) in per_core_a.iter().enumerate() {
-            let client = HttpClient::new(flows, sys.a.lib(core));
-            sys.a.set_driver(
-                core,
-                Driver::HttpClient { client, flows: flows.clone(), next: 0 },
-            );
-        }
-        for (core, flows) in per_core_b.iter().enumerate() {
-            sys.b.set_driver(
-                core,
-                Driver::HttpServer {
-                    server: HttpServer::new(),
-                    flows: flows.clone(),
-                    next: 0,
-                },
-            );
+        for (core, fb) in b.into_iter().enumerate() {
+            let server = server();
+            sys.b.set_driver(core, Driver::RequestServer { server, flows: Rotation::new(fb) });
         }
         sys
     }
@@ -368,24 +349,13 @@ impl F4tSystem {
         epoch_ns: u64,
         engine: EngineConfig,
     ) -> F4tSystem {
-        let a = Node::new(cores, engine.clone());
-        let b = Node::new(1, engine);
-        let mut sys = F4tSystem::new(a, b);
-        let mut per_core_a: Vec<Vec<FlowId>> = vec![Vec::new(); cores];
-        let mut b_flows = Vec::new();
-        for i in 0..senders {
-            let core = i % cores;
-            let (fa, fb) = sys.open_pair(i as u32, core, 0);
-            per_core_a[core].push(fa);
-            b_flows.push(fb);
+        let mut sys = F4tSystem::new(Node::new(cores, engine.clone()), Node::new(1, engine));
+        let (a, mut b) = sys.open_spread(senders, |i| (i % cores, 0));
+        for (core, fa) in a.into_iter().enumerate() {
+            sys.a.set_driver(core, Driver::Incast(IncastSender::new(fa, burst_bytes, epoch_ns)));
         }
-        for (core, flows) in per_core_a.iter().enumerate() {
-            sys.a.set_driver(
-                core,
-                Driver::Incast(IncastSender::new(flows.clone(), burst_bytes, epoch_ns)),
-            );
-        }
-        sys.b.set_driver(0, Driver::Sink { server: SinkServer::new(), flows: b_flows, next: 0 });
+        let flows = Rotation::new(b.remove(0));
+        sys.b.set_driver(0, Driver::Sink { server: SinkServer::new(), flows });
         sys
     }
 
@@ -399,18 +369,10 @@ impl F4tSystem {
         let mut sys = F4tSystem::new(a, b);
         sys.b.engine.listen(80);
         for core in 0..cores {
-            sys.a.set_driver(
-                core,
-                Driver::ChurnClient {
-                    client: ChurnClient::new(CHURN_REQUEST_BYTES),
-                    flows: Vec::new(),
-                    next: 0,
-                },
-            );
-            sys.b.set_driver(
-                core,
-                Driver::ChurnServer { server: ChurnServer::new(), flows: Vec::new(), next: 0 },
-            );
+            let client = ChurnClient::new(CHURN_REQUEST_BYTES);
+            sys.a.set_driver(core, Driver::ChurnClient { client, flows: Rotation::default() });
+            let server = ChurnServer::new();
+            sys.b.set_driver(core, Driver::ChurnServer { server, flows: Rotation::default() });
         }
         sys.churn = Some(ChurnManager {
             target_live,
@@ -433,34 +395,13 @@ impl F4tSystem {
         interval_ns: u64,
         engine: EngineConfig,
     ) -> F4tSystem {
-        let a = Node::new(cores, engine.clone());
-        let b = Node::new(cores, engine);
-        let mut sys = F4tSystem::new(a, b);
-        let mut per_core_a: Vec<Vec<FlowId>> = vec![Vec::new(); cores];
-        let mut per_core_b: Vec<Vec<FlowId>> = vec![Vec::new(); cores];
-        for i in 0..total_flows {
-            let core = i % cores;
-            let (fa, fb) = sys.open_pair(i as u32, core, core);
-            per_core_a[core].push(fa);
-            per_core_b[core].push(fb);
-        }
-        for core in 0..cores {
-            sys.a.set_driver(
-                core,
-                Driver::Slowloris(SlowlorisClient::new(
-                    per_core_a[core].clone(),
-                    drip_bytes,
-                    interval_ns,
-                )),
-            );
-            sys.b.set_driver(
-                core,
-                Driver::Sink {
-                    server: SinkServer::new(),
-                    flows: per_core_b[core].clone(),
-                    next: 0,
-                },
-            );
+        let mut sys = F4tSystem::new(Node::new(cores, engine.clone()), Node::new(cores, engine));
+        let (a, b) = sys.open_spread(total_flows, |i| (i % cores, i % cores));
+        for (core, (fa, fb)) in a.into_iter().zip(b).enumerate() {
+            let client = SlowlorisClient::new(fa, drip_bytes, interval_ns);
+            sys.a.set_driver(core, Driver::Slowloris(client));
+            let flows = Rotation::new(fb);
+            sys.b.set_driver(core, Driver::Sink { server: SinkServer::new(), flows });
         }
         sys
     }
@@ -556,6 +497,18 @@ mod tests {
         // Residency: all 32 flows still established on both engines.
         assert_eq!(sys.a.engine.live_flows(), 32);
         assert_eq!(sys.b.engine.live_flows(), 32);
+    }
+
+    /// More cores than flows: the flowless cores poll and yield, the
+    /// others run their round trips.
+    #[test]
+    fn cores_without_flows_poll_instead_of_panicking() {
+        let mut echo = F4tSystem::echo(4, 2, 128, small_engine());
+        echo.run_ns(200_000);
+        assert!(echo.a.requests() > 0, "echo round trips: {}", echo.a.requests());
+        let mut http = F4tSystem::http(4, 4, 2, small_engine());
+        http.run_ns(200_000);
+        assert!(http.a.requests() > 0, "http round trips: {}", http.a.requests());
     }
 
     #[test]

@@ -5,18 +5,17 @@
 //! F4T library's socket API (`f4t-host::F4tLib`) so the system simulator
 //! can run them unchanged on any core:
 //!
-//! * [`BulkSender`] / [`BulkReceiver`] — iperf-style bulk data transfer,
-//!   one flow per core issuing fixed-size send requests (§5.1, Figs. 2,
-//!   8a, 9, 16).
-//! * [`RoundRobinSender`] — "each CPU core generates send requests in a
-//!   round-robin manner for 16 flows. Each CPU core uses a distinct set
-//!   of 16 flows" (§5.1, Fig. 8b).
-//! * [`EchoClient`] / [`EchoServer`] — the 128 B ping-pong connectivity
-//!   benchmark where "each flow has to wait for a response to send the
-//!   next message", giving the worst-case TCB locality (§5.3, Fig. 13).
-//! * [`HttpClient`] / [`HttpServer`] — the wrk + Nginx pair: closed-loop
-//!   HTTP requests answered with 256 B responses, the server paying
-//!   application + VFS cycles per request (§5.2, Figs. 1, 10–12).
+//! * [`BulkSender`] / [`BulkReceiver`] — iperf-style fixed-size send
+//!   requests rotating over a flow set: one flow per core is the bulk
+//!   transfer (§5.1, Figs. 2, 8a, 9, 16); "each CPU core generates send
+//!   requests in a round-robin manner for 16 flows" is the same sender
+//!   over 16 (§5.1, Fig. 8b).
+//! * [`RequestClient`] / [`RequestServer`] — closed-loop request/response
+//!   with one message outstanding per flow. Echo is the
+//!   `(msg, msg)` case, the 128 B ping-pong connectivity benchmark with
+//!   the worst-case TCB locality (§5.3, Fig. 13); wrk + Nginx is the
+//!   `(128, 256)` case, the server paying application cycles plus a VFS
+//!   read as kernel time ([`http`]; §5.2, Figs. 1, 10–12).
 //! * [`storm`] — the FtStorm hostile-scenario drivers: synchronized
 //!   incast fan-in, sustained connect/close churn, and slowloris-style
 //!   near-idle residency (DESIGN.md §14).
@@ -26,15 +25,13 @@
 //! so utilization accounting stays in one place.
 
 pub mod bulk;
-pub mod echo;
 pub mod http;
-pub mod round_robin;
+pub mod request;
 pub mod storm;
 
 pub use bulk::{BulkReceiver, BulkSender};
-pub use echo::{EchoClient, EchoServer};
-pub use http::{HttpClient, HttpServer, NGINX_RESPONSE_BYTES, WRK_REQUEST_BYTES};
-pub use round_robin::RoundRobinSender;
+pub use http::{NGINX_RESPONSE_BYTES, WRK_REQUEST_BYTES};
+pub use request::{RequestClient, RequestServer, ECHO_APP_CYCLES};
 pub use storm::{
     ChurnClient, ChurnServer, IncastSender, SinkServer, SlowlorisClient, CHURN_REQUEST_BYTES,
     INCAST_BURST_BYTES, INCAST_EPOCH_NS, SLOWLORIS_DRIP_BYTES,

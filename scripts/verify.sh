@@ -133,6 +133,20 @@ n=$(grep -c 'stall_fifo_empty +=' crates/core/src/fpc.rs || true)
     exit 1
 }
 
+echo "==> one-host-application-model regrowth gate (DESIGN.md section 12.1)"
+# Echo and HTTP run on one RequestClient/RequestServer pair, bulk and
+# round-robin on one BulkSender, and every per-flow driver keeps its flow
+# rotation in the one Rotation type in crates/system/src/node.rs.
+if grep -rnwE 'HttpClient|HttpServer|RoundRobinSender' crates src tests examples; then
+    echo "FAIL: a per-workload host application is back: echo and HTTP are RequestClient/RequestServer, round-robin is BulkSender, DESIGN.md section 12.1" >&2
+    exit 1
+fi
+n=$(grep -c 'next: usize' crates/system/src/node.rs || true)
+[ "$n" -le 1 ] || {
+    echo "FAIL: $n 'next: usize' in crates/system/src/node.rs (max 1, Rotation's): a driver keeps its own rotation again, DESIGN.md section 12.1" >&2
+    exit 1
+}
+
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
