@@ -30,6 +30,6 @@ pub mod system;
 pub use link::{DuplexLink, EnginePair};
 pub use linux_system::LinuxSystem;
 pub use metrics::Metrics;
-pub use node::{Driver, Node, Rotation};
+pub use node::{Driver, Node};
 pub use scale::ScaleShard;
 pub use system::F4tSystem;
