@@ -768,7 +768,8 @@ mod tests {
             lut_groups: 2,
             ..EngineConfig::reference()
         };
-        for mut sys in [F4tSystem::bulk(2, 128, cfg.clone()), F4tSystem::round_robin(2, 4, 128, cfg)] {
+        let runs = [F4tSystem::bulk(2, 128, cfg.clone()), F4tSystem::round_robin(2, 4, 128, cfg)];
+        for mut sys in runs {
             sys.run_ns(200_000);
             assert!(sys.b.consumed_bytes() > 0, "data flowed");
             for node in [&sys.a, &sys.b] {

@@ -261,9 +261,8 @@ impl F4tSystem {
         engine: EngineConfig,
     ) -> F4tSystem {
         let mut sys = F4tSystem::new(Node::new(cores, engine.clone()), Node::new(cores, engine));
-        let (a, b) = sys.open_spread(cores * flows_per_core, |i| {
-            (i / flows_per_core, i / flows_per_core)
-        });
+        let (a, b) =
+            sys.open_spread(cores * flows_per_core, |i| (i / flows_per_core, i / flows_per_core));
         for (core, (fa, fb)) in a.into_iter().zip(b).enumerate() {
             sys.a.set_driver(core, Driver::BulkSender(BulkSender::new(fa, request_bytes)));
             sys.b.set_driver(core, Driver::BulkReceiver(BulkReceiver::new(fb)));
@@ -288,7 +287,9 @@ impl F4tSystem {
         engine: EngineConfig,
     ) -> F4tSystem {
         F4tSystem::request_response(
-            (cores, cores, total_flows),
+            cores,
+            cores,
+            total_flows,
             engine,
             |flows, lib| {
                 RequestClient::new(flows, lib, msg_bytes, msg_bytes, pace_ns, ECHO_APP_CYCLES)
@@ -307,7 +308,9 @@ impl F4tSystem {
     ) -> F4tSystem {
         let (req, resp) = (WRK_REQUEST_BYTES, NGINX_RESPONSE_BYTES);
         F4tSystem::request_response(
-            (client_cores, server_cores, connections),
+            client_cores,
+            server_cores,
+            connections,
             engine,
             |flows, lib| RequestClient::new(flows, lib, req, resp, 0, WRK_APP_CYCLES),
             || RequestServer::new(req, resp, NGINX_APP_CYCLES, NGINX_VFS_CYCLES),
@@ -318,13 +321,15 @@ impl F4tSystem {
     /// `i % client_cores` and server core `i % server_cores`; each core
     /// runs the driver `client` or `server` builds for its flows.
     fn request_response(
-        (client_cores, server_cores, connections): (usize, usize, usize),
+        client_cores: usize,
+        server_cores: usize,
+        connections: usize,
         engine: EngineConfig,
         client: impl Fn(&[FlowId], &F4tLib) -> RequestClient,
         server: impl Fn() -> RequestServer,
     ) -> F4tSystem {
-        let a = Node::new(client_cores, engine.clone());
-        let mut sys = F4tSystem::new(a, Node::new(server_cores, engine));
+        let client_node = Node::new(client_cores, engine.clone());
+        let mut sys = F4tSystem::new(client_node, Node::new(server_cores, engine));
         let (a, b) = sys.open_spread(connections, |i| (i % client_cores, i % server_cores));
         for (core, fa) in a.into_iter().enumerate() {
             let client = client(&fa, sys.a.lib(core));
