@@ -632,11 +632,12 @@ impl Node {
             // has nothing to do.
             let mut did_anything = false;
             if let Some((app, kernel, lib)) = core.driver.costs() {
-                while core.budget.available() >= app + kernel + lib {
+                let cost = app + kernel + lib;
+                while core.budget.available() >= cost {
                     let ready = if readiness { core.ready.pop_front() } else { None };
                     if core.driver.step(&mut core.lib, ready, now_ns) {
                         did_anything = true;
-                        let spent = core.budget.try_spend(app + kernel + lib);
+                        let spent = core.budget.try_spend(cost);
                         debug_assert!(spent, "checked available");
                         core.acct.charge(CpuCategory::App, app);
                         core.acct.charge(CpuCategory::Kernel, kernel);
