@@ -388,6 +388,14 @@ fn parse_args() -> Result<(Args, &'static Workload), String> {
                 return Err(format!("{flag} must be at least 1"));
             }
         }
+        // Each node's engine has one flow table; `scale` sizes its own.
+        let (flows, max_flows) = (workload.flows(args), EngineConfig::reference().max_flows);
+        if workload.build.is_some() && flows > max_flows {
+            return Err(format!(
+                "--workload {} needs {flows} flows, over the {max_flows}-entry flow table",
+                workload.name
+            ));
+        }
         if args.inject_slowdown_after.is_some() && args.inject_slowdown == 0 {
             return Err("--inject-slowdown-after needs --inject-slowdown <CYCLES>".into());
         }

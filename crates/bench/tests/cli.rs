@@ -60,6 +60,21 @@ fn usage_errors_exit_two() {
     }
 }
 
+/// A system workload asked for more flows than one engine's flow table
+/// holds is a usage error, not a panic in the flow-opening loop.
+#[test]
+fn too_many_flows_exits_two() {
+    for bad in [
+        &["--workload", "echo", "--cores", "1", "--flows", "70000"][..],
+        &["--workload", "slowloris", "--flows", "70000"][..],
+        &["--workload", "incast", "--flows", "70000"][..],
+    ] {
+        let out = f4tperf(bad);
+        assert_eq!(out.status.code(), Some(2), "args {bad:?}:\n{}", stderr(&out));
+        assert!(stderr(&out).contains("flow table"), "{}", stderr(&out));
+    }
+}
+
 #[test]
 fn telemetry_io_error_exits_two() {
     let out = f4tperf(&[

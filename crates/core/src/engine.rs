@@ -331,7 +331,7 @@ pub struct Engine {
 }
 
 /// Engine-core period in nanoseconds (250 MHz).
-const CYCLE_NS: u64 = 4;
+pub const CYCLE_NS: u64 = 4;
 /// MAC output buffer cap; beyond this the packet generator stalls and
 /// backpressure propagates to FPC dispatch.
 const TX_OUT_CAP: usize = 256;

@@ -48,7 +48,7 @@ pub mod scheduler;
 pub mod timers;
 
 pub use f4t_sim::digest::fold_digests;
-pub use engine::{Engine, EngineConfig, EngineStats, HostNotification};
+pub use engine::{Engine, EngineConfig, EngineStats, HostNotification, CYCLE_NS};
 pub use event::{EventKind, FlowEvent, TimeoutKind, TxRequest};
 pub use fpc::Fpc;
 pub use fpu::Fpu;

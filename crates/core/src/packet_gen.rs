@@ -11,7 +11,7 @@
 //! accumulated fractionally.
 
 use crate::event::TxRequest;
-use f4t_sim::{Fifo, FlightStage, JournalKind, JournalModule, Probe};
+use f4t_sim::{Fifo, FlightStage, JournalKind, JournalModule, NetCycleCredit, Probe};
 use f4t_tcp::{Segment, TcpFlags};
 
 /// The packet generator.
@@ -26,15 +26,13 @@ pub struct PacketGenerator {
     mss: u32,
     /// Segments producible per network cycle.
     parallelism: u32,
-    /// Fractional network cycles accumulated per engine tick (×1000).
-    net_cycle_credit: u64,
+    /// The 322 MHz network cycles each engine tick earns.
+    net_cycles: NetCycleCredit,
     segments_out: u64,
     bytes_out: u64,
     retransmissions: u64,
 }
 
-/// 322 MHz network cycles per 1000 engine (250 MHz) cycles.
-const NET_PER_ENGINE_MILLI: u64 = 1288;
 
 impl PacketGenerator {
     /// Depth of the request FIFO; `is_full` backpressures FPC dispatch.
@@ -49,7 +47,7 @@ impl PacketGenerator {
             head_offset: 0,
             mss,
             parallelism,
-            net_cycle_credit: 0,
+            net_cycles: NetCycleCredit::default(),
             segments_out: 0,
             bytes_out: 0,
             retransmissions: 0,
@@ -98,9 +96,7 @@ impl PacketGenerator {
         out: &mut Vec<Segment>,
         probe: &mut Probe,
     ) {
-        self.net_cycle_credit += NET_PER_ENGINE_MILLI;
-        let mut budget = (self.net_cycle_credit / 1000) * u64::from(self.parallelism);
-        self.net_cycle_credit %= 1000;
+        let mut budget = self.net_cycles.tick() * u64::from(self.parallelism);
         while budget > 0 {
             let Some(&(req, left_fpc_at)) = self.requests.front() else { break };
             let remaining = req.len - self.head_offset;
@@ -161,16 +157,14 @@ impl PacketGenerator {
     }
 
     /// Fast-forward catch-up for `n` idle cycles. With an empty request
-    /// FIFO each tick is `credit += 1288; credit %= 1000` (the extracted
-    /// budget finds nothing to segment), so `n` ticks fold to one modular
-    /// step. The engine only calls this when the MAC buffer is below its
+    /// FIFO each tick only advances the network-cycle credit (the earned
+    /// budget finds nothing to segment), so `n` ticks fold to one
+    /// [`NetCycleCredit::skip`]. The engine only calls this when the MAC buffer is below its
     /// cap — when it is full the tick-by-tick path skips the generator
     /// entirely and the credit must stay frozen.
     pub fn skip_idle_cycles(&mut self, n: u64) {
         debug_assert!(self.requests.is_empty(), "packet-gen fast-forward with queued requests");
-        self.net_cycle_credit = ((u128::from(self.net_cycle_credit)
-            + u128::from(NET_PER_ENGINE_MILLI) * u128::from(n))
-            % 1000) as u64;
+        self.net_cycles.skip(n);
     }
 
     /// Total segments emitted.

@@ -12,7 +12,9 @@
 //! *post-reassembly* in-order pointer, so the FPU never touches payload.
 
 use crate::event::{EventKind, FlowEvent};
-use f4t_sim::{Fifo, FlightStage, FlowSet, FlowSlab, JournalKind, JournalModule, Probe};
+use f4t_sim::{
+    Fifo, FlightStage, FlowSet, FlowSlab, JournalKind, JournalModule, NetCycleCredit, Probe,
+};
 use f4t_tcp::reassembly::ReassemblyResult;
 use f4t_tcp::{FlowId, FlowTable, ReassemblyTracker, Segment, SeqNum, TcpFlags, TCP_BUFFER};
 
@@ -44,8 +46,6 @@ impl RxFlow {
     }
 }
 
-/// 322 MHz network cycles per 1000 engine (250 MHz) cycles.
-const NET_PER_ENGINE_MILLI: u64 = 1288;
 
 /// Per-cycle output of the parser.
 #[derive(Debug, Default)]
@@ -68,7 +68,8 @@ pub struct RxParser {
     /// was offered (the FtFlight `rx_ingest` span start).
     input: Fifo<(Segment, u64)>,
     parallelism: u32,
-    net_cycle_credit: u64,
+    /// The 322 MHz network cycles each engine tick earns.
+    net_cycles: NetCycleCredit,
     segments_in: u64,
     payload_dma_bytes: u64,
     dropped_unknown: u64,
@@ -95,7 +96,7 @@ impl RxParser {
             listening: FlowSet::with_capacity(0),
             input: Fifo::new(Self::INPUT_FIFO_DEPTH),
             parallelism,
-            net_cycle_credit: 0,
+            net_cycles: NetCycleCredit::default(),
             segments_in: 0,
             payload_dma_bytes: 0,
             dropped_unknown: 0,
@@ -167,13 +168,12 @@ impl RxParser {
     }
 
     /// Fast-forward catch-up for `n` idle cycles. With an empty input
-    /// each tick is `credit += 1288; credit %= 1000` (the extracted
-    /// budget goes unused), so `n` ticks fold to one modular step.
+    /// each tick only advances the network-cycle credit (the earned
+    /// budget goes unused), so `n` ticks fold to one
+    /// [`NetCycleCredit::skip`].
     pub fn skip_idle_cycles(&mut self, n: u64) {
         debug_assert!(self.input.is_empty(), "rx-parser fast-forward with queued segments");
-        self.net_cycle_credit = ((u128::from(self.net_cycle_credit)
-            + u128::from(NET_PER_ENGINE_MILLI) * u128::from(n))
-            % 1000) as u64;
+        self.net_cycles.skip(n);
     }
 
     /// Parses one segment into an event (the per-packet work).
@@ -317,9 +317,7 @@ impl RxParser {
     /// (`cuckoo_lookup`), and emits `cuckoo_hit` / `cuckoo_miss` and
     /// `seg_accepted` FtJournal events.
     pub fn tick_probed(&mut self, now_ns: u64, cycle: u64, out: &mut RxOutput, probe: &mut Probe) {
-        self.net_cycle_credit += NET_PER_ENGINE_MILLI;
-        let mut budget = (self.net_cycle_credit / 1000) * u64::from(self.parallelism);
-        self.net_cycle_credit %= 1000;
+        let mut budget = self.net_cycles.tick() * u64::from(self.parallelism);
         while budget > 0 {
             let Some((seg, arrived_at)) = self.input.pop() else { break };
             self.parse_one(seg, arrived_at, now_ns, cycle, out, probe);

@@ -151,6 +151,47 @@ impl fmt::Display for ClockDomain {
     }
 }
 
+/// The 250 → 322 MHz crossing of the Ethernet-facing modules (RX parser,
+/// packet generator): every engine-core cycle earns
+/// `ENGINE_NET / ENGINE_CORE` network cycles, the fraction carried
+/// exactly from one cycle to the next.
+///
+/// # Examples
+///
+/// ```
+/// use f4t_sim::NetCycleCredit;
+/// let mut net = NetCycleCredit::default();
+/// let earned: u64 = (0..1_000).map(|_| net.tick()).sum();
+/// assert_eq!(earned, 1_288); // 322 / 250 network cycles per core cycle
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NetCycleCredit {
+    /// Network cycles earned but not yet whole, in units of `1 / DEN`.
+    credit: u64,
+}
+
+impl NetCycleCredit {
+    const NUM: u64 = ClockDomain::ENGINE_NET.freq_hz;
+    const DEN: u64 = ClockDomain::ENGINE_CORE.freq_hz;
+
+    /// Advances one engine-core cycle; returns the whole network cycles
+    /// it completes (1 or 2).
+    #[inline]
+    pub fn tick(&mut self) -> u64 {
+        self.credit += Self::NUM;
+        let whole = self.credit / Self::DEN;
+        self.credit %= Self::DEN;
+        whole
+    }
+
+    /// `n` engine-core cycles whose network cycles go unused, folded into
+    /// one modular step (the fast-forward catch-up of an idle module).
+    pub fn skip(&mut self, n: u64) {
+        let credit = u128::from(self.credit) + u128::from(Self::NUM) * u128::from(n);
+        self.credit = (credit % u128::from(Self::DEN)) as u64;
+    }
+}
+
 /// A byte budget that accrues fractionally per cycle, used to model fixed
 /// bandwidth resources (Ethernet link serialization, DRAM, PCIe) without
 /// floating point in the per-cycle hot loop.
@@ -301,6 +342,23 @@ pub fn odd_cycles_in(start: u64, n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The crossing earns exactly what the per-mille credit it replaced
+    /// (`credit += 1288; whole = credit / 1000; credit %= 1000`) earned,
+    /// tick by tick and across a skipped idle window.
+    #[test]
+    fn net_credit_matches_the_per_mille_crossing() {
+        let (mut net, mut milli) = (NetCycleCredit::default(), 0u64);
+        for i in 0..5_000u64 {
+            if i % 700 == 3 {
+                net.skip(i);
+                milli = (milli + 1288 * i) % 1000;
+            }
+            milli += 1288;
+            assert_eq!(net.tick(), milli / 1000, "cycle {i}");
+            milli %= 1000;
+        }
+    }
 
     #[test]
     fn cycle_arithmetic() {

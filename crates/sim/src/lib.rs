@@ -79,7 +79,7 @@ pub mod telemetry;
 pub mod watchdog;
 
 pub use check::{InvariantChecker, PortTracker, Violation, ViolationKind};
-pub use clock::{Cycle, ClockDomain};
+pub use clock::{ClockDomain, Cycle, NetCycleCredit};
 pub use des::EventQueue;
 pub use fifo::Fifo;
 pub use flight::{FlightRecorder, FlightStage};

@@ -8,8 +8,8 @@ use f4t_host::{
 use f4t_sim::{FlowSlab, Histogram};
 use f4t_tcp::{FlowId, FourTuple, SeqNum};
 use f4t_workloads::{
-    BulkReceiver, BulkSender, ChurnClient, ChurnServer, IncastSender, RequestClient,
-    RequestServer, SinkServer, SlowlorisClient,
+    BulkReceiver, BulkSender, ChurnClient, IncastSender, RequestClient, RequestServer, SinkServer,
+    CHURN_APP_CYCLES,
 };
 use std::collections::VecDeque;
 
@@ -19,7 +19,7 @@ pub enum Driver {
     /// No application (core services completions only).
     Idle,
     /// iperf-style sender rotating over its flows (bulk: one flow;
-    /// round-robin: several).
+    /// round-robin: several; slowloris: many, with a gap between sends).
     BulkSender(BulkSender),
     /// Bulk receiving side (drains data, opens the window).
     BulkReceiver(BulkReceiver),
@@ -39,7 +39,9 @@ pub enum Driver {
     },
     /// Synchronized N-to-1 incast sender (FtStorm).
     Incast(IncastSender),
-    /// Fan-in receiver draining whatever is readable (FtStorm).
+    /// Receiver draining whatever is readable and answering a peer's FIN
+    /// (FtStorm incast, slowloris and churnstorm servers). Accepted
+    /// connections join the rotation.
     Sink {
         /// The driver.
         server: SinkServer,
@@ -54,15 +56,6 @@ pub enum Driver {
         /// Live flow rotation (node-maintained).
         flows: Rotation,
     },
-    /// Accept/drain/passive-close server for churning peers.
-    ChurnServer {
-        /// The driver.
-        server: ChurnServer,
-        /// Live flow rotation (node-maintained).
-        flows: Rotation,
-    },
-    /// Near-idle residency stressor dripping bytes at a long interval.
-    Slowloris(SlowlorisClient),
 }
 
 impl Driver {
@@ -71,17 +64,19 @@ impl Driver {
     fn costs(&self) -> Option<(u64, u64, u64)> {
         Some(match self {
             Driver::Idle => return None,
-            Driver::BulkSender(_)
-            | Driver::BulkReceiver(_)
-            | Driver::Incast(_)
-            | Driver::Sink { .. }
-            | Driver::Slowloris(_) => (0, 0, LIB_CMD_CYCLES),
+            Driver::BulkSender(_) | Driver::BulkReceiver(_) | Driver::Incast(_) => {
+                (0, 0, LIB_CMD_CYCLES)
+            }
             Driver::RequestClient { client, .. } => (client.app_cycles(), 0, 2 * LIB_CMD_CYCLES),
             Driver::RequestServer { server, .. } => {
                 let (app, kernel) = server.cycles();
                 (app, kernel, 2 * LIB_CMD_CYCLES)
             }
-            Driver::ChurnClient { .. } | Driver::ChurnServer { .. } => (100, 0, 2 * LIB_CMD_CYCLES),
+            Driver::Sink { server, .. } => {
+                let (app, lib) = server.cycles();
+                (app, 0, lib)
+            }
+            Driver::ChurnClient { .. } => (CHURN_APP_CYCLES, 0, 2 * LIB_CMD_CYCLES),
         })
     }
 
@@ -95,7 +90,6 @@ impl Driver {
                 | Driver::RequestServer { .. }
                 | Driver::Sink { .. }
                 | Driver::ChurnClient { .. }
-                | Driver::ChurnServer { .. }
         )
     }
 
@@ -105,10 +99,9 @@ impl Driver {
     fn step(&mut self, lib: &mut F4tLib, ready: Option<FlowId>, now_ns: u64) -> bool {
         match self {
             Driver::Idle => false,
-            Driver::BulkSender(s) => s.step(lib),
+            Driver::BulkSender(s) => s.step(lib, now_ns),
             Driver::BulkReceiver(r) => r.step(lib) > 0,
             Driver::Incast(s) => s.step(lib, now_ns),
-            Driver::Slowloris(s) => s.step(lib, now_ns),
             Driver::RequestClient { client, flows } => {
                 flows.pick(ready).is_some_and(|f| client.step_flow(f, lib, now_ns))
             }
@@ -121,9 +114,6 @@ impl Driver {
             Driver::ChurnClient { client, flows } => {
                 flows.pick(ready).is_some_and(|f| client.step_flow(f, lib))
             }
-            Driver::ChurnServer { server, flows } => {
-                flows.pick(ready).is_some_and(|f| server.step_flow(f, lib))
-            }
         }
     }
 
@@ -134,10 +124,9 @@ impl Driver {
             Driver::RequestClient { client, .. } => client.completed(),
             Driver::RequestServer { server, .. } => server.served(),
             Driver::Incast(s) => s.requests(),
-            Driver::Slowloris(s) => s.requests(),
+            Driver::Sink { server, .. } => server.served(),
             Driver::ChurnClient { client, .. } => client.completed(),
-            Driver::ChurnServer { server, .. } => server.served(),
-            Driver::Idle | Driver::BulkReceiver(_) | Driver::Sink { .. } => 0,
+            Driver::Idle | Driver::BulkReceiver(_) => 0,
         }
     }
 
@@ -146,7 +135,6 @@ impl Driver {
         match self {
             Driver::BulkReceiver(r) => r.consumed(),
             Driver::Sink { server, .. } => server.consumed(),
-            Driver::ChurnServer { server, .. } => server.consumed(),
             _ => 0,
         }
     }
@@ -155,7 +143,6 @@ impl Driver {
     fn live(&self) -> usize {
         match self {
             Driver::ChurnClient { client, .. } => client.live(),
-            Driver::ChurnServer { server, .. } => server.live(),
             _ => 0,
         }
     }
@@ -174,6 +161,37 @@ impl Driver {
             Driver::RequestClient { client, .. } => client.earliest_deadline(),
             _ => None,
         }
+    }
+
+    /// The node actively opened `flow` on this core.
+    fn on_open(&mut self, flow: FlowId) {
+        if let Driver::ChurnClient { client, flows } = self {
+            client.on_open(flow);
+            flows.push(flow);
+        }
+    }
+
+    /// The engine accepted `flow` and the node assigned it to this core.
+    fn on_accept(&mut self, flow: FlowId) {
+        if let Driver::Sink { flows, .. } = self {
+            flows.push(flow);
+        }
+    }
+
+    /// The engine tore `flow` down. Returns whether the driver tracked
+    /// the flow, in which case the node forgets it at once (eager
+    /// teardown, so its id can be reissued); an untracked flow's
+    /// `Closed` completion is delivered like any other.
+    fn on_closed(&mut self, flow: FlowId) -> bool {
+        let (tracked, flows) = match self {
+            Driver::ChurnClient { client, flows } => (client.on_closed(flow), flows),
+            Driver::Sink { server, flows } => (server.on_closed(flow), flows),
+            _ => return false,
+        };
+        if tracked {
+            flows.remove(flow);
+        }
+        tracked
     }
 }
 
@@ -367,10 +385,7 @@ impl Node {
         let connected = c.lib.connect(flow);
         debug_assert!(connected.is_ok(), "ring fullness checked above");
         self.routes.insert(flow.0, FlowRoute { core, last_req: Some(isn) });
-        if let Driver::ChurnClient { client, flows } = &mut c.driver {
-            client.on_open(flow);
-            flows.push(flow);
-        }
+        c.driver.on_open(flow);
         Some(flow)
     }
 
@@ -409,7 +424,7 @@ impl Node {
     }
 
     /// Connections currently somewhere in their lifecycle across all
-    /// churn drivers (0 when every opened flow has fully closed).
+    /// churn clients (0 when every opened flow has fully closed).
     pub fn churn_live(&self) -> usize {
         self.cores.iter().map(|c| c.driver.live()).sum()
     }
@@ -521,28 +536,12 @@ impl Node {
                         self.cores[core].lib.register_accepted(flow, t.snd_nxt, t.rcv_nxt);
                         self.route_mut(flow).last_req = Some(t.snd_nxt);
                     }
-                    if let Driver::ChurnServer { server, flows } = &mut self.cores[core].driver {
-                        server.on_accept(flow);
-                        flows.push(flow);
-                    }
+                    self.cores[core].driver.on_accept(flow);
                     self.completion_backlog.push_back((core, Completion::Accepted { flow }));
                 }
                 HostNotification::Closed { flow } => {
                     let core = self.core_of(flow);
-                    let churned = match &mut self.cores[core].driver {
-                        Driver::ChurnClient { client, flows } => {
-                            client.on_closed(flow);
-                            flows.remove(flow);
-                            true
-                        }
-                        Driver::ChurnServer { server, flows } => {
-                            server.on_closed(flow);
-                            flows.remove(flow);
-                            true
-                        }
-                        _ => false,
-                    };
-                    if churned {
+                    if self.cores[core].driver.on_closed(flow) {
                         // Eager teardown: forget the flow everywhere and
                         // drop its still-undelivered completions, so the
                         // id can be reissued without aliasing state.
@@ -683,7 +682,7 @@ mod tests {
     fn command_dma_reaches_engine() {
         let mut node = Node::new(1, EngineConfig::single_fpc());
         let flow = node.add_established_flow(tuple(0), SeqNum(0), 0).unwrap();
-        node.set_driver(0, Driver::BulkSender(BulkSender::new(vec![flow], 128)));
+        node.set_driver(0, Driver::BulkSender(BulkSender::new(vec![flow], 128, 0)));
         for c in 0..2_000u64 {
             node.tick(c * 4);
         }
@@ -698,7 +697,7 @@ mod tests {
         // should issue tens of requests per microsecond (≈44 Mrps).
         let mut node = Node::new(1, EngineConfig::reference());
         let flow = node.add_established_flow(tuple(0), SeqNum(0), 0).unwrap();
-        node.set_driver(0, Driver::BulkSender(BulkSender::new(vec![flow], 128)));
+        node.set_driver(0, Driver::BulkSender(BulkSender::new(vec![flow], 128, 0)));
         // Drain TX so buffer never fills (ideal peer ACK immediately).
         let mut issued_at_10us = 0;
         for c in 0..25_000u64 {
@@ -738,8 +737,8 @@ mod tests {
         let mut node = Node::new(2, EngineConfig::single_fpc());
         let f0 = node.add_established_flow(tuple(0), SeqNum(0), 0).unwrap();
         let f1 = node.add_established_flow(tuple(1), SeqNum(0), 1).unwrap();
-        node.set_driver(0, Driver::BulkSender(BulkSender::new(vec![f0], 1000)));
-        node.set_driver(1, Driver::BulkSender(BulkSender::new(vec![f1], 1000)));
+        node.set_driver(0, Driver::BulkSender(BulkSender::new(vec![f0], 1000, 0)));
+        node.set_driver(1, Driver::BulkSender(BulkSender::new(vec![f1], 1000, 0)));
         for c in 0..4_000u64 {
             node.tick(c * 4);
             while let Some(seg) = node.engine.pop_tx() {

@@ -3,8 +3,8 @@
 use crate::link::DuplexLink;
 use crate::metrics::Metrics;
 use crate::node::{Driver, Node, Rotation};
-use f4t_core::EngineConfig;
-use f4t_host::{CpuAccounting, F4tLib};
+use f4t_core::{EngineConfig, CYCLE_NS};
+use f4t_host::{CpuAccounting, F4tLib, LIB_CMD_CYCLES};
 use f4t_sim::{Histogram, MetricsRegistry};
 use f4t_tcp::{FlowId, FourTuple, SeqNum};
 use f4t_netsim::Impairments;
@@ -12,13 +12,10 @@ use f4t_workloads::http::{
     NGINX_APP_CYCLES, NGINX_RESPONSE_BYTES, NGINX_VFS_CYCLES, WRK_APP_CYCLES, WRK_REQUEST_BYTES,
 };
 use f4t_workloads::{
-    BulkReceiver, BulkSender, ChurnClient, ChurnServer, IncastSender, RequestClient,
-    RequestServer, SinkServer, SlowlorisClient, CHURN_REQUEST_BYTES, ECHO_APP_CYCLES,
+    BulkReceiver, BulkSender, ChurnClient, IncastSender, RequestClient, RequestServer, SinkServer,
+    CHURN_APP_CYCLES, CHURN_REQUEST_BYTES, ECHO_APP_CYCLES,
 };
 use std::net::Ipv4Addr;
-
-/// Engine-core period in nanoseconds.
-pub(crate) const CYCLE_NS: u64 = 4;
 
 /// Sustains a target population of short-lived connections: every tick
 /// it tops the client node back up to `target_live` in-flight lifecycles
@@ -264,7 +261,7 @@ impl F4tSystem {
         let (a, b) =
             sys.open_spread(cores * flows_per_core, |i| (i / flows_per_core, i / flows_per_core));
         for (core, (fa, fb)) in a.into_iter().zip(b).enumerate() {
-            sys.a.set_driver(core, Driver::BulkSender(BulkSender::new(fa, request_bytes)));
+            sys.a.set_driver(core, Driver::BulkSender(BulkSender::new(fa, request_bytes, 0)));
             sys.b.set_driver(core, Driver::BulkReceiver(BulkReceiver::new(fb)));
         }
         sys
@@ -359,8 +356,8 @@ impl F4tSystem {
         for (core, fa) in a.into_iter().enumerate() {
             sys.a.set_driver(core, Driver::Incast(IncastSender::new(fa, burst_bytes, epoch_ns)));
         }
-        let flows = Rotation::new(b.remove(0));
-        sys.b.set_driver(0, Driver::Sink { server: SinkServer::new(), flows });
+        let (server, flows) = (SinkServer::new(0, LIB_CMD_CYCLES), Rotation::new(b.remove(0)));
+        sys.b.set_driver(0, Driver::Sink { server, flows });
         sys
     }
 
@@ -376,8 +373,8 @@ impl F4tSystem {
         for core in 0..cores {
             let client = ChurnClient::new(CHURN_REQUEST_BYTES);
             sys.a.set_driver(core, Driver::ChurnClient { client, flows: Rotation::default() });
-            let server = ChurnServer::new();
-            sys.b.set_driver(core, Driver::ChurnServer { server, flows: Rotation::default() });
+            let server = SinkServer::new(CHURN_APP_CYCLES, 2 * LIB_CMD_CYCLES);
+            sys.b.set_driver(core, Driver::Sink { server, flows: Rotation::default() });
         }
         sys.churn = Some(ChurnManager {
             target_live,
@@ -403,10 +400,10 @@ impl F4tSystem {
         let mut sys = F4tSystem::new(Node::new(cores, engine.clone()), Node::new(cores, engine));
         let (a, b) = sys.open_spread(total_flows, |i| (i % cores, i % cores));
         for (core, (fa, fb)) in a.into_iter().zip(b).enumerate() {
-            let client = SlowlorisClient::new(fa, drip_bytes, interval_ns);
-            sys.a.set_driver(core, Driver::Slowloris(client));
-            let flows = Rotation::new(fb);
-            sys.b.set_driver(core, Driver::Sink { server: SinkServer::new(), flows });
+            let client = BulkSender::new(fa, drip_bytes, interval_ns.max(1));
+            sys.a.set_driver(core, Driver::BulkSender(client));
+            let (server, flows) = (SinkServer::new(0, LIB_CMD_CYCLES), Rotation::new(fb));
+            sys.b.set_driver(core, Driver::Sink { server, flows });
         }
         sys
     }

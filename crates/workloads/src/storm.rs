@@ -1,28 +1,28 @@
 //! FtStorm hostile-scenario drivers (DESIGN.md §14).
 //!
-//! Four traffic shapes that stress exactly the control paths bulk/echo
-//! workloads never touch:
+//! Three traffic shapes that stress exactly the control paths bulk/echo
+//! workloads never touch, and the one receiver they share:
 //!
 //! * [`IncastSender`] — N-to-1 fan-in with synchronized request release:
 //!   every epoch boundary all senders fire one burst at the same
 //!   receiver, recreating the classic partition-aggregate incast that
 //!   fills the bottleneck queue in one RTT.
-//! * [`SinkServer`] — the fan-in receiver: drains whatever is readable,
-//!   opening the window as fast as the core allows.
-//! * [`ChurnClient`] / [`ChurnServer`] — sustained connect/close
-//!   cycling: each client connection sends one small request and
-//!   actively closes; the server drains and passively closes on FIN.
-//!   Exercises handshake, teardown, flow-id reuse and LUT recycling at
-//!   steady state.
-//! * [`SlowlorisClient`] — thousands of near-idle connections dripping
-//!   a few bytes at a long interval, holding TCB and LUT residency with
-//!   almost no data-path load.
+//! * [`ChurnClient`] — sustained connect/close cycling: each connection
+//!   sends one small request and actively closes. Exercises handshake,
+//!   teardown, flow-id reuse and LUT recycling at steady state.
+//! * Slowloris — thousands of near-idle connections dripping a few bytes
+//!   at a long interval, holding TCB and LUT residency with almost no
+//!   data-path load. It is a [`crate::BulkSender`] with a minimum gap
+//!   between sends.
+//! * [`SinkServer`] — the receiver of all three: drains whatever is
+//!   readable, opening the window as fast as the core allows, and answers
+//!   a peer's FIN with one passive close (only churn clients send one).
 //!
 //! Like every other driver, these are pure bookkeeping over F4T library
 //! pointers; cycle costs stay with the per-core loop in `f4t-system`.
 
 use f4t_host::{F4tLib, SendError};
-use f4t_sim::FlowSlab;
+use f4t_sim::{FlowSet, FlowSlab};
 use f4t_tcp::FlowId;
 
 /// Default incast burst payload per sender per epoch.
@@ -31,6 +31,8 @@ pub const INCAST_BURST_BYTES: u32 = 2_048;
 pub const INCAST_EPOCH_NS: u64 = 100_000;
 /// Request each churn connection sends before closing.
 pub const CHURN_REQUEST_BYTES: u32 = 256;
+/// Application cycles per churn client or server step.
+pub const CHURN_APP_CYCLES: u64 = 100;
 /// Bytes a slowloris connection drips per interval.
 pub const SLOWLORIS_DRIP_BYTES: u32 = 8;
 
@@ -105,33 +107,66 @@ impl IncastSender {
     }
 }
 
-/// The fan-in receiver: drains readable bytes, opening the window.
-#[derive(Debug, Default)]
+/// The FtStorm receiver: drains a flow's readable bytes, opening the
+/// window, and answers the peer's FIN with one passive close per
+/// connection. The incast and slowloris peers never close, so there it
+/// is a pure drain; churnstorm's server serves one connection lifecycle
+/// per accepted flow.
+#[derive(Debug)]
 pub struct SinkServer {
+    app_cycles: u64,
+    lib_cycles: u64,
+    /// Connections whose FIN was answered with a close.
+    closing: FlowSet,
     consumed: u64,
+    served: u64,
 }
 
 impl SinkServer {
-    /// Creates a sink.
-    pub fn new() -> SinkServer {
-        SinkServer::default()
+    /// Creates a sink paying `app_cycles` application and `lib_cycles`
+    /// library time per step that did work.
+    pub fn new(app_cycles: u64, lib_cycles: u64) -> SinkServer {
+        SinkServer { app_cycles, lib_cycles, closing: FlowSet::default(), consumed: 0, served: 0 }
     }
 
-    /// Drains one flow's readable bytes; `true` when bytes were taken.
+    /// Drains one flow's readable bytes and answers its FIN; `true` when
+    /// bytes were taken or the close was issued.
     pub fn step_flow(&mut self, flow: FlowId, lib: &mut F4tLib) -> bool {
-        let Some(sock) = lib.socket(flow) else { return false };
-        let readable = sock.readable();
-        if readable == 0 {
-            return false;
+        let Some(sock) = lib.socket(flow).copied() else { return false };
+        let mut did_work = false;
+        if sock.readable() > 0 {
+            let took = lib.recv(flow, sock.readable());
+            self.consumed += u64::from(took);
+            did_work = took > 0;
         }
-        let took = lib.recv(flow, readable);
-        self.consumed += u64::from(took);
-        took > 0
+        if sock.eof && !self.closing.contains(flow.0) && lib.close(flow).is_ok() {
+            self.closing.insert(flow.0);
+            did_work = true;
+        }
+        did_work
+    }
+
+    /// The engine tore `flow` down: a connection whose FIN this sink
+    /// answered is served. Returns whether the sink tracked the flow.
+    pub fn on_closed(&mut self, flow: FlowId) -> bool {
+        let answered = self.closing.remove(flow.0);
+        self.served += u64::from(answered);
+        answered
+    }
+
+    /// Connections served (FIN answered, then torn down).
+    pub fn served(&self) -> u64 {
+        self.served
     }
 
     /// Total bytes consumed.
     pub fn consumed(&self) -> u64 {
         self.consumed
+    }
+
+    /// `(application, library)` cycles per step that did work.
+    pub fn cycles(&self) -> (u64, u64) {
+        (self.app_cycles, self.lib_cycles)
     }
 }
 
@@ -171,11 +206,12 @@ impl ChurnClient {
         self.opened += 1;
     }
 
-    /// The engine tore `flow` down; its lifecycle is complete.
-    pub fn on_closed(&mut self, flow: FlowId) {
-        if self.states.remove(flow.0).is_some() {
-            self.completed += 1;
-        }
+    /// The engine tore `flow` down; its lifecycle is complete. Returns
+    /// whether the client tracked the flow.
+    pub fn on_closed(&mut self, flow: FlowId) -> bool {
+        let tracked = self.states.remove(flow.0).is_some();
+        self.completed += u64::from(tracked);
+        tracked
     }
 
     /// Advances one connection. Returns `true` when a command was issued.
@@ -222,127 +258,11 @@ impl ChurnClient {
     }
 }
 
-/// Per-connection server bookkeeping.
-#[derive(Debug, Clone, Copy)]
-struct ChurnServerConn {
-    close_sent: bool,
-}
-
-/// Accept → drain → passive-close on FIN. Membership is dynamic, driven
-/// by [`Self::on_accept`] / [`Self::on_closed`] from the node.
-#[derive(Debug, Default)]
-pub struct ChurnServer {
-    conns: FlowSlab<ChurnServerConn>,
-    consumed: u64,
-    served: u64,
-}
-
-impl ChurnServer {
-    /// Creates a server.
-    pub fn new() -> ChurnServer {
-        ChurnServer::default()
-    }
-
-    /// The engine accepted a new connection on this core.
-    pub fn on_accept(&mut self, flow: FlowId) {
-        self.conns.insert(flow.0, ChurnServerConn { close_sent: false });
-    }
-
-    /// The engine tore `flow` down.
-    pub fn on_closed(&mut self, flow: FlowId) {
-        if self.conns.remove(flow.0).is_some() {
-            self.served += 1;
-        }
-    }
-
-    /// Drains readable data and answers the peer's FIN with a close.
-    pub fn step_flow(&mut self, flow: FlowId, lib: &mut F4tLib) -> bool {
-        let Some(conn) = self.conns.get_mut(flow.0) else { return false };
-        let Some(sock) = lib.socket(flow).copied() else { return false };
-        let mut did_work = false;
-        if sock.readable() > 0 {
-            let took = lib.recv(flow, sock.readable());
-            self.consumed += u64::from(took);
-            did_work = took > 0;
-        }
-        if sock.eof && !conn.close_sent && lib.close(flow).is_ok() {
-            conn.close_sent = true;
-            did_work = true;
-        }
-        did_work
-    }
-
-    /// Connections fully served (accepted through closed).
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Bytes drained from churning connections.
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-
-    /// Connections currently open.
-    pub fn live(&self) -> usize {
-        self.conns.len()
-    }
-}
-
-/// Thousands of near-idle connections each dripping a few bytes at a
-/// long interval — the residency stressor: every flow stays established
-/// (TCB + LUT entries pinned) while the data path is almost unloaded.
-#[derive(Debug)]
-pub struct SlowlorisClient {
-    flows: Vec<FlowId>,
-    cursor: usize,
-    drip_bytes: u32,
-    interval_ns: u64,
-    next_drip_ns: u64,
-    drips: u64,
-}
-
-impl SlowlorisClient {
-    /// Creates a dripper over established `flows`: one flow sends
-    /// `drip_bytes` every `interval_ns` (cursor rotation, so each flow
-    /// transmits every `flows.len() * interval_ns`).
-    pub fn new(flows: Vec<FlowId>, drip_bytes: u32, interval_ns: u64) -> SlowlorisClient {
-        SlowlorisClient {
-            flows,
-            cursor: 0,
-            drip_bytes,
-            interval_ns: interval_ns.max(1),
-            next_drip_ns: 0,
-            drips: 0,
-        }
-    }
-
-    /// Issues at most one drip. Returns `true` when a send was issued.
-    pub fn step(&mut self, lib: &mut F4tLib, now_ns: u64) -> bool {
-        if self.flows.is_empty() || now_ns < self.next_drip_ns {
-            return false;
-        }
-        let flow = self.flows[self.cursor % self.flows.len()];
-        self.cursor += 1;
-        match lib.send(flow, self.drip_bytes) {
-            Ok(_) => {
-                self.next_drip_ns = now_ns + self.interval_ns;
-                self.drips += 1;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Drip sends issued.
-    pub fn requests(&self) -> u64 {
-        self.drips
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f4t_host::Completion;
+    use crate::BulkSender;
+    use f4t_host::{Completion, LIB_CMD_CYCLES};
     use f4t_tcp::SeqNum;
 
     fn lib_with_flows(n: u32) -> (F4tLib, Vec<FlowId>) {
@@ -388,12 +308,14 @@ mod tests {
     #[test]
     fn sink_drains_readable() {
         let (mut lib, flows) = lib_with_flows(1);
-        let mut sink = SinkServer::new();
+        let mut sink = SinkServer::new(0, LIB_CMD_CYCLES);
         assert!(!sink.step_flow(flows[0], &mut lib), "nothing readable");
         lib.on_completion(Completion::Received { flow: flows[0], upto: SeqNum(900) });
         assert!(sink.step_flow(flows[0], &mut lib));
         assert_eq!(sink.consumed(), 900);
         assert_eq!(lib.socket(flows[0]).unwrap().readable(), 0);
+        assert!(!sink.step_flow(flows[0], &mut lib), "drained, no FIN: nothing to do");
+        assert_eq!(sink.served(), 0);
     }
 
     #[test]
@@ -409,7 +331,7 @@ mod tests {
         assert!(client.step_flow(flow, &mut lib), "request + close issued");
         assert_eq!(lib.socket(flow).unwrap().req, SeqNum(CHURN_REQUEST_BYTES));
         assert!(!client.step_flow(flow, &mut lib), "closing: nothing left");
-        client.on_closed(flow);
+        assert!(client.on_closed(flow), "tracked until torn down");
         assert_eq!(client.completed(), 1);
         assert_eq!(client.live(), 0);
         assert!(!client.step_flow(flow, &mut lib), "forgotten flow is inert");
@@ -419,24 +341,24 @@ mod tests {
     fn churn_server_drains_and_closes_on_fin() {
         let mut lib = F4tLib::new();
         let flow = FlowId(9);
-        let mut server = ChurnServer::new();
+        let mut server = SinkServer::new(CHURN_APP_CYCLES, 2 * LIB_CMD_CYCLES);
         lib.register_accepted(flow, SeqNum(7_000), SeqNum(2_000));
-        server.on_accept(flow);
         lib.on_completion(Completion::Received { flow, upto: SeqNum(2_000 + 256) });
         assert!(server.step_flow(flow, &mut lib));
         assert_eq!(server.consumed(), 256);
         lib.on_completion(Completion::Eof { flow });
         assert!(server.step_flow(flow, &mut lib), "close answers the FIN");
         assert!(!server.step_flow(flow, &mut lib), "close sent only once");
-        server.on_closed(flow);
+        assert!(server.on_closed(flow), "answered connection is tracked");
         assert_eq!(server.served(), 1);
-        assert_eq!(server.live(), 0);
+        assert!(!server.on_closed(flow), "served once");
+        assert_eq!(server.served(), 1);
     }
 
     #[test]
     fn slowloris_paces_drips_across_flows() {
         let (mut lib, flows) = lib_with_flows(3);
-        let mut slow = SlowlorisClient::new(flows.clone(), SLOWLORIS_DRIP_BYTES, 1_000);
+        let mut slow = BulkSender::new(flows.clone(), SLOWLORIS_DRIP_BYTES, 1_000);
         assert!(slow.step(&mut lib, 0));
         assert!(!slow.step(&mut lib, 500), "interval not elapsed");
         assert!(slow.step(&mut lib, 1_000));

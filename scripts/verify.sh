@@ -147,6 +147,33 @@ n=$(grep -c 'next: usize' crates/system/src/node.rs || true)
     exit 1
 }
 
+echo "==> FtStorm-drivers regrowth gate (DESIGN.md section 12.1)"
+# Slowloris is a paced BulkSender and every FtStorm receiver is the one
+# SinkServer; Driver keeps its 8 variants and Node reaches them only
+# through the per-fact matches in impl Driver (Node::new installs Idle).
+if grep -rnwE 'SlowlorisClient|ChurnServer' crates src tests examples; then
+    echo "FAIL: a per-scenario FtStorm driver is back: slowloris is a paced BulkSender and the churn server a SinkServer, DESIGN.md section 12.1" >&2
+    exit 1
+fi
+n=$(sed -n '/^pub enum Driver {$/,/^}$/p' crates/system/src/node.rs | grep -cE '^    [A-Z]' || true)
+[ "$n" -ge 1 ] || {
+    echo "FAIL: pub enum Driver not found in crates/system/src/node.rs: update this gate" >&2
+    exit 1
+}
+[ "$n" -le 8 ] || {
+    echo "FAIL: Driver has $n variants (max 8): a new workload is a new set of parameters, DESIGN.md section 12.1" >&2
+    exit 1
+}
+node=$(sed -n '/^impl Node {$/,/^}$/p' crates/system/src/node.rs)
+[ -n "$node" ] || {
+    echo "FAIL: impl Node not found in crates/system/src/node.rs: update this gate" >&2
+    exit 1
+}
+if printf '%s\n' "$node" | grep -nE 'Driver::[A-Za-z]' | grep -v 'Driver::Idle\b'; then
+    echo "FAIL: impl Node names a driver variant: add the fact as one match in impl Driver, DESIGN.md section 12.1" >&2
+    exit 1
+fi
+
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
