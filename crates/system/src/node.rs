@@ -679,6 +679,14 @@ mod tests {
     }
 
     #[test]
+    fn node_builds_past_the_old_queue_pair_limit() {
+        // The per-thread queue-pair bookkeeping ran out of its 64
+        // hugepages after 4 088 application threads.
+        let node = Node::new(4_089, EngineConfig::single_fpc());
+        assert_eq!(node.core_count(), 4_089);
+    }
+
+    #[test]
     fn command_dma_reaches_engine() {
         let mut node = Node::new(1, EngineConfig::single_fpc());
         let flow = node.add_established_flow(tuple(0), SeqNum(0), 0).unwrap();
