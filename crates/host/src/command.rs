@@ -1,4 +1,4 @@
-//! The software↔hardware command wire format.
+//! The software↔hardware commands.
 //!
 //! "Command queues of depth 1024, each entry holding a 16 B command, are
 //! allocated per thread for the F4T library and FtEngine to send commands
@@ -7,10 +7,14 @@
 //! received data pointers to the software with 16 B commands" (§4.1.1).
 //! §6 additionally evaluates a compacted **8 B** command that relieves
 //! the PCIe bottleneck at extreme request rates.
+//!
+//! The simulator models a command by its meaning and its size: a queue
+//! entry is charged [`Command::WIRE_16`] (or [`Command::WIRE_8`]) bytes on
+//! PCIe, and no byte layout is encoded or decoded.
 
 use f4t_tcp::{FlowId, SeqNum};
 
-/// A software→hardware command (a decoded queue entry).
+/// A software→hardware command (one queue entry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Command {
     /// `connect()`: start the active-open handshake.
@@ -79,37 +83,11 @@ pub enum Completion {
     },
 }
 
-/// Error decoding a command buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodeError(pub &'static str);
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid command encoding: {}", self.0)
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-const OP_CONNECT: u8 = 1;
-const OP_CLOSE: u8 = 2;
-const OP_SEND: u8 = 3;
-const OP_RECV: u8 = 4;
-
 impl Command {
     /// Full-size command entry (the paper's default).
     pub const WIRE_16: usize = 16;
     /// Compacted entry from §6's scaling experiment.
     pub const WIRE_8: usize = 8;
-
-    fn op(self) -> u8 {
-        match self {
-            Command::Connect { .. } => OP_CONNECT,
-            Command::Close { .. } => OP_CLOSE,
-            Command::Send { .. } => OP_SEND,
-            Command::RecvConsumed { .. } => OP_RECV,
-        }
-    }
 
     /// The flow a command addresses.
     pub fn flow(self) -> FlowId {
@@ -118,72 +96,6 @@ impl Command {
             | Command::Close { flow }
             | Command::Send { flow, .. }
             | Command::RecvConsumed { flow, .. } => flow,
-        }
-    }
-
-    fn arg(self) -> u32 {
-        match self {
-            Command::Send { req, .. } => req.0,
-            Command::RecvConsumed { consumed, .. } => consumed.0,
-            _ => 0,
-        }
-    }
-
-    /// Encodes as a 16 B queue entry.
-    pub fn encode16(self) -> [u8; 16] {
-        let mut b = [0u8; 16];
-        b[0] = self.op();
-        b[4..8].copy_from_slice(&self.flow().0.to_le_bytes());
-        b[8..12].copy_from_slice(&self.arg().to_le_bytes());
-        b
-    }
-
-    /// Decodes a 16 B entry.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on an unknown opcode.
-    pub fn decode16(b: &[u8; 16]) -> Result<Command, DecodeError> {
-        let flow = FlowId(u32::from_le_bytes([b[4], b[5], b[6], b[7]]));
-        let arg = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
-        Self::from_parts(b[0], flow, arg)
-    }
-
-    /// Encodes as the compact 8 B entry: 1 B opcode, 3 B flow id, 4 B
-    /// argument. Flow ids must fit 24 bits (16 M flows ≫ the 64 K the
-    /// engine supports).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flow id exceeds 24 bits.
-    pub fn encode8(self) -> [u8; 8] {
-        let flow = self.flow().0;
-        assert!(flow < (1 << 24), "8 B commands carry 24-bit flow ids");
-        let mut b = [0u8; 8];
-        b[0] = self.op();
-        b[1..4].copy_from_slice(&flow.to_le_bytes()[..3]);
-        b[4..8].copy_from_slice(&self.arg().to_le_bytes());
-        b
-    }
-
-    /// Decodes an 8 B entry.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on an unknown opcode.
-    pub fn decode8(b: &[u8; 8]) -> Result<Command, DecodeError> {
-        let flow = FlowId(u32::from_le_bytes([b[1], b[2], b[3], 0]));
-        let arg = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
-        Self::from_parts(b[0], flow, arg)
-    }
-
-    fn from_parts(op: u8, flow: FlowId, arg: u32) -> Result<Command, DecodeError> {
-        match op {
-            OP_CONNECT => Ok(Command::Connect { flow }),
-            OP_CLOSE => Ok(Command::Close { flow }),
-            OP_SEND => Ok(Command::Send { flow, req: SeqNum(arg) }),
-            OP_RECV => Ok(Command::RecvConsumed { flow, consumed: SeqNum(arg) }),
-            _ => Err(DecodeError("unknown opcode")),
         }
     }
 }
@@ -205,79 +117,10 @@ impl Completion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f4t_sim::SimRng;
-
-    fn all_commands(flow: u32, arg: u32) -> [Command; 4] {
-        [
-            Command::Connect { flow: FlowId(flow) },
-            Command::Close { flow: FlowId(flow) },
-            Command::Send { flow: FlowId(flow), req: SeqNum(arg) },
-            Command::RecvConsumed { flow: FlowId(flow), consumed: SeqNum(arg) },
-        ]
-    }
-
-    #[test]
-    fn sixteen_byte_round_trip() {
-        for c in all_commands(65_535, 0xDEADBEEF) {
-            let enc = c.encode16();
-            assert_eq!(Command::decode16(&enc), Ok(c));
-        }
-    }
-
-    #[test]
-    fn eight_byte_round_trip() {
-        for c in all_commands(65_535, 0xDEADBEEF) {
-            let enc = c.encode8();
-            assert_eq!(Command::decode8(&enc), Ok(c));
-        }
-    }
-
-    #[test]
-    fn unknown_opcode_rejected() {
-        let mut b = [0u8; 16];
-        b[0] = 99;
-        assert!(Command::decode16(&b).is_err());
-        let b8 = [99u8, 0, 0, 0, 0, 0, 0, 0];
-        assert!(Command::decode8(&b8).is_err());
-        assert!(DecodeError("x").to_string().contains("invalid"));
-    }
-
-    #[test]
-    #[should_panic(expected = "24-bit")]
-    fn eight_byte_flow_overflow_panics() {
-        Command::Connect { flow: FlowId(1 << 24) }.encode8();
-    }
 
     #[test]
     fn completion_flow_access() {
         assert_eq!(Completion::Eof { flow: FlowId(9) }.flow(), FlowId(9));
         assert_eq!(Completion::Acked { flow: FlowId(3), upto: SeqNum(1) }.flow(), FlowId(3));
-    }
-
-    // Randomized round trips, driven by the deterministic in-tree PRNG
-    // (the build environment has no registry access for proptest).
-
-    #[test]
-    fn round_trip_16() {
-        let mut rng = SimRng::new(0xC16);
-        for _ in 0..4096 {
-            let flow = rng.next_u64() as u32;
-            let arg = rng.next_u64() as u32;
-            let op = rng.next_below(4) as usize;
-            let c = all_commands(flow, arg)[op];
-            assert_eq!(Command::decode16(&c.encode16()), Ok(c));
-        }
-    }
-
-    #[test]
-    fn round_trip_8() {
-        let mut rng = SimRng::new(0xC8);
-        for _ in 0..4096 {
-            let flow = rng.next_below(1 << 24) as u32;
-            let arg = rng.next_u64() as u32;
-            let op = rng.next_below(4) as usize;
-            let c = all_commands(flow, arg)[op];
-            assert_eq!(Command::decode8(&c.encode8()), Ok(c));
-        }
     }
 }

@@ -3,23 +3,22 @@
 //!
 //! The paper's host side (§4.1.1, §4.6) consists of the **F4T library**
 //! (a POSIX-socket shim preloaded into the application, turning socket
-//! calls into plain function calls that write 16 B commands) and the
-//! **F4T runtime** (a userspace driver that maps the PCIe BAR, registers
-//! hugepages and owns the per-thread command queues). This crate models
-//! all of it, plus the host CPU and the Linux kernel TCP stack the paper
+//! calls into plain function calls that write 16 B commands into a
+//! per-thread ring of depth 1024) and the **F4T runtime** (a userspace
+//! driver that maps the PCIe BAR and registers hugepages for those
+//! rings). Of the runtime the simulation keeps what moves bytes: the ring
+//! depth and the PCIe cost of each entry. This crate models the library,
+//! that link, the host CPU and the Linux kernel TCP stack the paper
 //! compares against:
 //!
-//! * [`command`] — the 16 B (and §6's 8 B) command wire format.
-//! * [`queues`] — per-thread command queues of depth 1024 and the
-//!   hardware/software doorbells.
-//! * [`runtime`] — the userspace driver: BAR mapping, IOMMU hugepage
-//!   registration, queue-pair layout.
+//! * [`command`] — commands and completions, and the 16 B (§6's 8 B)
+//!   entry sizes charged on PCIe.
 //! * [`pcie`] — a PCIe Gen3 ×16 byte-budget model (the Fig. 9 / Fig. 16a
 //!   bottleneck).
 //! * [`cpu`] — host-core cycle budgets at 2.3 GHz and the CPU-utilization
 //!   accounting behind Fig. 1 and Fig. 11.
-//! * [`lib_api`] — the F4T library: per-flow socket state, send-buffer
-//!   management, completion processing.
+//! * [`lib_api`] — the F4T library: per-flow socket state, the command
+//!   ring, send-buffer management, completion processing.
 //! * [`linux_model`] — the calibrated Linux kernel TCP stack cost model
 //!   (see DESIGN.md §5 for every anchor point).
 
@@ -28,16 +27,12 @@ pub mod cpu;
 pub mod lib_api;
 pub mod linux_model;
 pub mod pcie;
-pub mod queues;
-pub mod runtime;
 
 pub use command::{Command, Completion};
 pub use cpu::{CoreBudget, CpuAccounting, CpuCategory};
 pub use lib_api::{F4tLib, SendError, SocketState};
 pub use linux_model::LinuxModel;
 pub use pcie::{PcieDir, PcieModel};
-pub use queues::{CommandQueue, Doorbell};
-pub use runtime::{QueuePair, Runtime};
 
 /// Host CPU cycles the F4T library spends to issue one command (function
 /// call + queue write + amortized MMIO doorbell with batching, §4.6).

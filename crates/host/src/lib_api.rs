@@ -8,7 +8,8 @@
 //! such as TCP window pointers, are stored and managed in the software"
 //! (§4.1.1).
 //!
-//! [`F4tLib`] is that metadata plus the command queue: `send()` checks
+//! [`F4tLib`] is that metadata plus the command ring: "command queues of
+//! depth 1024 ... are allocated per thread" (§4.1.1). `send()` checks
 //! send-buffer space against the ACKed pointer and enqueues a 16 B
 //! command carrying the new REQ pointer; completions flow back as pointer
 //! updates. Blocking/non-blocking semantics fall out naturally: when the
@@ -16,8 +17,7 @@
 //! caller retries (or sleeps, §4.6).
 
 use crate::command::{Command, Completion};
-use crate::queues::{CommandQueue, Doorbell};
-use f4t_sim::FlowSlab;
+use f4t_sim::{Fifo, FlowSlab};
 use f4t_tcp::{FlowId, SeqNum, TCP_BUFFER};
 
 /// Why a `send()` could not complete.
@@ -26,7 +26,7 @@ pub enum SendError {
     /// The 512 KB send buffer is full (unACKed data): blocking sockets
     /// wait, non-blocking return EAGAIN (§4.1.1).
     BufferFull,
-    /// The command queue is full (doorbell backpressure).
+    /// The command ring is full (the hardware has not fetched yet).
     QueueFull,
     /// The connection is not established.
     NotConnected,
@@ -97,23 +97,26 @@ pub struct F4tLib {
     /// space: 4 B per foreign id, a full record only per owned socket).
     sockets: FlowSlab<SocketState>,
     /// Software→hardware command ring.
-    pub commands: CommandQueue,
-    /// The MMIO doorbell (batched).
-    pub doorbell: Doorbell,
+    commands: Fifo<Command>,
+    /// Bytes one ring entry occupies on PCIe (16, or 8 when compact).
+    entry_bytes: usize,
     sends: u64,
     completions: u64,
     eagain: u64,
 }
 
 impl F4tLib {
+    /// The paper's command-ring depth.
+    const RING_DEPTH: usize = 1024;
+
     /// Creates a library instance with 16 B commands
     /// ([`switch_to_compact`](Self::switch_to_compact) selects the 8 B
     /// format).
     pub fn new() -> F4tLib {
         F4tLib {
             sockets: FlowSlab::with_capacity(0),
-            commands: CommandQueue::new16(),
-            doorbell: Doorbell::new(),
+            commands: Fifo::new(Self::RING_DEPTH),
+            entry_bytes: Command::WIRE_16,
             sends: 0,
             completions: 0,
             eagain: 0,
@@ -129,7 +132,7 @@ impl F4tLib {
     /// Panics if commands are queued.
     pub fn switch_to_compact(&mut self) {
         assert!(self.commands.is_empty(), "drain the command ring first");
-        self.commands = CommandQueue::new8();
+        self.entry_bytes = Command::WIRE_8;
     }
 
     /// Registers a socket (post-`socket()`/`accept()`); `connected` is
@@ -153,11 +156,7 @@ impl F4tLib {
         if !self.sockets.contains(flow.0) {
             return Err(SendError::UnknownFlow);
         }
-        if !self.commands.push(Command::Connect { flow }) {
-            return Err(SendError::QueueFull);
-        }
-        self.doorbell.ring(1);
-        Ok(())
+        self.commands.push(Command::Connect { flow }).map_err(|_| SendError::QueueFull)
     }
 
     /// `close()`: enqueue the teardown command.
@@ -169,11 +168,7 @@ impl F4tLib {
         if !self.sockets.contains(flow.0) {
             return Err(SendError::UnknownFlow);
         }
-        if !self.commands.push(Command::Close { flow }) {
-            return Err(SendError::QueueFull);
-        }
-        self.doorbell.ring(1);
-        Ok(())
+        self.commands.push(Command::Close { flow }).map_err(|_| SendError::QueueFull)
     }
 
     /// `send(len)`: advance the REQ pointer by `len` bytes and enqueue
@@ -192,13 +187,12 @@ impl F4tLib {
             return Err(SendError::BufferFull);
         }
         let new_req = sock.req.add(len);
-        if !self.commands.push(Command::Send { flow, req: new_req }) {
+        if self.commands.push(Command::Send { flow, req: new_req }).is_err() {
             self.eagain += 1;
             return Err(SendError::QueueFull);
         }
         sock.req = new_req;
         self.sends += 1;
-        self.doorbell.ring(1);
         Ok(new_req)
     }
 
@@ -212,15 +206,14 @@ impl F4tLib {
             return 0;
         }
         let new_consumed = sock.consumed.add(take);
-        if !self.commands.push(Command::RecvConsumed { flow, consumed: new_consumed }) {
+        if self.commands.push(Command::RecvConsumed { flow, consumed: new_consumed }).is_err() {
             return 0; // queue full: the app retries the recv()
         }
         sock.consumed = new_consumed;
-        self.doorbell.ring(1);
         take
     }
 
-    /// Processes one hardware completion (a 16 B command the runtime
+    /// Processes one hardware completion (a 16 B entry the library
     /// polled from the DMA buffer).
     pub fn on_completion(&mut self, c: Completion) {
         self.completions += 1;
@@ -303,7 +296,7 @@ impl F4tLib {
         }
     }
 
-    /// Peeks the oldest outgoing command (the runtime's DMA view).
+    /// Peeks the oldest outgoing command (the hardware's DMA view).
     pub fn commands_front(&self) -> Option<&Command> {
         self.commands.front()
     }
@@ -313,9 +306,15 @@ impl F4tLib {
         self.commands.pop()
     }
 
+    /// Whether the command ring is full (the next command would be
+    /// refused with [`SendError::QueueFull`]).
+    pub fn commands_full(&self) -> bool {
+        self.commands.is_full()
+    }
+
     /// Bytes one command entry occupies on PCIe (16 or 8).
     pub fn entry_bytes(&self) -> usize {
-        self.commands.entry_bytes()
+        self.entry_bytes
     }
 
     /// `send()` calls completed.
@@ -356,10 +355,38 @@ mod tests {
         let (mut lib, flow) = lib_with_flow();
         let req = lib.send(flow, 300).unwrap();
         assert_eq!(req, SeqNum(1300));
-        let Some(Command::Send { req, .. }) = lib.commands.pop() else { panic!() };
+        let Some(Command::Send { req, .. }) = lib.commands_pop() else { panic!() };
         assert_eq!(req, SeqNum(1300), "absolute pointer, not a length");
         assert_eq!(lib.sends(), 1);
-        assert_eq!(lib.doorbell.published(), 1);
+    }
+
+    #[test]
+    fn queue_depth_is_1024() {
+        let (mut lib, flow) = lib_with_flow();
+        assert_eq!(lib.entry_bytes(), 16);
+        for _ in 0..1024 {
+            lib.send(flow, 1).unwrap();
+        }
+        assert!(lib.commands_full());
+        assert_eq!(lib.send(flow, 1), Err(SendError::QueueFull));
+        assert_eq!(lib.eagain(), 1);
+    }
+
+    #[test]
+    fn fifo_order_preserved() {
+        let mut lib = F4tLib::new();
+        lib.switch_to_compact();
+        assert_eq!(lib.entry_bytes(), 8);
+        for i in 0..10 {
+            lib.register(FlowId(i), SeqNum(i * 100), true);
+            lib.send(FlowId(i), 1).unwrap();
+        }
+        for i in 0..10 {
+            let Some(Command::Send { flow, req }) = lib.commands_pop() else { panic!() };
+            assert_eq!(flow, FlowId(i));
+            assert_eq!(req, SeqNum(i * 100 + 1));
+        }
+        assert!(lib.commands_pop().is_none());
     }
 
     #[test]
@@ -386,7 +413,7 @@ mod tests {
         assert_eq!(lib.socket(flow).unwrap().readable(), 200);
         // Drain the Send-free queue: first command should be the pointer
         // update.
-        let Some(Command::RecvConsumed { consumed, .. }) = lib.commands.pop() else { panic!() };
+        let Some(Command::RecvConsumed { consumed, .. }) = lib.commands_pop() else { panic!() };
         assert_eq!(consumed, SeqNum(1300));
     }
 

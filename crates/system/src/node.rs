@@ -1,9 +1,9 @@
-//! One host node: cores + F4T library + command queues + PCIe + engine.
+//! One host node: cores + F4T library + command rings + PCIe + engine.
 
 use f4t_core::{Engine, EngineConfig, EventKind, FlowEvent, HostNotification};
 use f4t_host::{
     Command, Completion, CoreBudget, CpuAccounting, CpuCategory, F4tLib, PcieDir, PcieModel,
-    Runtime, LIB_CMD_CYCLES, LIB_COMPLETION_CYCLES, LIB_POLL_CYCLES,
+    LIB_CMD_CYCLES, LIB_COMPLETION_CYCLES, LIB_POLL_CYCLES,
 };
 use f4t_sim::{FlowSlab, Histogram};
 use f4t_tcp::{FlowId, FourTuple, SeqNum};
@@ -292,21 +292,12 @@ pub struct Node {
     /// when a completion arrives — "F4T software does not consume CPU
     /// cycles when there are no requests".
     sleep_after_poll: bool,
-    /// The userspace driver: BAR + hugepage + queue-pair bookkeeping
-    /// (§4.1.1). One queue pair per core, created at node setup.
-    runtime: Runtime,
 }
 
 impl Node {
     /// Creates a node with `cores` application threads, each with its own
-    /// queue pair registered through the runtime.
+    /// command ring.
     pub fn new(cores: usize, engine: EngineConfig) -> Node {
-        let mut runtime = Runtime::open_default();
-        for _ in 0..cores {
-            runtime
-                .create_queue_pair(64)
-                .expect("BAR/hugepage capacity for all application threads");
-        }
         Node {
             engine: Engine::new(engine),
             pcie: PcieModel::gen3x16(),
@@ -329,13 +320,7 @@ impl Node {
             accept_rr: 0,
             dma_rr: 0,
             sleep_after_poll: false,
-            runtime,
         }
-    }
-
-    /// The runtime's view of this node's queue pairs (diagnostics).
-    pub fn runtime(&self) -> &Runtime {
-        &self.runtime
     }
 
     /// Enables/disables the §4.6 sleep-after-poll policy on all cores.
@@ -375,7 +360,7 @@ impl Node {
     /// flow limit or the core's command ring is full (the churn manager
     /// retries next tick).
     pub fn open_active_flow(&mut self, tuple: FourTuple, core: usize) -> Option<FlowId> {
-        if self.cores[core].lib.commands.is_full() {
+        if self.cores[core].lib.commands_full() {
             return None;
         }
         let flow = self.engine.open_active(tuple)?;
@@ -392,11 +377,6 @@ impl Node {
     /// Installs a driver on a core.
     pub fn set_driver(&mut self, core: usize, driver: Driver) {
         self.cores[core].driver = driver;
-    }
-
-    /// Per-core utilization accounting.
-    pub fn accounting(&self, core: usize) -> &CpuAccounting {
-        &self.cores[core].acct
     }
 
     /// Merged utilization across cores.
