@@ -1,4 +1,4 @@
-//! Hardware clock domains and discrete cycle time.
+//! Hardware clock domains.
 //!
 //! FtEngine runs most modules at 250 MHz, the Ethernet-facing modules at
 //! 322 MHz, and the host CPU at 2.3 GHz (the paper's Xeon Gold 5118).
@@ -7,61 +7,6 @@
 //! hot loop: conversions are only performed when reporting.
 
 use std::fmt;
-
-/// A count of clock cycles in some [`ClockDomain`].
-///
-/// This is a plain newtype over `u64`; arithmetic that makes sense on cycle
-/// counts (addition of durations, saturating subtraction) is provided
-/// explicitly rather than via blanket operator overloads so mixed-domain
-/// bugs stay visible at call sites.
-///
-/// # Examples
-///
-/// ```
-/// use f4t_sim::Cycle;
-/// let start = Cycle(100);
-/// let end = start.add(28);
-/// assert_eq!(end.since(start), 28);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Cycle(pub u64);
-
-impl Cycle {
-    /// The zero cycle (reset time).
-    pub const ZERO: Cycle = Cycle(0);
-
-    /// Returns this cycle advanced by `n` cycles.
-    ///
-    /// Cycle counts in multi-billion-cycle runs must never silently wrap:
-    /// overflow is a debug assertion, and release builds saturate at
-    /// `u64::MAX` (≈2339 years at 250 MHz) instead of wrapping to zero,
-    /// which would corrupt every `since`-based latency measurement.
-    #[inline]
-    #[allow(clippy::should_implement_trait)] // `Cycle + u64`, not `Cycle + Cycle`
-    pub fn add(self, n: u64) -> Cycle {
-        debug_assert!(
-            self.0.checked_add(n).is_some(),
-            "Cycle overflow: {} + {n} exceeds u64",
-            self.0
-        );
-        Cycle(self.0.saturating_add(n))
-    }
-
-    /// Returns the number of cycles elapsed since `earlier`.
-    ///
-    /// Saturates to zero when `earlier` is in the future, which keeps
-    /// latency accounting robust against re-ordered completions.
-    #[inline]
-    pub fn since(self, earlier: Cycle) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
-}
-
-impl fmt::Display for Cycle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cycle {}", self.0)
-    }
-}
 
 /// A fixed-frequency clock domain.
 ///
@@ -358,24 +303,6 @@ mod tests {
             assert_eq!(net.tick(), milli / 1000, "cycle {i}");
             milli %= 1000;
         }
-    }
-
-    #[test]
-    fn cycle_arithmetic() {
-        let c = Cycle(10);
-        assert_eq!(c.add(5), Cycle(15));
-        assert_eq!(Cycle(15).since(c), 5);
-        assert_eq!(c.since(Cycle(15)), 0, "saturating");
-        assert_eq!(Cycle::ZERO.0, 0);
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "Cycle overflow"))]
-    fn cycle_add_never_wraps() {
-        // Debug builds assert on overflow; release builds saturate rather
-        // than wrapping back past zero.
-        let c = Cycle(u64::MAX - 1).add(10);
-        assert_eq!(c, Cycle(u64::MAX));
     }
 
     #[test]

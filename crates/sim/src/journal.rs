@@ -36,7 +36,6 @@
 
 use crate::digest::{fnv1a, FNV_OFFSET};
 use crate::ring::Ring;
-use crate::stats::Counter;
 use crate::telemetry::MetricsRegistry;
 
 /// Default ring capacity: at 48 B/event this bounds the journal at 3 MB.
@@ -261,7 +260,7 @@ pub struct Journal {
     /// event, including ones the ring has since overwritten.
     digest: u64,
     per_kind: [u64; KIND_COUNT],
-    suppressed: Counter,
+    suppressed: u64,
 }
 
 impl Journal {
@@ -291,7 +290,7 @@ impl Journal {
             ring: Ring::new(cap.max(1)),
             digest: FNV_OFFSET,
             per_kind: [0; KIND_COUNT],
-            suppressed: Counter::new(),
+            suppressed: 0,
         }
     }
 
@@ -319,7 +318,7 @@ impl Journal {
         b: u64,
     ) {
         if !self.sampled(flow) {
-            self.suppressed.incr();
+            self.suppressed += 1;
             return;
         }
         let ev = JournalEvent { cycle, module, kind, flow, a, b };
@@ -335,7 +334,7 @@ impl Journal {
 
     /// Emissions skipped by sampling.
     pub fn events_suppressed(&self) -> u64 {
-        self.suppressed.get()
+        self.suppressed
     }
 
     /// Recorded events the bounded ring has since overwritten.
@@ -373,7 +372,7 @@ impl Journal {
     /// counters plus one counter per event kind.
     pub fn collect(&self, prefix: &str, reg: &mut MetricsRegistry) {
         reg.counter(&format!("{prefix}.events_recorded"), self.events_recorded());
-        reg.counter(&format!("{prefix}.events_suppressed"), self.suppressed.get());
+        reg.counter(&format!("{prefix}.events_suppressed"), self.suppressed);
         reg.counter(&format!("{prefix}.events_overwritten"), self.events_overwritten());
         reg.gauge(&format!("{prefix}.retained"), self.ring.len() as f64);
         for kind in JournalKind::ALL {

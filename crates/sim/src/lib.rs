@@ -4,14 +4,13 @@
 //! This crate provides the small, dependency-free substrate every other
 //! crate in the workspace builds on:
 //!
-//! * [`Cycle`] and [`ClockDomain`] — discrete hardware time and conversion
-//!   between cycles, nanoseconds and rates.
+//! * [`ClockDomain`] — hardware clock domains and conversion between
+//!   cycles, nanoseconds and rates.
 //! * [`Fifo`] — a bounded FIFO with backpressure, modelling on-chip queues.
 //! * [`SimRng`] — a tiny deterministic PRNG (SplitMix64/xorshift) so every
 //!   experiment is reproducible from a seed without external crates in the
 //!   hot path.
-//! * [`Counter`], [`Histogram`] — statistics used by the benchmark
-//!   harnesses (throughput counters, latency percentiles).
+//! * [`Histogram`] — latency percentiles for the benchmark harnesses.
 //! * [`EventQueue`] — a discrete-event scheduler used by the NS3-equivalent
 //!   reference simulator in `f4t-netsim`.
 //! * [`Ring`] — the bounded overwrite-oldest ring every recorder stores
@@ -79,7 +78,7 @@ pub mod telemetry;
 pub mod watchdog;
 
 pub use check::{InvariantChecker, PortTracker, Violation, ViolationKind};
-pub use clock::{ClockDomain, Cycle, NetCycleCredit};
+pub use clock::{ClockDomain, NetCycleCredit};
 pub use des::EventQueue;
 pub use fifo::Fifo;
 pub use flight::{FlightRecorder, FlightStage};
@@ -89,7 +88,7 @@ pub use pulse::{PulseRecorder, PulseSeries};
 pub use ring::Ring;
 pub use rng::SimRng;
 pub use slab::{FlowSet, FlowSlab, SlabQueue};
-pub use stats::{Counter, Histogram};
+pub use stats::Histogram;
 pub use watchdog::{
     Alarm, AlarmKind, FlowObservation, QueueObservation, Watchdog, WatchdogConfig,
 };

@@ -1,51 +1,5 @@
-//! Statistics primitives: counters and a log-linear histogram for latency
-//! percentiles (Fig. 12's median/99th-tail numbers).
-
-use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use f4t_sim::Counter;
-/// let mut c = Counter::default();
-/// c.incr();
-/// c.add(4);
-/// assert_eq!(c.get(), 5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Counter {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Returns the current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
+//! Statistics primitives: a log-linear histogram for latency percentiles
+//! (Fig. 12's median/99th-tail numbers).
 
 const HIST_SUB_BUCKETS: usize = 32;
 
@@ -192,15 +146,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
 
     #[test]
     fn histogram_small_values_exact() {

@@ -38,6 +38,3 @@ pub use storm::{
     ChurnClient, IncastSender, SinkServer, CHURN_APP_CYCLES, CHURN_REQUEST_BYTES,
     INCAST_BURST_BYTES, INCAST_EPOCH_NS, SLOWLORIS_DRIP_BYTES,
 };
-
-/// The default echo/ping-pong message size (§5.3).
-pub const ECHO_MSG_BYTES: u32 = 128;
