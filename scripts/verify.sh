@@ -174,6 +174,16 @@ if printf '%s\n' "$node" | grep -nE 'Driver::[A-Za-z]' | grep -v 'Driver::Idle\b
     exit 1
 fi
 
+echo "==> host-model regrowth gate (DESIGN.md section 6)"
+# f4t-host models what the simulation runs: each thread's library owns a
+# depth-1024 command ring whose entries cost 16 B (8 B compact) on PCIe.
+# The runtime's BAR/hugepage/queue-pair bookkeeping, doorbell counters and
+# a command byte codec had no reader and stay out.
+if grep -rnwE 'Runtime|QueuePair|Iova|Doorbell|CommandQueue|DecodeError|encode16|decode16|encode8|decode8' crates src tests examples; then
+    echo "FAIL: unread host bookkeeping is back: a command is its enum value plus F4tLib::entry_bytes, DESIGN.md section 6" >&2
+    exit 1
+fi
+
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 

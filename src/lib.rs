@@ -15,9 +15,9 @@
 //!   orchestration, and the TX/RX data paths.
 //! * [`baseline`] — the comparison designs (a stalling w-RMW engine and a
 //!   TONIC-like fixed-segment engine).
-//! * [`host`] — the software stack: socket-style F4T library, userspace
-//!   runtime (command queues, doorbells), PCIe model, host-CPU and Linux
-//!   TCP stack cost models.
+//! * [`host`] — the software stack: socket-style F4T library with its
+//!   per-thread command ring, PCIe model, host-CPU and Linux TCP stack
+//!   cost models.
 //! * [`netsim`] — an NS3-equivalent reference network simulator with
 //!   independent congestion-control implementations.
 //! * [`workloads`] — iperf-style bulk, round-robin, echo and HTTP (Nginx +
