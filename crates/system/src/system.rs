@@ -109,6 +109,11 @@ impl F4tSystem {
         self.link.take_pcap()
     }
 
+    /// The link between the two nodes (its per-direction counters).
+    pub fn link(&self) -> &DuplexLink {
+        &self.link
+    }
+
     /// Current simulation time in nanoseconds.
     pub fn now_ns(&self) -> u64 {
         self.cycle * CYCLE_NS
