@@ -21,6 +21,12 @@
 //! instruction stream and produce byte-identical output — the property
 //! `tests/determinism.rs` pins.
 //!
+//! [`Worker`] is the other threading shape: one persistent helper thread
+//! that steps one job at a time beside its caller, for work too short to
+//! pay a thread spawn per call (`F4tSystem`'s node windows, DESIGN.md
+//! §12.4). Jobs move to the thread and back by value, so nothing is
+//! shared while both threads run.
+//!
 //! Rounds are sized in [`RENDEZVOUS_QUANTUM`] cycles so that FtVerify
 //! structural audits (every `AUDIT_INTERVAL` cycles) and watchdog
 //! sweeps land exactly on rendezvous boundaries: each shard observes
@@ -28,8 +34,12 @@
 //! tick-by-tick, fast-forwarded or parallel.
 
 use crate::engine::AUDIT_INTERVAL;
+use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Barrier;
+use std::thread::{self, JoinHandle};
 
 /// Cycles per rendezvous round. Equal to the FtVerify audit interval and
 /// a divisor of every supported watchdog interval, so audit and sweep
@@ -167,6 +177,99 @@ impl<S: Send> ParallelRunner<S> {
     }
 }
 
+/// Polls a side of a [`Worker`] hand-off makes before it parks: about
+/// 34 µs on a 2-vCPU host. A busy hand-off lands well inside it (~0.2 µs);
+/// a wake from park costs ~17 µs, and an unbounded spin would steal the
+/// CPU from every other thread while the caller does something else.
+pub const HANDOFF_SPINS: u32 = 1 << 11;
+
+/// The next value on `rx`: polled [`HANDOFF_SPINS`] times, then waited
+/// for parked. `None` once the sending side is gone.
+fn wait<T>(rx: &Receiver<T>) -> Option<T> {
+    for _ in 0..HANDOFF_SPINS {
+        match rx.try_recv() {
+            Ok(v) => return Some(v),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) => std::hint::spin_loop(),
+        }
+    }
+    rx.recv().ok()
+}
+
+/// A job and how its step ended: `Err` holds a panic's payload.
+type Outcome<J> = (J, thread::Result<()>);
+
+/// One persistent helper thread applying a fixed step to one job at a
+/// time, beside the thread that owns it.
+///
+/// [`start`](Self::start) moves a job to the thread, which steps it at
+/// once; [`finish`](Self::finish) takes it back. A panicking step is
+/// caught on the thread and its payload returned with the job, so the
+/// caller decides when to re-raise it. Dropping the worker closes its
+/// queue and joins the thread.
+///
+/// # Examples
+///
+/// ```
+/// use f4t_core::parallel::Worker;
+///
+/// let mut w = Worker::spawn(|n: &mut u64| *n *= 3).expect("thread");
+/// w.start(7);
+/// let (n, outcome) = w.finish().expect("job back");
+/// assert_eq!(n, 21);
+/// assert!(outcome.is_ok());
+/// ```
+#[derive(Debug)]
+pub struct Worker<J> {
+    jobs: Option<Sender<J>>,
+    done: Receiver<Outcome<J>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl<J: Send + 'static> Worker<J> {
+    /// Spawns the thread; `work` runs on every job it is handed. An error
+    /// is the host refusing the thread, and the caller steps its jobs
+    /// itself.
+    pub fn spawn(work: fn(&mut J)) -> io::Result<Worker<J>> {
+        let (jobs, inbox) = mpsc::channel::<J>();
+        let (outbox, done) = mpsc::channel::<Outcome<J>>();
+        let thread = thread::Builder::new().name("f4t-worker".into()).spawn(move || {
+            while let Some(mut job) = wait(&inbox) {
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| work(&mut job)));
+                if outbox.send((job, outcome)).is_err() {
+                    return;
+                }
+            }
+        })?;
+        Ok(Worker { jobs: Some(jobs), done, thread: Some(thread) })
+    }
+
+    /// Hands `job` to the thread, which starts stepping it at once.
+    pub fn start(&mut self, job: J) {
+        if let Some(jobs) = &self.jobs {
+            // A send fails only if the thread is gone, and then so is the
+            // job: `finish` reports that.
+            let _ = jobs.send(job);
+        }
+    }
+
+    /// Waits for the started job and returns it with its outcome; `None`
+    /// if the thread is gone, and the job with it.
+    pub fn finish(&mut self) -> Option<Outcome<J>> {
+        wait(&self.done)
+    }
+}
+
+impl<J> Drop for Worker<J> {
+    fn drop(&mut self) {
+        // Closing the queue ends the thread's loop once it is idle.
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +327,43 @@ mod tests {
         });
         assert_eq!(rounds, 5);
         assert_eq!(one.shards()[0], (0..=4u64).sum());
+    }
+
+    #[test]
+    fn a_worker_returns_each_job_and_a_caught_panic() {
+        let mut w = Worker::spawn(|n: &mut u64| {
+            assert!(*n != 0, "zero job");
+            *n *= 2;
+        })
+        .expect("thread");
+        for n in [1u64, 0, 3] {
+            w.start(n);
+            let (back, outcome) = w.finish().expect("the job comes back");
+            if n == 0 {
+                let payload = outcome.expect_err("the step panicked");
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&"zero job"));
+                assert_eq!(back, 0);
+            } else {
+                assert!(outcome.is_ok());
+                assert_eq!(back, 2 * n, "the thread outlives a panicking step");
+            }
+        }
+    }
+
+    #[test]
+    fn dropping_a_worker_joins_its_thread() {
+        // A job the thread still holds — mid-step, or back from a caught
+        // panic — is released by the time drop returns.
+        let probe = std::sync::Arc::new(());
+        for panics in [false, true] {
+            let mut w = Worker::spawn(|job: &mut (std::sync::Arc<()>, bool)| {
+                assert!(!job.1, "planted");
+            })
+            .expect("thread");
+            w.start((std::sync::Arc::clone(&probe), panics));
+            drop(w);
+            assert_eq!(std::sync::Arc::strong_count(&probe), 1, "panics={panics}");
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! | `nondeterministic_iter` | every crate | no `for … in` loops over `HashMap`/`HashSet` iterators — declared types flow from struct fields (workspace-wide) and same-file bindings to the loop site; hash order silently breaks the golden-digest contract |
 //! | `panic_reachable` | every crate except `core` | no panic-family expression in any function the call graph reaches from `tick`/`tick_probed`/`ParallelRunner` entry points |
 //! | `float_in_digest` | every crate | no f32/f64 arithmetic reachable from `fold_digests`/FNV/digest/merge entry points — float rounding is order-sensitive and breaks byte-identical artifact merging |
-//! | `shared_mut_across_shards` | every crate | no statics, `Rc`, non-`Sync` interior mutability or `unsafe` referenced from `parallel.rs` worker closures or anything they reach |
+//! | `shared_mut_across_shards` | every crate | no statics, `Rc`, non-`Sync` interior mutability or `unsafe` referenced from `parallel.rs` worker closures, from the steps handed to `Worker::spawn` (the node window, DESIGN.md §12.4) or anything they reach |
 //! | `tick_path_scan` | `core`, `mem`, `host`, `system`, `workloads` | no `.iter().position(` / `.iter().find(` / `.contains(&` / `min_by_key(` and no `HashMap`/`HashSet` field access in functions the call graph reaches from `tick`/`tick_probed` (`Engine::tick`, and `Node::tick` around it): the hardware answers in one cycle and a flow id is an index, so the simulator answers from an index (DESIGN.md §12.1) |
 //! | `metric_name` | every crate | FtScope metric / FtFlight stage / FtJournal event names are dotted `snake_case` and unique per file |
 //! | `metrics_catalog` | every crate | every metric/stage/event literal must match an entry of the generated METRICS.md catalog (placeholders match any run) |
@@ -97,8 +97,8 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "shared_mut_across_shards",
-        "no statics, Rc, non-Sync interior mutability or unsafe referenced from shard-worker \
-         code (parallel.rs closures and everything they reach)",
+        "no statics, Rc, non-Sync interior mutability or unsafe referenced from worker-thread \
+         code (parallel.rs closures, Worker::spawn steps and everything they reach)",
     ),
     (
         "tick_path_scan",
@@ -495,6 +495,24 @@ mod tests {
         assert_eq!(f.len(), 3, "{all:#?}");
         assert!(f.iter().any(|x| x.message.contains("static mut")), "{all:#?}");
         assert!(f.iter().any(|x| x.message.contains("Rc")), "{all:#?}");
+    }
+
+    #[test]
+    fn fixture_node_worker_step_is_a_worker_entry() {
+        let src = fixture("node_worker.rs");
+        let scan = |src: &str| {
+            let all = scan_source("node_worker.rs", "system", src);
+            lines(&of(&all, "shared_mut_across_shards"))
+        };
+        // The static mut, the RefCell and the unsafe block reached from the
+        // step handed to Worker::spawn; lock_step's Rc is exempt.
+        assert_eq!(scan(&src), [7, 18, 20]);
+        // A closure handed to Worker::spawn makes its host the entry.
+        let closure = src.replace("Worker::spawn(window_step)", "Worker::spawn(|w| side(w))");
+        assert_eq!(scan(&closure), [7, 18, 20]);
+        // With no worker, the same code is ordinary single-thread code.
+        let no_worker = src.replace("Worker::spawn(window_step)", "Worker::default()");
+        assert!(scan(&no_worker).is_empty());
     }
 
     #[test]

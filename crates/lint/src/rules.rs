@@ -458,11 +458,50 @@ const SHARED_MUT_PATTERNS: &[(&str, &str)] = &[
     ("UnsafeCell<", "raw interior mutability shared across workers is unchecked"),
 ];
 
+/// The steps persistent `Worker` threads run: every function named as
+/// the argument of a `Worker::spawn(..)` call (`F4tSystem`'s node-window
+/// step), and the function hosting the call when it passes a closure.
+fn worker_steps(files: &[SourceFile], idx: &SymbolIndex) -> Vec<FnId> {
+    const CALL: &str = "Worker::spawn(";
+    let mut names = Vec::new();
+    let mut steps = Vec::new();
+    for (id, f) in idx.fns.iter().enumerate() {
+        let Some((start, end)) = f.body else { continue };
+        if f.is_test {
+            continue;
+        }
+        let code = &files[f.file].code;
+        for line in code.iter().take(end + 1).skip(start) {
+            for (pos, _) in line.match_indices(CALL) {
+                let arg = line[pos + CALL.len()..].trim_start();
+                let path: String = arg
+                    .chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == ':')
+                    .collect();
+                match path.rsplit("::").next() {
+                    Some(name) if !name.is_empty() && name != "move" => {
+                        names.push(name.to_string())
+                    }
+                    _ => steps.push(id),
+                }
+            }
+        }
+    }
+    for (id, f) in idx.fns.iter().enumerate() {
+        if !f.is_test && names.contains(&f.name) {
+            steps.push(id);
+        }
+    }
+    steps
+}
+
 /// `shared_mut_across_shards`: statics, `Rc`, non-`Sync` interior
-/// mutability or `unsafe` referenced from `parallel.rs` worker closures
-/// or anything they reach. The determinism contract (pool-size
-/// invariance, byte-identical digests) holds only if shards never share
-/// mutable state outside the rendezvous barrier.
+/// mutability or `unsafe` referenced from `parallel.rs` worker closures,
+/// from the steps persistent `Worker` threads run, or anything they
+/// reach. The determinism contract (pool-size invariance, byte-identical
+/// digests) holds only if shards never share mutable state outside the
+/// rendezvous barrier, and a node window only if its two sides share
+/// none until the window closes.
 pub fn shared_mut_across_shards(
     ws: &mut Workspace,
     idx: &SymbolIndex,
@@ -479,6 +518,7 @@ pub fn shared_mut_across_shards(
             entries.push(id);
         }
     }
+    entries.extend(worker_steps(&ws.files, idx));
     let pred = graph.reachable_from(&entries);
 
     // (a) module-level statics in any file holding worker-reachable code.

@@ -32,4 +32,4 @@ pub use linux_system::LinuxSystem;
 pub use metrics::Metrics;
 pub use node::{Driver, Node};
 pub use scale::ScaleShard;
-pub use system::F4tSystem;
+pub use system::{F4tSystem, NodeBox};

@@ -13,15 +13,18 @@
 //!
 //! [`DuplexLink::carry`] moves segments between two engines; `F4tSystem`
 //! calls it once per system tick, and [`EnginePair`] drives it between
-//! two bare engines for tests and figure harnesses.
+//! two bare engines for tests and figure harnesses. For a node window
+//! (DESIGN.md §12.4) the link splits into two halves, one per node, for
+//! as many cycles as [`DuplexLink::lookahead_cycles`] allows.
 
-use f4t_core::{Engine, EngineConfig};
+use f4t_core::{Engine, EngineConfig, CYCLE_NS};
 use f4t_netsim::{ImpairState, Impairments};
 use f4t_sim::clock::BytePacer;
 use f4t_sim::ClockDomain;
 use f4t_tcp::pcap::PcapWriter;
 use f4t_tcp::{MacAddr, Segment};
 use std::collections::VecDeque;
+use std::mem;
 
 /// Packet-capture cap: recording stops after this many packets so bulk
 /// runs cannot balloon the in-memory capture (tcpdump `-c` style).
@@ -42,6 +45,8 @@ struct HeldSegment {
 #[derive(Debug)]
 struct LinkDir {
     pacer: BytePacer,
+    /// One-way propagation + MAC delay.
+    delay_ns: u64,
     in_flight: VecDeque<(u64, Segment)>,
     held: Vec<HeldSegment>,
     bytes: u64,
@@ -53,6 +58,95 @@ struct LinkDir {
 }
 
 impl LinkDir {
+    /// An empty direction with `pacer`'s rate and credit.
+    fn new(pacer: BytePacer, delay_ns: u64) -> LinkDir {
+        LinkDir {
+            pacer,
+            delay_ns,
+            in_flight: VecDeque::new(),
+            held: Vec::new(),
+            bytes: 0,
+            segments: 0,
+            impair: None,
+            dropped_loss: 0,
+            duplicated: 0,
+            reordered: 0,
+        }
+    }
+
+    /// How long a reordered segment may be held before the flush
+    /// deadline forces delivery (keeps quiet directions live while
+    /// staying far below the 5 ms RTO floor).
+    fn hold_flush_ns(&self) -> u64 {
+        8 * self.delay_ns.max(1_000)
+    }
+
+    /// Whether a segment of `wire_len` can be serialized right now.
+    fn can_send(&self, wire_len: u32) -> bool {
+        self.pacer.available() >= u64::from(wire_len)
+    }
+
+    /// Sends from `from`'s TX queue until it empties or the direction
+    /// runs out of credit, showing each segment to `tap` as it leaves;
+    /// whether anything was sent.
+    #[inline]
+    fn drain(&mut self, from: &mut Engine, now_ns: u64, mut tap: impl FnMut(&Segment)) -> bool {
+        let mut sent = false;
+        while let Some(seg) = from.peek_tx() {
+            if !self.can_send(seg.wire_len()) {
+                break;
+            }
+            let Some(seg) = from.pop_tx() else { break };
+            tap(&seg);
+            self.send(seg, now_ns);
+            sent = true;
+        }
+        sent
+    }
+
+    /// Sends a segment (the caller checked [`Self::can_send`]).
+    fn send(&mut self, seg: Segment, now_ns: u64) {
+        let flush_ns = self.hold_flush_ns();
+        let consumed = self.pacer.try_consume(u64::from(seg.wire_len()));
+        debug_assert!(consumed, "send without can_send");
+        self.bytes += u64::from(seg.wire_len());
+        self.segments += 1;
+        let arrival = now_ns + self.delay_ns;
+        // Impairments judge data segments only; ACKs pass clean and do
+        // not count toward reorder displacement.
+        if !seg.has_payload() {
+            self.enqueue(arrival, seg);
+            return;
+        }
+        let decision = match self.impair.as_mut() {
+            Some(st) => st.decide(),
+            None => f4t_netsim::ImpairDecision::default(),
+        };
+        if decision.drop {
+            // The wire time was spent; the segment dies on the link.
+            self.dropped_loss += 1;
+            self.pass_held();
+            return;
+        }
+        let arrival = arrival + decision.jitter_ns;
+        if decision.reorder > 0 {
+            self.reordered += 1;
+            self.held.push(HeldSegment {
+                countdown: decision.reorder,
+                deadline_ns: arrival + flush_ns,
+                arrival_ns: arrival,
+                seg,
+            });
+            return;
+        }
+        self.enqueue(arrival, seg);
+        if decision.duplicate {
+            self.duplicated += 1;
+            self.enqueue(arrival, seg);
+        }
+        self.pass_held();
+    }
+
     /// Enqueues a delivery, clamping the arrival so the queue stays
     /// non-decreasing (delivery only ever inspects the front).
     fn enqueue(&mut self, arrival_ns: u64, seg: Segment) {
@@ -97,7 +191,6 @@ impl LinkDir {
 #[derive(Debug)]
 pub struct DuplexLink {
     dirs: [LinkDir; 2],
-    delay_ns: u64,
     /// Optional capture of every sent segment (both directions, capped
     /// at [`PCAP_MAX_PACKETS`]); see [`DuplexLink::enable_pcap`].
     pcap: Option<PcapWriter<Vec<u8>>>,
@@ -128,18 +221,8 @@ impl DuplexLink {
     }
 
     fn with_pacer(pacer: BytePacer, delay_ns: u64) -> DuplexLink {
-        let mk = || LinkDir {
-            pacer: pacer.clone(),
-            in_flight: VecDeque::new(),
-            held: Vec::new(),
-            bytes: 0,
-            segments: 0,
-            impair: None,
-            dropped_loss: 0,
-            duplicated: 0,
-            reordered: 0,
-        };
-        DuplexLink { dirs: [mk(), mk()], delay_ns, pcap: None }
+        let dirs = [LinkDir::new(pacer.clone(), delay_ns), LinkDir::new(pacer, delay_ns)];
+        DuplexLink { dirs, pcap: None }
     }
 
     /// The paper's testbed link.
@@ -154,13 +237,6 @@ impl DuplexLink {
         for (i, d) in self.dirs.iter_mut().enumerate() {
             d.impair = imp.is_active().then(|| ImpairState::new(imp.reseeded(i as u64)));
         }
-    }
-
-    /// How long a reordered segment may be held before the flush
-    /// deadline forces delivery (keeps quiet directions live while
-    /// staying far below the 5 ms RTO floor).
-    fn hold_flush_ns(&self) -> u64 {
-        8 * self.delay_ns.max(1_000)
     }
 
     /// Starts capturing every sent segment (both directions) as a
@@ -199,6 +275,47 @@ impl DuplexLink {
         }
     }
 
+    /// Engine cycles the two ends can run apart — each unable to see what
+    /// the other sends before then — when every segment takes exactly the
+    /// one-way delay: the delay in whole cycles (250 on the 100G link).
+    /// 0 when that does not hold or the ends share state: an ideal link,
+    /// an impairment profile (jitter, holds, duplicates), segments still
+    /// held, or a capture (one stream records both directions in send
+    /// order).
+    pub fn lookahead_cycles(&self) -> u64 {
+        let clean = self.pcap.is_none()
+            && self.dirs.iter().all(|d| d.impair.is_none() && d.held.is_empty());
+        if clean {
+            self.dirs[A_TO_B].delay_ns / CYCLE_NS
+        } else {
+            0
+        }
+    }
+
+    /// Splits the link for a node window: node `a`'s half, then node
+    /// `b`'s. Each half takes the direction its node sends on and the
+    /// segments already in flight toward its node.
+    pub(crate) fn open_window(&mut self) -> (LinkHalf, LinkHalf) {
+        let [mut a_to_b, mut b_to_a] = [A_TO_B, B_TO_A].map(|dir| {
+            let d = &mut self.dirs[dir];
+            let empty = LinkDir::new(d.pacer.clone(), d.delay_ns);
+            mem::replace(d, empty)
+        });
+        let (to_b, to_a) = (mem::take(&mut a_to_b.in_flight), mem::take(&mut b_to_a.in_flight));
+        (LinkHalf { tx: a_to_b, rx: to_a }, LinkHalf { tx: b_to_a, rx: to_b })
+    }
+
+    /// Joins the halves of [`Self::open_window`] back into the link. The
+    /// window's sends on each direction queue behind the segments still
+    /// in flight on it: every one of them was sent before the window.
+    pub(crate) fn close_window(&mut self, a: LinkHalf, b: LinkHalf) {
+        for (dir, mut tx, mut rx) in [(A_TO_B, a.tx, b.rx), (B_TO_A, b.tx, a.rx)] {
+            rx.append(&mut tx.in_flight);
+            tx.in_flight = rx;
+            self.dirs[dir] = tx;
+        }
+    }
+
     /// Moves segments between engine `a` (direction [`A_TO_B`]) and
     /// engine `b` at `now_ns`: drains each TX queue while its direction
     /// has serialization credit (the MAC-side backpressure gate), A
@@ -218,75 +335,30 @@ impl DuplexLink {
     }
 
     /// Sends from `from`'s TX queue into `dir` until it empties or the
-    /// direction runs out of credit; whether anything was sent.
+    /// direction runs out of credit, capturing each segment if a capture
+    /// is on; whether anything was sent.
     #[inline]
     fn drain_tx(&mut self, dir: usize, from: &mut Engine, to_mac: MacAddr, now_ns: u64) -> bool {
-        let mut sent = false;
-        while let Some(seg) = from.peek_tx() {
-            if !self.can_send(dir, seg.wire_len()) {
-                break;
-            }
-            let Some(seg) = from.pop_tx() else { break };
-            if let Some(w) = &mut self.pcap {
+        let (pcap, from_mac) = (&mut self.pcap, from.mac);
+        self.dirs[dir].drain(from, now_ns, |seg| {
+            if let Some(w) = pcap {
                 if w.packets() < PCAP_MAX_PACKETS {
-                    let _ = w.record(now_ns, &seg, from.mac, to_mac);
+                    let _ = w.record(now_ns, seg, from_mac, to_mac);
                 }
             }
-            self.send(dir, seg, now_ns);
-            sent = true;
-        }
-        sent
+        })
     }
 
     /// Whether direction `dir` can serialize a segment of `wire_len`
     /// right now (the MAC-side drain gate: the engine's TX buffer keeps
     /// backpressure when this is false).
     pub fn can_send(&self, dir: usize, wire_len: u32) -> bool {
-        self.dirs[dir].pacer.available() >= u64::from(wire_len)
+        self.dirs[dir].can_send(wire_len)
     }
 
     /// Sends a segment (caller must have checked [`Self::can_send`]).
     pub fn send(&mut self, dir: usize, seg: Segment, now_ns: u64) {
-        let flush_ns = self.hold_flush_ns();
-        let d = &mut self.dirs[dir];
-        let consumed = d.pacer.try_consume(u64::from(seg.wire_len()));
-        debug_assert!(consumed, "send without can_send");
-        d.bytes += u64::from(seg.wire_len());
-        d.segments += 1;
-        let arrival = now_ns + self.delay_ns;
-        // Impairments judge data segments only; ACKs pass clean and do
-        // not count toward reorder displacement.
-        if !seg.has_payload() {
-            d.enqueue(arrival, seg);
-            return;
-        }
-        let decision = match d.impair.as_mut() {
-            Some(st) => st.decide(),
-            None => f4t_netsim::ImpairDecision::default(),
-        };
-        if decision.drop {
-            // The wire time was spent; the segment dies on the link.
-            d.dropped_loss += 1;
-            d.pass_held();
-            return;
-        }
-        let arrival = arrival + decision.jitter_ns;
-        if decision.reorder > 0 {
-            d.reordered += 1;
-            d.held.push(HeldSegment {
-                countdown: decision.reorder,
-                deadline_ns: arrival + flush_ns,
-                arrival_ns: arrival,
-                seg,
-            });
-            return;
-        }
-        d.enqueue(arrival, seg);
-        if decision.duplicate {
-            d.duplicated += 1;
-            d.enqueue(arrival, seg);
-        }
-        d.pass_held();
+        self.dirs[dir].send(seg, now_ns);
     }
 
     /// Pops the next segment due for delivery in `dir` at `now_ns`.
@@ -335,6 +407,34 @@ impl DuplexLink {
             .iter()
             .map(|d| d.dropped_loss + d.duplicated + d.reordered)
             .sum()
+    }
+}
+
+/// One node's share of a [`DuplexLink`] during a node window: the
+/// direction it sends on, and the segments already in flight toward it
+/// when the window opened. Nothing the other node sends in the window can
+/// arrive before it closes, so the node steps against its half alone.
+#[derive(Debug)]
+pub(crate) struct LinkHalf {
+    tx: LinkDir,
+    rx: VecDeque<(u64, Segment)>,
+}
+
+impl LinkHalf {
+    /// Accrues one cycle of the send direction's credit.
+    pub(crate) fn tick(&mut self) {
+        self.tx.pacer.tick();
+    }
+
+    /// Drains `engine`'s TX onto the wire, then hands it every arrival due
+    /// at `now_ns` — this node's end of [`DuplexLink::carry`].
+    pub(crate) fn carry(&mut self, engine: &mut Engine, now_ns: u64) {
+        self.tx.drain(engine, now_ns, |_| {});
+        while self.rx.front().is_some_and(|&(at, _)| at <= now_ns) {
+            if let Some((_, seg)) = self.rx.pop_front() {
+                engine.push_rx(seg);
+            }
+        }
     }
 }
 
@@ -644,6 +744,59 @@ mod tests {
         let expect: Vec<u32> = lossy.iter().copied().filter(|i| i % 3 != 2).collect();
         assert_eq!(both, expect);
         assert!(lossy.len() < 270, "random loss engaged: {} of 300 delivered", lossy.len());
+    }
+
+    #[test]
+    fn lookahead_is_the_delay_of_a_clean_uncaptured_link() {
+        assert_eq!(DuplexLink::hundred_gig().lookahead_cycles(), 250);
+        assert_eq!(DuplexLink::ideal().lookahead_cycles(), 0);
+        assert_eq!(DuplexLink::new(100, 4).lookahead_cycles(), 1);
+        for name in Impairments::profile_names() {
+            let imp = Impairments::profile(name).expect("profile");
+            let mut l = DuplexLink::hundred_gig();
+            l.set_impairments(imp);
+            let expect = if imp.is_active() { 0 } else { 250 };
+            assert_eq!(l.lookahead_cycles(), expect, "{name}");
+        }
+        let every_nth = Some(EveryNth { n: 5, start: 1 });
+        let mut l = DuplexLink::hundred_gig();
+        l.set_impairments(Impairments { every_nth, ..Impairments::none() });
+        assert_eq!(l.lookahead_cycles(), 0, "scripted loss");
+        l.enable_pcap(64);
+        l.set_impairments(Impairments::none());
+        assert_eq!(l.lookahead_cycles(), 0, "capture armed");
+        l.take_pcap();
+        assert_eq!(l.lookahead_cycles(), 250, "capture finished");
+    }
+
+    #[test]
+    fn a_held_segment_keeps_the_link_in_lock_step_until_it_leaves() {
+        let mut l = ticked(DuplexLink::hundred_gig(), 500);
+        l.set_impairments(Impairments {
+            reorder_p: 1.0,
+            reorder_depth: 3,
+            seed: 9,
+            ..Impairments::none()
+        });
+        l.send(A_TO_B, data_at(0, 100), 0);
+        l.set_impairments(Impairments::none());
+        assert_eq!(l.lookahead_cycles(), 0, "a detached profile left a segment held");
+        assert!(l.deliver(A_TO_B, 20_000).is_some(), "deadline flush");
+        assert_eq!(l.lookahead_cycles(), 250);
+    }
+
+    #[test]
+    fn window_sends_queue_behind_the_segments_in_flight() {
+        let mut l = ticked(DuplexLink::hundred_gig(), 100);
+        l.send(A_TO_B, data_at(1, 100), 0);
+        let (mut a, b) = l.open_window();
+        assert_eq!(b.rx.len(), 1, "node b's half holds the A->B segment in flight");
+        a.tx.send(data_at(2, 100), 4);
+        l.close_window(a, b);
+        let order: Vec<u32> =
+            std::iter::from_fn(|| l.deliver(A_TO_B, u64::MAX)).map(|s| s.seq.0).collect();
+        assert_eq!(order, [1, 2]);
+        assert_eq!(l.segments(A_TO_B), 2, "the half's send counts on the link");
     }
 
     /// `a` and `b` on `link` with one established flow from `a`.

@@ -294,6 +294,14 @@ pub struct Node {
     sleep_after_poll: bool,
 }
 
+// Node `b` moves to the node-window thread and back by value (DESIGN.md
+// §12.4): a field that is not `Send` (an `Rc`, a `RefCell` handle) must
+// fail the build here, not a run.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Node>();
+};
+
 impl Node {
     /// Creates a node with `cores` application threads, each with its own
     /// command ring.

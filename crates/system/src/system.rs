@@ -1,8 +1,15 @@
 //! The two-node F4T testbed.
+//!
+//! [`F4tSystem::tick`] is the reference step: node `a`, node `b`, the
+//! churn manager, then the link. [`F4tSystem::run_cycles`] runs the same
+//! cycles in node windows (DESIGN.md §12.4): as long as the link's
+//! lookahead allows, node `b` steps on a worker thread beside node `a`,
+//! and the two meet only at the window's end.
 
-use crate::link::DuplexLink;
+use crate::link::{DuplexLink, LinkHalf};
 use crate::metrics::Metrics;
 use crate::node::{Driver, Node, Rotation};
+use f4t_core::parallel::Worker;
 use f4t_core::{EngineConfig, CYCLE_NS};
 use f4t_host::{CpuAccounting, F4tLib, LIB_CMD_CYCLES};
 use f4t_sim::{Histogram, MetricsRegistry};
@@ -15,7 +22,11 @@ use f4t_workloads::{
     BulkReceiver, BulkSender, ChurnClient, IncastSender, RequestClient, RequestServer, SinkServer,
     CHURN_APP_CYCLES, CHURN_REQUEST_BYTES, ECHO_APP_CYCLES,
 };
+use std::io;
 use std::net::Ipv4Addr;
+use std::num::NonZeroUsize;
+use std::ops::{Deref, DerefMut};
+use std::panic::{self, AssertUnwindSafe};
 
 /// Sustains a target population of short-lived connections: every tick
 /// it tops the client node back up to `target_live` in-flight lifecycles
@@ -48,17 +59,107 @@ impl ChurnManager {
     }
 }
 
+/// A node on the heap, so a window can hand it to the worker thread by
+/// moving one pointer. Derefs to the [`Node`].
+#[derive(Debug, Default)]
+pub struct NodeBox(Option<Box<Node>>);
+
+/// Empty only while node `b` is out on the worker thread, inside
+/// [`F4tSystem::run_cycles`], or after that thread died holding it.
+const NODE_OUT: &str = "node is on its window thread";
+
+impl NodeBox {
+    fn new(node: Node) -> NodeBox {
+        NodeBox(Some(Box::new(node)))
+    }
+}
+
+impl Deref for NodeBox {
+    type Target = Node;
+
+    fn deref(&self) -> &Node {
+        self.0.as_deref().expect(NODE_OUT)
+    }
+}
+
+impl DerefMut for NodeBox {
+    fn deref_mut(&mut self) -> &mut Node {
+        self.0.as_deref_mut().expect(NODE_OUT)
+    }
+}
+
+/// Node `b`'s side of one window, as the worker thread receives it.
+#[derive(Debug)]
+struct NodeWindow {
+    node: NodeBox,
+    link: LinkHalf,
+    from: u64,
+    cycles: u64,
+}
+
+/// The worker thread's step: node `b`'s side of a window.
+fn run_node_window(w: &mut NodeWindow) {
+    step_side(&mut w.node, &mut w.link, None, w.from, w.cycles);
+}
+
+/// One node's side of cycles `from..from + cycles`, in
+/// [`F4tSystem::tick`]'s order for that node: its send direction's
+/// credit accrues, the node ticks (then the churn manager, on `a`), its
+/// TX drains onto the wire and the arrivals due at it land.
+fn step_side(
+    node: &mut Node,
+    link: &mut LinkHalf,
+    mut churn: Option<&mut ChurnManager>,
+    from: u64,
+    cycles: u64,
+) {
+    for cycle in from..from + cycles {
+        let now = cycle * CYCLE_NS;
+        link.tick();
+        node.tick(now);
+        if let Some(m) = churn.as_deref_mut() {
+            m.step(node);
+        }
+        link.carry(&mut node.engine, now);
+    }
+}
+
+/// How [`F4tSystem::run_cycles`] steps the nodes.
+#[derive(Debug)]
+enum Stepping {
+    /// No window has run yet, so no thread was asked for.
+    Untried,
+    /// Node `b`'s side of every window runs on this thread.
+    Windows(Worker<NodeWindow>),
+    /// A 1-CPU host or a refused thread: reference ticks only.
+    LockStep,
+}
+
+impl Stepping {
+    /// Windows on a thread from `spawn` if the host has `cpus > 1` and
+    /// grants it; lock-step otherwise.
+    fn start(cpus: usize, spawn: impl FnOnce() -> io::Result<Worker<NodeWindow>>) -> Stepping {
+        match (cpus > 1).then(spawn) {
+            Some(Ok(worker)) => Stepping::Windows(worker),
+            _ => Stepping::LockStep,
+        }
+    }
+}
+
 /// Two nodes connected by a 100 Gbps link, running a workload.
 #[derive(Debug)]
 pub struct F4tSystem {
     /// The client/sender node.
-    pub a: Node,
+    pub a: NodeBox,
     /// The server/receiver node.
-    pub b: Node,
+    pub b: NodeBox,
     link: DuplexLink,
     cycle: u64,
     /// Connection churn generator (churnstorm workload only).
     churn: Option<ChurnManager>,
+    stepping: Stepping,
+    /// Node windows run on two threads so far.
+    windows: u64,
 }
 
 fn tuple(i: u32) -> FourTuple {
@@ -74,7 +175,15 @@ fn tuple(i: u32) -> FourTuple {
 impl F4tSystem {
     /// Wires two freshly configured nodes together.
     pub fn new(a: Node, b: Node) -> F4tSystem {
-        F4tSystem { a, b, link: DuplexLink::hundred_gig(), cycle: 0, churn: None }
+        F4tSystem {
+            a: NodeBox::new(a),
+            b: NodeBox::new(b),
+            link: DuplexLink::hundred_gig(),
+            cycle: 0,
+            churn: None,
+            stepping: Stepping::Untried,
+            windows: 0,
+        }
     }
 
     /// Attaches a hostile-network impairment profile to the link (both
@@ -175,11 +284,69 @@ impl F4tSystem {
         self.cycle += 1;
     }
 
-    /// Runs `n` cycles.
+    /// Runs `n` cycles, byte-identical to `n` calls of [`Self::tick`].
+    ///
+    /// On a clean, uncaptured link with at least two cycles of lookahead
+    /// ([`DuplexLink::lookahead_cycles`]) the cycles run in node windows
+    /// of up to the lookahead: node `b` steps on a worker thread, spawned
+    /// on the first window and joined on drop, while node `a` steps on
+    /// this one. Otherwise — and on a 1-CPU host, or if the thread is
+    /// refused — each cycle is a [`Self::tick`]. A panic in either node's
+    /// window is re-raised here with its payload once both sides stopped.
     pub fn run_cycles(&mut self, n: u64) {
-        for _ in 0..n {
-            self.tick();
+        let lookahead = self.link.lookahead_cycles();
+        if n == 0 || lookahead < 2 || !self.worker_ready() {
+            for _ in 0..n {
+                self.tick();
+            }
+            return;
         }
+        let mut left = n;
+        while left > 0 {
+            let cycles = left.min(lookahead);
+            self.run_window(cycles);
+            left -= cycles;
+        }
+    }
+
+    /// Whether node windows have a worker thread, spawning it on first
+    /// use. The host's CPU count is read once per system.
+    fn worker_ready(&mut self) -> bool {
+        if let Stepping::Untried = self.stepping {
+            let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            self.stepping = Stepping::start(cpus, || Worker::spawn(run_node_window));
+        }
+        matches!(self.stepping, Stepping::Windows(_))
+    }
+
+    /// One node window of `cycles`, no more than the link's lookahead:
+    /// node `b`'s side on the worker thread, node `a`'s here, then the
+    /// link's halves join.
+    fn run_window(&mut self, cycles: u64) {
+        let Stepping::Windows(worker) = &mut self.stepping else {
+            unreachable!("run_cycles opens windows only with a worker")
+        };
+        let (mut a_link, b_link) = self.link.open_window();
+        let (from, node) = (self.cycle, std::mem::take(&mut self.b));
+        worker.start(NodeWindow { node, link: b_link, from, cycles });
+        let (a, churn) = (&mut self.a, self.churn.as_mut());
+        let a_side = panic::catch_unwind(AssertUnwindSafe(|| {
+            step_side(a, &mut a_link, churn, from, cycles)
+        }));
+        let Some((job, b_side)) = worker.finish() else { panic!("{NODE_OUT} and it died") };
+        self.b = job.node;
+        self.link.close_window(a_link, job.link);
+        self.cycle += cycles;
+        self.windows += 1;
+        if let Err(payload) = a_side.and(b_side) {
+            panic::resume_unwind(payload);
+        }
+    }
+
+    /// Node windows run on two threads so far (0 when every cycle was a
+    /// reference tick).
+    pub fn windows(&self) -> u64 {
+        self.windows
     }
 
     /// Runs for `ns` nanoseconds of simulated time.
@@ -422,7 +589,9 @@ impl F4tSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f4t_core::EngineConfig;
+    use f4t_core::{Engine, EngineConfig};
+    use f4t_tcp::{CongestionControl, Tcb};
+    use std::sync::Arc;
 
     fn small_engine() -> EngineConfig {
         EngineConfig { num_fpcs: 2, flows_per_fpc: 32, lut_groups: 2, ..EngineConfig::reference() }
@@ -525,6 +694,102 @@ mod tests {
         let m = sys.measure(40_000, 400_000);
         assert!(m.goodput_gbps() > 1.0, "got {:.2} Gbps", m.goodput_gbps());
         assert!(sys.impairment_events() > 0, "profile engaged");
+    }
+
+    fn multi_cpu() -> bool {
+        std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
+    }
+
+    #[test]
+    fn no_window_no_thread() {
+        let mut sys = F4tSystem::bulk(1, 128, small_engine());
+        assert!(matches!(sys.stepping, Stepping::Untried));
+        for _ in 0..100 {
+            sys.tick();
+        }
+        sys.run_cycles(0);
+        sys.set_impairments(Impairments::profile("reorder").expect("profile"));
+        sys.run_cycles(1_000);
+        sys.set_link(DuplexLink::ideal());
+        sys.run_cycles(1_000);
+        assert!(matches!(sys.stepping, Stepping::Untried), "{:?}", sys.stepping);
+        assert_eq!(sys.windows(), 0);
+        sys.set_link(DuplexLink::hundred_gig());
+        sys.run_cycles(1_000);
+        assert_eq!(matches!(sys.stepping, Stepping::Windows(_)), multi_cpu());
+        assert_eq!(sys.windows() > 0, multi_cpu());
+    }
+
+    #[test]
+    fn a_refused_thread_degrades_to_lock_step() {
+        let refused = || Err(io::Error::other("no threads for you"));
+        assert!(matches!(Stepping::start(4, refused), Stepping::LockStep));
+        let never = || -> io::Result<Worker<NodeWindow>> { panic!("1 CPU asks for no thread") };
+        assert!(matches!(Stepping::start(1, never), Stepping::LockStep));
+
+        let run = |refuse: bool| {
+            let mut sys = F4tSystem::echo(2, 16, 128, small_engine());
+            if refuse {
+                sys.stepping = Stepping::start(4, refused);
+                sys.run_cycles(3_000);
+            } else {
+                for _ in 0..3_000 {
+                    sys.tick();
+                }
+            }
+            (sys.windows(), sys.a.requests(), sys.telemetry().to_json())
+        };
+        let (windows, requests, telemetry) = run(true);
+        assert_eq!(windows, 0);
+        assert!(requests > 0, "echo ran");
+        assert_eq!((windows, requests, telemetry), run(false));
+    }
+
+    /// Congestion control that refuses the first ACK, naming the thread
+    /// it ran on.
+    #[derive(Debug)]
+    struct RefusesAcks;
+
+    impl CongestionControl for RefusesAcks {
+        fn name(&self) -> &'static str {
+            "refuses-acks"
+        }
+        fn fpu_latency_cycles(&self) -> u32 {
+            1
+        }
+        fn init(&self, tcb: &mut Tcb) {
+            tcb.cwnd = 64 * 1_024;
+        }
+        fn on_ack(&self, _: &mut Tcb, _: u32, _: Option<u64>, _: u64) {
+            let thread = std::thread::current();
+            panic!("ack refused on {}", thread.name().unwrap_or("?"));
+        }
+        fn on_enter_recovery(&self, _: &mut Tcb, _: u64) {}
+        fn on_timeout(&self, _: &mut Tcb, _: u64) {}
+    }
+
+    #[test]
+    fn a_panic_in_node_b_window_is_raised_on_the_caller() {
+        let cfg = small_engine();
+        let mut b = Node::new(1, cfg.clone());
+        b.engine = Engine::with_cc(cfg.clone(), Arc::new(RefusesAcks));
+        let mut sys = F4tSystem::new(Node::new(1, cfg), b);
+        let (fa, fb) = sys.open_pair(0, 0, 0);
+        sys.a.set_driver(0, Driver::BulkReceiver(BulkReceiver::new(vec![fa])));
+        sys.b.set_driver(0, Driver::BulkSender(BulkSender::new(vec![fb], 1_024, 0)));
+
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| sys.run_cycles(20_000)));
+        let payload = caught.expect_err("node b's congestion control panics");
+        let message = payload.downcast_ref::<String>().expect("formatted payload");
+        if multi_cpu() {
+            assert_eq!(message, "ack refused on f4t-worker");
+            assert!(matches!(sys.stepping, Stepping::Windows(_)));
+        }
+        // Both nodes are back in place; dropping the system joins the
+        // worker thread.
+        assert!(sys.b.engine.live_flows() > 0);
+        assert_eq!(sys.a.requests(), 0);
+        drop(sys);
     }
 
     #[test]

@@ -184,6 +184,24 @@ if grep -rnwE 'Runtime|QueuePair|Iova|Doorbell|CommandQueue|DecodeError|encode16
     exit 1
 fi
 
+echo "==> one-thread-spawner / no-unsafe gate (DESIGN.md section 12.4)"
+# Threads are spawned in one file: ParallelRunner's shard pool and the
+# persistent Worker that runs F4tSystem's node windows both live in
+# crates/core/src/parallel.rs, where f4tlint's shared_mut_across_shards
+# rule starts its walk. Jobs cross threads by value, so the workspace
+# needs no unsafe; the f4tlint fixtures are lint inputs, not workspace code.
+hits=$(grep -rlE 'thread::spawn|thread::scope|Builder::new' --include=*.rs crates src tests examples \
+    | grep -vx 'crates/core/src/parallel.rs' || true)
+[ -z "$hits" ] || {
+    echo "FAIL: a thread is spawned outside crates/core/src/parallel.rs ($hits): use ParallelRunner or Worker, DESIGN.md section 12.4" >&2
+    exit 1
+}
+if grep -rnE '\bunsafe[[:space:]]*(\{|fn\b|impl\b|trait\b|extern\b)' --include=*.rs crates src tests examples \
+    | grep -v '^crates/lint/fixtures/'; then
+    echo "FAIL: unsafe code in the workspace: move values between threads instead, DESIGN.md section 12.4" >&2
+    exit 1
+fi
+
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 

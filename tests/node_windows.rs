@@ -6,7 +6,8 @@
 //!
 //! `run_cycles` is called with a rotating mix of lengths that do not
 //! divide the link's lookahead (DESIGN.md §12.4), so a run starts,
-//! splits and ends windows at every phase.
+//! splits and ends windows at every phase. Clean links must have taken
+//! node windows (on a multi-CPU host), impaired and capturing ones none.
 
 use f4t::core::EngineConfig;
 use f4t::netsim::Impairments;
@@ -27,14 +28,7 @@ fn cfg() -> EngineConfig {
 
 /// Check, flight, journal, watchdog and pulse recorders all on.
 fn armed() -> EngineConfig {
-    EngineConfig {
-        check: true,
-        flight: true,
-        journal: true,
-        watchdog: true,
-        pulse: true,
-        ..cfg()
-    }
+    EngineConfig { check: true, flight: true, journal: true, watchdog: true, pulse: true, ..cfg() }
 }
 
 /// Builds one fresh system.
@@ -108,9 +102,14 @@ fn lock_step(mut sys: F4tSystem, cycles: u64) -> String {
     view(&mut sys)
 }
 
+/// Whether the host can run node windows on two threads at all.
+fn multi_cpu() -> bool {
+    std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
+}
+
 /// `cycles` cycles through `run_cycles`, call lengths rotating over
-/// [`SPLITS`].
-fn windowed(mut sys: F4tSystem, cycles: u64) -> String {
+/// [`SPLITS`]; the view and the node windows that ran.
+fn windowed(mut sys: F4tSystem, cycles: u64) -> (String, u64) {
     let mut left = cycles;
     for split in SPLITS.iter().cycle() {
         if left == 0 {
@@ -120,7 +119,7 @@ fn windowed(mut sys: F4tSystem, cycles: u64) -> String {
         sys.run_cycles(n);
         left -= n;
     }
-    view(&mut sys)
+    (view(&mut sys), sys.windows())
 }
 
 fn assert_same(name: &str, reference: &str, got: &str) {
@@ -137,7 +136,9 @@ fn assert_same(name: &str, reference: &str, got: &str) {
 #[test]
 fn windowed_runs_match_lock_step_for_every_constructor() {
     for (name, make) in constructors() {
-        assert_same(name, &lock_step(make(), 2 * PASS), &windowed(make(), 2 * PASS));
+        let (got, windows) = windowed(make(), 2 * PASS);
+        assert_same(name, &lock_step(make(), 2 * PASS), &got);
+        assert_eq!(windows > 0, multi_cpu(), "{name}: {windows} windows");
     }
 }
 
@@ -146,7 +147,9 @@ fn windowed_runs_match_lock_step_with_every_recorder_armed() {
     let make = || F4tSystem::echo(2, 16, 128, armed());
     let reference = lock_step(make(), PASS);
     assert!(reference.contains("violations=0 alarms=0"), "{reference}");
-    assert_same("echo armed", &reference, &windowed(make(), PASS));
+    let (got, windows) = windowed(make(), PASS);
+    assert_same("echo armed", &reference, &got);
+    assert_eq!(windows > 0, multi_cpu(), "{windows} windows");
 }
 
 #[test]
@@ -164,7 +167,10 @@ fn impaired_and_capturing_links_match_lock_step() {
             let name = format!("{profile} capture={capture}");
             let reference = lock_step(make(profile, capture), PASS);
             assert_eq!(reference.contains("pcap: "), capture, "{name}");
-            assert_same(&name, &reference, &windowed(make(profile, capture), PASS));
+            let (got, windows) = windowed(make(profile, capture), PASS);
+            assert_same(&name, &reference, &got);
+            let clean = profile == "clean" && !capture;
+            assert_eq!(windows > 0, clean && multi_cpu(), "{name}: {windows} windows");
         }
     }
 }
