@@ -15,7 +15,17 @@
 //! calls it once per system tick, and [`EnginePair`] drives it between
 //! two bare engines for tests and figure harnesses. For a node window
 //! (DESIGN.md §12.4) the link splits into two halves, one per node, for
-//! as many cycles as [`DuplexLink::lookahead_cycles`] allows.
+//! as many cycles as [`DuplexLink::lookahead_cycles`] allows. That rests
+//! on one fact: no impairment makes a segment arrive sooner than one
+//! delay after the send that released it — loss, duplication and jitter
+//! only add delay, and a countdown release queues behind the send that
+//! triggers it. The exceptions keep their own rules: a held segment's
+//! flush deadline, which delivery runs on the *receiver's* clock, ends a
+//! window early (`DuplexLink::cycles_to_flush`); a dropped send that
+//! releases a hold, possible only on a direction that both loses and
+//! holds, keeps the link in lock-step. Each half tapes what it sends
+//! while a capture is on, and the join writes the two tapes in lock-step
+//! order.
 
 use f4t_core::{Engine, EngineConfig, CYCLE_NS};
 use f4t_netsim::{ImpairState, Impairments};
@@ -102,6 +112,16 @@ impl LinkDir {
             sent = true;
         }
         sent
+    }
+
+    /// Whether a dropped send on this direction can release a held
+    /// segment: it both loses (random, scripted or burst loss) and holds
+    /// (a reorder profile, or segments still held from an earlier one).
+    /// Such a release queues behind an old back, possibly due at once.
+    fn drop_may_release(&self) -> bool {
+        let Some(imp) = self.impair.as_ref().map(ImpairState::config) else { return false };
+        let loses = imp.loss_p > 0.0 || imp.every_nth.is_some() || imp.ge.is_some();
+        loses && (imp.reorder_p > 0.0 || !self.held.is_empty())
     }
 
     /// Sends a segment (the caller checked [`Self::can_send`]).
@@ -201,6 +221,11 @@ pub const A_TO_B: usize = 0;
 /// Direction index: node B → node A.
 pub const B_TO_A: usize = 1;
 
+/// A segment as it left a node in a window, for the capture: the
+/// sending cycle's clock, the segment, and the source and destination
+/// MACs.
+type Taped = (u64, Segment, MacAddr, MacAddr);
+
 impl DuplexLink {
     /// Creates a link of `gbps` with one-way latency `delay_ns`
     /// (direct-attach 100G ≈ 1 µs including MAC/PHY and cabling).
@@ -276,44 +301,88 @@ impl DuplexLink {
     }
 
     /// Engine cycles the two ends can run apart — each unable to see what
-    /// the other sends before then — when every segment takes exactly the
-    /// one-way delay: the delay in whole cycles (250 on the 100G link).
-    /// 0 when that does not hold or the ends share state: an ideal link,
-    /// an impairment profile (jitter, holds, duplicates), segments still
-    /// held, or a capture (one stream records both directions in send
-    /// order).
+    /// the other sends before then: the one-way delay in whole cycles
+    /// (250 on the 100G link), since no impairment delivers a segment
+    /// sooner than one delay after the send that released it. 0 on the
+    /// ideal link, and while a direction both loses and holds: a dropped
+    /// send there can release a held segment that is due at once.
+    /// Held segments' flush deadlines cut windows further (see
+    /// `cycles_to_flush`).
     pub fn lookahead_cycles(&self) -> u64 {
-        let clean = self.pcap.is_none()
-            && self.dirs.iter().all(|d| d.impair.is_none() && d.held.is_empty());
-        if clean {
-            self.dirs[A_TO_B].delay_ns / CYCLE_NS
-        } else {
+        if self.dirs.iter().any(LinkDir::drop_may_release) {
             0
+        } else {
+            self.dirs[A_TO_B].delay_ns / CYCLE_NS
         }
+    }
+
+    /// Cycles from `cycle` until the first cycle whose delivery flushes a
+    /// held segment by its deadline (`u64::MAX` with nothing held). That
+    /// flush runs on the receiver's clock, so a window must end before it.
+    /// A hold made inside a window has a deadline far past its end.
+    pub(crate) fn cycles_to_flush(&self, cycle: u64) -> u64 {
+        let deadline = self.dirs.iter().flat_map(|d| &d.held).map(|h| h.deadline_ns).min();
+        deadline.map_or(u64::MAX, |ns| ns.div_ceil(CYCLE_NS).saturating_sub(cycle))
     }
 
     /// Splits the link for a node window: node `a`'s half, then node
     /// `b`'s. Each half takes the direction its node sends on and the
-    /// segments already in flight toward its node.
-    pub(crate) fn open_window(&mut self) -> (LinkHalf, LinkHalf) {
+    /// segments already in flight toward its node; while a capture is
+    /// on, it tapes its sends, addressed to the peer in `macs` (`[a, b]`).
+    pub(crate) fn open_window(&mut self, macs: [MacAddr; 2]) -> (LinkHalf, LinkHalf) {
         let [mut a_to_b, mut b_to_a] = [A_TO_B, B_TO_A].map(|dir| {
             let d = &mut self.dirs[dir];
             let empty = LinkDir::new(d.pacer.clone(), d.delay_ns);
             mem::replace(d, empty)
         });
         let (to_b, to_a) = (mem::take(&mut a_to_b.in_flight), mem::take(&mut b_to_a.in_flight));
-        (LinkHalf { tx: a_to_b, rx: to_a }, LinkHalf { tx: b_to_a, rx: to_b })
+        let capturing = self.pcap.as_ref().is_some_and(|w| w.packets() < PCAP_MAX_PACKETS);
+        let tape = || capturing.then(Vec::new);
+        (
+            LinkHalf { tx: a_to_b, rx: to_a, to_mac: macs[1], tape: tape() },
+            LinkHalf { tx: b_to_a, rx: to_b, to_mac: macs[0], tape: tape() },
+        )
     }
 
     /// Joins the halves of [`Self::open_window`] back into the link. The
     /// window's sends on each direction queue behind the segments still
-    /// in flight on it: every one of them was sent before the window.
+    /// in flight on it — every one of them was sent before the window —
+    /// and the sends that would arrive before that queue's back wait for
+    /// it, as [`LinkDir::enqueue`] clamps them in lock-step. Window sends
+    /// are non-decreasing, so only a prefix of them can need it. The
+    /// tapes go to the capture in lock-step order.
     pub(crate) fn close_window(&mut self, a: LinkHalf, b: LinkHalf) {
+        self.record_tapes(a.tape, b.tape);
         for (dir, mut tx, mut rx) in [(A_TO_B, a.tx, b.rx), (B_TO_A, b.tx, a.rx)] {
+            if let Some(&(back, _)) = rx.back() {
+                for (at, _) in tx.in_flight.iter_mut().take_while(|(at, _)| *at < back) {
+                    *at = back;
+                }
+            }
             rx.append(&mut tx.in_flight);
+            debug_assert!(rx.iter().map(|&(at, _)| at).is_sorted(), "in-flight arrivals regress");
             tx.in_flight = rx;
             self.dirs[dir] = tx;
         }
+    }
+
+    /// Writes a window's tapes to the capture as lock-step records them —
+    /// by cycle, A→B before B→A — up to [`PCAP_MAX_PACKETS`].
+    fn record_tapes(&mut self, a: Option<Vec<Taped>>, b: Option<Vec<Taped>>) {
+        let Some(w) = &mut self.pcap else { return };
+        let mut record = |(now_ns, seg, from_mac, to_mac): Taped| {
+            if w.packets() < PCAP_MAX_PACKETS {
+                let _ = w.record(now_ns, &seg, from_mac, to_mac);
+            }
+        };
+        let mut b = b.unwrap_or_default().into_iter().peekable();
+        for x in a.unwrap_or_default() {
+            while let Some(y) = b.next_if(|y| y.0 < x.0) {
+                record(y);
+            }
+            record(x);
+        }
+        b.for_each(record);
     }
 
     /// Moves segments between engine `a` (direction [`A_TO_B`]) and
@@ -418,6 +487,10 @@ impl DuplexLink {
 pub(crate) struct LinkHalf {
     tx: LinkDir,
     rx: VecDeque<(u64, Segment)>,
+    /// The peer's MAC, the destination of every taped send.
+    to_mac: MacAddr,
+    /// This node's sends, while a capture is on.
+    tape: Option<Vec<Taped>>,
 }
 
 impl LinkHalf {
@@ -429,7 +502,12 @@ impl LinkHalf {
     /// Drains `engine`'s TX onto the wire, then hands it every arrival due
     /// at `now_ns` — this node's end of [`DuplexLink::carry`].
     pub(crate) fn carry(&mut self, engine: &mut Engine, now_ns: u64) {
-        self.tx.drain(engine, now_ns, |_| {});
+        let (tape, from_mac, to_mac) = (&mut self.tape, engine.mac, self.to_mac);
+        self.tx.drain(engine, now_ns, |seg| {
+            if let Some(t) = tape {
+                t.push((now_ns, *seg, from_mac, to_mac));
+            }
+        });
         while self.rx.front().is_some_and(|&(at, _)| at <= now_ns) {
             if let Some((_, seg)) = self.rx.pop_front() {
                 engine.push_rx(seg);
@@ -746,50 +824,80 @@ mod tests {
         assert!(lossy.len() < 270, "random loss engaged: {} of 300 delivered", lossy.len());
     }
 
+    /// Reorder every data segment by up to 3, plus `loss_p` loss.
+    fn reorder_all(loss_p: f64) -> Impairments {
+        Impairments { reorder_p: 1.0, reorder_depth: 3, loss_p, seed: 9, ..Impairments::none() }
+    }
+
     #[test]
-    fn lookahead_is_the_delay_of_a_clean_uncaptured_link() {
+    fn lookahead_is_the_delay_unless_a_drop_can_release_a_hold() {
         assert_eq!(DuplexLink::hundred_gig().lookahead_cycles(), 250);
         assert_eq!(DuplexLink::ideal().lookahead_cycles(), 0);
         assert_eq!(DuplexLink::new(100, 4).lookahead_cycles(), 1);
+        // No named profile both loses and reorders.
         for name in Impairments::profile_names() {
-            let imp = Impairments::profile(name).expect("profile");
             let mut l = DuplexLink::hundred_gig();
-            l.set_impairments(imp);
-            let expect = if imp.is_active() { 0 } else { 250 };
-            assert_eq!(l.lookahead_cycles(), expect, "{name}");
+            l.set_impairments(Impairments::profile(name).expect("profile"));
+            assert_eq!(l.lookahead_cycles(), 250, "{name}");
         }
         let every_nth = Some(EveryNth { n: 5, start: 1 });
         let mut l = DuplexLink::hundred_gig();
         l.set_impairments(Impairments { every_nth, ..Impairments::none() });
-        assert_eq!(l.lookahead_cycles(), 0, "scripted loss");
+        assert_eq!(l.lookahead_cycles(), 250, "scripted loss alone");
         l.enable_pcap(64);
-        l.set_impairments(Impairments::none());
-        assert_eq!(l.lookahead_cycles(), 0, "capture armed");
-        l.take_pcap();
-        assert_eq!(l.lookahead_cycles(), 250, "capture finished");
+        assert_eq!(l.lookahead_cycles(), 250, "capture armed");
+        for lossy in [
+            Impairments { every_nth, ..reorder_all(0.0) },
+            Impairments { ge: Some(f4t_netsim::GeParams::mild()), ..reorder_all(0.0) },
+            reorder_all(0.01),
+        ] {
+            l.set_impairments(lossy);
+            assert_eq!(l.lookahead_cycles(), 0, "{lossy:?}");
+        }
     }
 
     #[test]
-    fn a_held_segment_keeps_the_link_in_lock_step_until_it_leaves() {
+    fn a_held_segment_on_a_lossy_direction_keeps_the_link_in_lock_step_until_it_leaves() {
         let mut l = ticked(DuplexLink::hundred_gig(), 500);
-        l.set_impairments(Impairments {
-            reorder_p: 1.0,
-            reorder_depth: 3,
-            seed: 9,
-            ..Impairments::none()
-        });
+        l.set_impairments(reorder_all(0.0));
         l.send(A_TO_B, data_at(0, 100), 0);
-        l.set_impairments(Impairments::none());
-        assert_eq!(l.lookahead_cycles(), 0, "a detached profile left a segment held");
+        assert_eq!(l.lookahead_cycles(), 250, "a hold alone cannot arrive early");
+        l.set_impairments(Impairments::profile("lossy").expect("profile"));
+        assert_eq!(l.lookahead_cycles(), 0, "a drop could release the held segment");
         assert!(l.deliver(A_TO_B, 20_000).is_some(), "deadline flush");
         assert_eq!(l.lookahead_cycles(), 250);
+    }
+
+    #[test]
+    fn a_window_ends_before_the_first_flush_deadline() {
+        let mut l = ticked(DuplexLink::hundred_gig(), 500);
+        assert_eq!(l.cycles_to_flush(0), u64::MAX, "nothing held");
+        l.set_impairments(reorder_all(0.0));
+        // Arrives at 1 µs, flushes at 1 + 8 µs: cycle 2 250.
+        l.send(A_TO_B, data_at(0, 100), 0);
+        l.send(B_TO_A, data_at(0, 100), 4_000);
+        assert_eq!(l.cycles_to_flush(0), 2_250, "the earlier of the two deadlines");
+        assert_eq!(l.cycles_to_flush(2_249), 1);
+        assert_eq!(l.cycles_to_flush(2_250), 0);
+        assert_eq!(l.cycles_to_flush(9_000), 0, "overdue");
+        assert!(l.deliver(A_TO_B, 2_249 * CYCLE_NS).is_none(), "held until its deadline");
+        assert!(l.deliver(A_TO_B, 2_250 * CYCLE_NS).is_some(), "flushed at that cycle");
+        // B->A: 5 µs arrival + 8 µs = cycle 3 250.
+        assert_eq!(l.cycles_to_flush(250), 3_000);
+        assert!(l.deliver(B_TO_A, 13_000).is_some());
+        // A deadline inside a cycle flushes at the next cycle's start:
+        // 14 001 ns is cycle 3 501.
+        l.send(A_TO_B, data_at(0, 100), 5_001);
+        assert_eq!(l.cycles_to_flush(0), 3_501);
+        assert!(l.deliver(A_TO_B, 3_500 * CYCLE_NS).is_none());
+        assert!(l.deliver(A_TO_B, 3_501 * CYCLE_NS).is_some());
     }
 
     #[test]
     fn window_sends_queue_behind_the_segments_in_flight() {
         let mut l = ticked(DuplexLink::hundred_gig(), 100);
         l.send(A_TO_B, data_at(1, 100), 0);
-        let (mut a, b) = l.open_window();
+        let (mut a, b) = l.open_window([MacAddr::default(); 2]);
         assert_eq!(b.rx.len(), 1, "node b's half holds the A->B segment in flight");
         a.tx.send(data_at(2, 100), 4);
         l.close_window(a, b);
@@ -797,6 +905,57 @@ mod tests {
             std::iter::from_fn(|| l.deliver(A_TO_B, u64::MAX)).map(|s| s.seq.0).collect();
         assert_eq!(order, [1, 2]);
         assert_eq!(l.segments(A_TO_B), 2, "the half's send counts on the link");
+    }
+
+    #[test]
+    fn window_sends_due_before_the_queue_back_wait_for_it() {
+        let mut l = ticked(DuplexLink::hundred_gig(), 500);
+        // A jittered send still in flight when the window opens ...
+        l.send(A_TO_B, data_at(1, 100), 3_000);
+        let (mut a, b) = l.open_window([MacAddr::default(); 2]);
+        // ... outlasts the window's first two sends, not its third.
+        for (seq, now) in [(2, 1_000), (3, 1_500), (4, 2_500)] {
+            a.tx.send(data_at(seq, 100), now);
+        }
+        l.close_window(a, b);
+        let at: Vec<u64> = l.dirs[A_TO_B].in_flight.iter().map(|&(at, _)| at).collect();
+        assert_eq!(at, [4_000, 4_000, 4_000, 4_000], "lock-step enqueue clamps the same way");
+        let (a, b) = l.open_window([MacAddr::default(); 2]);
+        l.close_window(a, b);
+        assert_eq!(l.dirs[A_TO_B].in_flight.len(), 4, "an empty window adds nothing");
+    }
+
+    #[test]
+    fn window_tapes_reach_the_capture_in_lock_step_order_up_to_the_cap() {
+        let (ma, mb) = (MacAddr([0xa; 6]), MacAddr([0xb; 6]));
+        let fill = |l: &mut DuplexLink| {
+            l.enable_pcap(64);
+            let w = l.pcap.as_mut().expect("capture on");
+            for i in 0..PCAP_MAX_PACKETS - 3 {
+                w.record(0, &data_at(i as u32, 100), ma, mb).expect("in memory");
+            }
+        };
+        let mut windowed = DuplexLink::hundred_gig();
+        fill(&mut windowed);
+        let (mut a, mut b) = windowed.open_window([ma, mb]);
+        a.tape.as_mut().expect("a tapes").extend([8, 12].map(|t| (t, data_at(t as u32, 100), ma, mb)));
+        let tb = b.tape.as_mut().expect("b tapes");
+        tb.extend([4, 8, 12].map(|t| (t, data_at(100 + t as u32, 100), mb, ma)));
+        windowed.close_window(a, b);
+        assert_eq!(windowed.pcap_packets(), PCAP_MAX_PACKETS);
+
+        // Lock-step: cycle by cycle, A->B first; the cap keeps three.
+        let mut lock_step = DuplexLink::hundred_gig();
+        fill(&mut lock_step);
+        let w = lock_step.pcap.as_mut().expect("capture on");
+        for (t, seq, from, to) in [(4, 104, mb, ma), (8, 8, ma, mb), (8, 108, mb, ma)] {
+            w.record(t, &data_at(seq, 100), from, to).expect("in memory");
+        }
+        assert_eq!(windowed.take_pcap(), lock_step.take_pcap());
+
+        let (a, b) = windowed.open_window([ma, mb]);
+        assert!(a.tape.is_none() && b.tape.is_none(), "no tape without a capture");
+        windowed.close_window(a, b);
     }
 
     /// `a` and `b` on `link` with one established flow from `a`.

@@ -286,13 +286,17 @@ impl F4tSystem {
 
     /// Runs `n` cycles, byte-identical to `n` calls of [`Self::tick`].
     ///
-    /// On a clean, uncaptured link with at least two cycles of lookahead
+    /// On a link with at least two cycles of lookahead
     /// ([`DuplexLink::lookahead_cycles`]) the cycles run in node windows
-    /// of up to the lookahead: node `b` steps on a worker thread, spawned
-    /// on the first window and joined on drop, while node `a` steps on
-    /// this one. Otherwise — and on a 1-CPU host, or if the thread is
-    /// refused — each cycle is a [`Self::tick`]. A panic in either node's
-    /// window is re-raised here with its payload once both sides stopped.
+    /// of up to the lookahead, each ending before a held segment's flush
+    /// deadline: node `b` steps on a worker thread, spawned on the first
+    /// window and joined on drop, while node `a` steps on this one. A
+    /// window the deadline cuts under 2 cycles is one [`Self::tick`].
+    /// Otherwise — on the ideal link, while a direction both loses and
+    /// holds, on a 1-CPU host, or if the thread is refused — each cycle
+    /// is a [`Self::tick`], with no further look at the link. A panic in
+    /// either node's window is re-raised here with its payload once both
+    /// sides stopped.
     pub fn run_cycles(&mut self, n: u64) {
         let lookahead = self.link.lookahead_cycles();
         if n == 0 || lookahead < 2 || !self.worker_ready() {
@@ -303,9 +307,14 @@ impl F4tSystem {
         }
         let mut left = n;
         while left > 0 {
-            let cycles = left.min(lookahead);
-            self.run_window(cycles);
-            left -= cycles;
+            let cycles = left.min(lookahead).min(self.link.cycles_to_flush(self.cycle));
+            if cycles < 2 {
+                self.tick();
+                left -= 1;
+            } else {
+                self.run_window(cycles);
+                left -= cycles;
+            }
         }
     }
 
@@ -319,14 +328,15 @@ impl F4tSystem {
         matches!(self.stepping, Stepping::Windows(_))
     }
 
-    /// One node window of `cycles`, no more than the link's lookahead:
-    /// node `b`'s side on the worker thread, node `a`'s here, then the
-    /// link's halves join.
+    /// One node window of `cycles`, no more than the link's lookahead and
+    /// ending before the next flush deadline: node `b`'s side on the
+    /// worker thread, node `a`'s here, then the link's halves join.
     fn run_window(&mut self, cycles: u64) {
         let Stepping::Windows(worker) = &mut self.stepping else {
             unreachable!("run_cycles opens windows only with a worker")
         };
-        let (mut a_link, b_link) = self.link.open_window();
+        let macs = [self.a.engine.mac, self.b.engine.mac];
+        let (mut a_link, b_link) = self.link.open_window(macs);
         let (from, node) = (self.cycle, std::mem::take(&mut self.b));
         worker.start(NodeWindow { node, link: b_link, from, cycles });
         let (a, churn) = (&mut self.a, self.churn.as_mut());
@@ -708,7 +718,10 @@ mod tests {
             sys.tick();
         }
         sys.run_cycles(0);
-        sys.set_impairments(Impairments::profile("reorder").expect("profile"));
+        // A direction that both loses and reorders steps in lock-step.
+        let lossy = Impairments::profile("lossy").expect("profile");
+        let reorder = Impairments::profile("reorder").expect("profile");
+        sys.set_impairments(Impairments { reorder_p: reorder.reorder_p, reorder_depth: 3, ..lossy });
         sys.run_cycles(1_000);
         sys.set_link(DuplexLink::ideal());
         sys.run_cycles(1_000);

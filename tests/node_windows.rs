@@ -1,13 +1,16 @@
 //! `F4tSystem::run_cycles(n)` against `n` calls of the reference
 //! `F4tSystem::tick()`: every workload constructor, every recorder armed
-//! once, every impairment profile and a capturing link must end in the
-//! same bytes — telemetry, per-node host counters, CPU accounting, PCIe
-//! bytes, link counters, journal/pulse digests and pcap captures.
+//! once, every impairment profile with and without a capture, FtBench's
+//! churn link, held segments that leave by their flush deadline and a
+//! link that both loses and reorders must end in the same bytes —
+//! telemetry, per-node host counters, CPU accounting, PCIe bytes, link
+//! counters, journal/pulse digests and pcap captures.
 //!
 //! `run_cycles` is called with a rotating mix of lengths that do not
 //! divide the link's lookahead (DESIGN.md §12.4), so a run starts,
-//! splits and ends windows at every phase. Clean links must have taken
-//! node windows (on a multi-CPU host), impaired and capturing ones none.
+//! splits and ends windows at every phase. Every 100G link must have
+//! taken node windows (on a multi-CPU host), impaired and capturing ones
+//! included; only a direction that both loses and reorders takes none.
 
 use f4t::core::EngineConfig;
 use f4t::netsim::Impairments;
@@ -94,6 +97,13 @@ fn view(sys: &mut F4tSystem) -> String {
     out
 }
 
+/// Counter `key` of link direction `dir` in a [`view`].
+fn link_count(view: &str, dir: usize, key: &str) -> u64 {
+    let line = view.lines().find(|l| l.starts_with(&format!("link[{dir}]:"))).expect("link line");
+    let field = line.split_whitespace().find_map(|f| f.strip_prefix(key)?.strip_prefix('='));
+    field.and_then(|v| v.parse().ok()).expect("link counter")
+}
+
 /// `cycles` reference ticks.
 fn lock_step(mut sys: F4tSystem, cycles: u64) -> String {
     for _ in 0..cycles {
@@ -162,15 +172,79 @@ fn impaired_and_capturing_links_match_lock_step() {
         }
         sys
     };
-    for profile in ["clean", "reorder", "burst-loss", "duplicate"] {
+    for profile in Impairments::profile_names() {
         for capture in [false, true] {
             let name = format!("{profile} capture={capture}");
             let reference = lock_step(make(profile, capture), PASS);
             assert_eq!(reference.contains("pcap: "), capture, "{name}");
             let (got, windows) = windowed(make(profile, capture), PASS);
             assert_same(&name, &reference, &got);
-            let clean = profile == "clean" && !capture;
-            assert_eq!(windows > 0, clean && multi_cpu(), "{name}: {windows} windows");
+            assert_eq!(windows > 0, multi_cpu(), "{name}: {windows} windows");
         }
+    }
+}
+
+/// FtBench's `churn-storm` link: 5 % of data segments displaced by up to
+/// 3 packets, 2 % duplicated.
+fn churn_link(seed: u64) -> Impairments {
+    Impairments { reorder_p: 0.05, reorder_depth: 3, dup_p: 0.02, seed, ..Impairments::none() }
+}
+
+#[test]
+fn churnstorm_on_the_churn_link_matches_lock_step() {
+    for seed in [1, 7, 11] {
+        let make = || {
+            let mut sys = F4tSystem::churnstorm(2, 32, cfg());
+            sys.set_impairments(churn_link(seed));
+            sys
+        };
+        let name = format!("churnstorm seed {seed}");
+        let reference = lock_step(make(), 2 * PASS);
+        let (got, windows) = windowed(make(), 2 * PASS);
+        assert_same(&name, &reference, &got);
+        assert_eq!(windows > 0, multi_cpu(), "{name}: {windows} windows");
+        for key in ["reordered", "duplicated"] {
+            assert!(link_count(&reference, A_TO_B, key) > 0, "{name}: nothing {key}");
+        }
+    }
+}
+
+#[test]
+fn held_segments_flushed_by_deadline_cut_windows_short() {
+    // One flow pinging every 20 µs: a held segment has no later data
+    // segment to pass it, so it leaves by its 8 µs flush deadline, on the
+    // receiver's clock — a window must end before that cycle.
+    let make = |imp: Impairments| {
+        let mut sys = F4tSystem::echo_paced(1, 1, 128, 20_000, cfg());
+        sys.set_impairments(imp);
+        sys
+    };
+    let held = Impairments { reorder_p: 0.5, reorder_depth: 3, seed: 5, ..Impairments::none() };
+    let reference = lock_step(make(held), 4 * PASS);
+    let (got, windows) = windowed(make(held), 4 * PASS);
+    assert_same("quiet echo, held segments", &reference, &got);
+    for dir in [A_TO_B, B_TO_A] {
+        assert!(link_count(&reference, dir, "reordered") > 0, "nothing held on link[{dir}]");
+    }
+    let (_, clean_windows) = windowed(make(Impairments::none()), 4 * PASS);
+    if multi_cpu() {
+        assert!(windows > clean_windows, "{windows} windows vs {clean_windows} on a clean link");
+    }
+}
+
+#[test]
+fn a_link_that_loses_and_reorders_takes_no_windows() {
+    let make = || {
+        let mut sys = F4tSystem::bulk(1, 1_460, cfg());
+        let lossy = Impairments::profile("lossy").expect("profile exists");
+        sys.set_impairments(Impairments { reorder_p: 0.05, reorder_depth: 3, ..lossy });
+        sys
+    };
+    let reference = lock_step(make(), PASS);
+    let (got, windows) = windowed(make(), PASS);
+    assert_same("loss + reorder", &reference, &got);
+    assert_eq!(windows, 0);
+    for key in ["lost", "reordered"] {
+        assert!(link_count(&reference, A_TO_B, key) > 0, "nothing {key}");
     }
 }
