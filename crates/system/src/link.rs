@@ -920,9 +920,6 @@ mod tests {
         l.close_window(a, b);
         let at: Vec<u64> = l.dirs[A_TO_B].in_flight.iter().map(|&(at, _)| at).collect();
         assert_eq!(at, [4_000, 4_000, 4_000, 4_000], "lock-step enqueue clamps the same way");
-        let (a, b) = l.open_window([MacAddr::default(); 2]);
-        l.close_window(a, b);
-        assert_eq!(l.dirs[A_TO_B].in_flight.len(), 4, "an empty window adds nothing");
     }
 
     #[test]
@@ -938,7 +935,8 @@ mod tests {
         let mut windowed = DuplexLink::hundred_gig();
         fill(&mut windowed);
         let (mut a, mut b) = windowed.open_window([ma, mb]);
-        a.tape.as_mut().expect("a tapes").extend([8, 12].map(|t| (t, data_at(t as u32, 100), ma, mb)));
+        let ta = a.tape.as_mut().expect("a tapes");
+        ta.extend([8, 12].map(|t| (t, data_at(t as u32, 100), ma, mb)));
         let tb = b.tape.as_mut().expect("b tapes");
         tb.extend([4, 8, 12].map(|t| (t, data_at(100 + t as u32, 100), mb, ma)));
         windowed.close_window(a, b);

@@ -720,8 +720,7 @@ mod tests {
         sys.run_cycles(0);
         // A direction that both loses and reorders steps in lock-step.
         let lossy = Impairments::profile("lossy").expect("profile");
-        let reorder = Impairments::profile("reorder").expect("profile");
-        sys.set_impairments(Impairments { reorder_p: reorder.reorder_p, reorder_depth: 3, ..lossy });
+        sys.set_impairments(Impairments { reorder_p: 0.05, reorder_depth: 3, ..lossy });
         sys.run_cycles(1_000);
         sys.set_link(DuplexLink::ideal());
         sys.run_cycles(1_000);
