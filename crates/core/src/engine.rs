@@ -971,8 +971,11 @@ impl Engine {
         }
     }
 
-    /// Advances the engine by one 250 MHz cycle.
-    pub fn tick(&mut self) {
+    /// Advances the engine by one 250 MHz cycle. Returns whether some
+    /// FPC ran its full pipeline; `false` means every FPC took its quiet
+    /// path, the cue to ask [`Self::idle_until`] how long the engine may
+    /// sleep.
+    pub fn tick(&mut self) -> bool {
         let cycle = self.cycle;
         let now = self.now_ns();
         // The recorders step out of `self` for the pipeline phases, so one
@@ -1050,10 +1053,12 @@ impl Engine {
         //    buffer is drained, so each FPC finds them empty.
         let gate = self.tx_overflow.is_empty() && self.pkt_gen.free() >= 16;
         let mut out = std::mem::take(&mut self.fpc_scratch);
+        let mut busy = false;
         for i in 0..self.fpcs.len() {
             if !self.fpcs[i].tick_probed(cycle, now, gate, &mut out, probe) {
                 continue;
             }
+            busy = true;
             let fpc_id = self.fpcs[i].id();
             for req in out.tx.drain(..) {
                 if req.retransmit {
@@ -1184,6 +1189,7 @@ impl Engine {
         }
 
         self.cycle += 1;
+        busy
     }
 
     /// One watchdog sweep: builds flow/queue observations from the live
@@ -1496,18 +1502,29 @@ impl Engine {
         h
     }
 
-    /// Attempts one fast-forward window, skipping the clock from the
-    /// current cycle toward `end` (exclusive). Returns `false` when the
-    /// horizon says there is work this cycle — the caller ticks normally.
-    ///
-    /// Every skipped cycle is provably a no-op except for per-cycle
-    /// accumulators, which the modules replay in closed form:
+    /// The end of the engine's idle stretch: the merged
+    /// [`next_activity`](Self::next_activity) horizon, capped at the next
+    /// observer boundary so audits, sweeps and samples run at exactly the
+    /// cycles a tick-by-tick run takes them. Every cycle from the current
+    /// one up to it (exclusive) is a tick that would only move per-cycle
+    /// accumulators; the current cycle itself means there is work now,
+    /// and `u64::MAX` a drained engine with no observer attached.
+    pub fn idle_until(&self) -> u64 {
+        let cycle = self.cycle;
+        let horizon = self.next_activity().unwrap_or(u64::MAX);
+        horizon.min(self.next_observer_boundary(cycle)).max(cycle)
+    }
+
+    /// The idle routine: advances the clock to `to`, no further than
+    /// [`idle_until`](Self::idle_until), replaying in closed form what
+    /// ticking those cycles would have moved:
     ///
     /// * timers fire only at the (conservative) heap-head horizon;
     /// * the RX parser and packet generator fold their 322/250 credit
     ///   arithmetic modularly (the RX tick's intake gate is open all
     ///   window — quiescence requires an empty scheduler intake — and the
-    ///   MAC buffer cannot change mid-window, so the TX gate is constant);
+    ///   MAC buffer cannot change mid-window, so the TX gate is constant;
+    ///   a caller that drains the MAC buffer settles first);
     /// * the scheduler's pending queue sleeps until its head retry and
     ///   `lut.begin_cycle()` resets a budget nothing draws on;
     /// * FPCs accumulate occupancy gauges and dispatch bubbles (the
@@ -1515,21 +1532,16 @@ impl Engine {
     ///   the request FIFO's 64 free slots exceed the 16-slot threshold);
     /// * the memory manager accrues DRAM pacer credit up to its burst cap.
     ///
-    /// The window additionally stops at the next observer boundary, so
-    /// audits, sweeps and samples run at exactly the cycles the
-    /// tick-by-tick run takes them.
-    fn try_fast_forward(&mut self, end: u64) -> bool {
+    /// [`Engine::run`] skips through it, counting the
+    /// `engine.fastforward.*` family; a node window (DESIGN.md §12.4)
+    /// settles a sleeping engine through it and counts nothing.
+    pub fn skip_idle(&mut self, to: u64) {
+        debug_assert!(to <= self.idle_until(), "skip to {to} past the idle horizon");
         let cycle = self.cycle;
-        let horizon = match self.next_activity() {
-            Some(h) if h <= cycle => return false,
-            Some(h) => h.min(end),
-            None => end,
-        };
-        let target = horizon.min(self.next_observer_boundary(cycle));
-        if target <= cycle {
-            return false;
+        if to <= cycle {
+            return;
         }
-        let n = target - cycle;
+        let n = to - cycle;
         for f in &mut self.fpcs {
             f.skip_cycles(cycle, n, true);
         }
@@ -1538,10 +1550,7 @@ impl Engine {
         if self.tx_out.len() < TX_OUT_CAP {
             self.pkt_gen.skip_idle_cycles(n);
         }
-        self.cycle = target;
-        self.ff_skipped_cycles += n;
-        self.ff_windows += 1;
-        true
+        self.cycle = to;
     }
 
     /// Periods of the attached periodic observers, in [`OBSERVERS`] order.
@@ -1586,7 +1595,12 @@ impl Engine {
             return;
         }
         while self.cycle < end {
-            if !self.try_fast_forward(end) {
+            let to = self.idle_until().min(end);
+            if to > self.cycle {
+                self.ff_skipped_cycles += to - self.cycle;
+                self.ff_windows += 1;
+                self.skip_idle(to);
+            } else {
                 self.tick();
             }
         }
@@ -1774,6 +1788,66 @@ mod tests {
             "RTO never fired: {ev_ff:?}"
         );
         assert!(skipped > 2_000_000, "idle RTO wait was not skipped (skipped {skipped})");
+    }
+
+    /// `skip_idle` against ticking: an engine that has delivered a
+    /// transfer sits mostly idle, every recorder armed; one copy skips each
+    /// idle stretch in closed form, the other ticks it. Telemetry JSON
+    /// (the `fastforward.*` family included), trace, flight, pulse and
+    /// journal come out byte-identical, and only `run` counts skips.
+    #[test]
+    fn skip_idle_matches_ticking_the_same_cycles() {
+        let drive = |skip: bool| {
+            let cfg = EngineConfig {
+                check: true,
+                flight: true,
+                journal: true,
+                watchdog: true,
+                pulse: true,
+                ..EngineConfig::single_fpc()
+            };
+            let mut a = Engine::new(cfg.clone());
+            let mut b = Engine::new(cfg);
+            a.set_trace_capacity(4096);
+            let isn = SeqNum(1000);
+            let fa = a.open_established(tuple_ab(), isn).unwrap();
+            b.open_established(tuple_ab().reversed(), isn).unwrap();
+            assert!(a.push_host(fa, EventKind::SendReq { req: isn.add(10_000) }));
+            run_pair(&mut a, &mut b, 3_000);
+            let (end, mut skipped) = (a.cycles() + 20_000, 0);
+            while a.cycles() < end {
+                let to = a.idle_until().min(end);
+                if skip && to > a.cycles() {
+                    skipped += to - a.cycles();
+                    a.skip_idle(to);
+                } else {
+                    a.tick();
+                }
+            }
+            assert_eq!(a.check_total_violations(), 0, "{:?}", a.check_violations());
+            let view = (a.telemetry().to_json(), a.export_chrome_trace(), a.flight_json());
+            (view, a.pulse_json(), a.journal_digest(), skipped, a.fastforward_windows())
+        };
+        let (view_skip, pulse_skip, journal_skip, skipped, windows) = drive(true);
+        let (view_tick, pulse_tick, journal_tick, _, _) = drive(false);
+        assert_eq!(view_skip, view_tick, "telemetry, trace or flight diverge");
+        assert_eq!(pulse_skip, pulse_tick, "pulse series diverge");
+        assert_eq!(journal_skip, journal_tick, "journal diverges");
+        assert!(skipped > 15_000, "idle stretches barely skipped ({skipped} of 20000 cycles)");
+        assert_eq!(windows, 0, "skip_idle counted a fast-forward window");
+    }
+
+    /// A skip past the idle horizon would hide work the engine owes this
+    /// cycle: debug builds refuse it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "past the idle horizon")]
+    fn skipping_past_the_idle_horizon_panics() {
+        let mut e = Engine::new(EngineConfig::single_fpc());
+        let fa = e.open_established(tuple_ab(), SeqNum(1000)).unwrap();
+        assert!(e.push_host(fa, EventKind::SendReq { req: SeqNum(1000).add(100) }));
+        assert_eq!(e.idle_until(), e.cycles(), "a queued event is work now");
+        e.skip_idle(e.cycles() + 1);
     }
 
     #[test]

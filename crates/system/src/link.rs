@@ -499,20 +499,31 @@ impl LinkHalf {
         self.tx.pacer.tick();
     }
 
+    /// Whether [`Self::carry`] at `now_ns` would take a segment from
+    /// `engine`'s TX or hand it an arrival.
+    pub(crate) fn due(&self, engine: &Engine, now_ns: u64) -> bool {
+        engine.peek_tx().is_some_and(|seg| self.tx.can_send(seg.wire_len()))
+            || self.rx.front().is_some_and(|&(at, _)| at <= now_ns)
+    }
+
     /// Drains `engine`'s TX onto the wire, then hands it every arrival due
-    /// at `now_ns` — this node's end of [`DuplexLink::carry`].
-    pub(crate) fn carry(&mut self, engine: &mut Engine, now_ns: u64) {
+    /// at `now_ns` — this node's end of [`DuplexLink::carry`]. Returns
+    /// whether an arrival was handed over.
+    pub(crate) fn carry(&mut self, engine: &mut Engine, now_ns: u64) -> bool {
         let (tape, from_mac, to_mac) = (&mut self.tape, engine.mac, self.to_mac);
         self.tx.drain(engine, now_ns, |seg| {
             if let Some(t) = tape {
                 t.push((now_ns, *seg, from_mac, to_mac));
             }
         });
+        let mut delivered = false;
         while self.rx.front().is_some_and(|&(at, _)| at <= now_ns) {
             if let Some((_, seg)) = self.rx.pop_front() {
                 engine.push_rx(seg);
+                delivered = true;
             }
         }
+        delivered
     }
 }
 

@@ -256,6 +256,56 @@ struct Core {
     wake_at_ns: Option<u64>,
 }
 
+/// The engine's sleep inside a node window (DESIGN.md §12.4). After a
+/// tick in which every FPC took its quiet path the node asks
+/// [`Engine::idle_until`] and stops ticking the engine until that cycle;
+/// the engine's clock lags the node's meanwhile. Before anything feeds
+/// or drains the engine it settles: one [`Engine::skip_idle`] up to the
+/// clock the engine reads in lock-step. A feed also wakes it.
+#[derive(Debug, Clone, Copy)]
+struct EngineSleep {
+    /// The engine's clock in lock-step: its cycle, had it ticked through
+    /// every engine step of the window so far.
+    clock: u64,
+    /// The engine ticks again at this cycle.
+    until: u64,
+    /// Engine steps slept through.
+    slept: u64,
+}
+
+impl EngineSleep {
+    /// Brings the engine's clock up to [`Self::clock`].
+    fn settle(&self, engine: &mut Engine) {
+        if engine.cycles() < self.clock {
+            engine.skip_idle(self.clock);
+        }
+    }
+
+    /// Settles the engine before it is fed, and ends the sleep: the input
+    /// may move its horizon.
+    fn wake(&mut self, engine: &mut Engine) {
+        self.settle(engine);
+        self.until = self.clock;
+    }
+
+    /// One engine step of the node's tick: slept through while the engine
+    /// is idle, else settle and tick — and after a tick in which every
+    /// FPC was quiet, sleep until [`Engine::idle_until`].
+    fn step(&mut self, engine: &mut Engine) {
+        if self.clock < self.until {
+            self.clock += 1;
+            self.slept += 1;
+            return;
+        }
+        self.settle(engine);
+        let busy = engine.tick();
+        self.clock = engine.cycles();
+        if !busy {
+            self.until = engine.idle_until();
+        }
+    }
+}
+
 /// What the node keeps per flow, in one flow-indexed record.
 #[derive(Debug, Clone, Copy, Default)]
 struct FlowRoute {
@@ -292,6 +342,8 @@ pub struct Node {
     /// when a completion arrives — "F4T software does not consume CPU
     /// cycles when there are no requests".
     sleep_after_poll: bool,
+    /// The engine's sleep, inside a node window only.
+    engine_sleep: Option<EngineSleep>,
 }
 
 // Node `b` moves to the node-window thread and back by value (DESIGN.md
@@ -328,6 +380,7 @@ impl Node {
             accept_rr: 0,
             dma_rr: 0,
             sleep_after_poll: false,
+            engine_sleep: None,
         }
     }
 
@@ -371,6 +424,7 @@ impl Node {
         if self.cores[core].lib.commands_full() {
             return None;
         }
+        self.wake_engine();
         let flow = self.engine.open_active(tuple)?;
         let isn = self.engine.peek_tcb(flow).map(|t| t.snd_una).unwrap_or(SeqNum::ZERO);
         let c = &mut self.cores[core];
@@ -380,6 +434,38 @@ impl Node {
         self.routes.insert(flow.0, FlowRoute { core, last_req: Some(isn) });
         c.driver.on_open(flow);
         Some(flow)
+    }
+
+    /// Lets the engine sleep through its idle cycles until
+    /// [`Self::end_engine_sleep`]: node windows only (DESIGN.md §12.4),
+    /// and only with [`EngineConfig::fast_forward`] set.
+    pub(crate) fn begin_engine_sleep(&mut self) {
+        let clock = self.engine.cycles();
+        let sleep = EngineSleep { clock, until: clock, slept: 0 };
+        self.engine_sleep = self.engine.config().fast_forward.then_some(sleep);
+    }
+
+    /// Settles the engine and ends its sleep; the engine steps it slept
+    /// through.
+    pub(crate) fn end_engine_sleep(&mut self) -> u64 {
+        let Some(sleep) = self.engine_sleep.take() else { return 0 };
+        sleep.settle(&mut self.engine);
+        sleep.slept
+    }
+
+    /// Brings a sleeping engine's clock up to date before something
+    /// drains it.
+    pub(crate) fn settle_engine(&mut self) {
+        if let Some(sleep) = &self.engine_sleep {
+            sleep.settle(&mut self.engine);
+        }
+    }
+
+    /// Settles a sleeping engine before something feeds it, and wakes it.
+    pub(crate) fn wake_engine(&mut self) {
+        if let Some(sleep) = &mut self.engine_sleep {
+            sleep.wake(&mut self.engine);
+        }
     }
 
     /// Installs a driver on a core.
@@ -488,13 +574,21 @@ impl Node {
                 if let Command::Send { flow, req } = cmd {
                     self.route_mut(flow).last_req = Some(req);
                 }
+                self.wake_engine();
                 let accepted = self.engine.push_event(Self::command_to_event(cmd, now_ns));
                 debug_assert!(accepted, "checked can_accept_event");
             }
         }
 
-        // 2. Engine cycle.
-        self.engine.tick();
+        // 2. Engine cycle, slept through inside a node window while the
+        //    engine is idle. What the node reads below — DMA bytes,
+        //    notifications, TCBs — cannot move in an idle cycle.
+        match &mut self.engine_sleep {
+            Some(sleep) => sleep.step(&mut self.engine),
+            None => {
+                self.engine.tick();
+            }
+        }
 
         // 3. RX payload DMA (d2h): charge what the parser accepted.
         let rx_total = self.engine.rx_dma_bytes();

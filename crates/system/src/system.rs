@@ -95,24 +95,29 @@ struct NodeWindow {
     link: LinkHalf,
     from: u64,
     cycles: u64,
+    /// Engine steps node `b` slept through, once the window ran.
+    slept: u64,
 }
 
 /// The worker thread's step: node `b`'s side of a window.
 fn run_node_window(w: &mut NodeWindow) {
-    step_side(&mut w.node, &mut w.link, None, w.from, w.cycles);
+    w.slept = step_side(&mut w.node, &mut w.link, None, w.from, w.cycles);
 }
 
 /// One node's side of cycles `from..from + cycles`, in
 /// [`F4tSystem::tick`]'s order for that node: its send direction's
 /// credit accrues, the node ticks (then the churn manager, on `a`), its
-/// TX drains onto the wire and the arrivals due at it land.
+/// TX drains onto the wire and the arrivals due at it land. The node's
+/// engine sleeps through its idle cycles, settling before the link
+/// touches it and at the window's end; returns the engine steps slept.
 fn step_side(
     node: &mut Node,
     link: &mut LinkHalf,
     mut churn: Option<&mut ChurnManager>,
     from: u64,
     cycles: u64,
-) {
+) -> u64 {
+    node.begin_engine_sleep();
     for cycle in from..from + cycles {
         let now = cycle * CYCLE_NS;
         link.tick();
@@ -120,8 +125,14 @@ fn step_side(
         if let Some(m) = churn.as_deref_mut() {
             m.step(node);
         }
-        link.carry(&mut node.engine, now);
+        if link.due(&node.engine, now) {
+            node.settle_engine();
+            if link.carry(&mut node.engine, now) {
+                node.wake_engine();
+            }
+        }
     }
+    node.end_engine_sleep()
 }
 
 /// How [`F4tSystem::run_cycles`] steps the nodes.
@@ -160,6 +171,8 @@ pub struct F4tSystem {
     stepping: Stepping,
     /// Node windows run on two threads so far.
     windows: u64,
+    /// Engine steps each node (`a`, `b`) slept through in those windows.
+    slept: [u64; 2],
 }
 
 fn tuple(i: u32) -> FourTuple {
@@ -183,6 +196,7 @@ impl F4tSystem {
             churn: None,
             stepping: Stepping::Untried,
             windows: 0,
+            slept: [0; 2],
         }
     }
 
@@ -338,7 +352,7 @@ impl F4tSystem {
         let macs = [self.a.engine.mac, self.b.engine.mac];
         let (mut a_link, b_link) = self.link.open_window(macs);
         let (from, node) = (self.cycle, std::mem::take(&mut self.b));
-        worker.start(NodeWindow { node, link: b_link, from, cycles });
+        worker.start(NodeWindow { node, link: b_link, from, cycles, slept: 0 });
         let (a, churn) = (&mut self.a, self.churn.as_mut());
         let a_side = panic::catch_unwind(AssertUnwindSafe(|| {
             step_side(a, &mut a_link, churn, from, cycles)
@@ -348,15 +362,23 @@ impl F4tSystem {
         self.link.close_window(a_link, job.link);
         self.cycle += cycles;
         self.windows += 1;
-        if let Err(payload) = a_side.and(b_side) {
-            panic::resume_unwind(payload);
-        }
+        let a_slept = a_side.and_then(|slept| b_side.map(|()| slept));
+        self.slept[0] += a_slept.unwrap_or_else(|payload| panic::resume_unwind(payload));
+        self.slept[1] += job.slept;
     }
 
     /// Node windows run on two threads so far (0 when every cycle was a
     /// reference tick).
     pub fn windows(&self) -> u64 {
         self.windows
+    }
+
+    /// Engine steps node `a`'s and node `b`'s engine slept through inside
+    /// node windows (DESIGN.md §12.4), each settled in closed form — 0 in
+    /// lock-step or with [`EngineConfig::fast_forward`] off. A host-side
+    /// view of the run, kept out of telemetry: it moves no simulated byte.
+    pub fn slept_cycles(&self) -> [u64; 2] {
+        self.slept
     }
 
     /// Runs for `ns` nanoseconds of simulated time.

@@ -93,7 +93,7 @@ echo "==> one-event-stream regrowth gate (DESIGN.md section 7)"
 # Engine::tick computes nothing for the trace (no Scheduler::stats()
 # difference, no second pass over the emitted segments). Engine::stats and
 # the DRAM conservation audit still read Scheduler::stats(), outside tick.
-tick=$(sed -n '/^    pub fn tick(&mut self) {$/,/^    }$/p' crates/core/src/engine.rs)
+tick=$(sed -n '/^    pub fn tick(&mut self) -> bool {$/,/^    }$/p' crates/core/src/engine.rs)
 [ -n "$tick" ] || {
     echo "FAIL: Engine::tick not found in crates/core/src/engine.rs: update this gate" >&2
     exit 1
@@ -130,6 +130,17 @@ echo "==> one-idle-routine regrowth gate (DESIGN.md section 9.1)"
 n=$(grep -c 'stall_fifo_empty +=' crates/core/src/fpc.rs || true)
 [ "$n" -eq 2 ] || {
     echo "FAIL: $n stall_fifo_empty increments in crates/core/src/fpc.rs (want 2: dispatch's bubble and Fpc::skip_cycles), DESIGN.md section 9.1" >&2
+    exit 1
+}
+# The engine's idle stretch is replayed by one Engine::skip_idle, which
+# Engine::run and a node window's sleeping engine both go through: the
+# module replays appear nowhere else in crates/core/src/engine.rs.
+replays='skip_cycles\(|skip_idle_cycles\('
+n=$(grep -cE "$replays" crates/core/src/engine.rs || true)
+m=$(sed -n '/^    pub fn skip_idle(&mut self, to: u64) {$/,/^    }$/p' crates/core/src/engine.rs \
+    | grep -cE "$replays" || true)
+[ "$m" -ge 1 ] && [ "$n" -eq "$m" ] || {
+    echo "FAIL: $n module replays in crates/core/src/engine.rs, $m of them in Engine::skip_idle (want all, at least 1): a second idle catch-up is back, DESIGN.md section 9.1" >&2
     exit 1
 }
 

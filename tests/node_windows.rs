@@ -1,8 +1,9 @@
 //! `F4tSystem::run_cycles(n)` against `n` calls of the reference
 //! `F4tSystem::tick()`: every workload constructor, every recorder armed
 //! once, every impairment profile with and without a capture, FtBench's
-//! churn link, held segments that leave by their flush deadline and a
-//! link that both loses and reorders must end in the same bytes —
+//! churn link, held segments that leave by their flush deadline, a slow
+//! link that drains a full MAC buffer and a link that both loses and
+//! reorders must end in the same bytes —
 //! telemetry, per-node host counters, CPU accounting, PCIe bytes, link
 //! counters, journal/pulse digests and pcap captures.
 //!
@@ -11,11 +12,14 @@
 //! splits and ends windows at every phase. Every 100G link must have
 //! taken node windows (on a multi-CPU host), impaired and capturing ones
 //! included; only a direction that both loses and reorders takes none.
+//! Inside the windows each node's engine sleeps through its idle cycles
+//! (node `b`'s in every workload, both on the churn link) unless
+//! fast-forward is off.
 
 use f4t::core::EngineConfig;
 use f4t::netsim::Impairments;
 use f4t::sim::digest::{fnv1a, FNV_OFFSET};
-use f4t::system::link::{A_TO_B, B_TO_A};
+use f4t::system::link::{DuplexLink, A_TO_B, B_TO_A};
 use f4t::system::{F4tSystem, Node};
 
 /// `run_cycles` lengths, rotated until the run's cycles are spent: one
@@ -117,9 +121,17 @@ fn multi_cpu() -> bool {
     std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
 }
 
+/// What a windowed run did besides its view: the node windows that ran
+/// and the engine steps each node slept through.
+#[derive(Debug)]
+struct Windows {
+    ran: u64,
+    slept: [u64; 2],
+}
+
 /// `cycles` cycles through `run_cycles`, call lengths rotating over
-/// [`SPLITS`]; the view and the node windows that ran.
-fn windowed(mut sys: F4tSystem, cycles: u64) -> (String, u64) {
+/// [`SPLITS`]; the view and the windows.
+fn windowed(mut sys: F4tSystem, cycles: u64) -> (String, Windows) {
     let mut left = cycles;
     for split in SPLITS.iter().cycle() {
         if left == 0 {
@@ -129,7 +141,7 @@ fn windowed(mut sys: F4tSystem, cycles: u64) -> (String, u64) {
         sys.run_cycles(n);
         left -= n;
     }
-    (view(&mut sys), sys.windows())
+    (view(&mut sys), Windows { ran: sys.windows(), slept: sys.slept_cycles() })
 }
 
 fn assert_same(name: &str, reference: &str, got: &str) {
@@ -146,9 +158,11 @@ fn assert_same(name: &str, reference: &str, got: &str) {
 #[test]
 fn windowed_runs_match_lock_step_for_every_constructor() {
     for (name, make) in constructors() {
-        let (got, windows) = windowed(make(), 2 * PASS);
+        let (got, w) = windowed(make(), 2 * PASS);
         assert_same(name, &lock_step(make(), 2 * PASS), &got);
-        assert_eq!(windows > 0, multi_cpu(), "{name}: {windows} windows");
+        assert_eq!(w.ran > 0, multi_cpu(), "{name}: {w:?}");
+        // Node `b`'s engine sleeps in every workload, bulk's receiver too.
+        assert_eq!(w.slept[1] > 0, multi_cpu(), "{name}: {w:?}");
     }
 }
 
@@ -157,9 +171,9 @@ fn windowed_runs_match_lock_step_with_every_recorder_armed() {
     let make = || F4tSystem::echo(2, 16, 128, armed());
     let reference = lock_step(make(), PASS);
     assert!(reference.contains("violations=0 alarms=0"), "{reference}");
-    let (got, windows) = windowed(make(), PASS);
+    let (got, w) = windowed(make(), PASS);
     assert_same("echo armed", &reference, &got);
-    assert_eq!(windows > 0, multi_cpu(), "{windows} windows");
+    assert_eq!(w.ran > 0, multi_cpu(), "{w:?}");
 }
 
 #[test]
@@ -177,9 +191,9 @@ fn impaired_and_capturing_links_match_lock_step() {
             let name = format!("{profile} capture={capture}");
             let reference = lock_step(make(profile, capture), PASS);
             assert_eq!(reference.contains("pcap: "), capture, "{name}");
-            let (got, windows) = windowed(make(profile, capture), PASS);
+            let (got, w) = windowed(make(profile, capture), PASS);
             assert_same(&name, &reference, &got);
-            assert_eq!(windows > 0, multi_cpu(), "{name}: {windows} windows");
+            assert_eq!(w.ran > 0, multi_cpu(), "{name}: {w:?}");
         }
     }
 }
@@ -200,9 +214,10 @@ fn churnstorm_on_the_churn_link_matches_lock_step() {
         };
         let name = format!("churnstorm seed {seed}");
         let reference = lock_step(make(), 2 * PASS);
-        let (got, windows) = windowed(make(), 2 * PASS);
+        let (got, w) = windowed(make(), 2 * PASS);
         assert_same(&name, &reference, &got);
-        assert_eq!(windows > 0, multi_cpu(), "{name}: {windows} windows");
+        assert_eq!(w.ran > 0, multi_cpu(), "{name}: {w:?}");
+        assert_eq!(w.slept.map(|n| n > 0), [multi_cpu(); 2], "{name}: {w:?}");
         for key in ["reordered", "duplicated"] {
             assert!(link_count(&reference, A_TO_B, key) > 0, "{name}: nothing {key}");
         }
@@ -221,15 +236,32 @@ fn held_segments_flushed_by_deadline_cut_windows_short() {
     };
     let held = Impairments { reorder_p: 0.5, reorder_depth: 3, seed: 5, ..Impairments::none() };
     let reference = lock_step(make(held), 4 * PASS);
-    let (got, windows) = windowed(make(held), 4 * PASS);
+    let (got, w) = windowed(make(held), 4 * PASS);
     assert_same("quiet echo, held segments", &reference, &got);
     for dir in [A_TO_B, B_TO_A] {
         assert!(link_count(&reference, dir, "reordered") > 0, "nothing held on link[{dir}]");
     }
-    let (_, clean_windows) = windowed(make(Impairments::none()), 4 * PASS);
+    let (_, clean) = windowed(make(Impairments::none()), 4 * PASS);
     if multi_cpu() {
-        assert!(windows > clean_windows, "{windows} windows vs {clean_windows} on a clean link");
+        assert!(w.ran > clean.ran, "{w:?} vs {clean:?} on a clean link");
     }
+}
+
+#[test]
+fn a_mac_buffer_drained_under_its_cap_by_a_slow_link_matches_lock_step() {
+    // A 1460 B bulk sender outruns a 25G wire: its MAC buffer fills to the
+    // cap while the engine waits for ACKs, and the link drains it under
+    // the cap while the engine sleeps. The packet generator's credit runs
+    // again from that pop on, so the engine settles before every pop.
+    let make = || {
+        let mut sys = F4tSystem::bulk(1, 1_460, cfg());
+        sys.set_link(DuplexLink::new(25, 1_000));
+        sys
+    };
+    let reference = lock_step(make(), 4 * PASS);
+    let (got, w) = windowed(make(), 4 * PASS);
+    assert_same("bulk on a 25G link", &reference, &got);
+    assert_eq!(w.slept.map(|n| n > 0), [multi_cpu(); 2], "{w:?}");
 }
 
 #[test]
@@ -241,10 +273,20 @@ fn a_link_that_loses_and_reorders_takes_no_windows() {
         sys
     };
     let reference = lock_step(make(), PASS);
-    let (got, windows) = windowed(make(), PASS);
+    let (got, w) = windowed(make(), PASS);
     assert_same("loss + reorder", &reference, &got);
-    assert_eq!(windows, 0);
+    assert_eq!(w.ran, 0);
+    assert_eq!(w.slept, [0, 0], "lock-step ticks never sleep");
     for key in ["lost", "reordered"] {
         assert!(link_count(&reference, A_TO_B, key) > 0, "nothing {key}");
     }
+}
+
+#[test]
+fn engines_stay_awake_with_fast_forward_off() {
+    let make = || F4tSystem::echo(2, 16, 128, EngineConfig { fast_forward: false, ..cfg() });
+    let (got, w) = windowed(make(), PASS);
+    assert_same("echo, fast-forward off", &lock_step(make(), PASS), &got);
+    assert_eq!(w.ran > 0, multi_cpu(), "{w:?}");
+    assert_eq!(w.slept, [0, 0], "{w:?}");
 }
