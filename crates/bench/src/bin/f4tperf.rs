@@ -291,8 +291,9 @@ USAGE: f4tperf [OPTIONS]
                                    engines; print its report and exit non-zero
                                    on any design-rule violation
   --no-fast-forward                force tick-by-tick simulation (scale
-                                   workload; system workloads tick in lockstep
-                                   and never fast-forward)
+                                   workload; system workloads never
+                                   fast-forward, and this also keeps their
+                                   engines ticking through idle cycles)
   --inject-fault <lut-misdirect|dram-ghost>
                                    corrupt flow 0's location state after setup
                                    (FtVerify exit-path testing; pair with

@@ -308,9 +308,10 @@ impl F4tSystem {
     /// window the deadline cuts under 2 cycles is one [`Self::tick`].
     /// Otherwise — on the ideal link, while a direction both loses and
     /// holds, on a 1-CPU host, or if the thread is refused — each cycle
-    /// is a [`Self::tick`], with no further look at the link. A panic in
-    /// either node's window is re-raised here with its payload once both
-    /// sides stopped.
+    /// is a [`Self::tick`], with no further look at the link. Inside a
+    /// window each node's engine sleeps through its idle cycles
+    /// ([`Self::slept_cycles`]). A panic in either node's window is
+    /// re-raised here with its payload once both sides stopped.
     pub fn run_cycles(&mut self, n: u64) {
         let lookahead = self.link.lookahead_cycles();
         if n == 0 || lookahead < 2 || !self.worker_ready() {
