@@ -870,4 +870,27 @@ mod tests {
             }
         }
     }
+
+    /// A send larger than one PCIe burst (8192 B, the entry included)
+    /// streams across cycles instead of wedging its core's command ring:
+    /// 8 KiB and 64 KiB bulk sends keep the h2d direction near its rate.
+    #[test]
+    fn sends_larger_than_a_pcie_burst_stream_across_cycles() {
+        use crate::F4tSystem;
+        let cfg = EngineConfig {
+            num_fpcs: 2,
+            flows_per_fpc: 32,
+            lut_groups: 2,
+            ..EngineConfig::reference()
+        };
+        let ns = 200_000;
+        for size in [8_192, 65_536] {
+            let mut sys = F4tSystem::bulk(1, size, cfg.clone());
+            let m = sys.measure(0, ns);
+            assert!(m.goodput_gbps() > 80.0, "{size} B: {:.2} Gbps", m.goodput_gbps());
+            let h2d_bps = sys.a.pcie().h2d_bytes() as f64 * 1e9 / ns as f64;
+            let share = h2d_bps / f4t_host::pcie::PCIE_EFFECTIVE_BPS as f64;
+            assert!((0.85..=1.0).contains(&share), "{size} B: h2d at {share:.3} of PCIe");
+        }
+    }
 }
