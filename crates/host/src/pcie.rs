@@ -39,13 +39,17 @@ pub struct PcieModel {
 /// the calibration anchor for Fig. 9's 396 Mrps (DESIGN.md §5).
 pub const PCIE_EFFECTIVE_BPS: u64 = 12_900_000_000;
 
+/// Budget a direction can bank: the largest transfer one
+/// [`PcieModel::try_transfer`] can ever pass. A longer DMA streams.
+pub const PCIE_BURST_BYTES: u64 = 8192;
+
 impl PcieModel {
     /// Creates the Gen3 ×16 model clocked at 250 MHz.
     pub fn gen3x16() -> PcieModel {
         let freq = ClockDomain::ENGINE_CORE.freq_hz();
         PcieModel {
-            h2d: BytePacer::new(PCIE_EFFECTIVE_BPS, freq, 8192),
-            d2h: BytePacer::new(PCIE_EFFECTIVE_BPS, freq, 8192),
+            h2d: BytePacer::new(PCIE_EFFECTIVE_BPS, freq, PCIE_BURST_BYTES),
+            d2h: BytePacer::new(PCIE_EFFECTIVE_BPS, freq, PCIE_BURST_BYTES),
             h2d_bytes: 0,
             d2h_bytes: 0,
             refusals: 0,

@@ -1,6 +1,7 @@
 //! One host node: cores + F4T library + command rings + PCIe + engine.
 
 use f4t_core::{Engine, EngineConfig, EventKind, FlowEvent, HostNotification};
+use f4t_host::pcie::PCIE_BURST_BYTES;
 use f4t_host::{
     Command, Completion, CoreBudget, CpuAccounting, CpuCategory, F4tLib, PcieDir, PcieModel,
     LIB_CMD_CYCLES, LIB_COMPLETION_CYCLES, LIB_POLL_CYCLES,
@@ -254,6 +255,9 @@ struct Core {
     sleeping: bool,
     /// Timer armed before sleeping (paced senders wake themselves).
     wake_at_ns: Option<u64>,
+    /// Payload bytes of the command at the ring's head already streamed
+    /// across PCIe (0 unless it is larger than one burst).
+    streamed: u64,
 }
 
 /// The engine's sleep inside a node window (DESIGN.md §12.4). After a
@@ -346,6 +350,9 @@ pub struct Node {
     engine_sleep: Option<EngineSleep>,
 }
 
+/// Bytes one DMA descriptor moves when a transfer streams across cycles.
+const DMA_CHUNK: u64 = 4096;
+
 // Node `b` moves to the node-window thread and back by value (DESIGN.md
 // §12.4): a field that is not `Send` (an `Rc`, a `RefCell` handle) must
 // fail the build here, not a run.
@@ -372,6 +379,7 @@ impl Node {
                     empty_polls: 0,
                     sleeping: false,
                     wake_at_ns: None,
+                    streamed: 0,
                 })
                 .collect(),
             routes: FlowSlab::with_capacity(0),
@@ -567,9 +575,21 @@ impl Node {
                 if !self.engine.can_accept_event() {
                     break 'dma;
                 }
-                if !self.pcie.try_transfer(PcieDir::HostToDevice, entry + payload) {
+                // More than one PCIe burst could never pass at once: the
+                // payload streams ahead in DMA_CHUNK pieces, over as many
+                // cycles as the budget takes, and the entry goes last.
+                let mut owed = entry + payload - self.cores[i].streamed;
+                while owed > PCIE_BURST_BYTES {
+                    if !self.pcie.try_transfer(PcieDir::HostToDevice, DMA_CHUNK) {
+                        break 'dma;
+                    }
+                    self.cores[i].streamed += DMA_CHUNK;
+                    owed -= DMA_CHUNK;
+                }
+                if !self.pcie.try_transfer(PcieDir::HostToDevice, owed) {
                     break 'dma;
                 }
+                self.cores[i].streamed = 0;
                 self.cores[i].lib.commands_pop();
                 if let Command::Send { flow, req } = cmd {
                     self.route_mut(flow).last_req = Some(req);
@@ -595,7 +615,7 @@ impl Node {
         if rx_total > self.rx_dma_charged {
             let delta = rx_total - self.rx_dma_charged;
             // Borrow against future budget: the DMA engine streams.
-            let chunk = delta.min(4096);
+            let chunk = delta.min(DMA_CHUNK);
             if self.pcie.try_transfer(PcieDir::DeviceToHost, chunk) {
                 self.rx_dma_charged += chunk;
             }
