@@ -276,10 +276,10 @@ USAGE: f4tperf [OPTIONS]
   --size <BYTES>                   request size            [128]
   --flows <N>                      total flows (default: see --workload)
   --threads <N>                    scale workload: shard the flows across N
-                                   independent engines on N worker threads
-                                   with a deterministic rendezvous barrier;
-                                   merged digests are thread-count
-                                   independent                [1]
+                                   independent engines, stepped on up to N
+                                   worker threads, no more than the host's
+                                   CPUs; results are pool-independent
+                                                              [1]
   --dram <hbm|ddr4>                on-board memory         [hbm]
   --warmup-ms <MS>                 warmup                  [1]
   --duration-ms <MS>               measurement window      [2]
@@ -592,9 +592,9 @@ fn run_system(args: &Args, mut sys: F4tSystem) {
 
 /// The `scale` workload: `flows` connections against an ideal peer,
 /// sharded across `--threads` independent engines ([`ScaleShard`]) that
-/// advance in lock-step rendezvous rounds ([`ScaleShard::run_all`]) —
-/// one shard runs inline, so `--threads 1` is the plain single-engine
-/// run. Each flow sends `--size` bytes; after every cumulative pointer
+/// advance in rounds ([`ScaleShard::run_all`]) on up to as many threads
+/// as the host has CPUs — one shard runs inline, so `--threads 1` is the
+/// plain single-engine run. Each flow sends `--size` bytes; after every cumulative pointer
 /// reaches its target each engine idles for `--duration-ms` of simulated
 /// time, the regime where fast-forward dominates. Artifacts are folded in
 /// fixed shard order after the run, so the worker-pool size changes

@@ -1,16 +1,24 @@
-//! FtTurbo parallel execution: independent engine shards on worker
-//! threads with a deterministic rendezvous barrier.
+//! FtTurbo's one thread substrate: the [`Worker`], and the shard runner
+//! built on it.
 //!
-//! The model is strict fork-join over a **fixed** shard set. A workload
-//! is split into N independent shards (each owning its own [`Engine`],
-//! or any other `Send` state); every rendezvous round applies the same
-//! step function to every shard, and a [`std::sync::Barrier`] holds all
-//! workers at the round boundary until the slowest shard arrives. The
-//! worker-pool size changes *wall-clock only*:
+//! A [`Worker`] steps one job at a time beside its caller. Threaded, it
+//! is one persistent helper thread, and jobs move to it and back by
+//! value, so nothing is shared while both threads run. Where the host has
+//! one CPU or refuses the thread, the same worker steps each job on the
+//! caller instead, inside the same `catch_unwind`: a caller has one code
+//! path whatever the host (`F4tSystem`'s node windows, DESIGN.md §12.4).
 //!
-//! * shards never share mutable state — each is stepped by exactly one
-//!   worker, and the contiguous-chunk assignment is a pure function of
-//!   `(shard_count, pool_size)`;
+//! [`ParallelRunner`] is strict fork-join over a **fixed** shard set. A
+//! workload is split into N independent shards (each owning its own
+//! [`Engine`](crate::Engine), or any other `Send` state); every round
+//! applies the same step function to every shard. The caller steps the
+//! first contiguous chunk of shards, and every other chunk moves to its
+//! own worker and back once per round, carrying its continuation vote.
+//! The pool size changes *wall-clock only*:
+//!
+//! * shards never share mutable state — each chunk is stepped by one
+//!   thread at a time, and the contiguous-chunk assignment is a pure
+//!   function of `(shard_count, pool_size)`;
 //! * the only cross-shard communication is the round-continuation vote,
 //!   a boolean OR, which is order-insensitive;
 //! * merged artifacts (telemetry, journals, digests) are folded in
@@ -21,30 +29,29 @@
 //! instruction stream and produce byte-identical output — the property
 //! `tests/determinism.rs` pins.
 //!
-//! [`Worker`] is the other threading shape: one persistent helper thread
-//! that steps one job at a time beside its caller, for work too short to
-//! pay a thread spawn per call (`F4tSystem`'s node windows, DESIGN.md
-//! §12.4). Jobs move to the thread and back by value, so nothing is
-//! shared while both threads run.
-//!
 //! Rounds are sized in [`RENDEZVOUS_QUANTUM`] cycles so that FtVerify
 //! structural audits (every `AUDIT_INTERVAL` cycles) and watchdog
-//! sweeps land exactly on rendezvous boundaries: each shard observes
-//! its own quiescent state at the same cycle numbers whether the run is
+//! sweeps land exactly on round boundaries: each shard observes its own
+//! quiescent state at the same cycle numbers whether the run is
 //! tick-by-tick, fast-forwarded or parallel.
 
 use crate::engine::AUDIT_INTERVAL;
 use std::io;
+use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
-use std::sync::Barrier;
 use std::thread::{self, JoinHandle};
 
-/// Cycles per rendezvous round. Equal to the FtVerify audit interval and
-/// a divisor of every supported watchdog interval, so audit and sweep
-/// cycles always coincide with a barrier.
+/// Cycles per round. Equal to the FtVerify audit interval and a divisor
+/// of every supported watchdog interval, so audit and sweep cycles
+/// always coincide with a round boundary.
 pub const RENDEZVOUS_QUANTUM: u64 = AUDIT_INTERVAL;
+
+/// The CPUs this process may run on, 1 when the host does not say. Read
+/// here only: it clamps a shard pool and picks a [`Worker`]'s form.
+fn host_cpus() -> usize {
+    thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
 
 /// Deterministic fork-join runner over a fixed set of independent
 /// shards.
@@ -69,6 +76,26 @@ pub const RENDEZVOUS_QUANTUM: u64 = AUDIT_INTERVAL;
 /// ```
 pub struct ParallelRunner<S> {
     shards: Vec<S>,
+}
+
+/// A contiguous run of shards on its way to a worker for one round, and
+/// back with the round's continuation vote.
+struct Chunk<S, F> {
+    shards: Vec<S>,
+    step: F,
+    round: u64,
+    again: bool,
+}
+
+/// A worker's step: one round over one chunk.
+fn step_chunk<S, F: Fn(&mut S, u64) -> bool>(chunk: &mut Chunk<S, F>) {
+    chunk.again = step_shards(&mut chunk.shards, &chunk.step, chunk.round);
+}
+
+/// One round over `shards`: whether any of them votes to go on. Every
+/// shard is stepped, whatever the others voted.
+fn step_shards<S>(shards: &mut [S], step: &impl Fn(&mut S, u64) -> bool, round: u64) -> bool {
+    shards.iter_mut().fold(false, |again, s| step(s, round) | again)
 }
 
 impl<S: Send> ParallelRunner<S> {
@@ -100,7 +127,7 @@ impl<S: Send> ParallelRunner<S> {
         self.shards
     }
 
-    /// Runs rendezvous rounds until every shard votes to stop.
+    /// Runs rounds until every shard votes to stop.
     ///
     /// Each round calls `step(shard, round)` once per shard; the round
     /// counter is global and identical across shards. The run continues
@@ -109,71 +136,56 @@ impl<S: Send> ParallelRunner<S> {
     /// executes the same number of rounds regardless of completion
     /// order. Returns the number of rounds executed.
     ///
-    /// `threads` is clamped to `[1, shard_count]`. A pool of 1 runs the
-    /// shards inline on the caller's thread with no synchronization at
-    /// all — the reference sequence the threaded path must reproduce.
+    /// `threads` is clamped to `[1, min(shard_count, host CPUs)]`: more
+    /// spinning hand-offs than CPUs would only take turns. The caller
+    /// steps the first of that many contiguous chunks and each other
+    /// chunk runs on a [`Worker`] of its own, so a pool of 1 is the same
+    /// loop with no worker. A panicking step is re-raised here once
+    /// every chunk is back in place.
     pub fn run_rounds<F>(&mut self, threads: usize, step: F) -> u64
     where
-        F: Fn(&mut S, u64) -> bool + Sync,
+        S: 'static,
+        F: Fn(&mut S, u64) -> bool + Send + Copy + 'static,
     {
         if self.shards.is_empty() {
             return 0;
         }
-        let threads = threads.max(1).min(self.shards.len());
-        if threads == 1 {
-            let mut round = 0u64;
-            loop {
-                let mut again = false;
-                for s in &mut self.shards {
-                    again |= step(s, round);
-                }
-                round += 1;
-                if !again {
-                    return round;
-                }
-            }
+        let pool = threads.clamp(1, self.shards.len().min(host_cpus()));
+        let size = self.shards.len().div_ceil(pool);
+        let mut chunks = Vec::new();
+        while self.shards.len() > size {
+            let shards = self.shards.split_off((self.shards.len() - 1) / size * size);
+            chunks.insert(0, Chunk { shards, step, round: 0, again: false });
         }
-        // Contiguous chunks, one worker each: shard i is stepped only by
-        // worker i / chunk, so no shard is ever touched by two threads.
-        let chunk = self.shards.len().div_ceil(threads);
-        let workers = self.shards.len().div_ceil(chunk);
-        let barrier = Barrier::new(workers);
-        let votes = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let rounds = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for shards in self.shards.chunks_mut(chunk) {
-                let (barrier, votes, stop, rounds, step) =
-                    (&barrier, &votes, &stop, &rounds, &step);
-                scope.spawn(move || {
-                    let mut round = 0u64;
-                    loop {
-                        let mut again = false;
-                        for s in shards.iter_mut() {
-                            again |= step(s, round);
-                        }
-                        if again {
-                            votes.fetch_add(1, Ordering::Relaxed);
-                        }
-                        // Rendezvous: every shard has reached the round
-                        // boundary. The leader tallies the continuation
-                        // vote; a second wait publishes it before anyone
-                        // can start (or skip) the next round.
-                        if barrier.wait().is_leader() {
-                            stop.store(votes.load(Ordering::Relaxed) == 0, Ordering::Relaxed);
-                            votes.store(0, Ordering::Relaxed);
-                            rounds.store(round + 1, Ordering::Relaxed);
-                        }
-                        barrier.wait();
-                        round += 1;
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                    }
-                });
+        let mut workers: Vec<_> = chunks.iter().map(|_| Worker::new(step_chunk)).collect();
+        let mut round = 0;
+        let caught = loop {
+            for (worker, chunk) in workers.iter_mut().zip(chunks.drain(..)) {
+                worker.start(Chunk { round, ..chunk });
             }
-        });
-        rounds.load(Ordering::Relaxed)
+            let mine = panic::catch_unwind(AssertUnwindSafe(|| {
+                step_shards(&mut self.shards, &step, round)
+            }));
+            let mut again = matches!(mine, Ok(true));
+            let mut caught = mine.err();
+            for worker in &mut workers {
+                let (chunk, outcome) = worker.finish().unwrap_or_else(|| {
+                    panic::resume_unwind(Box::new("a shard worker died holding its chunk"))
+                });
+                again |= chunk.again;
+                caught = caught.or(outcome.err());
+                chunks.push(chunk);
+            }
+            round += 1;
+            if caught.is_some() || !again {
+                break caught;
+            }
+        };
+        self.shards.extend(chunks.into_iter().flat_map(|c| c.shards));
+        if let Some(payload) = caught {
+            panic::resume_unwind(payload);
+        }
+        round
     }
 }
 
@@ -199,72 +211,101 @@ fn wait<T>(rx: &Receiver<T>) -> Option<T> {
 /// A job and how its step ended: `Err` holds a panic's payload.
 type Outcome<J> = (J, thread::Result<()>);
 
-/// One persistent helper thread applying a fixed step to one job at a
-/// time, beside the thread that owns it.
+/// Steps `job` once, catching a panic: what both forms of [`Worker`] do.
+fn step_job<J>(work: fn(&mut J), mut job: J) -> Outcome<J> {
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| work(&mut job)));
+    (job, outcome)
+}
+
+/// The threaded form's ends: the job queue, the way back, the thread.
+type Thread<J> = (Sender<J>, Receiver<Outcome<J>>, JoinHandle<()>);
+
+/// Applies a fixed step to one job at a time, beside the thread that
+/// owns it: on a persistent helper thread, or inline on the caller.
 ///
-/// [`start`](Self::start) moves a job to the thread, which steps it at
-/// once; [`finish`](Self::finish) takes it back. A panicking step is
-/// caught on the thread and its payload returned with the job, so the
-/// caller decides when to re-raise it. Dropping the worker closes its
-/// queue and joins the thread.
+/// [`start`](Self::start) hands a job over, and a thread steps it at
+/// once; [`finish`](Self::finish) takes it back. The inline form steps
+/// the job inside `start`. Either way a panicking step is caught and its
+/// payload returned with the job, so the caller decides when to re-raise
+/// it. Dropping a threaded worker closes its queue and joins the thread.
 ///
 /// # Examples
 ///
 /// ```
 /// use f4t_core::parallel::Worker;
 ///
-/// let mut w = Worker::spawn(|n: &mut u64| *n *= 3).expect("thread");
-/// w.start(7);
-/// let (n, outcome) = w.finish().expect("job back");
-/// assert_eq!(n, 21);
-/// assert!(outcome.is_ok());
+/// for mut w in [Worker::new(|n: &mut u64| *n *= 3), Worker::inline(|n| *n *= 3)] {
+///     w.start(7);
+///     let (n, outcome) = w.finish().expect("job back");
+///     assert_eq!(n, 21);
+///     assert!(outcome.is_ok());
+/// }
 /// ```
 #[derive(Debug)]
 pub struct Worker<J> {
-    jobs: Option<Sender<J>>,
-    done: Receiver<Outcome<J>>,
-    thread: Option<JoinHandle<()>>,
+    work: fn(&mut J),
+    /// `None` for the inline form.
+    thread: Option<Thread<J>>,
+    /// The inline form's stepped job, until `finish` takes it.
+    stepped: Option<Outcome<J>>,
 }
 
 impl<J: Send + 'static> Worker<J> {
-    /// Spawns the thread; `work` runs on every job it is handed. An error
-    /// is the host refusing the thread, and the caller steps its jobs
-    /// itself.
+    /// A thread if the host has more than one CPU and grants one, the
+    /// inline form otherwise; `work` runs on every job.
+    pub fn new(work: fn(&mut J)) -> Worker<J> {
+        let threaded = if host_cpus() > 1 { Worker::spawn(work).ok() } else { None };
+        threaded.unwrap_or_else(|| Worker::inline(work))
+    }
+
+    /// A worker on a thread of its own, whatever the host's CPU count. An
+    /// error is the host refusing the thread.
     pub fn spawn(work: fn(&mut J)) -> io::Result<Worker<J>> {
         let (jobs, inbox) = mpsc::channel::<J>();
         let (outbox, done) = mpsc::channel::<Outcome<J>>();
         let thread = thread::Builder::new().name("f4t-worker".into()).spawn(move || {
-            while let Some(mut job) = wait(&inbox) {
-                let outcome = panic::catch_unwind(AssertUnwindSafe(|| work(&mut job)));
-                if outbox.send((job, outcome)).is_err() {
+            while let Some(job) = wait(&inbox) {
+                if outbox.send(step_job(work, job)).is_err() {
                     return;
                 }
             }
         })?;
-        Ok(Worker { jobs: Some(jobs), done, thread: Some(thread) })
+        Ok(Worker { work, thread: Some((jobs, done, thread)), stepped: None })
     }
 
-    /// Hands `job` to the thread, which starts stepping it at once.
+    /// A worker that steps each job on the caller, inside `start`.
+    pub fn inline(work: fn(&mut J)) -> Worker<J> {
+        Worker { work, thread: None, stepped: None }
+    }
+
+    /// Hands `job` over: a thread starts stepping it at once, the inline
+    /// form steps it before returning.
     pub fn start(&mut self, job: J) {
-        if let Some(jobs) = &self.jobs {
+        match &self.thread {
             // A send fails only if the thread is gone, and then so is the
             // job: `finish` reports that.
-            let _ = jobs.send(job);
+            Some((jobs, ..)) => {
+                let _ = jobs.send(job);
+            }
+            None => self.stepped = Some(step_job(self.work, job)),
         }
     }
 
     /// Waits for the started job and returns it with its outcome; `None`
     /// if the thread is gone, and the job with it.
     pub fn finish(&mut self) -> Option<Outcome<J>> {
-        wait(&self.done)
+        match &self.thread {
+            Some((_, done, _)) => wait(done),
+            None => self.stepped.take(),
+        }
     }
 }
 
 impl<J> Drop for Worker<J> {
     fn drop(&mut self) {
-        // Closing the queue ends the thread's loop once it is idle.
-        self.jobs = None;
-        if let Some(thread) = self.thread.take() {
+        if let Some((jobs, _done, thread)) = self.thread.take() {
+            // Closing the queue ends the thread's loop once it is idle.
+            drop(jobs);
             let _ = thread.join();
         }
     }
@@ -315,6 +356,37 @@ mod tests {
     }
 
     #[test]
+    fn a_pool_wider_than_the_host_matches_a_pool_of_one() {
+        let n = host_cpus() + 3;
+        let run = |threads: usize| {
+            let mut r = ParallelRunner::new((0..n as u64).collect::<Vec<_>>());
+            let rounds = r.run_rounds(threads, |v, round| {
+                *v = v.wrapping_mul(0x9E37_79B9).wrapping_add(round);
+                round < 5 + *v % 7
+            });
+            (r.into_shards(), rounds)
+        };
+        assert_eq!(run(n), run(1));
+    }
+
+    #[test]
+    fn a_panicking_shard_is_raised_with_every_shard_back() {
+        for threads in [1, 2, 4] {
+            let mut r = ParallelRunner::new(vec![0u64; 4]);
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                r.run_rounds(threads, |v, round| {
+                    assert!(round < 3, "round 3");
+                    *v += 1;
+                    true
+                })
+            }));
+            let payload = caught.expect_err("round 3 panics");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"round 3"), "pool of {threads}");
+            assert_eq!(r.shards(), [3; 4], "pool of {threads}");
+        }
+    }
+
+    #[test]
     fn empty_and_single_shard_runs() {
         let mut empty: ParallelRunner<u64> = ParallelRunner::new(Vec::new());
         assert_eq!(empty.run_rounds(4, |_, _| true), 0);
@@ -329,13 +401,14 @@ mod tests {
         assert_eq!(one.shards()[0], (0..=4u64).sum());
     }
 
-    #[test]
-    fn a_worker_returns_each_job_and_a_caught_panic() {
-        let mut w = Worker::spawn(|n: &mut u64| {
-            assert!(*n != 0, "zero job");
-            *n *= 2;
-        })
-        .expect("thread");
+    /// Doubles a job; panics on 0.
+    fn double_nonzero(n: &mut u64) {
+        assert!(*n != 0, "zero job");
+        *n *= 2;
+    }
+
+    /// Steps 1, 0 and 3 on `w`: each comes back, the 0 with its panic.
+    fn returns_each_job_and_a_caught_panic(mut w: Worker<u64>) {
         for n in [1u64, 0, 3] {
             w.start(n);
             let (back, outcome) = w.finish().expect("the job comes back");
@@ -345,9 +418,19 @@ mod tests {
                 assert_eq!(back, 0);
             } else {
                 assert!(outcome.is_ok());
-                assert_eq!(back, 2 * n, "the thread outlives a panicking step");
+                assert_eq!(back, 2 * n, "the worker outlives a panicking step");
             }
         }
+    }
+
+    #[test]
+    fn a_worker_returns_each_job_and_a_caught_panic() {
+        returns_each_job_and_a_caught_panic(Worker::spawn(double_nonzero).expect("thread"));
+    }
+
+    #[test]
+    fn an_inline_worker_returns_each_job_and_a_caught_panic() {
+        returns_each_job_and_a_caught_panic(Worker::inline(double_nonzero));
     }
 
     #[test]

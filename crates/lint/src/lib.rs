@@ -31,9 +31,9 @@
 //! | `raw_queue` | `core`, `mem` | no `VecDeque<...>` fields/locals — on-chip queues must be `f4t_sim::Fifo` (bounded, with backpressure and conservation counters) |
 //! | `panic_path` | `core` | no `unwrap()`/`expect()`/`panic!`-family in non-test code: everything in `core` is reachable from `Engine::tick` |
 //! | `nondeterministic_iter` | every crate | no `for … in` loops over `HashMap`/`HashSet` iterators — declared types flow from struct fields (workspace-wide) and same-file bindings to the loop site; hash order silently breaks the golden-digest contract |
-//! | `panic_reachable` | every crate except `core` | no panic-family expression in any function the call graph reaches from `tick`/`tick_probed`/`ParallelRunner` entry points |
+//! | `panic_reachable` | every crate except `core` | no panic-family expression in any function the call graph reaches from a `tick`/`tick_probed` entry or a thread entry (every `parallel.rs` function, every `run_rounds` host, every step handed to a `Worker` constructor) |
 //! | `float_in_digest` | every crate | no f32/f64 arithmetic reachable from `fold_digests`/FNV/digest/merge entry points — float rounding is order-sensitive and breaks byte-identical artifact merging |
-//! | `shared_mut_across_shards` | every crate | no statics, `Rc`, non-`Sync` interior mutability or `unsafe` referenced from `parallel.rs` worker closures, from the steps handed to `Worker::spawn` (the node window, DESIGN.md §12.4) or anything they reach |
+//! | `shared_mut_across_shards` | every crate | no statics, `Rc`, non-`Sync` interior mutability or `unsafe` referenced from a thread entry (as for `panic_reachable`; the node window is one, DESIGN.md §12.4) or anything it reaches |
 //! | `tick_path_scan` | `core`, `mem`, `host`, `system`, `workloads` | no `.iter().position(` / `.iter().find(` / `.contains(&` / `min_by_key(` and no `HashMap`/`HashSet` field access in functions the call graph reaches from `tick`/`tick_probed` (`Engine::tick`, and `Node::tick` around it): the hardware answers in one cycle and a flow id is an index, so the simulator answers from an index (DESIGN.md §12.1) |
 //! | `metric_name` | every crate | FtScope metric / FtFlight stage / FtJournal event names are dotted `snake_case` and unique per file |
 //! | `metrics_catalog` | every crate | every metric/stage/event literal must match an entry of the generated METRICS.md catalog (placeholders match any run) |
@@ -88,7 +88,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "panic_reachable",
-        "no panic-family expression reachable from tick/tick_probed/ParallelRunner entry \
+        "no panic-family expression reachable from tick/tick_probed or thread entry \
          points (call-graph BFS; crates/core is covered line-by-line by panic_path)",
     ),
     (
@@ -98,7 +98,7 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "shared_mut_across_shards",
         "no statics, Rc, non-Sync interior mutability or unsafe referenced from worker-thread \
-         code (parallel.rs closures, Worker::spawn steps and everything they reach)",
+         code (parallel.rs, run_rounds hosts, Worker steps and everything they reach)",
     ),
     (
         "tick_path_scan",
@@ -505,11 +505,17 @@ mod tests {
             lines(&of(&all, "shared_mut_across_shards"))
         };
         // The static mut, the RefCell and the unsafe block reached from the
-        // step handed to Worker::spawn; lock_step's Rc is exempt.
-        assert_eq!(scan(&src), [7, 18, 20]);
-        // A closure handed to Worker::spawn makes its host the entry.
-        let closure = src.replace("Worker::spawn(window_step)", "Worker::spawn(|w| side(w))");
-        assert_eq!(scan(&closure), [7, 18, 20]);
+        // step handed to a Worker constructor, whatever it is called;
+        // lock_step's Rc is exempt.
+        for ctor in ["spawn", "new", "inline"] {
+            let named = src.replace("Worker::spawn(", &format!("Worker::{ctor}("));
+            assert_eq!(scan(&named), [7, 18, 20], "Worker::{ctor}");
+        }
+        // A closure handed to a Worker constructor makes its host the entry.
+        for arg in ["|w| side(w)", "move |w| side(w)"] {
+            let closure = src.replace("Worker::spawn(window_step)", &format!("Worker::new({arg})"));
+            assert_eq!(scan(&closure), [7, 18, 20], "{arg}");
+        }
         // With no worker, the same code is ordinary single-thread code.
         let no_worker = src.replace("Worker::spawn(window_step)", "Worker::default()");
         assert!(scan(&no_worker).is_empty());

@@ -301,19 +301,51 @@ fn is_tick_entry(name: &str) -> bool {
     matches!(name, "tick" | "tick_probed")
 }
 
-/// Entry points for `panic_reachable`: every tick entry, every
-/// `ParallelRunner` method, and every function that lexically hosts a
-/// worker closure (calls `run_rounds`).
-fn tick_entries(files: &[SourceFile], idx: &SymbolIndex) -> Vec<FnId> {
+/// Where code starts running on FtTurbo's thread substrate (DESIGN.md
+/// §12.4), for `panic_reachable` and `shared_mut_across_shards`: every
+/// function in `parallel.rs`, every host of a `run_rounds` call, and
+/// every step handed to a `Worker` constructor — the function named as
+/// its argument, or the hosting function when the argument is a closure.
+fn thread_entries(files: &[SourceFile], idx: &SymbolIndex) -> Vec<FnId> {
+    const CALL: &str = "Worker::";
+    let mut names = Vec::new();
     let mut entries = Vec::new();
     for (id, f) in idx.fns.iter().enumerate() {
         if f.is_test {
             continue;
         }
-        if is_tick_entry(&f.name)
-            || f.impl_type.as_deref() == Some("ParallelRunner")
-            || body_mentions(files, idx, id, "run_rounds")
-        {
+        if files[f.file].label.ends_with("parallel.rs") {
+            entries.push(id);
+            continue;
+        }
+        if body_mentions(files, idx, id, "run_rounds") {
+            entries.push(id);
+        }
+        let Some((start, end)) = f.body else { continue };
+        for line in &files[f.file].code[start..=end] {
+            for (pos, _) in line.match_indices(CALL) {
+                // `Worker::<constructor>(<step>`.
+                let call = &line[pos + CALL.len()..];
+                let Some(open) = call.find('(') else { continue };
+                if !call[..open].chars().all(|c| c.is_alphanumeric() || c == '_') {
+                    continue;
+                }
+                let arg = call[open + 1..].trim_start();
+                let path: String = arg
+                    .chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == ':')
+                    .collect();
+                match path.trim_end_matches(':').rsplit("::").next() {
+                    Some("move") => entries.push(id),
+                    Some(name) if !name.is_empty() => names.push(name.to_string()),
+                    _ if arg.starts_with('|') => entries.push(id),
+                    _ => {}
+                }
+            }
+        }
+    }
+    for (id, f) in idx.fns.iter().enumerate() {
+        if !f.is_test && names.contains(&f.name) {
             entries.push(id);
         }
     }
@@ -321,14 +353,17 @@ fn tick_entries(files: &[SourceFile], idx: &SymbolIndex) -> Vec<FnId> {
 }
 
 /// `panic_reachable`: no panic-family expression in any function
-/// reachable from a tick/ParallelRunner entry point, workspace-wide.
+/// reachable from a tick entry or a thread entry, workspace-wide.
 pub fn panic_reachable(
     ws: &mut Workspace,
     idx: &SymbolIndex,
     graph: &CallGraph,
     out: &mut Vec<Finding>,
 ) {
-    let entries = tick_entries(&ws.files, idx);
+    let mut entries = thread_entries(&ws.files, idx);
+    entries.extend(idx.fns.iter().enumerate().filter_map(|(id, f)| {
+        (!f.is_test && is_tick_entry(&f.name)).then_some(id)
+    }));
     let pred = graph.reachable_from(&entries);
     for (id, f) in idx.fns.iter().enumerate() {
         if pred[id].is_none() || f.is_test {
@@ -352,8 +387,9 @@ pub fn panic_reachable(
                         i,
                         "panic_reachable",
                         format!(
-                            "`{}` on a tick-reachable path ({path}); a model that panics \
-                             mid-tick cannot report what went wrong — return/skip instead",
+                            "`{}` on a tick- or thread-reachable path ({path}); a model \
+                             that panics mid-tick cannot report what went wrong — return/skip \
+                             instead",
                             pat.trim_start_matches('.')
                         ),
                         out,
@@ -453,72 +489,24 @@ pub fn float_in_digest(
 const SHARED_MUT_PATTERNS: &[(&str, &str)] = &[
     ("static mut ", "a `static mut` is unsynchronized shared state across shard workers"),
     ("thread_local!", "thread-locals diverge between pool sizes (shard-to-thread mapping varies)"),
-    ("Rc<", "`Rc` is not Sync; a clone smuggled across the rendezvous is a data race"),
+    ("Rc<", "`Rc` is not Sync; a clone smuggled across a hand-off is a data race"),
     ("RefCell<", "`RefCell` has non-Sync interior mutability; workers sharing one race"),
     ("UnsafeCell<", "raw interior mutability shared across workers is unchecked"),
 ];
 
-/// The steps persistent `Worker` threads run: every function named as
-/// the argument of a `Worker::spawn(..)` call (`F4tSystem`'s node-window
-/// step), and the function hosting the call when it passes a closure.
-fn worker_steps(files: &[SourceFile], idx: &SymbolIndex) -> Vec<FnId> {
-    const CALL: &str = "Worker::spawn(";
-    let mut names = Vec::new();
-    let mut steps = Vec::new();
-    for (id, f) in idx.fns.iter().enumerate() {
-        let Some((start, end)) = f.body else { continue };
-        if f.is_test {
-            continue;
-        }
-        let code = &files[f.file].code;
-        for line in code.iter().take(end + 1).skip(start) {
-            for (pos, _) in line.match_indices(CALL) {
-                let arg = line[pos + CALL.len()..].trim_start();
-                let path: String = arg
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == ':')
-                    .collect();
-                match path.rsplit("::").next() {
-                    Some(name) if !name.is_empty() && name != "move" => {
-                        names.push(name.to_string())
-                    }
-                    _ => steps.push(id),
-                }
-            }
-        }
-    }
-    for (id, f) in idx.fns.iter().enumerate() {
-        if !f.is_test && names.contains(&f.name) {
-            steps.push(id);
-        }
-    }
-    steps
-}
-
 /// `shared_mut_across_shards`: statics, `Rc`, non-`Sync` interior
-/// mutability or `unsafe` referenced from `parallel.rs` worker closures,
-/// from the steps persistent `Worker` threads run, or anything they
-/// reach. The determinism contract (pool-size invariance, byte-identical
-/// digests) holds only if shards never share mutable state outside the
-/// rendezvous barrier, and a node window only if its two sides share
-/// none until the window closes.
+/// mutability or `unsafe` referenced from a thread entry or anything it
+/// reaches. The determinism contract (pool-size invariance,
+/// byte-identical digests) holds only if shards never share mutable
+/// state between round hand-offs, and a node window only if its two
+/// sides share none until the window closes.
 pub fn shared_mut_across_shards(
     ws: &mut Workspace,
     idx: &SymbolIndex,
     graph: &CallGraph,
     out: &mut Vec<Finding>,
 ) {
-    let mut entries = Vec::new();
-    for (id, f) in idx.fns.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        let in_parallel_file = ws.files[f.file].label.ends_with("parallel.rs");
-        if in_parallel_file || body_mentions(&ws.files, idx, id, "run_rounds") {
-            entries.push(id);
-        }
-    }
-    entries.extend(worker_steps(&ws.files, idx));
+    let entries = thread_entries(&ws.files, idx);
     let pred = graph.reachable_from(&entries);
 
     // (a) module-level statics in any file holding worker-reachable code.
@@ -544,7 +532,7 @@ pub fn shared_mut_across_shards(
                 "shared_mut_across_shards",
                 format!(
                     "module-level `{decl}` is visible to shard workers; cross-shard state \
-                     must flow through the rendezvous barrier (ParallelRunner), not globals"
+                     must move with the jobs a Worker hands off, not through globals"
                 ),
                 out,
             );

@@ -3,8 +3,8 @@
 //! [`F4tSystem::tick`] is the reference step: node `a`, node `b`, the
 //! churn manager, then the link. [`F4tSystem::run_cycles`] runs the same
 //! cycles in node windows (DESIGN.md §12.4): as long as the link's
-//! lookahead allows, node `b` steps on a worker thread beside node `a`,
-//! and the two meet only at the window's end.
+//! lookahead allows, node `b` steps on a worker beside node `a`, and the
+//! two meet only at the window's end.
 
 use crate::link::{DuplexLink, LinkHalf};
 use crate::metrics::Metrics;
@@ -22,9 +22,7 @@ use f4t_workloads::{
     BulkReceiver, BulkSender, ChurnClient, IncastSender, RequestClient, RequestServer, SinkServer,
     CHURN_APP_CYCLES, CHURN_REQUEST_BYTES, ECHO_APP_CYCLES,
 };
-use std::io;
 use std::net::Ipv4Addr;
-use std::num::NonZeroUsize;
 use std::ops::{Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
 
@@ -59,14 +57,15 @@ impl ChurnManager {
     }
 }
 
-/// A node on the heap, so a window can hand it to the worker thread by
-/// moving one pointer. Derefs to the [`Node`].
+/// A node on the heap, so a window can hand it to the worker by moving
+/// one pointer. Derefs to the [`Node`].
 #[derive(Debug, Default)]
 pub struct NodeBox(Option<Box<Node>>);
 
-/// Empty only while node `b` is out on the worker thread, inside
-/// [`F4tSystem::run_cycles`], or after that thread died holding it.
-const NODE_OUT: &str = "node is on its window thread";
+/// Empty only while node `b` is out on the worker, inside
+/// [`F4tSystem::run_cycles`], or after the worker's thread died holding
+/// it.
+const NODE_OUT: &str = "node is out on its window worker";
 
 impl NodeBox {
     fn new(node: Node) -> NodeBox {
@@ -88,7 +87,7 @@ impl DerefMut for NodeBox {
     }
 }
 
-/// Node `b`'s side of one window, as the worker thread receives it.
+/// Node `b`'s side of one window, as the worker receives it.
 #[derive(Debug)]
 struct NodeWindow {
     node: NodeBox,
@@ -99,7 +98,7 @@ struct NodeWindow {
     slept: u64,
 }
 
-/// The worker thread's step: node `b`'s side of a window.
+/// The worker's step: node `b`'s side of a window.
 fn run_node_window(w: &mut NodeWindow) {
     w.slept = step_side(&mut w.node, &mut w.link, None, w.from, w.cycles);
 }
@@ -135,28 +134,6 @@ fn step_side(
     node.end_engine_sleep()
 }
 
-/// How [`F4tSystem::run_cycles`] steps the nodes.
-#[derive(Debug)]
-enum Stepping {
-    /// No window has run yet, so no thread was asked for.
-    Untried,
-    /// Node `b`'s side of every window runs on this thread.
-    Windows(Worker<NodeWindow>),
-    /// A 1-CPU host or a refused thread: reference ticks only.
-    LockStep,
-}
-
-impl Stepping {
-    /// Windows on a thread from `spawn` if the host has `cpus > 1` and
-    /// grants it; lock-step otherwise.
-    fn start(cpus: usize, spawn: impl FnOnce() -> io::Result<Worker<NodeWindow>>) -> Stepping {
-        match (cpus > 1).then(spawn) {
-            Some(Ok(worker)) => Stepping::Windows(worker),
-            _ => Stepping::LockStep,
-        }
-    }
-}
-
 /// Two nodes connected by a 100 Gbps link, running a workload.
 #[derive(Debug)]
 pub struct F4tSystem {
@@ -168,8 +145,9 @@ pub struct F4tSystem {
     cycle: u64,
     /// Connection churn generator (churnstorm workload only).
     churn: Option<ChurnManager>,
-    stepping: Stepping,
-    /// Node windows run on two threads so far.
+    /// Steps node `b`'s side of every window; made for the first one.
+    worker: Option<Worker<NodeWindow>>,
+    /// Node windows run so far.
     windows: u64,
     /// Engine steps each node (`a`, `b`) slept through in those windows.
     slept: [u64; 2],
@@ -194,7 +172,7 @@ impl F4tSystem {
             link: DuplexLink::hundred_gig(),
             cycle: 0,
             churn: None,
-            stepping: Stepping::Untried,
+            worker: None,
             windows: 0,
             slept: [0; 2],
         }
@@ -303,18 +281,19 @@ impl F4tSystem {
     /// On a link with at least two cycles of lookahead
     /// ([`DuplexLink::lookahead_cycles`]) the cycles run in node windows
     /// of up to the lookahead, each ending before a held segment's flush
-    /// deadline: node `b` steps on a worker thread, spawned on the first
-    /// window and joined on drop, while node `a` steps on this one. A
-    /// window the deadline cuts under 2 cycles is one [`Self::tick`].
-    /// Otherwise — on the ideal link, while a direction both loses and
-    /// holds, on a 1-CPU host, or if the thread is refused — each cycle
-    /// is a [`Self::tick`], with no further look at the link. Inside a
-    /// window each node's engine sleeps through its idle cycles
+    /// deadline: node `b`'s side goes to a [`Worker`], made on the first
+    /// window, and node `a`'s steps on this thread. The worker has a
+    /// thread of its own on a multi-CPU host and steps node `b` here,
+    /// before node `a`, otherwise; the bytes are the same. A window the
+    /// deadline cuts under 2 cycles is one [`Self::tick`]. Otherwise — on
+    /// the ideal link, or while a direction both loses and holds — each
+    /// cycle is a [`Self::tick`], with no further look at the link.
+    /// Inside a window each node's engine sleeps through its idle cycles
     /// ([`Self::slept_cycles`]). A panic in either node's window is
     /// re-raised here with its payload once both sides stopped.
     pub fn run_cycles(&mut self, n: u64) {
         let lookahead = self.link.lookahead_cycles();
-        if n == 0 || lookahead < 2 || !self.worker_ready() {
+        if lookahead < 2 {
             for _ in 0..n {
                 self.tick();
             }
@@ -333,23 +312,12 @@ impl F4tSystem {
         }
     }
 
-    /// Whether node windows have a worker thread, spawning it on first
-    /// use. The host's CPU count is read once per system.
-    fn worker_ready(&mut self) -> bool {
-        if let Stepping::Untried = self.stepping {
-            let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-            self.stepping = Stepping::start(cpus, || Worker::spawn(run_node_window));
-        }
-        matches!(self.stepping, Stepping::Windows(_))
-    }
-
     /// One node window of `cycles`, no more than the link's lookahead and
-    /// ending before the next flush deadline: node `b`'s side on the
-    /// worker thread, node `a`'s here, then the link's halves join.
+    /// ending before the next flush deadline: node `b`'s side starts on
+    /// the worker, node `a`'s steps here, node `b`'s finishes, and the
+    /// link's halves join.
     fn run_window(&mut self, cycles: u64) {
-        let Stepping::Windows(worker) = &mut self.stepping else {
-            unreachable!("run_cycles opens windows only with a worker")
-        };
+        let worker = self.worker.get_or_insert_with(|| Worker::new(run_node_window));
         let macs = [self.a.engine.mac, self.b.engine.mac];
         let (mut a_link, b_link) = self.link.open_window(macs);
         let (from, node) = (self.cycle, std::mem::take(&mut self.b));
@@ -368,15 +336,15 @@ impl F4tSystem {
         self.slept[1] += job.slept;
     }
 
-    /// Node windows run on two threads so far (0 when every cycle was a
-    /// reference tick).
+    /// Node windows run so far (0 when every cycle was a reference
+    /// tick).
     pub fn windows(&self) -> u64 {
         self.windows
     }
 
     /// Engine steps node `a`'s and node `b`'s engine slept through inside
     /// node windows (DESIGN.md §12.4), each settled in closed form — 0 in
-    /// lock-step or with [`EngineConfig::fast_forward`] off. A host-side
+    /// reference ticks or with [`EngineConfig::fast_forward`] off. A host-side
     /// view of the run, kept out of telemetry: it moves no simulated byte.
     pub fn slept_cycles(&self) -> [u64; 2] {
         self.slept
@@ -729,14 +697,10 @@ mod tests {
         assert!(sys.impairment_events() > 0, "profile engaged");
     }
 
-    fn multi_cpu() -> bool {
-        std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
-    }
-
     #[test]
-    fn no_window_no_thread() {
+    fn no_window_no_worker() {
         let mut sys = F4tSystem::bulk(1, 128, small_engine());
-        assert!(matches!(sys.stepping, Stepping::Untried));
+        assert!(sys.worker.is_none());
         for _ in 0..100 {
             sys.tick();
         }
@@ -747,25 +711,20 @@ mod tests {
         sys.run_cycles(1_000);
         sys.set_link(DuplexLink::ideal());
         sys.run_cycles(1_000);
-        assert!(matches!(sys.stepping, Stepping::Untried), "{:?}", sys.stepping);
+        assert!(sys.worker.is_none(), "{:?}", sys.worker);
         assert_eq!(sys.windows(), 0);
         sys.set_link(DuplexLink::hundred_gig());
         sys.run_cycles(1_000);
-        assert_eq!(matches!(sys.stepping, Stepping::Windows(_)), multi_cpu());
-        assert_eq!(sys.windows() > 0, multi_cpu());
+        assert!(sys.worker.is_some());
+        assert!(sys.windows() > 0);
     }
 
     #[test]
-    fn a_refused_thread_degrades_to_lock_step() {
-        let refused = || Err(io::Error::other("no threads for you"));
-        assert!(matches!(Stepping::start(4, refused), Stepping::LockStep));
-        let never = || -> io::Result<Worker<NodeWindow>> { panic!("1 CPU asks for no thread") };
-        assert!(matches!(Stepping::start(1, never), Stepping::LockStep));
-
-        let run = |refuse: bool| {
+    fn an_inline_worker_matches_tick_and_counts_windows() {
+        let run = |inline: bool| {
             let mut sys = F4tSystem::echo(2, 16, 128, small_engine());
-            if refuse {
-                sys.stepping = Stepping::start(4, refused);
+            if inline {
+                sys.worker = Some(Worker::inline(run_node_window));
                 sys.run_cycles(3_000);
             } else {
                 for _ in 0..3_000 {
@@ -775,9 +734,9 @@ mod tests {
             (sys.windows(), sys.a.requests(), sys.telemetry().to_json())
         };
         let (windows, requests, telemetry) = run(true);
-        assert_eq!(windows, 0);
+        assert_eq!(windows, 3_000 / 250, "windows of the 250-cycle lookahead");
         assert!(requests > 0, "echo ran");
-        assert_eq!((windows, requests, telemetry), run(false));
+        assert_eq!((0, requests, telemetry), run(false));
     }
 
     /// Congestion control that refuses the first ACK, naming the thread
@@ -805,26 +764,28 @@ mod tests {
 
     #[test]
     fn a_panic_in_node_b_window_is_raised_on_the_caller() {
-        let cfg = small_engine();
-        let mut b = Node::new(1, cfg.clone());
-        b.engine = Engine::with_cc(cfg.clone(), Arc::new(RefusesAcks));
-        let mut sys = F4tSystem::new(Node::new(1, cfg), b);
-        let (fa, fb) = sys.open_pair(0, 0, 0);
-        sys.a.set_driver(0, Driver::BulkReceiver(BulkReceiver::new(vec![fa])));
-        sys.b.set_driver(0, Driver::BulkSender(BulkSender::new(vec![fb], 1_024, 0)));
+        let here = std::thread::current().name().unwrap_or("?").to_string();
+        let threaded = Worker::spawn(run_node_window).expect("thread");
+        for (worker, on) in [(threaded, "f4t-worker"), (Worker::inline(run_node_window), &here)] {
+            let cfg = small_engine();
+            let mut b = Node::new(1, cfg.clone());
+            b.engine = Engine::with_cc(cfg.clone(), Arc::new(RefusesAcks));
+            let mut sys = F4tSystem::new(Node::new(1, cfg), b);
+            sys.worker = Some(worker);
+            let (fa, fb) = sys.open_pair(0, 0, 0);
+            sys.a.set_driver(0, Driver::BulkReceiver(BulkReceiver::new(vec![fa])));
+            sys.b.set_driver(0, Driver::BulkSender(BulkSender::new(vec![fb], 1_024, 0)));
 
-        let caught = panic::catch_unwind(AssertUnwindSafe(|| sys.run_cycles(20_000)));
-        let payload = caught.expect_err("node b's congestion control panics");
-        let message = payload.downcast_ref::<String>().expect("formatted payload");
-        if multi_cpu() {
-            assert_eq!(message, "ack refused on f4t-worker");
-            assert!(matches!(sys.stepping, Stepping::Windows(_)));
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| sys.run_cycles(20_000)));
+            let payload = caught.expect_err("node b's congestion control panics");
+            let message = payload.downcast_ref::<String>().expect("formatted payload");
+            assert_eq!(message, &format!("ack refused on {on}"));
+            // Both nodes are back in place; dropping the system joins a
+            // worker thread.
+            assert!(sys.b.engine.live_flows() > 0);
+            assert_eq!(sys.a.requests(), 0);
+            drop(sys);
         }
-        // Both nodes are back in place; dropping the system joins the
-        // worker thread.
-        assert!(sys.b.engine.live_flows() > 0);
-        assert_eq!(sys.a.requests(), 0);
-        drop(sys);
     }
 
     #[test]

@@ -196,11 +196,11 @@ if grep -rnwE 'Runtime|QueuePair|Iova|Doorbell|CommandQueue|DecodeError|encode16
 fi
 
 echo "==> one-thread-spawner / no-unsafe gate (DESIGN.md section 12.4)"
-# Threads are spawned in one file: ParallelRunner's shard pool and the
-# persistent Worker that runs F4tSystem's node windows both live in
-# crates/core/src/parallel.rs, where f4tlint's shared_mut_across_shards
-# rule starts its walk. Jobs cross threads by value, so the workspace
-# needs no unsafe; the f4tlint fixtures are lint inputs, not workspace code.
+# Threads are spawned in one file: the Worker that runs ParallelRunner's
+# shard chunks and F4tSystem's node windows lives in
+# crates/core/src/parallel.rs, where f4tlint's thread entries start. Jobs
+# cross threads by value, so the workspace needs no unsafe; the f4tlint
+# fixtures are lint inputs, not workspace code.
 hits=$(grep -rlE 'thread::spawn|thread::scope|Builder::new' --include=*.rs crates src tests examples \
     | grep -vx 'crates/core/src/parallel.rs' || true)
 [ -z "$hits" ] || {
@@ -212,6 +212,25 @@ if grep -rnE '\bunsafe[[:space:]]*(\{|fn\b|impl\b|trait\b|extern\b)' --include=*
     echo "FAIL: unsafe code in the workspace: move values between threads instead, DESIGN.md section 12.4" >&2
     exit 1
 fi
+
+echo "==> one-thread-substrate regrowth gate (DESIGN.md section 12.4)"
+# Every thread is a Worker: ParallelRunner hands each shard chunk to one
+# by value once per round, and node windows run on one, which steps its
+# jobs inline where the host has one CPU or refuses the thread. No
+# barrier, scoped pool or atomic comes back, and only parallel.rs reads
+# the host's CPU count. The f4tlint fixtures are lint inputs.
+hits=$(grep -rnE 'Barrier|thread::scope|sync::atomic' --include=*.rs crates src tests examples \
+    | grep -v '^crates/lint/fixtures/' || true)
+[ -z "$hits" ] || {
+    echo "FAIL: a second thread mechanism is back ($hits): hand jobs to a Worker by value, DESIGN.md section 12.4" >&2
+    exit 1
+}
+hits=$(grep -rlE 'available_parallelism' --include=*.rs crates src tests examples \
+    | grep -vx 'crates/core/src/parallel.rs' || true)
+[ -z "$hits" ] || {
+    echo "FAIL: the host's CPU count is read outside crates/core/src/parallel.rs ($hits): a Worker picks its own form, DESIGN.md section 12.4" >&2
+    exit 1
+}
 
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace

@@ -10,7 +10,7 @@
 //! `run_cycles` is called with a rotating mix of lengths that do not
 //! divide the link's lookahead (DESIGN.md §12.4), so a run starts,
 //! splits and ends windows at every phase. Every 100G link must have
-//! taken node windows (on a multi-CPU host), impaired and capturing ones
+//! taken node windows, on any host, impaired and capturing ones
 //! included; only a direction that both loses and reorders takes none.
 //! Inside the windows each node's engine sleeps through its idle cycles
 //! (node `b`'s in every workload, both on the churn link) unless
@@ -116,11 +116,6 @@ fn lock_step(mut sys: F4tSystem, cycles: u64) -> String {
     view(&mut sys)
 }
 
-/// Whether the host can run node windows on two threads at all.
-fn multi_cpu() -> bool {
-    std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
-}
-
 /// What a windowed run did besides its view: the node windows that ran
 /// and the engine steps each node slept through.
 #[derive(Debug)]
@@ -160,9 +155,9 @@ fn windowed_runs_match_lock_step_for_every_constructor() {
     for (name, make) in constructors() {
         let (got, w) = windowed(make(), 2 * PASS);
         assert_same(name, &lock_step(make(), 2 * PASS), &got);
-        assert_eq!(w.ran > 0, multi_cpu(), "{name}: {w:?}");
+        assert!(w.ran > 0, "{name}: {w:?}");
         // Node `b`'s engine sleeps in every workload, bulk's receiver too.
-        assert_eq!(w.slept[1] > 0, multi_cpu(), "{name}: {w:?}");
+        assert!(w.slept[1] > 0, "{name}: {w:?}");
     }
 }
 
@@ -173,7 +168,7 @@ fn windowed_runs_match_lock_step_with_every_recorder_armed() {
     assert!(reference.contains("violations=0 alarms=0"), "{reference}");
     let (got, w) = windowed(make(), PASS);
     assert_same("echo armed", &reference, &got);
-    assert_eq!(w.ran > 0, multi_cpu(), "{w:?}");
+    assert!(w.ran > 0, "{w:?}");
 }
 
 #[test]
@@ -193,7 +188,7 @@ fn impaired_and_capturing_links_match_lock_step() {
             assert_eq!(reference.contains("pcap: "), capture, "{name}");
             let (got, w) = windowed(make(profile, capture), PASS);
             assert_same(&name, &reference, &got);
-            assert_eq!(w.ran > 0, multi_cpu(), "{name}: {w:?}");
+            assert!(w.ran > 0, "{name}: {w:?}");
         }
     }
 }
@@ -216,8 +211,8 @@ fn churnstorm_on_the_churn_link_matches_lock_step() {
         let reference = lock_step(make(), 2 * PASS);
         let (got, w) = windowed(make(), 2 * PASS);
         assert_same(&name, &reference, &got);
-        assert_eq!(w.ran > 0, multi_cpu(), "{name}: {w:?}");
-        assert_eq!(w.slept.map(|n| n > 0), [multi_cpu(); 2], "{name}: {w:?}");
+        assert!(w.ran > 0, "{name}: {w:?}");
+        assert_eq!(w.slept.map(|n| n > 0), [true; 2], "{name}: {w:?}");
         for key in ["reordered", "duplicated"] {
             assert!(link_count(&reference, A_TO_B, key) > 0, "{name}: nothing {key}");
         }
@@ -242,9 +237,7 @@ fn held_segments_flushed_by_deadline_cut_windows_short() {
         assert!(link_count(&reference, dir, "reordered") > 0, "nothing held on link[{dir}]");
     }
     let (_, clean) = windowed(make(Impairments::none()), 4 * PASS);
-    if multi_cpu() {
-        assert!(w.ran > clean.ran, "{w:?} vs {clean:?} on a clean link");
-    }
+    assert!(w.ran > clean.ran, "{w:?} vs {clean:?} on a clean link");
 }
 
 #[test]
@@ -261,7 +254,7 @@ fn a_mac_buffer_drained_under_its_cap_by_a_slow_link_matches_lock_step() {
     let reference = lock_step(make(), 4 * PASS);
     let (got, w) = windowed(make(), 4 * PASS);
     assert_same("bulk on a 25G link", &reference, &got);
-    assert_eq!(w.slept.map(|n| n > 0), [multi_cpu(); 2], "{w:?}");
+    assert_eq!(w.slept.map(|n| n > 0), [true; 2], "{w:?}");
 }
 
 #[test]
@@ -287,6 +280,6 @@ fn engines_stay_awake_with_fast_forward_off() {
     let make = || F4tSystem::echo(2, 16, 128, EngineConfig { fast_forward: false, ..cfg() });
     let (got, w) = windowed(make(), PASS);
     assert_same("echo, fast-forward off", &lock_step(make(), PASS), &got);
-    assert_eq!(w.ran > 0, multi_cpu(), "{w:?}");
+    assert!(w.ran > 0, "{w:?}");
     assert_eq!(w.slept, [0, 0], "{w:?}");
 }
