@@ -1,54 +1,13 @@
 //! # f4t-bench — the figure/table regeneration harness
 //!
 //! One binary per figure and table of the paper's evaluation (run with
-//! `cargo run --release -p f4t-bench --bin figNN`), plus in-tree
-//! micro-benchmarks (`cargo bench`; see [`micro`]). `EXPERIMENTS.md` at
+//! `cargo run --release -p f4t-bench --bin figNN`). `EXPERIMENTS.md` at
 //! the repository root records paper-vs-measured for every harness.
 //!
 //! Set `F4T_QUICK=1` to cut simulation windows ~10× for smoke runs.
 
 use f4t_sim::json::Value;
 use std::fmt::Display;
-
-pub mod micro {
-    //! A dependency-free micro-benchmark harness (the build environment
-    //! has no registry access, so criterion is not available). Each
-    //! benchmark self-calibrates its batch size to ~20 ms, takes the best
-    //! of three timed batches, and prints ns/iter in a criterion-like
-    //! one-line format.
-
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    /// Target wall time per timed batch.
-    const BATCH_MS: u128 = 20;
-
-    /// Times `f`, printing and returning the best-of-3 ns/iter.
-    pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> f64 {
-        // Calibrate: grow the batch until one batch takes >= BATCH_MS.
-        let mut batch = 1u64;
-        loop {
-            let t = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            if t.elapsed().as_millis() >= BATCH_MS || batch >= 1 << 28 {
-                break;
-            }
-            batch *= 2;
-        }
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            best = best.min(t.elapsed().as_nanos() as f64 / batch as f64);
-        }
-        println!("{name:<44} {best:>12.1} ns/iter  (batch {batch})");
-        best
-    }
-}
 
 pub mod pulsejson;
 

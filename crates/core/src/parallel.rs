@@ -248,6 +248,8 @@ pub struct Worker<J> {
     thread: Option<Thread<J>>,
     /// The inline form's stepped job, until `finish` takes it.
     stepped: Option<Outcome<J>>,
+    /// A started job is not taken back yet.
+    out: bool,
 }
 
 impl<J: Send + 'static> Worker<J> {
@@ -270,17 +272,18 @@ impl<J: Send + 'static> Worker<J> {
                 }
             }
         })?;
-        Ok(Worker { work, thread: Some((jobs, done, thread)), stepped: None })
+        Ok(Worker { work, thread: Some((jobs, done, thread)), stepped: None, out: false })
     }
 
     /// A worker that steps each job on the caller, inside `start`.
     pub fn inline(work: fn(&mut J)) -> Worker<J> {
-        Worker { work, thread: None, stepped: None }
+        Worker { work, thread: None, stepped: None, out: false }
     }
 
     /// Hands `job` over: a thread starts stepping it at once, the inline
     /// form steps it before returning.
     pub fn start(&mut self, job: J) {
+        self.out = true;
         match &self.thread {
             // A send fails only if the thread is gone, and then so is the
             // job: `finish` reports that.
@@ -292,8 +295,12 @@ impl<J: Send + 'static> Worker<J> {
     }
 
     /// Waits for the started job and returns it with its outcome; `None`
-    /// if the thread is gone, and the job with it.
+    /// at once if no job is out, and `None` if the thread is gone, and the
+    /// job with it.
     pub fn finish(&mut self) -> Option<Outcome<J>> {
+        if !std::mem::take(&mut self.out) {
+            return None;
+        }
         match &self.thread {
             Some((_, done, _)) => wait(done),
             None => self.stepped.take(),
@@ -431,6 +438,20 @@ mod tests {
     #[test]
     fn an_inline_worker_returns_each_job_and_a_caught_panic() {
         returns_each_job_and_a_caught_panic(Worker::inline(double_nonzero));
+    }
+
+    /// Starts and finishes one job on `w`: a second `finish` finds none
+    /// out and says so at once.
+    fn a_second_finish_gives_none(mut w: Worker<u64>) {
+        w.start(4);
+        assert_eq!(w.finish().map(|(n, _)| n), Some(8));
+        assert!(w.finish().is_none());
+    }
+
+    #[test]
+    fn finish_with_no_job_out_gives_none_on_either_form() {
+        a_second_finish_gives_none(Worker::inline(double_nonzero));
+        a_second_finish_gives_none(Worker::spawn(double_nonzero).expect("thread"));
     }
 
     #[test]

@@ -357,8 +357,7 @@ impl SourceFile {
         let test_file = label.starts_with("tests/")
             || label.starts_with("examples/")
             || label.contains("/tests/")
-            || label.contains("/examples/")
-            || label.contains("/benches/");
+            || label.contains("/examples/");
         SourceFile {
             label: label.to_string(),
             crate_name: crate_name.to_string(),

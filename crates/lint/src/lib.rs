@@ -20,8 +20,9 @@
 //! 4. **callgraph** ([`callgraph`]) — name-resolved approximate call
 //!    graph with BFS reachability (over-approximating, the safe
 //!    direction for "is a panic reachable from tick?");
-//! 5. **rules** ([`rules`]) — the per-line, dataflow, reachability and
-//!    cross-artifact rules below.
+//! 5. **rules** ([`rules`]) — the per-line rules (rows of one
+//!    table-driven pattern pass, [`rules::ROWS`]), dataflow,
+//!    reachability and cross-artifact rules below.
 //!
 //! ## Rules
 //!
@@ -39,6 +40,7 @@
 //! | `metrics_catalog` | every crate | every metric/stage/event literal must match an entry of the generated METRICS.md catalog (placeholders match any run) |
 //! | `cargo_deps` | every manifest | every dependency is `path =` / `workspace = true` — the workspace builds fully offline |
 //! | `stale_allow` | every file | an allow directive that suppresses zero findings is dead weight — delete it (also fires on unknown rule names) |
+//! | `regrowth` | every `.rs` file under `crates/`, `src/`, `tests/`, `examples/` (the lint fixtures included) | the one-X decisions of DESIGN.md (one `Probe`, one JSON codec, one wire, one instrument substrate, one event stream, one event handler and segment builder, one idle routine, one host application model, one host model, one thread substrate, no `unsafe`) must not grow a second copy back; a row's exceptions are its `places` (no allow directive), and an item a row reads (`Engine::tick`, `Engine::skip_idle`, `enum Driver`, `impl Node`) missing is a finding too |
 //!
 //! ## Allow-listing
 //!
@@ -55,6 +57,9 @@
 //! (`///`, `//!`) never carry directives. `stale_allow` keeps the escape
 //! hatch honest: an allow that stops suppressing anything is itself a
 //! finding.
+//!
+//! A `regrowth` finding takes no directive: its exceptions are the row's
+//! `places`, so changing one is a visible edit to the table.
 //!
 //! The `workspace_is_clean` test in this crate scans the real workspace,
 //! so `cargo test` fails on any new violation; `scripts/verify.sh` and the
@@ -117,6 +122,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     ("cargo_deps", "every Cargo.toml dependency is path/workspace (offline build)"),
     ("stale_allow", "allow directives that suppress zero findings are dead weight"),
+    ("regrowth", "a one-X decision of DESIGN.md grows a second copy, or a row's anchor is gone"),
 ];
 
 /// One rule violation at a source location.
@@ -143,6 +149,10 @@ impl fmt::Display for Finding {
 pub struct Workspace {
     /// Every lexed source file.
     pub files: Vec<SourceFile>,
+    /// The lint's own fixtures (`crates/lint/fixtures`): lint inputs, so
+    /// only the `regrowth` rows read them, as they read every Rust file
+    /// under `crates/`.
+    pub fixtures: Vec<SourceFile>,
     /// `(label, contents)` of every Cargo.toml.
     pub manifests: Vec<(String, String)>,
     /// Metric names from METRICS.md (`None` when no catalog exists —
@@ -176,9 +186,7 @@ pub fn run_passes(ws: &mut Workspace, timings: &mut Vec<(&'static str, f64)>) ->
     let idx = timed(timings, "index", || SymbolIndex::build(&ws.files));
     let graph = timed(timings, "callgraph", || CallGraph::build(&ws.files, &idx));
     let mut findings = Vec::new();
-    timed(timings, "wall_clock", || rules::wall_clock(ws, &mut findings));
-    timed(timings, "raw_queue", || rules::raw_queue(ws, &mut findings));
-    timed(timings, "panic_path", || rules::panic_path(ws, &mut findings));
+    timed(timings, "patterns", || rules::patterns(ws, &idx, &mut findings));
     timed(timings, "nondeterministic_iter", || {
         rules::nondeterministic_iter(ws, &idx, &mut findings)
     });
@@ -213,7 +221,7 @@ pub fn scan_files(inputs: &[(&str, &str, &str)], catalog: Option<Vec<String>>) -
         .iter()
         .map(|(label, crate_name, src)| SourceFile::new(label, crate_name, src))
         .collect();
-    let mut ws = Workspace { files, manifests: Vec::new(), catalog };
+    let mut ws = Workspace { files, fixtures: Vec::new(), manifests: Vec::new(), catalog };
     let mut timings = Vec::new();
     run_passes(&mut ws, &mut timings)
 }
@@ -345,8 +353,10 @@ pub fn load_workspace(root: &Path) -> Workspace {
     load_tree(root, &root.join("src"), "f4t", &mut files);
     load_tree(root, &root.join("tests"), "f4t", &mut files);
     load_tree(root, &root.join("examples"), "f4t", &mut files);
+    let mut fixtures = Vec::new();
+    load_tree(root, &root.join("crates/lint/fixtures"), "lint", &mut fixtures);
     let catalog = std::fs::read_to_string(root.join("METRICS.md")).ok().map(|s| parse_catalog(&s));
-    Workspace { files, manifests, catalog }
+    Workspace { files, fixtures, manifests, catalog }
 }
 
 /// Scans the whole workspace rooted at `root`, with per-pass timing.
@@ -408,6 +418,150 @@ mod tests {
         let f = of(&all, "panic_path");
         assert_eq!(f.len(), 2, "{all:#?}");
         assert!(f.iter().all(|x| x.line < 20), "test-module panics exempt: {all:#?}");
+    }
+
+    /// Clean stand-ins for the files whose anchors and counts the
+    /// `regrowth` rows read.
+    const ENGINE: &str = "impl Engine {
+    pub fn tick(&mut self) -> bool {
+        true
+    }
+    pub fn skip_idle(&mut self, to: u64) {
+        self.fpc.skip_cycles(to);
+    }
+}
+";
+    const FPU: &str = "fn segment(tcb: &Tcb) -> TxRequest {
+    TxRequest { seq: tcb.snd_nxt }
+}
+fn merge(v: &mut View) {
+    v.dup_ack_gen = v.dup_ack_gen.saturating_add(1);
+}
+";
+    const FPC: &str = "fn dispatch(s: &mut Fpc) {
+    s.stall_fifo_empty += 1;
+}
+fn skip_cycles(s: &mut Fpc, n: u64) {
+    s.stall_fifo_empty += n;
+}
+";
+    const NODE: &str = "pub enum Driver {
+    Idle,
+    Sink(SinkServer),
+}
+pub struct Rotation {
+    next: usize,
+}
+impl Node {
+    pub fn new() -> Node {
+        Node { driver: Driver::Idle }
+    }
+}
+";
+
+    /// The base files with `label`'s text replaced by (or, for a new
+    /// file, joined by) `src`.
+    fn planted(label: &str, krate: &str, src: &str) -> Vec<Finding> {
+        let mut inputs = vec![
+            ("crates/core/src/engine.rs", "core", ENGINE),
+            ("crates/core/src/fpu.rs", "core", FPU),
+            ("crates/core/src/fpc.rs", "core", FPC),
+            ("crates/system/src/node.rs", "system", NODE),
+        ];
+        match inputs.iter_mut().find(|i| i.0 == label) {
+            Some(base) => base.2 = src,
+            None => inputs.push((label, krate, src)),
+        }
+        scan_files(&inputs, None).into_iter().filter(|f| f.rule == "regrowth").collect()
+    }
+
+    #[test]
+    #[rustfmt::skip]
+    fn each_regrowth_row_fires_once_on_its_planted_regrowth() {
+        assert!(planted("", "", "").is_empty(), "the base files are clean");
+        let engine_with = |body: &str| ENGINE.replace("        true\n", &format!("{body}        true\n"));
+        let nine_variants = (0..7).map(|v| format!("    Extra{v},\n")).collect::<String>();
+        // One plant per regrowth row, in ROWS order: (label, crate, source).
+        let plants: Vec<(&str, &str, String)> = vec![
+            ("crates/core/src/scheduler.rs", "core", "fn f(a: Option<&mut Journal>) {}\n".repeat(5)),
+            ("crates/core/src/rx_parser.rs", "core", "struct R {\n    ingest_stamps: Fifo<u64>,\n}\n".into()),
+            ("src/report.rs", "f4t", "fn json_str(s: &str) -> String {\n    s.into()\n}\n".into()),
+            ("tests/churn.rs", "f4t", "fn f() {\n    let _ = BytePacer::for_link(100, 250);\n}\n".into()),
+            ("crates/netsim/src/link.rs", "netsim", "pub enum DropPolicy {\n    None,\n}\n".into()),
+            ("tests/fairness.rs", "f4t", "fn f(e: &mut Engine) {\n    while e.pop_tx().is_some() {}\n}\n".into()),
+            ("crates/sim/src/pulse.rs", "sim", "struct PulseCounters {\n    sent: u64,\n}\n".into()),
+            ("crates/sim/src/journal.rs", "sim", "const BASIS: u64 = 0xcbf2_9ce4_8422_2325;\n".into()),
+            ("crates/sim/src/flight.rs", "sim", "pub struct Ring<T> {\n    v: Vec<T>,\n}\n".into()),
+            ("crates/core/src/scheduler.rs", "core", "fn f(&mut self) {\n    self.trace.record(1);\n}\n".into()),
+            ("crates/core/src/engine.rs", "core", engine_with("        for seg in segs {}\n")),
+            ("crates/core/src/memory_manager.rs", "core", "fn accumulate(&mut self) {}\n".into()),
+            ("crates/core/src/memory_manager.rs", "core", FPU.replace("TxRequest", "Segment")),
+            ("crates/core/src/fpu.rs", "core", format!("{FPU}fn ack() {{\n    let _ = TxRequest {{ seq: 1 }};\n}}\n")),
+            ("crates/core/src/fpc.rs", "core", format!("{FPC}fn again(s: &mut Fpc) {{\n    s.stall_fifo_empty += 1;\n}}\n")),
+            ("crates/core/src/engine.rs", "core", engine_with("        self.mm.skip_idle_cycles(1);\n")),
+            ("crates/core/src/engine.rs", "core", ENGINE.replace("        self.fpc.skip_cycles(to);\n", "")),
+            ("crates/workloads/src/http.rs", "workloads", "pub struct HttpClient;\n".into()),
+            ("crates/system/src/node.rs", "system", format!("{NODE}struct Echo {{\n    next: usize,\n}}\n")),
+            ("crates/workloads/src/storm.rs", "workloads", "pub struct SlowlorisClient;\n".into()),
+            ("crates/system/src/node.rs", "system", NODE.replace("    Idle,\n", &format!("    Idle,\n{nine_variants}"))),
+            ("crates/system/src/node.rs", "system", NODE.replace("Node { driver: Driver::Idle }", "Node { driver: Driver::Sink(s) }")),
+            ("crates/host/src/runtime.rs", "host", "pub struct Runtime;\n".into()),
+            ("crates/system/src/system.rs", "system", "fn f() {\n    std::thread::spawn(|| {});\n}\n".into()),
+            ("crates/sim/src/ring.rs", "sim", "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n".into()),
+            ("crates/system/src/link.rs", "system", "use std::sync::Barrier;\n".into()),
+            ("crates/bench/src/bin/f4tperf.rs", "bench", "fn f() {\n    let _ = std::thread::available_parallelism();\n}\n".into()),
+        ];
+        let rows: Vec<_> = rules::ROWS.iter().filter(|r| r.rule == "regrowth").collect();
+        assert_eq!(plants.len(), rows.len(), "one plant per row");
+        for ((label, krate, src), row) in plants.iter().zip(rows) {
+            let f = planted(label, krate, src);
+            assert_eq!(f.len(), 1, "{label}: {f:#?}");
+            // The finding is this row's: its message ends with the row's text.
+            let tail = row.why.rsplit("{pat}").next().unwrap_or(row.why);
+            assert!(f[0].message.ends_with(tail), "{label}: {f:#?} is not {:?}", row.why);
+            assert_eq!(f[0].file, *label);
+        }
+    }
+
+    #[test]
+    fn a_missing_anchor_is_a_regrowth_finding() {
+        let (engine, node) = ("crates/core/src/engine.rs", "crates/system/src/node.rs");
+        for (label, src, item) in [
+            (engine, ENGINE.replace("fn tick(", "fn step("), "Engine::tick"),
+            (engine, ENGINE.replace("fn skip_idle(", "fn settle("), "Engine::skip_idle"),
+            (node, NODE.replace("pub enum Driver", "pub enum App"), "enum Driver"),
+            (node, NODE.replace("impl Node", "impl Host"), "impl Node"),
+        ] {
+            let f = planted(label, "", &src);
+            let anchor = format!("anchor `{item}` not found");
+            let hit = |x: &Finding| {
+                x.message.starts_with(&anchor) && (x.file.as_str(), x.line) == (label, 1)
+            };
+            assert!(f.iter().any(hit), "{item}: {f:#?}");
+        }
+    }
+
+    #[test]
+    fn regrowth_ignores_comments_and_strings_and_takes_no_allow() {
+        let quiet = "// struct Ring was here\nconst S: &str = \"DropPolicy\";\n";
+        assert!(planted("crates/sim/src/flight.rs", "sim", quiet).is_empty());
+        let src = "// f4tlint: allow(regrowth): wanted\npub struct Ring;\n";
+        let all = scan_files(&[("crates/sim/src/flight.rs", "sim", src)], None);
+        assert_eq!(lines(&of(&all, "regrowth")), [2], "{all:#?}");
+        assert_eq!(lines(&of(&all, "stale_allow")), [1], "{all:#?}");
+    }
+
+    #[test]
+    fn pattern_tokens() {
+        use rules::pat_match;
+        assert!(pat_match("let t = Instant::now();", r"\bInstant\b"));
+        assert!(!pat_match("let t = Instants;", r"\bInstant\b"));
+        assert!(pat_match("    Sink {", r"^    \w"));
+        assert!(!pat_match("        flows: Rotation,", r"^    \w"));
+        assert!(pat_match("unsafe  { *p }", r"\bunsafe\s*{"));
+        assert!(!pat_match("is_unsafe {", r"\bunsafe\s*{"));
+        assert!(pat_match("Driver::Sink(s)", r"Driver::\w"));
+        assert!(!pat_match("Driver::", r"Driver::\w"));
     }
 
     #[test]
@@ -685,6 +839,12 @@ fn cold() {
         // fails `cargo test -p f4t-lint`.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap();
         let findings = scan_workspace(root);
+        // A pattern row whose scope names no file of the tree checks nothing.
+        let files = load_workspace(root).files;
+        for row in rules::ROWS {
+            let mut paths = row.scope.iter().map(|s| s.split('#').next().unwrap_or(s));
+            assert!(paths.any(|p| files.iter().any(|f| f.label.starts_with(p))), "{}", row.why);
+        }
         assert!(
             findings.is_empty(),
             "f4tlint found {} violation(s):\n{}",

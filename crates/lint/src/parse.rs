@@ -68,13 +68,32 @@ pub struct ParsedFile {
     pub uses: Vec<UseItem>,
     /// All module-level statics.
     pub statics: Vec<StaticItem>,
+    /// `impl Type` / `enum Name` headers with their 0-based inclusive
+    /// body line range (opening to closing brace).
+    pub blocks: Vec<(String, (usize, usize))>,
+}
+
+impl ParsedFile {
+    /// Body line ranges of what `item` names: `impl Type` (every impl
+    /// block of that type), `enum Name`, `Type::method` or a free `fn`.
+    pub fn bodies(&self, item: &str) -> Vec<(usize, usize)> {
+        let fns = self.fns.iter().filter(|f| match &f.impl_type {
+            Some(t) => item.split_once("::") == Some((t, &f.name)),
+            None => item == f.name,
+        });
+        let blocks = self.blocks.iter().filter(|b| b.0 == item).map(|b| b.1);
+        blocks.chain(fns.filter_map(|f| f.body)).collect()
+    }
 }
 
 enum Scope {
     Module,
-    Impl(String),
+    /// The impl's subject type and the line of its opening brace.
+    Impl(String, usize),
     Struct(String),
     Fn(usize),
+    /// An `enum`/`union` body: its header and opening line.
+    Block(String, usize),
     Opaque,
 }
 
@@ -83,7 +102,7 @@ enum Pending {
     Fn { name: String, line: usize },
     Struct(String),
     Impl(String),
-    Opaque,
+    Block(String),
 }
 
 /// Last path segment of an `impl` header's subject type:
@@ -140,7 +159,8 @@ pub fn parse_file(file: &SourceFile) -> ParsedFile {
     let mut sig_parens = 0i32;
 
     for (i, line) in file.code.iter().enumerate() {
-        let item_position = !matches!(scopes.last(), Some(Scope::Fn(_)) | Some(Scope::Opaque));
+        let item_position =
+            !matches!(scopes.last(), Some(Scope::Fn(_) | Scope::Block(..) | Scope::Opaque));
         if matches!(pending, Pending::None) && item_position {
             let t = line.trim_start();
             if t.starts_with("use ") || t.starts_with("pub use ") {
@@ -178,7 +198,9 @@ pub fn parse_file(file: &SourceFile) -> ParsedFile {
             } else if (word_match(t, "enum") || word_match(t, "union"))
                 && (t.starts_with("enum") || t.starts_with("union") || t.starts_with("pub"))
             {
-                pending = Pending::Opaque;
+                let kw = if word_match(t, "enum") { "enum" } else { "union" };
+                let name = t.find(kw).map_or("", |p| leading_ident(t[p + kw.len()..].trim_start()));
+                pending = Pending::Block(format!("{kw} {name}"));
             } else if t.starts_with("static ")
                 || t.starts_with("pub static ")
                 || t.starts_with("pub(crate) static ")
@@ -245,7 +267,7 @@ pub fn parse_file(file: &SourceFile) -> ParsedFile {
                         std::mem::replace(&mut pending, Pending::None)
                     {
                         let impl_type = scopes.iter().rev().find_map(|s| match s {
-                            Scope::Impl(t) => Some(t.clone()),
+                            Scope::Impl(t, _) => Some(t.clone()),
                             _ => None,
                         });
                         out.fns.push(FnItem { name, impl_type, line, body: None });
@@ -261,7 +283,7 @@ pub fn parse_file(file: &SourceFile) -> ParsedFile {
                                 scopes.push(Scope::Opaque);
                             } else {
                                 let impl_type = scopes.iter().rev().find_map(|s| match s {
-                                    Scope::Impl(t) => Some(t.clone()),
+                                    Scope::Impl(t, _) => Some(t.clone()),
                                     _ => None,
                                 });
                                 let id = out.fns.len();
@@ -275,8 +297,8 @@ pub fn parse_file(file: &SourceFile) -> ParsedFile {
                             }
                         }
                         Pending::Struct(name) => scopes.push(Scope::Struct(name)),
-                        Pending::Impl(header) => scopes.push(Scope::Impl(impl_subject(&header))),
-                        Pending::Opaque => scopes.push(Scope::Opaque),
+                        Pending::Impl(header) => scopes.push(Scope::Impl(impl_subject(&header), i)),
+                        Pending::Block(header) => scopes.push(Scope::Block(header, i)),
                         Pending::None => {
                             // `mod x {`, blocks, match arms, struct literals …
                             let t = line.trim_start();
@@ -289,13 +311,16 @@ pub fn parse_file(file: &SourceFile) -> ParsedFile {
                         }
                     }
                 }
-                '}' => {
-                    if let Some(Scope::Fn(id)) = scopes.pop() {
+                '}' => match scopes.pop() {
+                    Some(Scope::Fn(id)) => {
                         if let Some((start, _)) = out.fns[id].body {
                             out.fns[id].body = Some((start, i));
                         }
                     }
-                }
+                    Some(Scope::Impl(t, open)) => out.blocks.push((format!("impl {t}"), (open, i))),
+                    Some(Scope::Block(header, open)) => out.blocks.push((header, (open, i))),
+                    _ => {}
+                },
                 _ => {}
             }
         }

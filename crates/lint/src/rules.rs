@@ -1,7 +1,8 @@
 //! Pass 5 — the rules.
 //!
-//! Per-line rules (`wall_clock`, `raw_queue`, `panic_path`,
-//! `metric_name`, `nondeterministic_iter`) consume the shared lexed
+//! One table-driven pattern pass ([`ROWS`]) holds the per-line rules
+//! (`wall_clock`, `raw_queue`, `panic_path`) and the `regrowth` rows;
+//! `metric_name` and `nondeterministic_iter` consume the shared lexed
 //! files directly; the reachability rules (`panic_reachable`,
 //! `float_in_digest`, `shared_mut_across_shards`, `tick_path_scan`) walk
 //! the call graph from semantic entry points; `metrics_catalog` cross-checks
@@ -11,6 +12,7 @@
 use crate::callgraph::CallGraph;
 use crate::index::{FnId, SymbolIndex};
 use crate::lexer::{trailing_ident, word_match, SourceFile};
+use crate::parse::ParsedFile;
 use crate::{Finding, Workspace};
 use std::collections::{HashMap, HashSet};
 
@@ -63,79 +65,252 @@ fn emit(
 }
 
 // ---------------------------------------------------------------------------
-// Per-line rules.
+// The pattern pass.
 // ---------------------------------------------------------------------------
 
-/// `wall_clock`: no `std::time::Instant`/`SystemTime` in simulated code.
-pub fn wall_clock(ws: &mut Workspace, out: &mut Vec<Finding>) {
-    for file in &mut ws.files {
-        if !rule_applies("wall_clock", &file.crate_name) {
-            continue;
-        }
-        for i in 0..file.code.len() {
-            let code = &file.code[i];
-            if word_match(code, "Instant") || word_match(code, "SystemTime") {
-                emit(
-                    file,
-                    i,
-                    "wall_clock",
-                    "wall-clock time in simulated code; use the cycle counter / now_ns()".into(),
-                    out,
-                );
-            }
-        }
-    }
+/// Path prefixes, or `<file>#<item>` for the body of one item of that
+/// file ([`ParsedFile::bodies`]).
+type Specs = &'static [&'static str];
+
+/// The least and the most matching lines a row allows.
+type Count = (usize, usize);
+
+/// One row of the pattern pass: in `scope`, the lines outside `places`
+/// that match `pats` number between `count.0` and `count.1`. So a row
+/// forbids its patterns (no places, `(0, 0)`), lets them appear only in
+/// its places, or bounds how often they appear.
+pub struct Row {
+    /// The rule its findings carry. A `regrowth` row takes no allow
+    /// directive: an exception is one of its `places`.
+    pub rule: &'static str,
+    /// Where the row looks. An item missing from its file is itself a
+    /// `regrowth` finding, so a renamed anchor cannot switch a row off.
+    pub scope: Specs,
+    /// Where the patterns go unchecked.
+    pub places: Specs,
+    /// Patterns ([`pat_match`]); a line matches when one does and no
+    /// `!`-prefixed one does.
+    pub pats: Specs,
+    /// Each line past the most is a finding; a shortfall is one, at the
+    /// scope's first line.
+    pub count: Count,
+    /// Whether `#[cfg(test)]` regions count.
+    pub tests: bool,
+    /// The finding's message; `{pat}` names the matched pattern.
+    pub why: &'static str,
 }
 
-/// `raw_queue`: no `VecDeque` fields/locals in the hardware-model crates.
-pub fn raw_queue(ws: &mut Workspace, out: &mut Vec<Finding>) {
-    for file in &mut ws.files {
-        if !rule_applies("raw_queue", &file.crate_name) {
-            continue;
-        }
-        for i in 0..file.code.len() {
-            if file.code[i].contains("VecDeque<") {
-                emit(
-                    file,
-                    i,
-                    "raw_queue",
-                    "unbounded VecDeque models an on-chip queue; use f4t_sim::Fifo or \
-                     justify with // f4tlint: allow(raw_queue): <why bounded>"
-                        .into(),
-                    out,
-                );
-            }
-        }
-    }
+/// A `regrowth` row allowing `n` matching lines; test regions count.
+const fn regrowth(scope: Specs, pats: Specs, places: Specs, n: Count, why: &'static str) -> Row {
+    Row { rule: "regrowth", scope, places, pats, count: n, tests: true, why }
 }
 
-/// `panic_path`: no panic-family expressions in non-test `crates/core`.
-pub fn panic_path(ws: &mut Workspace, out: &mut Vec<Finding>) {
-    for file in &mut ws.files {
-        if !rule_applies("panic_path", &file.crate_name) {
-            continue;
-        }
-        for i in 0..file.code.len() {
-            if file.tests[i] {
-                continue;
+const NONE: Count = (0, 0);
+const ALL: Specs = &[""];
+const CODE: Specs = &["crates/", "src/", "tests/", "examples/"];
+const NO_EXAMPLES: Specs = &["crates/", "src/", "tests/"];
+const CORE: Specs = &["crates/core/src/"];
+const PARALLEL: Specs = &["crates/core/src/parallel.rs"];
+const FIXTURES: Specs = &["crates/lint/fixtures/"];
+
+/// Every row of the pattern pass. The `regrowth` rows hold the one-X
+/// decisions of DESIGN.md (one `Probe`, one wire, one idle routine, one
+/// host model, one `Worker`, …) against a second copy growing back.
+#[rustfmt::skip]
+pub const ROWS: &[Row] = &[
+    Row { rule: "wall_clock", scope: ALL, places: &[], pats: &[r"\bInstant\b", r"\bSystemTime\b"],
+        count: NONE, tests: true,
+        why: "wall-clock time in simulated code; use the cycle counter / now_ns()" },
+    Row { rule: "raw_queue", scope: ALL, places: &[], pats: &["VecDeque<"], count: NONE,
+        tests: true, why: "unbounded VecDeque models an on-chip queue; use f4t_sim::Fifo \
+        or justify with // f4tlint: allow(raw_queue): <why bounded>" },
+    Row { rule: "panic_path", scope: ALL, places: &[], pats: PANIC_PATTERNS, count: NONE,
+        tests: false, why: "`{pat}` is reachable from Engine::tick; return/skip instead (or \
+        debug_assert! for dispatch-gate contracts)" },
+    // §8.2, §10.2: recorders reach the data path through one Probe; stamps ride in the queue.
+    regrowth(CORE, &["Option<&mut InvariantChecker>", "Option<&mut FlightRecorder>",
+        "Option<&mut Journal>"], &[], (0, 4),
+        "`{pat}`: at most 4 recorder options in crates/core/src (Scheduler signatures FtBench \
+        binds); pass the Probe handle, DESIGN.md §8.2"),
+    regrowth(CORE, &["_stamps", "enable_flight", "tick_checked", "tick_flight"], &[], NONE,
+        "`{pat}`: a stamp mirror or per-recorder tick is back; use tick_probed, DESIGN.md §10.2"),
+    // §7: one JSON codec (f4t-lint's json_escape keeps its crate free of dependencies).
+    regrowth(NO_EXAMPLES, &[r"fn json_str\b", r"fn json_string\b", r"fn json_f64\b",
+        r"fn scan_string\b", r"fn balanced\b", r"fn find_key\b", r"fn top_level_fields\b",
+        r"fn parse_json_string\b", r"fn parse_string_array\b", "mod flatjson"], &[], NONE,
+        "`{pat}`: a hand-rolled JSON escaper or reader is back; use f4t_sim::json, DESIGN.md §7"),
+    // §14.1: one wire. The named tests keep their own segment schedules.
+    regrowth(CODE, &["BytePacer::for_link"], &["crates/system/src/link.rs"], NONE,
+        "`{pat}`: a hand-rolled link pacer is back; use DuplexLink, DESIGN.md §14.1"),
+    regrowth(CODE, &["DropPolicy", "struct Ferry"], &[], NONE,
+        "`{pat}`: a second loss model is back; use Impairments on DuplexLink, DESIGN.md §14.1"),
+    regrowth(&["tests/", "examples/", "crates/bench/src/"], &[".pop_tx()"], &["tests/end_to_end.rs",
+        "tests/failure_injection.rs", "tests/wire_interop.rs", "tests/engine_props.rs",
+        "tests/journal_forensics.rs"], NONE,
+        "`{pat}`: a hand-rolled engine-pair loop is back; step an EnginePair, DESIGN.md §14.1"),
+    // §7: one instrument substrate. Recorders derive their own deltas.
+    regrowth(NO_EXAMPLES, &["TraceCounters", "trace_prev", "PulseCounters", "pulse_prev",
+        "DualPortRam", "fold_shard_digests"], &[], NONE, "`{pat}`: a shadow counter, a second port \
+        model or a second digest fold is back; recorders derive their deltas, DESIGN.md §7"),
+    regrowth(NO_EXAMPLES, &["cbf2_9ce4"], &["crates/sim/src/digest.rs",
+        "crates/lint/fixtures/float_digest.rs"], NONE,
+        "`{pat}`: a hand-written FNV-1a is back; use f4t_sim::digest, DESIGN.md §7"),
+    regrowth(&["crates/"], &[r"struct Ring\b"], &["crates/sim/src/ring.rs"], NONE,
+        "`{pat}`: a second ring type is back; use f4t_sim::Ring, DESIGN.md §7"),
+    // §7: one event stream. Engine::tick computes nothing for the trace.
+    regrowth(CORE, &[r"trace.record\b", "TraceKind"], &[], NONE, "`{pat}`: a second trace emission \
+        is back; emit once through probe.event, DESIGN.md §7"),
+    regrowth(&["crates/core/src/engine.rs#Engine::tick"], &["scheduler.stats()", "trace.enabled",
+        "for seg in", "segs.iter()"], &[], NONE, "`{pat}` in Engine::tick: a second trace emission \
+        is back; emit once through probe.event, DESIGN.md §7"),
+    // §3.1: one event handler, one segment builder.
+    regrowth(&["crates/core/src/memory_manager.rs"], &["fn accumulate"], &[], NONE,
+        "`{pat}`: a second event merge; call EventView::accumulate, DESIGN.md §3.1"),
+    regrowth(CORE, &["dup_ack_gen.saturating_add"], &[], (1, 1),
+        "want one event-table merge in crates/core/src, EventView::accumulate, DESIGN.md §3.1"),
+    regrowth(&["crates/core/src/fpu.rs"], &["TxRequest {"], &[], (2, 2), "want 2 `TxRequest {` in \
+        crates/core/src/fpu.rs: fpu::segment's signature and literal, DESIGN.md §3.1"),
+    // §9.1: one idle routine.
+    regrowth(&["crates/core/src/fpc.rs"], &["stall_fifo_empty +="], &[], (2, 2), "want 2 \
+        `stall_fifo_empty +=` in fpc.rs: dispatch's bubble and Fpc::skip_cycles, DESIGN.md §9.1"),
+    regrowth(&["crates/core/src/engine.rs"], &["skip_cycles(", "skip_idle_cycles("],
+        &["crates/core/src/engine.rs#Engine::skip_idle"], NONE,
+        "`{pat}` outside Engine::skip_idle: a second idle catch-up is back, DESIGN.md §9.1"),
+    regrowth(&["crates/core/src/engine.rs#Engine::skip_idle"], &["skip_cycles(",
+        "skip_idle_cycles("], &[], (1, usize::MAX),
+        "want at least one module replay in Engine::skip_idle, DESIGN.md §9.1"),
+    // §12.1: one host application model.
+    regrowth(CODE, &[r"\bHttpClient\b", r"\bHttpServer\b", r"\bRoundRobinSender\b"], &[], NONE,
+        "`{pat}`: a per-workload host application is back; echo and HTTP are \
+        RequestClient/RequestServer, round-robin is BulkSender, DESIGN.md §12.1"),
+    regrowth(&["crates/system/src/node.rs"], &["next: usize"], &[], (0, 1), "`{pat}`: one in \
+        node.rs (Rotation's); a driver keeps its own rotation again, DESIGN.md §12.1"),
+    regrowth(CODE, &[r"\bSlowlorisClient\b", r"\bChurnServer\b"], &[], NONE,
+        "`{pat}`: a per-scenario FtStorm driver is back; slowloris is a paced BulkSender, the \
+        churn server a SinkServer, DESIGN.md §12.1"),
+    regrowth(&["crates/system/src/node.rs#enum Driver"], &[r"^    \w"], &[], (1, 8),
+        "want 1 to 8 Driver variants: a new workload is a new set of parameters, DESIGN.md §12.1"),
+    regrowth(&["crates/system/src/node.rs#impl Node"], &[r"Driver::\w", r"!Driver::Idle\b"], &[],
+        NONE, "impl Node names a driver variant; add one match in impl Driver, DESIGN.md §12.1"),
+    // §6: the host model holds only what the simulation runs.
+    regrowth(CODE, &[r"\bRuntime\b", r"\bQueuePair\b", r"\bIova\b", r"\bDoorbell\b",
+        r"\bCommandQueue\b", r"\bDecodeError\b", r"\bencode16\b", r"\bdecode16\b", r"\bencode8\b",
+        r"\bdecode8\b"], &[], NONE, "`{pat}`: unread host bookkeeping is back; a command is its \
+        enum value plus F4tLib::entry_bytes, DESIGN.md §6"),
+    // §12.4: one thread substrate, the Worker in parallel.rs, and no unsafe.
+    regrowth(CODE, &["thread::spawn", "thread::scope", "Builder::new"], PARALLEL, NONE,
+        "`{pat}` outside parallel.rs: use ParallelRunner or Worker, DESIGN.md §12.4"),
+    regrowth(CODE, &[r"\bunsafe\s*{", r"\bunsafe\s*fn\b", r"\bunsafe\s*impl\b",
+        r"\bunsafe\s*trait\b", r"\bunsafe\s*extern\b"], FIXTURES, NONE,
+        "unsafe code in the workspace; move values between threads instead, DESIGN.md §12.4"),
+    regrowth(CODE, &["Barrier", "thread::scope", "sync::atomic"], FIXTURES, NONE,
+        "`{pat}`: a second thread mechanism; hand jobs to a Worker by value, DESIGN.md §12.4"),
+    regrowth(CODE, &["available_parallelism"], PARALLEL, NONE,
+        "`{pat}` outside parallel.rs: a Worker picks its own form, DESIGN.md §12.4"),
+];
+
+/// The longest literal piece of `pat`: a cheap filter before
+/// [`pat_match`], and the name a finding gives the pattern.
+fn needle(pat: &str) -> &str {
+    // Every piece after the first starts with a token's letter (`b`, `w`, `s*`).
+    let pieces = pat.trim_start_matches(['!', '^']).split('\\').enumerate();
+    let lits = pieces.map(|(k, s)| if k == 0 { s } else { s.get(1..).unwrap_or("") });
+    lits.map(|s| s.trim_start_matches('*')).max_by_key(|s| s.len()).unwrap_or("")
+}
+
+/// Whether `pat` matches in `line`: literal text plus a leading `^` (line
+/// start), `\b` (word boundary), `\w` (one identifier character) and
+/// `\s*` (a run of whitespace).
+pub fn pat_match(line: &str, pat: &str) -> bool {
+    let (anchored, pat) = pat.strip_prefix('^').map_or((false, pat), |p| (true, p));
+    let (l, p) = (line.as_bytes(), pat.as_bytes());
+    let word = |i: usize| l.get(i).is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_');
+    let at = |mut i: usize| {
+        let mut j = 0;
+        while j < p.len() {
+            match (p[j], p.get(j + 1)) {
+                (b'\\', Some(b'b')) if (i > 0 && word(i - 1)) != word(i) => j += 2,
+                (b'\\', Some(b'w')) if word(i) => (i, j) = (i + 1, j + 2),
+                (b'\\', Some(b's')) => {
+                    i += l[i..].iter().take_while(|c| c.is_ascii_whitespace()).count();
+                    j += 3;
+                }
+                (c, _) if c != b'\\' && l.get(i) == Some(&c) => (i, j) = (i + 1, j + 1),
+                _ => return false,
             }
-            for pat in PANIC_PATTERNS {
-                if file.code[i].contains(pat) {
-                    emit(
-                        file,
-                        i,
-                        "panic_path",
-                        format!(
-                            "`{}` is reachable from Engine::tick; return/skip instead (or \
-                             debug_assert! for dispatch-gate contracts)",
-                            pat.trim_start_matches('.')
-                        ),
-                        out,
-                    );
-                    break;
+        }
+        true
+    };
+    (0..=if anchored { 0 } else { l.len() }).any(at)
+}
+
+/// The needle of the first of `pats` (each paired with its needle) that
+/// matches `line`, unless a `!`-prefixed one matches too.
+fn line_match(line: &str, pats: &[(&str, &'static str)]) -> Option<&'static str> {
+    let hit = |&(p, n): &(&str, &str)| line.contains(n) && pat_match(line, p);
+    let &(_, needle) = pats.iter().find(|p| !p.0.starts_with('!') && hit(p))?;
+    let vetoed = pats.iter().any(|&(p, n)| p.strip_prefix('!').is_some_and(|p| hit(&(p, n))));
+    (!vetoed).then_some(needle)
+}
+
+/// Which lines of `file` (parsed into `p`) the `specs` cover; `Err` is
+/// the finding for an item of this file that a spec names and `p` lacks.
+fn cover(specs: Specs, file: &SourceFile, p: Option<&ParsedFile>) -> Result<Vec<bool>, Finding> {
+    let mut lines = vec![false; file.code.len()];
+    for spec in specs {
+        match spec.split_once('#') {
+            None if file.label.starts_with(spec) => lines.fill(true),
+            Some((path, item)) if file.label == path => {
+                let bodies = p.map(|p| p.bodies(item)).unwrap_or_default();
+                if bodies.is_empty() {
+                    let message = format!("anchor `{item}` not found: update the rows naming it");
+                    return Err(finding(file, 0, "regrowth", message));
+                }
+                bodies.into_iter().for_each(|(a, b)| lines[a..=b].fill(true));
+            }
+            _ => {}
+        }
+    }
+    Ok(lines)
+}
+
+/// The pattern pass: every row of [`ROWS`] over the lexed files and, for
+/// `regrowth` rows, the lint fixtures. A row whose scope holds none of
+/// the scanned files checks nothing (a fixture scan sees one file).
+pub fn patterns(ws: &mut Workspace, idx: &SymbolIndex, out: &mut Vec<Finding>) {
+    for row in ROWS {
+        let regrowth = row.rule == "regrowth";
+        let pats: Vec<_> = row.pats.iter().map(|&p| (p, needle(p))).collect();
+        // Matching lines so far, and where a shortfall is reported.
+        let (mut hits, mut first) = (0, None);
+        let fixtures = ws.fixtures.iter_mut().filter(|_| regrowth);
+        let files = ws.files.iter_mut().chain(fixtures).enumerate();
+        for (fi, file) in files.filter(|(_, f)| rule_applies(row.rule, &f.crate_name)) {
+            let parsed = idx.parsed.get(fi);
+            let covered = (cover(row.scope, file, parsed), cover(row.places, file, parsed));
+            let (scope, places) = match covered {
+                (Ok(scope), Ok(places)) => (scope, places),
+                (Err(f), _) | (_, Err(f)) => {
+                    if !out.contains(&f) {
+                        out.push(f);
+                    }
+                    continue;
+                }
+            };
+            for i in (0..scope.len()).filter(|&i| scope[i] && !places[i]) {
+                first.get_or_insert_with(|| finding(file, i, row.rule, row.why.into()));
+                let counted = row.tests || !file.tests[i];
+                let Some(pat) = line_match(&file.code[i], &pats).filter(|_| counted) else {
+                    continue;
+                };
+                hits += 1;
+                if hits > row.count.1 && (regrowth || !file.directives.check(row.rule, i)) {
+                    let message = row.why.replace("{pat}", pat.trim_start_matches('.'));
+                    out.push(finding(file, i, row.rule, message));
                 }
             }
         }
+        out.extend(first.filter(|_| hits < row.count.0));
     }
 }
 

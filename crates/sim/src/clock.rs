@@ -14,9 +14,9 @@ use std::fmt;
 ///
 /// ```
 /// use f4t_sim::ClockDomain;
-/// let engine = ClockDomain::new_mhz(250);
-/// assert_eq!(engine.period_ps(), 4000); // 4 ns per cycle
-/// assert_eq!(engine.ns_to_cycles(1_000), 250);
+/// let engine = ClockDomain::ENGINE_CORE;
+/// assert_eq!(engine.cycles_to_ns(250), 1_000); // 4 ns per cycle
+/// assert_eq!(engine.to_string(), "250 MHz");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClockDomain {
@@ -33,47 +33,15 @@ impl ClockDomain {
     /// TONIC's target domain from the paper (100 MHz, one 128 B segment/cycle).
     pub const TONIC: ClockDomain = ClockDomain { freq_hz: 100_000_000 };
 
-    /// Creates a clock domain with the given frequency in hertz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_hz` is zero.
-    pub fn new(freq_hz: u64) -> ClockDomain {
-        assert!(freq_hz > 0, "clock frequency must be non-zero");
-        ClockDomain { freq_hz }
-    }
-
-    /// Creates a clock domain with the given frequency in megahertz.
-    pub fn new_mhz(freq_mhz: u64) -> ClockDomain {
-        ClockDomain::new(freq_mhz * 1_000_000)
-    }
-
     /// Returns the frequency of this domain in hertz.
     pub fn freq_hz(self) -> u64 {
         self.freq_hz
-    }
-
-    /// Returns the clock period in picoseconds (rounded to nearest).
-    pub fn period_ps(self) -> u64 {
-        (1_000_000_000_000 + self.freq_hz / 2) / self.freq_hz
     }
 
     /// Converts a cycle count in this domain to nanoseconds (rounded down).
     pub fn cycles_to_ns(self, cycles: u64) -> u64 {
         // cycles / freq * 1e9, computed as u128 to avoid overflow.
         ((cycles as u128 * 1_000_000_000) / self.freq_hz as u128) as u64
-    }
-
-    /// Converts nanoseconds to a cycle count in this domain (rounded down).
-    pub fn ns_to_cycles(self, ns: u64) -> u64 {
-        ((ns as u128 * self.freq_hz as u128) / 1_000_000_000) as u64
-    }
-
-    /// Converts a cycle count in this domain to the equivalent count in
-    /// `other`, rounding down. Used when crossing the 250 MHz / 322 MHz /
-    /// 2.3 GHz boundaries of the system model.
-    pub fn convert_cycles(self, cycles: u64, other: ClockDomain) -> u64 {
-        ((cycles as u128 * other.freq_hz as u128) / self.freq_hz as u128) as u64
     }
 
     /// Bytes transferred per cycle of this domain on a link of
@@ -211,26 +179,6 @@ impl BytePacer {
         }
     }
 
-    /// Consumes `bytes` of credit, allowing the balance to go negative by
-    /// borrowing against future ticks. Returns the number of whole ticks of
-    /// debt incurred (zero when enough credit was available).
-    ///
-    /// This models store-and-forward serialization: a packet that is larger
-    /// than the per-cycle budget occupies the resource for several cycles.
-    #[inline]
-    pub fn consume_borrowing(&mut self, bytes: u64) -> u64 {
-        let units = bytes * self.rate_den;
-        if self.credit >= units {
-            self.credit -= units;
-            0
-        } else {
-            let deficit = units - self.credit;
-            self.credit = 0;
-            // Ticks needed to repay the deficit, rounded up.
-            deficit.div_ceil(self.rate_num.max(1))
-        }
-    }
-
     /// Returns the currently available credit in whole bytes.
     pub fn available(&self) -> u64 {
         self.credit / self.rate_den
@@ -306,26 +254,17 @@ mod tests {
     }
 
     #[test]
-    fn domain_conversions_round_trip() {
-        let d = ClockDomain::ENGINE_CORE;
-        assert_eq!(d.cycles_to_ns(250), 1000);
-        assert_eq!(d.ns_to_cycles(1000), 250);
-        assert_eq!(d.period_ps(), 4000);
-        let net = ClockDomain::ENGINE_NET;
-        // 250 MHz cycles -> 322 MHz cycles.
-        assert_eq!(d.convert_cycles(250_000_000, net), 322_000_000);
+    fn cycles_to_ns_rounds_down() {
+        assert_eq!(ClockDomain::ENGINE_CORE.cycles_to_ns(250), 1000);
+        assert_eq!(ClockDomain::ENGINE_NET.cycles_to_ns(322), 1000);
+        assert_eq!(ClockDomain::ENGINE_NET.cycles_to_ns(321), 996);
     }
 
     #[test]
     fn domain_display() {
         assert_eq!(ClockDomain::ENGINE_CORE.to_string(), "250 MHz");
-        assert_eq!(ClockDomain::new(1234).to_string(), "1234 Hz");
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_frequency_panics() {
-        let _ = ClockDomain::new(0);
+        assert_eq!(ClockDomain::HOST_CPU.to_string(), "2300 MHz");
+        assert_eq!(ClockDomain { freq_hz: 1234 }.to_string(), "1234 Hz");
     }
 
     #[test]
@@ -346,17 +285,6 @@ mod tests {
         // Burst cap.
         p.tick_n(100);
         assert_eq!(p.available(), 200);
-    }
-
-    #[test]
-    fn pacer_borrowing_reports_occupancy() {
-        let mut p = BytePacer::new(50, 1, 100);
-        // No credit yet: a 1518 B frame needs ceil(1518/50) = 31 ticks.
-        assert_eq!(p.consume_borrowing(1518), 31);
-        // With partial credit the debt shrinks.
-        let mut p = BytePacer::new(50, 1, 100);
-        p.tick(); // 50 B credit
-        assert_eq!(p.consume_borrowing(100), 1);
     }
 
     #[test]

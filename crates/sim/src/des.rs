@@ -73,11 +73,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedules `event` `delay` units after the current time.
-    pub fn schedule_in(&mut self, delay: u64, event: E) {
-        self.schedule(self.now.saturating_add(delay), event);
-    }
-
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(u64, E)> {
@@ -153,15 +148,6 @@ mod tests {
         // Scheduling in the past clamps to now.
         q.schedule(50, "past");
         assert_eq!(q.peek_time(), Some(100));
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(100, ());
-        q.pop();
-        q.schedule_in(5, ());
-        assert_eq!(q.peek_time(), Some(105));
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! ```
 //! use f4t_sim::{ClockDomain, Fifo};
 //!
-//! let core = ClockDomain::new_mhz(250);
+//! let core = ClockDomain::ENGINE_CORE;
 //! assert_eq!(core.cycles_to_ns(250_000_000), 1_000_000_000);
 //!
 //! let mut q: Fifo<u32> = Fifo::new(2);

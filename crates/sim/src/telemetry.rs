@@ -142,19 +142,6 @@ impl MetricsRegistry {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Sums every counter whose name contains `needle` (e.g. all
-    /// per-FPC instances of one stall cause).
-    pub fn counter_sum(&self, needle: &str) -> u64 {
-        self.metrics
-            .iter()
-            .filter(|(k, _)| k.contains(needle))
-            .filter_map(|(_, v)| match v {
-                MetricValue::Counter(c) => Some(*c),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// Windowed view: counters become `self - earlier` (saturating, so a
     /// component reset never underflows); gauges and histogram summaries
     /// keep this (the later) snapshot's value. Metrics absent from
@@ -507,15 +494,6 @@ mod tests {
         // Underflow (component reset) saturates instead of wrapping.
         let d2 = earlier.delta(&later);
         assert_eq!(d2.counter_value("x.events"), 0);
-    }
-
-    #[test]
-    fn counter_sum_over_instances() {
-        let mut r = MetricsRegistry::new();
-        r.counter("fpc0.stall.fifo_empty", 3);
-        r.counter("fpc1.stall.fifo_empty", 4);
-        r.counter("fpc1.stall.other", 100);
-        assert_eq!(r.counter_sum("stall.fifo_empty"), 7);
     }
 
     #[test]

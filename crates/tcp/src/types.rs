@@ -185,11 +185,6 @@ pub struct MacAddr(pub [u8; 6]);
 impl MacAddr {
     /// The broadcast address ff:ff:ff:ff:ff:ff.
     pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
-    /// Returns whether this is the broadcast address.
-    pub fn is_broadcast(self) -> bool {
-        self == MacAddr::BROADCAST
-    }
 }
 
 impl fmt::Display for MacAddr {
@@ -247,10 +242,9 @@ mod tests {
     }
 
     #[test]
-    fn mac_display_and_broadcast() {
+    fn mac_display() {
         assert_eq!(MacAddr([0xde, 0xad, 0, 0, 0xbe, 0xef]).to_string(), "de:ad:00:00:be:ef");
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(!MacAddr::default().is_broadcast());
+        assert_eq!(MacAddr::BROADCAST.to_string(), "ff:ff:ff:ff:ff:ff");
     }
 
     #[test]
