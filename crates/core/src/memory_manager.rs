@@ -8,19 +8,20 @@
 //! FPC, the memory manager checks whether each flow can send packets and
 //! swaps only the necessary flows to FPC" (§4.3.1).
 //!
-//! DRAM contents are the functional source of truth (a map of
-//! `(Tcb, EventView)` pairs — the same dual-memory halves an FPC slot
-//! holds); the [`f4t_mem::TcbCache`] in front is the *performance* model:
-//! a hit serves the event-handling RMW from SRAM, a miss charges the
-//! [`f4t_mem::DramModel`]'s byte budget — which is exactly the bottleneck
-//! behind Fig. 13's DDR4 knee.
+//! DRAM contents are the functional source of truth: one `(Tcb,
+//! EventView)` row per flow id (the same dual-memory halves an FPC slot
+//! holds), each DRAM-resident TCB held once. The write-back queue carries
+//! flow ids, and the [`f4t_mem::TcbCache`] in front is the *performance*
+//! model, tags and dirty bits only: a hit serves the event-handling RMW
+//! from SRAM, a miss charges the [`f4t_mem::DramModel`]'s byte budget —
+//! which is exactly the bottleneck behind Fig. 13's DDR4 knee.
 
 use crate::event::FlowEvent;
 use crate::fpu::EventView;
 use f4t_mem::{CacheAccess, DramKind, DramModel, TcbCache, TCB_BYTES};
 use f4t_sim::check::InvariantChecker;
 use f4t_sim::{
-    Fifo, FlightStage, FlowSet, FlowSlab, Histogram, JournalKind, JournalModule, Probe, SlabQueue,
+    Fifo, FlightStage, FlowSet, Histogram, JournalKind, JournalModule, Probe, SlabQueue,
 };
 use f4t_tcp::{FlowId, Tcb};
 
@@ -38,23 +39,77 @@ pub struct MmOutput {
     pub bounced: Vec<FlowEvent>,
 }
 
+/// Rows in one page of a [`Column`].
+const ROWS_PER_PAGE: usize = 1024;
+
+/// One half of the DRAM store: a `T` per flow id, in pages of
+/// [`ROWS_PER_PAGE`] whose capacity is reserved once, when a flow id
+/// first reaches them. A page never reallocates, so a growing id space
+/// copies no stored row, and its unwritten tail costs no memory. Whether
+/// a row holds a live value is the memory manager's `resident` /
+/// `staged` sets' answer, never the column's.
+#[derive(Debug)]
+struct Column<T> {
+    pages: Vec<Vec<T>>,
+}
+
+impl<T: Clone> Column<T> {
+    fn new() -> Column<T> {
+        Column { pages: Vec::new() }
+    }
+
+    /// Writes `value` as `id`'s row.
+    fn put(&mut self, id: u32, value: T) {
+        let (page, slot) = (id as usize / ROWS_PER_PAGE, id as usize % ROWS_PER_PAGE);
+        while self.pages.len() <= page {
+            self.pages.push(Vec::with_capacity(ROWS_PER_PAGE));
+        }
+        let rows = &mut self.pages[page];
+        if slot < rows.len() {
+            rows[slot] = value;
+        } else {
+            // Rows below `slot` that no flow wrote yet get filler copies.
+            rows.resize(slot, value.clone());
+            rows.push(value);
+        }
+    }
+
+    /// `id`'s row, which [`put`](Self::put) wrote.
+    fn get(&self, id: u32) -> &T {
+        &self.pages[id as usize / ROWS_PER_PAGE][id as usize % ROWS_PER_PAGE]
+    }
+
+    /// Mutable [`get`](Self::get).
+    fn get_mut(&mut self, id: u32) -> &mut T {
+        &mut self.pages[id as usize / ROWS_PER_PAGE][id as usize % ROWS_PER_PAGE]
+    }
+}
+
 /// The memory manager.
 #[derive(Debug)]
 pub struct MemoryManager {
-    /// DRAM-resident flows: a dense `FlowId -> slot` slab (FtTurbo), so
-    /// every event-handling lookup is two array indexes instead of a
-    /// hash, and iteration order is ascending flow id by construction.
-    store: FlowSlab<(Tcb, EventView)>,
+    /// DRAM contents, a row per flow id in two halves (the dual-memory
+    /// halves an FPC slot holds): every event-handling lookup is two
+    /// array indexes instead of a hash. The TCB half is written when the
+    /// TCB is staged, the event half when its DRAM write completes.
+    tcbs: Column<Tcb>,
+    evs: Column<EventView>,
+    /// Flows whose row is written to DRAM: visible to event handling,
+    /// swap-in and the check logic. Iterates ascending by flow id.
+    resident: FlowSet,
+    /// Flows whose TCB is staged in its row while the DRAM write waits in
+    /// the write-back queue.
+    staged: FlowSet,
     cache: TcbCache,
     dram: DramModel,
     /// Events routed to DRAM, each with the engine cycle it was routed
     /// (the DRAM-side FtFlight `event_accum` span start).
     input: Fifo<(FlowEvent, u64)>,
-    /// Evicted TCBs from FPCs awaiting their DRAM write (bandwidth),
-    /// tagged with the cycle they entered the queue. Bounded by the
-    /// migration-control window (at most one eviction in flight per FPC
-    /// plus new placements).
-    writeback_queue: SlabQueue<(Tcb, u64)>,
+    /// Staged flows awaiting their DRAM write (bandwidth), tagged with
+    /// the cycle they entered the queue. Bounded by the migration-control
+    /// window (at most one eviction in flight per FPC plus new
+    /// placements).
+    writeback_queue: SlabQueue<(FlowId, u64)>,
     /// Flows with an outstanding swap-in request (dedup).
     swap_requested: FlowSet,
     events_handled: u64,
@@ -75,7 +130,10 @@ impl MemoryManager {
     /// `cache_sets` direct-mapped entries.
     pub fn new(dram: DramKind, cache_sets: usize) -> MemoryManager {
         MemoryManager {
-            store: FlowSlab::with_capacity(0),
+            tcbs: Column::new(),
+            evs: Column::new(),
+            resident: FlowSet::with_capacity(0),
+            staged: FlowSet::with_capacity(0),
             cache: TcbCache::new(cache_sets),
             dram: DramModel::new(dram),
             input: Fifo::new(Self::INPUT_FIFO_DEPTH),
@@ -90,7 +148,7 @@ impl MemoryManager {
 
     /// Number of DRAM-resident flows.
     pub fn flow_count(&self) -> usize {
-        self.store.len()
+        self.resident.len()
     }
 
     /// Whether the event input FIFO has room.
@@ -113,23 +171,32 @@ impl MemoryManager {
     /// every FPC is full). Deferred through the writeback queue so it
     /// costs DRAM bandwidth like any other fill.
     pub fn insert_new(&mut self, tcb: Tcb) {
-        self.writeback_queue.push_back((tcb, self.cycle));
-        self.writeback_high = self.writeback_high.max(self.writeback_queue.len());
+        self.stage(tcb);
     }
 
     /// Accepts an evicted TCB arriving from an FPC (Fig. 6 step ⑤).
     /// The DRAM write completes asynchronously; `evict_done` reports it.
     pub fn accept_eviction(&mut self, tcb: Tcb) {
-        self.writeback_queue.push_back((tcb, self.cycle));
+        self.stage(tcb);
+    }
+
+    /// Stages `tcb` in its row and queues its DRAM write. The row stays
+    /// invisible to event handling and swap-in until the write completes.
+    fn stage(&mut self, tcb: Tcb) {
+        let flow = tcb.flow;
+        debug_assert!(!self.holds(flow), "{flow} staged while the memory manager holds it");
+        self.tcbs.put(flow.0, tcb);
+        self.staged.insert(flow.0);
+        self.writeback_queue.push_back((flow, self.cycle));
         self.writeback_high = self.writeback_high.max(self.writeback_queue.len());
     }
 
     /// Hands a flow's TCB + accumulated events to the scheduler for
     /// swap-in. Charges a DRAM read unless the TCB cache holds the flow.
-    /// Returns `None` when the flow is unknown or this cycle's DRAM
+    /// Returns `None` when the flow is not resident or this cycle's DRAM
     /// budget is exhausted (the scheduler retries).
     pub fn take_for_swap_in(&mut self, flow: FlowId) -> Option<(Tcb, EventView)> {
-        if !self.store.contains(flow.0) {
+        if !self.resident.contains(flow.0) {
             return None;
         }
         // Migration always reads the authoritative DRAM copy (the cache
@@ -139,16 +206,20 @@ impl MemoryManager {
         }
         self.cache.invalidate(flow);
         self.swap_requested.remove(flow.0);
-        self.store.remove(flow.0)
+        self.resident.remove(flow.0);
+        Some((*self.tcbs.get(flow.0), *self.evs.get(flow.0)))
     }
 
-    /// Read-only view of a DRAM-resident TCB, including TCBs still in
-    /// the write-back queue (diagnostics).
+    /// Whether this module holds `flow`'s TCB: resident, or staged for
+    /// its DRAM write. O(1), the scheduler's swap-in membership question.
+    pub fn holds(&self, flow: FlowId) -> bool {
+        self.resident.contains(flow.0) || self.staged.contains(flow.0)
+    }
+
+    /// Read-only view of a DRAM-resident TCB, including TCBs still
+    /// staged for their DRAM write (diagnostics).
     pub fn peek_tcb(&self, flow: FlowId) -> Option<&Tcb> {
-        self.store
-            .get(flow.0)
-            .map(|(t, _)| t)
-            .or_else(|| self.writeback_queue.iter().map(|(t, _)| t).find(|t| t.flow == flow))
+        self.holds(flow).then(|| self.tcbs.get(flow.0))
     }
 
     /// Events handled in place (the FPC-event-handler-equivalent work).
@@ -186,7 +257,7 @@ impl MemoryManager {
     /// TCB-cache hit/miss, DRAM channel traffic and refusals, write-back
     /// queue occupancy, and the migration (write-back) latency histogram.
     pub fn collect(&self, prefix: &str, reg: &mut f4t_sim::telemetry::MetricsRegistry) {
-        reg.gauge(&format!("{prefix}.flows_resident"), self.store.len() as f64);
+        reg.gauge(&format!("{prefix}.flows_resident"), self.resident.len() as f64);
         reg.counter(&format!("{prefix}.events_handled"), self.events_handled);
         reg.counter(&format!("{prefix}.tcb_cache.hits"), self.cache.hits());
         reg.counter(&format!("{prefix}.tcb_cache.misses"), self.cache.misses());
@@ -239,11 +310,14 @@ impl MemoryManager {
 
         // 1. Evictions / new placements: one DRAM TCB write each.
         if !self.writeback_queue.is_empty() && self.dram.try_access(TCB_BYTES) {
-            if let Some((tcb, enqueued)) = self.writeback_queue.pop_front() {
-                let flow = tcb.flow;
+            if let Some((flow, enqueued)) = self.writeback_queue.pop_front() {
                 self.writeback_latency.record(self.cycle - enqueued);
-                self.store.insert(flow.0, (tcb, EventView::default()));
-                self.cache.fill(tcb);
+                self.staged.remove(flow.0);
+                self.resident.insert(flow.0);
+                // A fresh row accumulates from nothing: a recycled flow id
+                // never sees its predecessor's events.
+                self.evs.put(flow.0, EventView::default());
+                self.cache.fill(flow);
                 // Fresh DRAM residency: any previous swap-in request is
                 // void (it may have been dropped while we were in
                 // transit), so the check logic may fire again.
@@ -251,7 +325,7 @@ impl MemoryManager {
                 // The freshly stored TCB may already be sendable (events
                 // can accumulate on it immediately); let the check logic
                 // evaluate it now rather than waiting for the next event.
-                if Self::check_can_send(&tcb, &EventView::default())
+                if Self::check_can_send(self.tcbs.get(flow.0), self.evs.get(flow.0))
                     && self.swap_requested.insert(flow.0)
                 {
                     out.swap_in_requests.push(flow);
@@ -263,7 +337,7 @@ impl MemoryManager {
         // 2. Event handling: one event per cycle when bandwidth allows.
         if let Some(&(event, routed_at)) = self.input.front() {
             let flow = event.flow;
-            if let Some(entry) = self.store.get(flow.0) {
+            if self.resident.contains(flow.0) {
                 // Charge the memory system: cache hit = SRAM (free);
                 // miss = TCB read + write-back of the RMW (2×128 B), plus
                 // a dirty victim write.
@@ -280,10 +354,11 @@ impl MemoryManager {
                         flow.0,
                         now_cycle.saturating_sub(routed_at),
                     );
-                    let (tcb, mut ev) = *entry;
-                    ev.accumulate(&tcb, event.kind);
+                    // The RMW accumulates in place on the DRAM row.
+                    let (tcb, ev) = (self.tcbs.get(flow.0), self.evs.get_mut(flow.0));
+                    ev.accumulate(tcb, event.kind);
                     self.events_handled += 1;
-                    let can_send = Self::check_can_send(&tcb, &ev);
+                    let can_send = Self::check_can_send(tcb, ev);
                     probe.event(
                         now_cycle,
                         JournalModule::MemoryManager,
@@ -292,14 +367,11 @@ impl MemoryManager {
                         charge,
                         u64::from(can_send),
                     );
-                    self.store.insert(flow.0, (tcb, ev));
                     if charge > 0 {
-                        self.cache.fill(tcb);
+                        self.cache.fill(flow);
                     }
-                    if let Some(e) = self.cache.get_mut(flow) {
-                        // Keep the cached copy coherent (dirty).
-                        *e = tcb;
-                    }
+                    // The cached line now differs from DRAM.
+                    self.cache.mark_dirty(flow);
                     if can_send && self.swap_requested.insert(flow.0) {
                         out.swap_in_requests.push(flow);
                     }
@@ -347,16 +419,17 @@ impl MemoryManager {
     /// the write-back queue — those are mid-migration and their LUT
     /// entries say `Moving`.
     pub fn resident_flows(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.store.ids().map(FlowId)
+        self.resident.iter().map(FlowId)
     }
 
     /// TCBs this module holds, including write-back-queue entries still
     /// mid-migration (watchdog progress scan — same coverage as
     /// [`peek_tcb`](Self::peek_tcb), one pass instead of per-flow
-    /// lookups). Deterministic order: store ascending by flow id, then
-    /// the write-back queue head-first.
+    /// lookups). Deterministic order: resident flows ascending by flow
+    /// id, then the write-back queue head-first.
     pub fn resident_tcbs(&self) -> impl Iterator<Item = &Tcb> {
-        self.store.iter().map(|(_, (t, _))| t).chain(self.writeback_queue.iter().map(|(t, _)| t))
+        let queued = self.writeback_queue.iter().map(|&(flow, _)| flow.0);
+        self.resident.iter().chain(queued).map(|id| self.tcbs.get(id))
     }
 
     /// FtVerify fault injection: plants `tcb` directly in the DRAM store,
@@ -364,7 +437,9 @@ impl MemoryManager {
     /// the negative tests can seed a dual-residency migration race the
     /// audit must detect; never called from protocol paths.
     pub fn fault_inject_store(&mut self, tcb: Tcb) {
-        self.store.insert(tcb.flow.0, (tcb, EventView::default()));
+        self.tcbs.put(tcb.flow.0, tcb);
+        self.evs.put(tcb.flow.0, EventView::default());
+        self.resident.insert(tcb.flow.0);
     }
 
     /// FtVerify periodic audit: conservation on the event input FIFO.
@@ -403,6 +478,52 @@ mod tests {
         assert_eq!(out.evict_done, vec![FlowId(5)]);
         assert_eq!(mm.flow_count(), 1);
         assert!(mm.peek_tcb(FlowId(5)).is_some());
+    }
+
+    #[test]
+    fn a_staged_tcb_is_visible_at_once_and_resident_when_its_write_completes() {
+        let mut mm = MemoryManager::new(DramKind::Hbm, 64);
+        for id in [7, 1] {
+            mm.accept_eviction(established(id));
+        }
+        run(&mut mm, 4);
+        // Staged, write-back queue order 9 then 3: visible to the
+        // diagnostics at once, resident flows first.
+        mm.accept_eviction(established(9));
+        mm.insert_new(established(3));
+        assert!(mm.holds(FlowId(3)) && mm.holds(FlowId(9)) && !mm.holds(FlowId(4)));
+        assert_eq!(mm.peek_tcb(FlowId(9)).map(|t| t.flow), Some(FlowId(9)));
+        let held: Vec<u32> = mm.resident_tcbs().map(|t| t.flow.0).collect();
+        assert_eq!(held, [1, 7, 9, 3]);
+        assert_eq!(mm.resident_flows().map(|f| f.0).collect::<Vec<_>>(), [1, 7]);
+        // One write per cycle: flow 9's completes, flow 3 is still staged,
+        // so its event bounces and swap-in finds nothing to take.
+        assert!(mm.push_event(send_event(3, 300)));
+        let out = run(&mut mm, 1);
+        assert_eq!((out.evict_done, out.bounced), (vec![FlowId(9)], vec![send_event(3, 300)]));
+        assert!(mm.take_for_swap_in(FlowId(3)).is_none(), "staged, not resident");
+        let out = run(&mut mm, 1);
+        assert_eq!(out.evict_done, vec![FlowId(3)]);
+        assert_eq!(mm.resident_flows().map(|f| f.0).collect::<Vec<_>>(), [1, 3, 7, 9]);
+        let (tcb, ev) = mm.take_for_swap_in(FlowId(3)).expect("resident + bandwidth");
+        assert_eq!((tcb.flow, ev), (FlowId(3), EventView::default()), "the bounce left no trace");
+    }
+
+    #[test]
+    fn a_recycled_flow_id_starts_from_an_empty_event_view() {
+        let mut mm = MemoryManager::new(DramKind::Hbm, 64);
+        mm.accept_eviction(established(5));
+        run(&mut mm, 4);
+        mm.push_event(send_event(5, 300));
+        run(&mut mm, 4);
+        let (_, ev) = mm.take_for_swap_in(FlowId(5)).expect("resident + bandwidth");
+        assert_eq!(ev.req, Some(SeqNum(1300)));
+        // The id closes in an FPC and is reused for a new DRAM placement:
+        // the old row's accumulated request must not ride along.
+        mm.insert_new(Tcb::new(FlowId(5)));
+        run(&mut mm, 4);
+        let (tcb, ev) = mm.take_for_swap_in(FlowId(5)).expect("resident + bandwidth");
+        assert_eq!((tcb, ev), (Tcb::new(FlowId(5)), EventView::default()));
     }
 
     #[test]

@@ -594,7 +594,7 @@ impl Scheduler {
                 }
                 continue;
             }
-            if mm.peek_tcb(flow).is_none() {
+            if !mm.holds(flow) {
                 // Flow left DRAM by other means (already swapped in).
                 self.swap_in_queue.pop_front();
                 continue;

@@ -497,6 +497,8 @@ impl Node {
             ("crates/core/src/memory_manager.rs", "core", "fn accumulate(&mut self) {}\n".into()),
             ("crates/core/src/memory_manager.rs", "core", FPU.replace("TxRequest", "Segment")),
             ("crates/core/src/fpu.rs", "core", format!("{FPU}fn ack() {{\n    let _ = TxRequest {{ seq: 1 }};\n}}\n")),
+            ("crates/mem/src/tcb_cache.rs", "mem", "struct TcbCache {\n    sets: Vec<Option<(Tcb, bool)>>,\n}\n#[cfg(test)]\nmod tests {\n    use f4t_tcp::Tcb;\n}\n".into()),
+            ("crates/core/src/memory_manager.rs", "core", "struct Mm {\n    writeback: SlabQueue<(Tcb, u64)>,\n}\n".into()),
             ("crates/core/src/fpc.rs", "core", format!("{FPC}fn again(s: &mut Fpc) {{\n    s.stall_fifo_empty += 1;\n}}\n")),
             ("crates/core/src/engine.rs", "core", engine_with("        self.mm.skip_idle_cycles(1);\n")),
             ("crates/core/src/engine.rs", "core", ENGINE.replace("        self.fpc.skip_cycles(to);\n", "")),

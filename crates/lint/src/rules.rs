@@ -170,6 +170,13 @@ pub const ROWS: &[Row] = &[
         "want one event-table merge in crates/core/src, EventView::accumulate, DESIGN.md §3.1"),
     regrowth(&["crates/core/src/fpu.rs"], &["TxRequest {"], &[], (2, 2), "want 2 `TxRequest {` in \
         crates/core/src/fpu.rs: fpu::segment's signature and literal, DESIGN.md §3.1"),
+    // §12.1: the memory manager holds each DRAM-side TCB once, in its flow's row.
+    Row { rule: "regrowth", scope: &["crates/mem/src/tcb_cache.rs"], places: &[],
+        pats: &[r"\bTcb\b"], count: NONE, tests: false, why: "`{pat}` in the TCB cache: a second \
+        copy of a DRAM-side TCB is back; a line is a tag and a dirty bit, DESIGN.md §12.1" },
+    regrowth(&["crates/core/src/memory_manager.rs"], &["SlabQueue<(Tcb", "FlowSlab<(Tcb"], &[],
+        NONE, "`{pat}`: a second copy of a DRAM-side TCB is back; stage it in its flow's row and \
+        queue the flow id, DESIGN.md §12.1"),
     // §9.1: one idle routine.
     regrowth(&["crates/core/src/fpc.rs"], &["stall_fifo_empty +="], &[], (2, 2), "want 2 \
         `stall_fifo_empty +=` in fpc.rs: dispatch's bubble and Fpc::skip_cycles, DESIGN.md §9.1"),

@@ -14,7 +14,8 @@
 //!   random-access efficiency factor and access latency; the bandwidth
 //!   ceiling behind Fig. 13's knee at >1024 flows.
 //! * [`TcbCache`] — the memory manager's direct-mapped TCB cache
-//!   (§4.3.1).
+//!   (§4.3.1): tags and dirty bits only, since the TCBs themselves live
+//!   once, in the memory manager's DRAM rows.
 //!
 //! The FPC's dual-port block RAMs need no model of their own here: the
 //! two-cycle access schedule (§4.2.3: "the two memories allow four reads

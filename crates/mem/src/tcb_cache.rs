@@ -5,36 +5,44 @@
 //! event from on-chip SRAM; a miss costs DRAM bandwidth. Entries are
 //! write-back (dirty bit), so a flow receiving a burst of events costs one
 //! DRAM fill and one eventual write-back instead of an RMW per event.
+//!
+//! The cache is a timing model: the TCB contents live once, in the memory
+//! manager's DRAM rows, and a line here is the resident flow's tag and
+//! its dirty bit — all that decides a hit, a miss and a victim write.
 
-use f4t_tcp::{FlowId, Tcb};
+use f4t_tcp::FlowId;
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheAccess {
     /// The flow's TCB was resident.
     Hit,
-    /// Not resident; `victim` carries a dirty evicted TCB that must be
-    /// written back to DRAM before the fill completes.
+    /// Not resident; `victim_dirty` says the line the fill displaces
+    /// must be written back to DRAM before the fill completes.
     Miss {
         /// Dirty TCB displaced by the fill, if any.
         victim_dirty: bool,
     },
 }
 
-/// A direct-mapped, write-back cache of TCBs indexed by flow id.
+/// A direct-mapped, write-back cache of TCBs indexed by flow id: one
+/// `(tag, dirty)` line per set.
 ///
 /// # Examples
 ///
 /// ```
-/// use f4t_mem::TcbCache;
+/// use f4t_mem::{CacheAccess, TcbCache};
 /// use f4t_tcp::{FlowId, Tcb};
 /// let mut cache = TcbCache::new(64);
-/// cache.fill(Tcb::new(FlowId(5)));
-/// assert!(cache.get_mut(FlowId(5)).is_some());
+/// cache.fill(Tcb::new(FlowId(5))); // a TCB fills its flow's line
+/// assert_eq!(cache.probe(FlowId(5)), CacheAccess::Hit);
+/// assert!(cache.mark_dirty(FlowId(5)));
+/// // Flow 69 shares set 5: the dirty line is its victim.
+/// assert_eq!(cache.probe(FlowId(69)), CacheAccess::Miss { victim_dirty: true });
 /// ```
 #[derive(Debug, Clone)]
 pub struct TcbCache {
-    sets: Vec<Option<(Tcb, bool)>>,
+    sets: Vec<Option<(FlowId, bool)>>,
     hits: u64,
     misses: u64,
 }
@@ -55,64 +63,52 @@ impl TcbCache {
         flow.0 as usize % self.sets.len()
     }
 
+    /// The line holding `flow`, if it is resident.
+    fn line_mut(&mut self, flow: FlowId) -> Option<&mut Option<(FlowId, bool)>> {
+        let idx = self.index(flow);
+        let line = &mut self.sets[idx];
+        line.is_some_and(|(tag, _)| tag == flow).then_some(line)
+    }
+
     /// Probes the cache for `flow`, recording hit/miss statistics.
     pub fn probe(&mut self, flow: FlowId) -> CacheAccess {
-        let idx = self.index(flow);
-        match &self.sets[idx] {
-            Some((tcb, dirty)) if tcb.flow == flow => {
-                let _ = dirty;
+        match self.sets[self.index(flow)] {
+            Some((tag, _)) if tag == flow => {
                 self.hits += 1;
                 CacheAccess::Hit
             }
-            Some((_, dirty)) => {
+            line => {
                 self.misses += 1;
-                CacheAccess::Miss { victim_dirty: *dirty }
-            }
-            None => {
-                self.misses += 1;
-                CacheAccess::Miss { victim_dirty: false }
+                CacheAccess::Miss { victim_dirty: line.is_some_and(|(_, dirty)| dirty) }
             }
         }
     }
 
-    /// Returns a mutable reference to a resident TCB (marking it dirty),
-    /// or `None` on miss. Does not touch statistics — pair with
+    /// Marks a resident flow's line dirty (the in-place RMW wrote it);
+    /// `false` on miss. Does not touch statistics — pair with
     /// [`probe`](TcbCache::probe).
-    pub fn get_mut(&mut self, flow: FlowId) -> Option<&mut Tcb> {
-        let idx = self.index(flow);
-        match &mut self.sets[idx] {
-            Some((tcb, dirty)) if tcb.flow == flow => {
-                *dirty = true;
-                Some(tcb)
-            }
-            _ => None,
-        }
+    pub fn mark_dirty(&mut self, flow: FlowId) -> bool {
+        self.line_mut(flow).map(|line| *line = Some((flow, true))).is_some()
     }
 
-    /// Returns a read-only reference to a resident TCB.
-    pub fn get(&self, flow: FlowId) -> Option<&Tcb> {
-        let idx = self.index(flow);
-        match &self.sets[idx] {
-            Some((tcb, _)) if tcb.flow == flow => Some(tcb),
-            _ => None,
-        }
+    /// Whether `flow` is resident (no statistics).
+    pub fn contains(&self, flow: FlowId) -> bool {
+        self.sets[self.index(flow)].is_some_and(|(tag, _)| tag == flow)
     }
 
-    /// Installs `tcb` (clean), returning the displaced entry `(tcb,
+    /// Installs the line of `line`'s flow (clean) — a [`FlowId`], or a
+    /// TCB, whose tag is its flow — returning the displaced `(tag,
     /// dirty)` if one was resident.
-    pub fn fill(&mut self, tcb: Tcb) -> Option<(Tcb, bool)> {
-        let idx = self.index(tcb.flow);
-        self.sets[idx].replace((tcb, false))
+    pub fn fill(&mut self, line: impl Into<FlowId>) -> Option<(FlowId, bool)> {
+        let flow = line.into();
+        let idx = self.index(flow);
+        self.sets[idx].replace((flow, false))
     }
 
     /// Removes `flow` from the cache (e.g. when it swaps into an FPC),
-    /// returning the TCB and its dirty bit.
-    pub fn invalidate(&mut self, flow: FlowId) -> Option<(Tcb, bool)> {
-        let idx = self.index(flow);
-        match &self.sets[idx] {
-            Some((tcb, _)) if tcb.flow == flow => self.sets[idx].take(),
-            _ => None,
-        }
+    /// returning its dirty bit if it was resident.
+    pub fn invalidate(&mut self, flow: FlowId) -> Option<bool> {
+        self.line_mut(flow).and_then(Option::take).map(|(_, dirty)| dirty)
     }
 
     /// Cache hits so far.
@@ -139,6 +135,8 @@ impl TcbCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f4t_sim::SimRng;
+    use f4t_tcp::Tcb;
 
     fn tcb(id: u32) -> Tcb {
         Tcb::new(FlowId(id))
@@ -158,44 +156,105 @@ mod tests {
     #[test]
     fn conflict_eviction_reports_dirty_victim() {
         let mut c = TcbCache::new(8);
-        c.fill(tcb(1));
-        c.get_mut(FlowId(1)).unwrap().cwnd = 9999; // dirty it
+        c.fill(FlowId(1));
+        assert!(c.mark_dirty(FlowId(1)));
         // Flow 9 maps to the same set (9 % 8 == 1).
         assert_eq!(c.probe(FlowId(9)), CacheAccess::Miss { victim_dirty: true });
-        let displaced = c.fill(tcb(9)).unwrap();
-        assert_eq!(displaced.0.flow, FlowId(1));
-        assert!(displaced.1, "victim was dirty");
-        assert_eq!(displaced.0.cwnd, 9999, "dirty data preserved for write-back");
+        assert_eq!(c.fill(FlowId(9)), Some((FlowId(1), true)), "dirty victim displaced");
     }
 
     #[test]
-    fn get_marks_dirty_get_readonly_does_not() {
+    fn only_mark_dirty_dirties_a_line() {
         let mut c = TcbCache::new(4);
-        c.fill(tcb(2));
-        assert!(c.get(FlowId(2)).is_some());
-        let displaced = c.fill(tcb(2)).unwrap();
-        assert!(!displaced.1, "read-only access leaves entry clean");
-        c.get_mut(FlowId(2)).unwrap();
-        let displaced = c.fill(tcb(2)).unwrap();
-        assert!(displaced.1);
+        c.fill(FlowId(2));
+        assert!(c.contains(FlowId(2)));
+        assert_eq!(c.fill(FlowId(2)), Some((FlowId(2), false)), "a lookup leaves it clean");
+        assert!(c.mark_dirty(FlowId(2)));
+        assert_eq!(c.fill(FlowId(2)), Some((FlowId(2), true)));
     }
 
     #[test]
     fn invalidate_removes_entry() {
         let mut c = TcbCache::new(4);
-        c.fill(tcb(3));
-        let (t, dirty) = c.invalidate(FlowId(3)).unwrap();
-        assert_eq!(t.flow, FlowId(3));
-        assert!(!dirty);
-        assert!(c.get(FlowId(3)).is_none());
-        assert!(c.invalidate(FlowId(3)).is_none());
+        c.fill(FlowId(3));
+        assert_eq!(c.invalidate(FlowId(3)), Some(false));
+        assert!(!c.contains(FlowId(3)));
+        assert_eq!(c.invalidate(FlowId(3)), None);
     }
 
     #[test]
     fn wrong_flow_in_set_is_miss() {
         let mut c = TcbCache::new(4);
-        c.fill(tcb(0));
-        assert!(c.get(FlowId(4)).is_none(), "same set, different flow");
-        assert!(c.get_mut(FlowId(4)).is_none());
+        c.fill(FlowId(0));
+        assert!(!c.contains(FlowId(4)), "same set, different flow");
+        assert!(!c.mark_dirty(FlowId(4)));
+        assert_eq!(c.invalidate(FlowId(4)), None);
+        assert!(c.contains(FlowId(0)), "the resident line is untouched");
+    }
+
+    /// The cache as it was when every line held a whole TCB: the
+    /// reference the tag-only cache must agree with, access for access.
+    struct RowCache {
+        sets: Vec<Option<(Tcb, bool)>>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl RowCache {
+        fn probe(&mut self, flow: FlowId) -> CacheAccess {
+            let n = self.sets.len();
+            match &self.sets[flow.0 as usize % n] {
+                Some((t, _)) if t.flow == flow => {
+                    self.hits += 1;
+                    CacheAccess::Hit
+                }
+                Some((_, dirty)) => {
+                    self.misses += 1;
+                    CacheAccess::Miss { victim_dirty: *dirty }
+                }
+                None => {
+                    self.misses += 1;
+                    CacheAccess::Miss { victim_dirty: false }
+                }
+            }
+        }
+
+        fn line(&mut self, flow: FlowId) -> Option<&mut Option<(Tcb, bool)>> {
+            let n = self.sets.len();
+            let line = &mut self.sets[flow.0 as usize % n];
+            matches!(line, Some((t, _)) if t.flow == flow).then_some(line)
+        }
+    }
+
+    #[test]
+    fn seeded_trace_matches_the_whole_row_cache() {
+        const SETS: usize = 8;
+        let mut rng = SimRng::new(0x7cb_cac4e);
+        let mut tags = TcbCache::new(SETS);
+        let mut rows = RowCache { sets: vec![None; SETS], hits: 0, misses: 0 };
+        // 24 flows over 8 sets: three flows collide on every set.
+        for step in 0..20_000 {
+            let flow = FlowId(rng.next_below(3 * SETS as u64) as u32);
+            match rng.next_below(4) {
+                0 => assert_eq!(tags.probe(flow), rows.probe(flow), "probe at step {step}"),
+                1 => {
+                    let mut t = tcb(flow.0);
+                    t.cwnd = step;
+                    let displaced = rows.sets[flow.0 as usize % SETS].replace((t, false));
+                    let want = displaced.map(|(old, dirty)| (old.flow, dirty));
+                    assert_eq!(tags.fill(t), want, "fill at step {step}");
+                }
+                2 => {
+                    let hit = rows.line(flow).map(|l| l.as_mut().map(|(_, d)| *d = true));
+                    assert_eq!(tags.mark_dirty(flow), hit.is_some(), "dirty at step {step}");
+                }
+                _ => {
+                    let gone = rows.line(flow).and_then(Option::take).map(|(_, d)| d);
+                    assert_eq!(tags.invalidate(flow), gone, "invalidate at step {step}");
+                }
+            }
+        }
+        assert_eq!((tags.hits(), tags.misses()), (rows.hits, rows.misses));
+        assert!(rows.hits > 1_000 && rows.misses > 1_000, "the trace exercises both");
     }
 }

@@ -226,6 +226,14 @@ impl Tcb {
     }
 }
 
+/// A TCB's tag is its flow id: what a flow-indexed table (the memory
+/// manager's tag-only TCB cache, say) keeps of it.
+impl From<Tcb> for crate::FlowId {
+    fn from(tcb: Tcb) -> crate::FlowId {
+        tcb.flow
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
