@@ -640,6 +640,22 @@ mod tests {
         assert!(m.median_latency_us() < 100.0, "got {} µs", m.median_latency_us());
     }
 
+    /// Request/response goodput is what each side's `recv` takes: every
+    /// round trip the client completed consumed one response, and every
+    /// reply the server sent followed one consumed request.
+    #[test]
+    fn request_response_goodput_counts_what_recv_takes() {
+        for (mut sys, req, resp) in [
+            (F4tSystem::echo(1, 8, 128, small_engine()), 128, 128),
+            (F4tSystem::http(1, 1, 8, small_engine()), WRK_REQUEST_BYTES, NGINX_RESPONSE_BYTES),
+        ] {
+            let m = sys.measure(100_000, 200_000);
+            assert!(m.goodput_gbps() > 0.0, "{} round trips, no goodput", m.requests);
+            assert_eq!(sys.a.consumed_bytes(), sys.a.requests() * u64::from(resp));
+            assert!(sys.b.consumed_bytes() >= sys.b.requests() * u64::from(req));
+        }
+    }
+
     #[test]
     fn incast_fans_in_synchronized_bursts() {
         let mut sys = F4tSystem::incast(8, 2, 1_024, 50_000, small_engine());
