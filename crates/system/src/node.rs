@@ -131,10 +131,12 @@ impl Driver {
         }
     }
 
-    /// Bytes drained by a receiving driver.
+    /// Bytes the driver's `recv` calls took.
     fn consumed(&self) -> u64 {
         match self {
             Driver::BulkReceiver(r) => r.consumed(),
+            Driver::RequestClient { client, .. } => client.consumed(),
+            Driver::RequestServer { server, .. } => server.consumed(),
             Driver::Sink { server, .. } => server.consumed(),
             _ => 0,
         }
@@ -511,7 +513,7 @@ impl Node {
         self.cores.iter().map(|c| c.driver.live()).sum()
     }
 
-    /// Bytes consumed by receiving drivers (goodput measurement point).
+    /// Bytes the drivers' `recv` calls took (goodput measurement point).
     pub fn consumed_bytes(&self) -> u64 {
         self.cores.iter().map(|c| c.driver.consumed()).sum()
     }

@@ -43,6 +43,7 @@ pub struct RequestClient {
     /// Round-trip latency per request, in nanoseconds.
     pub latency: Histogram,
     completed: u64,
+    consumed: u64,
 }
 
 impl RequestClient {
@@ -71,6 +72,7 @@ impl RequestClient {
             states,
             latency: Histogram::new(),
             completed: 0,
+            consumed: 0,
         }
     }
 
@@ -85,7 +87,7 @@ impl RequestClient {
             if !sock.received.ge(st.expect) {
                 return false;
             }
-            lib.recv(flow, self.response_bytes);
+            self.consumed += u64::from(lib.recv(flow, self.response_bytes));
             self.latency.record(now_ns.saturating_sub(st.sent_ns));
             self.completed += 1;
             st.sent_ns = 0;
@@ -103,6 +105,11 @@ impl RequestClient {
     /// Completed round trips.
     pub fn completed(&self) -> u64 {
         self.completed
+    }
+
+    /// Response bytes taken by `recv`.
+    pub fn consumed(&self) -> u64 {
+        self.consumed
     }
 
     /// Application cycles per request.
@@ -129,6 +136,7 @@ pub struct RequestServer {
     app_cycles: u64,
     kernel_cycles: u64,
     served: u64,
+    consumed: u64,
 }
 
 impl RequestServer {
@@ -141,7 +149,14 @@ impl RequestServer {
         app_cycles: u64,
         kernel_cycles: u64,
     ) -> RequestServer {
-        RequestServer { request_bytes, response_bytes, app_cycles, kernel_cycles, served: 0 }
+        RequestServer {
+            request_bytes,
+            response_bytes,
+            app_cycles,
+            kernel_cycles,
+            served: 0,
+            consumed: 0,
+        }
     }
 
     /// Serves one flow: consume a complete request and reply. Returns
@@ -151,7 +166,7 @@ impl RequestServer {
         if sock.readable() < self.request_bytes {
             return false;
         }
-        lib.recv(flow, self.request_bytes);
+        self.consumed += u64::from(lib.recv(flow, self.request_bytes));
         let sent = lib.send(flow, self.response_bytes).is_ok();
         self.served += u64::from(sent);
         sent
@@ -160,6 +175,11 @@ impl RequestServer {
     /// Replies sent.
     pub fn served(&self) -> u64 {
         self.served
+    }
+
+    /// Request bytes taken by `recv`.
+    pub fn consumed(&self) -> u64 {
+        self.consumed
     }
 
     /// `(application, kernel)` cycles per reply.
@@ -210,6 +230,7 @@ mod tests {
             lib.on_completion(Completion::Received { flow: FlowId(1), upto: SeqNum(resp) });
             assert!(c.step_flow(FlowId(1), &mut lib, 51_000), "next request sent");
             assert_eq!(c.completed(), 1);
+            assert_eq!(c.consumed(), u64::from(resp), "the response was taken");
             assert_eq!(c.latency.count(), 1);
             assert!((45_000..=50_100).contains(&c.latency.percentile(50.0)));
             assert_eq!(lib.socket(FlowId(1)).unwrap().req, SeqNum(2 * req));
@@ -227,6 +248,7 @@ mod tests {
             lib.on_completion(Completion::Received { flow: FlowId(7), upto: SeqNum(req) });
             assert!(s.step_flow(FlowId(7), &mut lib));
             assert_eq!(s.served(), 1);
+            assert_eq!(s.consumed(), u64::from(req), "the partial request was left");
             assert_eq!(lib.socket(FlowId(7)).unwrap().req, SeqNum(resp), "response queued");
         }
     }
