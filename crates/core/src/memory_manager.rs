@@ -212,7 +212,7 @@ impl MemoryManager {
 
     /// Whether this module holds `flow`'s TCB: resident, or staged for
     /// its DRAM write. O(1), the scheduler's swap-in membership question.
-    pub fn holds(&self, flow: FlowId) -> bool {
+    pub(crate) fn holds(&self, flow: FlowId) -> bool {
         self.resident.contains(flow.0) || self.staged.contains(flow.0)
     }
 

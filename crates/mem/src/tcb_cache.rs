@@ -91,11 +91,6 @@ impl TcbCache {
         self.line_mut(flow).map(|line| *line = Some((flow, true))).is_some()
     }
 
-    /// Whether `flow` is resident (no statistics).
-    pub fn contains(&self, flow: FlowId) -> bool {
-        self.sets[self.index(flow)].is_some_and(|(tag, _)| tag == flow)
-    }
-
     /// Installs the line of `line`'s flow (clean) — a [`FlowId`], or a
     /// TCB, whose tag is its flow — returning the displaced `(tag,
     /// dirty)` if one was resident.
@@ -167,8 +162,8 @@ mod tests {
     fn only_mark_dirty_dirties_a_line() {
         let mut c = TcbCache::new(4);
         c.fill(FlowId(2));
-        assert!(c.contains(FlowId(2)));
-        assert_eq!(c.fill(FlowId(2)), Some((FlowId(2), false)), "a lookup leaves it clean");
+        assert_eq!(c.probe(FlowId(2)), CacheAccess::Hit);
+        assert_eq!(c.fill(FlowId(2)), Some((FlowId(2), false)), "a probe leaves it clean");
         assert!(c.mark_dirty(FlowId(2)));
         assert_eq!(c.fill(FlowId(2)), Some((FlowId(2), true)));
     }
@@ -178,7 +173,7 @@ mod tests {
         let mut c = TcbCache::new(4);
         c.fill(FlowId(3));
         assert_eq!(c.invalidate(FlowId(3)), Some(false));
-        assert!(!c.contains(FlowId(3)));
+        assert_eq!(c.probe(FlowId(3)), CacheAccess::Miss { victim_dirty: false });
         assert_eq!(c.invalidate(FlowId(3)), None);
     }
 
@@ -186,10 +181,10 @@ mod tests {
     fn wrong_flow_in_set_is_miss() {
         let mut c = TcbCache::new(4);
         c.fill(FlowId(0));
-        assert!(!c.contains(FlowId(4)), "same set, different flow");
-        assert!(!c.mark_dirty(FlowId(4)));
+        assert!(!c.mark_dirty(FlowId(4)), "same set, different flow");
         assert_eq!(c.invalidate(FlowId(4)), None);
-        assert!(c.contains(FlowId(0)), "the resident line is untouched");
+        assert_eq!(c.probe(FlowId(4)), CacheAccess::Miss { victim_dirty: false });
+        assert_eq!(c.probe(FlowId(0)), CacheAccess::Hit, "the resident line is untouched");
     }
 
     /// The cache as it was when every line held a whole TCB: the
