@@ -6,31 +6,20 @@
 //! * location-LUT partition count (routing bandwidth);
 //! * TCB-manager scan policy (skip-idle priority encoder vs the paper's
 //!   plain full iteration).
+//!
+//! Header rates are Fig. 16's with 8 B commands.
 
-use f4t_bench::{banner, f, scale_ns, Table};
+use super::fig16_header_rate::header_rate;
+use crate::{banner, f, Table, Windows};
 use f4t_core::fpc::ScanPolicy;
 use f4t_core::EngineConfig;
 use f4t_mem::DramKind;
-use f4t_system::{DuplexLink, F4tSystem};
+use f4t_system::F4tSystem;
 
-fn header_rate(cores: usize, rr: bool, cfg: EngineConfig, warm: u64, window: u64) -> f64 {
-    let mut sys = if rr {
-        F4tSystem::round_robin(cores, 16, 1, cfg)
-    } else {
-        F4tSystem::bulk(cores, 1, cfg)
-    };
-    sys.set_link(DuplexLink::new(10_000, 200));
-    sys.a.use_compact_commands();
-    sys.b.use_compact_commands();
-    sys.measure(warm, window).mrps()
-}
+pub fn report(w: Windows) -> String {
+    let mut out = banner("Ablations", "design-choice sweeps (header rate in Mrps unless noted)", w);
 
-fn main() {
-    banner("Ablations", "design-choice sweeps (header rate in Mrps unless noted)");
-    let warm = scale_ns(200_000);
-    let window = scale_ns(400_000);
-
-    println!("A. FPC count (round-robin, 24 cores — multi-flow parallelism):");
+    out += "A. FPC count (round-robin, 24 cores — multi-flow parallelism):\n";
     let mut t = Table::new(&["FPCs", "rr Mrps", "bulk Mrps"]);
     for fpcs in [1usize, 2, 4, 8, 16] {
         let cfg = EngineConfig {
@@ -38,58 +27,55 @@ fn main() {
             lut_groups: (fpcs / 2).max(1),
             ..EngineConfig::reference()
         };
-        let rr = header_rate(24, true, cfg.clone(), warm, window);
-        let bulk = header_rate(24, false, cfg, warm, window);
+        let rr = header_rate(24, true, cfg.clone(), true, w);
+        let bulk = header_rate(24, false, cfg, true, w);
         t.row(&[fpcs.to_string(), f(rr, 0), f(bulk, 0)]);
     }
-    t.print();
-    println!();
+    out += &t.render();
 
-    println!("B. Event coalescing (24 cores):");
+    out += "\nB. Event coalescing (24 cores):\n";
     let mut t = Table::new(&["coalescing", "bulk Mrps", "rr Mrps"]);
     for c in [false, true] {
         let cfg = EngineConfig { coalescing: c, ..EngineConfig::reference() };
-        let bulk = header_rate(24, false, cfg.clone(), warm, window);
-        let rr = header_rate(24, true, cfg, warm, window);
+        let bulk = header_rate(24, false, cfg.clone(), true, w);
+        let rr = header_rate(24, true, cfg, true, w);
         t.row(&[c.to_string(), f(bulk, 0), f(rr, 0)]);
     }
-    t.print();
-    println!();
+    out += &t.render();
 
-    println!("C. TCB-cache size (echo, 4 cores, 4096 flows, DDR4):");
+    out += "\nC. TCB-cache size (echo, 4 cores, 4096 flows, DDR4):\n";
     let mut t = Table::new(&["cache sets", "Mrps", "cache hit %"]);
     for sets in [64usize, 512, 4096] {
         let cfg =
             EngineConfig { dram: DramKind::Ddr4, tcb_cache_sets: sets, ..EngineConfig::reference() };
         let mut sys = F4tSystem::echo(4, 4096, 128, cfg);
-        let m = sys.measure(scale_ns(2_000_000), scale_ns(6_000_000));
+        let m = sys.measure(w.scale_ns(2_000_000), w.scale_ns(6_000_000));
         t.row(&[
             sets.to_string(),
             f(m.mrps(), 1),
             f(sys.a.engine.stats().tcb_cache_hit_rate * 100.0, 0),
         ]);
     }
-    t.print();
-    println!();
+    out += &t.render();
 
-    println!("D. Location-LUT partitions (routing bandwidth, rr, 24 cores):");
+    out += "\nD. Location-LUT partitions (routing bandwidth, rr, 24 cores):\n";
     let mut t = Table::new(&["LUT groups", "rr Mrps"]);
     for groups in [1usize, 2, 4, 8] {
         let cfg = EngineConfig { lut_groups: groups, ..EngineConfig::reference() };
-        t.row(&[groups.to_string(), f(header_rate(24, true, cfg, warm, window), 0)]);
+        t.row(&[groups.to_string(), f(header_rate(24, true, cfg, true, w), 0)]);
     }
-    t.print();
-    println!();
+    out += &t.render();
 
-    println!("E. TCB-manager scan policy (bulk, 1 core — latency-sensitive):");
+    out += "\nE. TCB-manager scan policy (bulk, 1 core — latency-sensitive):\n";
     let mut t = Table::new(&["policy", "bulk 128B Gbps"]);
     for (name, policy) in
         [("skip-idle", ScanPolicy::SkipIdle), ("full-iteration", ScanPolicy::FullIteration)]
     {
         let cfg = EngineConfig { scan_policy: policy, ..EngineConfig::reference() };
         let mut sys = F4tSystem::bulk(1, 128, cfg);
-        let m = sys.measure(warm, window);
+        let m = sys.measure(w.scale_ns(200_000), w.scale_ns(400_000));
         t.row(&[name.to_string(), f(m.goodput_gbps(), 1)]);
     }
-    t.print();
+    out += &t.render();
+    out
 }

@@ -9,7 +9,7 @@
 //! measures it: an echo client core at increasing flow counts (closed
 //! loop, so flows ≈ offered load), with busy-polling vs sleep-after-poll.
 
-use f4t_bench::{banner, f, scale_ns, Table};
+use crate::{banner, f, Table, Windows};
 use f4t_core::EngineConfig;
 use f4t_system::F4tSystem;
 
@@ -18,26 +18,17 @@ fn core_budget_cycles(window_ns: u64) -> f64 {
     window_ns as f64 * 2.3
 }
 
-fn main() {
-    banner("CPU vs load", "host CPU usage under sleep-after-poll (§4.6)");
-    let warm = scale_ns(1_000_000);
-    let window = scale_ns(4_000_000);
+pub fn report(w: Windows) -> String {
+    let mut out = banner("CPU vs load", "host CPU usage under sleep-after-poll (§4.6)", w);
+    let warm = w.scale_ns(1_000_000);
+    let window = w.scale_ns(4_000_000);
 
     // One flow, open-loop paced pings: the inter-request gap is the
     // offered load knob. Blocking waits longer than the ~10 µs spin
     // budget are where sleep-after-poll pays.
-    let mut t = Table::new(&[
-        "ping interval",
-        "krps",
-        "busy-poll CPU %",
-        "sleep-after-poll CPU %",
-    ]);
+    let mut t = Table::new(&["ping interval", "krps", "busy-poll CPU %", "sleep-after-poll CPU %"]);
     for pace_us in [0u64, 20, 50, 200, 1_000] {
-        let label = if pace_us == 0 {
-            "closed loop".to_string()
-        } else {
-            format!("{pace_us} µs")
-        };
+        let label = if pace_us == 0 { "closed loop".into() } else { format!("{pace_us} µs") };
         let mut row = vec![label];
         let mut rates = Vec::new();
         for sleep in [false, true] {
@@ -57,11 +48,10 @@ fn main() {
         row.insert(1, f(rates[1], 0));
         t.row(&row);
     }
-    t.print();
-    println!();
-    println!(
-        "With busy polling, an idle-ish thread burns its core scanning the\n\
-         completion queue; with sleep-after-poll, CPU usage tracks offered\n\
-         load (\"does not consume CPU cycles when there are no requests\")."
-    );
+    out += &t.render();
+    out += "\n\
+            With busy polling, an idle-ish thread burns its core scanning the\n\
+            completion queue; with sleep-after-poll, CPU usage tracks offered\n\
+            load (\"does not consume CPU cycles when there are no requests\").\n";
+    out
 }

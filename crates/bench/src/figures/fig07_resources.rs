@@ -6,14 +6,13 @@
 //! relative to the shared data path, so scaling 1 → 8 FPCs costs only a
 //! few percent of the device.
 
-use f4t_bench::{banner, f, Table};
+use crate::{banner, f, Table, Windows};
 use f4t_core::resource_report;
 
-fn main() {
-    banner("Fig. 7", "FtEngine resource utilization on a Xilinx U280");
-
+pub fn report(w: Windows) -> String {
+    let mut out = banner("Fig. 7", "FtEngine resource utilization on a Xilinx U280", w);
     for fpcs in [1u64, 8] {
-        println!("FtEngine with {fpcs} FPC(s):");
+        out += &format!("FtEngine with {fpcs} FPC(s):\n");
         let mut t = Table::new(&["component", "LUT", "LUT %", "FF", "FF %", "BRAM", "BRAM %"]);
         for row in resource_report(fpcs) {
             t.row(&[
@@ -26,11 +25,10 @@ fn main() {
                 f(row.bram_pct(), 1),
             ]);
         }
-        t.print();
-        println!();
+        out += &t.render();
+        out += "\n";
     }
-    println!(
-        "Paper: 1 FPC = 16% LUT / 11% FF / 27% BRAM; 8 FPCs = 23% / 15% / 32%.\n\
-         The remaining logic is available for user functions."
-    );
+    out += "Paper: 1 FPC = 16% LUT / 11% FF / 27% BRAM; 8 FPCs = 23% / 15% / 32%.\n\
+            The remaining logic is available for user functions.\n";
+    out
 }

@@ -5,18 +5,26 @@
 //! vs F4T, sweeping core counts. F4T numbers come from the full system
 //! simulation; Linux from the calibrated model.
 
-use f4t_bench::{banner, f, scale_ns, Table};
+use crate::{banner, f, Table, Windows};
 use f4t_core::EngineConfig;
-use f4t_system::{F4tSystem, LinuxSystem};
+use f4t_system::{F4tSystem, LinuxSystem, Metrics};
 
-fn main() {
-    banner("Fig. 8", "throughput with different request patterns (goodput, Gbps)");
-    let warmup = scale_ns(200_000);
-    let window = scale_ns(600_000);
-    let cores_sweep = [1usize, 2, 4, 8];
+/// One F4T point: `cores` cores of bulk (one flow each) or round-robin
+/// (16 flows each) `size`-byte requests.
+pub fn f4t_point(cores: usize, rr: bool, size: u32, w: Windows) -> Metrics {
+    let mut sys = if rr {
+        F4tSystem::round_robin(cores, 16, size, EngineConfig::reference())
+    } else {
+        F4tSystem::bulk(cores, size, EngineConfig::reference())
+    };
+    sys.measure(w.scale_ns(200_000), w.scale_ns(600_000))
+}
 
+pub fn report(w: Windows) -> String {
+    let mut out = banner("Fig. 8", "throughput with different request patterns (goodput, Gbps)", w);
+    let window = w.scale_ns(600_000);
     for (name, rr) in [("(a) bulk data transfer", false), ("(b) round-robin requests", true)] {
-        println!("{name}:");
+        out += &format!("{name}:\n");
         let mut t = Table::new(&[
             "cores",
             "Linux 64B",
@@ -26,9 +34,9 @@ fn main() {
             "F4T 128B",
             "F4T 128B Mrps",
         ]);
-        for &cores in &cores_sweep {
+        for cores in [1usize, 2, 4, 8] {
             let mut cells = vec![cores.to_string()];
-            for &size in &[64u32, 128] {
+            for size in [64u32, 128] {
                 let linux = if rr {
                     LinuxSystem::round_robin(cores as u32, size, window)
                 } else {
@@ -36,35 +44,18 @@ fn main() {
                 };
                 cells.push(f(linux.goodput_gbps(), 2));
             }
-            // Reorder: we computed Linux 64/128; now F4T 64/128.
-            for &size in &[64u32, 128] {
-                let mut sys = if rr {
-                    F4tSystem::round_robin(cores, 16, size, EngineConfig::reference())
-                } else {
-                    F4tSystem::bulk(cores, size, EngineConfig::reference())
-                };
-                let m = sys.measure(warmup, window);
+            for size in [64u32, 128] {
+                let m = f4t_point(cores, rr, size, w);
                 cells.push(f(m.goodput_gbps(), 1));
                 cells.push(f(m.mrps(), 1));
             }
-            // Rearrange to header order.
-            let row = [
-                cells[0].clone(),
-                cells[1].clone(),
-                cells[2].clone(),
-                cells[3].clone(),
-                cells[4].clone(),
-                cells[5].clone(),
-                cells[6].clone(),
-            ];
-            t.row(&row);
+            t.row(&cells);
         }
-        t.print();
-        println!();
+        out += &t.render();
+        out += "\n";
     }
-    println!(
-        "Paper anchors: bulk/128B — Linux 8.3 Gbps at 8 cores; F4T 45 Gbps\n\
-         (44 Mrps) at 1 core, 87 Gbps at 2, saturating at 92.6 Gbps.\n\
-         Round-robin/128B — Linux 0.126→0.833 Gbps; F4T 35→90 Gbps."
-    );
+    out += "Paper anchors: bulk/128B — Linux 8.3 Gbps at 8 cores; F4T 45 Gbps\n\
+            (44 Mrps) at 1 core, 87 Gbps at 2, saturating at 92.6 Gbps.\n\
+            Round-robin/128B — Linux 0.126→0.833 Gbps; F4T 35→90 Gbps.\n";
+    out
 }

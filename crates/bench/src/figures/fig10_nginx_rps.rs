@@ -5,27 +5,30 @@
 //! around 256 flows. Paper headline: F4T reaches 2.6–2.8× Linux at the
 //! saturation point.
 
-use f4t_bench::{banner, f, scale_ns, Table};
+use crate::{banner, f, Table, Windows};
 use f4t_core::EngineConfig;
 use f4t_system::{F4tSystem, LinuxSystem};
 
-fn main() {
-    banner("Fig. 10", "Nginx request rate (krps), F4T vs Linux");
-    let warmup = scale_ns(400_000);
-    let window = scale_ns(2_000_000);
-    let flows_sweep = [16usize, 64, 256, 1024];
+/// Requests/s an F4T Nginx server on `cores` cores serves over `flows`
+/// connections.
+pub fn f4t_rps(cores: usize, flows: usize, w: Windows) -> f64 {
+    let window = w.scale_ns(2_000_000);
+    // Generous client side so the server is the bottleneck.
+    let client_cores = (cores * 2).max(2);
+    let mut sys = F4tSystem::http(client_cores, cores, flows, EngineConfig::reference());
+    sys.run_ns(w.scale_ns(400_000));
+    let served0 = sys.server_requests();
+    sys.run_ns(window);
+    (sys.server_requests() - served0) as f64 * 1e9 / window as f64
+}
 
+pub fn report(w: Windows) -> String {
+    let mut out = banner("Fig. 10", "Nginx request rate (krps), F4T vs Linux", w);
     for cores in [1usize, 2, 4] {
-        println!("{cores} server core(s):");
+        out += &format!("{cores} server core(s):\n");
         let mut t = Table::new(&["flows", "Linux (krps)", "F4T (krps)", "speedup"]);
-        for &flows in &flows_sweep {
-            // Generous client side so the server is the bottleneck.
-            let client_cores = (cores * 2).max(2);
-            let mut sys = F4tSystem::http(client_cores, cores, flows, EngineConfig::reference());
-            sys.run_ns(warmup);
-            let served0 = sys.server_requests();
-            sys.run_ns(window);
-            let f4t_rps = (sys.server_requests() - served0) as f64 * 1e9 / window as f64;
+        for flows in [16usize, 64, 256, 1024] {
+            let f4t_rps = f4t_rps(cores, flows, w);
             let linux_rps = LinuxSystem::nginx_rps(cores as u32, flows as u32);
             t.row(&[
                 flows.to_string(),
@@ -34,12 +37,11 @@ fn main() {
                 format!("{:.2}x", f4t_rps / linux_rps),
             ]);
         }
-        t.print();
-        println!();
+        out += &t.render();
+        out += "\n";
     }
-    println!(
-        "Paper: F4T reaches 2.6-2.8x Linux's request rate at the saturation\n\
-         point (256 flows), for 1-4 cores; F4T also saturates at fewer flows\n\
-         thanks to its lower latency."
-    );
+    out += "Paper: F4T reaches 2.6-2.8x Linux's request rate at the saturation\n\
+            point (256 flows), for 1-4 cores; F4T also saturates at fewer flows\n\
+            thanks to its lower latency.\n";
+    out
 }

@@ -6,17 +6,19 @@
 //! softirq/scheduling tail. The paper reports ratios: 3.7× shorter
 //! median, 26× shorter 99th percentile under F4T.
 
-use f4t_bench::{banner, f, scale_ns, Table};
+use crate::{banner, f, Table, Windows};
 use f4t_core::EngineConfig;
-use f4t_system::{F4tSystem, LinuxSystem};
+use f4t_system::{F4tSystem, LinuxSystem, Metrics};
 
-fn main() {
-    banner("Fig. 12", "Nginx latency (1 core, 64 flows)");
-    let warmup = scale_ns(400_000);
-    let window = scale_ns(4_000_000);
-
+/// The F4T Nginx run (one server core, 64 connections).
+pub fn f4t_point(w: Windows) -> Metrics {
     let mut sys = F4tSystem::http(2, 1, 64, EngineConfig::reference());
-    let m = sys.measure(warmup, window);
+    sys.measure(w.scale_ns(400_000), w.scale_ns(4_000_000))
+}
+
+pub fn report(w: Windows) -> String {
+    let mut out = banner("Fig. 12", "Nginx latency (1 core, 64 flows)", w);
+    let m = f4t_point(w);
     let f4t_med = m.median_latency_us();
     let f4t_p99 = m.p99_latency_us();
 
@@ -25,24 +27,14 @@ fn main() {
     let linux_p99 = linux.percentile(99.0) as f64 / 1e3;
 
     let mut t = Table::new(&["stack", "median (µs)", "p99 (µs)", "samples"]);
-    t.row(&[
-        "Linux".to_string(),
-        f(linux_med, 1),
-        f(linux_p99, 1),
-        linux.count().to_string(),
-    ]);
-    t.row(&[
-        "F4T".to_string(),
-        f(f4t_med, 1),
-        f(f4t_p99, 1),
-        m.latency.count().to_string(),
-    ]);
-    t.print();
-    println!();
-    println!("median ratio (Linux/F4T): {:.1}x   (paper: 3.7x)", linux_med / f4t_med);
-    println!("p99 ratio    (Linux/F4T): {:.1}x   (paper: 26x)", linux_p99 / f4t_p99);
-    println!(
-        "\nPaper: although FtEngine delays event processing (round-robin\n\
-         accumulation), its end-to-end latency is far below Linux's."
-    );
+    t.row(&["Linux".to_string(), f(linux_med, 1), f(linux_p99, 1), linux.count().to_string()]);
+    t.row(&["F4T".to_string(), f(f4t_med, 1), f(f4t_p99, 1), m.latency.count().to_string()]);
+    out += &t.render();
+    out += "\n";
+    out += &format!("median ratio (Linux/F4T): {:.1}x   (paper: 3.7x)\n", linux_med / f4t_med);
+    out += &format!("p99 ratio    (Linux/F4T): {:.1}x   (paper: 26x)\n", linux_p99 / f4t_p99);
+    out += "\n\
+            Paper: although FtEngine delays event processing (round-robin\n\
+            accumulation), its end-to-end latency is far below Linux's.\n";
+    out
 }

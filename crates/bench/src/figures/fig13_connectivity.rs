@@ -6,16 +6,28 @@
 //! HBM (460 GB/s) does not. Linux supports the flows but at a far lower
 //! rate. Eight cores on each side, as in the paper.
 
-use f4t_bench::{banner, f, quick, scale_ns, Table};
+use crate::{banner, f, Table, Windows};
 use f4t_core::EngineConfig;
 use f4t_mem::DramKind;
-use f4t_system::{F4tSystem, LinuxSystem};
+use f4t_system::{F4tSystem, LinuxSystem, Metrics};
 
-fn main() {
-    banner("Fig. 13", "128 B echo request rate vs flow count (8 cores)");
-    let cores = 8usize;
+/// Cores on each side.
+const CORES: usize = 8;
+
+/// One F4T point: 128 B echo over `flows` flows with `dram` behind the
+/// TCB store.
+pub fn f4t_point(flows: usize, dram: DramKind, w: Windows) -> Metrics {
+    // Long windows: the DDR4-throttled regime includes loss-recovery
+    // cycles at RTO timescales (~10 ms), which short windows miss.
+    let cfg = EngineConfig { dram, ..EngineConfig::reference() };
+    let mut sys = F4tSystem::echo(CORES, flows, 128, cfg);
+    sys.measure(w.scale_ns(4_000_000), w.scale_ns(16_000_000))
+}
+
+pub fn report(w: Windows) -> String {
+    let mut out = banner("Fig. 13", "128 B echo request rate vs flow count (8 cores)", w);
     let flows_sweep: &[usize] =
-        if quick() { &[64, 1024, 4096] } else { &[64, 256, 1024, 4096, 16_384, 65_536] };
+        if w.quick() { &[64, 1024, 4096] } else { &[64, 256, 1024, 4096, 16_384, 65_536] };
 
     let mut t = Table::new(&[
         "flows",
@@ -26,36 +38,23 @@ fn main() {
         "HBM/Linux",
     ]);
     for &flows in flows_sweep {
-        // Long windows: the DDR4-throttled regime includes loss-recovery
-        // cycles at RTO timescales (~10 ms), which short windows miss.
-        let warm = scale_ns(4_000_000);
-        let window = scale_ns(16_000_000);
-
-        let mut row = vec![flows.to_string()];
-        let linux_rps = LinuxSystem::echo_rps(cores as u32, flows as u32);
-        row.push(f(linux_rps / 1e6, 2));
-
-        let mut results = Vec::new();
-        for dram in [DramKind::Ddr4, DramKind::Hbm] {
-            let cfg = EngineConfig { dram, ..EngineConfig::reference() };
-            let mut sys = F4tSystem::echo(cores, flows, 128, cfg);
-            let m = sys.measure(warm, window);
-            results.push(m);
-        }
-        let ddr = &results[0];
-        let hbm = &results[1];
-        row.push(f(ddr.mrps(), 2));
-        row.push(f(hbm.mrps(), 2));
-        row.push(f(ddr.migrations as f64 / ddr.requests.max(1) as f64, 2));
-        row.push(format!("{:.0}x", hbm.mrps() * 1e6 / linux_rps));
-        t.row(&row);
+        let linux_rps = LinuxSystem::echo_rps(CORES as u32, flows as u32);
+        let ddr = f4t_point(flows, DramKind::Ddr4, w);
+        let hbm = f4t_point(flows, DramKind::Hbm, w);
+        t.row(&[
+            flows.to_string(),
+            f(linux_rps / 1e6, 2),
+            f(ddr.mrps(), 2),
+            f(hbm.mrps(), 2),
+            f(ddr.migrations as f64 / ddr.requests.max(1) as f64, 2),
+            format!("{:.0}x", hbm.mrps() * 1e6 / linux_rps),
+        ]);
     }
-    t.print();
-    println!();
-    println!(
-        "Paper: F4T beats Linux at every flow count (20x at 1K flows);\n\
-         F4T-DDR4 drops once active flows exceed the 1024 SRAM-resident\n\
-         TCBs (DRAM-bandwidth throttled), while F4T-HBM stays high —\n\
-         12x and 44x Linux respectively at 64K flows."
-    );
+    out += &t.render();
+    out += "\n\
+            Paper: F4T beats Linux at every flow count (20x at 1K flows);\n\
+            F4T-DDR4 drops once active flows exceed the 1024 SRAM-resident\n\
+            TCBs (DRAM-bandwidth throttled), while F4T-HBM stays high —\n\
+            12x and 44x Linux respectively at 64K flows.\n";
+    out
 }

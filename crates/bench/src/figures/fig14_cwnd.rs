@@ -7,18 +7,21 @@
 //! show the same sawtooth (New Reno) / concave-probe (CUBIC) shapes with
 //! matching reduction points.
 
-use f4t_bench::{banner, f, scale_ns, Table};
+use crate::{banner, f, Table, Windows};
 use f4t_core::{EngineConfig, EventKind, HostNotification};
 use f4t_netsim::{Impairments, LinkConfig, RefAlgo, Simulation, SimulationConfig};
 use f4t_system::{DuplexLink, EnginePair};
 use f4t_tcp::{CcAlgorithm, FourTuple, SeqNum, MSS};
 
-/// Samples per trace.
+/// Samples per trace in the report.
 const SAMPLES: usize = 40;
 
+/// A cwnd trace: (time in ns, cwnd in MSS units) samples.
+pub type Trace = Vec<(u64, f64)>;
+
 /// Runs a single-flow bulk transfer between two engines over a paced,
-/// delayed, lossy link; returns cwnd samples in MSS units.
-fn engine_trace(algo: CcAlgorithm, duration_ns: u64, drop_every: u64) -> Vec<(u64, f64)> {
+/// delayed, lossy link; returns `samples` cwnd samples in MSS units.
+pub fn engine_trace(algo: CcAlgorithm, duration_ns: u64, drop_every: u64, samples: usize) -> Trace {
     let cfg = EngineConfig { cc: algo, num_fpcs: 1, lut_groups: 1, ..EngineConfig::reference() };
     // 10 Gbps + 50 µs propagation each way, every Nth data packet lost.
     let mut pair = EnginePair::new(cfg, DuplexLink::new(10, 50_000));
@@ -29,8 +32,8 @@ fn engine_trace(algo: CcAlgorithm, duration_ns: u64, drop_every: u64) -> Vec<(u6
     let _fb = pair.b.open_established(tuple.reversed(), isn).unwrap();
 
     let mut req = isn;
-    let mut samples = Vec::new();
-    let sample_every = duration_ns / SAMPLES as u64;
+    let mut trace = Vec::new();
+    let sample_every = duration_ns / samples as u64;
     let mut next_sample = sample_every;
 
     let cycles = duration_ns / 4;
@@ -53,15 +56,15 @@ fn engine_trace(algo: CcAlgorithm, duration_ns: u64, drop_every: u64) -> Vec<(u6
         if now >= next_sample {
             next_sample += sample_every;
             if let Some(t) = pair.a.peek_tcb(fa) {
-                samples.push((now, f64::from(t.cwnd) / f64::from(MSS)));
+                trace.push((now, f64::from(t.cwnd) / f64::from(MSS)));
             }
         }
     }
-    samples
+    trace
 }
 
 /// Runs the NS3-equivalent under the same link and loss pattern.
-fn reference_trace(algo: RefAlgo, duration_ns: u64, drop_every: u64) -> Vec<(u64, f64)> {
+pub fn reference_trace(algo: RefAlgo, duration_ns: u64, drop_every: u64, samples: usize) -> Trace {
     let sim = Simulation::new(SimulationConfig {
         algo,
         link: LinkConfig {
@@ -72,29 +75,25 @@ fn reference_trace(algo: RefAlgo, duration_ns: u64, drop_every: u64) -> Vec<(u64
         },
         mss: MSS,
         duration_ns,
-        sample_ns: duration_ns / SAMPLES as u64,
+        sample_ns: duration_ns / samples as u64,
     });
     sim.run().samples.iter().map(|s| (s.t_ns, s.cwnd_segments)).collect()
 }
 
-fn summarize(name: &str, trace: &[(u64, f64)]) -> (f64, f64, f64, usize) {
+/// A trace's mean, min and max cwnd and its count of multiplicative
+/// decreases.
+fn summarize(trace: &[(u64, f64)]) -> (f64, f64, f64, usize) {
     let vals: Vec<f64> = trace.iter().map(|&(_, v)| v).collect();
     let mean = vals.iter().sum::<f64>() / vals.len().max(1) as f64;
     let max = vals.iter().cloned().fold(0.0, f64::max);
     let min = vals.iter().cloned().fold(f64::MAX, f64::min);
-    let mut descents = 0;
-    for w in vals.windows(2) {
-        if w[1] < w[0] * 0.85 {
-            descents += 1;
-        }
-    }
-    let _ = name;
+    let descents = vals.windows(2).filter(|w| w[1] < w[0] * 0.85).count();
     (mean, min, max, descents)
 }
 
-fn main() {
-    banner("Fig. 14", "congestion window: F4T engine vs NS3-equivalent reference");
-    let duration = scale_ns(40_000_000); // 40 ms ≈ many loss epochs
+pub fn report(w: Windows) -> String {
+    let mut out = banner("Fig. 14", "congestion window: F4T engine vs NS3-equivalent reference", w);
+    let duration = w.scale_ns(40_000_000); // 40 ms ≈ many loss epochs
     let drop_every = 1_500u64;
 
     // The paper shows NEW RENO and CUBIC; Vegas (also implemented in the
@@ -104,32 +103,29 @@ fn main() {
         (CcAlgorithm::Cubic, RefAlgo::Cubic),
         (CcAlgorithm::Vegas, RefAlgo::Vegas),
     ] {
-        println!("--- {algo} ---");
-        let eng = engine_trace(algo, duration, drop_every);
-        let rf = reference_trace(ref_algo, duration, drop_every);
+        out += &format!("--- {algo} ---\n");
+        let eng = engine_trace(algo, duration, drop_every, SAMPLES);
+        let rf = reference_trace(ref_algo, duration, drop_every, SAMPLES);
 
-        println!("cwnd trace (segments), sampled every {} µs:", duration / SAMPLES as u64 / 1000);
+        out += &format!(
+            "cwnd trace (segments), sampled every {} µs:\n",
+            duration / SAMPLES as u64 / 1000
+        );
         let mut t = Table::new(&["t (ms)", "F4T", "NS3-ref"]);
         for i in (0..SAMPLES.min(eng.len()).min(rf.len())).step_by(2) {
-            t.row(&[
-                f(eng[i].0 as f64 / 1e6, 1),
-                f(eng[i].1, 1),
-                f(rf[i].1, 1),
-            ]);
+            t.row(&[f(eng[i].0 as f64 / 1e6, 1), f(eng[i].1, 1), f(rf[i].1, 1)]);
         }
-        t.print();
+        out += &t.render();
 
-        let (e_mean, e_min, e_max, e_desc) = summarize("F4T", &eng);
-        let (r_mean, r_min, r_max, r_desc) = summarize("ref", &rf);
-        println!(
+        let (e_mean, e_min, e_max, e_desc) = summarize(&eng);
+        let (r_mean, r_min, r_max, r_desc) = summarize(&rf);
+        out += &format!(
             "summary: F4T mean {:.1} [{:.1}..{:.1}] segs, {} reductions; \
-             NS3-ref mean {:.1} [{:.1}..{:.1}] segs, {} reductions",
+             NS3-ref mean {:.1} [{:.1}..{:.1}] segs, {} reductions\n\n",
             e_mean, e_min, e_max, e_desc, r_mean, r_min, r_max, r_desc
         );
-        println!();
     }
-    println!(
-        "Paper: F4T faithfully reproduces the NS3 congestion-window\n\
-         behaviour for NEW RENO and CUBIC under injected drops."
-    );
+    out += "Paper: F4T faithfully reproduces the NS3 congestion-window\n\
+            behaviour for NEW RENO and CUBIC under injected drops.\n";
+    out
 }

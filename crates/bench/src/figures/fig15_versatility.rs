@@ -8,8 +8,8 @@
 //! Both designs are driven by the same saturating multi-flow event
 //! stream; rates are measured from the cycle models, not computed.
 
+use crate::{banner, f, Table, Windows};
 use f4t_baseline::StallingEngine;
-use f4t_bench::{banner, f, Table};
 use f4t_core::fpc::{Fpc, ScanPolicy};
 use f4t_core::fpu::EventView;
 use f4t_core::{EventKind, FlowEvent};
@@ -17,9 +17,21 @@ use f4t_sim::ClockDomain;
 use f4t_tcp::{FlowId, FourTuple, NewReno, SeqNum, Tcb, MSS};
 use std::sync::Arc;
 
+/// The FPU latencies of the figure's x-axis, in cycles.
+pub const LATENCIES: [u32; 9] = [1, 5, 10, 14, 20, 41, 68, 100, 150];
+
+/// Cycles each point runs.
+pub fn cycles(w: Windows) -> u64 {
+    if w.quick() {
+        100_000
+    } else {
+        1_000_000
+    }
+}
+
 /// Measures one FPC's sustained event-handling rate with the given FPU
 /// latency, under a saturating stream of per-flow events.
-fn f4t_rate(latency: u32, cycles: u64) -> f64 {
+pub fn f4t_rate(latency: u32, cycles: u64) -> f64 {
     let slots = 64usize;
     let mut fpc =
         Fpc::new(0, slots, Arc::new(NewReno), Some(latency), MSS, ScanPolicy::SkipIdle);
@@ -67,7 +79,7 @@ fn f4t_rate(latency: u32, cycles: u64) -> f64 {
 }
 
 /// Measures the stalling baseline under the same saturating stream.
-fn baseline_rate(latency: u32, cycles: u64) -> f64 {
+pub fn baseline_rate(latency: u32, cycles: u64) -> f64 {
     let mut e = StallingEngine::new(ClockDomain::ENGINE_CORE, u64::from(latency));
     for _ in 0..cycles {
         e.offer_event();
@@ -76,11 +88,9 @@ fn baseline_rate(latency: u32, cycles: u64) -> f64 {
     e.measured_rate()
 }
 
-fn main() {
-    banner("Fig. 15", "event processing rate vs FPU processing latency");
-
-    let cycles: u64 = if f4t_bench::quick() { 100_000 } else { 1_000_000 };
-    let latencies = [1u32, 5, 10, 14, 20, 41, 68, 100, 150];
+pub fn report(w: Windows) -> String {
+    let mut out = banner("Fig. 15", "event processing rate vs FPU processing latency", w);
+    let cycles = cycles(w);
     let mut t = Table::new(&[
         "FPU latency (cycles)",
         "Baseline (Mev/s)",
@@ -88,7 +98,7 @@ fn main() {
         "F4T/Baseline",
         "note",
     ]);
-    for lat in latencies {
+    for lat in LATENCIES {
         let b = baseline_rate(lat, cycles);
         let f4t = f4t_rate(lat, cycles);
         let note = match lat {
@@ -105,10 +115,9 @@ fn main() {
             note.to_string(),
         ]);
     }
-    t.print();
-    println!();
-    println!(
-        "Paper: Baseline degrades with latency; F4T holds 125 Mev/s per FPC\n\
-         regardless, so Vegas (68 cycles) runs as fast as New Reno (14)."
-    );
+    out += &t.render();
+    out += "\n\
+            Paper: Baseline degrades with latency; F4T holds 125 Mev/s per FPC\n\
+            regardless, so Vegas (68 cycles) runs as fast as New Reno (14).\n";
+    out
 }

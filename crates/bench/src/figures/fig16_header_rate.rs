@@ -10,19 +10,15 @@
 //!   1FPC, 1FPC-C (+ event coalescing), F4T (8 FPCs + coalescing), for
 //!   bulk and round-robin patterns.
 
+use crate::{banner, f, Table, Windows};
 use f4t_baseline::StallingEngine;
-use f4t_bench::{banner, f, scale_ns, Table};
 use f4t_core::EngineConfig;
 use f4t_system::{DuplexLink, F4tSystem};
 
-fn run(
-    cores: usize,
-    rr: bool,
-    cfg: EngineConfig,
-    compact: bool,
-    warm: u64,
-    window: u64,
-) -> f64 {
+/// Header rate in Mrps: `cores` cores of 1-byte bulk (one flow each) or
+/// round-robin (16 flows each) requests with `compact` 8 B commands (16 B
+/// otherwise), over a link with no bottleneck.
+pub fn header_rate(cores: usize, rr: bool, cfg: EngineConfig, compact: bool, w: Windows) -> f64 {
     let mut sys = if rr {
         F4tSystem::round_robin(cores, 16, 1, cfg)
     } else {
@@ -34,43 +30,48 @@ fn run(
         sys.a.use_compact_commands();
         sys.b.use_compact_commands();
     }
-    let m = sys.measure(warm, window);
-    m.mrps()
+    sys.measure(w.scale_ns(200_000), w.scale_ns(400_000)).mrps()
 }
 
-fn main() {
-    banner("Fig. 16", "header processing rate (no link bottleneck)");
-    let warm = scale_ns(200_000);
-    let window = scale_ns(400_000);
+/// The stalling Baseline's command rate in Mrps: it absorbs commands at
+/// 250 MHz / 17.
+pub fn baseline_rate(w: Windows) -> f64 {
+    let mut e = StallingEngine::baseline_250mhz();
+    for _ in 0..w.scale_ns(1_000_000) / 4 {
+        e.offer_event();
+        e.tick();
+    }
+    e.measured_rate() / 1e6
+}
 
-    println!("(a) rate vs core count, bulk pattern (Mrps):");
+/// Panel (b)'s designs past Baseline, by name: one FPC, one FPC with
+/// event coalescing, and F4T (8 FPCs with coalescing).
+pub fn designs() -> [(&'static str, EngineConfig); 3] {
+    let one_fpc = |coalescing| EngineConfig {
+        num_fpcs: 1,
+        lut_groups: 1,
+        coalescing,
+        ..EngineConfig::reference()
+    };
+    [
+        ("1FPC", one_fpc(false)),
+        ("1FPC-C (+coalescing)", one_fpc(true)),
+        ("F4T (8 FPCs + C)", EngineConfig::reference()),
+    ]
+}
+
+pub fn report(w: Windows) -> String {
+    let mut out = banner("Fig. 16", "header processing rate (no link bottleneck)", w);
+    out += "(a) rate vs core count, bulk pattern (Mrps):\n";
     let mut t = Table::new(&["cores", "16B commands", "8B commands"]);
     for cores in [1usize, 4, 8, 16, 24] {
-        let m16 = run(cores, false, EngineConfig::reference(), false, warm, window);
-        let m8 = run(cores, false, EngineConfig::reference(), true, warm, window);
+        let m16 = header_rate(cores, false, EngineConfig::reference(), false, w);
+        let m8 = header_rate(cores, false, EngineConfig::reference(), true, w);
         t.row(&[cores.to_string(), f(m16, 0), f(m8, 0)]);
     }
-    t.print();
-    println!();
-
-    println!("(b) intermediate designs at 24 cores (Mrps, 8B commands):");
-    let cores = 24usize;
-    let baseline = {
-        // The stalling design absorbs commands at 250 MHz / 17.
-        let mut e = StallingEngine::baseline_250mhz();
-        let cyc = scale_ns(1_000_000) / 4;
-        for _ in 0..cyc {
-            e.offer_event();
-            e.tick();
-        }
-        e.measured_rate() / 1e6
-    };
-    let one_fpc =
-        EngineConfig { num_fpcs: 1, lut_groups: 1, coalescing: false, ..EngineConfig::reference() };
-    let one_fpc_c =
-        EngineConfig { num_fpcs: 1, lut_groups: 1, coalescing: true, ..EngineConfig::reference() };
-    let full = EngineConfig::reference();
-
+    out += &t.render();
+    out += "\n(b) intermediate designs at 24 cores (Mrps, 8B commands):\n";
+    let baseline = baseline_rate(w);
     let mut t = Table::new(&["design", "bulk", "bulk gain", "round-robin", "rr gain"]);
     t.row(&[
         "Baseline (w-RMW, 17 cyc)".to_string(),
@@ -79,11 +80,9 @@ fn main() {
         f(baseline, 1),
         "1.0x".to_string(),
     ]);
-    for (name, cfg) in
-        [("1FPC", one_fpc), ("1FPC-C (+coalescing)", one_fpc_c), ("F4T (8 FPCs + C)", full)]
-    {
-        let bulk = run(cores, false, cfg.clone(), true, warm, window);
-        let rr = run(cores, true, cfg, true, warm, window);
+    for (name, cfg) in designs() {
+        let bulk = header_rate(24, false, cfg.clone(), true, w);
+        let rr = header_rate(24, true, cfg, true, w);
         t.row(&[
             name.to_string(),
             f(bulk, 1),
@@ -92,11 +91,10 @@ fn main() {
             format!("{:.1}x", rr / baseline),
         ]);
     }
-    t.print();
-    println!();
-    println!(
-        "Paper: 1FPC = 8.6x/8.4x over Baseline; coalescing lifts bulk to\n\
-         62.3x (but rr only 8.6x); 8 parallel FPCs lift both to 63.1x/71.3x.\n\
-         (a): 16 B commands saturate PCIe; 8 B scale linearly to ~900 Mrps."
-    );
+    out += &t.render();
+    out += "\n\
+            Paper: 1FPC = 8.6x/8.4x over Baseline; coalescing lifts bulk to\n\
+            62.3x (but rr only 8.6x); 8 parallel FPCs lift both to 63.1x/71.3x.\n\
+            (a): 16 B commands saturate PCIe; 8 B scale linearly to ~900 Mrps.\n";
+    out
 }

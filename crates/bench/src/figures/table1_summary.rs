@@ -1,14 +1,14 @@
 //! Table 1: summary of TCP implementations.
 //!
 //! The qualitative comparison, with this reproduction's measured evidence
-//! attached to each claim (run the figNN binaries for the full data).
+//! attached to each claim (run the figure reports for the full data).
 
-use f4t_bench::{banner, Table};
+use crate::{banner, Table, Windows};
 use f4t_tcp::{FlowId, FlowTable, FourTuple};
 use std::net::Ipv4Addr;
 
-fn main() {
-    banner("Table 1", "summary of existing TCP implementations");
+pub fn report(w: Windows) -> String {
+    let mut out = banner("Table 1", "summary of existing TCP implementations", w);
 
     // Evidence probe: the cuckoo flow table really holds 64K+ flows.
     let mut table = FlowTable::with_capacity(65_536);
@@ -29,16 +29,18 @@ fn main() {
     t.row(&["Host CPU util.", "bad", "limited", "good", "good", "good"]);
     t.row(&["Connectivity", "64K+", "64K+", "64K+", "~1K", "64K+"]);
     t.row(&["Flexibility", "limited*", "limited*", "none", "limited*", "high"]);
-    t.print();
-    println!("* low versatility: complex algorithms conflict with peak performance.");
-    println!();
-    println!("Reproduction evidence:");
-    println!("  - host CPU: F4T removes all kernel-TCP cycles (fig11) and saturates");
-    println!("    the link with 2 cores (fig08); Linux needs >13 cores (fig01).");
-    println!("  - connectivity: flow table holds {held} concurrent flows here;");
-    println!("    echo sustains rate at 64K flows with HBM (fig13).");
-    println!("  - flexibility: New Reno / CUBIC / Vegas (14/41/68-cycle FPU) all run");
-    println!("    at the same 125 Mev/s per FPC (fig15); traces match NS3 (fig14);");
-    println!("    custom algorithms plug in via the CongestionControl trait");
-    println!("    (examples/custom_cc.rs).");
+    out += &t.render();
+    out += &format!(
+        "* low versatility: complex algorithms conflict with peak performance.\n\n\
+         Reproduction evidence:\n  \
+         - host CPU: F4T removes all kernel-TCP cycles (fig11) and saturates\n    \
+         the link with 2 cores (fig08); Linux needs >13 cores (fig01).\n  \
+         - connectivity: flow table holds {held} concurrent flows here;\n    \
+         echo sustains rate at 64K flows with HBM (fig13).\n  \
+         - flexibility: New Reno / CUBIC / Vegas (14/41/68-cycle FPU) all run\n    \
+         at the same 125 Mev/s per FPC (fig15); traces match NS3 (fig14);\n    \
+         custom algorithms plug in via the CongestionControl trait\n    \
+         (examples/custom_cc.rs).\n"
+    );
+    out
 }

@@ -1,14 +1,14 @@
 //! # f4t-bench — the figure/table regeneration harness
 //!
-//! One binary per figure and table of the paper's evaluation (run with
-//! `cargo run --release -p f4t-bench --bin figNN`). `EXPERIMENTS.md` at
-//! the repository root records paper-vs-measured for every harness.
-//!
-//! Set `F4T_QUICK=1` to cut simulation windows ~10× for smoke runs.
+//! [`figures`] holds one report per figure and table of the paper's
+//! evaluation; the `figures` binary prints them (`cargo run --release -p
+//! f4t-bench --bin figures -- <name>…`). `EXPERIMENTS.md` at the
+//! repository root records paper-vs-measured for every report.
 
 use f4t_sim::json::Value;
 use std::fmt::Display;
 
+pub mod figures;
 pub mod pulsejson;
 
 /// Tolerances for the FtFlight perf gate. Total simulated cycles are
@@ -79,17 +79,27 @@ pub fn flight_gate(workload: &str, base: &Value, cur: &Value) -> Vec<String> {
     violations
 }
 
-/// Whether quick mode is on (`F4T_QUICK=1`).
-pub fn quick() -> bool {
-    std::env::var("F4T_QUICK").is_ok_and(|v| v != "0")
+/// How long a figure report simulates: the full windows, or quick ones
+/// ~10× shorter for smoke runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Windows {
+    Full,
+    Quick,
 }
 
-/// Scales a nanosecond duration down in quick mode.
-pub fn scale_ns(full: u64) -> u64 {
-    if quick() {
-        (full / 10).max(50_000)
-    } else {
-        full
+impl Windows {
+    /// Whether these are the quick windows.
+    pub fn quick(self) -> bool {
+        self == Windows::Quick
+    }
+
+    /// Scales a nanosecond duration down in quick mode.
+    pub fn scale_ns(self, full: u64) -> u64 {
+        if self.quick() {
+            (full / 10).max(50_000)
+        } else {
+            full
+        }
     }
 }
 
@@ -140,11 +150,6 @@ impl Table {
         }
         out
     }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 /// Formats a float with `digits` decimals.
@@ -152,13 +157,11 @@ pub fn f(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
 }
 
-/// Prints the standard harness banner.
-pub fn banner(id: &str, title: &str) {
-    println!("=== {id}: {title} ===");
-    if quick() {
-        println!("(F4T_QUICK=1: shortened windows; numbers are noisier)");
-    }
-    println!();
+/// The standard report banner.
+pub fn banner(id: &str, title: &str, w: Windows) -> String {
+    let note = "(F4T_QUICK=1: shortened windows; numbers are noisier)\n";
+    let quick = if w.quick() { note } else { "" };
+    format!("=== {id}: {title} ===\n{quick}\n")
 }
 
 #[cfg(test)]

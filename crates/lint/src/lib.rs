@@ -512,6 +512,9 @@ impl Node {
             ("crates/sim/src/ring.rs", "sim", "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n".into()),
             ("crates/system/src/link.rs", "system", "use std::sync::Barrier;\n".into()),
             ("crates/bench/src/bin/f4tperf.rs", "bench", "fn f() {\n    let _ = std::thread::available_parallelism();\n}\n".into()),
+            ("crates/bench/src/bin/fig99.rs", "bench", "fn main() {}\n".repeat(4)),
+            ("tests/paper_fidelity.rs", "f4t", "fn f() {\n    std::env::set_var(\"F4T_QUICK\", \"1\");\n}\n".into()),
+            ("tests/cc_agreement.rs", "f4t", "fn f(c: SimulationConfig) {\n    let _ = Simulation::new(c);\n}\n".into()),
         ];
         let rows: Vec<_> = rules::ROWS.iter().filter(|r| r.rule == "regrowth").collect();
         assert_eq!(plants.len(), rows.len(), "one plant per row");

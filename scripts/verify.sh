@@ -38,6 +38,11 @@ cargo test -q --release --workspace --lib
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> figures smoke (every figure and table report, quick windows)"
+# tests/paper_fidelity.rs asserts three figures' shapes; this keeps every
+# report running.
+F4T_QUICK=1 cargo run --release -q -p f4t-bench --bin figures >/dev/null
+
 echo "==> f4tperf --check smoke (FtVerify hazard checker)"
 cargo run --release -q -p f4t-bench --bin f4tperf -- \
     --workload bulk --cores 2 --size 1024 --duration-ms 1 --check >/dev/null

@@ -35,8 +35,8 @@
 //! ```
 //!
 //! See `examples/quickstart.rs` for an end-to-end data transfer and the
-//! `f4t-bench` crate for the harnesses that regenerate every figure and
-//! table of the paper's evaluation.
+//! `f4t-bench` crate's `figures` binary, which regenerates every figure
+//! and table of the paper's evaluation.
 
 pub use f4t_baseline as baseline;
 pub use f4t_core as core;
