@@ -1,4 +1,5 @@
-//! Exit-code contract tests for the `f4tperf` CLI.
+//! Exit-code contract tests for the `f4tperf` CLI (and the `figures`
+//! binary's usage error).
 //!
 //! The contract (also printed by `--help`):
 //!   * `0` — run completed, no FtVerify violations;
@@ -530,4 +531,42 @@ fn gate_runs_reproduce_committed_baselines_byte_for_byte() {
             std::fs::remove_file(got).ok();
         }
     }
+}
+
+fn figures(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_figures")).args(args).output().expect("spawn figures")
+}
+
+/// An unknown report name exits 2 and lists every valid name, each of
+/// which is a committed `results/<name>.txt`; the reports that simulate
+/// nothing print their committed file byte for byte.
+#[test]
+fn figures_rejects_unknown_names_and_reproduces_the_static_reports() {
+    let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+    let out = figures(&["fig99_nosuch"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let mut listed: Vec<String> = stderr(&out)
+        .rsplit("valid names: ")
+        .next()
+        .unwrap_or_default()
+        .split_whitespace()
+        .map(|n| format!("{n}.txt"))
+        .collect();
+    let mut committed: Vec<String> = std::fs::read_dir(results)
+        .expect("results directory")
+        .map(|e| e.expect("dir entry").file_name().into_string().expect("UTF-8 name"))
+        .filter(|n| n.ends_with(".txt"))
+        .collect();
+    committed.sort();
+    listed.sort();
+    assert_eq!(listed, committed, "one report per results/*.txt");
+
+    let statics = ["fig01_nginx_linux", "fig07_resources", "table1_summary"];
+    let out = figures(&statics);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let want: String = statics
+        .iter()
+        .map(|n| std::fs::read_to_string(format!("{results}/{n}.txt")).expect("committed report"))
+        .collect();
+    assert_eq!(stdout(&out), want);
 }
