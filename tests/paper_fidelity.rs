@@ -11,8 +11,8 @@
 //!
 //! Fig. 13 is left out. In quick windows DDR4 and HBM are level at 4096
 //! flows (44.02 vs 44.00 Mrps): the DDR4 knee shows only with full
-//! windows past 4 K flows, which is minutes of simulation, not a tier-1
-//! test.
+//! windows past 4 K flows, minutes of simulation rather than a tier-1
+//! test. That check waits on ROADMAP item 1's DRAM model.
 
 use f4t_bench::figures::{fig02_rmw_stalls, fig15_versatility, fig16_header_rate};
 use f4t_bench::Windows;
