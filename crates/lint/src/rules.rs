@@ -96,16 +96,13 @@ pub struct Row {
     pub count: Count,
     /// Whether `#[cfg(test)]` regions count.
     pub tests: bool,
-    /// Whether the row reads raw lines, string literals and comments
-    /// included: its patterns then spell a literal's quotes.
-    pub literals: bool,
     /// The finding's message; `{pat}` names the matched pattern.
     pub why: &'static str,
 }
 
 /// A `regrowth` row allowing `n` matching lines; test regions count.
 const fn regrowth(scope: Specs, pats: Specs, places: Specs, n: Count, why: &'static str) -> Row {
-    Row { rule: "regrowth", scope, places, pats, count: n, tests: true, literals: false, why }
+    Row { rule: "regrowth", scope, places, pats, count: n, tests: true, why }
 }
 
 const NONE: Count = (0, 0);
@@ -115,6 +112,7 @@ const NO_EXAMPLES: Specs = &["crates/", "src/", "tests/"];
 const CORE: Specs = &["crates/core/src/"];
 const PARALLEL: Specs = &["crates/core/src/parallel.rs"];
 const FIXTURES: Specs = &["crates/lint/fixtures/"];
+const FIGURES: Specs = &["crates/bench/src/", "tests/paper_fidelity.rs", "tests/cc_agreement.rs"];
 
 /// Every row of the pattern pass. The `regrowth` rows hold the one-X
 /// decisions of DESIGN.md (one `Probe`, one wire, one idle routine, one
@@ -122,15 +120,13 @@ const FIXTURES: Specs = &["crates/lint/fixtures/"];
 #[rustfmt::skip]
 pub const ROWS: &[Row] = &[
     Row { rule: "wall_clock", scope: ALL, places: &[], pats: &[r"\bInstant\b", r"\bSystemTime\b"],
-        count: NONE, tests: true, literals: false,
+        count: NONE, tests: true,
         why: "wall-clock time in simulated code; use the cycle counter / now_ns()" },
     Row { rule: "raw_queue", scope: ALL, places: &[], pats: &["VecDeque<"], count: NONE,
-        tests: true, literals: false,
-        why: "unbounded VecDeque models an on-chip queue; use f4t_sim::Fifo \
+        tests: true, why: "unbounded VecDeque models an on-chip queue; use f4t_sim::Fifo \
         or justify with // f4tlint: allow(raw_queue): <why bounded>" },
     Row { rule: "panic_path", scope: ALL, places: &[], pats: PANIC_PATTERNS, count: NONE,
-        tests: false, literals: false,
-        why: "`{pat}` is reachable from Engine::tick; return/skip instead (or \
+        tests: false, why: "`{pat}` is reachable from Engine::tick; return/skip instead (or \
         debug_assert! for dispatch-gate contracts)" },
     // §8.2, §10.2: recorders reach the data path through one Probe; stamps ride in the queue.
     regrowth(CORE, &["Option<&mut InvariantChecker>", "Option<&mut FlightRecorder>",
@@ -177,8 +173,7 @@ pub const ROWS: &[Row] = &[
         crates/core/src/fpu.rs: fpu::segment's signature and literal, DESIGN.md §3.1"),
     // §12.1: the memory manager holds each DRAM-side TCB once, in its flow's row.
     Row { rule: "regrowth", scope: &["crates/mem/src/tcb_cache.rs"], places: &[],
-        pats: &[r"\bTcb\b"], count: NONE, tests: false, literals: false,
-        why: "`{pat}` in the TCB cache: a second \
+        pats: &[r"\bTcb\b"], count: NONE, tests: false, why: "`{pat}` in the TCB cache: a second \
         copy of a DRAM-side TCB is back; a line is a tag and a dirty bit, DESIGN.md §12.1" },
     regrowth(&["crates/core/src/memory_manager.rs"], &["SlabQueue<(Tcb", "FlowSlab<(Tcb"], &[],
         NONE, "`{pat}`: a second copy of a DRAM-side TCB is back; stage it in its flow's row and \
@@ -224,9 +219,8 @@ pub const ROWS: &[Row] = &[
     regrowth(&["crates/bench/src/bin/"], &[r"\bfn main\b"], &[], (0, 3), "want at most 3 `fn main` \
         in crates/bench/src/bin (f4tperf, f4tdbg, figures): a figure is a report in \
         f4t_bench::figures, DESIGN.md §4"),
-    Row { rule: "regrowth", scope: CODE, places: &["crates/bench/src/bin/figures.rs"],
-        pats: &["\"F4T_QUICK\""], count: NONE, tests: true, literals: true, why: "`{pat}` outside \
-        the figures binary: quick mode is a Windows value passed in, DESIGN.md §4" },
+    regrowth(FIGURES, &[r"\benv::var\b", "set_var"], &["crates/bench/src/bin/figures.rs"], NONE,
+        "`{pat}` outside the figures binary: quick mode is a Windows value passed in, DESIGN.md §4"),
     regrowth(CODE, &["Simulation::new("], &["crates/bench/src/figures/fig14_cwnd.rs",
         "crates/netsim/"], NONE, "`{pat}`: a private cwnd-trace driver is back; call \
         fig14_cwnd::reference_trace, DESIGN.md §4"),
@@ -323,9 +317,7 @@ pub fn patterns(ws: &mut Workspace, idx: &SymbolIndex, out: &mut Vec<Finding>) {
             for i in (0..scope.len()).filter(|&i| scope[i] && !places[i]) {
                 first.get_or_insert_with(|| finding(file, i, row.rule, row.why.into()));
                 let counted = row.tests || !file.tests[i];
-                let raw = file.raw.get(i).filter(|_| row.literals);
-                let line = raw.unwrap_or(&file.code[i]);
-                let Some(pat) = line_match(line, &pats).filter(|_| counted) else {
+                let Some(pat) = line_match(&file.code[i], &pats).filter(|_| counted) else {
                     continue;
                 };
                 hits += 1;

@@ -16,6 +16,14 @@ fn cwnd(trace: Trace) -> Vec<f64> {
     trace.into_iter().map(|(_, cwnd)| cwnd).collect()
 }
 
+/// Fig. 14's engine trace as a cwnd column. The engine samples once per
+/// period after the first, so a shorter trace means a sample was skipped.
+fn engine_cwnd(algo: CcAlgorithm, duration_ns: u64, drop_every: u64) -> Vec<f64> {
+    let trace = cwnd(engine_trace(algo, duration_ns, drop_every, SAMPLES));
+    assert_eq!(trace.len(), SAMPLES - 1, "engine trace skipped a sample");
+    trace
+}
+
 fn mean(v: &[f64]) -> f64 {
     v.iter().sum::<f64>() / v.len().max(1) as f64
 }
@@ -23,7 +31,7 @@ fn mean(v: &[f64]) -> f64 {
 #[test]
 fn newreno_engine_matches_reference() {
     let dur = 8_000_000; // 8 ms: slow start + the first loss epochs
-    let eng = cwnd(engine_trace(CcAlgorithm::NewReno, dur, 1_500, SAMPLES));
+    let eng = engine_cwnd(CcAlgorithm::NewReno, dur, 1_500);
     let rf = cwnd(reference_trace(RefAlgo::NewReno, dur, 1_500, SAMPLES));
     let n = eng.len().min(rf.len());
     assert!(n >= 15, "enough samples");
@@ -51,7 +59,7 @@ fn newreno_engine_matches_reference() {
 #[test]
 fn cubic_engine_matches_reference_mean() {
     let dur = 8_000_000;
-    let eng = cwnd(engine_trace(CcAlgorithm::Cubic, dur, 1_500, SAMPLES));
+    let eng = engine_cwnd(CcAlgorithm::Cubic, dur, 1_500);
     let rf = cwnd(reference_trace(RefAlgo::Cubic, dur, 1_500, SAMPLES));
     let (me, mr) = (mean(&eng), mean(&rf));
     assert!(
@@ -64,7 +72,7 @@ fn cubic_engine_matches_reference_mean() {
 fn both_stacks_show_multiplicative_decrease() {
     let dur = 12_000_000;
     for trace in [
-        cwnd(engine_trace(CcAlgorithm::NewReno, dur, 1_200, SAMPLES)),
+        engine_cwnd(CcAlgorithm::NewReno, dur, 1_200),
         cwnd(reference_trace(RefAlgo::NewReno, dur, 1_200, SAMPLES)),
     ] {
         let max = trace.iter().cloned().fold(0.0, f64::max);
