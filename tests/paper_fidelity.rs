@@ -5,6 +5,9 @@
 //! * Fig. 2 — the w-RMW vs w/o-RMW gap is 5.3× at every request size;
 //! * Fig. 15 — F4T's event rate is a flat 125 Mev/s at every FPU latency,
 //!   while the stalling Baseline's falls;
+//! * Fig. 16(a) — with 8 B commands 24 cores reach the engine's
+//!   1000 Mrps ceiling, while 16 B commands saturate PCIe below it; at 16
+//!   cores the two are level;
 //! * Fig. 16(b) — the design ordering: 1FPC is ~8.5× Baseline on both
 //!   patterns, coalescing lifts bulk but not round-robin, and 8 FPCs lift
 //!   round-robin.
@@ -14,6 +17,7 @@
 //! windows past 4 K flows, minutes of simulation rather than a tier-1
 //! test. That check waits on ROADMAP item 1's DRAM model.
 
+use f4t::core::EngineConfig;
 use f4t_bench::figures::{fig02_rmw_stalls, fig15_versatility, fig16_header_rate};
 use f4t_bench::Windows;
 
@@ -39,6 +43,18 @@ fn fig15_f4t_is_flat_while_baseline_falls() {
         assert!(baseline < last_baseline, "latency {lat}: Baseline {baseline:.2} Mev/s, no fall");
         last_baseline = baseline;
     }
+}
+
+#[test]
+fn fig16a_8b_commands_reach_the_ceiling_16b_saturates_pcie() {
+    let rate = |cores, compact| {
+        fig16_header_rate::header_rate(cores, false, EngineConfig::reference(), compact, QUICK)
+    };
+    let (m8, m16) = (rate(24, true), rate(24, false));
+    assert!((m8 / 1000.0 - 1.0).abs() < 0.01, "24 cores, 8 B: {m8:.1} Mrps, want 1000");
+    assert!(m16 < 0.8 * m8, "24 cores: 16 B {m16:.1} Mrps, want below 0.8x of 8 B {m8:.1}");
+    let (m8, m16) = (rate(16, true), rate(16, false));
+    assert!((m16 / m8 - 1.0).abs() < 0.01, "16 cores: 16 B {m16:.1} vs 8 B {m8:.1} Mrps, want level");
 }
 
 /// Fig. 16(b)'s designs past Baseline, as gains over Baseline on one
