@@ -21,7 +21,7 @@ use f4t_workloads::{INCAST_EPOCH_NS, SLOWLORIS_DRIP_BYTES};
 
 /// Process exit codes (also in `--help`): `0` success, `1` FtVerify
 /// design-rule violations, `2` usage or I/O error, `3` perf-gate
-/// regression (`--gate`). Regressions get their own code so CI can
+/// regression (`--gate`, `--pulse-gate`). Regressions get their own code so CI can
 /// distinguish "the design broke a rule" from "the design got slower".
 const EXIT_VIOLATIONS: i32 = 1;
 const EXIT_USAGE: i32 = 2;
@@ -47,8 +47,6 @@ struct Args {
     flight_sample: u32,
     breakdown_json: Option<String>,
     gate: Option<String>,
-    inject_slowdown: u64,
-    inject_slowdown_after: Option<u64>,
     pulse: bool,
     pulse_interval: u64,
     pulse_json: Option<String>,
@@ -88,8 +86,6 @@ impl Default for Args {
             flight_sample: 64,
             breakdown_json: None,
             gate: None,
-            inject_slowdown: 0,
-            inject_slowdown_after: None,
             pulse: false,
             pulse_interval: f4t_sim::pulse::PULSE_DEFAULT_INTERVAL,
             pulse_json: None,
@@ -108,21 +104,14 @@ impl Args {
     /// Whether the FtFlight recorder must be attached: requested
     /// directly, or implied by an output/gate that needs its data.
     fn flight_enabled(&self) -> bool {
-        self.flight
-            || self.breakdown_json.is_some()
-            || self.gate.is_some()
-            || self.inject_slowdown > 0
+        self.flight || self.breakdown_json.is_some() || self.gate.is_some()
     }
 
     /// Whether the FtPulse time-series recorder must be attached:
     /// requested directly, or implied by an output/gate that needs its
-    /// windowed series (`--inject-slowdown-after` defers the bias on a
-    /// pulse-window boundary, so it needs the recorder too).
+    /// windowed series.
     fn pulse_enabled(&self) -> bool {
-        self.pulse
-            || self.pulse_json.is_some()
-            || self.pulse_gate.is_some()
-            || self.inject_slowdown_after.is_some()
+        self.pulse || self.pulse_json.is_some() || self.pulse_gate.is_some()
     }
 
     /// Whether the FtJournal must be attached: requested directly, or
@@ -309,14 +298,6 @@ USAGE: f4tperf [OPTIONS]
                                    ±25%, each stage p99 within 1.25x + 16
                                    cycles; exit 3 on regression. Implies
                                    --flight
-  --inject-slowdown <CYCLES>       bias every recorded flight span by N
-                                   cycles (perf-gate exit-path testing;
-                                   implies --flight)
-  --inject-slowdown-after <W>      defer --inject-slowdown until W pulse
-                                   windows have been recorded — a mid-run
-                                   degradation the end-of-run gate misses
-                                   (shape-gate exit-path testing; implies
-                                   --pulse)
   --pulse                          attach the FtPulse time-series recorder:
                                    windowed rates/gauges on the simulated
                                    clock, byte-identical across
@@ -356,7 +337,7 @@ USAGE: f4tperf [OPTIONS]
   --help                           this text
 
 EXIT CODES: 0 success / 1 FtVerify violations / 2 usage or I/O error /
-            3 perf-gate regression (--gate)
+            3 perf-gate regression (--gate, --pulse-gate)
 ";
 
 /// Parses a numeric flag value.
@@ -397,9 +378,6 @@ fn parse_args() -> Result<(Args, &'static Workload), String> {
                 workload.name
             ));
         }
-        if args.inject_slowdown_after.is_some() && args.inject_slowdown == 0 {
-            return Err("--inject-slowdown-after needs --inject-slowdown <CYCLES>".into());
-        }
         if Impairments::profile(&args.impair).is_none() {
             return Err(format!(
                 "unknown impairment profile {} (expected one of: {})",
@@ -416,14 +394,13 @@ fn parse_args() -> Result<(Args, &'static Workload), String> {
             if workload.build.is_some() {
                 return Err("--threads is only supported with --workload scale".into());
             }
-            // Baselines and the deferred bias are single-engine; the
-            // Prometheus export and the capture have no sharded shape.
+            // Baselines are single-engine; the Prometheus export and the
+            // capture have no sharded shape.
             for (set, flag) in [
                 (args.pcap.is_some(), "--pcap"),
                 (args.inject_fault.is_some(), "--inject-fault"),
                 (args.gate.is_some(), "--gate"),
                 (args.pulse_gate.is_some(), "--pulse-gate"),
-                (args.inject_slowdown_after.is_some(), "--inject-slowdown-after"),
                 (args.telemetry_format == TelemetryFormat::Prometheus, "--telemetry-format prometheus"),
             ] {
                 if set {
@@ -463,8 +440,6 @@ fn parse_args() -> Result<(Args, &'static Workload), String> {
             "--flight-sample" => args.flight_sample = num(val()?)?,
             "--breakdown-json" => args.breakdown_json = Some(val()?),
             "--gate" => args.gate = Some(val()?),
-            "--inject-slowdown" => args.inject_slowdown = num(val()?)?,
-            "--inject-slowdown-after" => args.inject_slowdown_after = Some(num(val()?)?),
             "--pulse" => args.pulse = true,
             "--pulse-interval" => args.pulse_interval = num(val()?)?,
             "--pulse-json" => args.pulse_json = Some(val()?),
@@ -684,8 +659,7 @@ fn run_scale(args: &Args, flows: usize, cfg: EngineConfig) {
 }
 
 /// Pre-run arming shared by every workload: the trace ring behind
-/// `--telemetry`, `--inject-fault` on the first engine, and the
-/// `--inject-slowdown` flight-span bias.
+/// `--telemetry` and `--inject-fault` on the first engine.
 fn arm(args: &Args, engines: &mut [&mut Engine]) {
     if args.telemetry.is_some() {
         for e in engines.iter_mut() {
@@ -694,24 +668,6 @@ fn arm(args: &Args, engines: &mut [&mut Engine]) {
     }
     if let Some(kind) = &args.inject_fault {
         inject_fault(engines[0], kind);
-    }
-    if args.inject_slowdown > 0 {
-        for e in engines.iter_mut() {
-            match args.inject_slowdown_after {
-                Some(w) => e.set_flight_bias_after(w, args.inject_slowdown),
-                None => e.set_flight_bias(args.inject_slowdown),
-            }
-        }
-        match args.inject_slowdown_after {
-            Some(w) => println!(
-                "  slowdown armed     {} cycles per flight span after pulse window {w}",
-                args.inject_slowdown
-            ),
-            None => println!(
-                "  slowdown injected  {} cycles per flight span",
-                args.inject_slowdown
-            ),
-        }
     }
 }
 

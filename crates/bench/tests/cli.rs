@@ -5,10 +5,15 @@
 //!   * `0` — run completed, no FtVerify violations;
 //!   * `1` — FtVerify found design-rule violations (`--check`);
 //!   * `2` — usage error (bad flag/value) or I/O error;
-//!   * `3` — perf-gate regression (`--gate`).
+//!   * `3` — perf-gate regression (`--gate`, `--pulse-gate`).
 //!
 //! CI scripts and the figure harnesses branch on these, so they are
 //! pinned here by spawning the real binary (offline, no network).
+//!
+//! The committed simulated baselines, `results/flight/<w>.json` and
+//! `results/pulse/<w>.json`, are a golden here too: every [`GATED`] run
+//! must reproduce them byte for byte. Regenerate them with
+//! `UPDATE_GOLDEN=1 cargo test -p f4t-bench --test cli`.
 
 use f4t_sim::json::{self, Value};
 use std::process::{Command, Output};
@@ -86,11 +91,24 @@ fn telemetry_io_error_exits_two() {
     assert!(stderr(&out).contains("error: writing"), "{}", stderr(&out));
 }
 
+/// Clean runs stay clean under FtVerify: the default bulk run, echo
+/// over 256 flows on 2 cores, and an incast cell under burst loss with
+/// the journal and the watchdog armed too.
 #[test]
 fn clean_checked_run_exits_zero() {
-    let out = f4tperf(&["--warmup-ms", "1", "--duration-ms", "1", "--check"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert!(stdout(&out).contains("0 violation"), "{}", stdout(&out));
+    for run in [
+        &["--warmup-ms", "1", "--duration-ms", "1", "--check"][..],
+        &["--workload", "echo", "--cores", "2", "--flows", "256", "--duration-ms", "1", "--check"],
+        &[
+            "--workload", "incast", "--cores", "2", "--flows", "24", "--size", "2048",
+            "--impair", "burst-loss", "--warmup-ms", "1", "--duration-ms", "1", "--check",
+            "--journal", "--watchdog",
+        ],
+    ] {
+        let out = f4tperf(run);
+        assert_eq!(out.status.code(), Some(0), "{run:?}: {}\n{}", stdout(&out), stderr(&out));
+        assert!(stdout(&out).contains("0 violation"), "{run:?}: {}", stdout(&out));
+    }
 }
 
 /// More cores than flows: a core whose rotation is empty polls and
@@ -181,8 +199,36 @@ fn breakdown_json_has_per_stage_percentiles() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A breakdown document with every stage's `"p99_cycles"` set to 0.
+fn zero_p99s(doc: &str) -> String {
+    let key = "\"p99_cycles\": ";
+    let mut parts = doc.split(key);
+    let mut out = parts.next().unwrap_or_default().to_owned();
+    for part in parts {
+        out += key;
+        out += "0";
+        out += part.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out
+}
+
+/// A pulse document with every windowed stage p99 series
+/// (`"stage.<s>.p99_cycles": [..]`, one per line) set to 0 from window
+/// `from` on.
+fn lower_stage_p99s(doc: &str, from: usize) -> String {
+    let lower = |line: &str| {
+        let (head, rest) = line.split_once(".p99_cycles\": [")?;
+        head.trim_start().starts_with("\"stage.").then_some(())?;
+        let (values, tail) = rest.split_once(']')?;
+        let values: Vec<&str> =
+            values.split(", ").enumerate().map(|(k, v)| if k < from { v } else { "0" }).collect();
+        Some(format!("{head}.p99_cycles\": [{}]{tail}", values.join(", ")))
+    };
+    doc.lines().map(|line| lower(line).unwrap_or_else(|| line.to_owned()) + "\n").collect()
+}
+
 #[test]
-fn gate_passes_against_own_baseline_and_trips_on_slowdown() {
+fn gate_passes_against_own_baseline_and_trips_on_a_tighter_one() {
     let base = tmp("baseline.json");
     let out = f4tperf(&[SMALL_SCALE, &["--breakdown-json", &base]].concat());
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
@@ -192,11 +238,14 @@ fn gate_passes_against_own_baseline_and_trips_on_slowdown() {
     assert_eq!(out.status.code(), Some(0), "{}\n{}", stdout(&out), stderr(&out));
     assert!(stdout(&out).contains("perf gate          PASS"), "{}", stdout(&out));
 
-    // A 400-cycle span bias must trip the documented exit code 3, and
-    // every violation line must name the workload, stage, metric, the
-    // observed and baseline values, and the allowed bound — this format
-    // is what CI log scrapers key on, so it is pinned here.
-    let out = f4tperf(&[SMALL_SCALE, &["--gate", &base, "--inject-slowdown", "400"]].concat());
+    // Against its own breakdown with every stage p99 zeroed, the run
+    // must trip the documented exit code 3, and every violation line
+    // must name the workload, stage, metric, the observed and baseline
+    // values, and the allowed bound — this format is what CI log
+    // scrapers key on, so it is pinned here.
+    let own = std::fs::read_to_string(&base).expect("breakdown written");
+    std::fs::write(&base, zero_p99s(&own)).expect("write");
+    let out = f4tperf(&[SMALL_SCALE, &["--gate", &base]].concat());
     assert_eq!(out.status.code(), Some(3), "{}\n{}", stdout(&out), stderr(&out));
     let err = stderr(&out);
     assert!(err.contains("perf gate FAIL"), "{err}");
@@ -260,9 +309,12 @@ fn threaded_scale_run_is_deterministic() {
 
 #[test]
 fn watchdog_clean_run_exits_zero() {
-    let out = f4tperf(&[SMALL_SCALE, &["--watchdog"]].concat());
-    assert_eq!(out.status.code(), Some(0), "{}\n{}", stdout(&out), stderr(&out));
-    assert!(!stderr(&out).contains("watchdog raised"), "{}", stderr(&out));
+    let echo = ["--workload", "echo", "--cores", "2", "--flows", "256", "--duration-ms", "1"];
+    for run in [[SMALL_SCALE, &["--watchdog"]].concat(), [&echo[..], &["--journal", "--watchdog"]].concat()] {
+        let out = f4tperf(&run);
+        assert_eq!(out.status.code(), Some(0), "{run:?}: {}\n{}", stdout(&out), stderr(&out));
+        assert!(!stderr(&out).contains("watchdog raised"), "{run:?}: {}", stderr(&out));
+    }
 }
 
 /// The full forensic round trip, and the digest-replay acceptance
@@ -333,8 +385,24 @@ fn pcap_capture_writes_parseable_file() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Both `--telemetry` formats: the JSON snapshot carries the FPC stall
+/// counters next to a Chrome trace, the Prometheus export its TYPE lines.
 #[test]
 fn prometheus_telemetry_format() {
+    let path = tmp("telem.json");
+    let trace = tmp("telem.trace.json");
+    let out = f4tperf(&[
+        "--workload", "echo", "--cores", "2", "--flows", "256", "--duration-ms", "1",
+        "--telemetry", &path, "--trace-depth", "4096",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&path).expect("telemetry written");
+    assert!(text.contains("engine.fpc0.stall.fifo_empty"), "{text}");
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    assert!(text.contains("traceEvents"), "not a Chrome trace:\n{text}");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&trace).ok();
+
     let path = tmp("telem.prom");
     let out = f4tperf(
         &[SMALL_SCALE, &["--telemetry", &path, "--telemetry-format", "prometheus"]].concat(),
@@ -355,12 +423,7 @@ fn prometheus_telemetry_format() {
 fn pulse_usage_errors_exit_two() {
     for bad in [
         &["--pulse-interval", "0"][..],
-        &["--inject-slowdown-after", "4"][..], // needs --inject-slowdown
         &["--workload", "scale", "--threads", "2", "--pulse-gate", "base.json"][..],
-        &[
-            "--workload", "scale", "--threads", "2",
-            "--inject-slowdown", "12", "--inject-slowdown-after", "4",
-        ][..],
     ] {
         let out = f4tperf(bad);
         assert_eq!(out.status.code(), Some(2), "args {bad:?}:\n{}", stderr(&out));
@@ -413,22 +476,32 @@ fn pulse_smoke_and_f4tdbg_exit_contract() {
     std::fs::remove_file(&other).ok();
 }
 
-/// The sharded path records per-shard pulse series and a merged digest.
+/// The sharded path records per-shard pulse series and a merged digest,
+/// and its document renders through `f4tdbg pulse`.
 #[test]
 fn threaded_pulse_smoke() {
-    let out = f4tperf(&[SMALL_SCALE, &["--threads", "2", "--pulse", "--check"]].concat());
+    let doc = tmp("threaded-pulse.json");
+    let out = f4tperf(&[SMALL_SCALE, &["--threads", "2", "--pulse", "--check", "--pulse-json", &doc]].concat());
     assert_eq!(out.status.code(), Some(0), "{}\n{}", stdout(&out), stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("pulse"), "{text}");
     assert!(text.contains("windows recorded"), "{text}");
+    let text = std::fs::read_to_string(&doc).expect("pulse document written");
+    assert!(text.contains("\"merged_digest\""), "{text}");
+    assert!(text.contains("\"goodput_bytes\""), "{text}");
+    let out = f4tdbg(&["pulse", &doc]);
+    assert_eq!(out.status.code(), Some(0), "{}\n{}", stdout(&out), stderr(&out));
+    std::fs::remove_file(&doc).ok();
 }
 
-/// The headline FtPulse acceptance criterion: a slowdown injected only
-/// after pulse window 4 is invisible to the end-of-run flight gate
-/// (whole-run percentiles stay inside the 1.25x+16 envelope) but the
-/// shape-aware pulse gate flags the degraded windows and exits 3.
+/// The shape-aware pulse gate's exit path: against a baseline whose
+/// windowed stage p99s drop to 0 from pulse window 4 on, the run fails
+/// the pulse gate (exit 3, pinned line format) while the flight gate on
+/// its own breakdown passes. That a late ramp can pass the flight gate's
+/// whole-run bound and fail the windowed one is
+/// `pulsejson::tests::late_p99_ramp_trips_window_rule`.
 #[test]
-fn pulse_gate_catches_mid_run_shift_the_flight_gate_misses() {
+fn pulse_gate_trips_on_late_windows_the_flight_gate_passes() {
     let flight_base = tmp("pulse-flight-base.json");
     let pulse_base = tmp("pulse-shape-base.json");
     const BULK: &[&str] = &["--workload", "bulk", "--duration-ms", "1", "--pulse-interval", "1024"];
@@ -439,14 +512,11 @@ fn pulse_gate_catches_mid_run_shift_the_flight_gate_misses() {
     );
     assert_eq!(out.status.code(), Some(0), "{}\n{}", stdout(&out), stderr(&out));
 
-    // Deferred bias, both gates armed: flight gate passes, pulse gate trips.
-    let out = f4tperf(
-        &[BULK, &[
-            "--inject-slowdown", "12", "--inject-slowdown-after", "4",
-            "--gate", &flight_base, "--pulse-gate", &pulse_base,
-        ]]
-        .concat(),
-    );
+    let own = std::fs::read_to_string(&pulse_base).expect("pulse document written");
+    std::fs::write(&pulse_base, lower_stage_p99s(&own, 4)).expect("write");
+
+    // Both gates armed: the flight gate passes, the pulse gate trips.
+    let out = f4tperf(&[BULK, &["--gate", &flight_base, "--pulse-gate", &pulse_base]].concat());
     assert_eq!(out.status.code(), Some(3), "{}\n{}", stdout(&out), stderr(&out));
     assert!(stdout(&out).contains("perf gate          PASS"), "{}", stdout(&out));
     let err = stderr(&out);
@@ -456,18 +526,9 @@ fn pulse_gate_catches_mid_run_shift_the_flight_gate_misses() {
         .find(|l| l.contains("metric=window_p99_cycles"))
         .unwrap_or_else(|| panic!("no windowed p99 violation line in:\n{err}"));
     assert!(violation.contains("workload=bulk"), "{violation}");
-    assert!(violation.contains("window="), "{violation}");
     assert!(violation.contains("allowed<="), "{violation}");
-
-    // Same biased run with only the flight gate: it sails through (0).
-    let out = f4tperf(
-        &[BULK, &[
-            "--inject-slowdown", "12", "--inject-slowdown-after", "4",
-            "--gate", &flight_base,
-        ]]
-        .concat(),
-    );
-    assert_eq!(out.status.code(), Some(0), "{}\n{}", stdout(&out), stderr(&out));
+    let window = violation.split("window=").nth(1).and_then(|w| w.split(' ').next()?.parse().ok());
+    assert!(window >= Some(4), "an unlowered window tripped: {violation}");
 
     // A missing pulse baseline is an I/O error (2), not a regression.
     let out = f4tperf(&[BULK, &["--pulse-gate", "/nonexistent-dir/p.json"]].concat());
@@ -499,38 +560,116 @@ fn unknown_workload_names_the_valid_ones() {
     }
 }
 
-/// The perf gate tolerates ±25 % cycles, so by itself it does not pin the
-/// schedule. This does: the gate's own `SCALE` and `BULK` runs must
-/// reproduce the committed flight and pulse baselines byte for byte — the
-/// one-shard `ScaleShard` schedule is the single-engine run, and the
-/// shared reporters write the single-engine document shape.
+/// The committed simulated baselines: each workload's `f4tperf` run,
+/// recorded with 1/64 flight sampling into `results/flight/<w>.json`
+/// and `results/pulse/<w>.json`. Each storm workload runs under a
+/// different impairment profile, so the baselines pin loss recovery as
+/// well as the clean path; impairments are seeded, so they are
+/// byte-stable too.
+const GATED: [(&str, &str); 7] = [
+    ("bulk", "--workload bulk --cores 1 --size 4096 --warmup-ms 1 --duration-ms 1"),
+    ("echo", "--workload echo --cores 1 --flows 64 --size 128 --warmup-ms 1 --duration-ms 1"),
+    ("scale", "--workload scale --flows 2048 --size 256 --duration-ms 1"),
+    ("incast", "--workload incast --cores 2 --flows 24 --size 2048 --impair reorder --warmup-ms 1 --duration-ms 1"),
+    ("churnstorm", "--workload churnstorm --cores 2 --flows 32 --impair lossy --warmup-ms 1 --duration-ms 2"),
+    ("slowloris", "--workload slowloris --cores 2 --flows 256 --impair jitter --warmup-ms 1 --duration-ms 1"),
+    ("httpstorm", "--workload httpstorm --cores 2 --flows 256 --impair duplicate --warmup-ms 1 --duration-ms 1"),
+];
+
+/// The leaves of `cur` that differ from `base`, by dotted path; an array
+/// names its first differing element.
+fn moved(path: &str, base: &Value, cur: &Value, out: &mut Vec<String>) {
+    let show = |v: &Value| match v {
+        Value::Number(n) => n.clone(),
+        Value::Array(a) => format!("{} elements", a.len()),
+        other => format!("{other:?}"),
+    };
+    match (base, cur) {
+        (Value::Object(b), Value::Object(c)) => {
+            let sub = |key: &str| if path.is_empty() { key.to_owned() } else { format!("{path}.{key}") };
+            for (key, bv) in b {
+                match c.iter().find(|(k, _)| k == key) {
+                    Some((_, cv)) => moved(&sub(key), bv, cv, out),
+                    None => out.push(format!("{}: gone", sub(key))),
+                }
+            }
+            for (key, _) in c.iter().filter(|(k, _)| b.iter().all(|(bk, _)| bk != k)) {
+                out.push(format!("{}: new", sub(key)));
+            }
+        }
+        (Value::Array(b), Value::Array(c)) if b.len() == c.len() => {
+            if let Some(k) = (0..b.len()).find(|&k| b[k] != c[k]) {
+                moved(&format!("{path}[{k}]"), &b[k], &c[k], out);
+            }
+        }
+        _ if base != cur => out.push(format!("{path}: {} -> {}", show(base), show(cur))),
+        _ => {}
+    }
+}
+
+/// Every [`GATED`] run reproduces its committed flight breakdown and
+/// pulse series byte for byte, and every committed baseline has its row.
+/// This pins the simulated schedule exactly, where `--gate` and
+/// `--pulse-gate` allow a tolerance. On a mismatch the observed documents
+/// stay under `CARGO_TARGET_TMPDIR`, and the failure names what moved and
+/// what both gates say of it. `UPDATE_GOLDEN=1` rewrites the baselines.
 #[test]
-fn gate_runs_reproduce_committed_baselines_byte_for_byte() {
+fn gated_runs_reproduce_committed_baselines_byte_for_byte() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let script = std::fs::read_to_string(format!("{root}/scripts/perf_gate.sh")).expect("perf_gate.sh");
-    for (var, workload) in [("SCALE", "scale"), ("BULK", "bulk")] {
-        let prefix = format!("{var}=\"");
-        let line = script
-            .lines()
-            .find_map(|l| l.strip_prefix(&prefix))
-            .unwrap_or_else(|| panic!("perf_gate.sh defines no {var}"));
-        let gate_args: Vec<&str> = line.trim_end_matches('"').split_whitespace().collect();
-        let flight = tmp(&format!("golden-{workload}-flight.json"));
-        let pulse = tmp(&format!("golden-{workload}-pulse.json"));
-        let out = f4tperf(
-            &[&gate_args[..], &["--flight-sample", "64", "--breakdown-json", &flight, "--pulse-json", &pulse]]
-                .concat(),
-        );
-        assert_eq!(out.status.code(), Some(0), "{}\n{}", stdout(&out), stderr(&out));
-        for (got, committed) in [(&flight, "flight"), (&pulse, "pulse")] {
-            let committed = format!("{root}/results/{committed}/{workload}.json");
-            assert!(
-                std::fs::read(got).expect("artifact written") == std::fs::read(&committed).expect("baseline"),
-                "{workload}: {got} differs from {committed}"
-            );
-            std::fs::remove_file(got).ok();
+    let observed = concat!(env!("CARGO_TARGET_TMPDIR"), "/gated");
+    std::fs::create_dir_all(observed).expect("observed directory");
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
+    let mut failures = Vec::new();
+    for (workload, args) in GATED {
+        let [flight, pulse] = ["flight", "pulse"].map(|kind| format!("{observed}/{workload}-{kind}.json"));
+        let mut argv: Vec<&str> = args.split_whitespace().collect();
+        argv.extend(["--flight-sample", "64", "--breakdown-json", &flight, "--pulse-json", &pulse]);
+        let out = f4tperf(&argv);
+        assert_eq!(out.status.code(), Some(0), "{workload}: {}\n{}", stdout(&out), stderr(&out));
+        for (got, kind) in [(&flight, "flight"), (&pulse, "pulse")] {
+            let committed = format!("{root}/results/{kind}/{workload}.json");
+            if update {
+                std::fs::copy(got, &committed).expect("rewrite baseline");
+                continue;
+            }
+            let got_text = std::fs::read_to_string(got).expect("observed document");
+            let want = std::fs::read_to_string(&committed).expect("committed baseline");
+            if got_text == want {
+                continue;
+            }
+            let (cur, base) = (json::parse(&got_text).expect(got), json::parse(&want).expect(kind));
+            let mut lines = Vec::new();
+            moved("", &base, &cur, &mut lines);
+            if lines.len() > 12 {
+                let more = lines.split_off(12).len();
+                lines.push(format!("... and {more} more"));
+            }
+            let gate = match kind {
+                "flight" => f4t_bench::flight_gate(workload, &base, &cur),
+                _ => f4t_bench::pulsejson::shape_gate(workload, &want, &got_text).expect("pulse documents"),
+            };
+            failures.push(format!(
+                "{workload}: {got} differs from results/{kind}/{workload}.json\n  moved: {}\n  {kind} gate: {}",
+                lines.join("\n         "),
+                if gate.is_empty() { "PASS (within tolerance)".to_owned() } else { gate.join("\n    ") }
+            ));
         }
     }
+    for kind in ["flight", "pulse"] {
+        let mut committed: Vec<String> = std::fs::read_dir(format!("{root}/results/{kind}"))
+            .expect("baseline directory")
+            .map(|e| e.expect("dir entry").file_name().into_string().expect("UTF-8 name"))
+            .collect();
+        committed.sort();
+        let mut gated: Vec<String> = GATED.iter().map(|(w, _)| format!("{w}.json")).collect();
+        gated.sort();
+        assert_eq!(committed, gated, "results/{kind}: one GATED row per committed baseline");
+    }
+    assert!(
+        failures.is_empty(),
+        "{}\nIf the change is intended, regenerate with UPDATE_GOLDEN=1 cargo test -p f4t-bench --test cli",
+        failures.join("\n")
+    );
 }
 
 fn figures(args: &[&str]) -> Output {

@@ -319,10 +319,6 @@ pub struct Engine {
     /// FtPulse windowed time-series recorder; attached when
     /// `EngineConfig::pulse` is set. Boxed like the checker.
     pulse: Option<Box<PulseRecorder>>,
-    /// Deferred flight-span bias `(window, cycles)`: armed by
-    /// `set_flight_bias_after`, applied by `run_pulse` once that many
-    /// windows have been recorded (shape-gate self-testing).
-    pulse_bias_pending: Option<(u64, u64)>,
     /// FtScope pipeline trace, a fourth `Probe` view; attached by
     /// `set_trace_capacity`. Boxed like the checker.
     trace: Option<Box<TraceRing>>,
@@ -405,7 +401,6 @@ impl Engine {
             pulse: config
                 .pulse
                 .then(|| Box::new(PulseRecorder::new(config.pulse_interval, config.pulse_flow_sample))),
-            pulse_bias_pending: None,
             trace: None,
             mac: MacAddr([0x02, 0xf4, 0x70, 0, 0, 1]),
             fpcs,
@@ -721,26 +716,6 @@ impl Engine {
     /// byte-identical text (`tests/fastforward_equiv.rs`).
     pub fn flight_json(&self) -> Option<String> {
         self.flight.as_ref().map(|f| f.to_json(CYCLE_NS))
-    }
-
-    /// Perf-gate self-test hook: inflates every subsequently recorded
-    /// flight span by `cycles` (`f4tperf --inject-slowdown`). No-op when
-    /// the recorder is off.
-    pub fn set_flight_bias(&mut self, cycles: u64) {
-        if let Some(f) = self.flight.as_deref_mut() {
-            f.set_bias(cycles);
-        }
-    }
-
-    /// Shape-gate self-test hook: arms a *deferred* flight-span bias that
-    /// `run_pulse` applies once `window` pulse windows have been recorded
-    /// (`f4tperf --inject-slowdown-after`). Tied to sample boundaries, so
-    /// the injected mid-run ramp is deterministic across execution modes.
-    /// No-op when the pulse recorder is off.
-    pub fn set_flight_bias_after(&mut self, window: u64, cycles: u64) {
-        if self.pulse.is_some() {
-            self.pulse_bias_pending = Some((window, cycles));
-        }
     }
 
     /// The FtJournal, when [`EngineConfig::journal`] is set.
@@ -1261,12 +1236,6 @@ impl Engine {
     /// both stop at every sample boundary) record identical windows.
     fn run_pulse(&mut self, cycle: u64) {
         let Some(mut p) = self.pulse.take() else { return };
-        if let Some((window, bias)) = self.pulse_bias_pending {
-            if p.windows_recorded() >= window {
-                self.set_flight_bias(bias);
-                self.pulse_bias_pending = None;
-            }
-        }
         let stats = self.stats();
         let cache_hits = self.mm.cache_hits();
         let cache_lookups = cache_hits + self.mm.cache_misses();

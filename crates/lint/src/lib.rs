@@ -118,7 +118,7 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "metrics_catalog",
         "every metric/stage/event literal matches an entry of METRICS.md (regenerate with \
-         UPDATE_METRICS=1 cargo test --test metrics_catalog)",
+         UPDATE_GOLDEN=1 cargo test --test metrics_catalog)",
     ),
     ("cargo_deps", "every Cargo.toml dependency is path/workspace (offline build)"),
     ("stale_allow", "allow directives that suppress zero findings are dead weight"),
@@ -515,6 +515,7 @@ impl Node {
             ("crates/bench/src/bin/fig99.rs", "bench", "fn main() {}\n".repeat(4)),
             ("tests/paper_fidelity.rs", "f4t", "fn f() {\n    std::env::set_var(\"F4T_QUICK\", \"1\");\n}\n".into()),
             ("tests/cc_agreement.rs", "f4t", "fn f(c: SimulationConfig) {\n    let _ = Simulation::new(c);\n}\n".into()),
+            ("crates/core/src/engine.rs", "core", engine_with("        self.flight_bias = 400;\n")),
         ];
         let rows: Vec<_> = rules::ROWS.iter().filter(|r| r.rule == "regrowth").collect();
         assert_eq!(plants.len(), rows.len(), "one plant per row");
@@ -732,7 +733,7 @@ impl Node {
         assert!(f.iter().any(|x| x.message.contains("engine.rx.bytes_total")), "{all:#?}");
         assert!(f.iter().any(|x| x.message.contains("tx_emit")), "{all:#?}");
         assert!(f.iter().any(|x| x.message.contains("bogus_series")), "{all:#?}");
-        assert!(f[0].message.contains("UPDATE_METRICS=1"), "{all:#?}");
+        assert!(f[0].message.contains("UPDATE_GOLDEN=1"), "{all:#?}");
         // No catalog loaded -> rule stays silent.
         let silent = scan_files(&[("metrics_catalog.rs", "sim", &src)], None);
         assert!(of(&silent, "metrics_catalog").is_empty(), "{silent:#?}");

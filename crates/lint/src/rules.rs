@@ -224,6 +224,11 @@ pub const ROWS: &[Row] = &[
     regrowth(CODE, &["Simulation::new("], &["crates/bench/src/figures/fig14_cwnd.rs",
         "crates/netsim/"], NONE, "`{pat}`: a private cwnd-trace driver is back; call \
         fig14_cwnd::reference_trace, DESIGN.md §4"),
+    // §10.4: a gate's exit path is tested against an edited baseline, not a slowed engine.
+    // `\w` stands for the `_` of each hook's name.
+    regrowth(CODE, &["flight_bias", r"set\wbias\b", "bias_pending", r"inject\wslowdown"], &[],
+        NONE, "`{pat}`: a perf-gate slowdown hook is back; test --gate/--pulse-gate against an \
+        edited baseline, DESIGN.md §10.4"),
 ];
 
 /// The longest literal piece of `pat`: a cheap filter before
@@ -978,7 +983,7 @@ pub fn metrics_catalog(ws: &mut Workspace, idx: &SymbolIndex, out: &mut Vec<Find
                 "metrics_catalog",
                 format!(
                     "metric {:?} (family `{pat}`) is not in METRICS.md; regenerate the \
-                     catalog with UPDATE_METRICS=1 cargo test --test metrics_catalog, or fix \
+                     catalog with UPDATE_GOLDEN=1 cargo test --test metrics_catalog, or fix \
                      the name",
                     m.literal
                 ),

@@ -141,10 +141,6 @@ struct StageAgg {
 pub struct FlightRecorder {
     /// Track flows whose id is `0 (mod sample)`; 1 tracks everything.
     sample: u32,
-    /// Cycles added to every recorded span — a fault-injection hook for
-    /// perf-gate self-tests (`f4tperf --inject-slowdown`), never set in
-    /// normal operation.
-    bias: u64,
     stages: Vec<Histogram>,
     per_flow: BTreeMap<u32, [StageAgg; STAGE_COUNT]>,
     recorded: u64,
@@ -157,7 +153,6 @@ impl FlightRecorder {
     pub fn new(sample: u32) -> FlightRecorder {
         FlightRecorder {
             sample: sample.max(1),
-            bias: 0,
             stages: (0..STAGE_COUNT).map(|_| Histogram::new()).collect(),
             per_flow: BTreeMap::new(),
             recorded: 0,
@@ -177,17 +172,6 @@ impl FlightRecorder {
         flow.is_multiple_of(self.sample)
     }
 
-    /// Adds `cycles` to every subsequently recorded span (perf-gate
-    /// self-test hook; see [`FlightRecorder::bias`]).
-    pub fn set_bias(&mut self, cycles: u64) {
-        self.bias = cycles;
-    }
-
-    /// The configured span bias (0 in normal operation).
-    pub fn bias(&self) -> u64 {
-        self.bias
-    }
-
     /// Records a completed span of `cycles` for `flow` at `stage`.
     /// Unsampled flows cost one branch.
     #[inline]
@@ -196,7 +180,6 @@ impl FlightRecorder {
             self.unsampled += 1;
             return;
         }
-        let cycles = cycles + self.bias;
         self.stages[stage.index()].record(cycles);
         let agg = &mut self.per_flow.entry(flow).or_default()[stage.index()];
         agg.count += 1;
@@ -351,17 +334,6 @@ mod tests {
         assert_eq!(fr.sample_n(), 1);
         fr.record(FlightStage::TxEmit, 12345, 1);
         assert_eq!(fr.spans_recorded(), 1);
-    }
-
-    #[test]
-    fn bias_inflates_recorded_spans() {
-        let mut fr = FlightRecorder::new(1);
-        fr.record(FlightStage::FpuProcess, 1, 10);
-        fr.set_bias(100);
-        fr.record(FlightStage::FpuProcess, 1, 10);
-        let h = fr.stage_histogram(FlightStage::FpuProcess);
-        assert_eq!(h.min(), 10);
-        assert!(h.max() >= 110);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! adding, renaming or dropping a metric without updating the catalog
 //! is the exact class of silent observability rot it exists to catch.
 //!
-//! Regenerate with: `UPDATE_METRICS=1 cargo test --test metrics_catalog`
+//! Regenerate with: `UPDATE_GOLDEN=1 cargo test --test metrics_catalog`
 
 use f4t::core::{EngineConfig, EventKind, HostNotification};
 use f4t::sim::{MetricValue, MetricsRegistry};
@@ -110,7 +110,7 @@ fn catalog(reg: &MetricsRegistry) -> String {
          actually registers. Regenerate with:\n\
          \n\
          ```sh\n\
-         UPDATE_METRICS=1 cargo test --test metrics_catalog\n\
+         UPDATE_GOLDEN=1 cargo test --test metrics_catalog\n\
          ```\n\
          \n\
          Instance indices are normalized to `<i>` (`fpc0`, `fpc1`, …\n\
@@ -140,17 +140,17 @@ fn catalog(reg: &MetricsRegistry) -> String {
 fn metrics_md_matches_registry() {
     let got = catalog(&reference_registry());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/METRICS.md");
-    if std::env::var("UPDATE_METRICS").is_ok() {
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(path, &got).unwrap();
         eprintln!("wrote {path}");
         return;
     }
     let want = std::fs::read_to_string(path)
-        .expect("METRICS.md missing; run UPDATE_METRICS=1 cargo test --test metrics_catalog");
+        .expect("METRICS.md missing; run UPDATE_GOLDEN=1 cargo test --test metrics_catalog");
     assert!(
         got == want,
         "METRICS.md is out of date with the metrics the engine registers;\n\
-         regenerate with: UPDATE_METRICS=1 cargo test --test metrics_catalog"
+         regenerate with: UPDATE_GOLDEN=1 cargo test --test metrics_catalog"
     );
 }
 
