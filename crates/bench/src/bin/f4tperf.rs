@@ -21,8 +21,9 @@ use f4t_workloads::{INCAST_EPOCH_NS, SLOWLORIS_DRIP_BYTES};
 
 /// Process exit codes (also in `--help`): `0` success, `1` FtVerify
 /// design-rule violations, `2` usage or I/O error, `3` perf-gate
-/// regression (`--gate`, `--pulse-gate`). Regressions get their own code so CI can
-/// distinguish "the design broke a rule" from "the design got slower".
+/// regression (`--gate`, `--pulse-gate`). Regressions get their own code
+/// so CI can distinguish "the design broke a rule" from "the design got
+/// slower".
 const EXIT_VIOLATIONS: i32 = 1;
 const EXIT_USAGE: i32 = 2;
 const EXIT_PERF_REGRESSION: i32 = 3;
