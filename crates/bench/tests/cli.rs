@@ -565,10 +565,13 @@ fn unknown_workload_names_the_valid_ones() {
 /// and `results/pulse/<w>.json`. Each storm workload runs under a
 /// different impairment profile, so the baselines pin loss recovery as
 /// well as the clean path; impairments are seeded, so they are
-/// byte-stable too.
-const GATED: [(&str, &str); 7] = [
+/// byte-stable too. `echo-dram` is the one row whose flows outnumber the
+/// FPC slots (2048 flows over 8 × 128), so it pins TCB migration between
+/// the FPCs and DRAM on both nodes.
+const GATED: [(&str, &str); 8] = [
     ("bulk", "--workload bulk --cores 1 --size 4096 --warmup-ms 1 --duration-ms 1"),
     ("echo", "--workload echo --cores 1 --flows 64 --size 128 --warmup-ms 1 --duration-ms 1"),
+    ("echo-dram", "--workload echo --cores 8 --flows 2048 --size 128 --warmup-ms 1 --duration-ms 1"),
     ("scale", "--workload scale --flows 2048 --size 256 --duration-ms 1"),
     ("incast", "--workload incast --cores 2 --flows 24 --size 2048 --impair reorder --warmup-ms 1 --duration-ms 1"),
     ("churnstorm", "--workload churnstorm --cores 2 --flows 32 --impair lossy --warmup-ms 1 --duration-ms 2"),

@@ -1458,4 +1458,421 @@ mod tests {
             assert!(stalls.0 > 0 && stalls.1 > 0 && stalls.2 > 0, "{label}: stalls {stalls:?}");
         }
     }
+
+    /// Ticks `f` until its one FPU job has been issued, returning the
+    /// cycle after the dispatch.
+    fn tick_until_in_flight(f: &mut Fpc, mut c: u64, out: &mut FpcOutput) -> u64 {
+        while f.fpu_depth() == 0 {
+            f.tick(c, c * 4, true, out);
+            c += 1;
+            assert!(c < 100, "never dispatched");
+        }
+        c
+    }
+
+    /// During the FPU latency every reader of the slot sees the TCB as it
+    /// was dispatched; the pass lands in the slot at write-back, not
+    /// before.
+    #[test]
+    fn readers_see_the_pre_pass_tcb_until_write_back() {
+        let mut f = Fpc::new(0, 8, Arc::new(f4t_tcp::NewReno), Some(20), MSS, ScanPolicy::SkipIdle);
+        // Flow 1 has 700 B to send, so the install makes it pending; flow
+        // 2 is idle and stamped far in the future, so flow 1 becomes the
+        // coldest once its pass stamps it with the write-back time.
+        let mut hot = established_tcb(1);
+        hot.req = hot.req.add(700);
+        hot.last_active_ns = 100;
+        let mut idle = established_tcb(2);
+        idle.last_active_ns = 1_000_000;
+        assert!(f.push_tcb(idle, EventView::default()));
+        assert!(f.push_tcb(hot, EventView::default()));
+        let mut out = FpcOutput::default();
+        let mut c = tick_until_in_flight(&mut f, 0, &mut out);
+        assert_eq!(f.flow_count(), 2);
+        let resident = |f: &Fpc| *f.resident_tcbs().find(|t| t.flow == FlowId(1)).expect("resident");
+        let mut in_flight_cycles = 0;
+        while f.fpu_depth() == 1 {
+            assert_eq!(f.peek_tcb(FlowId(1)), Some(&hot), "peek, cycle {c}");
+            assert_eq!(resident(&f), hot, "resident_tcbs, cycle {c}");
+            assert_eq!(f.coldest_flow(), Some(FlowId(2)), "in flight: masked out, cycle {c}");
+            assert!(out.tx.is_empty(), "no segment before write-back, cycle {c}");
+            f.tick(c, c * 4, true, &mut out);
+            c += 1;
+            in_flight_cycles += 1;
+        }
+        assert_eq!(in_flight_cycles, 20, "one write-back, 20 cycles after dispatch");
+        let written = *f.peek_tcb(FlowId(1)).expect("still resident");
+        assert_eq!(written.snd_nxt, hot.snd_nxt.add(700), "the pass landed");
+        assert_eq!(written.last_active_ns, (c - 1) * 4, "stamped at write-back");
+        assert_eq!(resident(&f), written);
+        assert_eq!(f.coldest_flow(), Some(FlowId(1)), "post-pass stamp is older than flow 2's");
+        assert_eq!(out.tx.iter().map(|t| t.len).sum::<u32>(), 700);
+    }
+
+    /// An evict flag set on the slot while its TCB is in flight diverts
+    /// the processed TCB at write-back: at once when nothing else is
+    /// pending, and after one more pass when `request_evict` also marked
+    /// the slot pending.
+    #[test]
+    fn an_evict_flag_set_in_flight_diverts_at_write_back() {
+        for via_request in [false, true] {
+            let mut f = Fpc::new(0, 4, Arc::new(f4t_tcp::NewReno), Some(10), MSS, ScanPolicy::SkipIdle);
+            let mut t = established_tcb(7);
+            t.req = t.req.add(300);
+            assert!(f.push_tcb(t, EventView::default()));
+            let mut out = FpcOutput::default();
+            let mut c = tick_until_in_flight(&mut f, 0, &mut out);
+            if via_request {
+                assert!(f.request_evict(FlowId(7)));
+            } else {
+                let slot = f.cam.lookup(FlowId(7)).expect("resident");
+                f.table.set_evict(slot, true);
+            }
+            let passes = if via_request { 2 } else { 1 };
+            while out.evicted.is_empty() {
+                f.tick(c, c * 4, true, &mut out);
+                c += 1;
+                assert!(c < 200, "via_request {via_request}: never evicted");
+            }
+            assert_eq!(f.fpu.processed(), passes, "via_request {via_request}");
+            let gone = out.evicted[0];
+            assert_eq!(gone.flow, FlowId(7));
+            assert!(!gone.evict, "flag cleared on the way out");
+            assert_eq!(gone.snd_nxt, t.snd_nxt.add(300), "the pass ran before the divert");
+            assert_eq!(f.flow_count(), 0);
+            assert!(f.peek_tcb(FlowId(7)).is_none());
+        }
+    }
+
+    /// The coldest-flow column is written from the slot row at every
+    /// write-back (and at every touch and install in between).
+    #[test]
+    fn last_active_column_matches_every_row_after_each_write_back() {
+        use f4t_sim::SimRng;
+        let mut rng = SimRng::new(0x1A57);
+        let mut f = Fpc::new(0, 16, Arc::new(f4t_tcp::NewReno), Some(7), MSS, ScanPolicy::SkipIdle);
+        let mut out = FpcOutput::default();
+        let mut parked: Vec<Tcb> = (0..16).map(established_tcb).collect();
+        let mut req = [0u32; 16];
+        let mut write_backs = 0;
+        for c in 0..4_000u64 {
+            if let Some(t) = parked.pop() {
+                if !f.push_tcb(t, EventView::default()) {
+                    parked.push(t);
+                }
+            }
+            let id = rng.next_below(16) as usize;
+            if rng.next_below(3) == 0 {
+                let kind = random_event(&mut rng, id, &mut req, c);
+                f.push_event(FlowEvent::new(FlowId(id as u32), kind, c));
+            } else if rng.next_below(16) == 0 {
+                f.request_evict(FlowId(id as u32));
+            }
+            let before = f.fpu.processed();
+            f.tick(c, c * 4, true, &mut out);
+            if f.fpu.processed() > before {
+                write_backs += 1;
+                for i in f.table.occupied.iter() {
+                    let i = i as usize;
+                    let row = f.table.tcbs[i].last_active_ns;
+                    assert_eq!(f.table.last_active[i], row, "slot {i}, cycle {c}");
+                }
+            }
+            parked.append(&mut out.evicted);
+            for (flow, _, _) in out.outcomes.iter().filter(|(_, o, _)| o.closed) {
+                parked.push(established_tcb(flow.0));
+            }
+            out.outcomes.clear();
+        }
+        assert!(write_backs > 500, "{write_backs} write-backs");
+    }
+
+    /// What the engine reads of one write-back: the flow, the outcome's
+    /// pointers and flags, and the TCB's `snd_una`, `snd_nxt`, RTO and
+    /// probe deadlines.
+    type Report = (FlowId, Option<SeqNum>, Option<SeqNum>, [bool; 4], [SeqNum; 2], [Option<u64>; 2]);
+
+    fn write_back_view(flow: FlowId, o: &FpuOutcome, t: &Tcb) -> Report {
+        let flags = [o.connected, o.peer_fin, o.closed, o.more_work];
+        (flow, o.acked_upto, o.rcvd_upto, flags, [t.snd_una, t.snd_nxt], [t.rto_deadline, t.probe_deadline])
+    }
+
+    /// The FPC with a by-value FPU pipeline: the TCB manager copies the
+    /// slot's TCB into the pipeline at dispatch, the pass runs on that copy
+    /// and the evict checker stores it back (or diverts it) at write-back.
+    /// A second model of the FPC, kept to check the real one against.
+    struct ByValueFpc {
+        table: SlotTable,
+        cam: Cam,
+        cc: Arc<dyn CongestionControl>,
+        latency: u64,
+        /// In issue order: the TCB copy, the latched event view and the
+        /// write-back cycle.
+        jobs: Vec<(Tcb, EventView, u64)>,
+        rr_ptr: usize,
+        scan: ScanPolicy,
+        input_events: Fifo<FlowEvent>,
+        input_tcbs: Fifo<(Tcb, EventView)>,
+        /// The counters of [`counters`], in its order.
+        n: [u64; 12],
+    }
+
+    /// Every counter of an FPC and its FPU, in one order.
+    fn counters(f: &Fpc) -> [u64; 12] {
+        [
+            f.events_handled,
+            f.dispatches,
+            f.stale_events,
+            f.rmw_hazard_events,
+            f.stall_fifo_empty,
+            f.stall_tcb_wait,
+            f.stall_backpressure,
+            f.occupied_sum,
+            f.valid_sum,
+            f.fpu_depth_sum,
+            f.ticks,
+            f.fpu.processed(),
+        ]
+    }
+
+    const EVENTS: usize = 0;
+    const DISPATCHES: usize = 1;
+    const STALE: usize = 2;
+    const RMW_HAZARD: usize = 3;
+    const FIFO_EMPTY: usize = 4;
+    const TCB_WAIT: usize = 5;
+    const BACKPRESSURE: usize = 6;
+    const OCCUPIED: usize = 7;
+    const VALID: usize = 8;
+    const DEPTH: usize = 9;
+    const TICKS: usize = 10;
+    const PROCESSED: usize = 11;
+
+    /// One cycle's product of the by-value model, as the engine reads it.
+    #[derive(Default)]
+    struct ByValueOut {
+        tx: Vec<TxRequest>,
+        reports: Vec<Report>,
+        evicted: Vec<Tcb>,
+        installed: Vec<FlowId>,
+    }
+
+    impl ByValueFpc {
+        fn new(slots: usize, latency: u32, scan: ScanPolicy) -> ByValueFpc {
+            ByValueFpc {
+                table: SlotTable::new(slots),
+                cam: Cam::new(slots),
+                cc: Arc::new(f4t_tcp::NewReno),
+                latency: u64::from(latency).max(1),
+                jobs: Vec::new(),
+                rr_ptr: 0,
+                scan,
+                input_events: Fifo::new(Fpc::INPUT_FIFO_DEPTH),
+                input_tcbs: Fifo::new(4),
+                n: [0; 12],
+            }
+        }
+
+        fn push_event(&mut self, ev: FlowEvent) -> bool {
+            self.input_events.push(ev).is_ok()
+        }
+
+        fn push_tcb(&mut self, tcb: Tcb) -> bool {
+            let free = self.cam.capacity() - self.cam.len();
+            if self.input_tcbs.is_full() || free <= self.input_tcbs.len() {
+                return false;
+            }
+            self.input_tcbs.push((tcb, EventView::default())).is_ok()
+        }
+
+        fn request_evict(&mut self, flow: FlowId) -> bool {
+            let Some(idx) = self.cam.lookup(flow) else { return false };
+            self.table.set_evict(idx, true);
+            let since = self.table.last_progress[idx];
+            self.table.set_pending(idx, true, since);
+            true
+        }
+
+        fn tick(&mut self, cycle: u64, now_ns: u64, gate: bool, out: &mut ByValueOut) {
+            let t = &mut self.table;
+            self.n[TICKS] += 1;
+            self.n[OCCUPIED] += self.cam.len() as u64;
+            self.n[VALID] += t.pending.len() as u64;
+            self.n[DEPTH] += self.jobs.len() as u64;
+            if self.jobs.first().is_some_and(|j| j.2 <= cycle) {
+                let (mut tcb, ev, _) = self.jobs.remove(0);
+                let outcome = crate::fpu::process(self.cc.as_ref(), &mut tcb, &ev, now_ns, MSS);
+                self.n[PROCESSED] += 1;
+                let flow = tcb.flow;
+                let idx = self.cam.lookup(flow).expect("in-flight flow is resident");
+                t.in_fpu.remove(idx as u32);
+                let evict = tcb.evict || t.tcbs[idx].evict;
+                if outcome.closed {
+                    t.occupied.remove(idx as u32);
+                    t.evs[idx] = EventView::default();
+                    t.set_evict(idx, false);
+                    t.set_pending(idx, false, cycle);
+                    self.cam.remove(flow);
+                } else if evict && !t.evs[idx].any_except_dup_acks() && !t.pending.contains(idx as u32) {
+                    t.occupied.remove(idx as u32);
+                    t.evs[idx] = EventView::default();
+                    t.set_evict(idx, false);
+                    self.cam.remove(flow);
+                    out.evicted.push(Tcb { evict: false, ..tcb });
+                } else {
+                    t.store_tcb(idx, Tcb { evict, ..tcb });
+                    if evict || outcome.more_work {
+                        t.set_pending(idx, true, cycle);
+                    }
+                }
+                out.tx.extend_from_slice(&outcome.tx);
+                out.reports.push(write_back_view(flow, &outcome, &tcb));
+            }
+            if cycle.is_multiple_of(2) {
+                if let Some(ev) = self.input_events.pop() {
+                    match self.cam.lookup(ev.flow) {
+                        None => self.n[STALE] += 1,
+                        Some(idx) => {
+                            if t.in_fpu.contains(idx as u32) {
+                                self.n[RMW_HAZARD] += 1;
+                            }
+                            t.set_pending(idx, true, cycle);
+                            t.touch(idx, now_ns);
+                            self.n[EVENTS] += 1;
+                            t.evs[idx].accumulate(&t.tcbs[idx], ev.kind);
+                        }
+                    }
+                }
+                if let Some((tcb, ev)) = self.input_tcbs.pop() {
+                    let idx = self.cam.insert(tcb.flow).expect("free slot checked at push");
+                    let pending = tcb.can_send() || ev.any();
+                    t.store_tcb(idx, tcb);
+                    t.evs[idx] = ev;
+                    t.set_pending(idx, pending, cycle);
+                    t.in_fpu.remove(idx as u32);
+                    t.occupied.insert(idx as u32);
+                    t.last_progress[idx] = cycle;
+                    out.installed.push(tcb.flow);
+                }
+                return;
+            }
+            if !gate {
+                self.n[BACKPRESSURE] += 1;
+                return;
+            }
+            let pick = match self.scan {
+                ScanPolicy::FullIteration => {
+                    let idx = self.rr_ptr;
+                    self.rr_ptr = (idx + 1) % t.len();
+                    Some(idx).filter(|&i| t.dispatchable(i))
+                }
+                ScanPolicy::SkipIdle => t.next_dispatchable(self.rr_ptr).inspect(|&idx| {
+                    self.rr_ptr = (idx + 1) % t.len();
+                }),
+            };
+            let Some(idx) = pick else {
+                let idle = t.pending.is_empty() && self.input_events.is_empty();
+                self.n[if idle { FIFO_EMPTY } else { TCB_WAIT }] += 1;
+                return;
+            };
+            let merged = t.evs[idx];
+            t.evs[idx] = EventView { dup_acks: merged.dup_acks, ..EventView::default() };
+            t.set_pending(idx, false, cycle);
+            t.in_fpu.insert(idx as u32);
+            t.last_progress[idx] = cycle;
+            self.n[DISPATCHES] += 1;
+            self.jobs.push((t.tcbs[idx], merged, cycle + self.latency));
+        }
+    }
+
+    /// The in-place FPC against the by-value model. Both take the same
+    /// seeded streams of events (some for flows that are not resident),
+    /// evict requests (many landing while the flow's TCB is in flight),
+    /// swap-ins of new, evicted and re-opened flows, and a TX gate that
+    /// opens and closes. Every cycle the segments, the write-back reports,
+    /// the evicted and installed TCBs, every resident slot row and every
+    /// counter must match.
+    #[test]
+    fn in_place_pass_matches_the_by_value_pipeline() {
+        use f4t_sim::SimRng;
+        const FLOWS: usize = 14; // flows 12 and 13 are never installed
+        for (seed, latency, scan) in [
+            (1, 1, ScanPolicy::SkipIdle),
+            (2, 6, ScanPolicy::FullIteration),
+            (3, 41, ScanPolicy::SkipIdle),
+            (4, 68, ScanPolicy::SkipIdle),
+        ] {
+            let mut rng = SimRng::new(0xB7_5A1E + seed);
+            let mut real = Fpc::new(0, 8, Arc::new(f4t_tcp::NewReno), Some(latency), MSS, scan);
+            let mut model = ByValueFpc::new(8, latency, scan);
+            let (mut out, mut mout) = (FpcOutput::default(), ByValueOut::default());
+            let mut parked: Vec<Tcb> = (0..12).map(established_tcb).collect();
+            let mut req = [0u32; FLOWS];
+            let mut gate = true;
+            let (mut evicted, mut in_flight_evicts) = (0, 0);
+            for c in 0..10_000u64 {
+                let label = format!("seed {seed} cycle {c}");
+                if rng.next_below(2) == 0 {
+                    let id = rng.next_below(FLOWS as u64) as usize;
+                    let ev = FlowEvent::new(FlowId(id as u32), random_event(&mut rng, id, &mut req, c), c);
+                    assert_eq!(real.push_event(ev), model.push_event(ev), "{label}");
+                }
+                if rng.next_below(12) == 0 {
+                    let id = FlowId(rng.next_below(FLOWS as u64) as u32);
+                    let flying = real.cam.lookup(id).is_some_and(|i| real.table.in_fpu.contains(i as u32));
+                    in_flight_evicts += u64::from(flying);
+                    assert_eq!(real.request_evict(id), model.request_evict(id), "{label}");
+                }
+                if rng.next_below(4) == 0 {
+                    if let Some(t) = parked.pop() {
+                        let accepted = real.push_tcb(t, EventView::default());
+                        assert_eq!(accepted, model.push_tcb(t), "{label}");
+                        if !accepted {
+                            parked.push(t);
+                        }
+                    }
+                }
+                if rng.next_below(40) == 0 {
+                    gate = !gate;
+                }
+                real.tick(c, c * 4, gate, &mut out);
+                model.tick(c, c * 4, gate, &mut mout);
+
+                assert_eq!(out.tx, mout.tx, "segments, {label}");
+                let reports: Vec<Report> =
+                    out.outcomes.iter().map(|(f, o, t)| write_back_view(*f, o, t)).collect();
+                assert_eq!(reports, mout.reports, "write-back reports, {label}");
+                assert_eq!(out.evicted, mout.evicted, "evictions, {label}");
+                assert_eq!(out.installed, mout.installed, "installs, {label}");
+                assert_eq!(counters(&real), model.n, "counters, {label}");
+                let rows: Vec<u32> = real.table.occupied.iter().collect();
+                assert_eq!(rows, model.table.occupied.iter().collect::<Vec<_>>(), "{label}");
+                for i in rows {
+                    let i = i as usize;
+                    assert_eq!(real.table.tcbs[i], model.table.tcbs[i], "slot {i} row, {label}");
+                    assert_eq!(real.table.evs[i], model.table.evs[i], "slot {i} events, {label}");
+                }
+                let pending = |t: &SlotTable| t.pending.iter().collect::<Vec<_>>();
+                assert_eq!(pending(&real.table), pending(&model.table), "pending, {label}");
+
+                evicted += out.evicted.len();
+                parked.append(&mut out.evicted);
+                for &(flow, ..) in mout.reports.iter().filter(|r| r.3[2]) {
+                    parked.push(established_tcb(flow.0)); // a closed flow re-opens
+                }
+                out = FpcOutput::default();
+                mout = ByValueOut::default();
+            }
+            let n = model.n;
+            let label = format!("seed {seed} latency {latency} {scan:?}");
+            assert!(n[PROCESSED] > 500, "{label}: {n:?}");
+            assert!(n[STALE] > 0, "{label}: {n:?}");
+            // At latency 1 the write-back precedes the event handler in
+            // the same cycle, so no event ever finds its TCB in flight.
+            assert!(latency == 1 || n[RMW_HAZARD] > 0, "{label}: {n:?}");
+            assert!(n[FIFO_EMPTY] + n[TCB_WAIT] > 0 && n[BACKPRESSURE] > 0, "{label}: {n:?}");
+            assert!(evicted > 20, "{label}: {evicted} evictions");
+            assert!(latency == 1 || in_flight_evicts > 20, "{label}: {in_flight_evicts} in-flight evicts");
+        }
+    }
 }
