@@ -14,8 +14,7 @@
 //!   ([`Engine::peek_tcb`], [`Engine::stats`]).
 
 use crate::event::{EventKind, FlowEvent, TimeoutKind, TxRequest};
-use crate::fpc::{Fpc, FpcOutput, ScanPolicy};
-use crate::fpu::FpuOutcome;
+use crate::fpc::{Fpc, FpcOutput, ScanPolicy, WriteBack};
 use crate::memory_manager::{MemoryManager, MmOutput};
 use crate::packet_gen::PacketGenerator;
 use crate::rx_parser::{RxOutput, RxParser};
@@ -903,13 +902,8 @@ impl Engine {
         self.rx_parser.push_segment_at(syn, self.cycle);
     }
 
-    fn process_outcome(
-        &mut self,
-        flow: FlowId,
-        outcome: &FpuOutcome,
-        tcb: &Tcb,
-        probe: &mut Probe,
-    ) {
+    fn process_outcome(&mut self, wb: &WriteBack, probe: &mut Probe) {
+        let (flow, outcome) = (wb.flow, &wb.outcome);
         if outcome.connected {
             self.notifications.push_back(HostNotification::Connected { flow });
         }
@@ -936,11 +930,11 @@ impl Engine {
             self.free_flow_ids.push(flow.0);
             return;
         }
-        match tcb.rto_deadline {
+        match wb.rto_deadline {
             Some(d) => self.timers.arm(flow, TimeoutKind::Rto, d),
             None => self.timers.disarm(flow, TimeoutKind::Rto),
         }
-        match tcb.probe_deadline {
+        match wb.probe_deadline {
             Some(d) => self.timers.arm(flow, TimeoutKind::Probe, d),
             None => self.timers.disarm(flow, TimeoutKind::Probe),
         }
@@ -1024,8 +1018,13 @@ impl Engine {
 
         // 4. FPCs (scratch output buffers are reused across ticks: this
         //    is the simulator's hottest loop). A quiet FPC moves only its
-        //    counters and leaves the buffers alone; after a full tick every
-        //    buffer is drained, so each FPC finds them empty.
+        //    counters and leaves the buffers alone, and so does a busy one
+        //    that wrote back, evicted and installed nothing this cycle:
+        //    only an FPC that produced something is drained. Each FPC is
+        //    drained right after its own tick, in FPC order, never once
+        //    after the loop: an eviction drained here can land in a later
+        //    FPC's swap-in port and be installed by that FPC's tick in
+        //    this same cycle. After a drain every buffer is empty again.
         let gate = self.tx_overflow.is_empty() && self.pkt_gen.free() >= 16;
         let mut out = std::mem::take(&mut self.fpc_scratch);
         let mut busy = false;
@@ -1034,6 +1033,9 @@ impl Engine {
                 continue;
             }
             busy = true;
+            if out.is_empty() {
+                continue;
+            }
             let fpc_id = self.fpcs[i].id();
             for req in out.tx.drain(..) {
                 if req.retransmit {
@@ -1052,16 +1054,16 @@ impl Engine {
                     self.tx_overflow.push_back((req, cycle));
                 }
             }
-            for (flow, outcome, tcb) in out.outcomes.drain(..) {
+            for wb in out.outcomes.drain(..) {
                 probe.event(
                     cycle,
                     JournalModule::Fpu,
                     JournalKind::FpuDecision,
-                    flow.0,
+                    wb.flow.0,
                     u64::from(fpc_id),
-                    u64::from(tcb.snd_una.0) << 32 | u64::from(tcb.snd_nxt.0),
+                    u64::from(wb.snd_una.0) << 32 | u64::from(wb.snd_nxt.0),
                 );
-                self.process_outcome(flow, &outcome, &tcb, probe);
+                self.process_outcome(&wb, probe);
             }
             for tcb in out.evicted.drain(..) {
                 probe.event(

@@ -22,12 +22,12 @@
 //! i.e. 125 M events/s per FPC at 250 MHz.
 
 use crate::event::{FlowEvent, TxRequest};
-use crate::fpu::{EventView, Fpu, FpuOutcome};
+use crate::fpu::{EventView, Fpu, FpuOutcome, FpuResult};
 use f4t_mem::Cam;
 use f4t_sim::check::{InvariantChecker, PortTracker, ViolationKind};
 use f4t_sim::clock::odd_cycles_in;
 use f4t_sim::{Fifo, FlightStage, FlowSet, Probe};
-use f4t_tcp::{CongestionControl, FlowId, Tcb};
+use f4t_tcp::{CongestionControl, FlowId, SeqNum, Tcb};
 use std::sync::Arc;
 
 /// How the TCB manager walks the slot array.
@@ -110,8 +110,8 @@ impl SlotTable {
         self.occupied.first_in_and_not(&self.pending, &self.in_fpu, from as u32).map(|i| i as usize)
     }
 
-    /// Writes a slot's TCB, keeping the evict / last-active columns in
-    /// step with the fields they mirror.
+    /// Installs a swapped-in TCB in a slot, keeping the evict / last-active
+    /// columns in step with the fields they mirror.
     #[inline]
     fn store_tcb(&mut self, idx: usize, tcb: Tcb) {
         self.tcbs[idx] = tcb;
@@ -151,19 +151,49 @@ impl SlotTable {
     }
 }
 
+/// What one FPU write-back reports to the engine: the pass's outcome
+/// (host notifications) and the four fields of the written-back TCB the
+/// engine reads (the journal's send pointers and the timer deadlines).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WriteBack {
+    /// The flow whose TCB was processed.
+    pub flow: FlowId,
+    /// Side effects of the pass.
+    pub outcome: FpuOutcome,
+    /// `Tcb::snd_una` after the pass.
+    pub snd_una: SeqNum,
+    /// `Tcb::snd_nxt` after the pass.
+    pub snd_nxt: SeqNum,
+    /// `Tcb::rto_deadline` after the pass.
+    pub rto_deadline: Option<u64>,
+    /// `Tcb::probe_deadline` after the pass.
+    pub probe_deadline: Option<u64>,
+}
+
 /// Everything an FPC produced in one cycle, drained by the engine.
 #[derive(Debug, Default)]
 pub struct FpcOutput {
-    /// Transmit requests for the packet generator.
+    /// Transmit requests for the packet generator; the FPU pass writes
+    /// its segments here directly.
     pub tx: Vec<TxRequest>,
-    /// FPU outcomes (host notifications, timer re-arms) per flow.
-    pub outcomes: Vec<(FlowId, FpuOutcome, Tcb)>,
+    /// One report per FPU write-back.
+    pub outcomes: Vec<WriteBack>,
     /// TCBs diverted by the evict checker (destined for DRAM or another
     /// FPC, per the scheduler's migration in progress).
     pub evicted: Vec<Tcb>,
     /// Flows whose swap-in completed this cycle (the engine flips their
     /// location-LUT entry from Moving to this FPC).
     pub installed: Vec<FlowId>,
+}
+
+impl FpcOutput {
+    /// Whether the FPC produced nothing since the last drain.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.tx.is_empty()
+            && self.outcomes.is_empty()
+            && self.evicted.is_empty()
+            && self.installed.is_empty()
+    }
 }
 
 /// A flow processing core.
@@ -549,7 +579,7 @@ impl Fpc {
         self.table.in_fpu.insert(idx as u32);
         self.table.last_progress[idx] = now_cycle;
         self.dispatches += 1;
-        self.fpu.issue(self.table.tcbs[idx], merged_ev, now_cycle);
+        self.fpu.issue(idx, self.table.tcbs[idx].flow, merged_ev, now_cycle);
         true
     }
 
@@ -623,67 +653,11 @@ impl Fpc {
         self.occupied_sum += self.cam.len() as u64;
         self.valid_sum += self.table.pending.len() as u64;
         self.fpu_depth_sum += self.fpu.depth_used() as u64;
-        // FPU advances every cycle; completions write back / evict.
-        if let Some(mut result) = self.fpu.tick(cycle, now_ns) {
-            let flow = result.tcb.flow;
-            probe.span(FlightStage::FpuProcess, flow.0, cycle.saturating_sub(result.issued_cycle));
-            if let Some(c) = probe.check() {
-                // FPU write-back port on the TCB table.
-                self.tcb_ports.access(cycle, 1, c);
-            }
-            if let Some(idx) = self.cam.lookup(flow) {
-                if let Some(c) = probe.check() {
-                    if !self.table.in_fpu.contains(idx as u32) {
-                        // The pipeline returned a TCB the slot bookkeeping
-                        // no longer considers in flight: a stale copy was
-                        // processed concurrently with the live slot.
-                        c.report(
-                            cycle,
-                            ViolationKind::RmwHazard,
-                            format!("fpc{}", self.id),
-                            format!("FPU write-back for flow {flow} whose slot is not in-FPU"),
-                        );
-                    }
-                }
-                self.table.in_fpu.remove(idx as u32);
-                // The evict flag may have been set on the slot while this
-                // TCB was in flight; honour it either way.
-                let evict_requested = result.tcb.evict || self.table.tcbs[idx].evict;
-                // Evict checker: divert processed TCBs with the flag set,
-                // but only once no unprocessed events remain (ensuring
-                // "TCBs are always processed before they are evicted").
-                if result.outcome.closed {
-                    // Connection fully closed: free the slot and CAM
-                    // entry; the engine tears down the flow-table and
-                    // location-LUT state from the Closed notification.
-                    self.table.occupied.remove(idx as u32);
-                    self.table.evs[idx] = EventView::default();
-                    self.table.set_evict(idx, false);
-                    self.table.set_pending(idx, false, cycle);
-                    self.cam.remove(flow);
-                } else if evict_requested
-                    && !self.table.evs[idx].any_except_dup_acks()
-                    && !self.table.pending.contains(idx as u32)
-                {
-                    let mut tcb = result.tcb;
-                    tcb.evict = false;
-                    self.table.occupied.remove(idx as u32);
-                    self.table.evs[idx] = EventView::default();
-                    self.table.set_evict(idx, false);
-                    self.cam.remove(flow);
-                    out.evicted.push(tcb);
-                } else {
-                    self.table.store_tcb(idx, Tcb { evict: evict_requested, ..result.tcb });
-                    if evict_requested || result.outcome.more_work {
-                        self.table.set_pending(idx, true, cycle);
-                    }
-                }
-                // The engine reads only the outcome's flags and pointers.
-                out.tx.append(&mut result.outcome.tx);
-                out.outcomes.push((flow, result.outcome, result.tcb));
-            } else {
-                debug_assert!(false, "FPU completed for unknown flow {flow}");
-            }
+        // FPU advances every cycle; a completing job runs its pass on the
+        // slot's TCB in place and writes its segments into `out.tx`. Until
+        // this cycle every reader of the slot saw the dispatched TCB.
+        if let Some(result) = self.fpu.tick(cycle, now_ns, &mut self.table.tcbs, &mut out.tx) {
+            self.write_back(result, cycle, out, probe);
         }
 
         if cycle.is_multiple_of(2) {
@@ -724,6 +698,72 @@ impl Fpc {
             // Odd cycle: TCB-manager dispatch (FPU writeback handled above).
             self.dispatch(cycle, tx_gate_open, probe);
         }
+    }
+
+    /// The evict checker at FPU write-back: frees the slot of a closed
+    /// connection, diverts a TCB whose evict flag is set (the flag only
+    /// turns on while the TCB is in flight, so the slot's flag is the
+    /// request), and otherwise keeps the processed TCB in its slot.
+    fn write_back(
+        &mut self,
+        result: FpuResult,
+        cycle: u64,
+        out: &mut FpcOutput,
+        probe: &mut Probe,
+    ) {
+        let idx = result.slot;
+        let row = &self.table.tcbs[idx];
+        let (flow, evict) = (row.flow, row.evict);
+        self.table.last_active[idx] = row.last_active_ns;
+        let report = WriteBack {
+            flow,
+            outcome: result.outcome,
+            snd_una: row.snd_una,
+            snd_nxt: row.snd_nxt,
+            rto_deadline: row.rto_deadline,
+            probe_deadline: row.probe_deadline,
+        };
+        debug_assert_eq!(self.cam.lookup(flow), Some(idx), "FPU job's slot does not hold {flow}");
+        probe.span(FlightStage::FpuProcess, flow.0, cycle.saturating_sub(result.issued_cycle));
+        if let Some(c) = probe.check() {
+            // FPU write-back port on the TCB table.
+            self.tcb_ports.access(cycle, 1, c);
+            if !self.table.in_fpu.contains(idx as u32) {
+                // The pipeline wrote back a slot the bookkeeping no longer
+                // considers in flight: two passes overlapped on one TCB.
+                c.report(
+                    cycle,
+                    ViolationKind::RmwHazard,
+                    format!("fpc{}", self.id),
+                    format!("FPU write-back for flow {flow} whose slot is not in-FPU"),
+                );
+            }
+        }
+        self.table.in_fpu.remove(idx as u32);
+        if result.outcome.closed {
+            // Connection fully closed: free the slot and CAM entry; the
+            // engine tears down the flow-table and location-LUT state from
+            // the Closed notification.
+            self.table.occupied.remove(idx as u32);
+            self.table.evs[idx] = EventView::default();
+            self.table.set_evict(idx, false);
+            self.table.set_pending(idx, false, cycle);
+            self.cam.remove(flow);
+        } else if evict
+            && !self.table.evs[idx].any_except_dup_acks()
+            && !self.table.pending.contains(idx as u32)
+        {
+            // Divert only once no unprocessed events remain ("TCBs are
+            // always processed before they are evicted").
+            self.table.occupied.remove(idx as u32);
+            self.table.evs[idx] = EventView::default();
+            self.table.set_evict(idx, false);
+            self.cam.remove(flow);
+            out.evicted.push(self.table.tcbs[idx]);
+        } else if evict || result.outcome.more_work {
+            self.table.set_pending(idx, true, cycle);
+        }
+        out.outcomes.push(report);
     }
 
     /// Activity horizon: the earliest cycle at which ticking this FPC can
@@ -1439,8 +1479,8 @@ mod tests {
                 }
                 parked.append(&mut out_r.evicted);
                 // A closed flow comes back as a fresh connection.
-                for (flow, _, _) in out_r.outcomes.iter().filter(|(_, o, _)| o.closed) {
-                    parked.push(established_tcb(flow.0));
+                for w in out_r.outcomes.iter().filter(|w| w.outcome.closed) {
+                    parked.push(established_tcb(w.flow.0));
                     closed += 1;
                 }
                 out_f = FpcOutput::default();
@@ -1579,22 +1619,24 @@ mod tests {
                 }
             }
             parked.append(&mut out.evicted);
-            for (flow, _, _) in out.outcomes.iter().filter(|(_, o, _)| o.closed) {
-                parked.push(established_tcb(flow.0));
+            for w in out.outcomes.iter().filter(|w| w.outcome.closed) {
+                parked.push(established_tcb(w.flow.0));
             }
             out.outcomes.clear();
         }
         assert!(write_backs > 500, "{write_backs} write-backs");
     }
 
-    /// What the engine reads of one write-back: the flow, the outcome's
-    /// pointers and flags, and the TCB's `snd_una`, `snd_nxt`, RTO and
-    /// probe deadlines.
-    type Report = (FlowId, Option<SeqNum>, Option<SeqNum>, [bool; 4], [SeqNum; 2], [Option<u64>; 2]);
-
-    fn write_back_view(flow: FlowId, o: &FpuOutcome, t: &Tcb) -> Report {
-        let flags = [o.connected, o.peer_fin, o.closed, o.more_work];
-        (flow, o.acked_upto, o.rcvd_upto, flags, [t.snd_una, t.snd_nxt], [t.rto_deadline, t.probe_deadline])
+    /// What the engine reads of one write-back of `t`.
+    fn write_back_view(outcome: FpuOutcome, t: &Tcb) -> WriteBack {
+        WriteBack {
+            flow: t.flow,
+            outcome,
+            snd_una: t.snd_una,
+            snd_nxt: t.snd_nxt,
+            rto_deadline: t.rto_deadline,
+            probe_deadline: t.probe_deadline,
+        }
     }
 
     /// The FPC with a by-value FPU pipeline: the TCB manager copies the
@@ -1652,7 +1694,7 @@ mod tests {
     #[derive(Default)]
     struct ByValueOut {
         tx: Vec<TxRequest>,
-        reports: Vec<Report>,
+        reports: Vec<WriteBack>,
         evicted: Vec<Tcb>,
         installed: Vec<FlowId>,
     }
@@ -1701,7 +1743,7 @@ mod tests {
             self.n[DEPTH] += self.jobs.len() as u64;
             if self.jobs.first().is_some_and(|j| j.2 <= cycle) {
                 let (mut tcb, ev, _) = self.jobs.remove(0);
-                let outcome = crate::fpu::process(self.cc.as_ref(), &mut tcb, &ev, now_ns, MSS);
+                let (outcome, tx) = crate::fpu::process(self.cc.as_ref(), &mut tcb, &ev, now_ns, MSS);
                 self.n[PROCESSED] += 1;
                 let flow = tcb.flow;
                 let idx = self.cam.lookup(flow).expect("in-flight flow is resident");
@@ -1725,8 +1767,8 @@ mod tests {
                         t.set_pending(idx, true, cycle);
                     }
                 }
-                out.tx.extend_from_slice(&outcome.tx);
-                out.reports.push(write_back_view(flow, &outcome, &tcb));
+                out.tx.extend(tx);
+                out.reports.push(write_back_view(outcome, &tcb));
             }
             if cycle.is_multiple_of(2) {
                 if let Some(ev) = self.input_events.pop() {
@@ -1839,26 +1881,26 @@ mod tests {
                 model.tick(c, c * 4, gate, &mut mout);
 
                 assert_eq!(out.tx, mout.tx, "segments, {label}");
-                let reports: Vec<Report> =
-                    out.outcomes.iter().map(|(f, o, t)| write_back_view(*f, o, t)).collect();
-                assert_eq!(reports, mout.reports, "write-back reports, {label}");
+                assert_eq!(out.outcomes, mout.reports, "write-back reports, {label}");
                 assert_eq!(out.evicted, mout.evicted, "evictions, {label}");
                 assert_eq!(out.installed, mout.installed, "installs, {label}");
                 assert_eq!(counters(&real), model.n, "counters, {label}");
                 let rows: Vec<u32> = real.table.occupied.iter().collect();
                 assert_eq!(rows, model.table.occupied.iter().collect::<Vec<_>>(), "{label}");
                 for i in rows {
-                    let i = i as usize;
-                    assert_eq!(real.table.tcbs[i], model.table.tcbs[i], "slot {i} row, {label}");
-                    assert_eq!(real.table.evs[i], model.table.evs[i], "slot {i} events, {label}");
+                    let (r, m, i) = (&real.table, &model.table, i as usize);
+                    assert_eq!(r.tcbs[i], m.tcbs[i], "slot {i} row, {label}");
+                    assert_eq!(r.evs[i], m.evs[i], "slot {i} events, {label}");
+                    assert_eq!(r.last_active[i], m.last_active[i], "slot {i} column, {label}");
                 }
-                let pending = |t: &SlotTable| t.pending.iter().collect::<Vec<_>>();
-                assert_eq!(pending(&real.table), pending(&model.table), "pending, {label}");
+                let set = |s: &FlowSet| s.iter().collect::<Vec<_>>();
+                assert_eq!(set(&real.table.pending), set(&model.table.pending), "pending, {label}");
+                assert_eq!(set(&real.table.evict), set(&model.table.evict), "evict, {label}");
 
                 evicted += out.evicted.len();
                 parked.append(&mut out.evicted);
-                for &(flow, ..) in mout.reports.iter().filter(|r| r.3[2]) {
-                    parked.push(established_tcb(flow.0)); // a closed flow re-opens
+                for w in mout.reports.iter().filter(|w| w.outcome.closed) {
+                    parked.push(established_tcb(w.flow.0)); // a closed flow re-opens
                 }
                 out = FpcOutput::default();
                 mout = ByValueOut::default();

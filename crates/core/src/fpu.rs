@@ -7,12 +7,14 @@
 //! every initiation interval regardless of pipeline depth, which is why
 //! F4T's throughput is invariant to algorithm complexity (Fig. 15).
 //!
-//! [`process`] is the combinational function the paper's users write in
-//! HLS C++: an ordered list of calls into connection management,
-//! reliability and flow control, with congestion control behind the
+//! The pass is the combinational function the paper's users write in HLS
+//! C++: an ordered list of calls into connection management, reliability
+//! and flow control, with congestion control behind the
 //! [`CongestionControl`] trait. [`Fpu`] is the pipeline wrapper that
-//! models its latency. [`EventView`] is the event-table half and owns the
-//! event handler's merge.
+//! models its latency: a job names a TCB slot, and the pass runs on that
+//! slot's row at write-back, writing its segments into the caller's
+//! buffer. [`process`] is the same pass on a caller's TCB. [`EventView`]
+//! is the event-table half and owns the event handler's merge.
 
 use crate::event::{EventKind, TimeoutKind, TxRequest};
 use f4t_tcp::{CongestionControl, SeqNum, Tcb, TcpFlags, TcpState};
@@ -178,11 +180,9 @@ impl EventView {
     }
 }
 
-/// What one FPU pass produced besides the updated TCB.
-#[derive(Debug, Clone, Default)]
+/// What one FPU pass produced besides the updated TCB and its segments.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FpuOutcome {
-    /// Segments to hand to the packet generator.
-    pub tx: Vec<TxRequest>,
     /// New cumulative ACKed-data pointer to report to the host
     /// ("FtEngine sends ACKed data ... pointers to the software").
     pub acked_upto: Option<SeqNum>,
@@ -210,9 +210,25 @@ pub const MAX_BURST: u32 = 65_536;
 /// final FIN) at simulable timescales.
 pub const TIME_WAIT_NS: u64 = 100_000;
 
-/// Processes one merged TCB: the entire TCP algorithm suite — handshake,
-/// ACK clocking, congestion/flow control, loss recovery, retransmission,
-/// probing, ACK generation — as a pure function of `(tcb, events, now)`.
+/// Processes one merged TCB with [`run_pass`], returning the outcome and
+/// the segments the pass built. The [`Fpu`] runs the same pass on a slot
+/// row at write-back; this form serves callers holding a TCB of their own.
+pub fn process(
+    cc: &dyn CongestionControl,
+    tcb: &mut Tcb,
+    ev: &EventView,
+    now_ns: u64,
+    mss: u32,
+) -> (FpuOutcome, Vec<TxRequest>) {
+    let mut tx = Vec::new();
+    let outcome = run_pass(cc, tcb, ev, now_ns, mss, &mut tx);
+    (outcome, tx)
+}
+
+/// The one FPU pass: the entire TCP algorithm suite — handshake, ACK
+/// clocking, congestion/flow control, loss recovery, retransmission,
+/// probing, ACK generation — as a pure function of `(tcb, events, now)`,
+/// appending its segments to `tx`.
 ///
 /// This function is deliberately *stateless*: every read and write goes
 /// through `tcb`. It is the Rust analogue of the HLS C++ the paper's
@@ -220,19 +236,24 @@ pub const TIME_WAIT_NS: u64 = 100_000;
 /// fixed step order, one call per step into connection management,
 /// reliability or flow control (congestion control is `cc`). Each step
 /// reads what the earlier ones wrote, so the order is the behaviour.
-pub fn process(
+fn run_pass(
     cc: &dyn CongestionControl,
     tcb: &mut Tcb,
     ev: &EventView,
     now_ns: u64,
     mss: u32,
+    tx: &mut Vec<TxRequest>,
 ) -> FpuOutcome {
     tcb.last_active_ns = now_ns;
     let mut p = Pass {
         now_ns,
+        out: FpuOutcome::default(),
+        tx,
         ack_due: ev.needs_ack,
+        retransmit_due: false,
+        go_back_n: false,
+        sent_data: false,
         prev_advertised: tcb.advertised_window(),
-        ..Pass::default()
     };
     ev.absorb(tcb); // 0: the view's pointers, then the peer's timestamp
     if ev.ts_val != 0 {
@@ -263,11 +284,12 @@ pub fn process(
     p.out
 }
 
-/// What one [`process`] pass carries from step to step.
-#[derive(Default)]
-struct Pass {
+/// What one [`run_pass`] carries from step to step.
+struct Pass<'a> {
     now_ns: u64,
     out: FpuOutcome,
+    /// Where the pass's segments go.
+    tx: &'a mut Vec<TxRequest>,
     /// An ACK is owed; any data, retransmission or FIN carries it.
     ack_due: bool,
     /// Fast retransmit, a partial ACK or an RTO wants the head resent.
@@ -403,7 +425,7 @@ fn hold_time_wait(tcb: &mut Tcb, ev: &EventView, p: &mut Pass) {
         tcb.rto_deadline = None;
         p.out.closed = true;
     } else if p.ack_due {
-        p.out.tx.push(segment(tcb, tcb.snd_nxt, 0, TcpFlags::ACK, false));
+        p.tx.push(segment(tcb, tcb.snd_nxt, 0, TcpFlags::ACK, false));
     }
 }
 
@@ -425,7 +447,7 @@ fn send_fin_when_drained(tcb: &mut Tcb, p: &mut Pass) {
 
 /// A SYN or FIN: its phantom byte takes one sequence number, under the RTO.
 fn send_control(tcb: &mut Tcb, flags: TcpFlags, p: &mut Pass) {
-    p.out.tx.push(segment(tcb, tcb.snd_nxt, 0, flags, false));
+    p.tx.push(segment(tcb, tcb.snd_nxt, 0, flags, false));
     tcb.snd_nxt = tcb.snd_nxt.add(1);
     tcb.rto_deadline = Some(p.now_ns + tcb.rto.rto_ns());
 }
@@ -526,7 +548,7 @@ fn retransmit_head(tcb: &mut Tcb, mss: u32, p: &mut Pass) {
     let fin = matches!(tcb.state, TcpState::FinWait | TcpState::Closing)
         && tcb.snd_una.add(span) == tcb.snd_max;
     let flags = if fin { TcpFlags::FIN | TcpFlags::ACK } else { TcpFlags::ACK };
-    p.out.tx.push(segment(tcb, tcb.snd_una, span - u32::from(fin), flags, true));
+    p.tx.push(segment(tcb, tcb.snd_una, span - u32::from(fin), flags, true));
     if p.go_back_n {
         tcb.snd_nxt = tcb.snd_una.add(span);
     }
@@ -548,7 +570,7 @@ fn probe_zero_window(tcb: &mut Tcb, ev: &EventView, p: &mut Pass) {
     if fired {
         let fresh = tcb.flight_size() == 0;
         let seq = if fresh { tcb.snd_nxt } else { tcb.snd_una };
-        p.out.tx.push(segment(tcb, seq, 1, TcpFlags::ACK, !fresh));
+        p.tx.push(segment(tcb, seq, 1, TcpFlags::ACK, !fresh));
         if fresh {
             tcb.snd_nxt = tcb.snd_nxt.add(1);
         }
@@ -565,7 +587,7 @@ fn send_new_data(tcb: &mut Tcb, p: &mut Pass) {
     if n == 0 {
         return;
     }
-    p.out.tx.push(segment(tcb, tcb.snd_nxt, n, TcpFlags::ACK, false));
+    p.tx.push(segment(tcb, tcb.snd_nxt, n, TcpFlags::ACK, false));
     tcb.snd_nxt = tcb.snd_nxt.add(n);
     if tcb.rto_deadline.is_none() {
         tcb.rto_deadline = Some(p.now_ns + tcb.rto.rto_ns());
@@ -589,36 +611,40 @@ fn send_acks(tcb: &Tcb, ev: &EventView, p: &mut Pass) {
     let repeats = if gap_open { (ev.dup_ack_gen - 1).min(7) } else { 0 };
     let ack = segment(tcb, tcb.snd_nxt, 0, TcpFlags::ACK, false);
     for _ in 0..=repeats {
-        p.out.tx.push(ack);
+        p.tx.push(ack);
     }
 }
 
-/// One in-flight FPU job.
-#[derive(Debug, Clone)]
+/// One in-flight FPU job: the slot whose TCB it processes and the event
+/// view latched at dispatch. The TCB stays in its slot; the slot's event
+/// half keeps accumulating while the job is in flight.
+#[derive(Debug, Clone, Copy)]
 struct FpuJob {
-    tcb: Tcb,
+    slot: u32,
+    flow: f4t_tcp::FlowId,
     ev: EventView,
-    /// Cycle at which the pipeline emits the result.
+    /// Cycle at which the pipeline writes the result back.
     ready_cycle: u64,
     /// Cycle at which the job was issued (FtFlight `fpu_process` span).
     issued_cycle: u64,
 }
 
-/// A finished FPU job: the updated TCB plus side effects.
-#[derive(Debug, Clone)]
+/// A finished FPU job: the slot written back and the pass's side effects.
+#[derive(Debug, Clone, Copy)]
 pub struct FpuResult {
-    /// The written-back TCB.
-    pub tcb: Tcb,
+    /// The slot whose TCB the pass updated.
+    pub slot: usize,
     /// Side effects of the pass.
     pub outcome: FpuOutcome,
     /// Cycle the job entered the pipeline (FtFlight `fpu_process` span).
     pub issued_cycle: u64,
 }
 
-/// The pipelined FPU. TCBs enter with [`Fpu::issue`]; results emerge
-/// `latency` cycles later from [`Fpu::tick`]. The pipeline never stalls —
-/// issue capacity is one per cycle regardless of depth, which is the
-/// versatility property Fig. 15 measures.
+/// The pipelined FPU. Slot jobs enter with [`Fpu::issue`]; `latency`
+/// cycles later [`Fpu::tick`] runs the pass on the slot's TCB, so every
+/// reader of the slot sees the dispatched TCB until write-back. The
+/// pipeline never stalls — issue capacity is one per cycle regardless of
+/// depth, which is the versatility property Fig. 15 measures.
 #[derive(Debug)]
 pub struct Fpu {
     cc: Arc<dyn CongestionControl>,
@@ -649,10 +675,12 @@ impl Fpu {
         self.cc.as_ref()
     }
 
-    /// Issues a merged TCB into the pipeline at cycle `now_cycle`.
-    pub fn issue(&mut self, tcb: Tcb, ev: EventView, now_cycle: u64) {
+    /// Issues the TCB in `slot` (flow `flow`) with its merged event view
+    /// into the pipeline at cycle `now_cycle`.
+    pub fn issue(&mut self, slot: usize, flow: f4t_tcp::FlowId, ev: EventView, now_cycle: u64) {
         self.pipeline.push_back(FpuJob {
-            tcb,
+            slot: slot as u32,
+            flow,
             ev,
             ready_cycle: now_cycle + self.latency,
             issued_cycle: now_cycle,
@@ -662,7 +690,7 @@ impl Fpu {
     /// Whether a TCB for `flow` is currently in the pipeline (the TCB
     /// manager must not re-issue it — the data-hazard guard).
     pub fn in_flight(&self, flow: f4t_tcp::FlowId) -> bool {
-        self.pipeline.iter().any(|j| j.tcb.flow == flow)
+        self.pipeline.iter().any(|j| j.flow == flow)
     }
 
     /// Number of jobs in the pipeline.
@@ -682,15 +710,23 @@ impl Fpu {
         self.processed
     }
 
-    /// Advances one cycle; returns the job completing this cycle, if any.
-    pub fn tick(&mut self, now_cycle: u64, now_ns: u64) -> Option<FpuResult> {
+    /// Advances one cycle. The job completing this cycle, if any, runs
+    /// its pass on `tcbs[slot]` in place, appending its segments to `tx`.
+    pub fn tick(
+        &mut self,
+        now_cycle: u64,
+        now_ns: u64,
+        tcbs: &mut [Tcb],
+        tx: &mut Vec<TxRequest>,
+    ) -> Option<FpuResult> {
         if self.pipeline.front().is_none_or(|j| j.ready_cycle > now_cycle) {
             return None;
         }
-        let mut job = self.pipeline.pop_front()?;
-        let outcome = process(self.cc.as_ref(), &mut job.tcb, &job.ev, now_ns, self.mss);
+        let job = self.pipeline.pop_front()?;
+        let slot = job.slot as usize;
+        let outcome = run_pass(self.cc.as_ref(), &mut tcbs[slot], &job.ev, now_ns, self.mss, tx);
         self.processed += 1;
-        Some(FpuResult { tcb: job.tcb, outcome, issued_cycle: job.issued_cycle })
+        Some(FpuResult { slot, outcome, issued_cycle: job.issued_cycle })
     }
 }
 
@@ -705,8 +741,23 @@ mod tests {
         t
     }
 
-    fn run(tcb: &mut Tcb, ev: EventView, now: u64) -> FpuOutcome {
-        process(&NewReno, tcb, &ev, now, MSS)
+    /// One pass through [`process`]: the outcome's fields read through
+    /// `Deref`, the segments as `tx`.
+    struct Out {
+        outcome: FpuOutcome,
+        tx: Vec<TxRequest>,
+    }
+
+    impl std::ops::Deref for Out {
+        type Target = FpuOutcome;
+        fn deref(&self) -> &FpuOutcome {
+            &self.outcome
+        }
+    }
+
+    fn run(tcb: &mut Tcb, ev: EventView, now: u64) -> Out {
+        let (outcome, tx) = process(&NewReno, tcb, &ev, now, MSS);
+        Out { outcome, tx }
     }
 
     /// Connection management: open, close, TIME-WAIT, reset.
@@ -1210,14 +1261,21 @@ mod tests {
         #[test]
         fn pipeline_latency_and_order() {
             let mut fpu = Fpu::new(Arc::new(NewReno), Some(5), MSS);
-            let t = established();
-            fpu.issue(t, EventView::default(), 10);
+            // Slot 1 holds flow 1; slot 0 is a bystander.
+            let mut tcbs = vec![Tcb::new(FlowId(0)), established()];
+            tcbs[1].last_active_ns = 7;
+            let mut tx = Vec::new();
+            fpu.issue(1, FlowId(1), EventView::default(), 10);
             assert!(fpu.in_flight(FlowId(1)));
             for c in 10..15 {
-                assert!(fpu.tick(c, 0).is_none(), "not ready at cycle {c}");
+                assert!(fpu.tick(c, c, &mut tcbs, &mut tx).is_none(), "not ready at cycle {c}");
+                assert_eq!(tcbs[1].last_active_ns, 7, "the slot is untouched at cycle {c}");
             }
-            let r = fpu.tick(15, 0).expect("ready after 5 cycles");
-            assert_eq!(r.tcb.flow, FlowId(1));
+            let r = fpu.tick(15, 15, &mut tcbs, &mut tx).expect("ready after 5 cycles");
+            assert_eq!((r.slot, r.issued_cycle), (1, 10));
+            assert_eq!(tcbs[r.slot].flow, FlowId(1));
+            assert_eq!(tcbs[1].last_active_ns, 15, "the pass ran on the slot at write-back");
+            assert_eq!(tcbs[0], Tcb::new(FlowId(0)), "no other slot written");
             assert!(!fpu.in_flight(FlowId(1)));
             assert_eq!(fpu.processed(), 1);
         }
@@ -1227,15 +1285,16 @@ mod tests {
             // Fully pipelined: three TCBs issued on consecutive cycles emerge
             // on consecutive cycles, regardless of a deep pipeline.
             let mut fpu = Fpu::new(Arc::new(NewReno), Some(68), MSS);
+            let mut tcbs: Vec<Tcb> =
+                (0..3).map(|i| Tcb { flow: FlowId(i), ..established() }).collect();
             for (i, c) in (100..103).enumerate() {
-                let mut t = established();
-                t.flow = FlowId(i as u32);
-                fpu.issue(t, EventView::default(), c);
+                fpu.issue(i, FlowId(i as u32), EventView::default(), c);
             }
+            let mut tx = Vec::new();
             let mut done = Vec::new();
             for c in 100..200 {
-                if let Some(r) = fpu.tick(c, 0) {
-                    done.push((c, r.tcb.flow));
+                if let Some(r) = fpu.tick(c, 0, &mut tcbs, &mut tx) {
+                    done.push((c, tcbs[r.slot].flow));
                 }
             }
             assert_eq!(done.len(), 3);

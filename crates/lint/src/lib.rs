@@ -437,6 +437,12 @@ mod tests {
 fn merge(v: &mut View) {
     v.dup_ack_gen = v.dup_ack_gen.saturating_add(1);
 }
+struct FpuJob {
+    slot: u32,
+}
+pub struct FpuOutcome {
+    pub closed: bool,
+}
 ";
     const FPC: &str = "fn dispatch(s: &mut Fpc) {
     s.stall_fifo_empty += 1;
@@ -497,6 +503,7 @@ impl Node {
             ("crates/core/src/memory_manager.rs", "core", "fn accumulate(&mut self) {}\n".into()),
             ("crates/core/src/memory_manager.rs", "core", FPU.replace("TxRequest", "Segment")),
             ("crates/core/src/fpu.rs", "core", format!("{FPU}fn ack() {{\n    let _ = TxRequest {{ seq: 1 }};\n}}\n")),
+            ("crates/core/src/fpu.rs", "core", FPU.replace("    slot: u32,\n", "    tcb: Tcb,\n")),
             ("crates/mem/src/tcb_cache.rs", "mem", "struct TcbCache {\n    sets: Vec<Option<(Tcb, bool)>>,\n}\n#[cfg(test)]\nmod tests {\n    use f4t_tcp::Tcb;\n}\n".into()),
             ("crates/core/src/memory_manager.rs", "core", "struct Mm {\n    writeback: SlabQueue<(Tcb, u64)>,\n}\n".into()),
             ("crates/core/src/fpc.rs", "core", format!("{FPC}fn again(s: &mut Fpc) {{\n    s.stall_fifo_empty += 1;\n}}\n")),

@@ -68,14 +68,15 @@ pub struct ParsedFile {
     pub uses: Vec<UseItem>,
     /// All module-level statics.
     pub statics: Vec<StaticItem>,
-    /// `impl Type` / `enum Name` headers with their 0-based inclusive
-    /// body line range (opening to closing brace).
+    /// `impl Type` / `enum Name` / `struct Name` headers with their
+    /// 0-based inclusive body line range (opening to closing brace).
     pub blocks: Vec<(String, (usize, usize))>,
 }
 
 impl ParsedFile {
     /// Body line ranges of what `item` names: `impl Type` (every impl
-    /// block of that type), `enum Name`, `Type::method` or a free `fn`.
+    /// block of that type), `enum Name`, `struct Name`, `Type::method` or
+    /// a free `fn`.
     pub fn bodies(&self, item: &str) -> Vec<(usize, usize)> {
         let fns = self.fns.iter().filter(|f| match &f.impl_type {
             Some(t) => item.split_once("::") == Some((t, &f.name)),
@@ -90,7 +91,8 @@ enum Scope {
     Module,
     /// The impl's subject type and the line of its opening brace.
     Impl(String, usize),
-    Struct(String),
+    /// A struct's name and the line of its opening brace.
+    Struct(String, usize),
     Fn(usize),
     /// An `enum`/`union` body: its header and opening line.
     Block(String, usize),
@@ -219,7 +221,7 @@ pub fn parse_file(file: &SourceFile) -> ParsedFile {
 
         // Field lines: directly inside a struct body.
         if matches!(pending, Pending::None) {
-            if let Some(Scope::Struct(owner)) = scopes.last() {
+            if let Some(Scope::Struct(owner, _)) = scopes.last() {
                 let t = line.trim();
                 if let Some(colon) = t.find(':') {
                     let head = t[..colon].trim();
@@ -296,7 +298,7 @@ pub fn parse_file(file: &SourceFile) -> ParsedFile {
                                 scopes.push(Scope::Fn(id));
                             }
                         }
-                        Pending::Struct(name) => scopes.push(Scope::Struct(name)),
+                        Pending::Struct(name) => scopes.push(Scope::Struct(name, i)),
                         Pending::Impl(header) => scopes.push(Scope::Impl(impl_subject(&header), i)),
                         Pending::Block(header) => scopes.push(Scope::Block(header, i)),
                         Pending::None => {
@@ -318,6 +320,9 @@ pub fn parse_file(file: &SourceFile) -> ParsedFile {
                         }
                     }
                     Some(Scope::Impl(t, open)) => out.blocks.push((format!("impl {t}"), (open, i))),
+                    Some(Scope::Struct(name, open)) => {
+                        out.blocks.push((format!("struct {name}"), (open, i)))
+                    }
                     Some(Scope::Block(header, open)) => out.blocks.push((header, (open, i))),
                     _ => {}
                 },

@@ -171,6 +171,11 @@ pub const ROWS: &[Row] = &[
         "want one event-table merge in crates/core/src, EventView::accumulate, DESIGN.md §3.1"),
     regrowth(&["crates/core/src/fpu.rs"], &["TxRequest {"], &[], (2, 2), "want 2 `TxRequest {` in \
         crates/core/src/fpu.rs: fpu::segment's signature and literal, DESIGN.md §3.1"),
+    // §12.1: a TCB stays in its slot; the FPU pass runs on the row at write-back.
+    regrowth(&["crates/core/src/fpu.rs#struct FpuJob", "crates/core/src/fpu.rs#struct FpuOutcome"],
+        &[r"\bTcb\b", r"\bVec<"], &[], NONE, "`{pat}` in an FPU job or outcome: a by-value TCB \
+        or a per-pass allocation is back; a job names its slot and the pass writes segments into \
+        the FPC's output, DESIGN.md §12.1"),
     // §12.1: the memory manager holds each DRAM-side TCB once, in its flow's row.
     Row { rule: "regrowth", scope: &["crates/mem/src/tcb_cache.rs"], places: &[],
         pats: &[r"\bTcb\b"], count: NONE, tests: false, why: "`{pat}` in the TCB cache: a second \
