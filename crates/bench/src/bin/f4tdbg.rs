@@ -15,7 +15,6 @@
 
 use f4t_sim::digest::{fnv1a, FNV_OFFSET};
 use f4t_sim::json::{self, Value};
-use std::collections::HashMap;
 
 /// Exit codes: `0` success / digests match / dumps identical, `1`
 /// digest mismatch or dumps differ, `2` usage or I/O error.
@@ -35,9 +34,11 @@ USAGE:
   f4tdbg pulse <PULSE.json>            render the FtPulse series document
                                        (written by f4tperf --pulse-json) as
                                        per-engine ASCII sparklines
-  f4tdbg pulse <A.json> <B.json>       diff two pulse documents series by
-                                       series; exit 1 at the first window
-                                       where any series diverges
+  f4tdbg pulse <A.json> <B.json>       compare two pulse documents exactly,
+                                       as f4tperf --pulse-gate does; exit 1
+                                       and name each moved leaf (a series'
+                                       first differing window) when they
+                                       differ
 
 FILTERS (print):
   --flow <N>                           only events for flow N
@@ -49,11 +50,12 @@ FILTERS (print):
   --cycles <LO..HI>                    only events with LO <= cycle <= HI
 
 FILTERS (pulse):
-  --series <SUBSTR>                    only series whose name contains SUBSTR
+  --series <SUBSTR>                    only series (or, for A B, moved
+                                       paths) whose name contains SUBSTR
                                        (e.g. --series goodput, --series p99)
 
-EXIT CODES: 0 success (digest matches / dumps or pulse series identical) /
-            1 digest mismatch, dumps differ or pulse series differ /
+EXIT CODES: 0 success (digest matches / dumps or pulse documents identical) /
+            1 digest mismatch, dumps differ or pulse documents differ /
             2 usage or I/O error
 
 NOTE: the stream digest covers every recorded event, including ones the
@@ -345,13 +347,6 @@ fn parse_series_filter(args: &[String]) -> Option<String> {
     filter
 }
 
-fn load_pulse(path: &str) -> Vec<f4t_bench::pulsejson::PulseSection> {
-    match f4t_bench::pulsejson::sections(&read(path)) {
-        Ok(s) => s,
-        Err(e) => die(&format!("{path}: {e}")),
-    }
-}
-
 fn cmd_pulse_show(path: &str, filter: Option<&str>) {
     let text = read(path);
     let secs = match f4t_bench::pulsejson::sections(&text) {
@@ -392,64 +387,31 @@ fn cmd_pulse_show(path: &str, filter: Option<&str>) {
     }
 }
 
+/// Diffs two pulse documents with [`f4t_bench::compare_documents`], the
+/// comparison `--pulse-gate` makes: each moved leaf by dotted path, a
+/// series by its first differing window. `filter` narrows the paths
+/// printed, not the verdict.
 fn cmd_pulse_diff(path_a: &str, path_b: &str, filter: Option<&str>) {
-    let a = load_pulse(path_a);
-    let b = load_pulse(path_b);
-    let mut differs = false;
-    let b_by_label: HashMap<&str, &f4t_bench::pulsejson::PulseSection> =
-        b.iter().map(|s| (s.label.as_str(), s)).collect();
-    for sa in &a {
-        let Some(sb) = b_by_label.get(sa.label.as_str()) else {
-            println!("[{}] only in {path_a}", sa.label);
-            differs = true;
-            continue;
-        };
-        if sa.digest != sb.digest {
-            println!(
-                "[{}] digest: {:016x} vs {:016x}",
-                sa.label,
-                sa.digest.unwrap_or(0),
-                sb.digest.unwrap_or(0)
-            );
-            differs = true;
-        }
-        for (name, va) in &sa.series {
-            if filter.is_some_and(|f| !name.contains(f)) {
-                continue;
-            }
-            let Some(vb) = sb.series.get(name) else {
-                println!("[{}] {name}: only in {path_a}", sa.label);
-                differs = true;
-                continue;
-            };
-            if va == vb {
-                continue;
-            }
-            differs = true;
-            match va.iter().zip(vb.iter()).position(|(x, y)| x != y) {
-                Some(w) => println!(
-                    "[{}] {name}: diverges at window {w} ({} vs {})",
-                    sa.label, va[w], vb[w]
-                ),
-                None => println!(
-                    "[{}] {name}: lengths differ ({} vs {} windows)",
-                    sa.label,
-                    va.len(),
-                    vb.len()
-                ),
-            }
-        }
+    let [a, b] = [path_a, path_b].map(read);
+    let sections = [(path_a, &a), (path_b, &b)].map(|(path, text)| {
+        f4t_bench::pulsejson::sections(text).unwrap_or_else(|e| die(&format!("{path}: {e}"))).len()
+    });
+    let moved = f4t_bench::compare_documents(&a, &b).unwrap_or_else(|e| die(&e));
+    if moved.is_empty() {
+        println!("pulse documents identical ({} sections)", sections[0]);
+        return;
     }
-    for sb in &b {
-        if !a.iter().any(|s| s.label == sb.label) {
-            println!("[{}] only in {path_b}", sb.label);
-            differs = true;
-        }
+    let path = |m: &String| m.split_once(": ").map_or(m.as_str(), |(p, _)| p).to_owned();
+    let shown: Vec<&String> =
+        moved.iter().filter(|m| filter.is_none_or(|f| path(m).contains(f))).collect();
+    println!("pulse documents differ ({path_a} -> {path_b}):");
+    for m in &shown {
+        println!("  - {m}");
     }
-    if differs {
-        std::process::exit(EXIT_DIFFERS);
+    if shown.len() < moved.len() {
+        println!("  ({} more outside --series)", moved.len() - shown.len());
     }
-    println!("pulse documents identical ({} sections)", a.len());
+    std::process::exit(EXIT_DIFFERS);
 }
 
 fn main() {

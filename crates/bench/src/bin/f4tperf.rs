@@ -14,16 +14,17 @@
 use f4t_core::{fold_digests, Engine, EngineConfig};
 use f4t_mem::{DramKind, Location};
 use f4t_netsim::Impairments;
-use f4t_sim::{json, MetricsRegistry};
+use f4t_sim::MetricsRegistry;
 use f4t_system::{F4tSystem, ScaleShard};
 use f4t_tcp::FlowId;
 use f4t_workloads::{INCAST_EPOCH_NS, SLOWLORIS_DRIP_BYTES};
 
 /// Process exit codes (also in `--help`): `0` success, `1` FtVerify
 /// design-rule violations, `2` usage or I/O error, `3` perf-gate
-/// regression (`--gate`, `--pulse-gate`). Regressions get their own code
-/// so CI can distinguish "the design broke a rule" from "the design got
-/// slower".
+/// regression (`--gate`, `--pulse-gate`: a simulated document moved from
+/// its committed baseline). Regressions get their own code so CI can
+/// distinguish "the design broke a rule" from "the simulated schedule
+/// changed".
 const EXIT_VIOLATIONS: i32 = 1;
 const EXIT_USAGE: i32 = 2;
 const EXIT_PERF_REGRESSION: i32 = 3;
@@ -294,11 +295,10 @@ USAGE: f4tperf [OPTIONS]
   --breakdown-json <PATH>          write the FtFlight latency breakdown
                                    ({workload, cycles, flight}) to PATH;
                                    implies --flight
-  --gate <BASELINE.json>           compare this run's breakdown against a
-                                   committed baseline: total cycles within
-                                   ±25%, each stage p99 within 1.25x + 16
-                                   cycles; exit 3 on regression. Implies
-                                   --flight
+  --gate <BASELINE.json>           compare this run's breakdown with a
+                                   committed baseline exactly; exit 3 and
+                                   name each moved leaf when they differ.
+                                   Implies --flight
   --pulse                          attach the FtPulse time-series recorder:
                                    windowed rates/gauges on the simulated
                                    clock, byte-identical across
@@ -308,12 +308,11 @@ USAGE: f4tperf [OPTIONS]
   --pulse-json <PATH>              write the pulse series document
                                    ({workload, engines: {...}}) to PATH;
                                    implies --pulse
-  --pulse-gate <BASELINE.json>     compare this run's windowed series shape
-                                   against a committed pulse baseline
-                                   (window count, time-to-steady-state,
-                                   steady goodput variance, retransmit
-                                   ceilings, per-window stage p99); exit 3
-                                   on regression. Implies --pulse
+  --pulse-gate <BASELINE.json>     compare this run's pulse series document
+                                   with a committed baseline exactly; exit
+                                   3 and name each moved leaf (a series'
+                                   first differing window) when they
+                                   differ. Implies --pulse
   --impair <PROFILE>               apply a hostile-network impairment profile
                                    to both link directions: clean, reorder,
                                    burst-loss, duplicate, jitter, lossy
@@ -787,11 +786,45 @@ fn finish(
         std::process::exit(EXIT_USAGE);
     }
 
-    // The pulse document is written before either gate can exit so the
-    // artifact survives a flight-gate failure.
+    // Both documents are written, and both gates report, before the one
+    // exit on a regression.
     let pulse_doc = finish_pulse(args, all);
-    finish_flight(args, primary);
-    run_pulse_gate(args, pulse_doc.as_deref(), primary[0].1);
+    let breakdown = finish_flight(args, primary);
+    let gates = [("perf gate", &args.gate, breakdown), ("pulse gate", &args.pulse_gate, pulse_doc)];
+    let mut passed = true;
+    for (name, baseline, doc) in gates {
+        if let (Some(baseline), Some(doc)) = (baseline, doc) {
+            passed &= gate(name, baseline, &doc);
+        }
+    }
+    if !passed {
+        write_dump(args, primary[0].1, "gate-failure");
+        std::process::exit(EXIT_PERF_REGRESSION);
+    }
+}
+
+/// Compares a run's document with the committed baseline at `baseline`
+/// ([`f4t_bench::compare_documents`]) and reports the outcome: PASS, or
+/// each moved leaf. Returns whether it passed; an unreadable or
+/// malformed baseline is a usage error (exit 2), not a regression.
+fn gate(name: &str, baseline: &str, doc: &str) -> bool {
+    match f4t_bench::compare_documents(&read_or_exit(baseline), doc) {
+        Ok(moved) if moved.is_empty() => {
+            println!("  {name:<19}PASS vs {baseline}");
+            true
+        }
+        Ok(moved) => {
+            eprintln!("error: {name} FAIL vs {baseline}:");
+            for m in &moved {
+                eprintln!("  - {m}");
+            }
+            false
+        }
+        Err(e) => {
+            eprintln!("error: {name} vs {baseline}: {e}");
+            std::process::exit(EXIT_USAGE);
+        }
+    }
 }
 
 /// The engine whose black box explains a failure: the first one
@@ -811,10 +844,10 @@ fn write_dump(args: &Args, e: &Engine, reason: &str) {
     }
 }
 
-/// Prints the FtFlight summary, writes `--breakdown-json` and runs the
-/// `--gate` comparison (single-engine: the only shape baselines have).
-/// Exits 3 on regression.
-fn finish_flight(args: &Args, engines: &[(&str, &Engine)]) {
+/// Prints the FtFlight summary and writes `--breakdown-json`. Returns
+/// the breakdown for the `--gate` comparison, or `None` when no engine
+/// carries a flight recorder.
+fn finish_flight(args: &Args, engines: &[(&str, &Engine)]) -> Option<String> {
     // The breakdown deliberately carries only simulated-clock facts
     // (cycles + span histograms) so fast-forward and tick-by-tick runs
     // produce byte-identical files.
@@ -826,7 +859,7 @@ fn finish_flight(args: &Args, engines: &[(&str, &Engine)]) {
         })
         .collect();
     let breakdown = match &parts[..] {
-        [] => return,
+        [] => return None,
         [(f, part)] => {
             println!(
                 "  flight spans       {:>10} recorded / {} unsampled ({} flows, 1/{} sampling)",
@@ -853,27 +886,15 @@ fn finish_flight(args: &Args, engines: &[(&str, &Engine)]) {
         write_or_exit(path, &breakdown);
         println!("  breakdown          → {path}");
     }
-    if let Some(baseline) = &args.gate {
-        let violations = run_gate(baseline, &breakdown, &args.workload);
-        if violations.is_empty() {
-            println!("  perf gate          PASS vs {baseline}");
-        } else {
-            eprintln!("error: perf gate FAIL vs {baseline}:");
-            for v in &violations {
-                eprintln!("  - {v}");
-            }
-            write_dump(args, engines[0].1, "gate-failure");
-            std::process::exit(EXIT_PERF_REGRESSION);
-        }
-    }
+    Some(breakdown)
 }
 
 /// Prints the FtPulse summary and writes the `--pulse-json` series
 /// document for a finished run. `engines` are the labelled engines in
 /// fixed order (`a`/`b` for system workloads, `engine` for scale,
 /// `shard0`… for sharded scale); engines without a recorder are skipped.
-/// Returns the pulse document for [`run_pulse_gate`], or `None` when
-/// pulse is off.
+/// Returns the pulse document for the `--pulse-gate` comparison, or
+/// `None` when pulse is off.
 fn finish_pulse(args: &Args, engines: &[(&str, &Engine)]) -> Option<String> {
     if !args.pulse_enabled() {
         return None;
@@ -906,47 +927,6 @@ fn finish_pulse(args: &Args, engines: &[(&str, &Engine)]) -> Option<String> {
         println!("  pulse series       → {path}");
     }
     Some(doc)
-}
-
-/// Runs the `--pulse-gate` shape comparison against a committed pulse
-/// baseline. Exits 3 on any shape regression — the windowed rules catch
-/// mid-run degradations the end-of-run `--gate` aggregate misses.
-fn run_pulse_gate(args: &Args, pulse_doc: Option<&str>, e: &Engine) {
-    let Some(baseline) = &args.pulse_gate else { return };
-    let Some(doc) = pulse_doc else { return };
-    let base_text = read_or_exit(baseline);
-    match f4t_bench::pulsejson::shape_gate(&args.workload, &base_text, doc) {
-        Ok(violations) if violations.is_empty() => {
-            println!("  pulse gate         PASS vs {baseline}");
-        }
-        Ok(violations) => {
-            eprintln!("error: pulse gate FAIL vs {baseline}:");
-            for v in &violations {
-                eprintln!("  - {v}");
-            }
-            write_dump(args, e, "pulse-gate-failure");
-            std::process::exit(EXIT_PERF_REGRESSION);
-        }
-        Err(err) => {
-            eprintln!("error: pulse baseline {baseline}: {err}");
-            std::process::exit(EXIT_USAGE);
-        }
-    }
-}
-
-/// Runs the `--gate` comparison of the current breakdown against a
-/// committed baseline ([`f4t_bench::flight_gate`]); an unreadable or
-/// malformed baseline is a usage error (exit 2), not a regression.
-fn run_gate(baseline_path: &str, current: &str, workload: &str) -> Vec<String> {
-    let base = match json::parse(&read_or_exit(baseline_path)) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: baseline {baseline_path}: {e}");
-            std::process::exit(EXIT_USAGE);
-        }
-    };
-    let cur = json::parse(current).expect("breakdown is well-formed");
-    f4t_bench::flight_gate(workload, &base, &cur)
 }
 
 /// Corrupts flow 0's location state so FtVerify has something real to

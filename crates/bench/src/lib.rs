@@ -5,79 +5,83 @@
 //! f4t-bench --bin figures -- <name>…`). `EXPERIMENTS.md` at the
 //! repository root records paper-vs-measured for every report.
 
-use f4t_sim::json::Value;
+use f4t_sim::json::{self, Value};
 use std::fmt::Display;
 
 pub mod figures;
 pub mod pulsejson;
 
-/// Tolerances for the FtFlight perf gate. Total simulated cycles are
-/// two-sided (a big drop is as suspicious as a big rise — it usually
-/// means the workload silently stopped doing work); stage p99s are
-/// one-sided with an additive floor so near-zero baselines don't gate on
-/// ±1 cycle.
-const GATE_CYCLES_RATIO: f64 = 1.25;
-const GATE_P99_RATIO: f64 = 1.25;
-const GATE_P99_SLACK_CYCLES: f64 = 16.0;
-
-/// The FtFlight perf gate (DESIGN.md §10.4): compares a `--breakdown-json`
-/// document against a committed baseline and returns one formatted
-/// violation per out-of-tolerance metric (empty = gate passes). It reads
-/// top-level `cycles`, every `flight.stages.<stage>.p99_cycles` (stage
-/// lines in ascending stage name) and `flight.spans_recorded`. Every line
-/// names the workload, stage and metric with the observed value, the
-/// baseline and the allowed bound — the format
-/// `workload=… stage=… metric=… observed=… baseline=… allowed…` is pinned
-/// by `crates/bench/tests/cli.rs`.
-pub fn flight_gate(workload: &str, base: &Value, cur: &Value) -> Vec<String> {
-    let cycles = |doc: &Value| doc.get("cycles").and_then(Value::as_f64);
-    let flight = |doc: &Value, key: &str| doc.get("flight")?.get(key)?.as_f64();
-    let p99 = |doc: &Value, stage: &str| {
-        doc.get("flight")?.get("stages")?.get(stage)?.get("p99_cycles")?.as_f64()
-    };
-    let mut violations = Vec::new();
-    match (cycles(base), cycles(cur)) {
-        (Some(b), Some(c)) => {
-            let lo = b / GATE_CYCLES_RATIO;
-            let hi = b * GATE_CYCLES_RATIO;
-            if c > hi || c < lo {
-                violations.push(format!(
-                    "workload={workload} stage=total metric=cycles observed={c:.0} baseline={b:.0} allowed=[{lo:.0}..{hi:.0}]"
-                ));
+/// The one comparison of a simulated document (a `--breakdown-json`
+/// breakdown, a `--pulse-json` series document) with its committed
+/// baseline, behind `f4tperf --gate`/`--pulse-gate`, `f4tdbg pulse A B`
+/// and the `results/{flight,pulse}` golden. The rule is exact: a
+/// committed document changes only by regeneration.
+///
+/// Returns nothing when `observed` equals `baseline` byte for byte.
+/// Otherwise returns one line per moved leaf, by dotted path (`[k]` for
+/// an array element): `<path>: gone`, `<path>: new`, `<path>: <baseline>
+/// -> <observed>` for a changed scalar or an array's first differing
+/// element, `<path>: <n> elements -> <m> elements` for a length change.
+/// Keys match by name, so texts that differ but parse to the same leaves
+/// (spacing, key order) give the one line [`FORMATTING_ONLY`].
+///
+/// # Errors
+///
+/// Either document does not parse; the message names which one and the
+/// reader's byte offset.
+pub fn compare_documents(baseline: &str, observed: &str) -> Result<Vec<String>, String> {
+    fn show(v: &Value) -> String {
+        match v {
+            Value::Null => "null".to_owned(),
+            Value::Bool(b) => b.to_string(),
+            Value::Number(n) => n.clone(),
+            Value::String(s) => json::quote(s),
+            Value::Array(a) => format!("{} elements", a.len()),
+            Value::Object(o) => format!("{} keys", o.len()),
+        }
+    }
+    fn walk(path: &str, base: &Value, cur: &Value, out: &mut Vec<String>) {
+        let sub = |key: &str| if path.is_empty() { key.to_owned() } else { format!("{path}.{key}") };
+        match (base, cur) {
+            (Value::Object(b), Value::Object(c)) => {
+                for (key, bv) in b {
+                    match c.iter().find(|(k, _)| k == key) {
+                        Some((_, cv)) => walk(&sub(key), bv, cv, out),
+                        None => out.push(format!("{}: gone", sub(key))),
+                    }
+                }
+                for (key, _) in c.iter().filter(|(k, _)| b.iter().all(|(bk, _)| bk != k)) {
+                    out.push(format!("{}: new", sub(key)));
+                }
             }
-        }
-        _ => violations.push(format!(
-            "workload={workload} stage=total metric=cycles observed=missing baseline=missing allowed=present"
-        )),
-    }
-    let stages = base.get("flight").and_then(|f| f.get("stages")).and_then(Value::entries);
-    let mut stages: Vec<(&str, f64)> = stages
-        .unwrap_or_default()
-        .iter()
-        .filter_map(|(name, _)| Some((name.as_str(), p99(base, name)?)))
-        .collect();
-    stages.sort_by(|x, y| x.0.cmp(y.0));
-    for (stage, b) in stages {
-        let allowed = b * GATE_P99_RATIO + GATE_P99_SLACK_CYCLES;
-        match p99(cur, stage) {
-            Some(c) if c <= allowed => {}
-            Some(c) => violations.push(format!(
-                "workload={workload} stage={stage} metric=p99_cycles observed={c:.0} baseline={b:.0} allowed<={allowed:.0}"
-            )),
-            None => violations.push(format!(
-                "workload={workload} stage={stage} metric=p99_cycles observed=missing baseline={b:.0} allowed<={allowed:.0}"
-            )),
+            (Value::Array(b), Value::Array(c)) => {
+                if let Some(k) = (0..b.len().min(c.len())).find(|&k| b[k] != c[k]) {
+                    walk(&format!("{path}[{k}]"), &b[k], &c[k], out);
+                }
+                if b.len() != c.len() {
+                    out.push(format!("{path}: {} -> {}", show(base), show(cur)));
+                }
+            }
+            _ if base != cur => out.push(format!("{path}: {} -> {}", show(base), show(cur))),
+            _ => {}
         }
     }
-    if let (Some(b), Some(c)) = (flight(base, "spans_recorded"), flight(cur, "spans_recorded")) {
-        if b > 0.0 && c == 0.0 {
-            violations.push(format!(
-                "workload={workload} stage=total metric=spans_recorded observed=0 baseline={b:.0} allowed>0"
-            ));
-        }
+    let base = json::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
+    let cur = json::parse(observed).map_err(|e| format!("observed: {e}"))?;
+    let mut moved = Vec::new();
+    if baseline == observed {
+        return Ok(moved);
     }
-    violations
+    walk("", &base, &cur, &mut moved);
+    if moved.is_empty() {
+        moved.push(FORMATTING_ONLY.to_owned());
+    }
+    Ok(moved)
 }
+
+/// [`compare_documents`]'s one line for texts that differ but whose
+/// leaves are all equal.
+pub const FORMATTING_ONLY: &str = "formatting only: the texts differ, every leaf is equal";
 
 /// How long a figure report simulates: the full windows, or quick ones
 /// ~10× shorter for smoke runs.
@@ -193,9 +197,9 @@ mod tests {
         assert_eq!(f(1.23456, 2), "1.23");
     }
 
-    /// Every committed gate baseline and perf record parses with the
-    /// workspace codec, and every flight/pulse baseline passes its gate
-    /// against itself.
+    /// Every committed baseline and perf record parses with the
+    /// workspace codec (a pulse baseline as pulse sections too), and
+    /// every flight/pulse baseline compares clean against itself.
     #[test]
     fn committed_results_parse_and_gate_clean_against_themselves() {
         let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
@@ -215,10 +219,12 @@ mod tests {
         for (name, text) in &flight {
             let doc = json::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(doc.get("flight").and_then(|f| f.get("stages")).is_some(), "{name}");
-            assert!(flight_gate("self", &doc, &doc).is_empty(), "{name}");
         }
         for (name, text) in &pulse {
-            assert_eq!(pulsejson::shape_gate("self", text, text), Ok(vec![]), "{name}");
+            assert!(pulsejson::sections(text).is_ok(), "{name}");
+        }
+        for (name, text) in flight.iter().chain(&pulse) {
+            assert_eq!(compare_documents(text, text), Ok(vec![]), "{name}");
         }
         let records = read("", "tick_cost_pr");
         assert!(!records.is_empty());
@@ -227,30 +233,68 @@ mod tests {
         }
     }
 
+    const DOC: &str = r#"{"cycles": 1000, "flight": {"stages": {"fpu_process": {"p99_cycles": 10}}},
+        "series": [1, 2, 3], "name": "w"}"#;
+
     #[test]
-    fn flight_gate_orders_stage_lines_by_name_and_flags_missing_ones() {
-        let base = json::parse(
-            r#"{"cycles": 1000, "flight": {"spans_recorded": 5, "stages": {
-                "tx_emit": {"p99_cycles": 10}, "fpu_process": {"p99_cycles": 10},
-                "rx_ingest": {"p99_cycles": 10}}}}"#,
-        )
-        .unwrap();
-        let cur = json::parse(
-            r#"{"cycles": 2000, "flight": {"spans_recorded": 0, "stages": {
-                "tx_emit": {"p99_cycles": 50}, "fpu_process": {"p99_cycles": 29}}}}"#,
-        )
-        .unwrap();
+    fn identical_text_moves_nothing() {
+        assert_eq!(compare_documents(DOC, DOC), Ok(vec![]));
+    }
+
+    #[test]
+    fn a_changed_scalar_is_named_by_its_dotted_path() {
+        let cur = DOC.replace("\"p99_cycles\": 10", "\"p99_cycles\": 12").replace("\"w\"", "\"v\"");
         assert_eq!(
-            flight_gate("w", &base, &cur),
-            [
-                "workload=w stage=total metric=cycles observed=2000 baseline=1000 allowed=[800..1250]",
-                "workload=w stage=fpu_process metric=p99_cycles observed=29 baseline=10 allowed<=28",
-                "workload=w stage=rx_ingest metric=p99_cycles observed=missing baseline=10 allowed<=28",
-                "workload=w stage=tx_emit metric=p99_cycles observed=50 baseline=10 allowed<=28",
-                "workload=w stage=total metric=spans_recorded observed=0 baseline=5 allowed>0",
-            ]
+            compare_documents(DOC, &cur),
+            Ok(vec![
+                "flight.stages.fpu_process.p99_cycles: 10 -> 12".to_owned(),
+                "name: \"w\" -> \"v\"".to_owned(),
+            ])
         );
-        let not_a_breakdown = json::parse("{}").unwrap();
-        assert_eq!(flight_gate("w", &not_a_breakdown, &not_a_breakdown).len(), 1);
+    }
+
+    #[test]
+    fn a_gone_key_and_a_new_key_are_named() {
+        let cur = DOC.replace("\"cycles\": 1000, ", "").replace("\"name\"", "\"label\"");
+        assert_eq!(
+            compare_documents(DOC, &cur),
+            Ok(vec!["cycles: gone".to_owned(), "name: gone".to_owned(), "label: new".to_owned()])
+        );
+    }
+
+    #[test]
+    fn an_array_names_its_first_differing_element_and_a_length_change() {
+        let cur = DOC.replace("[1, 2, 3]", "[1, 5, 6]");
+        assert_eq!(compare_documents(DOC, &cur), Ok(vec!["series[1]: 2 -> 5".to_owned()]));
+        let longer = DOC.replace("[1, 2, 3]", "[1, 2, 3, 4]");
+        assert_eq!(
+            compare_documents(DOC, &longer),
+            Ok(vec!["series: 3 elements -> 4 elements".to_owned()])
+        );
+        let both = DOC.replace("[1, 2, 3]", "[0, 2]");
+        assert_eq!(
+            compare_documents(DOC, &both),
+            Ok(vec!["series[0]: 1 -> 0".to_owned(), "series: 3 elements -> 2 elements".to_owned()])
+        );
+    }
+
+    /// Spacing and key order are not leaves, but the texts still differ:
+    /// an exact rule reports them rather than passing.
+    #[test]
+    fn a_formatting_only_difference_is_reported_as_such() {
+        let spaced = DOC.replace(", ", ",  ");
+        let reordered = DOC.replace("\"series\": [1, 2, 3], \"name\": \"w\"", "\"name\": \"w\", \"series\": [1, 2, 3]");
+        for cur in [spaced, reordered] {
+            assert_ne!(cur, DOC);
+            assert_eq!(compare_documents(DOC, &cur), Ok(vec![FORMATTING_ONLY.to_owned()]));
+        }
+    }
+
+    #[test]
+    fn an_unparseable_document_is_an_error() {
+        let truncated = &DOC[..DOC.len() - 1];
+        assert!(compare_documents(truncated, DOC).unwrap_err().starts_with("baseline: "));
+        assert!(compare_documents(DOC, truncated).unwrap_err().starts_with("observed: "));
+        assert!(compare_documents(truncated, truncated).is_err(), "identical but unparseable");
     }
 }

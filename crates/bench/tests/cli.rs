@@ -239,30 +239,34 @@ fn gate_passes_against_own_baseline_and_trips_on_a_tighter_one() {
     assert!(stdout(&out).contains("perf gate          PASS"), "{}", stdout(&out));
 
     // Against its own breakdown with every stage p99 zeroed, the run
-    // must trip the documented exit code 3, and every violation line
-    // must name the workload, stage, metric, the observed and baseline
-    // values, and the allowed bound — this format is what CI log
-    // scrapers key on, so it is pinned here.
+    // must trip the documented exit code 3 and name each moved leaf as
+    // `<dotted path>: <baseline> -> <observed>`: here only stage p99s,
+    // each from 0 to the run's own value.
     let own = std::fs::read_to_string(&base).expect("breakdown written");
     std::fs::write(&base, zero_p99s(&own)).expect("write");
     let out = f4tperf(&[SMALL_SCALE, &["--gate", &base]].concat());
     assert_eq!(out.status.code(), Some(3), "{}\n{}", stdout(&out), stderr(&out));
     let err = stderr(&out);
     assert!(err.contains("perf gate FAIL"), "{err}");
-    let violation = err
-        .lines()
-        .find(|l| l.contains("metric=p99_cycles"))
-        .unwrap_or_else(|| panic!("no pinned-format p99 violation line in:\n{err}"));
-    assert!(violation.contains("workload=scale"), "{violation}");
-    assert!(violation.contains("stage="), "{violation}");
-    assert!(violation.contains("observed="), "{violation}");
-    assert!(violation.contains("baseline="), "{violation}");
-    assert!(violation.contains("allowed<="), "{violation}");
+    let moved = moved_leaves(&err);
+    assert!(!moved.is_empty(), "no moved leaf reported in:\n{err}");
+    for (path, change) in moved {
+        let stage = path.strip_prefix("flight.stages.").and_then(|p| p.strip_suffix(".p99_cycles"));
+        assert!(stage.is_some_and(|s| !s.contains('.')), "not a stage p99 leaf: {path}");
+        let observed = change.strip_prefix("0 -> ").and_then(|v| v.parse::<u64>().ok());
+        assert!(observed > Some(0), "{path}: {change}");
+    }
 
     // A missing baseline is an I/O error (2), not a regression (3).
     let out = f4tperf(&[SMALL_SCALE, &["--gate", "/nonexistent-dir/base.json"]].concat());
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     std::fs::remove_file(&base).ok();
+}
+
+/// The `  - <path>: <change>` lines a failing gate or `f4tdbg pulse A B`
+/// reports, as `(path, change)`.
+fn moved_leaves(report: &str) -> Vec<(&str, &str)> {
+    report.lines().filter_map(|l| l.strip_prefix("  - ")?.split_once(": ")).collect()
 }
 
 fn f4tdbg(args: &[&str]) -> Output {
@@ -468,6 +472,13 @@ fn pulse_smoke_and_f4tdbg_exit_contract() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let out = f4tdbg(&["pulse", &doc, &other]);
     assert_eq!(out.status.code(), Some(1), "{}\n{}", stdout(&out), stderr(&out));
+    assert!(moved_leaves(&stdout(&out)).iter().any(|(p, _)| p.contains("goodput")), "{}", stdout(&out));
+    // `--series` narrows the paths printed, not the verdict.
+    let out = f4tdbg(&["pulse", &doc, &other, "--series", "goodput"]);
+    assert_eq!(out.status.code(), Some(1), "{}\n{}", stdout(&out), stderr(&out));
+    let text = stdout(&out);
+    let shown = moved_leaves(&text);
+    assert!(!shown.is_empty() && shown.iter().all(|(p, _)| p.contains("goodput")), "{text}");
 
     let out = f4tdbg(&["pulse", "/nonexistent-dir/pulse.json"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
@@ -494,12 +505,11 @@ fn threaded_pulse_smoke() {
     std::fs::remove_file(&doc).ok();
 }
 
-/// The shape-aware pulse gate's exit path: against a baseline whose
-/// windowed stage p99s drop to 0 from pulse window 4 on, the run fails
-/// the pulse gate (exit 3, pinned line format) while the flight gate on
-/// its own breakdown passes. That a late ramp can pass the flight gate's
-/// whole-run bound and fail the windowed one is
-/// `pulsejson::tests::late_p99_ramp_trips_window_rule`.
+/// The pulse gate's exit path: against a baseline whose windowed stage
+/// p99s drop to 0 from pulse window 4 on, the run fails the pulse gate
+/// (exit 3), naming only stage p99 windows at index 4 or later, while
+/// the flight gate on its own breakdown passes. With the flight baseline
+/// edited too, both gates report before the one exit.
 #[test]
 fn pulse_gate_trips_on_late_windows_the_flight_gate_passes() {
     let flight_base = tmp("pulse-flight-base.json");
@@ -516,19 +526,32 @@ fn pulse_gate_trips_on_late_windows_the_flight_gate_passes() {
     std::fs::write(&pulse_base, lower_stage_p99s(&own, 4)).expect("write");
 
     // Both gates armed: the flight gate passes, the pulse gate trips.
-    let out = f4tperf(&[BULK, &["--gate", &flight_base, "--pulse-gate", &pulse_base]].concat());
+    let gates = [BULK, &["--gate", &flight_base, "--pulse-gate", &pulse_base]].concat();
+    let out = f4tperf(&gates);
     assert_eq!(out.status.code(), Some(3), "{}\n{}", stdout(&out), stderr(&out));
     assert!(stdout(&out).contains("perf gate          PASS"), "{}", stdout(&out));
     let err = stderr(&out);
     assert!(err.contains("pulse gate FAIL"), "{err}");
-    let violation = err
-        .lines()
-        .find(|l| l.contains("metric=window_p99_cycles"))
-        .unwrap_or_else(|| panic!("no windowed p99 violation line in:\n{err}"));
-    assert!(violation.contains("workload=bulk"), "{violation}");
-    assert!(violation.contains("allowed<="), "{violation}");
-    let window = violation.split("window=").nth(1).and_then(|w| w.split(' ').next()?.parse().ok());
-    assert!(window >= Some(4), "an unlowered window tripped: {violation}");
+    let moved = moved_leaves(&err);
+    assert!(!moved.is_empty(), "no moved leaf reported in:\n{err}");
+    for (path, change) in moved {
+        let (series, window) = path.split_once(".series.").and_then(|(_, s)| s.split_once('[')).unwrap_or_default();
+        assert!(series.starts_with("stage.") && series.ends_with(".p99_cycles"), "{path}");
+        let window: Option<usize> = window.strip_suffix(']').and_then(|w| w.parse().ok());
+        assert!(window >= Some(4), "an unlowered window moved: {path}: {change}");
+        assert!(change.starts_with("0 -> "), "{path}: {change}");
+    }
+
+    // Both baselines edited: each gate names its leaves, then one exit 3.
+    let own = std::fs::read_to_string(&flight_base).expect("breakdown written");
+    std::fs::write(&flight_base, zero_p99s(&own)).expect("write");
+    let out = f4tperf(&gates);
+    assert_eq!(out.status.code(), Some(3), "{}\n{}", stdout(&out), stderr(&out));
+    let err = stderr(&out);
+    let (flight, pulse) = err.split_once("pulse gate FAIL").unwrap_or_else(|| panic!("{err}"));
+    assert!(flight.contains("perf gate FAIL"), "{err}");
+    assert!(moved_leaves(flight).iter().all(|(p, _)| p.starts_with("flight.stages.")), "{err}");
+    assert!(moved_leaves(pulse).iter().all(|(p, _)| p.contains(".series.stage.")), "{err}");
 
     // A missing pulse baseline is an I/O error (2), not a regression.
     let out = f4tperf(&[BULK, &["--pulse-gate", "/nonexistent-dir/p.json"]].concat());
@@ -579,43 +602,12 @@ const GATED: [(&str, &str); 8] = [
     ("httpstorm", "--workload httpstorm --cores 2 --flows 256 --impair duplicate --warmup-ms 1 --duration-ms 1"),
 ];
 
-/// The leaves of `cur` that differ from `base`, by dotted path; an array
-/// names its first differing element.
-fn moved(path: &str, base: &Value, cur: &Value, out: &mut Vec<String>) {
-    let show = |v: &Value| match v {
-        Value::Number(n) => n.clone(),
-        Value::Array(a) => format!("{} elements", a.len()),
-        other => format!("{other:?}"),
-    };
-    match (base, cur) {
-        (Value::Object(b), Value::Object(c)) => {
-            let sub = |key: &str| if path.is_empty() { key.to_owned() } else { format!("{path}.{key}") };
-            for (key, bv) in b {
-                match c.iter().find(|(k, _)| k == key) {
-                    Some((_, cv)) => moved(&sub(key), bv, cv, out),
-                    None => out.push(format!("{}: gone", sub(key))),
-                }
-            }
-            for (key, _) in c.iter().filter(|(k, _)| b.iter().all(|(bk, _)| bk != k)) {
-                out.push(format!("{}: new", sub(key)));
-            }
-        }
-        (Value::Array(b), Value::Array(c)) if b.len() == c.len() => {
-            if let Some(k) = (0..b.len()).find(|&k| b[k] != c[k]) {
-                moved(&format!("{path}[{k}]"), &b[k], &c[k], out);
-            }
-        }
-        _ if base != cur => out.push(format!("{path}: {} -> {}", show(base), show(cur))),
-        _ => {}
-    }
-}
-
 /// Every [`GATED`] run reproduces its committed flight breakdown and
-/// pulse series byte for byte, and every committed baseline has its row.
-/// This pins the simulated schedule exactly, where `--gate` and
-/// `--pulse-gate` allow a tolerance. On a mismatch the observed documents
-/// stay under `CARGO_TARGET_TMPDIR`, and the failure names what moved and
-/// what both gates say of it. `UPDATE_GOLDEN=1` rewrites the baselines.
+/// pulse series byte for byte: each runs under `--gate
+/// results/flight/<w>.json --pulse-gate results/pulse/<w>.json`, whose
+/// one exact comparison names every moved leaf, and every committed
+/// baseline has its row. The observed documents stay under
+/// `CARGO_TARGET_TMPDIR`. `UPDATE_GOLDEN=1` rewrites the baselines.
 #[test]
 fn gated_runs_reproduce_committed_baselines_byte_for_byte() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
@@ -625,37 +617,21 @@ fn gated_runs_reproduce_committed_baselines_byte_for_byte() {
     let mut failures = Vec::new();
     for (workload, args) in GATED {
         let [flight, pulse] = ["flight", "pulse"].map(|kind| format!("{observed}/{workload}-{kind}.json"));
+        let [flight_base, pulse_base] = ["flight", "pulse"].map(|kind| format!("{root}/results/{kind}/{workload}.json"));
         let mut argv: Vec<&str> = args.split_whitespace().collect();
         argv.extend(["--flight-sample", "64", "--breakdown-json", &flight, "--pulse-json", &pulse]);
+        if !update {
+            argv.extend(["--gate", &flight_base, "--pulse-gate", &pulse_base]);
+        }
         let out = f4tperf(&argv);
-        assert_eq!(out.status.code(), Some(0), "{workload}: {}\n{}", stdout(&out), stderr(&out));
-        for (got, kind) in [(&flight, "flight"), (&pulse, "pulse")] {
-            let committed = format!("{root}/results/{kind}/{workload}.json");
-            if update {
-                std::fs::copy(got, &committed).expect("rewrite baseline");
-                continue;
+        match out.status.code() {
+            Some(0) if update => {
+                std::fs::copy(&flight, &flight_base).expect("rewrite baseline");
+                std::fs::copy(&pulse, &pulse_base).expect("rewrite baseline");
             }
-            let got_text = std::fs::read_to_string(got).expect("observed document");
-            let want = std::fs::read_to_string(&committed).expect("committed baseline");
-            if got_text == want {
-                continue;
-            }
-            let (cur, base) = (json::parse(&got_text).expect(got), json::parse(&want).expect(kind));
-            let mut lines = Vec::new();
-            moved("", &base, &cur, &mut lines);
-            if lines.len() > 12 {
-                let more = lines.split_off(12).len();
-                lines.push(format!("... and {more} more"));
-            }
-            let gate = match kind {
-                "flight" => f4t_bench::flight_gate(workload, &base, &cur),
-                _ => f4t_bench::pulsejson::shape_gate(workload, &want, &got_text).expect("pulse documents"),
-            };
-            failures.push(format!(
-                "{workload}: {got} differs from results/{kind}/{workload}.json\n  moved: {}\n  {kind} gate: {}",
-                lines.join("\n         "),
-                if gate.is_empty() { "PASS (within tolerance)".to_owned() } else { gate.join("\n    ") }
-            ));
+            Some(0) => {}
+            Some(3) => failures.push(format!("{workload} ({args}):\n{}", stderr(&out))),
+            _ => panic!("{workload}: {}\n{}", stdout(&out), stderr(&out)),
         }
     }
     for kind in ["flight", "pulse"] {

@@ -1267,7 +1267,7 @@ impl Engine {
 
         // Per-stage p99-so-far from the flight histograms (zero when the
         // flight recorder is off): the aggregate percentile sampled at
-        // each window boundary, which the shape gate replays per window.
+        // each window boundary, which the pulse gate compares per window.
         let mut stage_p99 = [0u64; STAGE_COUNT];
         if let Some(f) = &self.flight {
             for stage in FlightStage::ALL {

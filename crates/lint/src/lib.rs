@@ -523,6 +523,7 @@ impl Node {
             ("tests/paper_fidelity.rs", "f4t", "fn f() {\n    std::env::set_var(\"F4T_QUICK\", \"1\");\n}\n".into()),
             ("tests/cc_agreement.rs", "f4t", "fn f(c: SimulationConfig) {\n    let _ = Simulation::new(c);\n}\n".into()),
             ("crates/core/src/engine.rs", "core", engine_with("        self.flight_bias = 400;\n")),
+            ("crates/bench/src/pulsejson.rs", "bench", "pub mod tolerance {\n    pub const P99_SLACK_CYCLES: u64 = 8;\n}\n".into()),
         ];
         let rows: Vec<_> = rules::ROWS.iter().filter(|r| r.rule == "regrowth").collect();
         assert_eq!(plants.len(), rows.len(), "one plant per row");

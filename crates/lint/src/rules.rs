@@ -234,6 +234,10 @@ pub const ROWS: &[Row] = &[
     regrowth(CODE, &["flight_bias", r"set\wbias\b", "bias_pending", r"inject\wslowdown"], &[],
         NONE, "`{pat}`: a perf-gate slowdown hook is back; test --gate/--pulse-gate against an \
         edited baseline, DESIGN.md §10.4"),
+    // §10.4: a committed simulated document is compared exactly, in one place.
+    regrowth(&["crates/bench/"], &[r"fn flight_gate\b", r"fn shape_gate\b", r"mod tolerance\b",
+        r"fn time_to_steady\b"], &[], NONE, "`{pat}`: a tolerance comparator is back beside the \
+        exact one; compare with f4t_bench::compare_documents, DESIGN.md §10.4"),
 ];
 
 /// The longest literal piece of `pat`: a cheap filter before

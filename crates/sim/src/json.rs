@@ -1,6 +1,7 @@
 //! The workspace's one JSON codec (DESIGN.md §7): the string escaper and
-//! float formatter every writer shares, and the strict reader behind the
-//! FtFlight perf gate, the FtPulse shape gate and `f4tdbg`.
+//! float formatter every writer shares, and the strict reader behind
+//! `f4t_bench::compare_documents` (the exact `--gate`/`--pulse-gate`
+//! comparison) and `f4tdbg`.
 //!
 //! Writers keep their own hand-laid layouts — their bytes are pinned by
 //! the determinism goldens, `results/{flight,pulse}` and FtBench's

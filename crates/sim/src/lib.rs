@@ -35,7 +35,7 @@
 //!   modes, with per-shard aggregation and Chrome counter export.
 //! * [`json`] — the one JSON codec: the shared string escaper and float
 //!   formatter, and the strict reader ([`json::parse`] → [`json::Value`])
-//!   that the perf gate, the shape gate and `f4tdbg` read documents with.
+//!   that `f4t_bench::compare_documents` and `f4tdbg` read documents with.
 //! * [`journal`] — FtJournal: the bounded per-flow causal event journal
 //!   ([`Journal`], [`JournalEvent`]) behind post-mortem black-box dumps.
 //! * [`watchdog`] — FtJournal's online health watchdog ([`Watchdog`]):

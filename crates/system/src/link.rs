@@ -214,6 +214,10 @@ pub struct DuplexLink {
     /// Optional capture of every sent segment (both directions, capped
     /// at [`PCAP_MAX_PACKETS`]); see [`DuplexLink::enable_pcap`].
     pcap: Option<PcapWriter<Vec<u8>>>,
+    /// Each direction's window send queue, emptied into the in-flight
+    /// queue when its node window closed: the next window's half sends
+    /// into it, so no window regrows a queue from empty.
+    spare: [VecDeque<(u64, Segment)>; 2],
 }
 
 /// Direction index: node A → node B.
@@ -247,7 +251,7 @@ impl DuplexLink {
 
     fn with_pacer(pacer: BytePacer, delay_ns: u64) -> DuplexLink {
         let dirs = [LinkDir::new(pacer.clone(), delay_ns), LinkDir::new(pacer, delay_ns)];
-        DuplexLink { dirs, pcap: None }
+        DuplexLink { dirs, pcap: None, spare: Default::default() }
     }
 
     /// The paper's testbed link.
@@ -330,12 +334,13 @@ impl DuplexLink {
     /// segments already in flight toward its node; while a capture is
     /// on, it tapes its sends, addressed to the peer in `macs` (`[a, b]`).
     pub(crate) fn open_window(&mut self, macs: [MacAddr; 2]) -> (LinkHalf, LinkHalf) {
-        let [mut a_to_b, mut b_to_a] = [A_TO_B, B_TO_A].map(|dir| {
+        let [(a_to_b, to_b), (b_to_a, to_a)] = [A_TO_B, B_TO_A].map(|dir| {
             let d = &mut self.dirs[dir];
             let empty = LinkDir::new(d.pacer.clone(), d.delay_ns);
-            mem::replace(d, empty)
+            let mut tx = mem::replace(d, empty);
+            let in_flight = mem::replace(&mut tx.in_flight, mem::take(&mut self.spare[dir]));
+            (tx, in_flight)
         });
-        let (to_b, to_a) = (mem::take(&mut a_to_b.in_flight), mem::take(&mut b_to_a.in_flight));
         let capturing = self.pcap.as_ref().is_some_and(|w| w.packets() < PCAP_MAX_PACKETS);
         let tape = || capturing.then(Vec::new);
         (
@@ -350,7 +355,8 @@ impl DuplexLink {
     /// and the sends that would arrive before that queue's back wait for
     /// it, as [`LinkDir::enqueue`] clamps them in lock-step. Window sends
     /// are non-decreasing, so only a prefix of them can need it. The
-    /// tapes go to the capture in lock-step order.
+    /// emptied window queues are kept for the next window. The tapes go
+    /// to the capture in lock-step order.
     pub(crate) fn close_window(&mut self, a: LinkHalf, b: LinkHalf) {
         self.record_tapes(a.tape, b.tape);
         for (dir, mut tx, mut rx) in [(A_TO_B, a.tx, b.rx), (B_TO_A, b.tx, a.rx)] {
@@ -361,7 +367,7 @@ impl DuplexLink {
             }
             rx.append(&mut tx.in_flight);
             debug_assert!(rx.iter().map(|&(at, _)| at).is_sorted(), "in-flight arrivals regress");
-            tx.in_flight = rx;
+            self.spare[dir] = mem::replace(&mut tx.in_flight, rx);
             self.dirs[dir] = tx;
         }
     }
